@@ -23,8 +23,8 @@ def test_fig08(run_experiment):
     # downtrend claim is asserted on the deterministic-allocation mappings.
     # dyn_redis is checked on the 5X workload over 5..10 processes: beyond
     # ~10 consumer threads the in-process Redis substrate's lock convoy
-    # flattens the curve -- a substrate artifact documented in
-    # EXPERIMENTS.md, not a property of the mapping.)
+    # flattens the curve -- a substrate artifact (docs/benchmarks.md,
+    # "Known deviations from the paper"), not a property of the mapping.)
     for mapping in ("dyn_multi", "multi"):
         assert runtimes_decrease_with_processes(standard, mapping, tolerance=2.0), mapping
     five_x = grids["5X standard"]

@@ -15,7 +15,7 @@ def test_fig10(run_experiment):
 
     # Runtime drops to 16 processes, then flattens.  (The paper's drop
     # factor is larger; our thread substrate has a GIL floor per task --
-    # see EXPERIMENTS.md deviations.)
+    # see "Known deviations from the paper" in docs/benchmarks.md.)
     r4 = ten_x[("dyn_multi", 4)].runtime
     r16 = ten_x[("dyn_multi", 16)].runtime
     r64 = ten_x[("dyn_multi", 64)].runtime

@@ -4,7 +4,8 @@ The paper reports all ratios below 1 on both platforms (0.32 runtime in
 the best server case) -- "especially noteworthy, based on the observation
 that the Redis mapping is overall slower than Multiprocessing with the
 same settings".  We assert the sub-1 mean ratios; the absolute factor
-depends on testbed scale (see EXPERIMENTS.md).
+depends on testbed scale (see "Known deviations from the paper" in
+docs/benchmarks.md).
 """
 
 from repro.metrics.ratios import summarize_ratios

@@ -20,9 +20,11 @@ How a run is assembled:
 - Each **worker process** dials the address, fetches the jobspec, rebuilds
   the run context (same ``Clock``/``ExecutionContext``/seed derivation as
   every other mapping, so RNG streams -- and therefore outputs -- are
-  identical to ``dyn_redis``), and runs the standard fetch/process/ack loop
-  against the stream.  Results relay back through a ``{ns}:results`` list
-  the coordinator pumps into its collector; counters accumulate locally and
+  identical to ``dyn_redis``), and runs the same
+  :class:`~repro.mappings.redis_tasks.StreamWorker` body under the same
+  dedicated driver as a ``dyn_redis`` thread -- only its client dials a
+  socket.  Results relay back through a ``{ns}:results`` list the
+  coordinator pumps into its collector; counters accumulate locally and
   flush once at exit.
 - **Recovery** is inherited wholesale: a worker SIGKILLed mid-run leaves
   its fetched-but-unacked entries in the group PEL, and starved survivors
@@ -52,14 +54,8 @@ from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow
 from repro.core.context import ExecutionContext
 from repro.core.pe import GenericPE
-from repro.mappings.base import (
-    EnactmentState,
-    Mapping,
-    dispatch_emissions,
-    instantiate,
-    resolve_batch_size,
-)
-from repro.mappings.redis_tasks import PILL, RedisTaskBoard, reclaim_threshold_ms
+from repro.mappings.base import EnactmentState, Mapping, instantiate, resolve_batch_size
+from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.net.client import SocketRedisClient
@@ -132,39 +128,44 @@ class _ClusterWorker:
     ) -> None:
         self.client = client
         self.namespace = namespace
-        self.index = index
-        self.consumer = f"cluster-{index}"
-        self.spec = spec
-        self.graph = spec["graph"]
         platform = spec["platform"]
-        self.clock = Clock(spec["time_scale"])
+        clock = Clock(spec["time_scale"])
         # Identical context derivation to every in-process mapping: same
         # seed, same per-instance RNG streams, same core emulation -- the
         # reason cluster outputs are byte-identical to dyn_redis.
-        self.ctx = ExecutionContext(
-            clock=self.clock,
+        ctx = ExecutionContext(
+            clock=clock,
             cores=platform.make_core_limiter(),
             seed=spec["seed"],
             cpu_speed=platform.cpu_speed,
         )
-        self.policy: TerminationPolicy = spec["policy"]
-        self.batch_size: int = spec["batch_size"]
-        self.reclaim_idle_ms: float = spec["reclaim_idle_ms"]
         self.total_workers: int = spec["total_workers"]
         self.crash_after: Optional[int] = (
             spec["crash_after"] if index in spec["crash_workers"] else None
         )
-        self.board = RedisTaskBoard(client, namespace=namespace)
-        self.concrete = ConcreteWorkflow.single_instance(self.graph)
-        self.collector = _RelayCollector(client, f"{namespace}:results")
-        self.copies: Dict[str, GenericPE] = {
-            name: instantiate(pe, 0, 1, self.ctx)
-            for name, pe in self.graph.pes.items()
+        graph = spec["graph"]
+        copies: Dict[str, GenericPE] = {
+            name: instantiate(pe, 0, 1, ctx) for name, pe in graph.pes.items()
         }
-        for pe in self.copies.values():
+        for pe in copies.values():
             pe.preprocess()
         self.counters: Dict[str, int] = {"graph_copies": 1}
         self._fetched_entries = 0
+        self.board = RedisTaskBoard(client, namespace=namespace)
+        self.worker = StreamWorker(
+            self.board,
+            client,
+            f"cluster-{index}",
+            copies,
+            ConcreteWorkflow.single_instance(graph),
+            _RelayCollector(client, f"{namespace}:results"),
+            self._inc,
+            policy=spec["policy"],
+            clock=clock,
+            reclaim_idle_ms=spec["reclaim_idle_ms"],
+            batch_size=spec["batch_size"],
+            after_fetch=self._maybe_crash,
+        )
 
     def _inc(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -177,7 +178,7 @@ class _ClusterWorker:
         pipe = self.client.pipeline()
         key = f"{self.namespace}:counters"
         for name, amount in counters.items():
-            pipe._queue(["HINCRBY", key, name, amount])
+            pipe.hincrby(key, name, amount)
         pipe.execute()
 
     def _maybe_crash(self, new_entries: int) -> None:
@@ -193,32 +194,6 @@ class _ClusterWorker:
         if self.crash_after is not None and self._fetched_entries > self.crash_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def process_entry(self, entry_id: str, payload: Any) -> int:
-        tasks = self.board.entry_tasks(payload)
-        children = []
-        try:
-            for pe_name, port, item in tasks:
-                inputs = item if port is None else {port: item}
-                emissions = self.copies[pe_name]._invoke(inputs)
-                self._inc("tasks")
-                children.extend(
-                    (d.dst, d.dst_port, d.data)
-                    for d in dispatch_emissions(
-                        self.concrete, self.collector, pe_name, 0, emissions
-                    )
-                )
-        finally:
-            self.board.finish_entry(
-                entry_id, len(tasks), children, self.client,
-                batch_size=self.batch_size,
-            )
-        return len(tasks)
-
-    def is_terminated(self) -> bool:
-        if self.policy.unsafe_empty_check:
-            return self.board.backlog() == 0
-        return self.board.is_drained()
-
     def broadcast_pills(self) -> None:
         # Cross-process once-guard: a threading.Event cannot coordinate
         # separate OS processes, but INCR can -- only the first worker to
@@ -227,48 +202,9 @@ class _ClusterWorker:
             self.board.put_pills(self.total_workers)
             self._inc("pills", self.total_workers)
 
-    def reclaim_stale(self) -> int:
-        """Adopt entries stuck with dead workers (see redis_dynamic.py)."""
-        recovered = self.board.recover_stale(
-            self.consumer, self.client, min_idle_ms=self.reclaim_idle_ms
-        )
-        tasks = 0
-        for entry_id, payload in recovered:
-            self._inc("reclaimed")
-            tasks += self.process_entry(entry_id, payload)
-        return tasks
-
     def run(self) -> None:
-        """The worker loop: structurally identical to ``RedisWorkforce``."""
-        base_block = max(1, int(self.clock.to_real(self.policy.poll_interval) * 1000))
-        empty_streak = 0
-        while True:
-            block_ms = min(base_block * (1 << min(empty_streak, 5)), 32 * base_block)
-            fetched = self.board.fetch(self.consumer, self.client, block_ms=block_ms)
-            if not fetched:
-                empty_streak += 1
-                self._inc("empty_polls")
-                if empty_streak >= self.policy.empty_retries:
-                    if self.is_terminated():
-                        self.broadcast_pills()
-                        return
-                    if (empty_streak - self.policy.empty_retries) % 8 == 0 and (
-                        self.reclaim_stale()
-                    ):
-                        empty_streak = 0
-                continue
-            empty_streak = 0
-            real_entries = sum(1 for _, payload in fetched if payload is not PILL)
-            self._maybe_crash(real_entries)
-            got_pill = False
-            for entry_id, payload in fetched:
-                if payload is PILL:
-                    self.board.ack(entry_id, self.client)
-                    got_pill = True
-                    continue
-                self.process_entry(entry_id, payload)
-            if got_pill:
-                return
+        """Consume the stream to termination (the dedicated driver)."""
+        self.worker.run_dedicated(self.broadcast_pills)
 
 
 def run_worker(address: str, namespace: str, index: int) -> None:
@@ -301,7 +237,7 @@ def run_worker(address: str, namespace: str, index: int) -> None:
             worker.flush_counters()
     except BaseException as exc:  # noqa: BLE001 - process boundary
         try:
-            client.rpush(f"{namespace}:errors", f"worker {index}: {exc!r}")
+            client.rpush(f"{namespace}:errors", (index, repr(exc)))
         finally:
             client.close()
         raise
@@ -361,17 +297,7 @@ class ClusterRedisMapping(Mapping):
         # Seed roots before publishing the jobspec: a worker that joins
         # early must find either no jobspec or a fully seeded board, never
         # a board it could drain to "terminated" mid-seed.
-        tasks = [
-            (root, None, item)
-            for root, items in state.provided.items()
-            for item in items
-        ]
-        if batch_size > 1:
-            board.put_many(tasks, batch_size=batch_size)
-        else:
-            for task in tasks:
-                board.put(task)
-        state.counters.inc("seed_tasks", board.outstanding())
+        state.counters.inc("seed_tasks", board.seed_roots(state.provided, batch_size))
 
         crash_workers = options.get("crash_workers", ())
         jobspec = {
@@ -422,6 +348,7 @@ class ClusterRedisMapping(Mapping):
         ]
         for index in range(len(workers)):
             state.meter.activate(f"cluster-{index}")
+        exit_errors: Dict[int, RuntimeError] = {}
         try:
             for proc in workers:
                 proc.start()
@@ -441,18 +368,22 @@ class ClusterRedisMapping(Mapping):
                     # The injected crash: expected, recovery covers it.
                     state.counters.inc("crashed_workers")
                 elif proc.exitcode != 0:
-                    state.record_error(
-                        RuntimeError(
-                            f"worker {proc.name} exited with code {proc.exitcode}"
-                        )
+                    exit_errors[index] = RuntimeError(
+                        f"worker {proc.name} exited with code {proc.exitcode}"
                     )
         finally:
             for index in range(len(workers)):
                 state.meter.deactivate(f"cluster-{index}")
             stop_pump.set()
             pump_thread.join(timeout=10.0)
-        for message in client.lrange(errors_key, 0, -1):
-            state.record_error(RuntimeError(str(message)))
+        # What a worker relayed before dying (the PE's own exception) is the
+        # diagnosis and goes first; the exit code is only its symptom, kept
+        # for workers that died without a word.
+        for index, message in client.lrange(errors_key, 0, -1):
+            exit_errors.pop(index, None)
+            state.record_error(RuntimeError(f"worker {index}: {message}"))
+        for error in exit_errors.values():
+            state.record_error(error)
         if not state.errors and not board.is_drained():
             state.record_error(
                 RuntimeError(

@@ -79,7 +79,7 @@ from repro.mappings.base import (
     instantiate,
     resolve_batch_size,
 )
-from repro.mappings.redis_tasks import PILL, RedisTaskBoard, reclaim_threshold_ms
+from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
@@ -427,8 +427,6 @@ class HybridRedisMapping(Mapping):
 
         def stateless_worker(index: int) -> None:
             worker_id = f"stateless-{index}"
-            consumer = f"consumer-{index}"
-            client = new_client()
             try:
                 copies = {
                     name: instantiate(pe, 0, 1, state.ctx)
@@ -437,81 +435,22 @@ class HybridRedisMapping(Mapping):
                 }
                 for pe in copies.values():
                     pe.preprocess()
-
-                def run_entry(entry_id: str, payload) -> None:
-                    """Run every task in one stream entry; settle it once.
-
-                    Children from the whole envelope are published and the
-                    entry's credits released (conditional XACKDECR, amount
-                    = envelope size) in a single pipelined round trip.
-                    """
-                    tasks = board.entry_tasks(payload)
-                    pipe = client.pipeline()
-                    try:
-                        deliveries: List[Delivery] = []
-                        for task in tasks:
-                            pe_name, port, item = task
-                            inputs = item if port is None else {port: item}
-                            emissions = copies[pe_name]._invoke(inputs)
-                            state.counters.inc("tasks")
-                            deliveries.extend(
-                                dispatch_emissions(
-                                    concrete, state.collector, pe_name, 0, emissions
-                                )
-                            )
-                        queue_deliveries(pipe, deliveries)
-                    finally:
-                        pipe.xack_decr(
-                            board.stream_key,
-                            board.group,
-                            entry_id,
-                            board.counter_key,
-                            len(tasks),
-                        )
-                        pipe.execute()
-
-                base_block = max(1, int(state.clock.to_real(policy.poll_interval) * 1000))
-                empty_streak = 0
-                while not abort.is_set() and not shutdown.is_set():
-                    # Exponential poll backoff while starved, so idle workers
-                    # do not storm the server (and the GIL) at 1 kHz.
-                    block_ms = min(base_block * (1 << min(empty_streak, 6)), 64 * base_block)
-                    fetched = board.fetch(consumer, client, block_ms=block_ms)
-                    if not fetched:
-                        empty_streak += 1
-                        # Reclaim on the first starved poll past the retry
-                        # budget, then every 8th: in recoverable runs the
-                        # counter legitimately stays > 0 between stateful
-                        # checkpoints, and a per-poll XAUTOCLAIM from every
-                        # starved worker would be pure overhead.
-                        if (
-                            empty_streak >= policy.empty_retries
-                            and (empty_streak - policy.empty_retries) % 8 == 0
-                            and not board.is_drained(client)
-                        ):
-                            recovered = board.recover_stale(
-                                consumer, client, min_idle_ms=reclaim_idle_ms
-                            )
-                            for entry_id, payload in recovered:
-                                state.counters.inc("reclaimed")
-                                run_entry(entry_id, payload)
-                            if recovered:
-                                empty_streak = 0
-                        continue
-                    empty_streak = 0
-                    # Pills trail real work in stream order; process the
-                    # tasks first, ack every fetched pill (a multi-entry
-                    # fetch may grab pills meant for peers, who then exit
-                    # via the termination condition), then leave.
-                    got_pill = False
-                    for entry_id, payload in fetched:
-                        if payload is PILL:
-                            board.ack(entry_id, client)
-                            got_pill = True
-                            continue
-                        run_entry(entry_id, payload)
-                    if got_pill:
-                        return
+                # The shared stream-worker body; children bound for pinned
+                # instances leave through ``queue_deliveries`` instead of
+                # the task stream, and the coordinator ends the run.
+                StreamWorker(
+                    board,
+                    new_client(),
+                    f"consumer-{index}",
+                    copies,
+                    concrete,
+                    state.collector,
+                    state.counters.inc,
+                    policy=policy,
+                    clock=state.clock,
+                    reclaim_idle_ms=reclaim_idle_ms,
+                    publish=queue_deliveries,
+                ).run_until(lambda: abort.is_set() or shutdown.is_set())
             except BaseException as exc:  # noqa: BLE001 - worker boundary
                 state.record_error(exc)
                 abort.set()

@@ -30,14 +30,8 @@ from typing import Dict, Optional
 from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow
 from repro.core.pe import GenericPE
-from repro.mappings.base import (
-    EnactmentState,
-    Mapping,
-    dispatch_emissions,
-    instantiate,
-    resolve_batch_size,
-)
-from repro.mappings.redis_tasks import PILL, RedisTaskBoard, reclaim_threshold_ms
+from repro.mappings.base import EnactmentState, Mapping, instantiate, resolve_batch_size
+from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
@@ -45,7 +39,14 @@ from repro.redisim.server import RedisServer
 
 
 class RedisWorkforce:
-    """Shared mechanics of the Redis-backed dynamic mappings."""
+    """Shared mechanics of the in-process Redis dynamic mappings.
+
+    Owns the run's board, the per-worker graph copies and the once-only
+    pill broadcast; the worker body itself is
+    :class:`~repro.mappings.redis_tasks.StreamWorker`, driven here under
+    the dedicated (:meth:`worker_loop`) and session
+    (:meth:`drain_session`) stop policies.
+    """
 
     def __init__(self, state: EnactmentState, policy: TerminationPolicy) -> None:
         self.state = state
@@ -57,7 +58,7 @@ class RedisWorkforce:
         #: peer adopts it (XAUTOCLAIM); see :func:`reclaim_threshold_ms`.
         self.reclaim_idle_ms: float = reclaim_threshold_ms(state.options, state.clock)
         self.board = RedisTaskBoard(
-            self._new_client(), namespace=f"repro:{state.graph.name}"
+            self.client_for_worker(), namespace=f"repro:{state.graph.name}"
         )
         self.board.setup()
         self.concrete = ConcreteWorkflow.single_instance(state.graph)
@@ -65,30 +66,17 @@ class RedisWorkforce:
         self._copies_lock = threading.Lock()
         self._pills_sent = threading.Event()
 
-    def _new_client(self) -> RedisClient:
+    def client_for_worker(self) -> RedisClient:
         return RedisClient(
             self.server,
             op_latency=self.state.platform.redis_latency,
             clock=self.state.clock,
         )
 
-    def client_for_worker(self) -> RedisClient:
-        return self._new_client()
-
     def seed_roots(self) -> None:
-        if self.batch_size > 1:
-            # One pipelined publication, envelopes of up to batch_size.
-            tasks = [
-                (root, None, item)
-                for root, items in self.state.provided.items()
-                for item in items
-            ]
-            self.board.put_many(tasks, batch_size=self.batch_size)
-        else:
-            for root, items in self.state.provided.items():
-                for item in items:
-                    self.board.put((root, None, item))
-        self.state.counters.inc("seed_tasks", self.board.outstanding())
+        self.state.counters.inc(
+            "seed_tasks", self.board.seed_roots(self.state.provided, self.batch_size)
+        )
 
     def graph_copy(self, worker_key: str) -> Dict[str, GenericPE]:
         with self._copies_lock:
@@ -105,47 +93,24 @@ class RedisWorkforce:
             self.state.counters.inc("graph_copies")
         return copies
 
-    def process_entry(
-        self,
-        copies: Dict[str, GenericPE],
-        entry_id: str,
-        payload: object,
-        client: RedisClient,
-    ) -> int:
-        """Run every task carried by one stream entry; returns the count.
-
-        The batch-aware hot path: an entry may be a single task or a batch
-        envelope.  All tasks are executed without re-entering the fetch/ack
-        machinery per tuple; their children are gathered and the entry is
-        settled once -- one pipelined round trip publishing the children in
-        envelopes and releasing the entry's credits with a conditional
-        ``XACKDECR amount=len(entry)``.
-        """
-        tasks = self.board.entry_tasks(payload)
-        children = []
-        try:
-            for task in tasks:
-                pe_name, port, item = task
-                inputs = item if port is None else {port: item}
-                emissions = copies[pe_name]._invoke(inputs)
-                self.state.counters.inc("tasks")
-                children.extend(
-                    (d.dst, d.dst_port, d.data)
-                    for d in dispatch_emissions(
-                        self.concrete, self.state.collector, pe_name, 0, emissions
-                    )
-                )
-        finally:
-            # One pipelined round trip: publish children, ack, complete.
-            self.board.finish_entry(
-                entry_id, len(tasks), children, client, batch_size=self.batch_size
-            )
-        return len(tasks)
+    def worker(self, worker_key: str, consumer: str) -> StreamWorker:
+        """The stream-worker body of one thread, on its own connection."""
+        return StreamWorker(
+            self.board,
+            self.client_for_worker(),
+            consumer,
+            self.graph_copy(worker_key),
+            self.concrete,
+            self.state.collector,
+            self.state.counters.inc,
+            policy=self.policy,
+            clock=self.state.clock,
+            reclaim_idle_ms=self.reclaim_idle_ms,
+            batch_size=self.batch_size,
+        )
 
     def is_terminated(self) -> bool:
-        if self.policy.unsafe_empty_check:
-            return self.board.backlog() == 0
-        return self.board.is_drained()
+        return self.board.is_terminated(self.policy)
 
     def broadcast_pills(self, count: int) -> None:
         if not self._pills_sent.is_set():
@@ -153,98 +118,15 @@ class RedisWorkforce:
             self.board.put_pills(count)
             self.state.counters.inc("pills", count)
 
-    def reclaim_stale(
-        self, copies: Dict[str, GenericPE], consumer: str, client: RedisClient
-    ) -> int:
-        """Adopt and run tasks stuck with dead consumers (the recovery path).
-
-        A consumer that dies between XREADGROUP and XACK leaves its entries
-        in the PEL, where no ``>`` read will ever see them again -- without
-        reclaim the outstanding counter never drains and the run hangs.
-        Starved workers call this once the queue looks empty but work is
-        still outstanding.  Returns the number of tasks recovered.
-        """
-        recovered = self.board.recover_stale(
-            consumer, client, min_idle_ms=self.reclaim_idle_ms
-        )
-        tasks = 0
-        for entry_id, payload in recovered:
-            self.state.counters.inc("reclaimed")
-            tasks += self.process_entry(copies, entry_id, payload, client)
-        return tasks
-
     def worker_loop(self, worker_key: str, consumer: str, total_workers: int) -> None:
         """Dedicated-worker loop (dyn_redis): run until termination."""
-        copies = self.graph_copy(worker_key)
-        client = self.client_for_worker()
-        base_block = max(1, int(self.state.clock.to_real(self.policy.poll_interval) * 1000))
-        empty_streak = 0
-        while True:
-            # Exponential backoff while starved: idle consumers polling at
-            # 1 kHz would contend on the server lock and the GIL.
-            block_ms = min(base_block * (1 << min(empty_streak, 5)), 32 * base_block)
-            fetched = self.board.fetch(consumer, client, block_ms=block_ms)
-            if not fetched:
-                empty_streak += 1
-                self.state.counters.inc("empty_polls")
-                if empty_streak >= self.policy.empty_retries:
-                    if self.is_terminated():
-                        self.broadcast_pills(total_workers)
-                        return
-                    # Starved but not drained: the missing work may be
-                    # pending under a dead consumer.  Attempt reclaim on
-                    # the first starved poll past the retry budget, then
-                    # every 8th -- not per poll, which would add one
-                    # XAUTOCLAIM round trip per interval per worker for
-                    # the whole starved tail of a run.
-                    if (empty_streak - self.policy.empty_retries) % 8 == 0 and (
-                        self.reclaim_stale(copies, consumer, client)
-                    ):
-                        empty_streak = 0
-                continue
-            empty_streak = 0
-            # Pills always trail real work in stream order (they are only
-            # broadcast once the board drained), so process tasks first and
-            # exit on the pill.  A multi-entry fetch may pull pills meant
-            # for peers into our PEL; ack them all -- the peers still
-            # terminate through the outstanding==0 condition.
-            got_pill = False
-            for entry_id, payload in fetched:
-                if payload is PILL:
-                    self.board.ack(entry_id, client)
-                    got_pill = True
-                    continue
-                self.process_entry(copies, entry_id, payload, client)
-            if got_pill:
-                return
+        self.worker(worker_key, consumer).run_dedicated(
+            lambda: self.broadcast_pills(total_workers)
+        )
 
     def drain_session(self, worker_key: str, consumer: str, chunk: int) -> int:
-        """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
-
-        ``chunk`` is a soft cap at batch granularity: a session never
-        splits a fetched envelope, so it may overshoot by at most one
-        fetch's worth of tasks.
-        """
-        copies = self.graph_copy(worker_key)
-        client = self.client_for_worker()
-        block_ms = max(1, int(self.state.clock.to_real(self.policy.poll_interval) * 1000))
-        processed = 0
-        while processed < chunk:
-            fetched = self.board.fetch(consumer, client, block_ms=block_ms)
-            if not fetched:
-                if not self.is_terminated():
-                    processed += self.reclaim_stale(copies, consumer, client)
-                break
-            got_pill = False
-            for entry_id, payload in fetched:
-                if payload is PILL:
-                    self.board.ack(entry_id, client)
-                    got_pill = True
-                    continue
-                processed += self.process_entry(copies, entry_id, payload, client)
-            if got_pill:
-                return processed
-        return processed
+        """Auto-scaled session (dyn_auto_redis): up to ``chunk`` tasks, stop on empty."""
+        return self.worker(worker_key, consumer).run_session(chunk)
 
     def teardown(self) -> None:
         self.board.teardown()

@@ -20,13 +20,23 @@ completion releases the whole envelope's credits with one conditional
 granularity while the command count (the per-tuple round-trip cost the
 paper identifies as the Redis mappings' handicap, Section 5.6) drops by
 the batch factor.
+
+:class:`StreamWorker` is the consuming side: the one fetch -> invoke ->
+settle (``XACKDECR``) -> reclaim (``XAUTOCLAIM``) body every Redis mapping
+runs, whichever transport its client rides and whoever decides when the
+run is over.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.redisim.client import RedisClient
+from repro.core.concrete import ConcreteWorkflow, Delivery
+from repro.core.pe import GenericPE
+from repro.mappings.base import dispatch_emissions
+from repro.mappings.termination import TerminationPolicy
+from repro.redisim.client import Pipeline, RedisClient
+from repro.runtime.clock import Clock
 from repro.runtime.queues import as_envelope, batch_items, chunked
 
 #: Sentinel returned by :meth:`RedisTaskBoard.fetch` for pill entries.
@@ -91,25 +101,6 @@ class RedisTaskBoard:
         c.incr(self.counter_key)
         return c.xadd(self.stream_key, {"task": task})
 
-    def put_many(
-        self,
-        tasks: Sequence[Any],
-        client: Optional[RedisClient] = None,
-        batch_size: int = 1,
-    ) -> None:
-        """Enqueue tasks grouped into batch envelopes, one round trip total.
-
-        Tasks are chunked into envelopes of at most ``batch_size`` and the
-        whole publication (one ``INCRBY len(chunk)`` + one ``XADD`` per
-        envelope) runs as a single pipeline.
-        """
-        if not tasks:
-            return
-        c = client if client is not None else self.client
-        pipe = c.pipeline()
-        self.queue_tasks(pipe, list(tasks), batch_size)
-        pipe.execute()
-
     def queue_tasks(self, pipe, tasks: List[Any], batch_size: int) -> None:
         """Append the publication commands for ``tasks`` to a pipeline.
 
@@ -123,6 +114,23 @@ class RedisTaskBoard:
             else:
                 pipe.incrby(self.counter_key, len(chunk))
             pipe.xadd(self.stream_key, {"task": as_envelope(chunk)})
+
+    def seed_roots(self, provided: Mapping[str, Iterable[Any]], batch_size: int = 1) -> int:
+        """Publish every root input as a task; returns the outstanding count.
+
+        Batched runs seed in one pipelined round trip -- envelopes of up to
+        ``batch_size``, one ``INCRBY len(chunk)`` + one ``XADD`` each;
+        unbatched runs put task by task.
+        """
+        tasks = [(root, None, item) for root, items in provided.items() for item in items]
+        if batch_size > 1:
+            pipe = self.client.pipeline()
+            self.queue_tasks(pipe, tasks, batch_size)
+            pipe.execute()
+        else:
+            for task in tasks:
+                self.put(task)
+        return self.outstanding()
 
     def put_pills(self, count: int, client: Optional[RedisClient] = None) -> None:
         c = client if client is not None else self.client
@@ -154,11 +162,6 @@ class RedisTaskBoard:
                     tasks.append((entry_id, fields["task"]))
         return tasks
 
-    @staticmethod
-    def entry_tasks(payload: Any) -> List[Any]:
-        """The tasks carried by one fetched entry (unwraps batch envelopes)."""
-        return batch_items(payload)
-
     def ack(self, entry_id: str, client: RedisClient) -> None:
         client.xack(self.stream_key, self.group, entry_id)
 
@@ -173,37 +176,24 @@ class RedisTaskBoard:
         client/server round trip (and one server-lock acquisition) each,
         which under many workers dominates fine-grained task streams; a
         real deployment pipelines them for exactly the same reason.
+        """
+        pipe = client.pipeline()
+        self.queue_tasks(pipe, children, 1)
+        self.queue_settle(pipe, entry_id, 1)
+        pipe.execute()
+
+    def queue_settle(self, pipe: Pipeline, entry_id: str, amount: int) -> None:
+        """Append the settlement of one consumed entry to a pipeline.
 
         The ack and the completion decrement are one conditional step
         (XACKDECR): when an entry was reclaimed (XAUTOCLAIM) and finished
         by both its original consumer and its adopter, only the first
         finisher's ack succeeds and only that one decrements -- the
         outstanding counter stays exactly-once per entry and can never go
-        negative.
+        negative.  ``amount`` is the entry's task count (``len(batch)`` for
+        an envelope), released all-or-nothing with the ack.
         """
-        self.finish_entry(entry_id, 1, children, client, batch_size=1)
-
-    def finish_entry(
-        self,
-        entry_id: str,
-        amount: int,
-        children: List[Any],
-        client: RedisClient,
-        batch_size: int = 1,
-    ) -> None:
-        """Batch-aware :meth:`finish`: one envelope of ``amount`` tasks done.
-
-        Children are re-published in envelopes of at most ``batch_size``;
-        the consumed entry's ``amount`` credits are released with one
-        conditional ``XACKDECR`` (all-or-nothing with the ack, exactly-once
-        under reclaim races).  Still a single pipelined round trip.
-        """
-        pipe = client.pipeline()
-        self.queue_tasks(pipe, children, batch_size)
-        pipe.xack_decr(
-            self.stream_key, self.group, entry_id, self.counter_key, amount
-        )
-        pipe.execute()
+        pipe.xack_decr(self.stream_key, self.group, entry_id, self.counter_key, amount)
 
     # ------------------------------------------------------------ monitoring
     def outstanding(self, client: Optional[RedisClient] = None) -> int:
@@ -217,6 +207,13 @@ class RedisTaskBoard:
         # should surface as a visible join timeout rather than silently
         # dropping still-outstanding work.
         return self.outstanding(client) == 0
+
+    def is_terminated(self, policy: TerminationPolicy) -> bool:
+        """The policy's termination condition (Section 3.2.3): the
+        drained proof, or the paper's raw emptiness check."""
+        if policy.unsafe_empty_check:
+            return self.backlog() == 0
+        return self.is_drained()
 
     def backlog(self, client: Optional[RedisClient] = None) -> int:
         """Entries not yet delivered to the group (the group's lag)."""
@@ -263,3 +260,213 @@ class RedisTaskBoard:
                 continue
             recovered.append((entry_id, fields["task"]))
         return recovered
+
+
+class StreamWorker:
+    """One consumer of the task stream: fetch, invoke, settle, reclaim.
+
+    The single worker body of ``dyn_redis``, ``dyn_auto_redis``,
+    ``cluster_redis`` and hybrid's stateless plane.  Only what truly
+    differs between them is a parameter:
+
+    client / collector / count:
+        The worker's own connection, where collected output lands, and the
+        counter sink ``count(name, amount=1)`` -- in-process state for
+        threads, a relay list and a local tally for worker processes.
+    publish:
+        ``publish(pipe, deliveries)`` appends the children's publication
+        to the settling pipeline.  Default: batch envelopes on the task
+        stream; hybrid routes stateful destinations to private queues.
+    after_fetch:
+        Called with the number of real entries of each non-empty fetch,
+        before any is run (``crash_after`` failure injection).
+
+    The three ``run_*`` drivers differ only in who ends the run.
+    """
+
+    def __init__(
+        self,
+        board: RedisTaskBoard,
+        client: RedisClient,
+        consumer: str,
+        copies: Dict[str, GenericPE],
+        concrete: ConcreteWorkflow,
+        collector: Any,
+        count: Callable[..., None],
+        *,
+        policy: TerminationPolicy,
+        clock: Clock,
+        reclaim_idle_ms: float,
+        batch_size: int = 1,
+        publish: Optional[Callable[[Pipeline, List[Delivery]], None]] = None,
+        after_fetch: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        self.board = board
+        self.client = client
+        self.consumer = consumer
+        self.copies = copies
+        self.concrete = concrete
+        self.collector = collector
+        self.count = count
+        self.policy = policy
+        self.reclaim_idle_ms = reclaim_idle_ms
+        self.batch_size = batch_size
+        self.publish = publish if publish is not None else self._publish_tasks
+        self.after_fetch = after_fetch
+        #: Blocking-read length of an unstarved poll (real milliseconds).
+        self.base_block_ms = max(1, int(clock.to_real(policy.poll_interval) * 1000))
+
+    # ------------------------------------------------------------ the body
+    def _publish_tasks(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
+        self.board.queue_tasks(
+            pipe, [(d.dst, d.dst_port, d.data) for d in deliveries], self.batch_size
+        )
+
+    def process_entry(self, entry_id: str, payload: Any) -> int:
+        """Run every task carried by one stream entry; returns the count.
+
+        The batch-aware hot path: an entry may be a single task or a batch
+        envelope.  All tasks are executed without re-entering the fetch/ack
+        machinery per tuple; their children are gathered and the entry is
+        settled once -- one pipelined round trip publishing the children
+        and releasing the entry's credits with a conditional
+        ``XACKDECR amount=len(entry)``.
+        """
+        tasks = batch_items(payload)
+        deliveries: List[Delivery] = []
+        try:
+            for pe_name, port, item in tasks:
+                inputs = item if port is None else {port: item}
+                emissions = self.copies[pe_name]._invoke(inputs)
+                self.count("tasks")
+                deliveries.extend(
+                    dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
+                )
+        finally:
+            # Settle even when a PE raised: the entry must not linger in
+            # the PEL for a peer to adopt and fail on again.
+            pipe = self.client.pipeline()
+            self.publish(pipe, deliveries)
+            self.board.queue_settle(pipe, entry_id, len(tasks))
+            pipe.execute()
+        return len(tasks)
+
+    def consume(self, fetched: List[Tuple[str, Any]]) -> Tuple[int, bool]:
+        """Run one fetch's entries; returns ``(tasks run, saw a pill)``.
+
+        Pills always trail real work in stream order (they are only
+        broadcast once the board drained), so tasks run first and the
+        caller exits on the pill.  A multi-entry fetch may pull pills meant
+        for peers into our PEL; ack them all -- the peers still terminate
+        through their own stop condition.
+        """
+        if self.after_fetch is not None:
+            self.after_fetch(sum(1 for _, payload in fetched if payload is not PILL))
+        tasks, got_pill = 0, False
+        for entry_id, payload in fetched:
+            if payload is PILL:
+                self.board.ack(entry_id, self.client)
+                got_pill = True
+            else:
+                tasks += self.process_entry(entry_id, payload)
+        return tasks, got_pill
+
+    def reclaim_stale(self) -> int:
+        """Adopt and run tasks stuck with dead consumers (the recovery path).
+
+        A consumer that dies between XREADGROUP and XACK leaves its entries
+        in the PEL, where no ``>`` read will ever see them again -- without
+        reclaim the outstanding counter never drains and the run hangs.
+        Starved workers call this once the queue looks empty but work is
+        still outstanding.  Returns the number of tasks recovered.
+        """
+        tasks = 0
+        for entry_id, payload in self.board.recover_stale(
+            self.consumer, self.client, min_idle_ms=self.reclaim_idle_ms
+        ):
+            self.count("reclaimed")
+            tasks += self.process_entry(entry_id, payload)
+        return tasks
+
+    def _fetch(self, empty_streak: int = 0) -> List[Tuple[str, Any]]:
+        # Exponential backoff while starved (capped at 32x): idle consumers
+        # polling at 1 kHz would contend on the server lock and the GIL.
+        block_ms = self.base_block_ms << min(empty_streak, 5)
+        return self.board.fetch(self.consumer, self.client, block_ms=block_ms)
+
+    def _reclaim_due(self, empty_streak: int) -> bool:
+        # On the first starved poll past the retry budget, then every 8th --
+        # not per poll, which would add one XAUTOCLAIM round trip per
+        # interval per worker for the whole starved tail of a run.
+        over = empty_streak - self.policy.empty_retries
+        return over >= 0 and over % 8 == 0
+
+    # ------------------------------------------------------------- drivers
+    def run_dedicated(self, broadcast_pills: Callable[[], None]) -> None:
+        """Dedicated worker: run until the board terminates or a pill lands.
+
+        The worker that decides termination calls ``broadcast_pills`` to
+        hurry its peers out.
+        """
+        empty_streak = 0
+        while True:
+            fetched = self._fetch(empty_streak)
+            if fetched:
+                empty_streak = 0
+                if self.consume(fetched)[1]:
+                    return
+                continue
+            empty_streak += 1
+            self.count("empty_polls")
+            if empty_streak >= self.policy.empty_retries:
+                if self.board.is_terminated(self.policy):
+                    broadcast_pills()
+                    return
+                # Starved but not drained: the missing work may be pending
+                # under a dead consumer.
+                if self._reclaim_due(empty_streak) and self.reclaim_stale():
+                    empty_streak = 0
+
+    def run_session(self, chunk: int) -> int:
+        """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
+
+        ``chunk`` is a soft cap at batch granularity: a session never
+        splits a fetched envelope, so it may overshoot by at most one
+        fetch's worth of tasks.
+        """
+        processed = 0
+        while processed < chunk:
+            fetched = self._fetch()
+            if not fetched:
+                if not self.board.is_terminated(self.policy):
+                    processed += self.reclaim_stale()
+                break
+            tasks, got_pill = self.consume(fetched)
+            processed += tasks
+            if got_pill:
+                break
+        return processed
+
+    def run_until(self, stop: Callable[[], bool]) -> None:
+        """Externally shut down: poll until ``stop()`` or a pill.
+
+        The coordinator owns termination (hybrid's staged close), so a
+        starved worker only ever reclaims -- and only while work is
+        outstanding: in recoverable runs the counter legitimately stays
+        > 0 between stateful checkpoints.
+        """
+        empty_streak = 0
+        while not stop():
+            fetched = self._fetch(empty_streak)
+            if fetched:
+                empty_streak = 0
+                if self.consume(fetched)[1]:
+                    return
+                continue
+            empty_streak += 1
+            if (
+                self._reclaim_due(empty_streak)
+                and not self.board.is_drained(self.client)
+                and self.reclaim_stale()
+            ):
+                empty_streak = 0

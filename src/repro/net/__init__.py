@@ -12,12 +12,14 @@ method table.  ``repro.net`` puts a real socket in the middle:
   :class:`~repro.redisim.server.RedisServer` keyspace, including the
   blocking commands (``BLPOP``, blocking ``XREAD``/``XREADGROUP``) without
   holding the keyspace lock across the wire.
-- :mod:`repro.net.client` -- :class:`~repro.net.client.SocketRedisClient`,
-  a drop-in for :class:`~repro.redisim.client.RedisClient` backed by a
-  pooled TCP connection with reconnect-and-backoff and per-pid fork
-  safety.  Because it speaks real RESP, it also runs against a genuine
-  Redis server (the ``real_redis`` parity lane), which keeps redisim
-  honest.
+- :mod:`repro.net.client` -- the socket transport of the one command
+  facade, :class:`~repro.redisim.client.RedisClient`:
+  :class:`~repro.net.client.ConnectionPool` (pooled TCP connections with
+  reconnect-and-backoff, per-pid fork safety, and the single table of
+  client-side RESP syntax) and :class:`~repro.net.client.SocketRedisClient`,
+  the thin constructor pairing the two.  Because it speaks real RESP, it
+  also runs against a genuine Redis server (the ``real_redis`` parity
+  lane), which keeps redisim honest.
 
 The :mod:`cluster_redis mapping <repro.mappings.cluster>` builds on all
 three: worker OS processes join a coordinator by ``host:port`` and consume

@@ -1,11 +1,16 @@
-"""Socket-backed Redis client with the :class:`repro.redisim.client.RedisClient` facade.
+"""The socket transport of :class:`repro.redisim.client.RedisClient`.
 
-:class:`SocketRedisClient` speaks RESP2 over TCP to a
-:class:`~repro.net.server.RespTCPServer` (or genuine Redis -- the
-``real_redis`` parity lane) while exposing byte-for-byte the same method
-surface and return shapes as the in-process client, so the task-board and
-mapping layers are transport-agnostic: hand them either client and they
-cannot tell the difference.
+:class:`ConnectionPool` is the RESP-over-TCP form of the facade's two-method
+transport: it translates each ``(name, args, kwargs)`` command into RESP2
+words, ships the batch to a :class:`~repro.net.server.RespTCPServer` (or
+genuine Redis -- the ``real_redis`` parity lane) and folds each reply back
+into the shape :class:`~repro.redisim.server.RedisServer` returns in
+process.  The wire syntax of every command lives in one table
+(:data:`_CODEC`); the command methods, pipeline, marshalling and latency
+accounting are the facade's own, so the task-board and mapping layers are
+transport-agnostic: hand them either pairing and they cannot tell the
+difference.  :class:`SocketRedisClient` is the thin constructor of the
+TCP pairing.
 
 Connection handling follows what production Redis clients do:
 
@@ -14,7 +19,7 @@ Connection handling follows what production Redis clients do:
   connection without starving concurrent callers on other threads.
 - **Reconnect with backoff** -- a dead socket (server restart, dropped
   connection) is discarded and the command retried on a fresh dial after
-  ``backoff * 2**attempt`` seconds, surfacing as redisim's
+  ``BACKOFF * 2**attempt`` seconds, surfacing as redisim's
   :class:`~repro.redisim.errors.ConnectionError` only once retries are
   exhausted.
 - **Fork safety** -- the pool records the PID that created each socket.
@@ -26,35 +31,24 @@ Connection handling follows what production Redis clients do:
   and it is what makes ``spawn`` and ``fork`` start methods behave
   identically for the cluster mapping.
 
-Payload marshalling mirrors the in-process client exactly: list values and
-stream fields pickle through ``_enc``/``_dec``; string/hash/counter values
-travel raw and come back as ``bytes`` (callers already ``int(...)`` their
-counters, which accepts ``b"5"``).
+String/hash/counter values travel raw and come back as ``bytes`` (callers
+already ``int(...)`` their counters, which accepts ``b"5"``); list values
+and stream fields are pickled by the facade on both transports.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.net.resp import (
-    INCOMPLETE,
-    ErrorReply,
-    ProtocolError,
-    RespDecoder,
-    encode_command,
-)
+from repro.net.resp import INCOMPLETE, ErrorReply, RespDecoder, encode_command
+from repro.redisim.client import Command, RedisClient
 from repro.redisim.errors import ConnectionError as RedisConnectionError
 from repro.redisim.errors import RedisError
 from repro.runtime.clock import Clock
-
-
-def _dumps(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class ReplyError(RedisError):
@@ -70,6 +64,251 @@ class ReplyError(RedisError):
         self.code = reply.code
 
 
+# ------------------------------------------------------------------ codec
+# One row per command: how the (args, kwargs) of the RedisServer method
+# become RESP words, and how the RESP reply becomes that method's return
+# value.  This table is the only place client-side RESP syntax is written.
+
+
+def _verb(*words: str) -> Callable[..., List[Any]]:
+    """Encoder for commands that are just ``words`` plus positional args."""
+    return lambda *args: [*words, *args]
+
+
+def _blpop(keys: List[str], timeout: Optional[float] = None) -> List[Any]:
+    # Redis wire semantics: timeout 0 blocks forever (= the facade's None).
+    return ["BLPOP", *keys, timeout or 0]
+
+
+def _blmove(source: str, destination: str, timeout: Optional[float] = None) -> List[Any]:
+    return ["BLMOVESEQ", source, destination, timeout or 0]
+
+
+def _xadd(
+    key: str, fields: Dict[str, Any], entry_id: str = "*", maxlen: Optional[int] = None
+) -> List[Any]:
+    words: List[Any] = ["XADD", key]
+    if maxlen is not None:
+        words += ["MAXLEN", maxlen]
+    words.append(entry_id)
+    for field, value in fields.items():
+        words += [field, value]
+    return words
+
+
+def _xrange(
+    key: str, min_id: str = "-", max_id: str = "+", count: Optional[int] = None
+) -> List[Any]:
+    words: List[Any] = ["XRANGE", key, min_id, max_id]
+    if count is not None:
+        words += ["COUNT", count]
+    return words
+
+
+def _read_words(
+    words: List[Any], streams: Dict[str, str],
+    count: Optional[int], block_ms: Optional[int], noack: bool = False,
+) -> List[Any]:
+    if count is not None:
+        words += ["COUNT", count]
+    if block_ms is not None:
+        words += ["BLOCK", block_ms]
+    if noack:
+        words.append("NOACK")
+    return [*words, "STREAMS", *streams.keys(), *streams.values()]
+
+
+def _xread(
+    streams: Dict[str, str], count: Optional[int] = None, block_ms: Optional[int] = None
+) -> List[Any]:
+    return _read_words(["XREAD"], streams, count, block_ms)
+
+
+def _xreadgroup(
+    group: str, consumer: str, streams: Dict[str, str],
+    count: Optional[int] = None, block_ms: Optional[int] = None, noack: bool = False,
+) -> List[Any]:
+    return _read_words(
+        ["XREADGROUP", "GROUP", group, consumer], streams, count, block_ms, noack
+    )
+
+
+def _xgroup_create(
+    key: str, group: str, entry_id: str = "$", mkstream: bool = False
+) -> List[Any]:
+    words = ["XGROUP", "CREATE", key, group, entry_id]
+    return [*words, "MKSTREAM"] if mkstream else words
+
+
+def _xpending_range(
+    key: str,
+    group: str,
+    min_id: str = "-",
+    max_id: str = "+",
+    count: int = 10,
+    consumer: Optional[str] = None,
+    min_idle_ms: Optional[float] = None,
+) -> List[Any]:
+    words: List[Any] = ["XPENDING", key, group]
+    if min_idle_ms is not None:
+        words += ["IDLE", min_idle_ms]
+    words += [min_id, max_id, count]
+    if consumer is not None:
+        words.append(consumer)
+    return words
+
+
+def _xclaim(
+    key: str, group: str, consumer: str, min_idle_ms: float, entry_ids: Iterable[str]
+) -> List[Any]:
+    return ["XCLAIM", key, group, consumer, min_idle_ms, *entry_ids]
+
+
+def _xautoclaim(
+    key: str, group: str, consumer: str, min_idle_ms: float,
+    start: str = "0-0", count: int = 100,
+) -> List[Any]:
+    return ["XAUTOCLAIM", key, group, consumer, min_idle_ms, start, "COUNT", count]
+
+
+def _raw(reply: Any) -> Any:
+    return reply
+
+
+def _str(value: Any) -> str:
+    return value.decode("utf-8") if isinstance(value, bytes) else str(value)
+
+
+def _ok(reply: Any) -> bool:
+    return _str(reply) == "OK"
+
+
+def _num(value: Any) -> Any:
+    """Best-effort numeric coercion for XINFO-style metadata values."""
+    if isinstance(value, bytes):
+        value = value.decode("utf-8", "replace")
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            try:
+                return float(value)
+            except ValueError:
+                return value
+    return value
+
+
+def _pairs(flat: List[Any]) -> Iterator[Tuple[str, Any]]:
+    """A flat ``[field, value, ...]`` reply as ``(field, value)`` pairs."""
+    return ((_str(flat[i]), flat[i + 1]) for i in range(0, len(flat), 2))
+
+
+def _hit(reply: Any) -> Optional[Tuple[Any, Any]]:
+    """``[tag, payload]`` or nil (timeout / missing); BLPOP's key tag decodes."""
+    if reply is None:
+        return None
+    tag, payload = reply
+    return (_str(tag) if isinstance(tag, bytes) else tag), payload
+
+
+def _entries(raw: Any) -> List[Tuple[str, Dict[str, Any]]]:
+    return [(_str(entry_id), dict(_pairs(flat))) for entry_id, flat in raw or []]
+
+
+def _streams(raw: Any) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
+    # nil: a blocking read that timed out (or found nothing).
+    return [(_str(key), _entries(entries)) for key, entries in raw or []]
+
+
+def _info_map(flat: Any) -> Dict[str, Any]:
+    return {field: _num(value) for field, value in _pairs(flat)}
+
+
+def _info_rows(rows: Any) -> List[Dict[str, Any]]:
+    return [_info_map(row) for row in rows]
+
+
+def _xpending(reply: Any) -> Dict[str, Any]:
+    pending, min_id, max_id, consumers = reply
+    return {
+        "pending": pending,
+        "min": None if min_id is None else _str(min_id),
+        "max": None if max_id is None else _str(max_id),
+        "consumers": {_str(name): int(count) for name, count in (consumers or [])},
+    }
+
+
+def _xpending_rows(rows: Any) -> List[Dict[str, Any]]:
+    return [
+        {
+            "message_id": _str(row[0]),
+            "consumer": _str(row[1]),
+            "time_since_delivered": float(_str(row[2])),
+            "times_delivered": row[3],
+        }
+        for row in rows
+    ]
+
+
+_CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
+    "ping": (_verb("PING"), lambda reply: _str(reply) == "PONG"),
+    "flushall": (_verb("FLUSHALL"), lambda reply: None),
+    "dbsize": (_verb("DBSIZE"), _raw),
+    "keys": (_verb("KEYS"), lambda reply: [_str(k) for k in reply]),
+    "type": (_verb("TYPE"), _str),
+    "delete": (_verb("DEL"), _raw),
+    "exists": (_verb("EXISTS"), _raw),
+    "set": (_verb("SET"), _ok),
+    "get": (_verb("GET"), _raw),
+    "incrby": (_verb("INCRBY"), _raw),
+    "decrby": (_verb("DECRBY"), _raw),
+    "lpush": (_verb("LPUSH"), _raw),
+    "rpush": (_verb("RPUSH"), _raw),
+    "lpop": (_verb("LPOP"), _raw),
+    "rpop": (_verb("RPOP"), _raw),
+    "blpop": (_blpop, _hit),
+    "llen": (_verb("LLEN"), _raw),
+    "lrange": (_verb("LRANGE"), _raw),
+    "ltrim": (_verb("LTRIM"), _ok),
+    "rpushseq": (_verb("RPUSHSEQ"), _raw),
+    "blmove": (_blmove, _hit),
+    "lrangeseq": (_verb("LRANGESEQ"), _raw),
+    "snapshot": (_verb("SNAPSHOT"), bool),
+    "restore": (_verb("RESTORE"), _hit),
+    "hset": (_verb("HSET"), _raw),
+    "hget": (_verb("HGET"), _raw),
+    "hdel": (_verb("HDEL"), _raw),
+    "hgetall": (_verb("HGETALL"), lambda reply: dict(_pairs(reply))),
+    "hlen": (_verb("HLEN"), _raw),
+    "hincrby": (_verb("HINCRBY"), _raw),
+    "sadd": (_verb("SADD"), _raw),
+    "srem": (_verb("SREM"), _raw),
+    "smembers": (_verb("SMEMBERS"), lambda reply: {_str(m) for m in reply}),
+    "scard": (_verb("SCARD"), _raw),
+    "sismember": (_verb("SISMEMBER"), bool),
+    "xadd": (_xadd, _str),
+    "xlen": (_verb("XLEN"), _raw),
+    "xtrim": (lambda key, maxlen: ["XTRIM", key, "MAXLEN", maxlen], _raw),
+    "xrange": (_xrange, _entries),
+    "xread": (_xread, _streams),
+    "xgroup_create": (_xgroup_create, _ok),
+    "xgroup_destroy": (_verb("XGROUP", "DESTROY"), _raw),
+    "xgroup_delconsumer": (_verb("XGROUP", "DELCONSUMER"), _raw),
+    "xreadgroup": (_xreadgroup, _streams),
+    "xack": (_verb("XACK"), _raw),
+    "xackdecr": (_verb("XACKDECR"), _raw),
+    "xpending": (_verb("XPENDING"), _xpending),
+    "xpending_range": (_xpending_range, _xpending_rows),
+    "xclaim": (_xclaim, _entries),
+    # Genuine Redis >= 7 appends a third element (deleted-ID list).
+    "xautoclaim": (_xautoclaim, lambda reply: (_str(reply[0]), _entries(reply[1]))),
+    "xinfo_stream": (_verb("XINFO", "STREAM"), _info_map),
+    "xinfo_groups": (_verb("XINFO", "GROUPS"), _info_rows),
+    "xinfo_consumers": (_verb("XINFO", "CONSUMERS"), _info_rows),
+}
+
+
+# -------------------------------------------------------------- transport
 class _Connection:
     """One TCP connection with its own incremental decoder."""
 
@@ -102,29 +341,29 @@ class _Connection:
 
 
 class ConnectionPool:
-    """A small thread-safe pool of RESP connections to one server.
+    """A small thread-safe pool of RESP connections to one ``host:port``.
 
-    ``max_connections`` bounds how many *idle* connections are retained;
-    concurrent demand beyond it dials extra connections that are closed on
-    release rather than pooled (a soft cap -- blocking commands must never
-    deadlock waiting for a pool slot).
+    The socket :class:`~repro.redisim.client.Transport`.
+    :data:`MAX_CONNECTIONS` bounds how many *idle* connections are
+    retained; concurrent demand beyond it dials extra connections that are
+    closed on release rather than pooled (a soft cap -- blocking commands
+    must never deadlock waiting for a pool slot).
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_connections: int = 4,
-        connect_timeout: float = 5.0,
-        retries: int = 3,
-        backoff: float = 0.05,
-    ) -> None:
+    MAX_CONNECTIONS = 4
+    #: Seconds allowed for one TCP dial.
+    CONNECT_TIMEOUT = 5.0
+    #: Redials of a dead connection before giving up, ``BACKOFF * 2**n``
+    #: seconds apart.
+    RETRIES = 3
+    BACKOFF = 0.05
+
+    def __init__(self, address: str) -> None:
+        host, _, raw_port = address.rpartition(":")
+        if not host or not raw_port.isdigit():
+            raise ValueError(f"address must look like 'host:port', got {address!r}")
         self.host = host
-        self.port = port
-        self.max_connections = max_connections
-        self.connect_timeout = connect_timeout
-        self.retries = retries
-        self.backoff = backoff
+        self.port = int(raw_port)
         self._idle: List[_Connection] = []
         self._lock = threading.Lock()
         self._pid = os.getpid()
@@ -154,7 +393,7 @@ class ConnectionPool:
                 if conn.pid == os.getpid():
                     return conn
                 conn.close()
-        return _Connection(self.host, self.port, self.connect_timeout)
+        return _Connection(self.host, self.port, self.CONNECT_TIMEOUT)
 
     def _release(self, conn: _Connection) -> None:
         # A decoder with buffered bytes means replies went unread
@@ -163,7 +402,7 @@ class ConnectionPool:
             conn.close()
             return
         with self._lock:
-            if len(self._idle) < self.max_connections:
+            if len(self._idle) < self.MAX_CONNECTIONS:
                 self._idle.append(conn)
                 return
         conn.close()
@@ -175,20 +414,33 @@ class ConnectionPool:
             conn.close()
 
     # --------------------------------------------------------------- execute
-    def execute(self, commands: List[List[Any]]) -> List[Any]:
-        """Send a command batch on one connection; return its replies.
+    def execute(self, commands: List[Command]) -> List[Any]:
+        """Send a command batch on one connection; return its decoded replies.
 
         One ``sendall`` of the concatenated frames, then exactly
         ``len(commands)`` replies read back in order -- pipelining.  Dead
         connections are replaced and the batch retried with exponential
-        backoff before giving up with redisim's ``ConnectionError``.
+        backoff before giving up with redisim's ``ConnectionError``.  An
+        error reply raises :class:`ReplyError`.
         """
         self._check_pid()
-        payload = b"".join(encode_command(command) for command in commands)
+        frames, decoders = [], []
+        for name, args, kwargs in commands:
+            encode, decode = _CODEC[name]
+            frames.append(encode_command(encode(*args, **kwargs)))
+            decoders.append(decode)
+        out = []
+        for reply, decode in zip(self._round_trip(b"".join(frames), len(frames)), decoders):
+            if isinstance(reply, ErrorReply):
+                raise ReplyError(reply)
+            out.append(decode(reply))
+        return out
+
+    def _round_trip(self, payload: bytes, expected: int) -> List[Any]:
         last_error: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(self.RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(self.BACKOFF * (2 ** (attempt - 1)))
             try:
                 conn = self._acquire()
             except OSError as exc:
@@ -196,7 +448,7 @@ class ConnectionPool:
                 continue
             try:
                 conn.send(payload)
-                replies = [conn.read_reply() for _ in commands]
+                replies = [conn.read_reply() for _ in range(expected)]
             except OSError as exc:
                 conn.close()
                 last_error = exc
@@ -205,523 +457,36 @@ class ConnectionPool:
             return replies
         raise RedisConnectionError(
             f"cannot reach redis server at {self.host}:{self.port} "
-            f"after {self.retries + 1} attempts: {last_error}"
+            f"after {self.RETRIES + 1} attempts: {last_error}"
         )
 
 
-def _str(value: Any) -> str:
-    return value.decode("utf-8") if isinstance(value, bytes) else str(value)
+class SocketRedisClient(RedisClient):
+    """:class:`~repro.redisim.client.RedisClient` over TCP.
 
-
-def _num(value: Any) -> Any:
-    """Best-effort numeric coercion for XINFO-style metadata values."""
-    if isinstance(value, bytes):
-        value = value.decode("utf-8", "replace")
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            try:
-                return float(value)
-            except ValueError:
-                return value
-    return value
-
-
-class SocketPipeline:
-    """Batched commands over one socket round trip (mirrors ``Pipeline``)."""
-
-    def __init__(self, client: "SocketRedisClient") -> None:
-        self._client = client
-        self._commands: List[List[Any]] = []
-        self._decoders: List[Callable[[Any], Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._commands)
-
-    def _queue(
-        self, command: List[Any], decode: Callable[[Any], Any] = lambda r: r
-    ) -> "SocketPipeline":
-        self._commands.append(command)
-        self._decoders.append(decode)
-        return self
-
-    def set(self, key: str, value: Any) -> "SocketPipeline":
-        return self._queue(["SET", key, value])
-
-    def incrby(self, key: str, amount: int = 1) -> "SocketPipeline":
-        return self._queue(["INCRBY", key, amount])
-
-    incr = incrby
-
-    def decrby(self, key: str, amount: int = 1) -> "SocketPipeline":
-        return self._queue(["DECRBY", key, amount])
-
-    decr = decrby
-
-    def rpush(self, key: str, *values: Any) -> "SocketPipeline":
-        return self._queue(["RPUSH", key, *(self._client._enc(v) for v in values)])
-
-    def rpush_seq(self, key: str, *values: Any) -> "SocketPipeline":
-        return self._queue(["RPUSHSEQ", key, *(self._client._enc(v) for v in values)])
-
-    def ltrim(self, key: str, start: int, end: int) -> "SocketPipeline":
-        return self._queue(["LTRIM", key, start, end])
-
-    def lpush(self, key: str, *values: Any) -> "SocketPipeline":
-        return self._queue(["LPUSH", key, *(self._client._enc(v) for v in values)])
-
-    def xadd(self, key: str, fields: Mapping[str, Any], id: str = "*") -> "SocketPipeline":  # noqa: A002
-        command: List[Any] = ["XADD", key, id]
-        for field, value in fields.items():
-            command.append(field)
-            command.append(self._client._enc(value))
-        return self._queue(command, _str)
-
-    def xack(self, key: str, group: str, *entry_ids: str) -> "SocketPipeline":
-        return self._queue(["XACK", key, group, *entry_ids])
-
-    def xack_decr(
-        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
-    ) -> "SocketPipeline":
-        return self._queue(["XACKDECR", key, group, entry_id, counter_key, amount])
-
-    def delete(self, *keys: str) -> "SocketPipeline":
-        return self._queue(["DEL", *keys])
-
-    def execute(self) -> List[Any]:
-        """Run the batch; clears the pipeline and returns per-command results."""
-        if not self._commands:
-            return []
-        self._client._charge()
-        commands, self._commands = self._commands, []
-        decoders, self._decoders = self._decoders, []
-        replies = self._client._pool.execute(commands)
-        out = []
-        for reply, decode in zip(replies, decoders):
-            if isinstance(reply, ErrorReply):
-                raise ReplyError(reply)
-            out.append(decode(reply))
-        return out
-
-
-class SocketRedisClient:
-    """Drop-in for :class:`~repro.redisim.client.RedisClient` over TCP.
+    Nothing but the constructor of the (facade, :class:`ConnectionPool`)
+    pairing: every command method and the pipeline are the facade's own.
 
     Parameters
     ----------
     address:
-        ``"host:port"`` string (the form workers are handed); overrides
-        ``host``/``port`` when given.
+        ``"host:port"`` of the server (the form workers are handed).
     op_latency / clock / serialize:
-        As on the in-process client.  ``op_latency`` usually stays 0 here
-        -- the socket provides *real* latency, which is the point.
-    max_connections / connect_timeout / retries / backoff:
-        Pool tuning, see :class:`ConnectionPool`.
+        As on :class:`~repro.redisim.client.RedisClient`.  ``op_latency``
+        usually stays 0 here -- the socket provides *real* latency, which
+        is the point.
     """
 
     def __init__(
         self,
-        address: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 6379,
+        address: str,
         op_latency: float = 0.0,
         clock: Optional[Clock] = None,
         serialize: bool = True,
-        max_connections: int = 4,
-        connect_timeout: float = 5.0,
-        retries: int = 3,
-        backoff: float = 0.05,
     ) -> None:
-        if op_latency < 0:
-            raise ValueError("op_latency must be >= 0")
-        if op_latency > 0 and clock is None:
-            raise ValueError("a clock is required when op_latency > 0")
-        if address is not None:
-            host, _, raw_port = address.rpartition(":")
-            if not host or not raw_port.isdigit():
-                raise ValueError(f"address must look like 'host:port', got {address!r}")
-            port = int(raw_port)
-        self.host = host
-        self.port = port
-        self._pool = ConnectionPool(
-            host,
-            port,
-            max_connections=max_connections,
-            connect_timeout=connect_timeout,
-            retries=retries,
-            backoff=backoff,
-        )
-        self._latency = op_latency
-        self._clock = clock
-        self._serialize = serialize
-        self.ops = 0
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def close(self) -> None:
-        self._pool.close()
-
-    # ------------------------------------------------------------------ util
-    def _charge(self) -> None:
-        self.ops += 1
-        if self._latency > 0 and self._clock is not None:
-            self._clock.sleep(self._latency)
-
-    def _enc(self, value: Any) -> Any:
-        return _dumps(value) if self._serialize else value
-
-    def _dec(self, value: Any) -> Any:
-        if self._serialize and isinstance(value, bytes):
-            return pickle.loads(value)
-        return value
-
-    def _execute(self, *args: Any) -> Any:
-        self._charge()
-        reply = self._pool.execute([list(args)])[0]
-        if isinstance(reply, ErrorReply):
-            raise ReplyError(reply)
-        return reply
-
-    def _entries(self, raw: Any) -> List[Tuple[str, Dict[str, Any]]]:
-        entries = []
-        for entry_id, flat in raw or []:
-            fields = {
-                _str(flat[i]): self._dec(flat[i + 1]) for i in range(0, len(flat), 2)
-            }
-            entries.append((_str(entry_id), fields))
-        return entries
-
-    def _streams(self, raw: Any) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        if raw is None:
-            return []
-        return [(_str(key), self._entries(entries)) for key, entries in raw]
-
-    def pipeline(self) -> SocketPipeline:
-        """Start a command batch (single round trip on execute)."""
-        return SocketPipeline(self)
+        super().__init__(ConnectionPool(address), op_latency, clock, serialize)
+        self.address = address
 
     def ping(self) -> bool:
-        return _str(self._execute("PING")) == "PONG"
-
-    # --------------------------------------------------------------- generic
-    def flushall(self) -> None:
-        self._execute("FLUSHALL")
-
-    def dbsize(self) -> int:
-        return self._execute("DBSIZE")
-
-    def keys(self, pattern: str = "*") -> List[str]:
-        return [_str(k) for k in self._execute("KEYS", pattern)]
-
-    def type(self, key: str) -> str:
-        return _str(self._execute("TYPE", key))
-
-    def delete(self, *keys: str) -> int:
-        if not keys:
-            return 0
-        return self._execute("DEL", *keys)
-
-    def exists(self, *keys: str) -> int:
-        return self._execute("EXISTS", *keys)
-
-    # --------------------------------------------------------------- strings
-    def set(self, key: str, value: Any) -> bool:
-        return _str(self._execute("SET", key, value)) == "OK"
-
-    def get(self, key: str) -> Any:
-        return self._execute("GET", key)
-
-    def incrby(self, key: str, amount: int = 1) -> int:
-        return self._execute("INCRBY", key, amount)
-
-    incr = incrby
-
-    def decrby(self, key: str, amount: int = 1) -> int:
-        return self._execute("DECRBY", key, amount)
-
-    decr = decrby
-
-    # ----------------------------------------------------------------- lists
-    def lpush(self, key: str, *values: Any) -> int:
-        return self._execute("LPUSH", key, *(self._enc(v) for v in values))
-
-    def rpush(self, key: str, *values: Any) -> int:
-        return self._execute("RPUSH", key, *(self._enc(v) for v in values))
-
-    def lpop(self, key: str) -> Any:
-        return self._dec(self._execute("LPOP", key))
-
-    def rpop(self, key: str) -> Any:
-        return self._dec(self._execute("RPOP", key))
-
-    def blpop(
-        self, keys: "str | Iterable[str]", timeout: Optional[float] = None
-    ) -> Optional[Tuple[str, Any]]:
-        if isinstance(keys, str):
-            keys = [keys]
-        # Redis wire semantics: timeout 0 blocks forever (= facade's None).
-        reply = self._execute("BLPOP", *keys, timeout if timeout else 0)
-        if reply is None:
-            return None
-        key, value = reply
-        return _str(key), self._dec(value)
-
-    def llen(self, key: str) -> int:
-        return self._execute("LLEN", key)
-
-    def lrange(self, key: str, start: int, end: int) -> List[Any]:
-        return [self._dec(v) for v in self._execute("LRANGE", key, start, end)]
-
-    def ltrim(self, key: str, start: int, end: int) -> bool:
-        return _str(self._execute("LTRIM", key, start, end)) == "OK"
-
-    # ------------------------------------------------- sequenced lists
-    def rpush_seq(self, key: str, *values: Any) -> List[int]:
-        """RPUSHSEQ: append values tagged with monotonic per-key sequences."""
-        return self._execute("RPUSHSEQ", key, *(self._enc(v) for v in values))
-
-    def blmove_seq(
-        self, source: str, destination: str, timeout: Optional[float] = None
-    ) -> Optional[Tuple[int, Any]]:
-        """Blocking move of one sequenced entry; returns ``(seq, value)``."""
-        reply = self._execute("BLMOVESEQ", source, destination, timeout if timeout else 0)
-        if reply is None:
-            return None
-        seq, value = reply
-        return seq, self._dec(value)
-
-    def lrange_seq(self, key: str, start: int = 0, end: int = -1) -> List[Tuple[int, Any]]:
-        """LRANGE over a sequenced list, decoding to ``(seq, value)`` pairs."""
-        return [
-            (seq, self._dec(value))
-            for seq, value in self._execute("LRANGESEQ", key, start, end)
-        ]
-
-    # ------------------------------------------------------------- snapshots
-    def snapshot(self, key: str, snapshot_id: str, seq: int, state: Any) -> bool:
-        """SNAPSHOT: persist an instance-state blob guarded by ``seq``."""
-        return bool(self._execute("SNAPSHOT", key, snapshot_id, seq, self._enc(state)))
-
-    def restore(self, key: str, snapshot_id: str) -> Optional[Tuple[int, Any]]:
-        """RESTORE: fetch the latest ``(seq, state)`` snapshot, or ``None``."""
-        reply = self._execute("RESTORE", key, snapshot_id)
-        if reply is None:
-            return None
-        seq, blob = reply
-        return seq, self._dec(blob)
-
-    # ---------------------------------------------------------------- hashes
-    def hset(self, key: str, field: str, value: Any) -> int:
-        return self._execute("HSET", key, field, value)
-
-    def hget(self, key: str, field: str) -> Any:
-        return self._execute("HGET", key, field)
-
-    def hdel(self, key: str, *fields: str) -> int:
-        return self._execute("HDEL", key, *fields)
-
-    def hgetall(self, key: str) -> Dict[str, Any]:
-        flat = self._execute("HGETALL", key)
-        return {_str(flat[i]): flat[i + 1] for i in range(0, len(flat), 2)}
-
-    def hlen(self, key: str) -> int:
-        return self._execute("HLEN", key)
-
-    def hincrby(self, key: str, field: str, amount: int = 1) -> int:
-        return self._execute("HINCRBY", key, field, amount)
-
-    # ------------------------------------------------------------------ sets
-    def sadd(self, key: str, *members: Any) -> int:
-        return self._execute("SADD", key, *members)
-
-    def srem(self, key: str, *members: Any) -> int:
-        return self._execute("SREM", key, *members)
-
-    def smembers(self, key: str) -> set:
-        return {_str(m) for m in self._execute("SMEMBERS", key)}
-
-    def scard(self, key: str) -> int:
-        return self._execute("SCARD", key)
-
-    def sismember(self, key: str, member: Any) -> bool:
-        return bool(self._execute("SISMEMBER", key, member))
-
-    # --------------------------------------------------------------- streams
-    def xadd(
-        self,
-        key: str,
-        fields: Mapping[str, Any],
-        id: str = "*",  # noqa: A002 - redis-py parameter name
-        maxlen: Optional[int] = None,
-    ) -> str:
-        command: List[Any] = ["XADD", key]
-        if maxlen is not None:
-            command += ["MAXLEN", maxlen]
-        command.append(id)
-        for field, value in fields.items():
-            command.append(field)
-            command.append(self._enc(value))
-        return _str(self._execute(*command))
-
-    def xlen(self, key: str) -> int:
-        return self._execute("XLEN", key)
-
-    def xtrim(self, key: str, maxlen: int) -> int:
-        return self._execute("XTRIM", key, "MAXLEN", maxlen)
-
-    def xrange(
-        self,
-        key: str,
-        min: str = "-",  # noqa: A002 - redis-py parameter name
-        max: str = "+",  # noqa: A002 - redis-py parameter name
-        count: Optional[int] = None,
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        command: List[Any] = ["XRANGE", key, min, max]
-        if count is not None:
-            command += ["COUNT", count]
-        return self._entries(self._execute(*command))
-
-    def xread(
-        self,
-        streams: Mapping[str, str],
-        count: Optional[int] = None,
-        block: Optional[int] = None,
-    ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        command: List[Any] = ["XREAD"]
-        if count is not None:
-            command += ["COUNT", count]
-        if block is not None:
-            command += ["BLOCK", block]
-        command.append("STREAMS")
-        command += list(streams.keys())
-        command += list(streams.values())
-        return self._streams(self._execute(*command))
-
-    def xgroup_create(
-        self, key: str, group: str, id: str = "$", mkstream: bool = False  # noqa: A002
-    ) -> bool:
-        command: List[Any] = ["XGROUP", "CREATE", key, group, id]
-        if mkstream:
-            command.append("MKSTREAM")
-        return _str(self._execute(*command)) == "OK"
-
-    def xgroup_destroy(self, key: str, group: str) -> int:
-        return self._execute("XGROUP", "DESTROY", key, group)
-
-    def xgroup_delconsumer(self, key: str, group: str, consumer: str) -> int:
-        return self._execute("XGROUP", "DELCONSUMER", key, group, consumer)
-
-    def xreadgroup(
-        self,
-        groupname: str,
-        consumername: str,
-        streams: Mapping[str, str],
-        count: Optional[int] = None,
-        block: Optional[int] = None,
-        noack: bool = False,
-    ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        command: List[Any] = ["XREADGROUP", "GROUP", groupname, consumername]
-        if count is not None:
-            command += ["COUNT", count]
-        if block is not None:
-            command += ["BLOCK", block]
-        if noack:
-            command.append("NOACK")
-        command.append("STREAMS")
-        command += list(streams.keys())
-        command += list(streams.values())
-        return self._streams(self._execute(*command))
-
-    def xack(self, key: str, group: str, *entry_ids: str) -> int:
-        return self._execute("XACK", key, group, *entry_ids)
-
-    def xack_decr(
-        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
-    ) -> int:
-        """XACK + conditional DECRBY in one atomic server-side step."""
-        return self._execute("XACKDECR", key, group, entry_id, counter_key, amount)
-
-    def xpending(self, key: str, group: str) -> Dict[str, Any]:
-        reply = self._execute("XPENDING", key, group)
-        pending, min_id, max_id, consumers = reply
-        return {
-            "pending": pending,
-            "min": None if min_id is None else _str(min_id),
-            "max": None if max_id is None else _str(max_id),
-            "consumers": {
-                _str(name): int(count) for name, count in (consumers or [])
-            },
-        }
-
-    def xpending_range(
-        self,
-        key: str,
-        group: str,
-        min: str = "-",  # noqa: A002
-        max: str = "+",  # noqa: A002
-        count: int = 10,
-        consumername: Optional[str] = None,
-        idle: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        command: List[Any] = ["XPENDING", key, group]
-        if idle is not None:
-            command += ["IDLE", idle]
-        command += [min, max, count]
-        if consumername is not None:
-            command.append(consumername)
-        return [
-            {
-                "message_id": _str(row[0]),
-                "consumer": _str(row[1]),
-                "time_since_delivered": float(_str(row[2])),
-                "times_delivered": row[3],
-            }
-            for row in self._execute(*command)
-        ]
-
-    def xclaim(
-        self,
-        key: str,
-        group: str,
-        consumername: str,
-        min_idle_time: float,
-        message_ids: Iterable[str],
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        return self._entries(
-            self._execute("XCLAIM", key, group, consumername, min_idle_time, *message_ids)
-        )
-
-    def xautoclaim(
-        self,
-        key: str,
-        group: str,
-        consumername: str,
-        min_idle_time: float,
-        start_id: str = "0-0",
-        count: int = 100,
-    ) -> Tuple[str, List[Tuple[str, Dict[str, Any]]]]:
-        reply = self._execute(
-            "XAUTOCLAIM", key, group, consumername, min_idle_time, start_id,
-            "COUNT", count,
-        )
-        # Genuine Redis >= 7 appends a third element (deleted-ID list).
-        cursor, raw = reply[0], reply[1]
-        return _str(cursor), self._entries(raw)
-
-    def _info_map(self, flat: Any) -> Dict[str, Any]:
-        return {_str(flat[i]): _num(flat[i + 1]) for i in range(0, len(flat), 2)}
-
-    def xinfo_stream(self, key: str) -> Dict[str, Any]:
-        return self._info_map(self._execute("XINFO", "STREAM", key))
-
-    def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
-        return [self._info_map(row) for row in self._execute("XINFO", "GROUPS", key)]
-
-    def xinfo_consumers(self, key: str, group: str) -> List[Dict[str, Any]]:
-        return [
-            self._info_map(row)
-            for row in self._execute("XINFO", "CONSUMERS", key, group)
-        ]
+        """Liveness probe: one round trip, ``True`` on ``PONG``."""
+        return self._call("ping")

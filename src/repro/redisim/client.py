@@ -1,4 +1,4 @@
-"""Client facade over :class:`repro.redisim.server.RedisServer`.
+"""The one Redis command facade: :class:`RedisClient` over a two-method transport.
 
 The client exists for three reasons:
 
@@ -16,18 +16,57 @@ The client exists for three reasons:
    paper's consistent observation that the Redis mappings are somewhat
    slower than their Multiprocessing counterparts (Section 5.6).
 
+Every command -- and every :class:`Pipeline` batch -- reaches the keyspace
+through ``transport.execute(commands)``, where a command is a
+``(name, args, kwargs)`` triple in :class:`RedisServer`'s own method
+vocabulary.  :class:`InProcessTransport` hands the triple straight to the
+server object (no wire codec on that path);
+:class:`repro.net.client.ConnectionPool` translates it to RESP and back.
+Marshalling, latency and accounting therefore exist once, whichever side
+of a socket the keyspace lives on.
+
 Each client instance tracks how many commands it issued (``ops``) so
 benchmarks can report communication volume.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union
 
 from repro.redisim.server import RedisServer
 from repro.runtime.clock import Clock
+
+#: One command as transports see it: ``(server method name, args, kwargs)``.
+Command = Tuple[str, tuple, dict]
+
+
+class Transport(Protocol):
+    """Where commands go: ordered replies for one batch, and a way to hang up."""
+
+    def execute(self, commands: List[Command]) -> List[Any]:
+        """Run ``commands`` in order as one round trip; one reply each."""
+
+    def close(self) -> None:
+        """Release whatever per-process handles the transport owns."""
+
+
+class InProcessTransport:
+    """Direct method calls on a :class:`RedisServer` in the same process."""
+
+    def __init__(self, server: RedisServer) -> None:
+        self._server = server
+
+    def execute(self, commands: List[Command]) -> List[Any]:
+        # A lone command is its own atomic step; only a real batch needs
+        # the server's one-lock, one-wakeup transaction.
+        if len(commands) == 1:
+            name, args, kwargs = commands[0]
+            return [getattr(self._server, name)(*args, **kwargs)]
+        return self._server.transaction(commands)
+
+    def close(self) -> None:
+        """Nothing to release: the server outlives its clients."""
 
 
 def _dumps(value: Any) -> bytes:
@@ -51,7 +90,7 @@ class Pipeline:
 
     def __init__(self, client: "RedisClient") -> None:
         self._client = client
-        self._commands: List[tuple] = []
+        self._commands: List[Command] = []
 
     def __len__(self) -> int:
         return len(self._commands)
@@ -88,6 +127,9 @@ class Pipeline:
         encoded = tuple(self._client._enc(v) for v in values)
         return self._queue("lpush", key, *encoded)
 
+    def hincrby(self, key: str, field: str, amount: int = 1) -> "Pipeline":
+        return self._queue("hincrby", key, field, amount)
+
     def xadd(self, key: str, fields: Mapping[str, Any], id: str = "*") -> "Pipeline":  # noqa: A002
         return self._queue("xadd", key, self._client._enc_fields(fields), entry_id=id)
 
@@ -108,16 +150,18 @@ class Pipeline:
             return []
         self._client._charge()
         commands, self._commands = self._commands, []
-        return self._client._server.transaction(commands)
+        return self._client._transport.execute(commands)
 
 
 class RedisClient:
-    """A connection-like handle to an in-process :class:`RedisServer`.
+    """A connection-like handle to a Redis keyspace.
 
     Parameters
     ----------
     server:
-        Shared server instance (one per "deployment").
+        The shared in-process :class:`RedisServer` (one per "deployment"),
+        or any :class:`Transport` that reaches one -- see
+        :class:`repro.net.client.SocketRedisClient` for the TCP pairing.
     op_latency:
         Nominal seconds of round-trip latency charged per command; scaled by
         ``clock``.  ``0`` disables latency injection.
@@ -127,11 +171,15 @@ class RedisClient:
         Pickle payload values (stream fields / list items).  Leave enabled
         for realistic isolation; disable only in micro-benchmarks that want
         to measure raw data-structure cost.
+
+    String, hash and counter values are *not* marshalled: the in-process
+    transport hands back the stored object, a socket hands back ``bytes``
+    (callers already ``int(...)`` their counters, which accepts ``b"5"``).
     """
 
     def __init__(
         self,
-        server: RedisServer,
+        server: Union[RedisServer, Transport],
         op_latency: float = 0.0,
         clock: Optional[Clock] = None,
         serialize: bool = True,
@@ -140,35 +188,28 @@ class RedisClient:
             raise ValueError("op_latency must be >= 0")
         if op_latency > 0 and clock is None:
             raise ValueError("a clock is required when op_latency > 0")
-        self._server = server
+        self._transport: Transport = (
+            InProcessTransport(server) if isinstance(server, RedisServer) else server
+        )
         self._latency = op_latency
         self._clock = clock
         self._serialize = serialize
-        self._pid = os.getpid()
         self.ops = 0
+
+    def close(self) -> None:
+        """Hang up: release the transport's connections (a no-op in-process)."""
+        self._transport.close()
 
     # ------------------------------------------------------------------ util
     def _charge(self) -> None:
-        # Per-pid guard (the SafeRedis pattern real clients use): a client
-        # inherited across fork() must reset per-process handles before its
-        # first command in the child, so spawn and fork behave identically.
-        if os.getpid() != self._pid:
-            self._on_fork()
-            self._pid = os.getpid()
         self.ops += 1
         if self._latency > 0 and self._clock is not None:
             self._clock.sleep(self._latency)
 
-    def _on_fork(self) -> None:
-        """Reset state that must not be shared with the parent process.
-
-        The in-process client holds no sockets, but the op counter is
-        per-connection accounting: a forked child starts its own tally
-        rather than double-counting the parent's.  Transports with real
-        per-process handles (see :class:`repro.net.client.
-        SocketRedisClient`'s pool) discard them at the same point.
-        """
-        self.ops = 0
+    def _call(self, name: str, *args: Any, **kwargs: Any) -> Any:
+        """One command, one charged round trip on the transport."""
+        self._charge()
+        return self._transport.execute([(name, args, kwargs)])[0]
 
     def _enc(self, value: Any) -> Any:
         return _dumps(value) if self._serialize else value
@@ -187,104 +228,83 @@ class RedisClient:
     ) -> List[Tuple[str, Dict[str, Any]]]:
         return [(eid, self._dec_fields(fields)) for eid, fields in entries]
 
+    def _dec_hit(self, hit: Optional[Tuple[Any, Any]]) -> Optional[Tuple[Any, Any]]:
+        """Decode the payload half of a ``(tag, payload)`` reply; nil stays nil."""
+        return None if hit is None else (hit[0], self._dec(hit[1]))
+
     def pipeline(self) -> Pipeline:
         """Start a command batch (single round trip on execute)."""
         return Pipeline(self)
 
     # --------------------------------------------------------------- generic
     def flushall(self) -> None:
-        self._charge()
-        self._server.flushall()
+        self._call("flushall")
 
     def dbsize(self) -> int:
-        self._charge()
-        return self._server.dbsize()
+        return self._call("dbsize")
 
     def keys(self, pattern: str = "*") -> List[str]:
-        self._charge()
-        return self._server.keys(pattern)
+        return self._call("keys", pattern)
 
     def type(self, key: str) -> str:
-        self._charge()
-        return self._server.type(key)
+        return self._call("type", key)
 
     def delete(self, *keys: str) -> int:
-        self._charge()
-        return self._server.delete(*keys)
+        return self._call("delete", *keys)
 
     def exists(self, *keys: str) -> int:
-        self._charge()
-        return self._server.exists(*keys)
+        return self._call("exists", *keys)
 
     # --------------------------------------------------------------- strings
     def set(self, key: str, value: Any) -> bool:
-        self._charge()
-        return self._server.set(key, value)
+        return self._call("set", key, value)
 
     def get(self, key: str) -> Any:
-        self._charge()
-        return self._server.get(key)
+        return self._call("get", key)
 
     def incrby(self, key: str, amount: int = 1) -> int:
-        self._charge()
-        return self._server.incrby(key, amount)
+        return self._call("incrby", key, amount)
 
     incr = incrby
 
     def decrby(self, key: str, amount: int = 1) -> int:
-        self._charge()
-        return self._server.decrby(key, amount)
+        return self._call("decrby", key, amount)
 
     decr = decrby
 
     # ----------------------------------------------------------------- lists
     def lpush(self, key: str, *values: Any) -> int:
-        self._charge()
-        return self._server.lpush(key, *(self._enc(v) for v in values))
+        return self._call("lpush", key, *(self._enc(v) for v in values))
 
     def rpush(self, key: str, *values: Any) -> int:
-        self._charge()
-        return self._server.rpush(key, *(self._enc(v) for v in values))
+        return self._call("rpush", key, *(self._enc(v) for v in values))
 
     def lpop(self, key: str) -> Any:
-        self._charge()
-        value = self._server.lpop(key)
-        return None if value is None else self._dec(value)
+        return self._dec(self._call("lpop", key))
 
     def rpop(self, key: str) -> Any:
-        self._charge()
-        value = self._server.rpop(key)
-        return None if value is None else self._dec(value)
+        return self._dec(self._call("rpop", key))
 
     def blpop(
         self, keys: "str | Iterable[str]", timeout: Optional[float] = None
     ) -> Optional[Tuple[str, Any]]:
-        self._charge()
         if isinstance(keys, str):
             keys = [keys]
-        hit = self._server.blpop(keys, timeout=timeout)
-        if hit is None:
-            return None
-        key, value = hit
-        return key, self._dec(value)
+        return self._dec_hit(self._call("blpop", keys, timeout=timeout))
 
     def llen(self, key: str) -> int:
-        self._charge()
-        return self._server.llen(key)
+        return self._call("llen", key)
 
     def lrange(self, key: str, start: int, end: int) -> List[Any]:
-        self._charge()
-        return [self._dec(v) for v in self._server.lrange(key, start, end)]
+        return [self._dec(v) for v in self._call("lrange", key, start, end)]
 
     def ltrim(self, key: str, start: int, end: int) -> bool:
-        self._charge()
-        return self._server.ltrim(key, start, end)
+        return self._call("ltrim", key, start, end)
 
     # ------------------------------------------------- sequenced lists
     def rpush_seq(self, key: str, *values: Any) -> List[int]:
         """RPUSHSEQ: append values tagged with monotonic per-key sequences."""
-        self._charge()
-        return self._server.rpushseq(key, *(self._enc(v) for v in values))
+        return self._call("rpushseq", key, *(self._enc(v) for v in values))
 
     def blmove_seq(
         self, source: str, destination: str, timeout: Optional[float] = None
@@ -295,81 +315,58 @@ class RedisClient:
         a recovering consumer replaying ``destination`` sees exactly what
         was delivered (see :meth:`lrange_seq`).
         """
-        self._charge()
-        hit = self._server.blmove(source, destination, timeout=timeout)
-        if hit is None:
-            return None
-        seq, value = hit
-        return seq, self._dec(value)
+        return self._dec_hit(self._call("blmove", source, destination, timeout=timeout))
 
     def lrange_seq(self, key: str, start: int = 0, end: int = -1) -> List[Tuple[int, Any]]:
         """LRANGE over a sequenced list, decoding to ``(seq, value)`` pairs."""
-        self._charge()
         return [
             (seq, self._dec(value))
-            for seq, value in self._server.lrange(key, start, end)
+            for seq, value in self._call("lrangeseq", key, start, end)
         ]
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self, key: str, snapshot_id: str, seq: int, state: Any) -> bool:
         """SNAPSHOT: persist an instance-state blob guarded by ``seq``."""
-        self._charge()
-        return self._server.snapshot(key, snapshot_id, seq, self._enc(state))
+        return self._call("snapshot", key, snapshot_id, seq, self._enc(state))
 
     def restore(self, key: str, snapshot_id: str) -> Optional[Tuple[int, Any]]:
         """RESTORE: fetch the latest ``(seq, state)`` snapshot, or ``None``."""
-        self._charge()
-        hit = self._server.restore(key, snapshot_id)
-        if hit is None:
-            return None
-        seq, blob = hit
-        return seq, self._dec(blob)
+        return self._dec_hit(self._call("restore", key, snapshot_id))
 
     # ---------------------------------------------------------------- hashes
     def hset(self, key: str, field: str, value: Any) -> int:
-        self._charge()
-        return self._server.hset(key, field, value)
+        return self._call("hset", key, field, value)
 
     def hget(self, key: str, field: str) -> Any:
-        self._charge()
-        return self._server.hget(key, field)
+        return self._call("hget", key, field)
 
     def hdel(self, key: str, *fields: str) -> int:
-        self._charge()
-        return self._server.hdel(key, *fields)
+        return self._call("hdel", key, *fields)
 
     def hgetall(self, key: str) -> Dict[str, Any]:
-        self._charge()
-        return self._server.hgetall(key)
+        return self._call("hgetall", key)
 
     def hlen(self, key: str) -> int:
-        self._charge()
-        return self._server.hlen(key)
+        return self._call("hlen", key)
 
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
-        self._charge()
-        return self._server.hincrby(key, field, amount)
+        return self._call("hincrby", key, field, amount)
 
     # ------------------------------------------------------------------ sets
     def sadd(self, key: str, *members: Any) -> int:
-        self._charge()
-        return self._server.sadd(key, *members)
+        return self._call("sadd", key, *members)
 
     def srem(self, key: str, *members: Any) -> int:
-        self._charge()
-        return self._server.srem(key, *members)
+        return self._call("srem", key, *members)
 
     def smembers(self, key: str) -> set:
-        self._charge()
-        return self._server.smembers(key)
+        return self._call("smembers", key)
 
     def scard(self, key: str) -> int:
-        self._charge()
-        return self._server.scard(key)
+        return self._call("scard", key)
 
     def sismember(self, key: str, member: Any) -> bool:
-        self._charge()
-        return self._server.sismember(key, member)
+        return self._call("sismember", key, member)
 
     # --------------------------------------------------------------- streams
     def xadd(
@@ -379,16 +376,13 @@ class RedisClient:
         id: str = "*",  # noqa: A002 - redis-py parameter name
         maxlen: Optional[int] = None,
     ) -> str:
-        self._charge()
-        return self._server.xadd(key, self._enc_fields(fields), entry_id=id, maxlen=maxlen)
+        return self._call("xadd", key, self._enc_fields(fields), entry_id=id, maxlen=maxlen)
 
     def xlen(self, key: str) -> int:
-        self._charge()
-        return self._server.xlen(key)
+        return self._call("xlen", key)
 
     def xtrim(self, key: str, maxlen: int) -> int:
-        self._charge()
-        return self._server.xtrim(key, maxlen)
+        return self._call("xtrim", key, maxlen)
 
     def xrange(
         self,
@@ -397,8 +391,7 @@ class RedisClient:
         max: str = "+",  # noqa: A002 - redis-py parameter name
         count: Optional[int] = None,
     ) -> List[Tuple[str, Dict[str, Any]]]:
-        self._charge()
-        return self._dec_entries(self._server.xrange(key, min, max, count))
+        return self._dec_entries(self._call("xrange", key, min, max, count))
 
     def xread(
         self,
@@ -406,23 +399,19 @@ class RedisClient:
         count: Optional[int] = None,
         block: Optional[int] = None,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        self._charge()
-        reply = self._server.xread(streams, count=count, block_ms=block)
+        reply = self._call("xread", streams, count=count, block_ms=block)
         return [(key, self._dec_entries(entries)) for key, entries in reply]
 
     def xgroup_create(
         self, key: str, group: str, id: str = "$", mkstream: bool = False  # noqa: A002
     ) -> bool:
-        self._charge()
-        return self._server.xgroup_create(key, group, entry_id=id, mkstream=mkstream)
+        return self._call("xgroup_create", key, group, entry_id=id, mkstream=mkstream)
 
     def xgroup_destroy(self, key: str, group: str) -> int:
-        self._charge()
-        return self._server.xgroup_destroy(key, group)
+        return self._call("xgroup_destroy", key, group)
 
     def xgroup_delconsumer(self, key: str, group: str, consumer: str) -> int:
-        self._charge()
-        return self._server.xgroup_delconsumer(key, group, consumer)
+        return self._call("xgroup_delconsumer", key, group, consumer)
 
     def xreadgroup(
         self,
@@ -433,15 +422,14 @@ class RedisClient:
         block: Optional[int] = None,
         noack: bool = False,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        self._charge()
-        reply = self._server.xreadgroup(
-            groupname, consumername, streams, count=count, block_ms=block, noack=noack
+        reply = self._call(
+            "xreadgroup", groupname, consumername, streams,
+            count=count, block_ms=block, noack=noack,
         )
         return [(key, self._dec_entries(entries)) for key, entries in reply]
 
     def xack(self, key: str, group: str, *entry_ids: str) -> int:
-        self._charge()
-        return self._server.xack(key, group, *entry_ids)
+        return self._call("xack", key, group, *entry_ids)
 
     def xack_decr(
         self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
@@ -451,12 +439,10 @@ class RedisClient:
         ``amount`` is the entry's work-unit count (``len(batch)`` for batch
         envelopes), released all-or-nothing with the ack.
         """
-        self._charge()
-        return self._server.xackdecr(key, group, entry_id, counter_key, amount)
+        return self._call("xackdecr", key, group, entry_id, counter_key, amount)
 
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
-        self._charge()
-        return self._server.xpending(key, group)
+        return self._call("xpending", key, group)
 
     def xpending_range(
         self,
@@ -468,9 +454,9 @@ class RedisClient:
         consumername: Optional[str] = None,
         idle: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
-        self._charge()
-        return self._server.xpending_range(
-            key, group, min, max, count, consumer=consumername, min_idle_ms=idle
+        return self._call(
+            "xpending_range", key, group, min, max, count,
+            consumer=consumername, min_idle_ms=idle,
         )
 
     def xclaim(
@@ -481,9 +467,9 @@ class RedisClient:
         min_idle_time: float,
         message_ids: Iterable[str],
     ) -> List[Tuple[str, Dict[str, Any]]]:
-        self._charge()
-        claimed = self._server.xclaim(key, group, consumername, min_idle_time, message_ids)
-        return self._dec_entries(claimed)
+        return self._dec_entries(
+            self._call("xclaim", key, group, consumername, min_idle_time, message_ids)
+        )
 
     def xautoclaim(
         self,
@@ -494,20 +480,17 @@ class RedisClient:
         start_id: str = "0-0",
         count: int = 100,
     ) -> Tuple[str, List[Tuple[str, Dict[str, Any]]]]:
-        self._charge()
-        cursor, claimed = self._server.xautoclaim(
-            key, group, consumername, min_idle_time, start=start_id, count=count
+        cursor, claimed = self._call(
+            "xautoclaim", key, group, consumername, min_idle_time,
+            start=start_id, count=count,
         )
         return cursor, self._dec_entries(claimed)
 
     def xinfo_stream(self, key: str) -> Dict[str, Any]:
-        self._charge()
-        return self._server.xinfo_stream(key)
+        return self._call("xinfo_stream", key)
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
-        self._charge()
-        return self._server.xinfo_groups(key)
+        return self._call("xinfo_groups", key)
 
     def xinfo_consumers(self, key: str, group: str) -> List[Dict[str, Any]]:
-        self._charge()
-        return self._server.xinfo_consumers(key, group)
+        return self._call("xinfo_consumers", key, group)

@@ -382,6 +382,11 @@ class RedisServer:
                 return items[start:]
             return items[start : end + 1]
 
+    #: LRANGESEQ: the wire names the read of a sequenced list separately
+    #: (its elements frame as ``[seq, value]`` pairs); in-process the
+    #: stored pairs come back as they are.
+    lrangeseq = lrange
+
     # ---------------------------------------------------------------- hashes
     def hset(self, key: str, field: str, value: Any) -> int:
         with self._cond:

@@ -23,9 +23,22 @@ class ExplodingPE(IterativePE):
 
 class TestWorkerErrors:
     @pytest.mark.parametrize(
-        "mapping", ["simple", "multi", "dyn_multi", "dyn_auto_multi", "dyn_redis"]
+        "mapping, options",
+        [
+            ("simple", {}),
+            ("multi", {}),
+            ("dyn_multi", {}),
+            ("dyn_auto_multi", {}),
+            ("dyn_redis", {}),
+            ("dyn_auto_redis", {}),
+            # The PE's own exception crosses a process boundary and must
+            # still be what the caller reads first, not the exit code.
+            pytest.param(
+                "cluster_redis", {"start_method": "fork"}, marks=pytest.mark.network
+            ),
+        ],
     )
-    def test_error_is_reported(self, mapping):
+    def test_error_is_reported(self, mapping, options):
         g = linear_graph(ExplodingPE(), Double(name="d"))
         with pytest.raises(MappingError, match="injected failure"):
             run(
@@ -34,6 +47,7 @@ class TestWorkerErrors:
                 processes=3,
                 mapping=mapping,
                 time_scale=FAST_SCALE,
+                **options,
             )
 
     def test_hybrid_stateless_error_reported(self):

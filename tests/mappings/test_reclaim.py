@@ -72,9 +72,7 @@ class TestReclaimStale:
         held = wf.board.fetch("busy", busy_client, block_ms=10)
         assert len(held) == 1
 
-        copies = wf.graph_copy("peer")
-        peer_client = wf.client_for_worker()
-        assert wf.reclaim_stale(copies, "consumer-peer", peer_client) == 0
+        assert wf.worker("peer", "consumer-peer").reclaim_stale() == 0
         assert state.counters.get("reclaimed") == 0
         assert not wf.board.is_drained()  # still owed to the busy consumer
 

@@ -1,16 +1,27 @@
-"""Parity lane: the same facade, driven against *genuine* Redis.
+"""Parity lanes: one facade, every way of reaching a keyspace.
 
-The RESP client in :mod:`repro.net.client` speaks the real wire protocol,
-so it can talk to an actual Redis server with no extra dependency.  When
-``REPRO_REAL_REDIS_URL`` points at one (``redis://host:port`` or bare
-``host:port``), every test here runs each scenario twice -- once against
-redisim's TCP front-end, once against Redis itself -- and asserts the
-replies are identical.  Without the variable the whole module skips, so
-the default suite never needs a Redis install.
+:class:`~repro.redisim.client.RedisClient` defines each command once and
+runs it over a transport, so the same scenario must read the same through
+any of them.  Every test runs its scenario through a *pair* of clients and
+asserts the replies are identical:
+
+- **transports** (always on): the in-process transport and the RESP/TCP
+  transport, both on **one shared keyspace** -- the two sides work under
+  their own key suffix so neither sees the other's writes.
+- **real** (``real_redis`` marker): redisim's TCP front-end against
+  *genuine* Redis, which the socket transport reaches with no extra
+  dependency because it speaks the real wire protocol.  Runs when
+  ``REPRO_REAL_REDIS_URL`` points at a server (``redis://host:port`` or
+  bare ``host:port``) and skips otherwise, so the default suite never
+  needs a Redis install.
 
 Commands specific to redisim (``RPUSHSEQ``, ``SNAPSHOT``, ``XACKDECR``...)
-are exercised in :mod:`tests.net.test_tcp` instead: genuine Redis does not
-know them, which is exactly the point of keeping them out of this lane.
+run on the transports pair only: genuine Redis does not know them.
+
+The one place the transports differ on purpose is pinned in
+:class:`TestRawValueEdge`: string, hash and counter values are not
+marshalled, so the in-process transport hands back the stored object and
+the wire hands back ``bytes``.
 """
 
 import os
@@ -20,16 +31,13 @@ import pytest
 
 from repro.net.client import SocketRedisClient
 from repro.net.server import RespTCPServer
+from repro.redisim.client import RedisClient
+from repro.redisim.errors import RedisError
+from repro.redisim.server import RedisServer
 
-pytestmark = [pytest.mark.network, pytest.mark.real_redis]
+pytestmark = pytest.mark.network
 
 _URL = os.environ.get("REPRO_REAL_REDIS_URL")
-
-if not _URL:  # pragma: no cover - exercised only with a live Redis
-    pytest.skip(
-        "set REPRO_REAL_REDIS_URL=redis://host:port to run the parity lane",
-        allow_module_level=True,
-    )
 
 
 def _address(url: str) -> str:
@@ -37,8 +45,21 @@ def _address(url: str) -> str:
 
 
 @pytest.fixture
-def pair():
+def transports():
+    """(in-process client, TCP client) on one shared keyspace."""
+    keyspace = RedisServer()
+    server = RespTCPServer(keyspace).start()
+    tcp = SocketRedisClient(address=server.address)
+    yield RedisClient(keyspace), tcp, lambda k: f"parity:{k}"
+    tcp.close()
+    server.close()
+
+
+@pytest.fixture
+def real():
     """(redisim client, real-Redis client), keys namespaced per test."""
+    if not _URL:  # pragma: no cover - exercised only with a live Redis
+        pytest.skip("set REPRO_REAL_REDIS_URL=redis://host:port to run the parity lane")
     sim_server = RespTCPServer().start()
     sim = SocketRedisClient(address=sim_server.address)
     real = SocketRedisClient(address=_address(_URL))
@@ -52,17 +73,42 @@ def pair():
     sim_server.close()
 
 
+@pytest.fixture(params=["transports", pytest.param("real", marks=pytest.mark.real_redis)])
+def pair(request):
+    return request.getfixturevalue(request.param)
+
+
+def _unsuffix(reply, suffix):
+    """``reply`` with ``suffix`` cut off every string in it (key names)."""
+    if isinstance(reply, str):
+        return reply.removesuffix(suffix)
+    if isinstance(reply, (list, tuple)):
+        return type(reply)(_unsuffix(item, suffix) for item in reply)
+    return reply
+
+
 def both(sim, real, key, op):
-    a, b = op(sim, key), op(real, key)
-    assert a == b, f"redisim={a!r} real={b!r}"
+    # Each side works under its own key suffix, so one keyspace can serve
+    # both; key names a reply echoes (BLPOP) compare without it.
+    a, b = (_unsuffix(op(c, key + tag), tag) for c, tag in ((sim, "@a"), (real, "@b")))
+    assert a == b, f"first={a!r} second={b!r}"
     return a
+
+
+def wire(value):
+    """An unmarshalled reply as RESP frames it (see :class:`TestRawValueEdge`)."""
+    if isinstance(value, dict):
+        return {field: wire(item) for field, item in value.items()}
+    if isinstance(value, (str, int)):
+        return str(value).encode()
+    return value
 
 
 class TestParity:
     def test_strings(self, pair):
         sim, real, k = pair
         both(sim, real, k("s"), lambda c, key: c.set(key, "v"))
-        both(sim, real, k("s"), lambda c, key: c.get(key))
+        both(sim, real, k("s"), lambda c, key: wire(c.get(key)))
         both(sim, real, k("n"), lambda c, key: c.incrby(key, 7))
         both(sim, real, k("n"), lambda c, key: c.decr(key))
         both(sim, real, k("s"), lambda c, key: c.exists(key))
@@ -81,8 +127,8 @@ class TestParity:
         sim, real, k = pair
         both(sim, real, k("h"), lambda c, key: c.hset(key, "f", b"1"))
         both(sim, real, k("h"), lambda c, key: c.hincrby(key, "f", 4))
-        both(sim, real, k("h"), lambda c, key: c.hget(key, "f"))
-        both(sim, real, k("h"), lambda c, key: c.hgetall(key))
+        both(sim, real, k("h"), lambda c, key: wire(c.hget(key, "f")))
+        both(sim, real, k("h"), lambda c, key: wire(c.hgetall(key)))
         both(sim, real, k("h"), lambda c, key: c.hlen(key))
         both(sim, real, k("h"), lambda c, key: c.hdel(key, "f"))
 
@@ -99,8 +145,8 @@ class TestParity:
 
         def cycle(c, key):
             c.xgroup_create(key, "g", mkstream=True)
-            c.xadd(key, {"task": "payload"}, entry_id="1-1")
-            c.xadd(key, {"task": "other"}, entry_id="2-1")
+            c.xadd(key, {"task": "payload"}, id="1-1")
+            c.xadd(key, {"task": "other"}, id="2-1")
             [(name, entries)] = c.xreadgroup("g", "w0", {key: ">"}, count=10)
             acked = c.xack(key, "g", entries[0][0])
             pending = c.xpending(key, "g")
@@ -120,7 +166,7 @@ class TestParity:
 
         def adopt(c, key):
             c.xgroup_create(key, "g", mkstream=True)
-            c.xadd(key, {"t": "1"}, entry_id="1-1")
+            c.xadd(key, {"t": "1"}, id="1-1")
             c.xreadgroup("g", "dead", {key: ">"}, count=10)
             cursor, claimed = c.xautoclaim(key, "g", "live", min_idle_time=0)
             return [(entry_id, fields) for entry_id, fields in claimed]
@@ -134,8 +180,9 @@ class TestParity:
             pipe = c.pipeline()
             pipe.rpush(key, "a")
             pipe.incrby(key + ":n", 2)
+            pipe.hincrby(key + ":h", "f", 3)
             pipe.set(key + ":s", "v")
-            return pipe.execute()[:2]
+            return pipe.execute()
 
         both(sim, real, k("p"), pipelined)
 
@@ -143,13 +190,65 @@ class TestParity:
         sim, real, k = pair
 
         def wrongtype(c, key):
-            from repro.net.client import ReplyError
-
             c.set(key, "v")
             try:
                 c.lpush(key, 1)
-            except ReplyError as exc:
-                return exc.code
+            except RedisError as exc:
+                # A typed WrongTypeError in process, a ReplyError off the
+                # wire: same base class, same leading code word.
+                return str(exc).split(" ", 1)[0]
             return None
 
         both(sim, real, k("w"), wrongtype)
+
+
+class TestRedisimExtensions:
+    """The commands genuine Redis lacks: transports pair only."""
+
+    def test_sequenced_lists(self, transports):
+        a, b, k = transports
+        both(a, b, k("q"), lambda c, key: c.rpush_seq(key, "x", {"y": 2}))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.1))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.1))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.05))
+        both(a, b, k("q"), lambda c, key: c.lrange_seq(key + ":log"))
+        both(a, b, k("q"), lambda c, key: c.rpush_seq(key, "z"))  # seq survives emptying
+
+    def test_snapshot_restore(self, transports):
+        a, b, k = transports
+        both(a, b, k("cp"), lambda c, key: c.snapshot(key, "pe-0", 2, {"total": 5}))
+        both(a, b, k("cp"), lambda c, key: c.restore(key, "pe-0"))
+        both(a, b, k("cp"), lambda c, key: c.snapshot(key, "pe-0", 1, "stale"))
+        both(a, b, k("cp"), lambda c, key: c.restore(key, "missing"))
+
+    def test_xack_decr_is_exactly_once(self, transports):
+        a, b, k = transports
+
+        def settle(c, key):
+            c.xgroup_create(key, "g", mkstream=True)
+            c.xadd(key, {"task": [1, 2]})
+            c.incrby(key + ":n", 2)
+            [(_name, [(entry_id, _fields)])] = c.xreadgroup("g", "w0", {key: ">"})
+            first = c.xack_decr(key, "g", entry_id, key + ":n", 2)
+            second = c.xack_decr(key, "g", entry_id, key + ":n", 2)
+            return first, second, int(c.get(key + ":n"))
+
+        assert both(a, b, k("st"), settle) == (1, 0, 0)
+
+
+class TestRawValueEdge:
+    """Pinned, not papered over: strings, hash fields and counters are not
+    marshalled, so a read returns the stored object in process and its
+    bulk-string bytes off the wire.  Callers ``int(...)`` their counters,
+    which accepts both."""
+
+    def test_unmarshalled_reads_differ_by_transport(self, transports):
+        local, tcp, k = transports
+        local.incrby(k("n"), 7)
+        local.hset(k("h"), "f", "text")
+        assert local.get(k("n")) == 7
+        assert tcp.get(k("n")) == b"7"  # the same key, over the socket
+        assert int(local.get(k("n"))) == int(tcp.get(k("n")))
+        assert local.hget(k("h"), "f") == "text"
+        assert tcp.hget(k("h"), "f") == b"text"
+        assert wire(local.hgetall(k("h"))) == tcp.hgetall(k("h"))

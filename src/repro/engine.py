@@ -45,25 +45,19 @@ from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.fluent import coerce_graph
 from repro.core.graph import WorkflowGraph
 from repro.jobs import Job, JobState
-from repro.mappings.base import Deployment, DeploymentPool, InputSpec, Mapping
+from repro.mappings.base import (
+    Deployment,
+    DeploymentPool,
+    InputSpec,
+    Mapping,
+    gate_plan_option,
+)
 from repro.mappings.registry import get_capabilities, get_mapping, select_mapping
 from repro.metrics.result import RunResult
 from repro.platforms.profiles import LAPTOP, PlatformProfile, get_platform
 
 #: Sentinel mapping name triggering capability-based selection.
 AUTO = "auto"
-
-
-def validate_tristate(name: str, value: Any) -> None:
-    """Validate a ``False | True | "auto"`` engine option.
-
-    The single source of the error message for both the config layer
-    (:meth:`RunConfig.fusion_options`) and the per-run path
-    (:meth:`Engine._submit`), so a bad value reads identically wherever
-    it is caught.
-    """
-    if value not in (False, True, "auto"):
-        raise TypeError(f"{name} must be True, False or 'auto', got {value!r}")
 
 
 def _check_option_typos(options: Dict[str, Any]) -> None:
@@ -201,14 +195,12 @@ class RunConfig:
         transport defaults, so a default-configured engine hands mappings
         exactly the options it did before fusion existed.
         """
-        opts: Dict[str, Any] = {}
-        if self.fuse is not False:
-            validate_tristate("fuse", self.fuse)
-            opts["fuse"] = self.fuse
-        if self.optimize is not False:
-            validate_tristate("optimize", self.optimize)
-            opts["optimize"] = self.optimize
-        return opts
+        requests = {"fuse": self.fuse, "optimize": self.optimize}
+        return {
+            name: gate_plan_option(name, value)
+            for name, value in requests.items()
+            if value is not False
+        }
 
     def resolved_platform(self) -> PlatformProfile:
         """The platform as a :class:`PlatformProfile` (names looked up)."""
@@ -501,44 +493,17 @@ class Engine:
             **self.config.options,
             **options,
         }
-        fuse_request = merged.get("fuse", False)
-        validate_tristate("fuse", fuse_request)
-        if fuse_request:
-            # Same contract as batching below: a mapping that bypasses the
-            # shared enactment path would silently run unfused while the
-            # user believes chains were collapsed.  "auto" is the soft
-            # request -- fuse where supported, skip where not.
-            caps = get_capabilities(name)
-            if not caps.fusion:
-                if fuse_request == "auto":
-                    merged.pop("fuse")
-                else:
-                    raise UnsupportedFeatureError(
-                        f"operator fusion requested (fuse=True) but mapping "
-                        f"{name!r} does not support fusion; pick a fusing "
-                        f"mapping, use fuse='auto', or drop the option"
-                    )
-        optimize_request = merged.get("optimize", False)
-        validate_tristate("optimize", optimize_request)
-        if optimize_request:
-            # The planner rides on the same enactment plumbing as fusion,
-            # so it shares the fusion capability bit.
-            caps = get_capabilities(name)
-            if not caps.fusion:
-                if optimize_request == "auto":
-                    merged.pop("optimize")
-                else:
-                    raise UnsupportedFeatureError(
-                        f"graph optimization requested (optimize=True) but "
-                        f"mapping {name!r} does not support the planner; pick "
-                        f"a fusing mapping, use optimize='auto', or drop the "
-                        f"option"
-                    )
+        caps = get_capabilities(name)
+        for option in ("fuse", "optimize"):
+            # The same gate the mapping's resolve_plan applies, run here
+            # too so a bad request is refused at submit time even when a
+            # scheduler queues the job before any mapping sees it.
+            if option in merged:
+                merged[option] = gate_plan_option(option, merged[option], caps, name)
         if merged.get("batch_size", 1) != 1 or merged.get("batch_linger_ms", 0):
             # Same contract as the recovery gate below: a mapping that
             # ignores the transport knobs would silently run unbatched
             # while the user believes they tuned the data plane.
-            caps = get_capabilities(name)
             if not caps.batching:
                 raise UnsupportedFeatureError(
                     f"batched transport requested (batch_size/batch_linger_ms) "
@@ -551,7 +516,6 @@ class Engine:
             # checkpointing needs a mapping that both pins stateful
             # instances and recovers them -- reclaim-only recoverability
             # (dyn_redis) does not qualify.
-            caps = get_capabilities(name)
             if not (caps.recoverable and caps.stateful):
                 raise UnsupportedFeatureError(
                     f"checkpoint/restore requested (checkpoint_interval/"
@@ -563,7 +527,6 @@ class Engine:
             # An address points workers at an external networked substrate
             # (``repro serve-redis``); a non-networked mapping would ignore
             # it and silently run in-process on a private keyspace.
-            caps = get_capabilities(name)
             if not caps.networked:
                 raise UnsupportedFeatureError(
                     f"a server address was given but mapping {name!r} is "

@@ -39,12 +39,10 @@ from repro.mappings.registry import (
 # Importing the implementation modules runs their @register_mapping
 # decorators, populating the registry with the built-ins.
 from repro.mappings.cluster import ClusterRedisMapping
-from repro.mappings.dyn_auto import DynAutoMultiMapping
-from repro.mappings.dynamic import DynMultiMapping
+from repro.mappings.dynamic import DynamicMapping, DynAutoMultiMapping, DynMultiMapping
 from repro.mappings.hybrid import HybridRedisMapping
 from repro.mappings.multi import MultiMapping
-from repro.mappings.redis_auto import DynAutoRedisMapping
-from repro.mappings.redis_dynamic import DynRedisMapping
+from repro.mappings.redis_dynamic import DynAutoRedisMapping, DynRedisMapping
 from repro.mappings.simple import SimpleMapping
 from repro.mappings.termination import TerminationPolicy
 
@@ -54,6 +52,7 @@ __all__ = [
     "DynAutoMultiMapping",
     "DynAutoRedisMapping",
     "DynMultiMapping",
+    "DynamicMapping",
     "HybridRedisMapping",
     "Mapping",
     "MultiMapping",

@@ -2,7 +2,7 @@
 
 A :class:`Mapping` translates an abstract workflow into a concrete one and
 enacts it (Figure 1).  Subclasses implement :meth:`Mapping._enact`; this
-base class owns everything common to all six mappings:
+base class owns everything common to all mappings:
 
 - validation and feature gating (stateless-only mappings reject stateful
   graphs with :class:`~repro.core.exceptions.UnsupportedFeatureError`; Redis
@@ -36,6 +36,7 @@ from __future__ import annotations
 import copy
 import pickle
 import threading
+from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.autoscale.trace import ScalingTrace
@@ -46,6 +47,7 @@ from repro.core.fusion import MemberMeter
 from repro.core.graph import WorkflowGraph
 from repro.core.pe import GenericPE
 from repro.jobs import Job, JobCancelledError
+from repro.mappings.registry import Capabilities
 from repro.metrics.result import RunResult
 from repro.planner import Plan, Planner
 from repro.net.server import RespTCPServer
@@ -95,22 +97,73 @@ def resolve_batch_size(options: Dict[str, Any]) -> int:
     return coerced
 
 
-def pop_plan_options(options: Dict[str, Any]) -> Dict[str, Any]:
-    """Extract the graph-planning options from a mapping options dict.
+def validate_tristate(name: str, value: Any) -> None:
+    """Validate a ``False | True | "auto"`` planning option."""
+    if value not in (False, True, "auto"):
+        raise TypeError(f"{name} must be True, False or 'auto', got {value!r}")
 
-    Popped keys: ``fuse`` (the classic fusion-only shim), ``optimize``
-    (the full rewrite-rule planner), ``plan`` (a prebuilt
-    :class:`~repro.planner.Plan` to enact as-is) and ``wanted_outputs``
-    (the results keys the caller consumes, enabling dead-output
-    elimination).  The resolution into an actual plan happens after
-    graph validation, in :meth:`Mapping._resolve_plan`.
+
+def gate_plan_option(
+    name: str, value: Any, caps: Optional[Capabilities] = None, mapping: str = ""
+) -> Any:
+    """Validate one of ``fuse`` / ``optimize`` and gate it on ``caps.fusion``.
+
+    The planner rides on the same enactment plumbing as fusion, so both
+    options share the fusion capability bit.  A mapping that bypasses the
+    shared enactment path would silently run the original graph while the
+    user believes it was rewritten, so ``True`` there is rejected;
+    ``"auto"`` is the soft request -- rewrite where supported, skip where
+    not -- and comes back ``False``.  Without ``caps`` (the config layer,
+    which has no mapping yet) only the value is validated.
     """
-    return {
-        "fuse": options.pop("fuse", False),
-        "optimize": options.pop("optimize", False),
-        "plan": options.pop("plan", None),
-        "wanted_outputs": options.pop("wanted_outputs", None),
-    }
+    validate_tristate(name, value)
+    if value and caps is not None and not caps.fusion:
+        if value == "auto":
+            return False
+        raise UnsupportedFeatureError(
+            f"{name}=True requested but mapping {mapping!r} does not support "
+            f"operator fusion / the graph planner; pick a fusing mapping, "
+            f"use {name}='auto', or drop the option"
+        )
+    return value
+
+
+def resolve_plan(
+    options: Dict[str, Any],
+    caps: Capabilities,
+    mapping: str,
+    graph: WorkflowGraph,
+    platform: PlatformProfile,
+    provided: Optional[Dict[str, List[Dict[str, Any]]]] = None,
+) -> Optional[Plan]:
+    """The one path from the planning options to a :class:`Plan` (or None).
+
+    Pops ``fuse``, ``optimize``, ``plan`` (a prebuilt :class:`Plan` to
+    enact as-is) and ``wanted_outputs`` (the results keys the caller
+    consumes, enabling dead-output elimination) out of ``options``; the
+    two tri-states go through :func:`gate_plan_option`.  A prebuilt plan
+    wins; ``optimize`` runs the full planner (profiling against
+    ``provided`` when the eager path has it); ``fuse`` is sugar for the
+    fusion-only planner -- no profiling, no planner counters,
+    byte-identical to the classic fusion rewrite.
+    """
+    fuse = gate_plan_option("fuse", options.pop("fuse", False), caps, mapping)
+    optimize = gate_plan_option(
+        "optimize", options.pop("optimize", False), caps, mapping
+    )
+    plan = options.pop("plan", None)
+    wanted_outputs = options.pop("wanted_outputs", None)
+    if plan is not None:
+        if not isinstance(plan, Plan):
+            raise MappingError(f"plan= expects a repro.planner.Plan, got {plan!r}")
+        return plan
+    if optimize:
+        return Planner.default().plan(
+            graph, provided=provided, platform=platform, wanted_outputs=wanted_outputs
+        )
+    if fuse:
+        return Planner.fusion_only().plan(graph, profile=False)
+    return None
 
 
 def resolve_batch_linger(options: Dict[str, Any]) -> float:
@@ -281,6 +334,18 @@ def instantiate(pe: GenericPE, index: int, num_instances: int, ctx: ExecutionCon
     clone.ctx = ctx
     clone.rng = ctx.rng_for(clone.instance_id)
     return clone
+
+
+def graph_copy(pes: Dict[str, GenericPE], ctx: ExecutionContext) -> Dict[str, GenericPE]:
+    """One worker's private, preprocessed copy of ``pes`` (Algorithm 1 line 49).
+
+    Dynamic scheduling hands every worker the whole graph, so each PE is
+    instantiated as the sole instance ``(0, 1)`` of itself.
+    """
+    copies = {name: instantiate(pe, 0, 1, ctx) for name, pe in pes.items()}
+    for pe in copies.values():
+        pe.preprocess()
+    return copies
 
 
 def dispatch_emissions(
@@ -766,25 +831,69 @@ class EnactmentState:
                 ) from first
 
 
+@contextmanager
+def live_feeder(state: EnactmentState, feed: Callable[[], None]) -> Iterator[None]:
+    """Run a streaming enactment's *feed* stage alongside the ``with`` body.
+
+    ``feed`` (the mapping's ``state.feed.attach(...)`` wrapper) gets its
+    own thread so a *blocked* input iterable cannot pin the driver: the
+    body joins the workers meanwhile, and on exit the feeder gets a
+    bounded grace period.  A cancelled job abandons a still-blocked feeder
+    immediately (daemon); otherwise one that never finishes is an error.
+    """
+    feeder = threading.Thread(target=feed, name=f"feed-{state.graph.name}", daemon=True)
+    feeder.start()
+    try:
+        yield
+    finally:
+        feeder.join(timeout=0.1 if state.cancelled() else 5.0)
+        if feeder.is_alive() and not state.cancelled():
+            state.record_error(TimeoutError("live input feeder did not finish"))
+
+
+def run_workers(
+    state: EnactmentState, calls: List[Tuple[str, Callable[..., None], tuple]]
+) -> None:
+    """Run one long-lived ``(name, func, args)`` call per worker; bounded join.
+
+    Warm, the calls go to the deployment's pool (``state.pool``); cold,
+    each gets a daemon thread called ``name``.  (Not an ephemeral
+    :class:`WorkerPool`: its dispatch hand-off is paid while the first
+    workers already run, and at 64 workers that cost ``dyn_multi`` ~28%
+    process time on fig10's 10X workload.)  A worker still running after
+    ``join_timeout`` is recorded as a :class:`TimeoutError` and the join
+    stops waiting.
+    """
+    timeout = state.options.get("join_timeout", 300.0)
+    if state.pool is not None:
+        handles = [state.pool.apply_async(func, args) for _name, func, args in calls]
+        waits = [(handle.wait, handle.ready) for handle in handles]
+    else:
+        threads = [
+            threading.Thread(target=func, args=args, name=name, daemon=True)
+            for name, func, args in calls
+        ]
+        for thread in threads:
+            thread.start()
+        waits = [(thread.join, lambda t=thread: not t.is_alive()) for thread in threads]
+    for (name, _func, _args), (wait, finished) in zip(calls, waits):
+        wait(timeout=timeout)
+        if not finished():
+            state.record_error(
+                TimeoutError(f"worker {name} did not finish in {timeout}s")
+            )
+            break
+
+
 class Mapping:
     """Base class of all enactment engines."""
 
     #: Registry name (``multi``, ``dyn_multi``, ...).
     name = "abstract"
-    #: Whether the mapping can honour stateful PEs / groupings.
-    supports_stateful = True
-    #: Whether the mapping needs a Redis deployment on the platform.
-    requires_redis = False
-    #: Whether :meth:`submit` runs the live streaming path (incremental
-    #: ingestion into a running workflow).  Mappings without it fall back
-    #: to buffered submission -- still job-handled, results still stream.
-    supports_streaming = False
-    #: Whether :meth:`deploy` pre-spawns a warm :class:`WorkerPool` for
-    #: streaming submissions to run on.
-    wants_pool = False
-    #: Whether :meth:`deploy` fronts the redisim server with a RESP TCP
-    #: listener so worker OS processes can join over the network.
-    wants_net = False
+    #: What this mapping can enact -- the one declaration that
+    #: :meth:`deploy`, :meth:`submit` and the feature gates read.  Set by
+    #: :func:`~repro.mappings.registry.register_mapping`.
+    capabilities = Capabilities()
 
     # ------------------------------------------------------------- lifecycle
     def deploy(
@@ -794,19 +903,22 @@ class Mapping:
 
         The returned :class:`Deployment` is what a session keeps warm
         across consecutive submissions: a pre-spawned worker pool for the
-        pool-driven mappings (``wants_pool``), a redisim server for the
-        Redis-backed ones, nothing for mappings with no spin-up cost.
+        streaming mappings (their live submissions run on it), a redisim
+        server for the Redis-backed ones -- fronted by a RESP TCP listener
+        on the networked ones, so worker OS processes can join by address
+        -- and nothing for mappings with no spin-up cost.
         Callers own the deployment and must :meth:`Deployment.teardown`
         it; :meth:`repro.engine.Engine` does this for its sessions.
         """
         if processes < 1:
             raise MappingError(f"processes must be >= 1, got {processes}")
+        caps = self.capabilities
         pool = None
-        if self.wants_pool:
+        if caps.streaming:
             pool = WorkerPool(processes, name=f"{self.name}-warm")
-        server = RedisServer() if self.requires_redis else None
+        server = RedisServer() if caps.requires_redis else None
         net_server = None
-        if self.wants_net:
+        if caps.networked:
             # Front the deployment's keyspace with a TCP listener on an
             # ephemeral loopback port; worker processes join by address.
             net_server = RespTCPServer(server).start()
@@ -847,13 +959,17 @@ class Mapping:
         seed:
             Run-level random seed (per-instance RNGs derive from it).
         options:
-            Mapping-specific tuning; unknown keys raise.
+            Mapping-specific tuning.  Each mapping reads the keys it knows
+            and ignores the rest: an unknown or misspelled key runs
+            silently with the default (the :class:`~repro.engine.Engine`
+            facade only catches look-alikes of its own settings).
         """
         options = dict(options)
-        plan_spec = pop_plan_options(options)
         self._check_enactable(graph, processes, platform)
         provided = normalize_inputs(graph, inputs)
-        plan = self._resolve_plan(graph, plan_spec, platform, provided=provided)
+        plan = resolve_plan(
+            options, self.capabilities, self.name, graph, platform, provided
+        )
         state = self._build_state(
             graph, provided, processes, platform, time_scale, seed, options,
             plan,
@@ -877,7 +993,7 @@ class Mapping:
     ) -> Job:
         """Start enacting ``graph`` and return a live :class:`Job` handle.
 
-        On streaming mappings (``supports_streaming``) the workflow starts
+        On streaming mappings (``Capabilities.streaming``) the workflow starts
         immediately on a background driver thread: initial ``inputs`` are
         consumed *lazily* into the running graph, ``job.send`` feeds more,
         ``job.close_input`` ends the stream, and ``job.results()`` yields
@@ -901,15 +1017,15 @@ class Mapping:
         enactment errors surface from ``job.wait()`` / ``job.results()``.
         """
         options = dict(options)
-        plan_spec = pop_plan_options(options)
+        caps = self.capabilities
         if deadline is not None and deadline <= 0:
             # Validated before any wiring: a bad deadline must not leave an
             # orphaned driver thread running on a torn-down deployment.
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
         self._check_enactable(graph, processes, platform)
         if stream is None:
-            stream = self.supports_streaming
-        elif stream and not self.supports_streaming:
+            stream = caps.streaming
+        elif stream and not caps.streaming:
             raise MappingError(
                 f"mapping {self.name!r} does not support live streaming "
                 f"submissions; drop stream=True for buffered ingestion"
@@ -924,18 +1040,18 @@ class Mapping:
         if (
             deployment is not None
             and deployment.redis_server is not None
-            and self.requires_redis
+            and caps.requires_redis
         ):
             options.setdefault("redis_server", deployment.redis_server)
         if (
             deployment is not None
             and deployment.net_server is not None
-            and self.wants_net
+            and caps.networked
         ):
             options.setdefault("net_server", deployment.net_server)
         # Streaming submissions must not consume the (possibly lazy) input
         # iterators, so the planner profiles without an input sample there.
-        plan = self._resolve_plan(graph, plan_spec, platform)
+        plan = resolve_plan(options, caps, self.name, graph, platform)
         job = Job(mapping=self.name, workflow=graph.name, streaming=stream)
         tap = job._emit if results_channel else None
         if stream:
@@ -1097,49 +1213,17 @@ class Mapping:
         if processes < 1:
             raise MappingError(f"processes must be >= 1, got {processes}")
         graph.validate()
-        if graph.is_stateful() and not self.supports_stateful:
+        if graph.is_stateful() and not self.capabilities.stateful:
             raise UnsupportedFeatureError(
                 f"mapping {self.name!r} supports only stateless workflows; "
                 f"{graph.name!r} contains stateful PEs or state-pinning "
                 f"groupings (use hybrid_redis or multi)"
             )
-        if self.requires_redis and not platform.redis_available:
+        if self.capabilities.requires_redis and not platform.redis_available:
             raise MappingError(
                 f"platform {platform.name!r} has no Redis deployment; "
                 f"mapping {self.name!r} cannot run there"
             )
-
-    def _resolve_plan(
-        self,
-        graph: WorkflowGraph,
-        spec: Dict[str, Any],
-        platform: PlatformProfile,
-        provided: Optional[Dict[str, List[Dict[str, Any]]]] = None,
-    ) -> Optional[Plan]:
-        """Resolve the popped plan options into a :class:`Plan` (or None).
-
-        A prebuilt ``plan=`` wins; ``optimize`` truthy runs the full
-        planner (profiling against ``provided`` when the eager path has
-        it); ``fuse`` truthy runs the fusion-only shim -- no profiling, no
-        planner counters, byte-identical to the classic fusion rewrite.
-        """
-        if spec["plan"] is not None:
-            plan = spec["plan"]
-            if not isinstance(plan, Plan):
-                raise MappingError(
-                    f"plan= expects a repro.planner.Plan, got {plan!r}"
-                )
-            return plan
-        if spec["optimize"]:
-            return Planner.default().plan(
-                graph,
-                provided=provided,
-                platform=platform,
-                wanted_outputs=spec["wanted_outputs"],
-            )
-        if spec["fuse"]:
-            return Planner.fusion_only().plan(graph, profile=False)
-        return None
 
     def _build_state(
         self,

@@ -54,7 +54,7 @@ from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow
 from repro.core.context import ExecutionContext
 from repro.core.pe import GenericPE
-from repro.mappings.base import EnactmentState, Mapping, instantiate, resolve_batch_size
+from repro.mappings.base import EnactmentState, Mapping, graph_copy, resolve_batch_size
 from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
@@ -85,7 +85,7 @@ def _dumps_jobspec(jobspec: Dict[str, Any]) -> bytes:
     Abstract PEs carry a default :class:`ExecutionContext` whose clock
     holds thread-locals -- meaningless across a process boundary and not
     picklable.  Workers rebuild the real context from the jobspec and
-    ``instantiate`` re-binds ``ctx``/``rng`` on every copy (fused members
+    ``graph_copy`` re-binds ``ctx``/``rng`` on every copy (fused members
     get theirs in ``FusedPE.preprocess``), so ``None`` placeholders are
     never observed.  The originals are restored afterwards: the coordinator
     shares these PE objects with the caller.
@@ -144,11 +144,7 @@ class _ClusterWorker:
             spec["crash_after"] if index in spec["crash_workers"] else None
         )
         graph = spec["graph"]
-        copies: Dict[str, GenericPE] = {
-            name: instantiate(pe, 0, 1, ctx) for name, pe in graph.pes.items()
-        }
-        for pe in copies.values():
-            pe.preprocess()
+        copies = graph_copy(graph.pes, ctx)
         self.counters: Dict[str, int] = {"graph_copies": 1}
         self._fetched_entries = 0
         self.board = RedisTaskBoard(client, namespace=namespace)
@@ -260,9 +256,6 @@ class ClusterRedisMapping(Mapping):
     """Distributed dynamic scheduling: worker processes joining over TCP."""
 
     name = "cluster_redis"
-    supports_stateful = False
-    requires_redis = True
-    wants_net = True
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         options = state.options

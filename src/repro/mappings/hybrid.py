@@ -76,6 +76,7 @@ from repro.mappings.base import (
     EnactmentState,
     Mapping,
     dispatch_emissions,
+    graph_copy,
     instantiate,
     resolve_batch_size,
 )
@@ -110,8 +111,6 @@ class HybridRedisMapping(Mapping):
     """Stateful-aware dynamic scheduling over Redis (``hybrid_redis``)."""
 
     name = "hybrid_redis"
-    supports_stateful = True
-    requires_redis = True
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph
@@ -424,17 +423,14 @@ class HybridRedisMapping(Mapping):
 
         # -------------------------------------------------- stateless plane
         reclaim_idle_ms = reclaim_threshold_ms(state.options, state.clock)
+        stateless_pes = {
+            name: pe for name, pe in graph.pes.items() if name not in stateful_names
+        }
 
         def stateless_worker(index: int) -> None:
             worker_id = f"stateless-{index}"
             try:
-                copies = {
-                    name: instantiate(pe, 0, 1, state.ctx)
-                    for name, pe in graph.pes.items()
-                    if name not in stateful_names
-                }
-                for pe in copies.values():
-                    pe.preprocess()
+                copies = graph_copy(stateless_pes, state.ctx)
                 # The shared stream-worker body; children bound for pinned
                 # instances leave through ``queue_deliveries`` instead of
                 # the task stream, and the coordinator ends the run.

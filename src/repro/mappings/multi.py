@@ -32,9 +32,11 @@ from repro.mappings.base import (
     Mapping,
     dispatch_emissions,
     instantiate,
+    live_feeder,
     marshal,
     resolve_batch_linger,
     resolve_batch_size,
+    run_workers,
 )
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.runtime.queues import (
@@ -44,11 +46,13 @@ from repro.runtime.queues import (
     Empty,
     batch_items,
 )
-from repro.runtime.workers import WorkerPool
 
 #: Message tags on instance queues.
 _DATA = "data"
 _PILL = "pill"
+#: How often (real seconds) a streaming worker blocked on an empty queue
+#: wakes to check the job's cancel flag.
+_STREAM_POLL = 0.05
 
 
 class _WorkerCancelled(BaseException):
@@ -73,15 +77,12 @@ class MultiMapping(Mapping):
     LiveFeed`; the channel's poison pill (sent at ``close_input``) plays
     the role the exhausted input share plays in the one-shot path, after
     which the usual counted-pill termination cascades downstream.  Workers
-    run on the session's warm :class:`WorkerPool` (or an ephemeral one),
-    poll a cancel flag, and on cancellation still close their downstream
-    ports so no peer blocks on a dead producer.
+    run on the session's warm pool (cold: on threads of their own), poll a
+    cancel flag, and on cancellation still close their downstream ports so
+    no peer blocks on a dead producer.
     """
 
     name = "multi"
-    supports_stateful = True
-    supports_streaming = True
-    wants_pool = True
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph
@@ -255,7 +256,6 @@ class MultiMapping(Mapping):
             """Live-input variant: channel-fed sources, cancel-aware loops."""
             worker_id = f"{pe_name}.{index}"
             cancelled = state.control.cancelled
-            poll = state.options.get("stream_poll", 0.05)
             deliver, flush_outbox, poll_outbox = make_deliver()
             try:
                 instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
@@ -266,7 +266,7 @@ class MultiMapping(Mapping):
                         if cancelled.is_set():
                             raise _WorkerCancelled()
                         try:
-                            item = channel.get(timeout=poll)
+                            item = channel.get(timeout=_STREAM_POLL)
                         except Empty:
                             if poll_outbox is not None:
                                 poll_outbox()
@@ -282,7 +282,7 @@ class MultiMapping(Mapping):
                     if cancelled.is_set():
                         raise _WorkerCancelled()
                     try:
-                        item = queue.get(timeout=poll)
+                        item = queue.get(timeout=_STREAM_POLL)
                     except Empty:
                         if poll_outbox is not None:
                             poll_outbox()
@@ -314,93 +314,45 @@ class MultiMapping(Mapping):
             finally:
                 state.meter.deactivate(worker_id)
 
-        timeout = state.options.get("join_timeout", 300.0)
         # Metered from launch initiation, not first schedule: the spawn
         # stagger is a substrate artifact, and a static process is active
         # from launch to termination (accounting module docs).
         for name, idx in concrete.all_instances():
             state.meter.activate(f"{name}.{idx}")
 
-        if streaming:
-            pool = state.pool
-            own_pool = pool is None
-            if own_pool:
-                pool = WorkerPool(state.processes, name=f"multi-{graph.name}")
-            try:
-                handles = [
-                    pool.apply_async(worker_streaming, (name, idx))
-                    for name, idx in concrete.all_instances()
-                ]
-                # The *feed* stage: drain initial inputs into the live
-                # channels (lazily, while workers already consume), then
-                # forward sends until close_input pills the channels.
-                rr: Dict[str, int] = {}
-
-                def feed_sink(root: str, item: Dict[str, Any]) -> None:
-                    index = rr.get(root, 0)
-                    rr[root] = index + 1
-                    channels[(root, index % allocation[root])].put(item)
-                    state.counters.inc("stream_inputs")
-
-                def feed_close() -> None:
-                    for channel in channels.values():
-                        channel.close(1)
-
-                def run_feed() -> None:
-                    try:
-                        state.feed.attach(feed_sink, feed_close)
-                    except BaseException as exc:  # noqa: BLE001 - feed boundary
-                        # A failing input iterable must not strand the
-                        # workers: close the channels so they drain out, and
-                        # surface the error through the normal error path.
-                        state.record_error(exc)
-                        feed_close()
-
-                # The feed gets its own thread so a *blocked* input iterable
-                # cannot pin the driver: on cancel the workers unwind and
-                # the stuck feeder is abandoned (bounded join below).
-                feeder = threading.Thread(
-                    target=run_feed, name=f"feed-{graph.name}", daemon=True
-                )
-                feeder.start()
-                for (name, idx), handle in zip(concrete.all_instances(), handles):
-                    handle.wait(timeout=timeout)
-                    if not handle.ready():
-                        state.record_error(
-                            TimeoutError(
-                                f"worker multi-{name}.{idx} did not finish in {timeout}s"
-                            )
-                        )
-                        break
-                # A cancelled job abandons a still-blocked feeder
-                # immediately; otherwise give it a bounded grace period.
-                feeder.join(timeout=0.1 if state.cancelled() else 5.0)
-                if feeder.is_alive() and not state.cancelled():
-                    state.record_error(
-                        TimeoutError("live input feeder did not finish")
-                    )
-            finally:
-                if own_pool:
-                    pool.close()
-                    pool.join(timeout=5.0)
-            return None
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                args=(name, idx),
-                name=f"multi-{name}.{idx}",
-                daemon=True,
-            )
+        calls = [
+            (f"multi-{name}.{idx}", worker_streaming if streaming else worker, (name, idx))
             for name, idx in concrete.all_instances()
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                state.record_error(
-                    TimeoutError(f"worker {thread.name} did not finish in {timeout}s")
-                )
-                break
+        if not streaming:
+            run_workers(state, calls)
+            return None
+
+        # The *feed* stage: drain initial inputs into the live channels
+        # (lazily, while workers already consume), then forward sends until
+        # close_input pills the channels.
+        rr: Dict[str, int] = {}
+
+        def feed_sink(root: str, item: Dict[str, Any]) -> None:
+            index = rr.get(root, 0)
+            rr[root] = index + 1
+            channels[(root, index % allocation[root])].put(item)
+            state.counters.inc("stream_inputs")
+
+        def feed_close() -> None:
+            for channel in channels.values():
+                channel.close(1)
+
+        def run_feed() -> None:
+            try:
+                state.feed.attach(feed_sink, feed_close)
+            except BaseException as exc:  # noqa: BLE001 - feed boundary
+                # A failing input iterable must not strand the workers:
+                # close the channels so they drain out, and surface the
+                # error through the normal error path.
+                state.record_error(exc)
+                feed_close()
+
+        with live_feeder(state, run_feed):
+            run_workers(state, calls)
         return None

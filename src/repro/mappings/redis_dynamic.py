@@ -1,4 +1,4 @@
-"""Dynamic Redis mapping (``dyn_redis``, Section 3.1.1).
+"""The Redis substrate of the dynamic family (``dyn_redis``, Section 3.1.1).
 
 "The multiprocessing queue is replaced with the powerful Redis stream":
 identical scheduling structure to :mod:`repro.mappings.dynamic`, but the
@@ -25,35 +25,36 @@ work is scarce.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Set
 
-from repro.autoscale.trace import ScalingTrace
-from repro.core.concrete import ConcreteWorkflow
-from repro.core.pe import GenericPE
-from repro.mappings.base import EnactmentState, Mapping, instantiate, resolve_batch_size
+from repro.autoscale.strategies import IdleTimeStrategy, ScalingStrategy
+from repro.mappings.base import EnactmentState
+from repro.mappings.dynamic import DynamicMapping, Workforce
 from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
-from repro.mappings.registry import Capabilities, register_mapping
+from repro.mappings.registry import register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 
 
-class RedisWorkforce:
-    """Shared mechanics of the in-process Redis dynamic mappings.
+class RedisWorkforce(Workforce):
+    """The Redis substrate: a task stream consumed through a consumer group.
 
-    Owns the run's board, the per-worker graph copies and the once-only
-    pill broadcast; the worker body itself is
+    Owns the run's board; the worker body itself is
     :class:`~repro.mappings.redis_tasks.StreamWorker`, driven here under
     the dedicated (:meth:`worker_loop`) and session
-    (:meth:`drain_session`) stop policies.
+    (:meth:`drain_session`) stop policies.  A worker's consumer name is
+    derived from its worker key.
     """
 
+    requires_redis = True
+    recoverable = True
+    dedicated_prefix = "dynredis"
+    autoscaled_prefix = "autoredis"
+
     def __init__(self, state: EnactmentState, policy: TerminationPolicy) -> None:
-        self.state = state
-        self.policy = policy
+        super().__init__(state, policy)
         self.server: RedisServer = state.options.get("redis_server") or RedisServer()
-        #: Transport granularity: tasks per stream entry / entries per poll.
-        self.batch_size: int = resolve_batch_size(state.options)
         #: How long a pending entry must sit unacknowledged before a starved
         #: peer adopts it (XAUTOCLAIM); see :func:`reclaim_threshold_ms`.
         self.reclaim_idle_ms: float = reclaim_threshold_ms(state.options, state.clock)
@@ -61,10 +62,9 @@ class RedisWorkforce:
             self.client_for_worker(), namespace=f"repro:{state.graph.name}"
         )
         self.board.setup()
-        self.concrete = ConcreteWorkflow.single_instance(state.graph)
-        self._copies: Dict[str, Dict[str, GenericPE]] = {}
-        self._copies_lock = threading.Lock()
-        self._pills_sent = threading.Event()
+        #: Consumers currently inside a session: whose idle time is load.
+        self._active_consumers: Set[str] = set()
+        self._active_lock = threading.Lock()
 
     def client_for_worker(self) -> RedisClient:
         return RedisClient(
@@ -78,27 +78,16 @@ class RedisWorkforce:
             "seed_tasks", self.board.seed_roots(self.state.provided, self.batch_size)
         )
 
-    def graph_copy(self, worker_key: str) -> Dict[str, GenericPE]:
-        with self._copies_lock:
-            copies = self._copies.get(worker_key)
-        if copies is None:
-            copies = {
-                name: instantiate(pe, 0, 1, self.state.ctx)
-                for name, pe in self.state.graph.pes.items()
-            }
-            for pe in copies.values():
-                pe.preprocess()
-            with self._copies_lock:
-                self._copies[worker_key] = copies
-            self.state.counters.inc("graph_copies")
-        return copies
+    @staticmethod
+    def consumer_name(worker_key: str) -> str:
+        return f"consumer-{worker_key}"
 
-    def worker(self, worker_key: str, consumer: str) -> StreamWorker:
+    def worker(self, worker_key: str) -> StreamWorker:
         """The stream-worker body of one thread, on its own connection."""
         return StreamWorker(
             self.board,
             self.client_for_worker(),
-            consumer,
+            self.consumer_name(worker_key),
             self.graph_copy(worker_key),
             self.concrete,
             self.state.collector,
@@ -112,77 +101,68 @@ class RedisWorkforce:
     def is_terminated(self) -> bool:
         return self.board.is_terminated(self.policy)
 
-    def broadcast_pills(self, count: int) -> None:
-        if not self._pills_sent.is_set():
-            self._pills_sent.set()
-            self.board.put_pills(count)
-            self.state.counters.inc("pills", count)
+    def _put_pills(self, count: int) -> None:
+        self.board.put_pills(count)
 
-    def worker_loop(self, worker_key: str, consumer: str, total_workers: int) -> None:
-        """Dedicated-worker loop (dyn_redis): run until termination."""
-        self.worker(worker_key, consumer).run_dedicated(
+    def load(self, strategy: ScalingStrategy) -> float:
+        """Average idle time (ms) of the consumers in active sessions."""
+        with self._active_lock:
+            consumers = set(self._active_consumers)
+        if not consumers:
+            # No active sessions: report the threshold itself so the
+            # strategy holds rather than oscillating on no signal.
+            return getattr(strategy, "threshold_ms", 0.0)
+        return self.board.avg_idle_ms(consumers)
+
+    def default_strategy(self) -> ScalingStrategy:
+        """Idle-time scaling at 4x the scaled poll interval, per envelope.
+
+        The idle threshold is per-*interaction*, and with batched
+        transport a consumer legitimately goes ``batch_size`` tuples
+        between server interactions -- a saturated worker chewing an
+        envelope looks exactly as "idle" to XINFO as a starved one.  The
+        threshold therefore scales with the envelope size, so the strategy
+        keeps measuring starvation, not batch service time.
+        """
+        poll_ms = self.state.clock.to_real(self.policy.poll_interval) * 1000.0
+        return IdleTimeStrategy(threshold_ms=4.0 * poll_ms * self.batch_size)
+
+    def worker_loop(self, worker_key: str, total_workers: int) -> None:
+        """Dedicated-worker loop: run until termination."""
+        self.worker(worker_key).run_dedicated(
             lambda: self.broadcast_pills(total_workers)
         )
 
-    def drain_session(self, worker_key: str, consumer: str, chunk: int) -> int:
-        """Auto-scaled session (dyn_auto_redis): up to ``chunk`` tasks, stop on empty."""
-        return self.worker(worker_key, consumer).run_session(chunk)
+    def drain_session(self, worker_key: str, chunk: int) -> int:
+        """Auto-scaled session: up to ``chunk`` tasks, stop on empty."""
+        # Active from before its first server interaction (the graph copy
+        # of a first session takes a while): a consumer the group has not
+        # seen yet reads as idle time 0, i.e. demand, and the scaler ramps.
+        consumer = self.consumer_name(worker_key)
+        with self._active_lock:
+            self._active_consumers.add(consumer)
+        try:
+            return self.worker(worker_key).run_session(chunk)
+        finally:
+            with self._active_lock:
+                self._active_consumers.discard(consumer)
 
     def teardown(self) -> None:
         self.board.teardown()
 
 
-@register_mapping(
-    Capabilities(
-        stateful=False,
-        dynamic=True,
-        requires_redis=True,
-        recoverable=True,
-        batching=True,
-        fusion=True,
-        description="Dynamic scheduling on a Redis Stream consumer group",
-    )
-)
-class DynRedisMapping(Mapping):
-    """Dynamic scheduling over a Redis Stream consumer group (``dyn_redis``)."""
+@register_mapping()
+class DynRedisMapping(DynamicMapping):
+    """Dynamic scheduling on a Redis Stream consumer group"""
 
     name = "dyn_redis"
-    supports_stateful = False
-    requires_redis = True
+    workforce = RedisWorkforce
 
-    def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
-        policy = state.options.get("termination", TerminationPolicy())
-        workforce = RedisWorkforce(state, policy)
-        workforce.seed_roots()
 
-        def run_worker(index: int) -> None:
-            worker_id = f"dynredis-{index}"
-            try:
-                workforce.worker_loop(worker_id, f"consumer-{index}", state.processes)
-            except BaseException as exc:  # noqa: BLE001 - worker boundary
-                state.record_error(exc)
-                workforce.broadcast_pills(state.processes)
-            finally:
-                state.meter.deactivate(worker_id)
+@register_mapping()
+class DynAutoRedisMapping(DynamicMapping):
+    """Redis dynamic scheduling + idle-time auto-scaling"""
 
-        threads = [
-            threading.Thread(
-                target=run_worker, args=(i,), name=f"dynredis-{i}", daemon=True
-            )
-            for i in range(state.processes)
-        ]
-        # Active from launch initiation (see dynamic.py for the rationale).
-        for index in range(len(threads)):
-            state.meter.activate(f"dynredis-{index}")
-        for thread in threads:
-            thread.start()
-        timeout = state.options.get("join_timeout", 300.0)
-        for thread in threads:
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                state.record_error(
-                    TimeoutError(f"worker {thread.name} did not finish in {timeout}s")
-                )
-                break
-        workforce.teardown()
-        return None
+    name = "dyn_auto_redis"
+    workforce = RedisWorkforce
+    scaling = True

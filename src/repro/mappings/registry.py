@@ -3,7 +3,7 @@
 Mappings self-register with :func:`register_mapping`, declaring a
 :class:`Capabilities` record describing what they can enact.  The registry
 replaces the old closed name->class dict: third-party backends register the
-same way the built-in seven do, and :func:`select_mapping` resolves
+same way the built-in eight do, and :func:`select_mapping` resolves
 ``mapping="auto"`` by matching a workflow's requirements (statefulness,
 platform features, process budget) against the declared capabilities.
 
@@ -21,7 +21,7 @@ Auto-selection policy (the paper's Section 5 conclusions, encoded):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.exceptions import UnsupportedFeatureError
@@ -115,15 +115,15 @@ def register_mapping(
         @register_mapping(Capabilities(stateful=False, dynamic=True))
         class MyMapping(Mapping):
             name = "my_mapping"
-            supports_stateful = False
 
-    The capabilities record defaults to one derived from the class's
-    ``supports_stateful`` / ``requires_redis`` attributes; when given
-    explicitly it must agree with them (they gate
-    :meth:`~repro.mappings.base.Mapping.execute`), so the declaration and
-    the enforcement cannot drift apart.  Registering a second class under
-    an existing name replaces the first -- that is how out-of-tree
-    backends can shadow a built-in.
+    The record is the mapping's *only* capability declaration: it becomes
+    ``cls.capabilities``, which is what :meth:`~repro.mappings.base.
+    Mapping.deploy`, :meth:`~repro.mappings.base.Mapping.submit` and the
+    feature gates read, so what is declared and what is enforced cannot
+    drift apart.  It defaults to the record the class inherits, described
+    by the class docstring's first line.  Registering a second class under an
+    existing name replaces the first -- that is how out-of-tree backends
+    can shadow a built-in.
     """
 
     def decorate(cls: type) -> type:
@@ -136,26 +136,8 @@ def register_mapping(
         caps = capabilities
         if caps is None:
             doc_lines = (cls.__doc__ or "").strip().splitlines()
-            caps = Capabilities(
-                stateful=bool(getattr(cls, "supports_stateful", True)),
-                requires_redis=bool(getattr(cls, "requires_redis", False)),
-                streaming=bool(getattr(cls, "supports_streaming", False)),
-                description=doc_lines[0] if doc_lines else "",
-            )
-        if caps.stateful != bool(getattr(cls, "supports_stateful", True)):
-            raise ValueError(
-                f"mapping {name!r}: Capabilities.stateful={caps.stateful} "
-                f"contradicts {cls.__name__}.supports_stateful"
-            )
-        if caps.requires_redis != bool(getattr(cls, "requires_redis", False)):
-            raise ValueError(
-                f"mapping {name!r}: Capabilities.requires_redis="
-                f"{caps.requires_redis} contradicts {cls.__name__}.requires_redis"
-            )
-        if caps.streaming != bool(getattr(cls, "supports_streaming", False)):
-            raise ValueError(
-                f"mapping {name!r}: Capabilities.streaming={caps.streaming} "
-                f"contradicts {cls.__name__}.supports_streaming"
+            caps = replace(
+                cls.capabilities, description=doc_lines[0] if doc_lines else ""
             )
         _REGISTRY[name] = (cls, caps)
         cls.capabilities = caps

@@ -35,7 +35,6 @@ class SimpleMapping(Mapping):
     """Sequential in-process enactment (dispel4py's *Simple* mapping)."""
 
     name = "simple"
-    supports_stateful = True
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import run
+from repro.core.exceptions import MappingError
 from repro.core.graph import WorkflowGraph
+from repro.core.pe import IterativePE
+from repro.mappings import Capabilities, DynamicMapping, get_capabilities, get_mapping
 from tests.conftest import (
     AddOne,
     Double,
@@ -20,6 +23,7 @@ from tests.conftest import (
     StatefulCounter,
     linear_graph,
 )
+from tests.integration.test_streaming import _assert_no_leaked_threads, _our_threads
 
 STATEFUL_CAPABLE = tuple(m for m in PARALLEL_MAPPINGS if m not in STATELESS_ONLY)
 
@@ -73,6 +77,79 @@ class TestStatelessEquivalence:
             )
         )
         assert actual == expected
+
+
+def _dynamic_row(description, **bits):
+    return Capabilities(
+        stateful=False, dynamic=True, batching=True, fusion=True,
+        description=description, **bits,
+    )
+
+
+#: The capability rows of the four dynamic presets, spelled out: the
+#: registry derives them from (workforce, scaling) and must land on these.
+DYNAMIC_ROWS = {
+    "dyn_multi": _dynamic_row(
+        "Dynamic scheduling on a global multiprocessing queue", streaming=True
+    ),
+    "dyn_auto_multi": _dynamic_row(
+        "Dynamic multiprocessing + Algorithm 1 auto-scaling",
+        streaming=True, autoscaling=True,
+    ),
+    "dyn_redis": _dynamic_row(
+        "Dynamic scheduling on a Redis Stream consumer group",
+        requires_redis=True, recoverable=True,
+    ),
+    "dyn_auto_redis": _dynamic_row(
+        "Redis dynamic scheduling + idle-time auto-scaling",
+        requires_redis=True, recoverable=True, autoscaling=True,
+    ),
+}
+
+
+class Exploding(IterativePE):
+    def _process(self, data):
+        if data == 3:
+            raise RuntimeError(f"injected failure on {data}")
+        return data
+
+
+class TestDynamicPresets:
+    """The four dynamic names are presets of one class with one ``_enact``."""
+
+    @pytest.mark.parametrize("mapping", STATELESS_ONLY)
+    def test_one_class_and_the_row_in_force(self, mapping):
+        engine = get_mapping(mapping)
+        assert isinstance(engine, DynamicMapping)
+        assert type(engine)._enact is DynamicMapping._enact
+        assert get_capabilities(mapping) == DYNAMIC_ROWS[mapping]
+        assert engine.capabilities == DYNAMIC_ROWS[mapping]
+
+    @pytest.mark.parametrize("mapping", STATELESS_ONLY)
+    @pytest.mark.parametrize("batch_size", (1, 32))
+    @pytest.mark.parametrize("fuse", (False, True))
+    def test_matches_simple_batched_and_fused(self, mapping, batch_size, fuse):
+        inputs = list(range(40))
+        expected = _collect_sorted(run(_stateless_factory(), inputs=inputs, mapping="simple"))
+        actual = _collect_sorted(
+            run(
+                _stateless_factory(), inputs=inputs, processes=4, mapping=mapping,
+                time_scale=FAST_SCALE, batch_size=batch_size, fuse=fuse,
+            )
+        )
+        assert actual == expected
+
+    @pytest.mark.parametrize("mapping", ("dyn_multi", "dyn_auto_multi"))
+    def test_pe_error_surfaces_and_leaks_no_thread(self, mapping):
+        """One case per driver: the PE's own exception is what the caller
+        reads, and every worker / pool / feeder thread is gone afterwards."""
+        before = _our_threads()
+        g = linear_graph(Exploding(name="boom"), Double(name="d"))
+        with pytest.raises(MappingError) as failure:
+            run(g, inputs=list(range(6)), processes=3, mapping=mapping,
+                time_scale=FAST_SCALE)
+        assert repr(RuntimeError("injected failure on 3")) in str(failure.value)
+        _assert_no_leaked_threads(before)
 
 
 class TestStatefulEquivalence:

@@ -57,7 +57,7 @@ class TestReclaimStale:
         assert len(stolen) == 1  # one task now pending under the dead ghost
         time.sleep(0.05)  # let the pending entry's idle time exceed 10ms
 
-        wf.worker_loop("live", "consumer-live", total_workers=1)
+        wf.worker_loop("live", total_workers=1)
         assert sorted(state.collector.as_dict()["double.output"]) == [2, 4, 6]
         assert state.counters.get("reclaimed") == 1
         assert wf.board.is_drained()
@@ -72,7 +72,7 @@ class TestReclaimStale:
         held = wf.board.fetch("busy", busy_client, block_ms=10)
         assert len(held) == 1
 
-        assert wf.worker("peer", "consumer-peer").reclaim_stale() == 0
+        assert wf.worker("peer").reclaim_stale() == 0
         assert state.counters.get("reclaimed") == 0
         assert not wf.board.is_drained()  # still owed to the busy consumer
 
@@ -85,7 +85,7 @@ class TestReclaimStale:
         assert len(wf.board.fetch("ghost", ghost_client, block_ms=10)) == 1
         time.sleep(0.05)
 
-        processed = wf.drain_session("live", "consumer-live", chunk=8)
+        processed = wf.drain_session("live", chunk=8)
         assert processed == 1
         assert state.collector.as_dict()["emit.output"] == [7]
         assert wf.board.is_drained()

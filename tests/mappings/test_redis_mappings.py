@@ -3,6 +3,7 @@
 import pytest
 
 from repro import run
+from repro.autoscale.strategies import IdleTimeStrategy
 from repro.core.exceptions import UnsupportedFeatureError
 from repro.mappings.redis_tasks import PILL, RedisTaskBoard
 from repro.redisim.client import RedisClient
@@ -150,5 +151,8 @@ class TestDynAutoRedis:
 
     def test_idle_threshold_option(self):
         g = linear_graph(SlowPE(name="s"))
-        result = _run("dyn_auto_redis", g, list(range(10)), 4, idle_threshold_ms=50.0)
+        result = _run(
+            "dyn_auto_redis", g, list(range(10)), 4,
+            strategy=IdleTimeStrategy(threshold_ms=50.0),
+        )
         assert sorted(result.output("s")) == list(range(10))

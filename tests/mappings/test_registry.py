@@ -1,8 +1,10 @@
 """Tests for the capability-aware mapping registry and auto-selection."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.exceptions import UnsupportedFeatureError
+from repro.core.exceptions import MappingError, UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
 from repro.mappings import (
     Capabilities,
@@ -71,16 +73,6 @@ class TestRegistry:
         assert [name for name, _ in rows] == mapping_names()
         assert all(isinstance(caps, Capabilities) for _, caps in rows)
 
-    def test_capabilities_must_match_class_attrs(self):
-        with pytest.raises(ValueError, match="contradicts"):
-
-            @register_mapping(Capabilities(stateful=True))
-            class Bad(Mapping):  # noqa: N801 - test class
-                name = "bad_mapping"
-                supports_stateful = False
-
-        assert "bad_mapping" not in mapping_names()
-
     def test_blank_docstring_derives_empty_description(self):
         @register_mapping()
         class Blank(Mapping):
@@ -120,6 +112,54 @@ class TestThirdPartyRegistration:
         finally:
             unregister_mapping("shouting_simple")
         assert "shouting_simple" not in mapping_names()
+
+    def test_capabilities_record_is_the_only_declaration(self):
+        """A backend declares what it can do once, in its ``Capabilities``
+        record -- no mirrored class attributes -- and the gates enforce
+        exactly that record."""
+
+        @register_mapping(Capabilities(stateful=False, streaming=False))
+        class StatelessOnly(SimpleMapping):
+            name = "stateless_only_test"
+
+        try:
+            mapping = get_mapping("stateless_only_test")
+            assert mapping.capabilities == get_capabilities("stateless_only_test")
+            with pytest.raises(UnsupportedFeatureError, match="stateless"):
+                mapping.execute(_stateful_graph(), inputs=[("a", 1)])
+            with pytest.raises(MappingError, match="live streaming"):
+                mapping.submit(_stateless_graph(), inputs=[1], stream=True)
+            # Buffered submission still works, and deploys no worker pool.
+            assert mapping.deploy(2).pool is None
+            job = mapping.submit(_stateless_graph(), inputs=[1, 2])
+            job.close_input()
+            assert job.wait().counters["tasks"] == 6
+        finally:
+            unregister_mapping("stateless_only_test")
+
+    def test_unrecorded_registration_inherits_the_parent_row(self):
+        """``@register_mapping()`` on a subclass of a built-in keeps the
+        row the inherited enactment code enforces; only the description
+        (the docstring's first line) is its own."""
+
+        @register_mapping()
+        class QuietSimple(SimpleMapping):
+            """simple, but quieter
+
+            (not part of the description)
+            """
+
+            name = "quiet_simple_test"
+
+        try:
+            caps = get_capabilities("quiet_simple_test")
+            assert caps == replace(
+                get_capabilities("simple"), description="simple, but quieter"
+            )
+            assert QuietSimple.capabilities is caps
+            assert get_mapping("simple").capabilities == get_capabilities("simple")
+        finally:
+            unregister_mapping("quiet_simple_test")
 
 
 class TestSelectMapping:

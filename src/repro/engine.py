@@ -373,11 +373,13 @@ class Engine:
         (``Capabilities.streaming``) they are consumed lazily into the
         running workflow and ``job.send(...)`` adds more until
         ``job.close_input()``; other mappings buffer ingestion and enact
-        when the input closes.  ``deadline`` (real seconds) cancels the
-        job when exceeded.  Overlapping submissions on one mapping fall
-        back to ephemeral cold deployments (a session's warmth is
-        exclusive to one job at a time) -- counted ``deploy_busy_fallback``
-        on the run.
+        when the input closes.  Either way ``inputs=None`` means "no
+        initial inputs, I will ``send``" (``run()`` keeps the one-shot
+        reading: every source invoked once, empty).  ``deadline`` (real
+        seconds) cancels the job when exceeded.  Overlapping submissions
+        on one mapping fall back to ephemeral cold deployments (a session's
+        warmth is exclusive to one job at a time) -- counted
+        ``deploy_busy_fallback`` on the run.
 
         Passing ``scheduler=`` (a :class:`repro.scheduler.JobScheduler`
         bound to this engine) routes the submission through scheduled

@@ -1000,8 +1000,10 @@ class Mapping:
         outputs as the collector receives them.  Other mappings buffer
         ingestion and enact once the input closes (results still stream).
         ``stream=False`` forces the buffered wiring even on a streaming
-        mapping -- the classic enactment path, byte-identical counters --
-        which is what the ``Engine.run()`` shim uses.  ``results_channel=
+        mapping -- the classic enactment path, byte-identical counters,
+        ``inputs=None`` read as one empty invocation per source (a live
+        submission reads it as "no initial inputs") -- which is what the
+        ``Engine.run()`` shim uses.  ``results_channel=
         False`` skips the collector tap for wait-only callers (the shim
         again): ``job.results()`` then ends without yielding, instead of
         buffering every output a second time for a consumer that never
@@ -1023,6 +1025,14 @@ class Mapping:
             # orphaned driver thread running on a torn-down deployment.
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
         self._check_enactable(graph, processes, platform)
+        if inputs is None and stream is not False:
+            # For a *live* submission ``inputs=None`` means "no initial
+            # inputs, the sources are driven by send()" -- whether ingestion
+            # streams or buffers -- not the one-shot convention of a single
+            # empty invocation per source (drive a producer-style source
+            # explicitly with ``inputs=[{}]`` or ``job.send(pe, [{}])``).
+            # ``stream=False`` is the classic path and keeps the convention.
+            inputs = []
         if stream is None:
             stream = caps.streaming
         elif stream and not caps.streaming:
@@ -1084,11 +1094,7 @@ class Mapping:
         busy_fallback: bool = False,
     ) -> None:
         control = StreamControl()
-        # For a *live* submission ``inputs=None`` means "no initial inputs,
-        # the sources are driven by send()" -- not the one-shot convention
-        # of a single empty invocation per source (drive a producer-style
-        # source explicitly with ``inputs=[{}]`` or ``job.send(pe, [{}])``).
-        provided = iter_root_inputs(graph, inputs if inputs is not None else [])
+        provided = iter_root_inputs(graph, inputs)
         state = self._build_state(
             graph, provided, processes, platform, time_scale, seed, options,
             plan, tap=tap, control=control,

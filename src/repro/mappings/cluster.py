@@ -23,9 +23,14 @@ How a run is assembled:
   identical to ``dyn_redis``), and runs the same
   :class:`~repro.mappings.redis_tasks.StreamWorker` body under the same
   dedicated driver as a ``dyn_redis`` thread -- only its client dials a
-  socket.  Results relay back through a ``{ns}:results`` list the
-  coordinator pumps into its collector; counters accumulate locally and
-  flush once at exit.
+  socket.  Results relay back **in band**: an entry's collected outputs
+  ride its settle pipeline as one ``RPUSH {ns}:results v1 v2 ...`` ahead of
+  the ack (no round trip of their own, and nothing acked is ever
+  unrelayed).  The coordinator's pump pops the list into its collector,
+  draining whatever queued per wake-up, and ends on the stop sentinel the
+  coordinator pushes once every worker is joined -- every worker push
+  precedes it in list order, so nothing waits out a blocking-pop timeout.
+  Counters accumulate locally and flush once at exit.
 - **Recovery** is inherited wholesale: a worker SIGKILLed mid-run leaves
   its fetched-but-unacked entries in the group PEL, and starved survivors
   adopt them via ``XAUTOCLAIM`` exactly as in-process workers do -- now
@@ -51,7 +56,7 @@ import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.autoscale.trace import ScalingTrace
-from repro.core.concrete import ConcreteWorkflow
+from repro.core.concrete import ConcreteWorkflow, Delivery
 from repro.core.context import ExecutionContext
 from repro.core.pe import GenericPE
 from repro.mappings.base import EnactmentState, Mapping, graph_copy, resolve_batch_size
@@ -60,10 +65,22 @@ from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.net.client import SocketRedisClient
 from repro.net.server import RespTCPServer
+from repro.redisim.client import Pipeline
 from repro.runtime.clock import Clock
 
 #: How long a worker polls for the jobspec before giving up (real seconds).
 JOBSPEC_TIMEOUT = 30.0
+
+#: Longest single ``BLPOP`` of the results pump (real seconds).  An idle
+#: pump just parks again: it ends on :data:`_PUMP_STOP`, never on a timeout,
+#: so this value is not part of any run's wall time.
+PUMP_BLOCK = 0.2
+
+#: Results popped per round trip once the pump is awake.
+PUMP_DRAIN = 512
+
+#: Stop sentinel of the results list (a relayed result is always a triple).
+_PUMP_STOP = None
 
 
 def _dumps(value: Any) -> bytes:
@@ -106,18 +123,24 @@ class _RelayCollector:
     """Worker-side stand-in for :class:`ResultsCollector`.
 
     Collected emissions cannot land in the coordinator's memory directly --
-    there is a process boundary in the way -- so each one is RPUSHed to the
-    run's results list, which the coordinator's pump thread drains into the
-    real collector.  The client pickles the ``(pe, port, value)`` triple
-    like any other list payload.
+    there is a process boundary in the way -- so they are buffered while an
+    entry runs and :meth:`flush` appends them to its settle pipeline as one
+    ``RPUSH`` onto the run's results list, which the coordinator's pump
+    drains into the real collector.  The client pickles each
+    ``(pe, port, value)`` triple like any other list payload.
     """
 
-    def __init__(self, client: SocketRedisClient, results_key: str) -> None:
-        self._client = client
+    def __init__(self, results_key: str) -> None:
         self._key = results_key
+        self._buffer: List[tuple] = []
 
     def add(self, pe_name: str, port: str, value: Any) -> None:
-        self._client.rpush(self._key, (pe_name, port, value))
+        self._buffer.append((pe_name, port, value))
+
+    def flush(self, pipe: Pipeline) -> None:
+        if self._buffer:
+            results, self._buffer = self._buffer, []
+            pipe.rpush(self._key, *results)
 
 
 class _ClusterWorker:
@@ -148,28 +171,34 @@ class _ClusterWorker:
         self.counters: Dict[str, int] = {"graph_copies": 1}
         self._fetched_entries = 0
         self.board = RedisTaskBoard(client, namespace=namespace)
+        self.relay = _RelayCollector(f"{namespace}:results")
         self.worker = StreamWorker(
             self.board,
             client,
             f"cluster-{index}",
             copies,
             ConcreteWorkflow.single_instance(graph),
-            _RelayCollector(client, f"{namespace}:results"),
+            self.relay,
             self._inc,
             policy=spec["policy"],
             clock=clock,
             reclaim_idle_ms=spec["reclaim_idle_ms"],
             batch_size=spec["batch_size"],
+            publish=self._publish,
             after_fetch=self._maybe_crash,
         )
 
     def _inc(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
+    def _publish(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
+        """An entry's children and its relayed results, both ahead of its ack."""
+        self.worker.publish_tasks(pipe, deliveries)
+        self.relay.flush(pipe)
+
     def flush_counters(self) -> None:
         """One pipelined HINCRBY burst merging local counters into the run's."""
-        if not self.counters:
-            return
+        self._inc("net_retries", self.client.retries)
         counters, self.counters = self.counters, {}
         pipe = self.client.pipeline()
         key = f"{self.namespace}:counters"
@@ -307,22 +336,24 @@ class ClusterRedisMapping(Mapping):
         }
         client.set(f"{namespace}:jobspec", _dumps_jobspec(jobspec))
 
-        # Results pump: drains the relay list into the local collector for
-        # the whole run, then keeps going until the list is empty *after*
-        # the stop flag is set (workers are dead by then, so an empty poll
-        # with the flag up means drained for good).
-        stop_pump = threading.Event()
-
+        # Results pump: pops the relay list into the local collector until
+        # it meets the stop sentinel.  Once awake it takes whatever else
+        # queued in bounded non-blocking pops, so a backlog costs round
+        # trips per PUMP_DRAIN results, not per result.
         def pump() -> None:
             pump_client = SocketRedisClient(address=address)
             try:
                 while True:
-                    hit = pump_client.blpop(results_key, timeout=0.2)
-                    if hit is not None:
-                        pe_name, port, value = hit[1]
-                        state.collector.add(pe_name, port, value)
-                    elif stop_pump.is_set():
-                        return
+                    hit = pump_client.blpop(results_key, timeout=PUMP_BLOCK)
+                    batch = [] if hit is None else [hit[1]]
+                    while batch:
+                        for result in batch:
+                            if result is _PUMP_STOP:
+                                return
+                            state.collector.add(*result)
+                        batch = pump_client.lrange(results_key, 0, PUMP_DRAIN - 1)
+                        if batch:
+                            pump_client.ltrim(results_key, len(batch), -1)
             finally:
                 pump_client.close()
 
@@ -367,7 +398,9 @@ class ClusterRedisMapping(Mapping):
         finally:
             for index in range(len(workers)):
                 state.meter.deactivate(f"cluster-{index}")
-            stop_pump.set()
+            # Every worker is dead, so all their pushes are in the list:
+            # the sentinel lands behind the last result.
+            client.rpush(results_key, _PUMP_STOP)
             pump_thread.join(timeout=10.0)
         # What a worker relayed before dying (the PE's own exception) is the
         # diagnosis and goes first; the exit code is only its symptom, kept

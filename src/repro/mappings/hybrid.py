@@ -80,7 +80,12 @@ from repro.mappings.base import (
     instantiate,
     resolve_batch_size,
 )
-from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
+from repro.mappings.redis_tasks import (
+    SEED_FRAME,
+    RedisTaskBoard,
+    StreamWorker,
+    reclaim_threshold_ms,
+)
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
@@ -279,40 +284,32 @@ class HybridRedisMapping(Mapping):
                 seed_client.delete(key, f"{key}:pending")
                 if recovery:
                     state_store.delete(f"{name}.{idx}")
+        # Seeds are grouped like deliveries, whatever the batch size:
+        # round-robin assignment at tuple granularity, then envelopes per
+        # destination (an unbatched seed is an envelope of one), pipelined
+        # in bounded frames -- credits before payloads in every frame.
         rr_counter = 0
-        if batch_size > 1:
-            # Group seeds like deliveries: round-robin assignment at tuple
-            # granularity (identical placement to the unbatched path), then
-            # envelope per destination; one pipelined round trip total.
-            stateless_seeds: List[tuple] = []
-            private_seeds: Dict[str, List[tuple]] = {}
-            for root, items in state.provided.items():
-                for item in items:
-                    if root in stateful_names:
-                        index = rr_counter % allocation[root]
-                        rr_counter += 1
-                        private_seeds.setdefault(private_key(root, index), []).append(
-                            ("root", item, None)
-                        )
-                    else:
-                        stateless_seeds.append((root, None, item))
-            seed_pipe = seed_client.pipeline()
-            board.queue_tasks(seed_pipe, stateless_seeds, batch_size)
-            for key, messages in private_seeds.items():
-                for chunk in chunked(messages, batch_size):
-                    seed_pipe.incrby(board.counter_key, len(chunk))
-                    push_private(seed_pipe, key, as_envelope(chunk))
-            seed_pipe.execute()
-        else:
-            for root, items in state.provided.items():
-                for item in items:
-                    if root in stateful_names:
-                        index = rr_counter % allocation[root]
-                        rr_counter += 1
-                        seed_client.incr(board.counter_key)
-                        push_private(seed_client, private_key(root, index), ("root", item, None))
-                    else:
-                        board.put((root, None, item), client=seed_client)
+        stateless_seeds: List[tuple] = []
+        private_seeds: Dict[str, List[tuple]] = {}
+        for root, items in state.provided.items():
+            for item in items:
+                if root in stateful_names:
+                    index = rr_counter % allocation[root]
+                    rr_counter += 1
+                    private_seeds.setdefault(private_key(root, index), []).append(
+                        ("root", item, None)
+                    )
+                else:
+                    stateless_seeds.append((root, None, item))
+        board.put_tasks(stateless_seeds, batch_size, client=seed_client)
+        seed_pipe = seed_client.pipeline()
+        for key, messages in private_seeds.items():
+            for chunk in chunked(messages, batch_size):
+                seed_pipe.incrby(board.counter_key, len(chunk))
+                push_private(seed_pipe, key, as_envelope(chunk))
+                if len(seed_pipe) >= SEED_FRAME:
+                    seed_pipe.execute()
+        seed_pipe.execute()
 
         # --------------------------------------------------- stateful plane
         #: Live thread per pinned instance; replaced on re-pin.

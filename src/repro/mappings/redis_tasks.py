@@ -24,7 +24,8 @@ the batch factor.
 :class:`StreamWorker` is the consuming side: the one fetch -> invoke ->
 settle (``XACKDECR``) -> reclaim (``XAUTOCLAIM``) body every Redis mapping
 runs, whichever transport its client rides and whoever decides when the
-run is over.
+run is over.  Its settle pipeline also reads the next entry, so a saturated
+worker pays one round trip per entry (see the class docstring).
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ from repro.runtime.queues import as_envelope, batch_items, chunked
 
 #: Sentinel returned by :meth:`RedisTaskBoard.fetch` for pill entries.
 PILL = "__pill__"
+
+#: ``budget`` of a worker that may always read ahead.
+UNLIMITED = float("inf")
+
+#: Commands per pipelined seeding frame: seeding costs a round trip per few
+#: hundred commands, and no single frame ever carries the whole input.
+SEED_FRAME = 256
 
 
 def reclaim_threshold_ms(options, clock) -> float:
@@ -115,21 +123,27 @@ class RedisTaskBoard:
                 pipe.incrby(self.counter_key, len(chunk))
             pipe.xadd(self.stream_key, {"task": as_envelope(chunk)})
 
-    def seed_roots(self, provided: Mapping[str, Iterable[Any]], batch_size: int = 1) -> int:
-        """Publish every root input as a task; returns the outstanding count.
+    def put_tasks(
+        self, tasks: List[Any], batch_size: int, client: Optional[RedisClient] = None
+    ) -> None:
+        """Publish ``tasks`` in pipelined frames of :data:`SEED_FRAME` commands.
 
-        Batched runs seed in one pipelined round trip -- envelopes of up to
-        ``batch_size``, one ``INCRBY len(chunk)`` + one ``XADD`` each;
-        unbatched runs put task by task.
+        Every batch size takes this path: envelopes of up to ``batch_size``
+        (an unbatched task is an envelope of one), two commands each.
+        Frames break on envelope boundaries, so the stream holds the same
+        entries in the same order as one unbounded pipeline would leave.
         """
-        tasks = [(root, None, item) for root, items in provided.items() for item in items]
-        if batch_size > 1:
-            pipe = self.client.pipeline()
-            self.queue_tasks(pipe, tasks, batch_size)
+        pipe = (client if client is not None else self.client).pipeline()
+        for frame in chunked(tasks, SEED_FRAME // 2 * max(1, batch_size)):
+            self.queue_tasks(pipe, frame, batch_size)
             pipe.execute()
-        else:
-            for task in tasks:
-                self.put(task)
+
+    def seed_roots(self, provided: Mapping[str, Iterable[Any]], batch_size: int = 1) -> int:
+        """Publish every root input as a task; returns the outstanding count."""
+        self.put_tasks(
+            [(root, None, item) for root, items in provided.items() for item in items],
+            batch_size,
+        )
         return self.outstanding()
 
     def put_pills(self, count: int, client: Optional[RedisClient] = None) -> None:
@@ -146,21 +160,31 @@ class RedisTaskBoard:
         count: int = 1,
     ) -> List[Tuple[str, Any]]:
         """Read new entries for ``consumer``; pills come back as ``PILL``."""
-        reply = client.xreadgroup(
-            self.group,
-            consumer,
-            {self.stream_key: ">"},
-            count=count,
-            block=block_ms,
+        return self.fetched(
+            client.xreadgroup(
+                self.group,
+                consumer,
+                {self.stream_key: ">"},
+                count=count,
+                block=block_ms,
+            )
         )
-        tasks: List[Tuple[str, Any]] = []
-        for _key, entries in reply:
-            for entry_id, fields in entries:
-                if "pill" in fields:
-                    tasks.append((entry_id, PILL))
-                else:
-                    tasks.append((entry_id, fields["task"]))
-        return tasks
+
+    def queue_fetch(self, pipe: Pipeline, consumer: str) -> None:
+        """Append a non-blocking one-entry read for ``consumer`` to a pipeline.
+
+        Decode its reply with :meth:`fetched`.
+        """
+        pipe.xreadgroup(self.group, consumer, {self.stream_key: ">"}, count=1)
+
+    @staticmethod
+    def fetched(reply: List[Tuple[str, list]]) -> List[Tuple[str, Any]]:
+        """An ``XREADGROUP`` reply as ``(entry_id, payload | PILL)`` pairs."""
+        return [
+            (entry_id, PILL if "pill" in fields else fields["task"])
+            for _key, entries in reply
+            for entry_id, fields in entries
+        ]
 
     def ack(self, entry_id: str, client: RedisClient) -> None:
         client.xack(self.stream_key, self.group, entry_id)
@@ -272,14 +296,26 @@ class StreamWorker:
     client / collector / count:
         The worker's own connection, where collected output lands, and the
         counter sink ``count(name, amount=1)`` -- in-process state for
-        threads, a relay list and a local tally for worker processes.
+        threads, a relay buffer and a local tally for worker processes.
     publish:
-        ``publish(pipe, deliveries)`` appends the children's publication
-        to the settling pipeline.  Default: batch envelopes on the task
-        stream; hybrid routes stateful destinations to private queues.
+        ``publish(pipe, deliveries)`` appends what an entry produced to the
+        settling pipeline, ahead of the ack.  Default
+        (:meth:`publish_tasks`): batch envelopes on the task stream; hybrid
+        routes stateful destinations to private queues, cluster workers add
+        their relayed results.
     after_fetch:
         Called with the number of real entries of each non-empty fetch,
-        before any is run (``crash_after`` failure injection).
+        prefetched ones included, before any is run (``crash_after``
+        failure injection).
+
+    **Round-trip budget.**  One pipeline settles an entry (children,
+    ``XACKDECR``) *and* reads the next with a non-blocking ``XREADGROUP >
+    COUNT 1``: a saturated worker costs one round trip per entry.  Only an
+    empty prefetch falls back to the separate blocking :meth:`_fetch` (two
+    trips for that entry), where backoff, the termination check and the
+    ``XAUTOCLAIM`` cadence live.  A worker prefetches unless the entry
+    raised, its fetch carried a pill, or it exhausts the session's budget --
+    so nobody returns holding an entry only reclaim could free.
 
     The three ``run_*`` drivers differ only in who ends the run.
     """
@@ -311,29 +347,35 @@ class StreamWorker:
         self.policy = policy
         self.reclaim_idle_ms = reclaim_idle_ms
         self.batch_size = batch_size
-        self.publish = publish if publish is not None else self._publish_tasks
+        self.publish = publish if publish is not None else self.publish_tasks
         self.after_fetch = after_fetch
         #: Blocking-read length of an unstarved poll (real milliseconds).
         self.base_block_ms = max(1, int(clock.to_real(policy.poll_interval) * 1000))
+        #: What the last settle pipeline read ahead; the next fetch hands it out.
+        self._prefetched: List[Tuple[str, Any]] = []
 
     # ------------------------------------------------------------ the body
-    def _publish_tasks(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
+    def publish_tasks(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
         self.board.queue_tasks(
             pipe, [(d.dst, d.dst_port, d.data) for d in deliveries], self.batch_size
         )
 
-    def process_entry(self, entry_id: str, payload: Any) -> int:
+    def process_entry(self, entry_id: str, payload: Any, budget: float = UNLIMITED) -> int:
         """Run every task carried by one stream entry; returns the count.
 
         The batch-aware hot path: an entry may be a single task or a batch
         envelope.  All tasks are executed without re-entering the fetch/ack
         machinery per tuple; their children are gathered and the entry is
-        settled once -- one pipelined round trip publishing the children
-        and releasing the entry's credits with a conditional
-        ``XACKDECR amount=len(entry)``.
+        settled once -- one pipelined round trip publishing the children,
+        releasing the entry's credits with a conditional
+        ``XACKDECR amount=len(entry)`` and reading the next entry.
+
+        ``budget`` is how many more tasks the caller means to run; an entry
+        that uses it up (``0``: any entry) does not read ahead.
         """
         tasks = batch_items(payload)
         deliveries: List[Delivery] = []
+        prefetch = False
         try:
             for pe_name, port, item in tasks:
                 inputs = item if port is None else {port: item}
@@ -342,33 +384,43 @@ class StreamWorker:
                 deliveries.extend(
                     dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
                 )
+            prefetch = len(tasks) < budget
         finally:
             # Settle even when a PE raised: the entry must not linger in
-            # the PEL for a peer to adopt and fail on again.
+            # the PEL for a peer to adopt and fail on again.  What it
+            # published lands before its ack, so a crash in between can
+            # only repeat work (at-least-once), never lose it.
             pipe = self.client.pipeline()
             self.publish(pipe, deliveries)
             self.board.queue_settle(pipe, entry_id, len(tasks))
-            pipe.execute()
+            if prefetch:
+                self.board.queue_fetch(pipe, self.consumer)
+            replies = pipe.execute()
+        if prefetch:
+            self._prefetched = self.board.fetched(replies[-1])
         return len(tasks)
 
-    def consume(self, fetched: List[Tuple[str, Any]]) -> Tuple[int, bool]:
+    def consume(
+        self, fetched: List[Tuple[str, Any]], budget: float = UNLIMITED
+    ) -> Tuple[int, bool]:
         """Run one fetch's entries; returns ``(tasks run, saw a pill)``.
 
         Pills always trail real work in stream order (they are only
         broadcast once the board drained), so tasks run first and the
         caller exits on the pill.  A multi-entry fetch may pull pills meant
         for peers into our PEL; ack them all -- the peers still terminate
-        through their own stop condition.
+        through their own stop condition.  Only the last entry of a
+        pill-free fetch reads ahead, within ``budget`` tasks.
         """
         if self.after_fetch is not None:
             self.after_fetch(sum(1 for _, payload in fetched if payload is not PILL))
-        tasks, got_pill = 0, False
+        tasks, got_pill = 0, any(payload is PILL for _, payload in fetched)
         for entry_id, payload in fetched:
             if payload is PILL:
                 self.board.ack(entry_id, self.client)
-                got_pill = True
             else:
-                tasks += self.process_entry(entry_id, payload)
+                ahead = not got_pill and entry_id == fetched[-1][0]
+                tasks += self.process_entry(entry_id, payload, budget - tasks if ahead else 0)
         return tasks, got_pill
 
     def reclaim_stale(self) -> int:
@@ -385,10 +437,14 @@ class StreamWorker:
             self.consumer, self.client, min_idle_ms=self.reclaim_idle_ms
         ):
             self.count("reclaimed")
-            tasks += self.process_entry(entry_id, payload)
+            tasks += self.process_entry(entry_id, payload, budget=0)
         return tasks
 
     def _fetch(self, empty_streak: int = 0) -> List[Tuple[str, Any]]:
+        """The next entries: what the last settle read ahead, else a blocking read."""
+        if self._prefetched:
+            fetched, self._prefetched = self._prefetched, []
+            return fetched
         # Exponential backoff while starved (capped at 32x): idle consumers
         # polling at 1 kHz would contend on the server lock and the GIL.
         block_ms = self.base_block_ms << min(empty_streak, 5)
@@ -432,7 +488,9 @@ class StreamWorker:
 
         ``chunk`` is a soft cap at batch granularity: a session never
         splits a fetched envelope, so it may overshoot by at most one
-        fetch's worth of tasks.
+        fetch's worth of tasks.  The entry that reaches ``chunk`` does not
+        read ahead: each session runs a fresh worker, and an entry left in
+        this one's hands would sit in the PEL until a peer reclaimed it.
         """
         processed = 0
         while processed < chunk:
@@ -441,7 +499,7 @@ class StreamWorker:
                 if not self.board.is_terminated(self.policy):
                     processed += self.reclaim_stale()
                 break
-            tasks, got_pill = self.consume(fetched)
+            tasks, got_pill = self.consume(fetched, budget=chunk - processed)
             processed += tasks
             if got_pill:
                 break

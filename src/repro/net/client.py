@@ -367,6 +367,8 @@ class ConnectionPool:
         self._idle: List[_Connection] = []
         self._lock = threading.Lock()
         self._pid = os.getpid()
+        #: Redials after a dead socket or a refused dial, over the pool's life.
+        self.retries = 0
 
     # ----------------------------------------------------------- fork safety
     def _check_pid(self) -> None:
@@ -440,6 +442,7 @@ class ConnectionPool:
         last_error: Optional[Exception] = None
         for attempt in range(self.RETRIES + 1):
             if attempt:
+                self.retries += 1
                 time.sleep(self.BACKOFF * (2 ** (attempt - 1)))
             try:
                 conn = self._acquire()
@@ -490,3 +493,8 @@ class SocketRedisClient(RedisClient):
     def ping(self) -> bool:
         """Liveness probe: one round trip, ``True`` on ``PONG``."""
         return self._call("ping")
+
+    @property
+    def retries(self) -> int:
+        """How often this client's pool had to redial (0 on a healthy link)."""
+        return self._transport.retries

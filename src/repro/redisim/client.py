@@ -32,7 +32,9 @@ benchmarks can report communication volume.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union,
+)
 
 from repro.redisim.server import RedisServer
 from repro.runtime.clock import Clock
@@ -91,6 +93,8 @@ class Pipeline:
     def __init__(self, client: "RedisClient") -> None:
         self._client = client
         self._commands: List[Command] = []
+        #: Reply decoders by command position (reads are the exception).
+        self._decoders: Dict[int, Callable[[Any], Any]] = {}
 
     def __len__(self) -> int:
         return len(self._commands)
@@ -141,6 +145,23 @@ class Pipeline:
     ) -> "Pipeline":
         return self._queue("xackdecr", key, group, entry_id, counter_key, amount)
 
+    def xreadgroup(
+        self,
+        groupname: str,
+        consumername: str,
+        streams: Mapping[str, str],
+        count: Optional[int] = None,
+    ) -> "Pipeline":
+        """Queue a **non-blocking** group read (there is no ``block``).
+
+        A batch is one atomic step on the in-process keyspace and one reply
+        burst on a socket; a read that parks would stall every command
+        queued behind it.  The reply has :meth:`RedisClient.xreadgroup`'s
+        shape (``[]`` when nothing is deliverable).
+        """
+        self._decoders[len(self._commands)] = self._client._dec_streams
+        return self._queue("xreadgroup", groupname, consumername, streams, count=count)
+
     def delete(self, *keys: str) -> "Pipeline":
         return self._queue("delete", *keys)
 
@@ -150,7 +171,11 @@ class Pipeline:
             return []
         self._client._charge()
         commands, self._commands = self._commands, []
-        return self._client._transport.execute(commands)
+        decoders, self._decoders = self._decoders, {}
+        replies = self._client._transport.execute(commands)
+        for position, decode in decoders.items():
+            replies[position] = decode(replies[position])
+        return replies
 
 
 class RedisClient:
@@ -227,6 +252,12 @@ class RedisClient:
         self, entries: List[Tuple[str, Dict[str, Any]]]
     ) -> List[Tuple[str, Dict[str, Any]]]:
         return [(eid, self._dec_fields(fields)) for eid, fields in entries]
+
+    def _dec_streams(
+        self, reply: List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]
+    ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
+        """Decode an ``XREAD``/``XREADGROUP`` reply, lone or pipelined."""
+        return [(key, self._dec_entries(entries)) for key, entries in reply]
 
     def _dec_hit(self, hit: Optional[Tuple[Any, Any]]) -> Optional[Tuple[Any, Any]]:
         """Decode the payload half of a ``(tag, payload)`` reply; nil stays nil."""
@@ -399,8 +430,9 @@ class RedisClient:
         count: Optional[int] = None,
         block: Optional[int] = None,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        reply = self._call("xread", streams, count=count, block_ms=block)
-        return [(key, self._dec_entries(entries)) for key, entries in reply]
+        return self._dec_streams(
+            self._call("xread", streams, count=count, block_ms=block)
+        )
 
     def xgroup_create(
         self, key: str, group: str, id: str = "$", mkstream: bool = False  # noqa: A002
@@ -422,11 +454,12 @@ class RedisClient:
         block: Optional[int] = None,
         noack: bool = False,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        reply = self._call(
-            "xreadgroup", groupname, consumername, streams,
-            count=count, block_ms=block, noack=noack,
+        return self._dec_streams(
+            self._call(
+                "xreadgroup", groupname, consumername, streams,
+                count=count, block_ms=block, noack=noack,
+            )
         )
-        return [(key, self._dec_entries(entries)) for key, entries in reply]
 
     def xack(self, key: str, group: str, *entry_ids: str) -> int:
         return self._call("xack", key, group, *entry_ids)

@@ -127,7 +127,7 @@ class RedisServer:
             "set", "get", "incrby", "decrby", "delete",
             "lpush", "rpush", "rpushseq", "lpop", "rpop", "ltrim",
             "hset", "hdel", "hincrby", "sadd", "srem",
-            "xadd", "xack", "xackdecr", "xtrim", "snapshot",
+            "xadd", "xack", "xackdecr", "xtrim", "snapshot", "xreadgroup",
         }
     )
 
@@ -141,12 +141,20 @@ class RedisServer:
         issued at the end instead of one per command -- under contention
         this collapses the per-command lock/GIL handoff storm that
         dominates fine-grained task streams.
+
+        ``xreadgroup``, the one admitted command that can block, must not
+        (``block_ms`` absent): parking inside the batch would release the
+        lock mid-transaction and void its atomicity.
         """
         results = []
         with self._cond:
             for name, args, kwargs in commands:
                 if name not in self._TXN_COMMANDS:
                     raise RedisError(f"command {name!r} not allowed in a transaction")
+                if name == "xreadgroup" and (
+                    len(args) > 4 or kwargs.get("block_ms") is not None
+                ):
+                    raise RedisError("blocking xreadgroup not allowed in a transaction")
                 results.append(getattr(self, name)(*args, **kwargs))
             self._cond.notify_all()
         return results

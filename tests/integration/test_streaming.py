@@ -76,6 +76,13 @@ class SlowDouble(IterativePE):
         return 2 * data
 
 
+class PhantomSource(IterativePE):
+    """A source on which an invocation nobody sent (``None``) shows, as 0."""
+
+    def _process(self, data):
+        return 0 if data is None else data
+
+
 class TestLiveStreaming:
     @pytest.mark.parametrize("mapping", STREAMING_MAPPINGS)
     def test_first_result_before_completion(self, mapping):
@@ -423,6 +430,44 @@ class TestBufferedFallback:
         assert first.counters["deploy_cold"] == 1
         assert second.counters["deploy_warm"] == 1
         assert second.output("counter") == [("a", 1)]
+
+    @pytest.mark.parametrize(
+        "mapping, options",
+        [
+            pytest.param("cluster_redis", {"start_method": "fork"}, marks=pytest.mark.network),
+            ("hybrid_redis", {}),
+        ],
+    )
+    def test_no_inputs_means_no_phantom_invocation(self, mapping, options):
+        """``submit(graph)`` + ``send`` on a buffered mapping runs the sent
+        tuples and nothing else -- the same as the streaming path -- where
+        it used to invoke every source once more with ``None``."""
+        sends = [[1, 2], [3]]
+        outputs = {}
+        for name, extra in ((mapping, options), ("dyn_multi", {})):
+            engine = Engine(mapping=name, processes=3, time_scale=FAST_SCALE, **extra)
+            with engine:
+                job = engine.submit(
+                    linear_graph(PhantomSource(name="src"), Double(name="dbl"), AddOne(name="add"))
+                )
+                assert job.streaming is (name == "dyn_multi")
+                for tuples in sends:
+                    job.send("src", tuples)
+                job.close_input()
+                outputs[name] = sorted(job.wait(timeout=30.0).output("add"))
+        assert outputs[mapping] == outputs["dyn_multi"] == [3, 5, 7]
+
+    def test_run_without_inputs_keeps_the_one_shot_convention(self):
+        """``Engine.run(graph)`` still invokes each source once, empty."""
+
+        class Producer(IterativePE):
+            def _process(self, data):
+                return "produced" if data is None else data
+
+        for mapping in ("simple", "hybrid_redis"):
+            with Engine(mapping=mapping, processes=2, time_scale=FAST_SCALE) as engine:
+                graph = linear_graph(Producer(name="src"), Emit(name="out"), name="oneshot")
+                assert engine.run(graph).output("out") == ["produced"]
 
     def test_buffered_cancel_before_close_never_runs(self):
         engine = Engine(mapping="simple", time_scale=FAST_SCALE)

@@ -51,6 +51,29 @@ class TestIdentity:
         assert _collect_sorted(result) == expected_outputs
 
 
+class TestResultsPump:
+    def test_pump_ends_on_the_sentinel_not_on_a_timeout(self, expected_outputs, monkeypatch):
+        """With the pump's blocking pop parked for far longer than the run,
+        the job still completes, completely: the coordinator's stop
+        sentinel -- behind every worker's push in list order -- ends the
+        pump, where a stop flag would only be seen after a timed-out pop."""
+        import threading
+        import time
+
+        from repro.mappings import cluster
+
+        monkeypatch.setattr(cluster, "PUMP_BLOCK", 30.0)
+        started = time.monotonic()
+        result = _sentiment(mapping="cluster_redis", start_method="fork")
+        assert time.monotonic() - started < cluster.PUMP_BLOCK
+        assert _collect_sorted(result) == expected_outputs
+        assert not [t for t in threading.enumerate() if t.name == "cluster-pump"]
+
+    def test_link_retries_reach_the_counters(self):
+        result = _sentiment(mapping="cluster_redis", start_method="fork")
+        assert result.counters["net_retries"] == 0
+
+
 @pytest.mark.recovery
 class TestRecovery:
     def test_sigkilled_worker_entries_are_adopted(self, expected_outputs):

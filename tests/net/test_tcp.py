@@ -154,8 +154,10 @@ class TestResilience:
     def test_reconnects_after_connection_drop(self, server, client):
         client.set("k", "1")
         server.drop_connections()
-        # The pool retries transparently on the next command.
+        assert client.retries == 0
+        # The pool retries transparently on the next command -- and says so.
         assert client.get("k") == b"1"
+        assert client.retries == 1
 
     def test_fork_safety_discards_inherited_sockets(self, server, client):
         client.set("k", "parent")

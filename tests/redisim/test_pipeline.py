@@ -36,6 +36,19 @@ class TestServerTransaction:
         with pytest.raises(RedisError):
             server.transaction([("flushall", (), {})])
 
+    def test_admits_only_the_nonblocking_group_read(self, server):
+        server.xgroup_create("s", "g", mkstream=True)
+        read = ("g", "w", {"s": ">"})
+        assert server.transaction(
+            [("xadd", ("s", {"v": 1}), {"entry_id": "1-1"}), ("xreadgroup", read, {"count": 1})]
+        ) == ["1-1", [("s", [("1-1", {"v": 1})])]]
+        assert server.transaction([("xreadgroup", read, {"count": 1})]) == [[]]
+        for blocking in ({"block_ms": 5}, {"block_ms": 0}):
+            with pytest.raises(RedisError, match="blocking"):
+                server.transaction([("xreadgroup", read, blocking)])
+        with pytest.raises(RedisError, match="blocking"):
+            server.transaction([("xreadgroup", (*read, 1, 5), {})])
+
     def test_mixed_commands(self, server):
         server.xgroup_create("s", "g", mkstream=True)
         server.transaction(

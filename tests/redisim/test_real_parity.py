@@ -186,6 +186,30 @@ class TestParity:
 
         both(sim, real, k("p"), pipelined)
 
+    def test_pipelined_nonblocking_xreadgroup(self, pair):
+        """The fused settle-and-fetch trip: an ack and the next read in one
+        batch, with an entry to deliver and with none."""
+        sim, real, k = pair
+
+        def fused(c, key):
+            c.xgroup_create(key, "g", mkstream=True)
+            c.xadd(key, {"task": ("pe", None, 1)}, id="1-1")
+            c.xadd(key, {"task": ("pe", None, 2)}, id="2-1")
+            [(_name, [(first, _fields)])] = c.xreadgroup("g", "w0", {key: ">"}, count=1)
+            replies = []
+            for entry_id in (first, "2-1"):
+                pipe = c.pipeline()
+                pipe.rpush(key + ":out", entry_id)
+                pipe.xack(key, "g", entry_id)
+                pipe.xreadgroup("g", "w0", {key: ">"}, count=1)
+                replies.append(pipe.execute())
+            return replies, c.xpending(key, "g")["pending"]
+
+        replies, pending = both(sim, real, k("st"), fused)
+        [(_name, delivered)] = replies[0][2]
+        assert delivered == [("2-1", {"task": ("pe", None, 2)})]
+        assert replies[1] == [2, 1, []] and pending == 0
+
     def test_wrongtype_error_code(self, pair):
         sim, real, k = pair
 

@@ -7,6 +7,8 @@ method table.  ``repro.net`` puts a real socket in the middle:
 - :mod:`repro.net.resp` -- an RESP2 wire codec (the protocol genuine Redis
   speaks): encoder for command arrays and reply values, and an incremental
   decoder that reassembles values from arbitrarily chunked socket reads.
+- :mod:`repro.net.core` -- :class:`~repro.net.core.SocketServer`, the
+  thread-per-connection server core under the RESP server and ``repro serve``.
 - :mod:`repro.net.server` -- :class:`~repro.net.server.RespTCPServer`, a
   threaded TCP front-end mapping RESP command arrays onto an existing
   :class:`~repro.redisim.server.RedisServer` keyspace, including the
@@ -22,7 +24,7 @@ method table.  ``repro.net`` puts a real socket in the middle:
   lane), which keeps redisim honest.
 
 The :mod:`cluster_redis mapping <repro.mappings.cluster>` builds on all
-three: worker OS processes join a coordinator by ``host:port`` and consume
+of them: worker OS processes join a coordinator by ``host:port`` and consume
 the task stream over the socket.
 """
 

@@ -1,23 +1,21 @@
 """Threaded RESP-over-TCP front-end for the redisim keyspace.
 
-:class:`RespTCPServer` binds a listening socket, accepts one thread per
-connection, and maps decoded RESP command arrays onto an existing
+:class:`RespTCPServer` maps decoded RESP command arrays onto an existing
 :class:`~repro.redisim.server.RedisServer` -- the same keyspace in-process
-clients use, so a deployment can serve both transports at once.
+clients use, so a deployment can serve both transports at once.  Listener,
+accept thread, connection registry and lifecycle are
+:class:`repro.net.core.SocketServer`; this module adds the RESP framing
+(:meth:`RespTCPServer.handle`) and the command table.
 
-Two properties matter for correctness:
-
-- **Blocking commands never hold the keyspace lock across the wire.**
-  ``BLPOP`` / ``BLMOVESEQ`` / blocking ``XREAD`` / ``XREADGROUP`` park in
-  the keyspace's condition variable (which releases the lock while
-  waiting) in bounded *slices*, re-issued until data arrives, the client's
-  deadline passes, or the server shuts down.  Slicing is what lets
-  :meth:`RespTCPServer.close` unwind a connection thread parked in an
-  infinite block -- nothing would otherwise ever wake it.
-- **``$``/last-ID cursors are resolved once.**  A sliced blocking ``XREAD``
-  on ``$`` must pin the concrete last stream ID up front
-  (:meth:`RedisServer.last_stream_id`); re-evaluating ``$`` per slice
-  would skip entries that arrived between slices.
+**A blocking command parks once.**  ``BLPOP`` / ``BLMOVESEQ`` / blocking
+``XREAD`` / ``XREADGROUP`` hand the client's whole timeout to the keyspace
+and wait on its condition variable (which releases the keyspace lock: it
+is never held across the wire) exactly as an in-process caller does -- one
+``command_count`` tick, ``$`` resolved once.  The waiter is unparked by
+data, by its deadline, or -- through :meth:`RedisServer.wake` -- by its
+connection dying or shutdown, and then returns *without* consuming
+anything.  A client that disappears while its command is parked is
+noticed at the command's deadline or at shutdown.
 
 The command set is the one the mappings use: strings, lists, hashes, sets,
 streams, consumer groups, XAUTOCLAIM -- plus redisim's own extensions
@@ -30,11 +28,9 @@ INCRBY-before-XADD ordering the termination drain proof relies on, and
 
 from __future__ import annotations
 
-import socket
-import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.net.core import Connection, SocketServer
 from repro.net.resp import (
     INCOMPLETE,
     NIL_ARRAY,
@@ -50,9 +46,9 @@ from repro.redisim.server import RedisServer
 
 OK = SimpleString("OK")
 
-#: Upper bound (seconds) one blocking-wait slice may hold; shutdown and
-#: client deadlines are both honoured within this granularity.
-BLOCK_SLICE = 0.05
+#: Commands that can park in the keyspace; their handlers also take the
+#: connection's ``cancelled`` predicate.
+_PARKING = frozenset({"BLPOP", "BLMOVESEQ", "XREAD", "XREADGROUP"})
 
 
 def _s(raw: bytes) -> str:
@@ -114,61 +110,7 @@ def _flat_map(mapping: Dict[str, Any]) -> list:
     return flat
 
 
-class _Connection:
-    """One accepted client connection served by its own thread."""
-
-    def __init__(self, server: "RespTCPServer", sock: socket.socket) -> None:
-        self.server = server
-        self.sock = sock
-        self.alive = True
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def run(self) -> None:
-        decoder = RespDecoder()
-        try:
-            while self.alive and not self.server._stopping.is_set():
-                try:
-                    data = self.sock.recv(65536)
-                except OSError:
-                    return
-                if not data:
-                    return
-                decoder.feed(data)
-                out: List[bytes] = []
-                quit_seen = False
-                while (command := decoder.decode()) is not INCOMPLETE:
-                    reply, quit_seen = self.server._dispatch(self, command)
-                    out.append(encode_reply(reply))
-                    if quit_seen:
-                        break
-                if out:
-                    try:
-                        self.sock.sendall(b"".join(out))
-                    except OSError:
-                        return
-                if quit_seen:
-                    return
-        except ProtocolError as exc:
-            try:
-                self.sock.sendall(encode_reply(ErrorReply(f"ERR protocol error: {exc}")))
-            except OSError:
-                pass
-        finally:
-            self.close()
-            self.server._forget(self)
-
-
-class RespTCPServer:
+class RespTCPServer(SocketServer):
     """A TCP server speaking RESP2 over an in-process redisim keyspace.
 
     Parameters
@@ -182,53 +124,18 @@ class RespTCPServer:
         Bind address; port ``0`` picks a free ephemeral port (tests).
     """
 
+    thread_prefix = "resp"
+
     def __init__(
         self,
         keyspace: Optional[RedisServer] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self.keyspace = keyspace if keyspace is not None else RedisServer()
         self._owns_keyspace = keyspace is None
-        self._host = host
-        self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-        self._conns: Dict[int, _Connection] = {}
-        self._conns_lock = threading.Lock()
-        self._commands = _build_command_table(self)
-
-    # ------------------------------------------------------------- lifecycle
-    def start(self) -> "RespTCPServer":
-        if self._listener is not None:
-            return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(64)
-        # Bounded accept timeout so the accept loop notices shutdown.
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"resp-accept-{self._port}", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` as workers and clients expect it."""
-        return f"{self._host}:{self._port}"
+        self._commands = _build_command_table(self.keyspace)
 
     def close(self) -> None:
         """Stop accepting, unwind every connection thread, release the port.
@@ -236,64 +143,40 @@ class RespTCPServer:
         Closes the keyspace too when this server owns it (standalone mode);
         a fronted external keyspace stays open.  Idempotent.
         """
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        # Wake blocked keyspace waits so sliced blockers re-check _stopping
-        # immediately instead of sleeping out their current slice.
-        with self.keyspace._cond:
-            self.keyspace._cond.notify_all()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        self.drop_connections()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        super().close()
         if self._owns_keyspace:
             self.keyspace.close()
 
-    def drop_connections(self) -> None:
-        """Forcibly close every live client connection (chaos/testing hook).
+    def unpark(self) -> None:
+        """Wake parked blocking commands; the dead connection's one gives up."""
+        self.keyspace.wake()
 
-        Clients with reconnect-and-backoff recover transparently; this is
-        how the reconnect path is exercised deterministically.
-        """
-        with self._conns_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            conn.close()
-
-    def serve_forever(self, poll: float = 0.5) -> None:
-        """Block until :meth:`close` (daemon mode for ``repro serve-redis``)."""
-        self.start()
-        while not self._stopping.is_set():
-            time.sleep(poll)
-
-    # ------------------------------------------------------------ accept loop
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(self, sock)
-            with self._conns_lock:
-                self._conns[id(conn)] = conn
-            threading.Thread(
-                target=conn.run, name=f"resp-conn-{self._port}", daemon=True
-            ).start()
-
-    def _forget(self, conn: _Connection) -> None:
-        with self._conns_lock:
-            self._conns.pop(id(conn), None)
+    # -------------------------------------------------------------- framing
+    def handle(self, conn: Connection) -> None:
+        """RESP read -> :meth:`_dispatch` -> reply, one batch per ``recv``."""
+        decoder = RespDecoder()
+        try:
+            while conn.alive:
+                data = conn.sock.recv(65536)
+                if not data:
+                    return
+                decoder.feed(data)
+                out: List[bytes] = []
+                quit_seen = False
+                while (command := decoder.decode()) is not INCOMPLETE:
+                    reply, quit_seen = self._dispatch(conn, command)
+                    out.append(encode_reply(reply))
+                    if quit_seen:
+                        break
+                if out:
+                    conn.sock.sendall(b"".join(out))
+                if quit_seen:
+                    return
+        except ProtocolError as exc:
+            conn.sock.sendall(encode_reply(ErrorReply(f"ERR protocol error: {exc}")))
 
     # -------------------------------------------------------------- dispatch
-    def _dispatch(self, conn: _Connection, command: Any) -> Tuple[Any, bool]:
+    def _dispatch(self, conn: Connection, command: Any) -> Tuple[Any, bool]:
         """Run one decoded command array; returns ``(reply, close_after)``."""
         if not isinstance(command, list) or not command:
             return ErrorReply("ERR protocol error: expected a command array"), False
@@ -306,6 +189,8 @@ class RespTCPServer:
         if handler is None:
             return ErrorReply(f"ERR unknown command {name!r}"), False
         try:
+            if name in _PARKING:
+                return handler(command[1:], lambda: not conn.alive), False
             return handler(command[1:]), False
         except RedisConnectionError:
             return ErrorReply("ERR redisim keyspace is closed"), True
@@ -318,38 +203,9 @@ class RespTCPServer:
         except ProtocolError as exc:
             return ErrorReply(f"ERR protocol error: {exc}"), False
 
-    # --------------------------------------------------------- blocking waits
-    def _sliced_block(
-        self,
-        attempt: Callable[[float], Any],
-        timeout: Optional[float],
-        empty: Any,
-    ) -> Any:
-        """Run a keyspace blocking call in bounded slices.
 
-        ``attempt(seconds)`` issues the underlying blocking command with a
-        short timeout; any truthy result wins.  ``timeout`` is the client's
-        total budget in seconds (``None`` = block forever).  The keyspace
-        lock is only ever held inside ``attempt`` -- never across slices,
-        and never while bytes travel on the wire.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._stopping.is_set():
-            slice_s = BLOCK_SLICE
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return empty
-                slice_s = min(slice_s, remaining)
-            hit = attempt(max(slice_s, 0.001))
-            if hit:
-                return hit
-        return empty
-
-
-def _build_command_table(server: RespTCPServer) -> Dict[str, Callable]:
-    """The RESP command name -> handler table over ``server.keyspace``."""
-    ks = server.keyspace
+def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
+    """The RESP command name -> handler table over the keyspace ``ks``."""
 
     def arity(args: List[bytes], at_least: int, name: str) -> None:
         if len(args) < at_least:
@@ -442,16 +298,10 @@ def _build_command_table(server: RespTCPServer) -> Dict[str, Callable]:
         ks.ltrim(_s(args[0]), _i(args[1]), _i(args[2]))
         return OK
 
-    def blpop(args: List[bytes]) -> Any:
+    def blpop(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # BLPOP key [key ...] timeout -- Redis semantics: 0 blocks forever.
         arity(args, 2, "BLPOP")
-        timeout = _f(args[-1])
-        key_names = [_s(a) for a in args[:-1]]
-        hit = server._sliced_block(
-            lambda s: ks.blpop(key_names, timeout=s),
-            None if timeout == 0 else timeout,
-            empty=None,
-        )
+        hit = ks.blpop([_s(a) for a in args[:-1]], _f(args[-1]), cancelled)
         if hit is None:
             return NIL_ARRAY
         key, value = hit
@@ -462,16 +312,10 @@ def _build_command_table(server: RespTCPServer) -> Dict[str, Callable]:
         arity(args, 2, "RPUSHSEQ")
         return ks.rpushseq(_s(args[0]), *args[1:])
 
-    def blmoveseq(args: List[bytes]) -> Any:
+    def blmoveseq(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # BLMOVESEQ source destination timeout (0 blocks forever).
         arity(args, 3, "BLMOVESEQ")
-        timeout = _f(args[2])
-        src, dst = _s(args[0]), _s(args[1])
-        hit = server._sliced_block(
-            lambda s: ks.blmove(src, dst, timeout=s),
-            None if timeout == 0 else timeout,
-            empty=None,
-        )
+        hit = ks.blmove(_s(args[0]), _s(args[1]), _f(args[2]), cancelled)
         if hit is None:
             return NIL_ARRAY
         seq, value = hit
@@ -615,25 +459,13 @@ def _build_command_table(server: RespTCPServer) -> Dict[str, Callable]:
         streams = {_s(rest[i]): _s(rest[half + i]) for i in range(half)}
         return count, block_ms, noack, streams
 
-    def xread(args: List[bytes]) -> Any:
+    def xread(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
+        # BLOCK 0 blocks forever, as in Redis.
         arity(args, 3, "XREAD")
         count, block_ms, _noack, streams = _parse_read_options(list(args), "xread")
-        # Resolve $ once: sliced waits must not re-evaluate it (see module
-        # docstring).  BLOCK 0 means block forever, as in Redis.
-        streams = {
-            key: ks.last_stream_id(key) if cursor == "$" else cursor
-            for key, cursor in streams.items()
-        }
-        if block_ms is None:
-            return _streams_reply(ks.xread(streams, count=count))
-        reply = server._sliced_block(
-            lambda s: ks.xread(streams, count=count, block_ms=int(s * 1000)),
-            None if block_ms == 0 else block_ms / 1000.0,
-            empty=[],
-        )
-        return _streams_reply(reply)
+        return _streams_reply(ks.xread(streams, count, block_ms, cancelled))
 
-    def xreadgroup(args: List[bytes]) -> Any:
+    def xreadgroup(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # XREADGROUP GROUP g consumer [COUNT n] [BLOCK ms] [NOACK] STREAMS ...
         arity(args, 6, "XREADGROUP")
         rest = list(args)
@@ -641,24 +473,10 @@ def _build_command_table(server: RespTCPServer) -> Dict[str, Callable]:
             raise RedisError("syntax error: XREADGROUP must start with GROUP")
         group, consumer = _s(rest.pop(0)), _s(rest.pop(0))
         count, block_ms, noack, streams = _parse_read_options(rest, "xreadgroup")
-
-        def attempt(slice_s: float) -> Any:
-            return ks.xreadgroup(
-                group, consumer, streams, count=count,
-                block_ms=int(slice_s * 1000), noack=noack,
-            )
-
-        if block_ms is None:
-            reply = ks.xreadgroup(group, consumer, streams, count=count, noack=noack)
-        else:
-            reply = server._sliced_block(
-                attempt, None if block_ms == 0 else block_ms / 1000.0, empty=[]
-            )
-        # History reads (explicit cursor) legitimately return empty entry
-        # lists; preserve the [[key, []]] shape rather than nil.
-        if not reply and any(c != ">" for c in streams.values()):
-            reply = ks.xreadgroup(group, consumer, streams, count=count, noack=noack)
-        return _streams_reply(reply)
+        # History reads (explicit cursor) come back as [[key, []]], not nil.
+        return _streams_reply(
+            ks.xreadgroup(group, consumer, streams, count, block_ms, noack, cancelled)
+        )
 
     def xgroup(args: List[bytes]) -> Any:
         arity(args, 2, "XGROUP")

@@ -98,6 +98,30 @@ class RedisServer:
         if self._closed:
             raise ConnectionError("redisim server is closed")
 
+    def wake(self) -> None:
+        """Wake every parked blocking command to re-check its ``cancelled``
+        predicate (the TCP front-end's, when a connection of its dies)."""
+        with self._cond:
+            self._cond.notify_all()
+
+    def _park(
+        self, deadline: Optional[float], cancelled: Optional[Callable[[], bool]]
+    ) -> bool:
+        """The one wait of every blocking command: lock held, nothing found.
+
+        Releases the lock until the next mutation or :meth:`wake`.  ``False``
+        tells the command to give up -- return empty, consuming nothing --
+        because ``deadline`` passed or ``cancelled()`` turned true; a closed
+        server raises instead.
+        """
+        if deadline is None:
+            timed_out = not self._cond.wait()
+        else:
+            remaining = deadline - self._now()
+            timed_out = remaining <= 0 or not self._cond.wait(timeout=remaining)
+        self._check_open()
+        return not (timed_out or (cancelled is not None and cancelled()))
+
     # ------------------------------------------------------------------ util
     def _count(self, command: str) -> None:
         self._check_open()
@@ -277,35 +301,35 @@ class RedisServer:
             return self._pop(key, left=False)
 
     def blpop(
-        self, keys: Iterable[str], timeout: Optional[float] = None
+        self,
+        keys: Iterable[str],
+        timeout: Optional[float] = None,
+        cancelled: Optional[Callable[[], bool]] = None,
     ) -> Optional[Tuple[str, Any]]:
         """Blocking left-pop across ``keys``; ``None`` on timeout.
 
         ``timeout`` is in seconds; ``None`` or ``0`` blocks forever (as in
-        Redis, where 0 means block indefinitely).
+        Redis, where 0 means block indefinitely).  ``cancelled``, on every
+        blocking command, lets the caller abandon the wait: see :meth:`wake`.
         """
         keys = list(keys)
-        deadline = None
-        if timeout:
-            deadline = self._now() + timeout
+        deadline = self._now() + timeout if timeout else None
         with self._cond:
             self._count("blpop")
             while True:
-                self._check_open()
                 for key in keys:
                     lst = self._get_typed(key, _TYPE_LIST)
                     if lst:
                         return key, self._pop(key, left=True)
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - self._now()
-                    if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                        self._check_open()
-                        return None
+                if not self._park(deadline, cancelled):
+                    return None
 
     def blmove(
-        self, source: str, destination: str, timeout: Optional[float] = None
+        self,
+        source: str,
+        destination: str,
+        timeout: Optional[float] = None,
+        cancelled: Optional[Callable[[], bool]] = None,
     ) -> Any:
         """Blocking ``LMOVE source destination LEFT RIGHT``; ``None`` on timeout.
 
@@ -314,26 +338,18 @@ class RedisServer:
         ``BLMOVE``): the element is never in limbo, so a consumer that dies
         mid-processing leaves it recoverable on ``destination``.
         """
-        deadline = None
-        if timeout:
-            deadline = self._now() + timeout
+        deadline = self._now() + timeout if timeout else None
         with self._cond:
             self._count("blmove")
             while True:
-                self._check_open()
                 lst = self._get_typed(source, _TYPE_LIST)
                 if lst:
                     value = self._pop(source, left=True)
                     self._list_for_write(destination).append(value)
                     self._cond.notify_all()
                     return value
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - self._now()
-                    if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                        self._check_open()
-                        return None
+                if not self._park(deadline, cancelled):
+                    return None
 
     def rpushseq(self, key: str, *values: Any) -> List[int]:
         """Append values tagged with a per-key monotonic sequence number.
@@ -598,11 +614,14 @@ class RedisServer:
         streams: Mapping[str, str],
         count: Optional[int] = None,
         block_ms: Optional[int] = None,
+        cancelled: Optional[Callable[[], bool]] = None,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        """Plain (group-less) stream read; ``$`` means "only new entries"."""
-        deadline = None
-        if block_ms is not None:
-            deadline = self._now() + block_ms / 1000.0
+        """Plain (group-less) stream read; ``$`` means "only new entries".
+
+        ``block_ms`` ``None`` does not block; ``0`` blocks forever (as in
+        Redis).  ``$`` is resolved once, at entry, under the lock.
+        """
+        deadline = self._now() + block_ms / 1000.0 if block_ms else None
         with self._cond:
             self._count("xread")
             cursors: Dict[str, StreamID] = {}
@@ -613,7 +632,6 @@ class RedisServer:
                 else:
                     cursors[key] = StreamID.parse(raw)
             while True:
-                self._check_open()
                 reply = []
                 for key, last in cursors.items():
                     stream = self._stream_or_none(key)
@@ -626,26 +644,8 @@ class RedisServer:
                         )
                 if reply:
                     return reply
-                if block_ms is None:
+                if block_ms is None or not self._park(deadline, cancelled):
                     return []
-                remaining = deadline - self._now()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    self._check_open()
-                    return []
-
-    def last_stream_id(self, key: str) -> str:
-        """Current last generated ID of the stream at ``key`` (``0-0`` if absent).
-
-        The TCP front-end uses this to resolve an ``XREAD``'s ``$`` cursor
-        to a concrete ID *once* at command entry: its blocking waits are
-        sliced (so connection threads can unwind on shutdown), and
-        re-evaluating ``$`` per slice would skip every entry that arrived
-        between slices.
-        """
-        with self._lock:
-            self._count("last_stream_id")
-            stream = self._stream_or_none(key)
-            return "0-0" if stream is None else str(stream.last_id)
 
     def xgroup_create(
         self, key: str, group: str, entry_id: str = "$", mkstream: bool = False
@@ -695,20 +695,18 @@ class RedisServer:
         count: Optional[int] = None,
         block_ms: Optional[int] = None,
         noack: bool = False,
+        cancelled: Optional[Callable[[], bool]] = None,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        """Consumer-group read.
+        """Consumer-group read; ``block_ms`` as for :meth:`xread`.
 
         ``">"`` delivers entries never delivered to this group (advancing the
         group cursor and inserting into the PEL); an explicit ID replays the
         calling consumer's own pending entries after that ID.
         """
-        deadline = None
-        if block_ms is not None:
-            deadline = self._now() + block_ms / 1000.0
+        deadline = self._now() + block_ms / 1000.0 if block_ms else None
         with self._cond:
             self._count("xreadgroup")
             while True:
-                self._check_open()
                 reply = []
                 now = self._now()
                 for key, cursor in streams.items():
@@ -751,11 +749,7 @@ class RedisServer:
                 if any(cursor != ">" for cursor in streams.values()):
                     # History reads return immediately even when empty.
                     return reply
-                if block_ms is None:
-                    return []
-                remaining = deadline - self._now()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    self._check_open()
+                if block_ms is None or not self._park(deadline, cancelled):
                     return []
 
     def xackdecr(

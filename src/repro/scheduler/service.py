@@ -5,9 +5,9 @@ with a TCP listener speaking newline-delimited JSON -- one request object
 per line in, one (or, for ``results``, a stream of) response object(s) per
 line out -- so external clients submit *named* workflows (the
 :mod:`repro.scheduler.catalog`), feed tuples and stream results with
-nothing but a socket, no library import.  The server shape mirrors
-:class:`repro.net.server.RespTCPServer`: bounded-timeout accept loop,
-thread per connection, idempotent :meth:`close`.
+nothing but a socket, no library import.  The server is built on
+:class:`repro.net.core.SocketServer`, as is ``RespTCPServer``; this module
+adds the line framing (:meth:`SchedulerService.handle`) and the operations.
 
 Requests: ``{"op": ..., ...}``.  Responses: ``{"ok": true, ...}`` or
 ``{"ok": false, "error": "..."}``; protocol errors never kill the
@@ -43,6 +43,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.jobs import Job
+from repro.net.core import Connection, SocketServer
 from repro.scheduler.catalog import (
     build_named_workflow,
     workflow_names,
@@ -56,8 +57,16 @@ def _encode(payload: Dict[str, Any]) -> bytes:
     return (json.dumps(payload, default=repr) + "\n").encode("utf-8")
 
 
-class SchedulerService:
-    """Line-JSON TCP front-end over one :class:`JobScheduler`."""
+class SchedulerService(SocketServer):
+    """Line-JSON TCP front-end over one :class:`JobScheduler`.
+
+    ``close()`` leaves the scheduler (and its engine) to the caller --
+    ``repro serve`` closes them after the service.  A handler streaming
+    ``results`` is blocked in the job, not in ``recv``: its client reads
+    EOF at once, its thread ends when the job next yields or finishes.
+    """
+
+    thread_prefix = "sched"
 
     def __init__(
         self,
@@ -65,102 +74,17 @@ class SchedulerService:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self.scheduler = scheduler
-        self._host = host
-        self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-        self._conns: Dict[int, socket.socket] = {}
-        self._conns_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._job_seq = 0
 
-    # ------------------------------------------------------------- lifecycle
-    def start(self) -> "SchedulerService":
-        """Bind the listener and start accepting; returns ``self``."""
-        if self._listener is not None:
-            return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(64)
-        # Bounded accept timeout so the accept loop notices shutdown.
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"sched-accept-{self._port}", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` as clients expect it."""
-        return f"{self._host}:{self._port}"
-
-    def close(self) -> None:
-        """Stop accepting, drop every connection, release the port.
-
-        The scheduler (and its engine) belong to the caller and stay open
-        -- ``repro serve`` closes them after the service.  Idempotent.
-        """
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conns_lock:
-            conns = list(self._conns.values())
-        for sock in conns:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-
-    def serve_forever(self, poll: float = 0.5) -> None:
-        """Block until :meth:`close` (daemon mode for ``repro serve``)."""
-        self.start()
-        while not self._stopping.is_set():
-            self._stopping.wait(poll)
-
-    # ------------------------------------------------------------ accept loop
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._conns_lock:
-                self._conns[id(sock)] = sock
-            threading.Thread(
-                target=self._serve_conn,
-                args=(sock,),
-                name=f"sched-conn-{self._port}",
-                daemon=True,
-            ).start()
-
-    def _serve_conn(self, sock: socket.socket) -> None:
-        try:
-            reader = sock.makefile("rb")
+    # -------------------------------------------------------------- framing
+    def handle(self, conn: Connection) -> None:
+        """One JSON request per line in, reply line(s) out, until ``quit``/EOF."""
+        sock = conn.sock
+        with sock.makefile("rb") as reader:
             for raw in reader:
                 line = raw.strip()
                 if not line:
@@ -172,18 +96,8 @@ class SchedulerService:
                 except ValueError as exc:
                     sock.sendall(_encode({"ok": False, "error": f"bad request: {exc}"}))
                     continue
-                stop = self._dispatch(sock, request)
-                if stop:
-                    break
-        except OSError:
-            pass  # client went away mid-line / mid-reply
-        finally:
-            with self._conns_lock:
-                self._conns.pop(id(sock), None)
-            try:
-                sock.close()
-            except OSError:
-                pass
+                if self._dispatch(sock, request):
+                    return
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self, sock: socket.socket, request: Dict[str, Any]) -> bool:

@@ -159,6 +159,37 @@ class TestResilience:
         assert client.get("k") == b"1"
         assert client.retries == 1
 
+    def test_dropped_connections_parked_blpop_consumes_nothing(self, server, client):
+        """A connection dropped while its BLPOP is parked gives the wait up:
+        the next element goes to the client's retried call, never to the
+        dead connection's handler."""
+        for round_ in range(10):
+            got = []
+            parked = threading.Thread(
+                target=lambda: got.append(client.blpop(["q"], timeout=5.0))
+            )
+            before = server.keyspace.command_count.get("blpop", 0)
+            parked.start()
+            while (
+                server.keyspace.command_count.get("blpop", 0) == before
+                and parked.is_alive()
+            ):
+                time.sleep(0.001)
+            handlers = [
+                t for t in threading.enumerate()
+                if t.name == f"resp-conn-{server.port}"
+            ]
+            server.drop_connections()
+            for handler in handlers:
+                handler.join(1.0)
+                assert not handler.is_alive(), "dead connection still parked"
+            other = SocketRedisClient(address=server.address)
+            other.rpush("q", round_)
+            parked.join(5.0)
+            other.close()
+            assert got == [("q", round_)], f"round {round_}: element lost"
+            assert server.keyspace.llen("q") == 0
+
     def test_fork_safety_discards_inherited_sockets(self, server, client):
         client.set("k", "parent")
         pid = os.fork()

@@ -25,6 +25,8 @@ the wire hands back ``bytes``.
 """
 
 import os
+import threading
+import time
 import uuid
 
 import pytest
@@ -45,9 +47,13 @@ def _address(url: str) -> str:
 
 
 @pytest.fixture
-def transports():
+def keyspace():
+    return RedisServer()
+
+
+@pytest.fixture
+def transports(keyspace):
     """(in-process client, TCP client) on one shared keyspace."""
-    keyspace = RedisServer()
     server = RespTCPServer(keyspace).start()
     tcp = SocketRedisClient(address=server.address)
     yield RedisClient(keyspace), tcp, lambda k: f"parity:{k}"
@@ -122,6 +128,17 @@ class TestParity:
         both(sim, real, k("q"), lambda c, key: c.lrange(key, 0, -1))
         both(sim, real, k("q"), lambda c, key: c.blpop([key], timeout=0.1))
         both(sim, real, k("empty"), lambda c, key: c.blpop([key], timeout=0.1))
+
+    def test_blpop_timeout_is_not_early(self, pair):
+        sim, real, k = pair
+
+        def timed_out(c, key):
+            start = time.monotonic()
+            reply = c.blpop([key], timeout=0.2)
+            assert time.monotonic() - start >= 0.2
+            return reply
+
+        assert both(sim, real, k("empty"), timed_out) is None
 
     def test_hashes(self, pair):
         sim, real, k = pair
@@ -258,6 +275,52 @@ class TestRedisimExtensions:
             return first, second, int(c.get(key + ":n"))
 
         assert both(a, b, k("st"), settle) == (1, 0, 0)
+
+
+class TestParkedCommands:
+    """A blocking command parks once in the keyspace on either transport.
+    Transports pair only: the tests watch the shared keyspace to know the
+    command is parked before they write."""
+
+    def test_parked_xread_dollar_sees_each_new_entry_once(self, transports, keyspace):
+        a, b, k = transports
+
+        def parked_read(c, key):
+            c.xadd(key, {"n": 0}, id="1-1")  # history: ``$`` starts after it
+            seen = []
+
+            def read():
+                cursor = "$"
+                while len(seen) < 2:
+                    reply = c.xread({key: cursor}, block=5000)
+                    if not reply:
+                        return
+                    seen.extend(reply[0][1])
+                    cursor = seen[-1][0]
+
+            before = keyspace.command_count.get("xread", 0)
+            reader = threading.Thread(target=read)
+            reader.start()
+            # Counted under the keyspace lock, which only the wait releases:
+            # once the count moved, the writes below find the read parked.
+            while keyspace.command_count.get("xread", 0) == before and reader.is_alive():
+                time.sleep(0.001)
+            pipe = c.pipeline()
+            pipe.xadd(key, {"n": 1}, id="2-1")
+            pipe.xadd(key, {"n": 2}, id="3-1")
+            pipe.execute()
+            reader.join(10.0)
+            assert not reader.is_alive()
+            return seen
+
+        assert both(a, b, k("st"), parked_read) == [("2-1", {"n": 1}), ("3-1", {"n": 2})]
+
+    def test_parked_blpop_counts_once(self, transports, keyspace):
+        a, b, k = transports
+        for client in (a, b):
+            before = keyspace.command_count.get("blpop", 0)
+            assert client.blpop([k("nothing")], timeout=0.25) is None
+            assert keyspace.command_count["blpop"] == before + 1
 
 
 class TestRawValueEdge:

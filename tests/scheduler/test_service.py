@@ -9,6 +9,7 @@ subprocess-level ``repro serve`` path is tests/integration/test_serve.py.
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -236,3 +237,52 @@ class TestJobLifecycleOverWire:
             assert other.request(op="stats")["stats"]["completed"] >= 1
         finally:
             other.close()
+
+
+class TestClose:
+    """``service.close()`` really closes its clients (shutdown, not just close)."""
+
+    @staticmethod
+    def service_threads(service):
+        names = (f"sched-accept-{service.port}", f"sched-conn-{service.port}")
+        return [t for t in threading.enumerate() if t.name in names]
+
+    def test_idle_client_reads_eof_and_no_thread_survives(self, service, client):
+        assert client.request(op="ping")["pong"] is True
+        threads = self.service_threads(service)
+        assert len(threads) == 2
+        client.sock.settimeout(1.0)
+        service.close()
+        assert client.reader.readline() == ""  # EOF within the second
+        for thread in threads:
+            thread.join(1.0)
+        assert not self.service_threads(service)
+
+    def test_client_parked_in_results_reads_eof(self, service, client):
+        # Input left open: the job never finishes on its own, so the
+        # handler stays blocked in Job.results(), not in recv.
+        submitted = client.request(
+            op="submit", workflow="sentiment-scoring", params={"articles": 4},
+            inputs=None,
+        )
+        assert submitted["ok"] is True
+        job = submitted["job"]
+        assert client.request(
+            op="send", job=job, target="readArticles", tuples=[0]
+        )["sent"] == 1
+        client.send(op="results", job=job)
+        assert "key" in client.recv()  # the stream is open and being served
+        [handler] = [
+            t for t in threading.enumerate()
+            if t.name == f"sched-conn-{service.port}"
+        ]
+        client.sock.settimeout(1.0)
+        service.close()
+        while client.reader.readline():
+            pass  # result lines already on the wire, then EOF (or a timeout)
+        # The handler's thread is the job's to release: cancelling the job
+        # (what scheduler.close() does) ends the results stream.
+        service.scheduler.close()
+        handler.join(5.0)
+        assert not handler.is_alive()
+        assert not self.service_threads(service)

@@ -142,8 +142,10 @@ class Autoscaler:
         31-33).  Returns ``False`` if the scaler was stopped while waiting.
         """
         with self._cond:
+            # Untimed: everything that can open the gate notifies -- ``_done``
+            # (a slot freed), ``grow`` (the gate widened) and ``stop``.
             while self.active_count >= self.active_size and not self._stopped:
-                self._cond.wait(timeout=0.05)
+                self._cond.wait()
             if self._stopped:
                 return False
             self.active_count += 1
@@ -162,15 +164,9 @@ class Autoscaler:
             self._cond.notify_all()
 
     def wait_all_done(self, timeout: Optional[float] = None) -> bool:
-        """Block until no sessions are in flight."""
-        deadline = None if timeout is None else self.clock.now() + timeout
+        """Block until no sessions are in flight (``False`` on timeout)."""
         with self._cond:
-            while self.active_count > 0:
-                remaining = None if deadline is None else deadline - self.clock.now()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(timeout=0.05 if remaining is None else min(0.05, remaining))
-            return True
+            return self._cond.wait_for(lambda: self.active_count == 0, timeout)
 
     # ------------------------------------------------------------- main loop
     def process(

@@ -316,6 +316,17 @@ class Counters:
         with self._lock:
             self._data[name] = self._data.get(name, 0) + amount
 
+    def merge(self, tally: Dict[str, int]) -> None:
+        """Add a worker's locally kept tally under one lock take.
+
+        Zero amounts create no key, so a flushed tally leaves exactly the
+        counters the same ``inc`` calls would have.
+        """
+        with self._lock:
+            for name, amount in tally.items():
+                if amount:
+                    self._data[name] = self._data.get(name, 0) + amount
+
     def get(self, name: str) -> int:
         with self._lock:
             return self._data.get(name, 0)
@@ -371,7 +382,7 @@ def dispatch_emissions(
     aliases = getattr(pe, "collector_aliases", None)
     drops = getattr(pe, "collector_drops", None)
     for port, data in emissions:
-        if concrete.graph.out_edges(pe_name, port):
+        if concrete.connected(pe_name, port):
             deliveries.extend(concrete.route_output(pe_name, index, port, data))
         elif aliases and port in aliases:
             original_pe, original_port = aliases[port]

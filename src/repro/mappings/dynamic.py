@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.autoscale.autoscaler import Autoscaler
 from repro.autoscale.strategies import BacklogStrategy, ScalingStrategy
@@ -182,41 +182,69 @@ class DynamicWorkforce(Workforce):
             self.state.control.on_cancel(on_cancel)
 
     # ------------------------------------------------------------- workers
-    def process_task(self, copies: Dict[str, GenericPE], task: Task) -> None:
-        """Execute one task and enqueue its children."""
+    def process_task(
+        self, copies: Dict[str, GenericPE], task: Task, tally: Dict[str, int]
+    ) -> None:
+        """Execute one task, then enqueue its children and settle it.
+
+        Enqueue and settle are one queue operation, in a ``finally``: a
+        failing task still settles (with whatever children it got as far
+        as producing), so the drain proof stays exact.  ``tasks`` /
+        ``queue_puts`` go to the caller's ``tally`` -- see
+        :meth:`process_item`.
+        """
         pe_name, port, payload = task
         inputs = payload if port is None else {port: payload}
+        children: List[Any] = []
         try:
             emissions = copies[pe_name]._invoke(inputs)
-            self.state.counters.inc("tasks")
+            tally["tasks"] += 1
             children = [
                 (delivery.dst, delivery.dst_port, marshal(delivery.data))
                 for delivery in dispatch_emissions(
                     self.concrete, self.state.collector, pe_name, 0, emissions
                 )
             ]
-            for chunk in chunked(children, self.batch_size):
-                # Queue transfer cost is charged once per queue item: the
-                # amortization batching exists for.
-                if self.state.platform.queue_latency > 0:
+            if self.batch_size > 1:
+                children = [as_envelope(chunk) for chunk in chunked(children, self.batch_size)]
+            # Queue transfer cost is charged once per queue item: the
+            # amortization batching exists for.
+            if self.state.platform.queue_latency > 0:
+                for _ in children:
                     self.state.ctx.io_wait(self.state.platform.queue_latency)
-                self.queue.put(as_envelope(chunk))
-                self.state.counters.inc("queue_puts")
         finally:
-            self.queue.mark_done()
+            tally["queue_puts"] += len(children)
+            self.queue.settle(children)
 
-    def process_item(self, copies: Dict[str, GenericPE], item: Any) -> int:
+    def process_item(
+        self, copies: Dict[str, GenericPE], item: Any, tally: Dict[str, int]
+    ) -> int:
         """Run every task carried by one queue item; returns the count.
 
         Batch-aware consumption: the envelope is iterated without
         re-entering the queue machinery per tuple, and each tuple is
-        settled individually (``mark_done`` inside :meth:`process_task`) so
-        the outstanding count is exact even if a mid-envelope task fails.
+        settled individually (inside :meth:`process_task`) so the
+        outstanding count is exact even if a mid-envelope task fails --
+        the tail the failure abandons is settled unrun, or an auto-scaled
+        run (whose sessions survive a failing task) would never drain.
+        ``tally`` (:meth:`new_tally`) collects the counters a task bumps;
+        the caller flushes it with ``counters.merge`` in a ``finally``, so
+        the shared counters lock is taken per flush, not twice per task.
         """
         tasks = batch_items(item)
-        for task in tasks:
-            self.process_task(copies, task)
+        started = 0
+        try:
+            for task in tasks:
+                started += 1
+                self.process_task(copies, task, tally)
+        finally:
+            if started < len(tasks):
+                self.queue.settle(count=len(tasks) - started)
         return len(tasks)
+
+    @staticmethod
+    def new_tally() -> Dict[str, int]:
+        return {"tasks": 0, "queue_puts": 0}
 
     def is_terminated(self) -> bool:
         """The termination condition (safe by default, see module docs).
@@ -268,7 +296,11 @@ class DynamicWorkforce(Workforce):
             if task is POISON_PILL:
                 return
             empty_streak = 0
-            self.process_item(copies, task)
+            tally = self.new_tally()
+            try:
+                self.process_item(copies, task, tally)
+            finally:
+                self.state.counters.merge(tally)
 
     def drain_session(self, worker_key: str, chunk: int) -> int:
         """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
@@ -281,14 +313,18 @@ class DynamicWorkforce(Workforce):
         copies = self.graph_copy(worker_key)
         timeout = self.state.clock.to_real(self.policy.poll_interval)
         processed = 0
-        while processed < chunk:
-            try:
-                task = self.queue.get(timeout=timeout)
-            except Empty:
-                break
-            if task is POISON_PILL:
-                break
-            processed += self.process_item(copies, task)
+        tally = self.new_tally()
+        try:
+            while processed < chunk:
+                try:
+                    task = self.queue.get(timeout=timeout)
+                except Empty:
+                    break
+                if task is POISON_PILL:
+                    break
+                processed += self.process_item(copies, task, tally)
+        finally:
+            self.state.counters.merge(tally)
         return processed
 
 

@@ -7,10 +7,11 @@ Two queue flavours are provided:
   static ``multi`` mapping.
 - :class:`TrackedQueue` -- a global task queue with *outstanding-work*
   accounting.  A task is outstanding from the moment it is put until the
-  worker that consumed it calls :meth:`TrackedQueue.mark_done` (having
-  already enqueued any child tasks).  ``outstanding == 0`` therefore proves
-  no further work can ever appear, which is the safe termination condition
-  the paper's retry + poison-pill strategy (Section 3.2.3) approximates.
+  worker that consumed it calls :meth:`TrackedQueue.settle` (which
+  enqueues its child tasks in the same critical section).
+  ``outstanding == 0`` therefore proves no further work can ever appear,
+  which is the safe termination condition the paper's retry + poison-pill
+  strategy (Section 3.2.3) approximates.
 
 Both flavours also count puts/gets so the monitoring framework (queue size
 for the ``dyn_auto_multi`` auto-scaling strategy, Figure 13) can observe them
@@ -45,7 +46,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Sequence, Union
 
 
 class _PoisonPill:
@@ -322,27 +324,34 @@ class CloseableQueue:
 class TrackedQueue:
     """Global task queue with outstanding-work accounting.
 
-    Used by the dynamic mappings: workers ``get`` a task, process it (which
-    may ``put`` child tasks), then call :meth:`mark_done`.  The queue counts
-    *outstanding* work items -- tasks that have been put but whose processing
-    has not completed.  When ``outstanding`` drops to zero the workflow is
-    provably drained, because a completed task graph can no longer grow.
+    Used by the dynamic mappings: workers ``get`` a task, process it, then
+    :meth:`settle` it -- enqueueing its child tasks and declaring it done
+    in one critical section.  The queue counts *outstanding* work items --
+    tasks that have been put but whose processing has not completed.  When
+    ``outstanding`` drops to zero the workflow is provably drained, because
+    a completed task graph can no longer grow.
 
     The paper's native dynamic termination merely checks queue emptiness,
     which races with a worker that is about to enqueue children (the
     "extreme cases" of Section 3.2.3).  The outstanding counter closes that
     race; the retry/poison-pill strategy is layered on top of it in
     :mod:`repro.mappings.termination`.
+
+    One ``deque`` and every counter live under one lock, so a task costs
+    its worker two lock takes: the ``get`` and the ``settle``.
     """
 
-    def __init__(self, maxsize: int = 0) -> None:
-        self._q: "queue.Queue[Any]" = queue.Queue(maxsize=maxsize)
+    def __init__(self) -> None:
+        self._items: Deque[Any] = deque()
         self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._drained = threading.Condition(self._lock)
+        #: Getters parked in ``_not_empty``; producers skip the notify at 0.
+        self._waiting = 0
         self._outstanding = 0
         self._pending_tasks = 0
         self._total_put = 0
         self._total_got = 0
-        self._drained = threading.Event()
 
     # -- producer side -----------------------------------------------------
     def put(self, item: Any) -> None:
@@ -353,58 +362,82 @@ class TrackedQueue:
         the transport cannot weaken the termination condition.
         """
         if item is POISON_PILL:
-            # Pills are control messages, not work; bypass accounting.
-            self._q.put(item)
+            self.put_pill()
             return
-        count = batch_len(item)
         with self._lock:
-            self._outstanding += count
-            self._pending_tasks += count
-            self._total_put += count
-            self._drained.clear()
-        self._q.put(item)
+            self._enqueue((item,))
 
     def put_pill(self, count: int = 1) -> None:
-        """Broadcast ``count`` poison pills (control messages, not work)."""
-        for _ in range(count):
-            self._q.put(POISON_PILL)
+        """Broadcast ``count`` poison pills (control messages, not work:
+        they bypass the accounting)."""
+        with self._lock:
+            self._items.extend([POISON_PILL] * count)
+            if self._waiting:
+                self._not_empty.notify(count)
+
+    def _enqueue(self, items: Sequence[Any]) -> None:
+        """Append work items and account their tuples (lock held)."""
+        count = 0
+        for item in items:
+            count += batch_len(item)
+        self._items.extend(items)
+        self._outstanding += count
+        self._pending_tasks += count
+        self._total_put += count
+        if self._waiting:
+            self._not_empty.notify(len(items))
 
     # -- consumer side -----------------------------------------------------
     def get(self, timeout: Optional[float] = None) -> Any:
-        try:
-            if timeout is None:
-                item = self._q.get()
-            else:
-                item = self._q.get(timeout=timeout)
-        except queue.Empty:
-            raise Empty() from None
-        if item is not POISON_PILL:
-            count = batch_len(item)
-            with self._lock:
+        """Blocking get; raises :class:`Empty` once ``timeout`` elapsed."""
+        with self._lock:
+            if not self._items:
+                self._waiting += 1
+                try:
+                    if not self._not_empty.wait_for(self._items.__len__, timeout):
+                        raise Empty()
+                finally:
+                    self._waiting -= 1
+            item = self._items.popleft()
+            if item is not POISON_PILL:
+                count = batch_len(item)
                 self._total_got += count
                 self._pending_tasks -= count
         return item
 
-    def mark_done(self, count: int = 1) -> None:
-        """Declare ``count`` consumed tasks fully processed.
+    def settle(self, children: Sequence[Any] = (), count: int = 1) -> None:
+        """Enqueue ``children`` and declare ``count`` consumed tasks done.
 
-        Must be called exactly once per non-pill *tuple* returned by
-        :meth:`get` (a :class:`Batch` item carries several), *after* any
-        child tasks have been put.  Batch consumers may settle tuple by
-        tuple or once per envelope with ``count=len(batch)``.
+        One critical section for both halves: no reader can see the parent
+        settled while a child is still to be enqueued, so ``outstanding``
+        reaches zero only when the task graph really is exhausted.  Must be
+        called exactly once per non-pill *tuple* returned by :meth:`get` (a
+        :class:`Batch` item carries several) -- tuple by tuple, or once per
+        envelope with ``count=len(batch)`` -- and also when the task failed
+        (with whatever children it did produce).  ``children`` are queue
+        items as :meth:`put` takes them, never pills.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         with self._lock:
             if self._outstanding < count:
-                raise RuntimeError("mark_done called more times than tasks were got")
+                raise RuntimeError("more tasks settled than were got")
+            if children:
+                # Children first: unlocked ``outstanding`` readers must
+                # never see the parent gone and the children not yet there.
+                self._enqueue(children)
             self._outstanding -= count
             if self._outstanding == 0:
-                self._drained.set()
+                self._drained.notify_all()
+
+    def mark_done(self, count: int = 1) -> None:
+        """:meth:`settle` for ``count`` tasks whose children, if any, were
+        already :meth:`put`."""
+        self.settle((), count)
 
     # -- monitoring --------------------------------------------------------
     def qsize(self) -> int:
-        return self._q.qsize()
+        return len(self._items)
 
     @property
     def pending_tasks(self) -> int:
@@ -418,7 +451,7 @@ class TrackedQueue:
             return self._pending_tasks
 
     def empty(self) -> bool:
-        return self._q.empty()
+        return not self._items
 
     @property
     def outstanding(self) -> int:
@@ -440,6 +473,4 @@ class TrackedQueue:
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """Block until drained (or timeout); returns drained status."""
         with self._lock:
-            if self._outstanding == 0:
-                return True
-        return self._drained.wait(timeout=timeout)
+            return self._drained.wait_for(lambda: self._outstanding == 0, timeout)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 
 class AsyncResult:
@@ -78,7 +79,7 @@ class WorkerPool:
             raise ValueError(f"pool size must be >= 1, got {size!r}")
         self.size = size
         self.name = name
-        self._dispatch: "List[Tuple[Callable[..., Any], tuple, Optional[Callable[[Any], None]], AsyncResult]]" = []
+        self._dispatch: "Deque[Tuple[Callable[..., Any], tuple, Optional[Callable[[Any], None]], AsyncResult]]" = deque()
         self._dispatch_lock = threading.Condition()
         self._closed = False
         self._threads: List[threading.Thread] = []
@@ -147,7 +148,7 @@ class WorkerPool:
                 while not self._dispatch and not self._closed:
                     self._dispatch_lock.wait()
                 if self._dispatch:
-                    func, args, callback, result = self._dispatch.pop(0)
+                    func, args, callback, result = self._dispatch.popleft()
                 elif self._closed:
                     return
                 else:  # pragma: no cover - spurious wakeup

@@ -6,6 +6,7 @@ from repro import run
 from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
 from repro.mappings.termination import TerminationPolicy
+from repro.workflows import build_internal_extinction_workflow
 from tests.conftest import (
     AddOne,
     Double,
@@ -116,3 +117,36 @@ class TestDynMultiMetrics:
         g = linear_graph(Emit(name="e"))
         result = _run_dyn(g, [1], 5)
         assert len(result.per_worker_time) == 5
+
+
+def _relay_chain():
+    return linear_graph(*[Emit(name=f"relay{i}") for i in range(6)]), list(range(500))
+
+
+def _galaxy():
+    graph, inputs = build_internal_extinction_workflow(scale=1)
+    return graph, inputs[:60]
+
+
+class TestCounterPins:
+    """End-of-run counters on both queue presets, pinned to what the commit
+    before the locally tallied ``tasks`` / ``queue_puts`` produced: the
+    tallies must flush to exactly the numbers per-call ``inc`` gave."""
+
+    @pytest.mark.parametrize(
+        "build, tasks, queue_puts, seed_tasks",
+        [(_relay_chain, 3000, 2500, 500), (_galaxy, 240, 180, 60)],
+    )
+    @pytest.mark.parametrize("mapping, pills", [("dyn_multi", 4), ("dyn_auto_multi", None)])
+    def test_counters_match_parent(self, mapping, pills, build, tasks, queue_puts, seed_tasks):
+        graph, inputs = build()
+        result = run(graph, inputs=inputs, processes=4, mapping=mapping, time_scale=FAST_SCALE)
+        pinned = ("tasks", "queue_puts", "seed_tasks", "pills", "graph_copies")
+        assert {name: result.counters.get(name) for name in pinned} == {
+            "tasks": tasks,
+            "queue_puts": queue_puts,
+            "seed_tasks": seed_tasks,
+            # Sessions never broadcast pills; dedicated workers do, once.
+            "pills": pills,
+            "graph_copies": 4,
+        }

@@ -1,5 +1,7 @@
 """Failure injection: worker errors must surface, not hang the run."""
 
+import threading
+
 import pytest
 
 from repro import run
@@ -93,6 +95,37 @@ class TestWorkerErrors:
             )
         except MappingError:
             pass  # expected; the point is that we got here without hanging
+
+
+class TestMidEnvelopeFailure:
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_auto_multi"])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_run_terminates_with_the_error(self, mapping, batch_size):
+        """A PE raising in the middle of an envelope (payload 40 of 32..63)
+        leaves the envelope's tail unrun; the drain proof must not wait for
+        it -- an auto-scaled run, whose sessions outlive a failing task,
+        used to hang here at ``batch_size=32``."""
+        outcome = []
+
+        def enact():
+            try:
+                run(
+                    linear_graph(ExplodingPE(trigger=40), Double(name="d")),
+                    inputs=list(range(64)),
+                    processes=3,
+                    mapping=mapping,
+                    batch_size=batch_size,
+                    time_scale=FAST_SCALE,
+                )
+            except BaseException as exc:  # noqa: BLE001 - handed to the asserting thread
+                outcome.append(exc)
+
+        runner = threading.Thread(target=enact, daemon=True)
+        runner.start()
+        runner.join(timeout=20.0)
+        assert not runner.is_alive(), "run did not terminate"
+        assert len(outcome) == 1 and isinstance(outcome[0], MappingError)
+        assert "injected failure on 40" in str(outcome[0])
 
 
 class TestErrorMetadata:

@@ -1,6 +1,8 @@
 """Tests for repro.runtime.queues."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -350,3 +352,174 @@ class TestTrackedQueueWaiting:
         q = TrackedQueue()
         with pytest.raises(Empty):
             q.get(timeout=0.01)
+
+    def test_timed_get_wakes_on_put(self):
+        q = TrackedQueue()
+        got = []
+        t = threading.Thread(target=lambda: got.append(q.get(timeout=5.0)))
+        t.start()
+        q.put("x")
+        t.join(timeout=5.0)
+        assert not t.is_alive() and got == ["x"]
+
+    def test_wait_drained_wakes_exactly_at_drain(self):
+        """Settling a parent *with* a child must not release the waiter;
+        settling the last childless task must."""
+        q = TrackedQueue()
+        q.put("parent")
+        woke = threading.Event()
+
+        def waiter():
+            if q.wait_drained(timeout=5.0):
+                woke.set()
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        q.get()
+        q.settle(["child"])
+        assert not woke.wait(timeout=0.05)
+        assert q.outstanding == 1
+        q.get()
+        q.settle()
+        t.join(timeout=5.0)
+        assert not t.is_alive() and woke.is_set()
+
+
+class TestTrackedQueueSettle:
+    def test_settle_enqueues_children_and_settles_parent(self):
+        q = TrackedQueue()
+        q.put("parent")
+        q.get()
+        q.settle(["a", "b"])
+        assert q.outstanding == 2 and q.pending_tasks == 2
+        assert q.total_put == 3 and q.qsize() == 2
+        assert [q.get(), q.get()] == ["a", "b"]
+
+    def test_settle_counts_batch_children_per_tuple(self):
+        q = TrackedQueue()
+        q.put(Batch([1, 2]))
+        q.get()
+        q.settle([Batch([3, 4, 5]), 6], count=2)
+        assert q.outstanding == 4 and q.qsize() == 2
+
+    def test_failed_task_settles_without_children(self):
+        q = TrackedQueue()
+        q.put("doomed")
+        q.get()
+        q.settle()
+        assert q.is_drained() and q.empty()
+
+    def test_over_settling_raises_and_enqueues_nothing(self):
+        q = TrackedQueue()
+        q.put("x")
+        q.get()
+        with pytest.raises(RuntimeError):
+            q.settle(["orphan"], count=2)
+        assert q.empty() and q.outstanding == 1
+        q.settle()
+        with pytest.raises(RuntimeError):
+            q.settle()
+
+    def test_settle_rejects_nonpositive(self):
+        q = TrackedQueue()
+        q.put("x")
+        q.get()
+        with pytest.raises(ValueError):
+            q.settle(count=0)
+
+    def test_pills_wake_parked_getters_without_accounting(self):
+        q = TrackedQueue()
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(q.get(timeout=5.0)))
+            for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        q.put_pill(3)
+        for t in threads:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [POISON_PILL] * 3
+        assert q.total_put == 0 and q.total_got == 0 and q.is_drained()
+
+
+class _YieldingChildren(list):
+    """Children whose iteration parks the calling thread, so every other
+    thread gets to look at the queue from *inside* the settle."""
+
+    def __iter__(self):
+        time.sleep(0.0005)
+        return super().__iter__()
+
+
+class TestTrackedQueueStress:
+    WORKERS = 8  # more than the sandbox's cores
+
+    def test_settle_is_atomic_under_contention(self):
+        """N producers, N consumers: ``outstanding`` must never read 0
+        while a child is still to be enqueued.
+
+        Every task of depth ``n > 0`` has exactly one child ``n - 1``, so
+        the queue is legitimately drained only once every chain reached 0.
+        The short chains contend; the one slow chain outlives them, is then
+        the only task in flight, and hands its child over through
+        :class:`_YieldingChildren` -- a settle that dropped the parent
+        before adding the child would show the monitor ``outstanding == 0``
+        at each of its steps.
+        """
+        chains = [(40, False)] * (self.WORKERS * 4) + [(60, True)]
+        expected = sum(depth + 1 for depth, _ in chains)
+        q = TrackedQueue()
+
+        def produce(share):
+            for task in share:
+                q.put(task)
+
+        producers = [
+            threading.Thread(target=produce, args=(chains[i :: self.WORKERS],))
+            for i in range(self.WORKERS)
+        ]
+        for t in producers:
+            t.start()
+        for t in producers:
+            t.join(timeout=10.0)
+        assert q.outstanding == q.pending_tasks == len(chains)
+
+        early_zero = []
+        stop = threading.Event()
+
+        def monitor():
+            while not stop.is_set():
+                if q.outstanding == 0 and q.total_put < expected:
+                    early_zero.append(q.total_put)
+
+        def consumer():
+            while True:
+                task = q.get(timeout=10.0)
+                if task is POISON_PILL:
+                    return
+                depth, slow = task
+                children = [(depth - 1, slow)] if depth else []
+                q.settle(_YieldingChildren(children) if slow else children)
+
+        threads = [threading.Thread(target=consumer) for _ in range(self.WORKERS)]
+        watcher = threading.Thread(target=monitor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher.start()
+            for t in threads:
+                t.start()
+            drained = q.wait_drained(timeout=30.0)
+            q.put_pill(self.WORKERS)
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            stop.set()
+            watcher.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert drained and not any(t.is_alive() for t in threads)
+        assert not early_zero
+        assert q.total_put == q.total_got == expected
+        assert q.outstanding == 0 and q.pending_tasks == 0 and q.qsize() == 0

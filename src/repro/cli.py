@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         metavar="N",
-        help="max tuples a queued job may stage before backpressure",
+        help="max tuples a queued job may buffer before backpressure",
     )
     daemon_p.add_argument(
         "--backpressure",

@@ -439,26 +439,24 @@ class Engine:
         graph, name, procs, merged = self._resolve_submission(
             workflow, processes, mapping, options
         )
-        deployment, busy = (None, False)
-        if warm:
-            deployment, busy = self._lease(name, procs)
+        deployment, busy = self._lease(name, procs) if warm else (None, False)
         try:
-            job = self._start_job(
+            job = self._prepare_job(
                 name, graph, inputs, procs, merged,
                 time_scale=time_scale, seed=seed, deadline=deadline,
-                deployment=deployment,
                 # run() forces the buffered wiring: the classic one-shot
                 # enactment path, byte-identical outputs and counters --
                 # and skips the results tap its wait()-only job never reads.
                 stream=None if warm else False,
                 results_channel=warm,
-                busy_fallback=busy,
             )
+            job._launch(deployment, busy)
         except BaseException:
             if deployment is not None:
                 # Validation failures raise before the deployment is ever
-                # touched (submit wires threads last), so its warmth -- and
-                # the spin-up it represents -- survives for the next job.
+                # touched (launch starts the driver thread last), so its
+                # warmth -- and the spin-up it represents -- survives for
+                # the next job.
                 self._release(name, deployment, reusable=True)
             raise
         if deployment is not None:
@@ -466,6 +464,7 @@ class Engine:
             job._on_terminal(
                 lambda j: self._release(name, leased, reusable=j.state is JobState.DONE)
             )
+        self._adopt_job(job)
         return job
 
     def _resolve_submission(
@@ -536,7 +535,7 @@ class Engine:
                 )
         return graph, name, procs, merged
 
-    def _start_job(
+    def _prepare_job(
         self,
         name: str,
         graph: WorkflowGraph,
@@ -547,35 +546,28 @@ class Engine:
         time_scale: Optional[float],
         seed: Optional[int],
         deadline: Optional[float],
-        deployment: Optional[Deployment],
         stream: Optional[bool],
         results_channel: bool,
-        busy_fallback: bool = False,
     ) -> Job:
-        """Hand one resolved submission to its mapping and track the job.
+        """Hand one resolved submission to its mapping's ``prepare``.
 
-        The single funnel onto ``Mapping.submit`` for both the direct path
-        and the scheduler, so engine-level defaults (time scale, seed) and
-        job bookkeeping (``close()`` cancels every live job) apply
-        identically.  Deployment leasing stays with the caller.
+        The single funnel onto ``Mapping.prepare`` for both the direct path
+        and the scheduler, so engine-level defaults (time scale, seed)
+        apply identically.  The caller leases the deployment, launches the
+        job on it and has it tracked (:meth:`_adopt_job`).
         """
-        engine = self._engine_for(name)
-        job = engine.submit(
+        return self._engine_for(name).prepare(
             graph,
             inputs=inputs,
             processes=processes,
             platform=self._platform,
             time_scale=time_scale if time_scale is not None else self.config.time_scale,
             seed=seed if seed is not None else self.config.seed,
-            deployment=deployment,
             deadline=deadline,
             stream=stream,
             results_channel=results_channel,
-            busy_fallback=busy_fallback,
             **merged,
         )
-        self._adopt_job(job)
-        return job
 
     def _adopt_job(self, job: Job) -> None:
         """Track a job until terminal so :meth:`close` can cancel it."""

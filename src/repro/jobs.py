@@ -2,7 +2,10 @@
 
 :meth:`repro.engine.Engine.submit` starts enactment immediately and returns
 a :class:`Job` -- the long-lived handle of one workflow run on a (possibly
-warm) deployment:
+warm) deployment.  One submission is one ``Job``: a
+:class:`~repro.scheduler.JobScheduler` hands out the same object while the
+job still queues for admission and later launches *it*, so what the caller
+holds and what the engine drives never differ:
 
 - **incremental ingestion** -- :meth:`Job.send` pushes more tuples into a
   live source PE, :meth:`Job.close_input` signals end-of-stream;
@@ -16,9 +19,12 @@ warm) deployment:
 On mappings declaring ``Capabilities.streaming`` the workflow runs while
 input is still open; on other mappings the job *buffers* ingestion and
 enacts once the input closes (results still stream out as produced).  The
-handle itself is mapping-agnostic: the enactment side wires the three
-callbacks (``send``/``close``/``cancel``) and drives the state machine
-through the ``_mark_*``/``_finish*`` methods.
+handle itself is mapping-agnostic: the enactment side wires the
+``send``/``close``/``cancel`` callbacks plus the ``launch`` hook that starts
+the driver thread on a deployment, and drives the state machine through the
+``_mark_*``/``_finish*`` methods.  A job that is prepared but not yet
+launched already accepts ``send``/``close_input`` (ingestion buffers) and
+``cancel`` (the handle resolves without ever enacting).
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ class JobState(enum.Enum):
     """Lifecycle states of a :class:`Job`.
 
     ``PENDING -> RUNNING -> DRAINING -> DONE`` is the happy path: a job is
-    *pending* until its enactment actually starts (buffered jobs stay
-    pending until :meth:`Job.close_input`), *running* while input is still
-    open, *draining* once input closed but work remains, *done* when the
-    final :class:`~repro.metrics.result.RunResult` is available.  ``FAILED``
-    and ``CANCELLED`` are the terminal error states; a deadline expiry
-    cancels the job.
+    *pending* until its enactment actually starts (scheduled jobs until
+    admission, buffered jobs until :meth:`Job.close_input`), *running* while
+    input is still open, *draining* once input closed but work remains,
+    *done* when the final :class:`~repro.metrics.result.RunResult` is
+    available.  ``FAILED`` and ``CANCELLED`` are the terminal error states;
+    a deadline expiry cancels the job.
     """
 
     PENDING = "pending"
@@ -66,10 +72,10 @@ _END = object()
 class Job:
     """Handle of one submitted workflow enactment.
 
-    Jobs are created by :meth:`repro.mappings.base.Mapping.submit` (usually
-    via :meth:`repro.engine.Engine.submit`); user code only consumes the
-    public API below.  All methods are thread-safe; :meth:`results` is a
-    single-consumer stream.
+    Jobs are created by :meth:`repro.mappings.base.Mapping.prepare` -- the
+    only construction site -- usually via :meth:`repro.engine.Engine.submit`
+    or a scheduler; user code only consumes the public API below.  All
+    methods are thread-safe; :meth:`results` is a single-consumer stream.
     """
 
     def __init__(self, mapping: str, workflow: str, streaming: bool) -> None:
@@ -92,6 +98,11 @@ class Job:
         self._send_fn: Optional[Callable[[Any, Any], None]] = None
         self._close_fn: Optional[Callable[[], None]] = None
         self._cancel_fn: Optional[Callable[[], None]] = None
+        self._launch_fn: Optional[Callable[[Any, bool], None]] = None
+        # Guarded by ``_lock`` against ``cancel``: a job is launched at most
+        # once, and never after it was cancelled.
+        self._launched = False
+        self._resolved = False
         self._deadline_timer: Optional[threading.Timer] = None
         self._terminal_hooks: List[Callable[["Job"], None]] = []
         self._first_result_hook: Optional[Callable[[], None]] = None
@@ -220,7 +231,9 @@ class Job:
         The state flips to ``CANCELLED`` immediately (further ``send`` calls
         raise) while workers unwind in the background; :meth:`wait` /
         :meth:`results` return only after teardown finished, so a joined
-        cancelled job leaks no workers.
+        cancelled job leaks no workers.  A job that was never launched
+        (still queued for admission) has nothing to unwind and resolves
+        here, without ever enacting.
         """
         with self._lock:
             if self._state in TERMINAL_STATES:
@@ -228,8 +241,11 @@ class Job:
             self._state = JobState.CANCELLED
             self._cancel_reason = reason
             cancel = self._cancel_fn
+            launched = self._launched
         if cancel is not None:
             cancel()
+        if not launched:
+            self._finish_cancelled()
         return True
 
     # ----------------------------------------------- enactment-side plumbing
@@ -238,17 +254,55 @@ class Job:
         send: Callable[[Any, Any], None],
         close: Callable[[], None],
         cancel: Callable[[], None],
+        launch: Callable[[Any, bool], None],
     ) -> None:
-        """Install the enactment-side callbacks (before hand-out)."""
+        """Install the enactment-side callbacks (before hand-out).
+
+        ``launch(deployment, busy_fallback)`` starts the driver thread; the
+        other three work from the moment they are wired, launched or not.
+        """
         self._send_fn = send
         self._close_fn = close
         self._cancel_fn = cancel
+        self._launch_fn = launch
+
+    def _gate_send(
+        self, gate: Callable[[Callable[[Any, Any], None], Any, Any], None]
+    ) -> None:
+        """Re-wire ``send`` to run ``gate(send, target, tuples)`` instead.
+
+        The scheduler's admission backpressure: the gate meters tuples
+        while the job queues and forwards to the wired ``send``.
+        """
+        send = self._send_fn
+        assert send is not None, "gate installed before wiring"
+        self._send_fn = lambda target, tuples: gate(send, target, tuples)
+
+    def _launch(self, deployment: Any = None, busy_fallback: bool = False) -> bool:
+        """Start enacting on ``deployment`` (``None``: ephemeral resources).
+
+        Returns False, touching nothing, when the job was cancelled first
+        or already launched.  A launch that raises fails the handle (so its
+        hooks fire and its deadline disarms) and re-raises.
+        """
+        with self._lock:
+            if self._launched or self._state in TERMINAL_STATES:
+                return False
+            self._launched = True
+            launch = self._launch_fn
+        assert launch is not None, "job was launched before wiring"
+        try:
+            launch(deployment, busy_fallback)
+        except BaseException as exc:
+            self._fail(exc)
+            raise
+        return True
 
     def _arm_deadline(self, deadline: Optional[float]) -> None:
         """Cancel the job ``deadline`` real seconds from now (if set).
 
-        The value was validated by ``Mapping.submit`` *before* any wiring
-        (raising here would orphan the already-running driver thread).
+        The value was validated by the submitting side *before* any wiring
+        (raising here would orphan an already-wired handle).
         """
         if deadline is None:
             return
@@ -260,9 +314,15 @@ class Job:
         timer.start()
 
     def _on_terminal(self, hook: Callable[["Job"], None]) -> None:
-        """Register a hook fired once when the job reaches a terminal state."""
+        """Register a hook fired once when the job reaches a terminal state.
+
+        Hooks run on the resolving thread *before* :meth:`wait` /
+        :meth:`results` callers are released, so whoever observes the job
+        done also observes what its hooks did (deployment back in its pool,
+        scheduler slot and stats settled, engine tracking dropped).
+        """
         with self._lock:
-            if not self._terminal.is_set():
+            if not self._resolved:
                 self._terminal_hooks.append(hook)
                 return
         hook(self)
@@ -308,8 +368,9 @@ class Job:
         error: Optional[BaseException] = None,
     ) -> None:
         with self._lock:
-            if self._terminal.is_set():  # pragma: no cover - double resolve
+            if self._resolved:  # a failed launch, then its caller's _fail
                 return
+            self._resolved = True
             # A cancel that already flipped the state wins over the driver's
             # outcome: the user asked for cancellation, the partial result
             # is discarded.
@@ -320,12 +381,14 @@ class Job:
             self._input_closed = True
             hooks, self._terminal_hooks = self._terminal_hooks, []
             timer = self._deadline_timer
-            self._terminal.set()
         if timer is not None:
             timer.cancel()
-        self._results_q.put(_END)
-        for hook in hooks:
-            hook(self)
+        try:
+            for hook in hooks:
+                hook(self)
+        finally:
+            self._terminal.set()
+            self._results_q.put(_END)
 
     def _cancel_message(self) -> str:
         base = f"job {self.workflow!r} was cancelled"

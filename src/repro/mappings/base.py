@@ -778,8 +778,9 @@ class EnactmentState:
     """Everything :meth:`Mapping._enact` needs, bundled.
 
     ``feed`` / ``control`` / ``pool`` are only set on streaming
-    submissions: the live input bridge, the cancellation plumbing, and the
-    warm worker pool to run on (``None`` means spin up an ephemeral one).
+    submissions: the live input bridge, the cancellation plumbing, and --
+    bound at launch -- the leased deployment's warm worker pool (``None``
+    means spin up an ephemeral one).
     """
 
     def __init__(
@@ -1004,36 +1005,70 @@ class Mapping:
     ) -> Job:
         """Start enacting ``graph`` and return a live :class:`Job` handle.
 
-        On streaming mappings (``Capabilities.streaming``) the workflow starts
-        immediately on a background driver thread: initial ``inputs`` are
-        consumed *lazily* into the running graph, ``job.send`` feeds more,
-        ``job.close_input`` ends the stream, and ``job.results()`` yields
-        outputs as the collector receives them.  Other mappings buffer
-        ingestion and enact once the input closes (results still stream).
-        ``stream=False`` forces the buffered wiring even on a streaming
-        mapping -- the classic enactment path, byte-identical counters,
-        ``inputs=None`` read as one empty invocation per source (a live
-        submission reads it as "no initial inputs") -- which is what the
-        ``Engine.run()`` shim uses.  ``results_channel=
-        False`` skips the collector tap for wait-only callers (the shim
-        again): ``job.results()`` then ends without yielding, instead of
-        buffering every output a second time for a consumer that never
-        comes.
+        :meth:`prepare` (which documents ``inputs`` / ``stream`` /
+        ``results_channel`` / ``deadline``) followed at once by the job's
+        launch on ``deployment``: a warm :class:`Deployment` from
+        :meth:`deploy`, or ``None`` to run cold with ephemeral resources,
+        exactly like :meth:`execute`.  ``busy_fallback=True`` marks a cold
+        ephemeral run taken only because the caller's warm slot was
+        occupied (the ``deploy_busy_fallback`` counter), distinguishing it
+        from a plain first-use cold deploy.  Validation errors raise here,
+        synchronously; enactment errors surface from ``job.wait()`` /
+        ``job.results()``.
+        """
+        job = self.prepare(
+            graph, inputs, processes, platform, time_scale, seed,
+            deadline=deadline, stream=stream, results_channel=results_channel,
+            **options,
+        )
+        job._launch(deployment, busy_fallback)
+        return job
 
-        ``deployment`` is a warm :class:`Deployment` from :meth:`deploy`;
-        ``None`` runs cold with ephemeral resources, exactly like
-        :meth:`execute`.  ``busy_fallback=True`` marks a cold ephemeral run
-        taken only because the caller's warm slot was occupied (the
-        ``deploy_busy_fallback`` counter), distinguishing it from a plain
-        first-use cold deploy.  ``deadline`` (real seconds) cancels the job
-        when exceeded.  Validation errors raise here, synchronously;
-        enactment errors surface from ``job.wait()`` / ``job.results()``.
+    def prepare(
+        self,
+        graph: WorkflowGraph,
+        inputs: InputSpec = None,
+        processes: int = 1,
+        platform: PlatformProfile = LAPTOP,
+        time_scale: float = 1.0,
+        seed: int = 0,
+        deadline: Optional[float] = None,
+        stream: Optional[bool] = None,
+        results_channel: bool = True,
+        **options: Any,
+    ) -> Job:
+        """Validate a submission and build its :class:`Job`, not yet enacting.
+
+        Everything :meth:`submit` does short of touching a deployment: the
+        returned job is ``PENDING`` and already accepts ``send`` /
+        ``close_input`` / ``cancel``; ``job._launch(deployment)`` starts its
+        driver thread (``job-<mapping>-<workflow>``).  A scheduler prepares
+        at submit time and launches at admission, so the handle it returned
+        is the one that runs.
+
+        On streaming mappings (``Capabilities.streaming``) the launched
+        workflow runs on the driver thread while input is still open:
+        initial ``inputs`` are consumed *lazily* into the running graph,
+        then whatever ``job.send`` buffered before the launch, then live
+        sends; ``job.close_input`` ends the stream, and ``job.results()``
+        yields outputs as the collector receives them.  Other mappings
+        buffer ingestion and enact once the input closes (results still
+        stream).  ``stream=False`` forces the buffered wiring even on a
+        streaming mapping -- the classic enactment path, byte-identical
+        counters, ``inputs=None`` read as one empty invocation per source
+        (a live submission reads it as "no initial inputs") -- which is
+        what the ``Engine.run()`` shim uses.  ``results_channel=False``
+        skips the collector tap for wait-only callers (the shim again):
+        ``job.results()`` then ends without yielding, instead of buffering
+        every output a second time for a consumer that never comes.
+        ``deadline`` (real seconds, counted from now) cancels the job when
+        exceeded, launched or not.
         """
         options = dict(options)
         caps = self.capabilities
         if deadline is not None and deadline <= 0:
-            # Validated before any wiring: a bad deadline must not leave an
-            # orphaned driver thread running on a torn-down deployment.
+            # Validated before any wiring: a bad deadline must not leave a
+            # wired handle behind.
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
         self._check_enactable(graph, processes, platform)
         if inputs is None and stream is not False:
@@ -1051,40 +1086,38 @@ class Mapping:
                 f"mapping {self.name!r} does not support live streaming "
                 f"submissions; drop stream=True for buffered ingestion"
             )
-        if deployment is not None and not deployment.compatible(
-            self.name, processes, platform
-        ):
-            raise MappingError(
-                f"deployment {deployment!r} is not compatible with a "
-                f"{self.name!r} submission at {processes} processes"
-            )
-        if (
-            deployment is not None
-            and deployment.redis_server is not None
-            and caps.requires_redis
-        ):
-            options.setdefault("redis_server", deployment.redis_server)
-        if (
-            deployment is not None
-            and deployment.net_server is not None
-            and caps.networked
-        ):
-            options.setdefault("net_server", deployment.net_server)
         # Streaming submissions must not consume the (possibly lazy) input
         # iterators, so the planner profiles without an input sample there.
         plan = resolve_plan(options, caps, self.name, graph, platform)
         job = Job(mapping=self.name, workflow=graph.name, streaming=stream)
         tap = job._emit if results_channel else None
-        if stream:
-            self._wire_streaming(
-                job, graph, inputs, processes, platform, time_scale, seed,
-                options, plan, deployment, tap, busy_fallback,
-            )
-        else:
-            self._wire_buffered(
-                job, graph, inputs, processes, platform, time_scale, seed,
-                options, plan, deployment, tap, busy_fallback,
-            )
+        wire = self._wire_streaming if stream else self._wire_buffered
+        send, close, cancel, drive = wire(
+            job, graph, inputs, processes, platform, time_scale, seed,
+            options, plan, tap,
+        )
+
+        def launch(deployment: Optional[Deployment], busy_fallback: bool) -> None:
+            if deployment is not None:
+                if not deployment.compatible(self.name, processes, platform):
+                    raise MappingError(
+                        f"deployment {deployment!r} is not compatible with a "
+                        f"{self.name!r} submission at {processes} processes"
+                    )
+                # ``options`` is the dict the enactment reads: point it at
+                # the leased deployment's servers.
+                if deployment.redis_server is not None and caps.requires_redis:
+                    options.setdefault("redis_server", deployment.redis_server)
+                if deployment.net_server is not None and caps.networked:
+                    options.setdefault("net_server", deployment.net_server)
+            threading.Thread(
+                target=drive,
+                args=(deployment, busy_fallback),
+                name=f"job-{self.name}-{graph.name}",
+                daemon=True,
+            ).start()
+
+        job._wire(send, close, cancel, launch)
         job._arm_deadline(deadline)
         return job
 
@@ -1100,20 +1133,23 @@ class Mapping:
         seed: int,
         options: Dict[str, Any],
         plan: Optional[Plan],
-        deployment: Optional[Deployment],
         tap: Optional[Callable[[str, Any], None]],
-        busy_fallback: bool = False,
-    ) -> None:
+    ) -> Tuple[Callable, Callable, Callable, Callable]:
+        """The live wiring: ``(send, close, cancel, drive)`` over a LiveFeed.
+
+        The feed holds the lazy initial inputs and buffers every push until
+        the launched enactment attaches its sink, so sends made while the
+        job waits for admission land behind the initial inputs and ahead of
+        later ones.
+        """
         control = StreamControl()
         provided = iter_root_inputs(graph, inputs)
         state = self._build_state(
             graph, provided, processes, platform, time_scale, seed, options,
             plan, tap=tap, control=control,
-            pool=deployment.pool if deployment is not None else None,
         )
         feed = LiveFeed(state.provided, cancelled=control.cancelled)
         state.feed = feed
-        self._note_deployment(state, deployment, busy_fallback)
         roots = {pe.name for pe in graph.roots()}
 
         def send(target: Any, tuples: Any) -> None:
@@ -1122,10 +1158,11 @@ class Mapping:
             for item in items:
                 feed.push(root, item)
 
-        job._wire(send, feed.close, control.cancel)
-
-        def drive() -> None:
+        def drive(deployment: Optional[Deployment], busy_fallback: bool) -> None:
             job._mark_running()
+            if deployment is not None:
+                state.pool = deployment.pool
+            self._note_deployment(state, deployment, busy_fallback)
             try:
                 result = self._run_measured(state)
             except JobCancelledError:
@@ -1140,9 +1177,7 @@ class Mapping:
             else:
                 job._finish(result)
 
-        threading.Thread(
-            target=drive, name=f"job-{self.name}-{graph.name}", daemon=True
-        ).start()
+        return send, feed.close, control.cancel, drive
 
     def _wire_buffered(
         self,
@@ -1155,12 +1190,14 @@ class Mapping:
         seed: int,
         options: Dict[str, Any],
         plan: Optional[Plan],
-        deployment: Optional[Deployment],
         tap: Optional[Callable[[str, Any], None]],
-        busy_fallback: bool = False,
-    ) -> None:
-        # Initial inputs are materialized now (surfacing spec errors at
-        # submit time); sends append under the lock until the input closes.
+    ) -> Tuple[Callable, Callable, Callable, Callable]:
+        """The buffered wiring: ``(send, close, cancel, drive)`` over a dict.
+
+        Initial inputs are materialized now (surfacing spec errors at
+        submit time); sends append under the lock until the input closes,
+        launched or not, and the driver enacts the lot once it has.
+        """
         buffer = normalize_inputs(graph, inputs)
         buffer_lock = threading.Lock()
         closed = threading.Event()
@@ -1176,9 +1213,7 @@ class Mapping:
             cancelled.set()
             closed.set()
 
-        job._wire(send, closed.set, cancel)
-
-        def drive() -> None:
+        def drive(deployment: Optional[Deployment], busy_fallback: bool) -> None:
             closed.wait()
             if cancelled.is_set():
                 job._finish_cancelled()
@@ -1201,9 +1236,7 @@ class Mapping:
                 # the CANCELLED-state guard in Job._resolve.
                 job._finish(result)
 
-        threading.Thread(
-            target=drive, name=f"job-{self.name}-{graph.name}", daemon=True
-        ).start()
+        return send, closed.set, cancel, drive
 
     @staticmethod
     def _note_deployment(
@@ -1254,7 +1287,6 @@ class Mapping:
         plan: Optional[Plan],
         tap: Optional[Callable[[str, Any], None]] = None,
         control: Optional[StreamControl] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> EnactmentState:
         """Assemble the run context (clock, collector, planned rewrite)."""
         clock = Clock(time_scale)
@@ -1293,7 +1325,6 @@ class Mapping:
             counters=counters,
             options=options,
             control=control,
-            pool=pool,
         )
         state.member_meter = member_meter
         state.root_rename = root_rename

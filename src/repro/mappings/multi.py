@@ -50,13 +50,14 @@ from repro.runtime.queues import (
 #: Message tags on instance queues.
 _DATA = "data"
 _PILL = "pill"
-#: How often (real seconds) a streaming worker blocked on an empty queue
-#: wakes to check the job's cancel flag.
-_STREAM_POLL = 0.05
+#: Dropped on every instance queue and live channel when the job is
+#: cancelled, to wake workers blocked in ``get()``; never interpreted -- a
+#: worker checks the cancel flag before looking at what it received.
+_CANCEL_WAKE = ("cancel", None, None)
 
 
 class _WorkerCancelled(BaseException):
-    """Internal: a streaming worker observed the job's cancel flag."""
+    """Internal: a worker observed the job's cancel flag."""
 
 
 @register_mapping(
@@ -77,9 +78,10 @@ class MultiMapping(Mapping):
     LiveFeed`; the channel's poison pill (sent at ``close_input``) plays
     the role the exhausted input share plays in the one-shot path, after
     which the usual counted-pill termination cascades downstream.  Workers
-    run on the session's warm pool (cold: on threads of their own), poll a
-    cancel flag, and on cancellation still close their downstream ports so
-    no peer blocks on a dead producer.
+    run on the session's warm pool (cold: on threads of their own) and
+    block in ``get()``; cancellation wakes each with a marker message, and
+    a cancelled worker still closes its downstream ports so no peer blocks
+    on a dead producer.
     """
 
     name = "multi"
@@ -204,30 +206,44 @@ class MultiMapping(Mapping):
         def worker(pe_name: str, index: int) -> None:
             worker_id = f"{pe_name}.{index}"
             deliver, flush_outbox, poll_outbox = make_deliver()
+
+            def receive(source: CloseableQueue) -> Any:
+                if poll_outbox is None:
+                    item = source.get()
+                else:
+                    # Wake at the linger cadence so a buffered tail
+                    # flushes on deadline even while we are starved of
+                    # input (the documented upper bound on buffering).
+                    while True:
+                        try:
+                            item = source.get(timeout=batch_linger)
+                            break
+                        except Empty:
+                            poll_outbox()
+                if state.cancelled():
+                    raise _WorkerCancelled()
+                return item
+
             try:
                 instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
                 instance.preprocess()
-                for item in root_shares.get((pe_name, index), []):
+                # A source instance's own inputs: its pre-split share, or
+                # its live channel up to the pill close_input sends.
+                channel = channels.get((pe_name, index))
+                if channel is None:
+                    own_inputs = root_shares.get((pe_name, index), ())
+                else:
+                    own_inputs = iter(lambda: receive(channel), POISON_PILL)
+                for item in own_inputs:
                     emissions = instance._invoke(item)
                     state.counters.inc("tasks")
                     route_out(pe_name, index, emissions, deliver)
                 remaining = dict(expected_pills[(pe_name, index)])
                 queue = queues[(pe_name, index)]
                 while any(v > 0 for v in remaining.values()):
-                    if poll_outbox is None:
-                        item = queue.get()
-                    else:
-                        # Wake at the linger cadence so a buffered tail
-                        # flushes on deadline even while we are starved of
-                        # input (the documented upper bound on buffering).
-                        try:
-                            item = queue.get(timeout=batch_linger)
-                        except Empty:
-                            poll_outbox()
-                            continue
                     # A queue item is a message or a batch envelope of
                     # messages; iterate without re-polling per tuple.
-                    for tag, port, payload in batch_items(item):
+                    for tag, port, payload in batch_items(receive(queue)):
                         if tag == _PILL:
                             remaining[port] -= 1
                             continue
@@ -240,63 +256,6 @@ class MultiMapping(Mapping):
                 # data still buffered behind it.
                 flush_outbox()
                 broadcast_pills(pe_name)
-            except BaseException as exc:  # noqa: BLE001 - worker boundary
-                state.record_error(exc)
-                # Close downstream anyway so peers do not hang on a dead
-                # producer; the error is re-raised after the run.
-                try:
-                    flush_outbox()
-                    broadcast_pills(pe_name)
-                except BaseException as cleanup_exc:  # pragma: no cover
-                    state.record_error(cleanup_exc)
-            finally:
-                state.meter.deactivate(worker_id)
-
-        def worker_streaming(pe_name: str, index: int) -> None:
-            """Live-input variant: channel-fed sources, cancel-aware loops."""
-            worker_id = f"{pe_name}.{index}"
-            cancelled = state.control.cancelled
-            deliver, flush_outbox, poll_outbox = make_deliver()
-            try:
-                instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
-                instance.preprocess()
-                channel = channels.get((pe_name, index))
-                if channel is not None:
-                    while True:
-                        if cancelled.is_set():
-                            raise _WorkerCancelled()
-                        try:
-                            item = channel.get(timeout=_STREAM_POLL)
-                        except Empty:
-                            if poll_outbox is not None:
-                                poll_outbox()
-                            continue
-                        if item is POISON_PILL:
-                            break
-                        emissions = instance._invoke(item)
-                        state.counters.inc("tasks")
-                        route_out(pe_name, index, emissions, deliver)
-                remaining = dict(expected_pills[(pe_name, index)])
-                queue = queues[(pe_name, index)]
-                while any(v > 0 for v in remaining.values()):
-                    if cancelled.is_set():
-                        raise _WorkerCancelled()
-                    try:
-                        item = queue.get(timeout=_STREAM_POLL)
-                    except Empty:
-                        if poll_outbox is not None:
-                            poll_outbox()
-                        continue
-                    for tag, port, payload in batch_items(item):
-                        if tag == _PILL:
-                            remaining[port] -= 1
-                            continue
-                        emissions = instance._invoke({port: payload})
-                        state.counters.inc("tasks")
-                        route_out(pe_name, index, emissions, deliver)
-                route_out(pe_name, index, instance._flush_postprocess(), deliver)
-                flush_outbox()
-                broadcast_pills(pe_name)
             except _WorkerCancelled:
                 # Abandon in-flight data, but still close downstream so no
                 # peer blocks on a producer that will never finish.
@@ -306,6 +265,8 @@ class MultiMapping(Mapping):
                     state.record_error(exc)
             except BaseException as exc:  # noqa: BLE001 - worker boundary
                 state.record_error(exc)
+                # Close downstream anyway so peers do not hang on a dead
+                # producer; the error is re-raised after the run.
                 try:
                     flush_outbox()
                     broadcast_pills(pe_name)
@@ -321,12 +282,18 @@ class MultiMapping(Mapping):
             state.meter.activate(f"{name}.{idx}")
 
         calls = [
-            (f"multi-{name}.{idx}", worker_streaming if streaming else worker, (name, idx))
+            (f"multi-{name}.{idx}", worker, (name, idx))
             for name, idx in concrete.all_instances()
         ]
         if not streaming:
             run_workers(state, calls)
             return None
+
+        def wake_workers() -> None:
+            for blocked_on in (*queues.values(), *channels.values()):
+                blocked_on.put(_CANCEL_WAKE)
+
+        state.control.on_cancel(wake_workers)
 
         # The *feed* stage: drain initial inputs into the live channels
         # (lazily, while workers already consume), then forward sends until

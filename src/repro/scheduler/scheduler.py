@@ -27,23 +27,27 @@ Hard per-tenant ``max_outstanding`` quotas reject at submit time
 :class:`BackpressureError`, per ``backpressure=``).  Lifecycle metrics
 live on :attr:`JobScheduler.stats` (:class:`SchedulerStats`).
 
-The scheduler returns the same :class:`~repro.jobs.Job` handle as direct
-submission: callers ``send``/``results``/``wait`` identically, and
+One submission is one :class:`~repro.jobs.Job`: ``submit`` *prepares* it
+through the engine (validated, wired, buffering ``send``), queues it, and
+admission *launches that same object* on a leased deployment -- prepare ->
+queue -> launch.  A scheduled job therefore costs the threads a direct one
+does (its ``job-*`` driver) plus the shared dispatcher; callers
+``send``/``results``/``wait`` identically, and
 ``Engine.submit(scheduler=...)`` routes through here so the in-process and
 daemon (``repro serve``) paths share one code path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.jobs import Job, JobCancelledError, JobState
-from repro.mappings.base import DeploymentPool, InputSpec, expand_send
-from repro.mappings.registry import get_capabilities
+from repro.jobs import Job, JobState
+from repro.mappings.base import DeploymentPool, InputSpec
 
 
 class QuotaExceededError(RuntimeError):
@@ -51,7 +55,7 @@ class QuotaExceededError(RuntimeError):
 
 
 class BackpressureError(RuntimeError):
-    """``Job.send`` on a queued job overflowed the staging high-water mark."""
+    """``Job.send`` on a queued job overflowed the scheduler's high-water mark."""
 
 
 @dataclass(frozen=True)
@@ -82,33 +86,20 @@ class _QueuedJob:
     """One submission's admission-side record (scheduler-internal)."""
 
     __slots__ = (
-        "job", "tenant", "priority", "seq", "submitted_at",
-        "name", "graph", "inputs", "processes", "merged",
-        "time_scale", "seed",
-        "cond", "staged", "staged_tuples", "closed", "cancelled",
-        "admitted", "inner", "failure", "roots",
+        "job", "tenant", "priority", "seq", "submitted_at", "processes", "sent",
     )
 
-    def __init__(self, job, tenant, priority, seq, spec):
+    def __init__(self, job, tenant, priority, seq, processes):
         self.job = job
         self.tenant = tenant
         self.priority = priority
         self.seq = seq
         self.submitted_at = time.monotonic()
-        (self.name, self.graph, self.inputs, self.processes, self.merged,
-         self.time_scale, self.seed) = spec
-        self.roots = {pe.name for pe in self.graph.roots()}
-        # Pre-admission state, guarded by ``cond`` (never the scheduler
-        # lock): staged sends flush to the inner job *before* ``inner`` is
-        # published, so user tuples can never overtake staged ones.
-        self.cond = threading.Condition()
-        self.staged: List[Tuple[str, List[Any]]] = []
-        self.staged_tuples = 0
-        self.closed = False
-        self.cancelled = False
-        self.admitted = False
-        self.inner: Optional[Job] = None
-        self.failure: Optional[BaseException] = None
+        self.processes = processes
+        # Tuples sent ahead of the launch, metered against ``high_water``
+        # under the scheduler lock; ``None`` once the gate is lifted (the
+        # job launched, or reached a terminal state without launching).
+        self.sent: Optional[int] = 0
 
 
 class JobScheduler:
@@ -127,11 +118,11 @@ class JobScheduler:
         ``{tenant: TenantQuota}``; unlisted tenants get weight 1.0 and no
         outstanding cap.
     high_water:
-        Max tuples a not-yet-admitted job may stage via ``Job.send``.
+        Max tuples ``Job.send`` accepts for a not-yet-admitted job (they
+        wait in the job's own ingestion buffer).
     backpressure:
-        What an over-high-water ``send`` does: ``"block"`` until admission
-        drains the staging buffer, or ``"error"``
-        (:class:`BackpressureError`).
+        What an over-high-water ``send`` does: ``"block"`` until the job is
+        admitted and launched, or ``"error"`` (:class:`BackpressureError`).
     aging_interval:
         Seconds of queue wait worth one priority level -- smaller values
         age starved jobs upward faster.
@@ -200,13 +191,16 @@ class JobScheduler:
     ) -> Job:
         """Queue a workflow for admission and return its :class:`Job` now.
 
-        The job is ``PENDING`` until admission grants it a deployment from
-        the mapping's warm pool; ``send``/``close_input``/``results`` work
-        immediately (sends stage until admission, bounded by the
-        scheduler's high-water mark).  ``priority`` ranks the job within
-        its ``tenant`` (higher first, aged upward while waiting);
-        ``deadline`` counts from *submission*, so it covers queue wait too.
-        Remaining parameters mirror :meth:`repro.engine.Engine.submit`.
+        The job is prepared here -- a bad ``inputs`` spec or an unenactable
+        graph raises the same error ``Engine.submit`` would, before
+        anything is queued -- and stays ``PENDING`` until admission leases
+        it a deployment from the mapping's warm pool and launches it;
+        ``send``/``close_input``/``results`` work immediately (sends wait
+        in the job's ingestion buffer, bounded by the scheduler's
+        high-water mark).  ``priority`` ranks the job within its ``tenant``
+        (higher first, aged upward while waiting); ``deadline`` counts from
+        *submission*, so it covers queue wait too.  Remaining parameters
+        mirror :meth:`repro.engine.Engine.submit`.
 
         An admitted job holds its concurrency slot until its input closes
         and the run drains -- ``inputs`` seeds the stream but does *not*
@@ -216,14 +210,21 @@ class JobScheduler:
 
         Raises :class:`QuotaExceededError` when the tenant is at its
         ``max_outstanding`` cap, ``RuntimeError`` on a closed scheduler or
-        engine, and whatever the engine's option gating raises -- all
-        synchronously, before the job is queued.
+        engine, and whatever the engine's option gating or the mapping's
+        validation raises -- all synchronously, before the job is queued.
         """
         graph, name, procs, merged = self.engine._resolve_submission(
             workflow, processes, mapping, options
         )
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
+        # Prepared off the scheduler lock (planning can be slow); a handle
+        # refused below was never handed out and holds no thread or timer.
+        job = self.engine._prepare_job(
+            name, graph, inputs, procs, merged,
+            time_scale=time_scale, seed=seed, deadline=None,
+            stream=None, results_channel=True,
+        )
         with self._cond:
             if self._closed:
                 raise RuntimeError("JobScheduler is closed; create a new one")
@@ -240,32 +241,20 @@ class JobScheduler:
                         f"{quota.max_outstanding}; wait for completions or "
                         f"raise the quota"
                     )
-            job = Job(
-                mapping=name,
-                workflow=graph.name,
-                streaming=get_capabilities(name).streaming,
-            )
-            record = _QueuedJob(
-                job, tenant, float(priority), next(self._seq),
-                (name, graph, inputs, procs, merged, time_scale, seed),
-            )
-            job._wire(
-                lambda target, tuples: self._job_send(record, target, tuples),
-                lambda: self._job_close(record),
-                lambda: self._job_cancel(record),
-            )
+            record = _QueuedJob(job, tenant, float(priority), next(self._seq), procs)
+            job._gate_send(functools.partial(self._gated_send, record))
             submitted_at = record.submitted_at
             job._set_first_result_hook(
                 lambda: self.stats.note_first_result(
                     time.monotonic() - submitted_at
                 )
             )
-            job._on_terminal(lambda j: self._outer_terminal(record, j))
+            job._on_terminal(lambda j: self._job_terminal(record, j))
             self._queue.append(record)
             self.stats.note_submitted()
             self._cond.notify_all()
-        # The engine tracks the outer handle so Engine.close() cancels
-        # queued scheduler jobs along with its own.
+        # Tracked by the engine so Engine.close() cancels queued scheduler
+        # jobs along with its own.
         self.engine._adopt_job(job)
         job._arm_deadline(deadline)
         return job
@@ -285,87 +274,67 @@ class JobScheduler:
         ``deploy_warm`` -- the spin-up happened here, outside any job.
         """
         procs = processes if processes is not None else self.engine.config.processes
-        return self._pool_for(mapping).prewarm(procs, self.engine.platform, count)
+        try:
+            return self._pool_for(mapping).prewarm(procs, self.engine.platform, count)
+        finally:
+            # Prewarming holds slots as "deploying" and hands them back
+            # without an on_release: re-run admission for jobs queued behind.
+            self._wake()
 
     # ------------------------------------------------------------ job wiring
-    def _job_send(self, record: _QueuedJob, target: Any, tuples: Any) -> None:
-        """Outer-job ``send``: stage pre-admission, forward post-admission."""
-        # Expand once, up front: target/shape errors surface at the send
-        # call even while queued, and the expanded mappings re-feed the
-        # inner job verbatim (dict items pass through expansion unchanged).
-        root, items = expand_send(record.graph, target, tuples, record.roots)
-        while True:
-            with record.cond:
-                inner = record.inner
-                if inner is None:
-                    if record.failure is not None:
-                        raise record.failure
-                    if record.cancelled or record.job.done():
-                        raise JobCancelledError(record.job._cancel_message())
-                    if record.staged_tuples + len(items) > self.high_water:
-                        if self.backpressure == "error":
-                            raise BackpressureError(
-                                f"job {record.job.workflow!r} is not yet "
-                                f"admitted and its staging buffer is full "
-                                f"({record.staged_tuples} tuple(s) staged, "
-                                f"high_water={self.high_water}); wait for "
-                                f"admission or raise high_water"
-                            )
-                        record.cond.wait(timeout=0.1)
-                        continue
-                    record.staged.append((root, items))
-                    record.staged_tuples += len(items)
-                    return
-            # Admitted: the inner job's own wiring takes over (its feed
-            # serializes concurrent pushes).
-            inner.send(root, items)
+    def _gated_send(
+        self,
+        record: _QueuedJob,
+        send: Callable[[Any, Any], None],
+        target: Any,
+        tuples: Any,
+    ) -> None:
+        """``Job.send`` behind the high-water meter; a pass-through once launched."""
+        if record.sent is None:
+            send(target, tuples)
             return
-
-    def _job_close(self, record: _QueuedJob) -> None:
-        with record.cond:
-            record.closed = True
-            inner = record.inner
-        if inner is not None:
-            inner.close_input()
-
-    def _job_cancel(self, record: _QueuedJob) -> None:
-        # The outer Job already flipped itself CANCELLED; our work is the
-        # queue/inner side.  Remove from the queue first so the dispatcher
-        # cannot admit a cancelled record.
+        tuples = list(tuples)
+        count = len(tuples)
         with self._cond:
-            in_queue = record in self._queue
-            if in_queue:
+            while record.sent is not None and record.sent + count > self.high_water:
+                if self.backpressure == "error":
+                    raise BackpressureError(
+                        f"job {record.job.workflow!r} is not yet admitted "
+                        f"and its send budget is used up ({record.sent} "
+                        f"tuple(s) sent ahead of admission, "
+                        f"high_water={self.high_water}); wait for "
+                        f"admission or raise high_water"
+                    )
+                # Woken by launch, cancel, any terminal transition and close.
+                self._cond.wait()
+            if record.sent is not None:
+                record.sent += count
+        record.job._raise_if_failed()  # cancelled or failed while blocked
+        try:
+            send(target, tuples)
+        except BaseException:
+            with self._cond:
+                if record.sent is not None:
+                    record.sent -= count  # a refused send costs no budget
+            raise
+
+    def _job_terminal(self, record: _QueuedJob, job: Job) -> None:
+        """The one terminal hook: leave the queue or free the slot, count it."""
+        with self._cond:
+            if record in self._queue:  # cancelled / deadline while queued
                 self._queue.remove(record)
                 self.stats.note_dequeued()
-            admitted = record.admitted
-            self._cond.notify_all()
-        with record.cond:
-            record.cancelled = True
-            inner = record.inner
-            record.cond.notify_all()
-        if inner is not None:
-            inner.cancel()
-        elif not admitted:
-            # Never admitted: no enactment to unwind, resolve immediately.
-            record.job._finish_cancelled()
-        # Admitted but inner not yet published: _admit's post-flush check
-        # observes ``cancelled`` and cancels the inner job itself.
-
-    def _outer_terminal(self, record: _QueuedJob, job: Job) -> None:
-        with self._cond:
-            if record in self._queue:  # deadline/cancel raced submission
-                self._queue.remove(record)
-                self.stats.note_dequeued()
-            if record in self._live:
+            else:
                 self._live.remove(record)
+                self.stats.note_slot_released()
+                self._running_count -= 1
+            record.sent = None
             self._cond.notify_all()
         outcome = {
             JobState.DONE: "done",
             JobState.FAILED: "failed",
         }.get(job.state, "cancelled")
         self.stats.note_terminal(outcome)
-        with record.cond:
-            record.cond.notify_all()  # release any blocked senders
 
     # ------------------------------------------------------------ dispatcher
     def _dispatch_loop(self) -> None:
@@ -376,21 +345,23 @@ class JobScheduler:
                     record = self._pick_locked(time.monotonic())
                     if record is not None:
                         break
-                    # Aging shifts effective priorities over time, so wake
-                    # periodically even without queue/slot events.
-                    self._cond.wait(timeout=0.2)
+                    # Untimed: aging only reorders the queue at pick time,
+                    # and every event that can make a pick succeed (submit,
+                    # slot freed, pool release, prewarm, close) notifies.
+                    self._cond.wait()
                 if self._closed:
                     return
                 self._queue.remove(record)
-                record.admitted = True
                 self._live.append(record)
                 self._running_count += 1
                 self._admitted_count[record.tenant] = (
                     self._admitted_count.get(record.tenant, 0) + 1
                 )
-            self.stats.note_admitted(
-                record.tenant, time.monotonic() - record.submitted_at
-            )
+                # Under the lock with the move to ``_live``: a cancel landing
+                # now releases the slot in ``_job_terminal`` *after* this count.
+                self.stats.note_admitted(
+                    record.tenant, time.monotonic() - record.submitted_at
+                )
             self._admit(record)
 
     def _pick_locked(self, now: float) -> Optional[_QueuedJob]:
@@ -404,7 +375,7 @@ class JobScheduler:
             return None
         eligible: Dict[str, List[_QueuedJob]] = {}
         for record in self._queue:
-            pool = self._pools.get(record.name)
+            pool = self._pools.get(record.job.mapping)
             if pool is not None and pool.free_slots() == 0:
                 continue
             eligible.setdefault(record.tenant, []).append(record)
@@ -439,69 +410,28 @@ class JobScheduler:
         return quota.weight if quota is not None else 1.0
 
     def _admit(self, record: _QueuedJob) -> None:
-        """Enact one admitted record (off the scheduler lock: deploys, sends)."""
-        with record.cond:
-            if record.cancelled:
-                record.job._finish_cancelled()
-                self._slot_freed()
-                return
-        pool = self._pool_for(record.name)
+        """Lease a deployment and launch the job on it (off the scheduler lock)."""
+        job = record.job
+        pool = self._pool_for(job.mapping)
+        deployment = None
         try:
             deployment, _busy = pool.try_acquire(
                 record.processes, self.engine.platform
             )
+            launched = job._launch(deployment)  # False: cancelled meanwhile
         except BaseException as exc:  # noqa: BLE001 - admission boundary
-            self._fail_admission(record, exc)
-            return
-        try:
-            inner = self.engine._start_job(
-                record.name, record.graph, record.inputs, record.processes,
-                record.merged,
-                time_scale=record.time_scale, seed=record.seed, deadline=None,
-                deployment=deployment, stream=None, results_channel=True,
+            job._fail(exc)  # the lease failed (a failed launch already did this)
+            launched = False
+        if launched and deployment is not None:
+            job._on_terminal(
+                lambda j: pool.release(deployment, reusable=j.state is JobState.DONE)
             )
-        except BaseException as exc:  # noqa: BLE001 - admission boundary
-            if deployment is not None:
-                # Validation failures raise before the deployment is ever
-                # touched; its warmth survives for the next job.
-                pool.release(deployment, reusable=True)
-            self._fail_admission(record, exc)
-            return
-        if deployment is not None:
-            leased = deployment
-            inner._on_terminal(
-                lambda j: pool.release(leased, reusable=j.state is JobState.DONE)
-            )
-        inner._on_terminal(lambda j: self._slot_freed())
-        record.job._mark_running()
-        flush_error: Optional[BaseException] = None
-        with record.cond:
-            staged, record.staged = record.staged, []
-            record.staged_tuples = 0
-            try:
-                for root, items in staged:
-                    inner.send(root, items)
-            except BaseException as exc:  # noqa: BLE001 - admission boundary
-                flush_error = exc
-            else:
-                record.inner = inner
-            record.cond.notify_all()
-        if flush_error is not None:
-            inner.cancel()
-            record.job._fail(flush_error)
-            return
-        with record.cond:
-            cancelled, closed = record.cancelled, record.closed
-        if cancelled:
-            inner.cancel()
-        elif closed:
-            inner.close_input()
-        threading.Thread(
-            target=self._bridge,
-            args=(record, inner),
-            name=f"sched-bridge-{record.job.workflow}",
-            daemon=True,
-        ).start()
+        elif deployment is not None:
+            # Never touched: its warmth survives for the next job.
+            pool.release(deployment, reusable=True)
+        with self._cond:
+            record.sent = None
+            self._cond.notify_all()
 
     def _pool_for(self, name: str) -> DeploymentPool:
         with self._cond:
@@ -512,44 +442,15 @@ class JobScheduler:
                     size=self.pool_size,
                     on_release=self._wake,
                 )
-                self._pools[name] = pool
+                if self._closed:
+                    pool.close()  # a straggling admission leases nothing
+                else:
+                    self._pools[name] = pool
         return pool
 
     def _wake(self) -> None:
         with self._cond:
             self._cond.notify_all()
-
-    def _slot_freed(self) -> None:
-        self.stats.note_slot_released()
-        with self._cond:
-            self._running_count = max(0, self._running_count - 1)
-            self._cond.notify_all()
-
-    def _fail_admission(self, record: _QueuedJob, exc: BaseException) -> None:
-        with record.cond:
-            record.failure = exc
-            record.cond.notify_all()
-        record.job._fail(exc)
-        self._slot_freed()
-
-    def _bridge(self, record: _QueuedJob, inner: Job) -> None:
-        """Pump the inner job's results into the outer handle, then resolve it."""
-        outer = record.job
-        try:
-            for key, value in inner.results():
-                outer._emit(key, value)
-        except BaseException:  # noqa: BLE001 - outcome forwarded below
-            pass
-        inner._terminal.wait()
-        state = inner.state
-        if state is JobState.DONE:
-            result = inner.result
-            assert result is not None
-            outer._finish(result)
-        elif state is JobState.FAILED:
-            outer._fail(inner._error or RuntimeError("enactment failed"))
-        else:
-            outer._finish_cancelled()
 
     # -------------------------------------------------------------- context
     def close(self, grace: float = 5.0) -> None:
@@ -562,18 +463,14 @@ class JobScheduler:
         with self._cond:
             already = self._closed
             self._closed = True
-            queued, self._queue = list(self._queue), []
-            live = list(self._live)
+            records = self._queue + self._live
             pools, self._pools = list(self._pools.values()), {}
             self._cond.notify_all()
-        if already and not (queued or live or pools):
+        if already and not (records or pools):
             return
-        for record in queued:
-            self.stats.note_dequeued()
+        for record in records:
             record.job.cancel(reason="scheduler closed")
-        for record in live:
-            record.job.cancel(reason="scheduler closed")
-        for record in queued + live:
+        for record in records:
             record.job._terminal.wait(timeout=grace)
         for pool in pools:
             pool.close()

@@ -23,7 +23,8 @@ submit      ``{"workflow", "params"?, "inputs"?, "tenant"?,
             "seed"?, "time_scale"?}`` -> ``{"job", "mapping",
             "streaming", "roots"}`` (omit ``inputs`` for the catalog
             default stream; pass ``null`` for none; ``roots`` are the
-            valid ``send`` targets)
+            valid ``send`` targets; a malformed ``inputs`` spec or an
+            unenactable graph is the error reply, nothing is queued)
 send        ``{"job", "target", "tuples"}`` -> ``{"sent": n}``
 close       ``{"job"}`` -> ``{"closed": true}``
 results     ``{"job", "timeout"?}`` -> one ``{"key", "value"}`` line
@@ -42,6 +43,7 @@ import socket
 import threading
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.exceptions import ReproError
 from repro.jobs import Job
 from repro.net.core import Connection, SocketServer
 from repro.scheduler.catalog import (
@@ -109,7 +111,7 @@ class SchedulerService(SocketServer):
             return False
         try:
             reply, stop = handler(sock, request)
-        except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        except (KeyError, TypeError, ValueError, RuntimeError, ReproError) as exc:
             reply, stop = {"ok": False, "error": str(exc) or type(exc).__name__}, False
         if reply is not None:
             sock.sendall(_encode(reply))

@@ -92,10 +92,11 @@ class SchedulerStats:
     def note_slot_released(self) -> None:
         """One admitted job released its concurrency slot (enactment over).
 
-        Kept separate from :meth:`note_terminal`: the slot frees when the
-        *inner* enactment ends, which can precede the outer handle's
-        resolution -- tying ``running`` to the slot keeps
-        ``peak_running <= max_concurrent`` exact.
+        Kept separate from :meth:`note_terminal`: only a job that was
+        admitted holds a slot (one cancelled in the queue does not), and
+        the scheduler reports the release before it frees the slot for
+        the next admission, which keeps ``peak_running <= max_concurrent``
+        exact.
         """
         with self._lock:
             self.running = max(0, self.running - 1)

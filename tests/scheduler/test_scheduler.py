@@ -11,7 +11,10 @@ Covers the scheduler tentpole's acceptance surface:
 - the ``Engine.submit(scheduler=...)`` routing and the
   ``deploy_busy_fallback`` regression (pinned without a scheduler, gone
   with one);
-- ``SchedulerStats`` lifecycle metrics.
+- ``SchedulerStats`` lifecycle metrics;
+- one ``Job`` per submission: the handle ``submit`` returns is the one
+  admission launches (identity, direct-submission parity, send ordering
+  across admission, synchronous validation, event-driven waits).
 """
 
 import threading
@@ -20,6 +23,7 @@ import time
 import pytest
 
 from repro import Engine, JobCancelledError, JobState
+from repro.core.exceptions import MappingError
 from repro.core.pe import IterativePE
 from repro.scheduler import (
     BackpressureError,
@@ -133,7 +137,7 @@ class TestConcurrentJobs:
                 assert sched.stats.peak_running <= 2
                 assert sched.stats.completed == 5
 
-    def test_results_stream_through_outer_handle(self):
+    def test_results_stream_through_returned_handle(self):
         with _engine() as engine:
             with JobScheduler(engine, max_concurrent=2) as sched:
                 job = sched.submit(_pipeline())
@@ -428,3 +432,254 @@ class TestStats:
         assert snap["first_result_p99"] is not None
         assert snap["first_result_p99"] >= snap["first_result_p50"]
         assert snap["queue_wait_p99"] is not None
+
+
+#: What a source saw, in arrival order (instances are deep copies of the
+#: submitted PE, so the record lives at module level; cleared per test).
+_ARRIVALS = []
+
+
+class Recording(IterativePE):
+    """Source that records every item it is invoked with, then forwards it."""
+
+    def _process(self, data):
+        _ARRIVALS.append(data)
+        return data
+
+
+def _job_threads(prefix):
+    return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+class TestOneJobPerSubmission:
+    def test_returned_handle_is_the_one_that_runs(self):
+        fired = []
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=2) as sched:
+                job = sched.submit(_pipeline("identity"))
+                job._on_terminal(lambda j: fired.append(j))
+                job.send("src", [1])
+                assert next(job.results(timeout=10)) == ("AddOne0.output", 3)
+                # Mid-run: the dispatcher plus exactly one driver, no relay.
+                assert _job_threads("sched-bridge") == []
+                assert _job_threads("job-") == [
+                    "job-scheduler", f"job-{MAPPING}-identity"
+                ]
+                assert engine._jobs == [job]
+                job.wait(timeout=30)
+            assert engine._jobs == []
+        assert fired == [job]
+
+    @pytest.mark.parametrize(
+        "mapping,timing",
+        [
+            # Counters that differ between two *direct* runs of this job too
+            # (25 pairs each on the build host), because they tally the
+            # scaler's rounds / activations or idle wake-ups, not work.
+            ("dyn_auto_multi", {"scale_iterations", "max_active", "graph_copies"}),
+            ("dyn_redis", {"empty_polls"}),
+            ("hybrid_redis", set()),
+            ("cluster_redis", {"empty_polls"}),
+        ],
+    )
+    def test_scheduled_matches_direct_warm_submission(self, mapping, timing):
+        """Same outputs, same counters: only the ``deploy_*`` stamps may differ."""
+
+        def work(result):
+            return {
+                name: value
+                for name, value in result.counters.items()
+                if not name.startswith("deploy_") and name not in timing
+            }
+
+        def drive(job):
+            job.send("src", [100, 101])
+            return job.wait(timeout=60)
+
+        with _engine(mapping=mapping, processes=3) as engine:
+            direct = drive(engine.submit(_pipeline(), inputs=list(range(20))))
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
+                scheduled = drive(sched.submit(_pipeline(), list(range(20))))
+        assert _values(scheduled) == _values(direct)
+        assert work(scheduled) == work(direct)
+
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis"])
+    def test_sends_keep_their_order_across_admission(self, mapping):
+        """Initial inputs, then pre-admission sends, then post-admission sends."""
+        _ARRIVALS.clear()
+        graph = linear_graph(Recording(name="src"), Double(), name="ordered")
+        # One worker, so arrival order at the source is feed order.
+        with _engine(mapping=mapping, processes=1) as engine:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
+                blocker = sched.submit(_pipeline("holds-the-slot"))
+                _wait_for(lambda: sched.stats.admitted == 1, message="blocker")
+                job = sched.submit(graph, inputs=[0, 1])
+                job.send("src", [2, 3])
+                assert job.state is JobState.PENDING
+                blocker.close_input()
+                _wait_for(lambda: sched.stats.admitted == 2, message="admission")
+                job.send("src", [4, 5])
+                job.wait(timeout=30)
+        assert _ARRIVALS == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis"])
+    def test_malformed_inputs_rejected_at_submit(self, mapping):
+        """Regression: the spec error used to surface only at admission."""
+        with _engine(mapping=mapping) as engine:
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                with pytest.raises(MappingError, match="unknown PE 'nope'"):
+                    sched.submit(_pipeline(), {"nope": [1]})
+                # Nothing was queued, no slot or deployment lease was spent.
+                assert sched.stats.submitted == 0
+                assert sched._pools == {}
+                assert engine._jobs == []
+
+    def test_launch_refuses_an_incompatible_deployment(self):
+        """One guard under ``Mapping.submit``, the engine and admission."""
+        with _engine() as engine:
+            mapping = engine._engine_for(MAPPING)
+            deployment = mapping.deploy(3, engine.platform)
+            try:
+                job = mapping.prepare(_pipeline(), processes=4, platform=engine.platform)
+                with pytest.raises(MappingError, match="not compatible"):
+                    job._launch(deployment)
+                assert job.state is JobState.FAILED
+            finally:
+                deployment.teardown()
+
+
+class TestBeforeAdmission:
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis"])
+    def test_close_input_before_admission(self, mapping):
+        with _engine(mapping=mapping) as engine:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
+                blocker = sched.submit(_pipeline("holds-the-slot"))
+                _wait_for(lambda: sched.stats.admitted == 1, message="blocker")
+                job = sched.submit(_pipeline(), inputs=[1])
+                job.send("src", [2])
+                job.close_input()
+                with pytest.raises(RuntimeError, match="input is closed"):
+                    job.send("src", [3])
+                assert job.state is JobState.PENDING
+                blocker.close_input()
+                assert _values(job.wait(timeout=30)) == [3, 5]
+
+    def test_cancel_before_admission_never_launches(self):
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
+                blocker = sched.submit(_pipeline("holds-the-slot"))
+                _wait_for(lambda: sched.stats.admitted == 1, message="blocker")
+                job = sched.submit(_pipeline("never-runs"), inputs=[1])
+                assert job.cancel()
+                # Resolved on the spot: no driver to wait for.
+                assert job.done()
+                blocker.close_input()
+                blocker.wait(timeout=30)
+                assert _job_threads(f"job-{MAPPING}-never-runs") == []
+                assert sched.stats.snapshot()["queued"] == 0
+
+    def test_cancel_racing_admission_leaves_running_at_zero(self):
+        """A cancel landing once the job is picked must see it counted admitted."""
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                picked, note_admitted = threading.Event(), sched.stats.note_admitted
+
+                def slow_note_admitted(tenant, queue_wait):
+                    picked.set()
+                    time.sleep(0.2)  # the canceller below is at the lock by now
+                    note_admitted(tenant, queue_wait)
+
+                sched.stats.note_admitted = slow_note_admitted
+                job = sched.submit(_pipeline("cancelled-at-the-door"))
+                assert picked.wait(timeout=10)
+                job.cancel()
+                _wait_for(lambda: sched.stats.admitted == 1, message="counted")
+                snap = sched.stats.snapshot()
+        assert (snap["running"], snap["cancelled"]) == (0, 1)
+
+    def test_blocked_sender_raises_when_job_is_cancelled(self):
+        with _engine() as engine:
+            with JobScheduler(
+                engine, max_concurrent=1, pool_size=1, high_water=1
+            ) as sched:
+                blocker = sched.submit(_pipeline("holds-the-slot"))
+                _wait_for(lambda: sched.stats.admitted == 1, message="blocker")
+                job = sched.submit(_pipeline())
+                job.send("src", [1])
+                outcome = []
+
+                def over_high_water():
+                    try:
+                        job.send("src", [2])
+                    except BaseException as exc:  # noqa: BLE001 - recorded
+                        outcome.append(exc)
+
+                sender = threading.Thread(target=over_high_water, daemon=True)
+                sender.start()
+                sender.join(timeout=0.1)
+                assert sender.is_alive()  # blocked, not refused
+                job.cancel(reason="enough")
+                sender.join(timeout=10)
+                assert not sender.is_alive()
+                blocker.close_input()
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], JobCancelledError)
+
+    def test_refused_send_costs_no_budget(self):
+        with _engine() as engine:
+            with JobScheduler(
+                engine, max_concurrent=1, pool_size=1,
+                high_water=2, backpressure="error",
+            ) as sched:
+                blocker = sched.submit(_pipeline("holds-the-slot"))
+                _wait_for(lambda: sched.stats.admitted == 1, message="blocker")
+                job = sched.submit(_pipeline())
+                with pytest.raises(MappingError, match="unknown PE"):
+                    job.send("ghost", [1, 2])
+                job.send("src", [1, 2])  # the whole budget is still there
+                blocker.close_input()
+                assert _values(job.wait(timeout=30)) == [3, 5]
+
+    def test_prewarm_finishing_admits_the_job_queued_behind_it(self):
+        """The pool's slot comes back without an ``on_release``; no timer helps."""
+        with _engine() as engine:
+            mapping = engine._engine_for(MAPPING)
+            deploy, gate = mapping.deploy, threading.Event()
+
+            def slow_deploy(*args, **kwargs):
+                gate.wait(timeout=30)
+                return deploy(*args, **kwargs)
+
+            mapping.deploy = slow_deploy
+            with JobScheduler(engine, max_concurrent=2, pool_size=1) as sched:
+                warmer = threading.Thread(
+                    target=sched.prewarm, args=(MAPPING,), daemon=True
+                )
+                warmer.start()
+                _wait_for(
+                    lambda: MAPPING in sched._pools
+                    and sched._pools[MAPPING].free_slots() == 0,
+                    message="prewarm holding the slot",
+                )
+                job = _batch(sched, _pipeline(), [1])
+                time.sleep(0.05)
+                assert sched.stats.admitted == 0  # the only slot is deploying
+                gate.set()
+                result = job.wait(timeout=30)
+                warmer.join(timeout=10)
+        assert _values(result) == [3]
+        assert result.counters.get("deploy_warm") == 1
+
+
+class TestEventDrivenWaits:
+    def test_idle_dispatcher_never_re_evaluates_admission(self):
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                _batch(sched, _pipeline(), [1]).wait(timeout=30)
+                _wait_for(lambda: sched.stats.running == 0, message="drain")
+                time.sleep(0.05)  # let the last wake-ups settle
+                picks = []
+                pick = sched._pick_locked
+                sched._pick_locked = lambda now: picks.append(now) or pick(now)
+                time.sleep(0.5)
+                assert picks == []

@@ -126,6 +126,19 @@ class TestSubmitValidation:
         assert "artcles" in reply["error"]
         assert "articles" in reply["error"]
 
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis"])
+    def test_malformed_inputs_spec_is_the_submit_reply(self, client, mapping):
+        """Regression: used to be accepted, queued, and failed at admission."""
+        reply = client.request(
+            op="submit", workflow="sentiment-scoring", mapping=mapping,
+            inputs={"nope": [1]},
+        )
+        assert reply["ok"] is False
+        assert "unknown PE 'nope'" in reply["error"]
+        # Nothing was queued, and the same connection still works.
+        assert client.request(op="stats")["stats"]["submitted"] == 0
+        assert client.request(op="ping")["pong"] is True
+
     def test_unknown_job_id(self, client):
         reply = client.request(op="wait", job="j999")
         assert reply["ok"] is False

@@ -11,13 +11,14 @@ concrete workflow via :mod:`repro.core.partition` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.core.exceptions import GraphError, PortError, ValidationError
 from repro.core.groupings import Grouping, as_grouping
 from repro.core.pe import GenericPE
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,9 @@ class WorkflowGraph:
 
     # ------------------------------------------------------------- structure
     def to_networkx(self) -> "nx.MultiDiGraph":
+        """The graph as a ``networkx.MultiDiGraph`` (needs networkx installed)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for name in self.pes:
             graph.add_node(name)
@@ -203,11 +207,34 @@ class WorkflowGraph:
         return graph
 
     def topological_order(self) -> List[str]:
-        graph = self.to_networkx()
-        try:
-            return list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise ValidationError(f"workflow {self.name!r} contains a cycle") from exc
+        """PE names, every PE after all of its upstream PEs.
+
+        Kahn's algorithm one generation at a time, in the exact order of
+        ``networkx.topological_sort(self.to_networkx())``: roots in the
+        order the PEs were added, then each generation's newly freed PEs
+        in the order their parents list them (a parent's children in
+        first-edge order).  Parallel edges each count towards in-degree.
+        """
+        children: Dict[str, Dict[str, int]] = {name: {} for name in self.pes}
+        indegree = dict.fromkeys(self.pes, 0)
+        for edge in self.edges:
+            fanout = children[edge.src]
+            fanout[edge.dst] = fanout.get(edge.dst, 0) + 1
+            indegree[edge.dst] += 1
+        order: List[str] = []
+        generation = [name for name, degree in indegree.items() if degree == 0]
+        while generation:
+            order.extend(generation)
+            freed: List[str] = []
+            for name in generation:
+                for child, parallel in children[name].items():
+                    indegree[child] -= parallel
+                    if indegree[child] == 0:
+                        freed.append(child)
+            generation = freed
+        if len(order) != len(self.pes):
+            raise ValidationError(f"workflow {self.name!r} contains a cycle")
+        return order
 
     def validate(self) -> None:
         """Raise :class:`ValidationError` on structural problems.

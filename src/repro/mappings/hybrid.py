@@ -67,6 +67,7 @@ the baseline runtime.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.autoscale.trace import ScalingTrace
@@ -90,6 +91,7 @@ from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
+from repro.runtime.clock import Clock
 from repro.runtime.queues import Batch, as_envelope, batch_items, batch_len, chunked
 from repro.state import (
     CrashInjector,
@@ -479,6 +481,9 @@ class HybridRedisMapping(Mapping):
 
         join_timeout = state.options.get("join_timeout", 300.0)
         join_slice = max(0.01, state.clock.to_real(policy.poll_interval))
+        # A real sleep per poll: below the clock's resolution `clock.sleep`
+        # only books debt, and the loop would spin on `GET outstanding`.
+        drain_poll = max(state.clock.to_real(policy.poll_interval), Clock.SLEEP_RESOLUTION)
         coordinator_client = new_client()
 
         def wait_drained() -> None:
@@ -492,7 +497,7 @@ class HybridRedisMapping(Mapping):
                         f"hybrid run did not drain within {join_timeout}s "
                         f"(outstanding={board.outstanding(coordinator_client)})"
                     )
-                state.clock.sleep(policy.poll_interval)
+                time.sleep(drain_poll)
 
         def join_instance(pe_name: str, index: int, deadline: float) -> None:
             """Wait for one pinned instance to close, supervising re-pins."""

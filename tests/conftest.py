@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.graph import WorkflowGraph
@@ -32,6 +36,17 @@ PARALLEL_MAPPINGS = (
 
 #: Mappings that reject stateful workflows.
 STATELESS_ONLY = ("dyn_multi", "dyn_auto_multi", "dyn_redis", "dyn_auto_redis")
+
+
+def run_in_fresh_interpreter(code: str, *argv: str) -> None:
+    """Run ``code`` in a new interpreter on this one's ``sys.path``; fail
+    with its stderr unless it exits 0.  For checks on ``sys.modules``, which
+    this process (scipy and networkx long imported) cannot make."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Tests for WorkflowGraph structure and validation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.exceptions import GraphError, PortError, ValidationError
 from repro.core.graph import WorkflowGraph
@@ -89,10 +91,81 @@ class TestStructure:
         assert g.topological_order() == ["a", "b", "c"]
 
     def test_to_networkx_shape(self):
+        pytest.importorskip("networkx")
         g = linear_graph(Emit(name="a"), Emit(name="b"))
         nxg = g.to_networkx()
         assert nxg.number_of_nodes() == 2
         assert nxg.number_of_edges() == 1
+
+
+def graph_of(nodes, edges):
+    """Emit PEs added in ``nodes`` order, connected in ``edges`` order."""
+    g = WorkflowGraph("g")
+    for name in nodes:
+        g.add(Emit(name=name))
+    for src, dst in edges:
+        g.connect(src, "output", dst, "input")
+    return g
+
+
+@st.composite
+def dags(draw):
+    """(nodes, edges) of a DAG: insertion order independent of the edge
+    direction, edges in any order, parallel edges allowed."""
+    ranked = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(1, 8)))]))
+    index = st.integers(0, len(ranked) - 1)
+    edges = [
+        (ranked[min(i, j)], ranked[max(i, j)])
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=16))
+        if i != j
+    ]
+    return sorted(ranked), edges
+
+
+class TestTopologicalOrderMatchesNetworkx:
+    """The stdlib Kahn pass returns networkx's order, not just *an* order:
+    ``simple`` fires PEs and ``ConcreteWorkflow`` numbers instances by it."""
+
+    @staticmethod
+    def reference(g):
+        nx = pytest.importorskip("networkx")
+        return list(nx.topological_sort(g.to_networkx()))
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            pytest.param("cba", [("a", "b"), ("b", "c")], id="chain-added-backwards"),
+            pytest.param("abcd", [("a", "c"), ("a", "b"), ("c", "d"), ("b", "d")], id="diamond"),
+            pytest.param("abcde", [("a", "d"), ("a", "b"), ("a", "c"), ("b", "e"), ("c", "e"), ("d", "e")], id="fan-out-fan-in"),
+            pytest.param("abc", [("a", "b"), ("a", "b"), ("a", "c"), ("c", "b")], id="parallel-edges"),
+            pytest.param("xabyc", [("b", "c"), ("y", "c"), ("a", "y"), ("x", "y")], id="several-roots"),
+            pytest.param("abcd", [("a", "c"), ("b", "c"), ("a", "d"), ("c", "d")], id="child-freed-a-generation-late"),
+            pytest.param("ab", [], id="no-edges"),
+        ],
+    )
+    def test_named_shapes(self, nodes, edges):
+        g = graph_of(nodes, edges)
+        assert g.topological_order() == self.reference(g)
+
+    @given(dag=dags())
+    def test_generated_dags(self, dag):
+        g = graph_of(*dag)
+        assert g.topological_order() == self.reference(g)
+
+    def test_parallel_edges_each_count(self):
+        """b has in-degree 3 (two from a, one from c): it must wait for c."""
+        g = graph_of("abc", [("a", "b"), ("a", "b"), ("a", "c"), ("c", "b")])
+        assert g.topological_order() == ["a", "c", "b"]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[("a", "a")], [("a", "b"), ("b", "a")], [("r", "a"), ("a", "b"), ("b", "a")]],
+        ids=["self-loop", "two-cycle", "cycle-below-a-root"],
+    )
+    def test_cycle_raises(self, edges):
+        g = graph_of("rab", edges)
+        with pytest.raises(ValidationError, match="cycle"):
+            g.topological_order()
 
 
 class TestEffectiveGrouping:

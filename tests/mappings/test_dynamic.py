@@ -131,7 +131,13 @@ def _galaxy():
 class TestCounterPins:
     """End-of-run counters on both queue presets, pinned to what the commit
     before the locally tallied ``tasks`` / ``queue_puts`` produced: the
-    tallies must flush to exactly the numbers per-call ``inc`` gave."""
+    tallies must flush to exactly the numbers per-call ``inc`` gave.
+
+    One counter is a set, not a number: ``graph_copies`` on ``dyn_auto_multi``
+    reads 3 in ~1 run of 40 (at this commit and the one before), because the
+    scaler's last activation can find the queue already drained and that
+    session then never copies the graph.  ``dyn_multi``'s four dedicated
+    workers always do, and every other counter stays exact."""
 
     @pytest.mark.parametrize(
         "build, tasks, queue_puts, seed_tasks",
@@ -141,12 +147,13 @@ class TestCounterPins:
     def test_counters_match_parent(self, mapping, pills, build, tasks, queue_puts, seed_tasks):
         graph, inputs = build()
         result = run(graph, inputs=inputs, processes=4, mapping=mapping, time_scale=FAST_SCALE)
-        pinned = ("tasks", "queue_puts", "seed_tasks", "pills", "graph_copies")
+        pinned = ("tasks", "queue_puts", "seed_tasks", "pills")
+        graph_copies = (3, 4) if mapping == "dyn_auto_multi" else (4,)
+        assert result.counters.get("graph_copies") in graph_copies
         assert {name: result.counters.get(name) for name in pinned} == {
             "tasks": tasks,
             "queue_puts": queue_puts,
             "seed_tasks": seed_tasks,
             # Sessions never broadcast pills; dedicated workers do, once.
             "pills": pills,
-            "graph_copies": 4,
         }

@@ -1,5 +1,6 @@
 """Tests for the Seismic Cross-Correlation workflow."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.workflows.seismic.pes import (
 from repro.workflows.seismic.phase1 import build_seismic_phase1_workflow
 from repro.workflows.seismic.phase2 import build_seismic_phase2_workflow
 from repro.workflows.seismic.waveform import station_code, synth_trace
-from tests.conftest import FAST_SCALE
+from tests.conftest import FAST_SCALE, run_in_fresh_interpreter
 
 
 def quiet(pe):
@@ -176,3 +177,61 @@ class TestPhase2Workflow:
 
         # hybrid only pins the 2 stateful instances; multi needs all 12.
         assert peaks("multi", 12) == peaks("hybrid_redis", 6)
+
+
+def quantised(values) -> bytes:
+    """``values`` as integers in millionths of the array's peak, so a
+    last-bit difference between numpy/scipy builds does not move a digest."""
+    values = np.asarray(values)
+    parts = np.stack([values.real, values.imag]) if np.iscomplexobj(values) else values
+    return np.round(parts / np.abs(values).max() * 1e6).astype(np.int64).tobytes()
+
+
+PHASE1_DIGEST = "1fea017c9999d12adc83f11b3d0b539afd6fb8547d7ab578bb433d6f0c88a65c"
+PHASE2_DIGEST = "b4b19eed485e01220281761dd4623974b67f311029eee593eb19f3a5d44e2b98"
+
+
+class TestOutputsPinnedAcrossTheLazyImport:
+    """Digests taken at the commit that still imported scipy.signal eagerly
+    (a241b37): resolving it through ``pes._signal()`` changes no output."""
+
+    def test_phase1_digest(self, tmp_path):
+        g, inputs = build_seismic_phase1_workflow(stations=6, samples=400, out_dir=str(tmp_path))
+        result = run(g, inputs=inputs, mapping="simple", time_scale=FAST_SCALE)
+        digest = hashlib.sha256()
+        for record in sorted(result.output("writeOutput"), key=lambda r: r["station"]):
+            digest.update(f"{record['station']}:{record['bytes']}:".encode())
+            digest.update(quantised(np.load(record["path"])))
+        assert digest.hexdigest() == PHASE1_DIGEST
+
+    def test_phase2_digest(self):
+        g, inputs = build_seismic_phase2_workflow(stations=5, samples=256)
+        result = run(g, inputs=inputs, mapping="simple", time_scale=FAST_SCALE)
+        [summary] = result.output("writeXCorr", "summary")
+        digest = hashlib.sha256()
+        digest.update(repr([(row["pair"], row["lag_samples"]) for row in summary]).encode())
+        digest.update(quantised([row["peak"] for row in summary]))
+        assert digest.hexdigest() == PHASE2_DIGEST
+
+
+def test_scipy_loads_with_the_first_filter_pe_not_with_the_package():
+    """In a fresh interpreter: importing the package loads no scipy; a filter
+    PE that ran no ``__init__`` of its own (as a spawned worker unpickles it)
+    loads it on its first trace; constructing one loads it up front."""
+    probe = """
+import sys
+import repro.workflows.seismic as seismic
+from repro.core.pe import IterativePE
+
+pe = seismic.Detrend.__new__(seismic.Detrend)
+IterativePE.__init__(pe, "detrend")
+pe.cost = 0.0
+assert "scipy" not in sys.modules, "scipy loaded before any trace was filtered"
+if sys.argv[1] == "trace":
+    pe._invoke({"input": seismic.synth_trace(1, samples=64)})
+else:
+    seismic.Detrend()
+assert "scipy.signal" in sys.modules, sys.argv[1] + " did not load scipy.signal"
+"""
+    for first_use in ("trace", "construct"):
+        run_in_fresh_interpreter(probe, first_use)

@@ -12,9 +12,9 @@ distributed mapping stays correct at benchmark scale:
 2. one ``cluster_redis`` sentiment run (worker OS processes joining by
    ``host:port``) as an end-to-end latency cell.
 
-All cells are **informational**: single round, sub-second, so the CI
-perf-regression gate (scripts/check_bench.py) records but does not gate
-them -- socket latency on shared runners is far too noisy to gate at 20%.
+All cells are **informational**: single round, sub-second, printed but
+not asserted on -- socket latency on shared runners is far too noisy to
+gate; ``e2e_bench``'s ``cluster_tcp`` workload is the gated wire number.
 """
 
 import os

@@ -41,18 +41,16 @@ import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.fluent import coerce_graph
 from repro.core.graph import WorkflowGraph
 from repro.jobs import Job, JobState
 from repro.mappings.base import (
-    Deployment,
     DeploymentPool,
     InputSpec,
     Mapping,
-    gate_plan_option,
+    validate_tristate,
 )
-from repro.mappings.registry import get_capabilities, get_mapping, select_mapping
+from repro.mappings.registry import get_mapping, select_mapping
 from repro.metrics.result import RunResult
 from repro.platforms.profiles import LAPTOP, PlatformProfile, get_platform
 
@@ -196,11 +194,9 @@ class RunConfig:
         exactly the options it did before fusion existed.
         """
         requests = {"fuse": self.fuse, "optimize": self.optimize}
-        return {
-            name: gate_plan_option(name, value)
-            for name, value in requests.items()
-            if value is not False
-        }
+        for name, value in requests.items():
+            validate_tristate(name, value)
+        return {name: value for name, value in requests.items() if value is not False}
 
     def resolved_platform(self) -> PlatformProfile:
         """The platform as a :class:`PlatformProfile` (names looked up)."""
@@ -233,26 +229,30 @@ class Engine:
         options: Optional[Dict[str, Any]] = None,
         **extra_options: Any,
     ) -> None:
-        merged_options = dict(options or {})
-        merged_options.update(extra_options)
-        _check_option_typos(merged_options)
-        self.config = RunConfig(
-            mapping=mapping,
-            platform=platform,
-            processes=processes,
-            time_scale=time_scale,
-            seed=seed,
-            prefer=prefer,
-            batch_size=batch_size,
-            batch_linger_ms=batch_linger_ms,
-            fuse=fuse,
-            optimize=optimize,
-            checkpoint_interval=checkpoint_interval,
-            state_store=state_store,
-            options=merged_options,
+        self._init(
+            RunConfig(
+                mapping=mapping,
+                platform=platform,
+                processes=processes,
+                time_scale=time_scale,
+                seed=seed,
+                prefer=prefer,
+                batch_size=batch_size,
+                batch_linger_ms=batch_linger_ms,
+                fuse=fuse,
+                optimize=optimize,
+                checkpoint_interval=checkpoint_interval,
+                state_store=state_store,
+                options={**(options or {}), **extra_options},
+            )
         )
+
+    def _init(self, config: RunConfig) -> None:
+        """The one initialiser behind ``__init__`` and :meth:`from_config`."""
+        _check_option_typos(config.options)
+        self.config = config
         # One-time platform resolution; per-name engine cache across runs.
-        self._platform = self.config.resolved_platform()
+        self._platform = config.resolved_platform()
         self._engines: Dict[str, Mapping] = {}
         self._closed = False
         self._lock = threading.Lock()
@@ -270,15 +270,8 @@ class Engine:
         when ``config.options`` contains keys that look like misspelled
         :class:`RunConfig` fields.
         """
-        _check_option_typos(config.options)
         engine = cls.__new__(cls)
-        engine.config = config
-        engine._platform = config.resolved_platform()
-        engine._engines = {}
-        engine._closed = False
-        engine._lock = threading.Lock()
-        engine._sessions = {}
-        engine._jobs = []
+        engine._init(config)
         return engine
 
     # ----------------------------------------------------------- resolution
@@ -296,23 +289,7 @@ class Engine:
         self, graph: Any, processes: Optional[int] = None
     ) -> str:
         """The mapping name a run of ``graph`` would use (selection only)."""
-        self._ensure_open()
-        return self._resolve(
-            coerce_graph(graph),
-            self.config.mapping,
-            processes if processes is not None else self.config.processes,
-        )
-
-    def _resolve(self, graph: WorkflowGraph, name: str, processes: int) -> str:
-        """Shared selection path for :meth:`run` and :meth:`resolve_mapping`."""
-        if name != AUTO:
-            return name
-        return select_mapping(
-            graph,
-            platform=self._platform,
-            prefer=self.config.prefer,
-            processes=processes,
-        )
+        return self._resolve_submission(graph, processes, None, {})[1]
 
     def _engine_for(self, name: str) -> Mapping:
         engine = self._engines.get(name)
@@ -343,10 +320,15 @@ class Engine:
         stay byte-identical to the pre-session engine.  Long-lived callers
         ingesting or consuming incrementally use :meth:`submit`.
         """
-        job = self._submit(
-            workflow, inputs, processes=processes, seed=seed, mapping=mapping,
-            time_scale=time_scale, deadline=None, warm=False, options=options,
+        # The buffered wiring is the classic one-shot enactment path --
+        # byte-identical outputs and counters -- and a wait()-only job
+        # never reads the results tap.
+        job, _procs = self._prepare_job(
+            workflow, inputs, processes, seed, mapping, time_scale, None,
+            options, stream=False, results_channel=False,
         )
+        job._launch()
+        self._adopt_job(job)
         return job.wait()
 
     def submit(
@@ -397,8 +379,12 @@ class Engine:
             without a ``scheduler``.
         ValueError
             When ``scheduler`` is bound to a different engine.
-        UnsupportedFeatureError
-            When an option needs a capability the mapping lacks.
+        MappingError
+            When the mapping may not enact the request (the rule set of
+            :func:`repro.mappings.registry.refusal`, shared with ``run``,
+            the scheduler and ``select_mapping``): an option or graph needs
+            a capability it lacks, or ``processes`` is below its floor.
+            Raised here, before anything is leased or deployed.
         """
         if scheduler is not None:
             if scheduler.engine is not self:
@@ -418,51 +404,28 @@ class Engine:
                 "tenant=/priority= apply to scheduled submission only; "
                 "pass scheduler= as well"
             )
-        return self._submit(
-            workflow, inputs, processes=processes, seed=seed, mapping=mapping,
-            time_scale=time_scale, deadline=deadline, warm=True, options=options,
+        # Prepared before anything is leased: a refused request creates no
+        # deployment and leaves a warm session idle for the next job.
+        job, procs = self._prepare_job(
+            workflow, inputs, processes, seed, mapping, time_scale, deadline,
+            options, stream=None, results_channel=True,
         )
-
-    def _submit(
-        self,
-        workflow: Union[WorkflowGraph, Any],
-        inputs: InputSpec,
-        processes: Optional[int],
-        seed: Optional[int],
-        mapping: Optional[str],
-        time_scale: Optional[float],
-        deadline: Optional[float],
-        warm: bool,
-        options: Dict[str, Any],
-    ) -> Job:
-        """Direct (unscheduled) submission behind :meth:`run` and :meth:`submit`."""
-        graph, name, procs, merged = self._resolve_submission(
-            workflow, processes, mapping, options
-        )
-        deployment, busy = self._lease(name, procs) if warm else (None, False)
+        pool = self._session(job.mapping)
+        deployment = None
         try:
-            job = self._prepare_job(
-                name, graph, inputs, procs, merged,
-                time_scale=time_scale, seed=seed, deadline=deadline,
-                # run() forces the buffered wiring: the classic one-shot
-                # enactment path, byte-identical outputs and counters --
-                # and skips the results tap its wait()-only job never reads.
-                stream=None if warm else False,
-                results_channel=warm,
-            )
+            deployment, busy = pool.try_acquire(procs, self._platform)
             job._launch(deployment, busy)
-        except BaseException:
+        except BaseException as exc:
+            job._fail(exc)  # a failed lease: disarm the handle's deadline
             if deployment is not None:
-                # Validation failures raise before the deployment is ever
-                # touched (launch starts the driver thread last), so its
-                # warmth -- and the spin-up it represents -- survives for
-                # the next job.
-                self._release(name, deployment, reusable=True)
+                # launch starts the driver thread last, so the deployment
+                # was never touched and stays warm for the next job.
+                pool.release(deployment, reusable=True)
             raise
         if deployment is not None:
-            leased = deployment
+            # Failed runs forfeit their deployment's warmth.
             job._on_terminal(
-                lambda j: self._release(name, leased, reusable=j.state is JobState.DONE)
+                lambda j: pool.release(deployment, reusable=j.state is JobState.DONE)
             )
         self._adopt_job(job)
         return job
@@ -474,19 +437,16 @@ class Engine:
         mapping: Optional[str],
         options: Dict[str, Any],
     ) -> tuple:
-        """Coerce, resolve and capability-gate one submission.
+        """Coerce and resolve one submission; merge its options.
 
-        Shared by the direct path and the scheduler's admission queue, so
-        both reject bad submissions synchronously at submit time.  Returns
-        ``(graph, mapping_name, processes, merged_options)``.
+        Returns ``(graph, mapping_name, processes, merged_options)``.
+        Nothing is capability-checked here: ``"auto"`` selects with the rule
+        set the mapping's ``prepare`` enforces.
         """
         self._ensure_open()
         _check_option_typos(options)
         graph = coerce_graph(workflow)
         procs = processes if processes is not None else self.config.processes
-        name = self._resolve(
-            graph, mapping if mapping is not None else self.config.mapping, procs
-        )
         merged = {
             **self.config.recovery_options(),
             **self.config.transport_options(),
@@ -494,72 +454,42 @@ class Engine:
             **self.config.options,
             **options,
         }
-        caps = get_capabilities(name)
-        for option in ("fuse", "optimize"):
-            # The same gate the mapping's resolve_plan applies, run here
-            # too so a bad request is refused at submit time even when a
-            # scheduler queues the job before any mapping sees it.
-            if option in merged:
-                merged[option] = gate_plan_option(option, merged[option], caps, name)
-        if merged.get("batch_size", 1) != 1 or merged.get("batch_linger_ms", 0):
-            # Same contract as the recovery gate below: a mapping that
-            # ignores the transport knobs would silently run unbatched
-            # while the user believes they tuned the data plane.
-            if not caps.batching:
-                raise UnsupportedFeatureError(
-                    f"batched transport requested (batch_size/batch_linger_ms) "
-                    f"but mapping {name!r} does not support batching; pick a "
-                    f"batching mapping or drop the transport options"
-                )
-        if "checkpoint_interval" in merged or "state_store" in merged:
-            # Silently dropping the knobs would leave the user believing
-            # their pinned state is crash-safe when it is not.  State
-            # checkpointing needs a mapping that both pins stateful
-            # instances and recovers them -- reclaim-only recoverability
-            # (dyn_redis) does not qualify.
-            if not (caps.recoverable and caps.stateful):
-                raise UnsupportedFeatureError(
-                    f"checkpoint/restore requested (checkpoint_interval/"
-                    f"state_store) but mapping {name!r} does not support "
-                    f"stateful checkpointing; use hybrid_redis or drop the "
-                    f"recovery options"
-                )
-        if "address" in merged:
-            # An address points workers at an external networked substrate
-            # (``repro serve-redis``); a non-networked mapping would ignore
-            # it and silently run in-process on a private keyspace.
-            if not caps.networked:
-                raise UnsupportedFeatureError(
-                    f"a server address was given but mapping {name!r} is "
-                    f"not networked; use cluster_redis or drop address="
-                )
+        name = mapping if mapping is not None else self.config.mapping
+        if name == AUTO:
+            name = select_mapping(
+                graph, self._platform, self.config.prefer, procs, options=merged
+            )
         return graph, name, procs, merged
 
     def _prepare_job(
         self,
-        name: str,
-        graph: WorkflowGraph,
+        workflow: Union[WorkflowGraph, Any],
         inputs: InputSpec,
-        processes: int,
-        merged: Dict[str, Any],
-        *,
-        time_scale: Optional[float],
+        processes: Optional[int],
         seed: Optional[int],
+        mapping: Optional[str],
+        time_scale: Optional[float],
         deadline: Optional[float],
+        options: Dict[str, Any],
+        *,
         stream: Optional[bool],
         results_channel: bool,
-    ) -> Job:
-        """Hand one resolved submission to its mapping's ``prepare``.
+    ) -> tuple:
+        """Resolve one submission and hand it to its mapping's ``prepare``.
 
-        The single funnel onto ``Mapping.prepare`` for both the direct path
-        and the scheduler, so engine-level defaults (time scale, seed)
-        apply identically.  The caller leases the deployment, launches the
-        job on it and has it tracked (:meth:`_adopt_job`).
+        The single funnel onto ``Mapping.prepare`` -- where every refusal
+        is raised -- for the direct path and the scheduler alike, so
+        engine-level defaults (time scale, seed) apply identically.
+        Returns ``(job, processes)``; the caller leases a deployment,
+        launches the job on it and has it tracked (:meth:`_adopt_job`).
         """
-        return self._engine_for(name).prepare(
+        graph, name, procs, merged = self._resolve_submission(
+            workflow, processes, mapping, options
+        )
+        job = self._engine_for(name).prepare(
             graph,
             inputs=inputs,
-            processes=processes,
+            processes=procs,
             platform=self._platform,
             time_scale=time_scale if time_scale is not None else self.config.time_scale,
             seed=seed if seed is not None else self.config.seed,
@@ -568,6 +498,7 @@ class Engine:
             results_channel=results_channel,
             **merged,
         )
+        return job, procs
 
     def _adopt_job(self, job: Job) -> None:
         """Track a job until terminal so :meth:`close` can cancel it."""
@@ -581,32 +512,19 @@ class Engine:
                 self._jobs.remove(job)
 
     # -------------------------------------------------------------- sessions
-    def _lease(self, name: str, processes: int) -> tuple:
-        """Borrow the mapping's session deployment (deploying if needed).
+    def _session(self, name: str) -> DeploymentPool:
+        """The mapping's session: a size-1 :class:`DeploymentPool`.
 
-        Returns ``(deployment, busy)`` from the mapping's size-1
-        :class:`DeploymentPool`: ``(None, True)`` when the session is busy
-        with another live job -- the caller then runs on an ephemeral cold
-        deployment.  An existing deployment that no longer matches the
-        requested settings is torn down and replaced (cold again).
+        ``try_acquire`` answers ``(None, True)`` while another live job
+        holds it (the caller then runs on an ephemeral cold deployment);
+        a release that comes after :meth:`close` tears the deployment down.
         """
         with self._lock:
             pool = self._sessions.get(name)
             if pool is None:
                 pool = DeploymentPool(self._engine_for(name), size=1)
                 self._sessions[name] = pool
-        return pool.try_acquire(processes, self._platform)
-
-    def _release(self, name: str, deployment: Deployment, reusable: bool) -> None:
-        """Return a leased deployment; failed runs forfeit their warmth."""
-        with self._lock:
-            pool = self._sessions.get(name)
-        if pool is None:
-            # The engine was closed while the job ran; the deployment is no
-            # longer tracked.
-            deployment.teardown()
-            return
-        pool.release(deployment, reusable=reusable)
+        return pool
 
     def with_options(self, **changes: Any) -> "Engine":
         """A new engine with updated settings (the caches start fresh).

@@ -4,9 +4,10 @@ A :class:`Mapping` translates an abstract workflow into a concrete one and
 enacts it (Figure 1).  Subclasses implement :meth:`Mapping._enact`; this
 base class owns everything common to all mappings:
 
-- validation and feature gating (stateless-only mappings reject stateful
-  graphs with :class:`~repro.core.exceptions.UnsupportedFeatureError`; Redis
-  mappings reject platforms without Redis),
+- validation and the legality gate (:meth:`Mapping._admit` raises what
+  :func:`~repro.mappings.registry.refusal` returns: a stateful graph on a
+  stateless-only mapping, a platform without Redis, an option the mapping
+  lacks the capability for, a process count below its floor),
 - construction of the run-wide :class:`~repro.core.context.ExecutionContext`
   (clock, emulated cores, seeds),
 - input normalization (how source PEs are driven), eagerly for the one-shot
@@ -42,12 +43,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow, Delivery, instance_id
 from repro.core.context import ExecutionContext
-from repro.core.exceptions import MappingError, UnsupportedFeatureError
+from repro.core.exceptions import MappingError
 from repro.core.fusion import MemberMeter
 from repro.core.graph import WorkflowGraph
 from repro.core.pe import GenericPE
 from repro.jobs import Job, JobCancelledError
-from repro.mappings.registry import Capabilities
+from repro.mappings.registry import Capabilities, floor_refusal, refusal
 from repro.metrics.result import RunResult
 from repro.planner import Plan, Planner
 from repro.net.server import RespTCPServer
@@ -103,35 +104,20 @@ def validate_tristate(name: str, value: Any) -> None:
         raise TypeError(f"{name} must be True, False or 'auto', got {value!r}")
 
 
-def gate_plan_option(
-    name: str, value: Any, caps: Optional[Capabilities] = None, mapping: str = ""
-) -> Any:
-    """Validate one of ``fuse`` / ``optimize`` and gate it on ``caps.fusion``.
+def gate_plan_option(name: str, value: Any, caps: Capabilities) -> Any:
+    """Validate one of ``fuse`` / ``optimize``; off where ``caps.fusion`` is.
 
-    The planner rides on the same enactment plumbing as fusion, so both
-    options share the fusion capability bit.  A mapping that bypasses the
-    shared enactment path would silently run the original graph while the
-    user believes it was rewritten, so ``True`` there is rejected;
-    ``"auto"`` is the soft request -- rewrite where supported, skip where
-    not -- and comes back ``False``.  Without ``caps`` (the config layer,
-    which has no mapping yet) only the value is validated.
+    The planner rides on fusion's enactment plumbing, so both options share
+    the fusion bit.  Without it only the soft ``"auto"`` gets this far
+    (:func:`~repro.mappings.registry.refusal` refused ``True``): skipped.
     """
     validate_tristate(name, value)
-    if value and caps is not None and not caps.fusion:
-        if value == "auto":
-            return False
-        raise UnsupportedFeatureError(
-            f"{name}=True requested but mapping {mapping!r} does not support "
-            f"operator fusion / the graph planner; pick a fusing mapping, "
-            f"use {name}='auto', or drop the option"
-        )
-    return value
+    return value if caps.fusion else False
 
 
 def resolve_plan(
     options: Dict[str, Any],
     caps: Capabilities,
-    mapping: str,
     graph: WorkflowGraph,
     platform: PlatformProfile,
     provided: Optional[Dict[str, List[Dict[str, Any]]]] = None,
@@ -143,13 +129,13 @@ def resolve_plan(
     consumes, enabling dead-output elimination) out of ``options``; the
     two tri-states go through :func:`gate_plan_option`.  A prebuilt plan
     wins; ``optimize`` runs the full planner (profiling against
-    ``provided`` when the eager path has it); ``fuse`` is sugar for the
-    fusion-only planner -- no profiling, no planner counters,
-    byte-identical to the classic fusion rewrite.
+    ``provided`` when the inputs are already materialized); ``fuse`` is
+    sugar for the fusion-only planner -- no profiling, no planner
+    counters, byte-identical to the classic fusion rewrite.
     """
-    fuse = gate_plan_option("fuse", options.pop("fuse", False), caps, mapping)
-    optimize = gate_plan_option(
-        "optimize", options.pop("optimize", False), caps, mapping
+    fuse, optimize = (
+        gate_plan_option(name, options.pop(name, False), caps)
+        for name in ("fuse", "optimize")
     )
     plan = options.pop("plan", None)
     wanted_outputs = options.pop("wanted_outputs", None)
@@ -907,6 +893,12 @@ class Mapping:
     #: :func:`~repro.mappings.registry.register_mapping`.
     capabilities = Capabilities()
 
+    @classmethod
+    def process_floor(cls, graph: WorkflowGraph) -> int:
+        """Fewest processes ``graph`` can be enacted on (more where
+        instances are pinned to processes: ``multi``, ``hybrid_redis``)."""
+        return 1
+
     # ------------------------------------------------------------- lifecycle
     def deploy(
         self, processes: int, platform: PlatformProfile = LAPTOP, **options: Any
@@ -977,10 +969,8 @@ class Mapping:
             facade only catches look-alikes of its own settings).
         """
         options = dict(options)
-        self._check_enactable(graph, processes, platform)
-        provided = normalize_inputs(graph, inputs)
-        plan = resolve_plan(
-            options, self.capabilities, self.name, graph, platform, provided
+        provided, plan = self._admit(
+            graph, inputs, processes, platform, options, eager=True
         )
         state = self._build_state(
             graph, provided, processes, platform, time_scale, seed, options,
@@ -1012,7 +1002,7 @@ class Mapping:
         exactly like :meth:`execute`.  ``busy_fallback=True`` marks a cold
         ephemeral run taken only because the caller's warm slot was
         occupied (the ``deploy_busy_fallback`` counter), distinguishing it
-        from a plain first-use cold deploy.  Validation errors raise here,
+        from a plain first-use cold deploy.  Every refusal raises here,
         synchronously; enactment errors surface from ``job.wait()`` /
         ``job.results()``.
         """
@@ -1039,7 +1029,11 @@ class Mapping:
     ) -> Job:
         """Validate a submission and build its :class:`Job`, not yet enacting.
 
-        Everything :meth:`submit` does short of touching a deployment: the
+        Everything :meth:`submit` does short of touching a deployment, so
+        every refusal -- the rule set ``select_mapping`` selects with,
+        :func:`~repro.mappings.registry.refusal` -- is raised here,
+        synchronously and for ``Engine.submit`` and ``JobScheduler.submit``
+        alike, before a deployment, thread or timer exists.  The
         returned job is ``PENDING`` and already accepts ``send`` /
         ``close_input`` / ``cancel``; ``job._launch(deployment)`` starts its
         driver thread (``job-<mapping>-<workflow>``).  A scheduler prepares
@@ -1070,7 +1064,6 @@ class Mapping:
             # Validated before any wiring: a bad deadline must not leave a
             # wired handle behind.
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
-        self._check_enactable(graph, processes, platform)
         if inputs is None and stream is not False:
             # For a *live* submission ``inputs=None`` means "no initial
             # inputs, the sources are driven by send()" -- whether ingestion
@@ -1086,14 +1079,17 @@ class Mapping:
                 f"mapping {self.name!r} does not support live streaming "
                 f"submissions; drop stream=True for buffered ingestion"
             )
-        # Streaming submissions must not consume the (possibly lazy) input
-        # iterators, so the planner profiles without an input sample there.
-        plan = resolve_plan(options, caps, self.name, graph, platform)
+        # The buffered wiring materializes its inputs now, so the planner
+        # profiles against them; a streaming submission must not consume
+        # its (possibly lazy) input iterators and plans without a sample.
+        provided, plan = self._admit(
+            graph, inputs, processes, platform, options, eager=not stream
+        )
         job = Job(mapping=self.name, workflow=graph.name, streaming=stream)
         tap = job._emit if results_channel else None
         wire = self._wire_streaming if stream else self._wire_buffered
         send, close, cancel, drive = wire(
-            job, graph, inputs, processes, platform, time_scale, seed,
+            job, graph, provided, processes, platform, time_scale, seed,
             options, plan, tap,
         )
 
@@ -1126,7 +1122,7 @@ class Mapping:
         self,
         job: Job,
         graph: WorkflowGraph,
-        inputs: InputSpec,
+        provided: Dict[str, Iterator[Dict[str, Any]]],
         processes: int,
         platform: PlatformProfile,
         time_scale: float,
@@ -1143,7 +1139,6 @@ class Mapping:
         later ones.
         """
         control = StreamControl()
-        provided = iter_root_inputs(graph, inputs)
         state = self._build_state(
             graph, provided, processes, platform, time_scale, seed, options,
             plan, tap=tap, control=control,
@@ -1183,7 +1178,7 @@ class Mapping:
         self,
         job: Job,
         graph: WorkflowGraph,
-        inputs: InputSpec,
+        buffer: Dict[str, List[Dict[str, Any]]],
         processes: int,
         platform: PlatformProfile,
         time_scale: float,
@@ -1194,11 +1189,11 @@ class Mapping:
     ) -> Tuple[Callable, Callable, Callable, Callable]:
         """The buffered wiring: ``(send, close, cancel, drive)`` over a dict.
 
-        Initial inputs are materialized now (surfacing spec errors at
-        submit time); sends append under the lock until the input closes,
-        launched or not, and the driver enacts the lot once it has.
+        ``buffer`` holds the initial inputs, materialized by :meth:`_admit`
+        (surfacing spec errors at submit time); sends append under the lock
+        until the input closes, launched or not, and the driver enacts the
+        lot once it has.
         """
-        buffer = normalize_inputs(graph, inputs)
         buffer_lock = threading.Lock()
         closed = threading.Event()
         cancelled = threading.Event()
@@ -1256,24 +1251,36 @@ class Mapping:
             state.counters.inc("deploy_busy_fallback")
 
     # ------------------------------------------------------ enactment stages
-    def _check_enactable(
-        self, graph: WorkflowGraph, processes: int, platform: PlatformProfile
-    ) -> None:
-        """Validation and feature gating shared by execute() and submit()."""
-        if processes < 1:
-            raise MappingError(f"processes must be >= 1, got {processes}")
+    def _admit(
+        self,
+        graph: WorkflowGraph,
+        inputs: InputSpec,
+        processes: int,
+        platform: PlatformProfile,
+        options: Dict[str, Any],
+        eager: bool,
+    ) -> Tuple[Dict[str, Any], Optional[Plan]]:
+        """The legality gate of execute() and prepare(): refuse, or plan.
+
+        Raises what :func:`~repro.mappings.registry.refusal` returns
+        (options, graph, platform), reads the inputs -- materialized when
+        ``eager``, else lazy per-root iterators the planner never sees --
+        resolves the plan, and holds ``processes`` against the floor of the
+        graph that plan enacts.  Returns ``(provided, plan)``.
+        """
         graph.validate()
-        if graph.is_stateful() and not self.capabilities.stateful:
-            raise UnsupportedFeatureError(
-                f"mapping {self.name!r} supports only stateless workflows; "
-                f"{graph.name!r} contains stateful PEs or state-pinning "
-                f"groupings (use hybrid_redis or multi)"
-            )
-        if self.capabilities.requires_redis and not platform.redis_available:
-            raise MappingError(
-                f"platform {platform.name!r} has no Redis deployment; "
-                f"mapping {self.name!r} cannot run there"
-            )
+        error = refusal(self, graph, platform, options=options)
+        if error is not None:
+            raise error
+        provided = (normalize_inputs if eager else iter_root_inputs)(graph, inputs)
+        plan = resolve_plan(
+            options, self.capabilities, graph, platform, provided if eager else None
+        )
+        enacted = plan.graph if plan is not None and plan.transformed else graph
+        error = floor_refusal(self, enacted, processes)
+        if error is not None:
+            raise error
+        return provided, plan
 
     def _build_state(
         self,

@@ -72,7 +72,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow, Delivery
-from repro.core.exceptions import InsufficientProcessesError, MappingError
+from repro.core.exceptions import MappingError
+from repro.core.graph import WorkflowGraph
 from repro.mappings.base import (
     EnactmentState,
     Mapping,
@@ -110,7 +111,6 @@ from repro.state import (
         recoverable=True,
         batching=True,
         fusion=True,
-        min_processes=2,
         description="Stateful-aware hybrid: pinned state + dynamic stateless pool",
     )
 )
@@ -118,6 +118,16 @@ class HybridRedisMapping(Mapping):
     """Stateful-aware dynamic scheduling over Redis (``hybrid_redis``)."""
 
     name = "hybrid_redis"
+
+    @staticmethod
+    def pinned_instances(graph: WorkflowGraph) -> Dict[str, int]:
+        """Instances of every PE that must keep pinned state, by name."""
+        return {pe.name: pe.numprocesses or 1 for pe in graph.stateful_pes()}
+
+    @classmethod
+    def process_floor(cls, graph: WorkflowGraph) -> int:
+        """Every pinned stateful instance, plus one stateless worker."""
+        return sum(cls.pinned_instances(graph).values()) + 1
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph
@@ -177,22 +187,12 @@ class HybridRedisMapping(Mapping):
             return state_store
 
         # ---------------------------------------------------- allocation
-        stateful_names = {pe.name for pe in graph.stateful_pes()}
-        allocation: Dict[str, int] = {}
-        for name, pe in graph.pes.items():
-            if name in stateful_names:
-                allocation[name] = pe.numprocesses if pe.numprocesses else 1
-            else:
-                allocation[name] = 1
+        pinned = self.pinned_instances(graph)
+        stateful_names = set(pinned)
+        allocation = {name: pinned.get(name, 1) for name in graph.pes}
         concrete = ConcreteWorkflow(graph, allocation)
-        n_stateful = sum(allocation[name] for name in stateful_names)
+        n_stateful = sum(pinned.values())
         stateless_workers = state.processes - n_stateful
-        if stateless_workers < 1:
-            raise InsufficientProcessesError(
-                f"hybrid_redis needs at least {n_stateful + 1} processes for "
-                f"{graph.name!r} ({n_stateful} stateful instances + 1 stateless "
-                f"worker); got {state.processes}"
-            )
         state.counters.inc("stateful_instances", n_stateful)
         state.counters.inc("stateless_workers", stateless_workers)
 

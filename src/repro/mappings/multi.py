@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow
+from repro.core.partition import minimum_processes
 from repro.mappings.base import (
     EnactmentState,
     Mapping,
@@ -66,7 +67,6 @@ class _WorkerCancelled(BaseException):
         batching=True,
         fusion=True,
         streaming=True,
-        static_allocation=True,
         description="Static Multiprocessing baseline (one process per instance)",
     )
 )
@@ -85,6 +85,9 @@ class MultiMapping(Mapping):
     """
 
     name = "multi"
+
+    #: One process per PE instance of the static allocation.
+    process_floor = staticmethod(minimum_processes)
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph

@@ -17,16 +17,22 @@ Auto-selection policy (the paper's Section 5 conclusions, encoded):
 - ``prefer=...`` short-circuits the policy with the caller's ordered
   choices, failing with :class:`UnsupportedFeatureError` (and the reasons)
   if none of them fit.
+
+Whether a mapping *may* enact a request is one function, :func:`refusal`:
+selection collects its answers, the mappings raise them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.exceptions import UnsupportedFeatureError
+from repro.core.exceptions import (
+    InsufficientProcessesError,
+    MappingError,
+    UnsupportedFeatureError,
+)
 from repro.core.graph import WorkflowGraph
-from repro.core.partition import minimum_processes
 from repro.platforms.profiles import PlatformProfile
 
 
@@ -74,13 +80,11 @@ class Capabilities:
         in-process.  Networked mappings accept the ``address`` option
         (``"host:port"`` of an external ``repro serve-redis`` daemon);
         the engine rejects ``address`` on mappings without this flag.
-    static_allocation:
-        Uses the static partitioning rule, which imposes a per-graph
-        process floor (one process per PE instance).
-    min_processes:
-        Flat lower bound on the process count, independent of the graph.
     description:
         One-line summary for ``repro list`` and the README table.
+
+    The process floor is not a field: it is a function of the graph, so a
+    mapping states it as :meth:`~repro.mappings.base.Mapping.process_floor`.
     """
 
     stateful: bool = True
@@ -92,8 +96,6 @@ class Capabilities:
     fusion: bool = False
     streaming: bool = False
     networked: bool = False
-    static_allocation: bool = False
-    min_processes: int = 1
     description: str = ""
 
 
@@ -101,8 +103,8 @@ class UnknownMappingError(KeyError):
     """Raised for a mapping name nobody registered (a KeyError subclass)."""
 
 
-#: Registered mappings: name -> (class, capabilities).
-_REGISTRY: Dict[str, Tuple[type, Capabilities]] = {}
+#: Registered mappings: name -> class (its record is ``cls.capabilities``).
+_REGISTRY: Dict[str, type] = {}
 
 
 def register_mapping(
@@ -139,7 +141,7 @@ def register_mapping(
             caps = replace(
                 cls.capabilities, description=doc_lines[0] if doc_lines else ""
             )
-        _REGISTRY[name] = (cls, caps)
+        _REGISTRY[name] = cls
         cls.capabilities = caps
         return cls
 
@@ -159,7 +161,7 @@ def mapping_names() -> List[str]:
 def get_mapping_class(name: str) -> type:
     """The registered class for ``name`` (without instantiating it)."""
     try:
-        return _REGISTRY[name][0]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(mapping_names())
         raise UnknownMappingError(
@@ -169,13 +171,7 @@ def get_mapping_class(name: str) -> type:
 
 def get_capabilities(name: str) -> Capabilities:
     """The declared capabilities of a registered mapping."""
-    try:
-        return _REGISTRY[name][1]
-    except KeyError:
-        known = ", ".join(mapping_names())
-        raise UnknownMappingError(
-            f"unknown mapping {name!r}; known: {known}"
-        ) from None
+    return get_mapping_class(name).capabilities
 
 
 def get_mapping(name: str):
@@ -185,7 +181,7 @@ def get_mapping(name: str):
 
 def capability_table() -> List[Tuple[str, Capabilities]]:
     """(name, capabilities) rows, sorted by name -- for CLI/docs rendering."""
-    return [(name, _REGISTRY[name][1]) for name in mapping_names()]
+    return [(name, _REGISTRY[name].capabilities) for name in mapping_names()]
 
 
 # --------------------------------------------------------------- selection
@@ -202,34 +198,79 @@ _STATELESS_ORDER = (
 )
 
 
-def _rejection_reason(
-    name: str,
-    caps: Capabilities,
-    stateful: bool,
-    platform: Optional[PlatformProfile],
+def refusal(
+    mapping: Any,
     graph: WorkflowGraph,
-    processes: Optional[int],
-) -> Optional[str]:
-    """Why ``name`` cannot enact this workflow, or None if it can."""
-    if stateful and not caps.stateful:
-        return (
-            f"{name!r} supports only stateless workflows, but "
-            f"{graph.name!r} contains stateful PEs or state-pinning groupings"
+    platform: Optional[PlatformProfile] = None,
+    processes: Optional[int] = None,
+    options: Optional[Dict[str, Any]] = None,
+) -> Optional[MappingError]:
+    """Why ``mapping`` (class or instance) may not enact this request.
+
+    The one legality rule set; ``None`` means it may.  :func:`select_mapping`
+    *collects* what this returns, :meth:`Mapping.prepare
+    <repro.mappings.base.Mapping.prepare>` / ``execute`` *raise* it, so
+    every entry point answers alike.  The first broken rule wins, in the
+    order options, graph, platform, floor; ``platform=None`` /
+    ``processes=None`` skip theirs (the mappings ask :func:`floor_refusal`
+    separately, once they hold the planned graph).
+    """
+    name, caps, opts = mapping.name, mapping.capabilities, options or {}
+    # A mapping that ignored one of these options would silently run without
+    # it while the user believes it is on, so the request is refused.
+    lacks = None
+    if not caps.batching and (
+        opts.get("batch_size", 1) != 1 or opts.get("batch_linger_ms", 0)
+    ):
+        lacks = (
+            "batched transport (batch_size/batch_linger_ms); pick a batching "
+            "mapping or drop the options"
         )
+    elif not (caps.recoverable and caps.stateful) and (
+        "checkpoint_interval" in opts or "state_store" in opts
+    ):
+        # Reclaim-only recoverability (dyn_redis) does not qualify: the
+        # mapping must both pin stateful instances and recover them.
+        lacks = (
+            "stateful checkpointing (checkpoint_interval/state_store); "
+            "use hybrid_redis or drop the options"
+        )
+    elif not caps.networked and "address" in opts:
+        lacks = "a server address: it is not networked; use cluster_redis or drop address="
+    elif not caps.fusion and (opts.get("fuse") is True or opts.get("optimize") is True):
+        # ``"auto"`` is the soft request: rewrite where supported, else skip.
+        lacks = (
+            "operator fusion / the graph planner (fuse/optimize=True); pick a "
+            "fusing mapping, use 'auto' or drop the option"
+        )
+    elif not caps.stateful and graph.is_stateful():
+        lacks = (
+            f"stateful PEs or state-pinning groupings, which {graph.name!r} "
+            f"contains: it enacts only stateless workflows; use hybrid_redis or multi"
+        )
+    if lacks is not None:
+        return UnsupportedFeatureError(f"mapping {name!r} does not support {lacks}")
     if caps.requires_redis and platform is not None and not platform.redis_available:
-        return (
-            f"{name!r} needs Redis, which platform {platform.name!r} "
+        return MappingError(
+            f"mapping {name!r} needs Redis, which platform {platform.name!r} "
             f"does not provide"
         )
     if processes is not None:
-        floor = caps.min_processes
-        if caps.static_allocation:
-            floor = max(floor, minimum_processes(graph))
-        if processes < floor:
-            return (
-                f"{name!r} needs at least {floor} processes for "
-                f"{graph.name!r}, got {processes}"
-            )
+        return floor_refusal(mapping, graph, processes)
+    return None
+
+
+def floor_refusal(
+    mapping: Any, graph: WorkflowGraph, processes: int
+) -> Optional[MappingError]:
+    """The last rule of :func:`refusal`: ``processes`` against the floor of
+    ``graph`` -- the graph to be enacted, so fusion lowers ``multi``'s."""
+    floor = mapping.process_floor(graph)
+    if processes < floor:
+        return InsufficientProcessesError(
+            f"mapping {mapping.name!r} needs at least {floor} processes for "
+            f"{graph.name!r}, got {processes}"
+        )
     return None
 
 
@@ -238,6 +279,7 @@ def select_mapping(
     platform: Optional[PlatformProfile] = None,
     prefer: Union[str, Sequence[str], None] = None,
     processes: Optional[int] = None,
+    options: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Resolve ``mapping="auto"``: the best registered mapping for ``graph``.
 
@@ -254,14 +296,20 @@ def select_mapping(
         selection *fails* with :class:`UnsupportedFeatureError` explaining
         each rejection, rather than silently falling back.
     processes:
-        Optional process budget; mappings whose floor exceeds it are
-        skipped (e.g. static ``multi`` needs one process per instance).
+        Optional process budget; mappings whose ``process_floor(graph)``
+        exceeds it are skipped (static ``multi`` needs one process per
+        instance, ``hybrid_redis`` one per pinned instance plus one).
+    options:
+        The run's mapping options; candidates lacking a capability one of
+        them needs are skipped.
+
+    Candidates are judged by :func:`refusal`, which the selected mapping's
+    ``prepare`` / ``execute`` ask again: what is selected is accepted.
 
     Returns
     -------
     The registry name of the selected mapping.
     """
-    stateful = graph.is_stateful()
     if prefer is not None:
         candidates: Iterable[str] = (prefer,) if isinstance(prefer, str) else tuple(prefer)
         if not candidates:
@@ -270,7 +318,7 @@ def select_mapping(
             )
         explicit = True
     else:
-        candidates = _STATEFUL_ORDER if stateful else _STATELESS_ORDER
+        candidates = _STATEFUL_ORDER if graph.is_stateful() else _STATELESS_ORDER
         explicit = False
 
     reasons: List[str] = []
@@ -282,12 +330,10 @@ def select_mapping(
                     f"unknown mapping {name!r} in prefer=...; known: {known}"
                 )
             continue
-        reason = _rejection_reason(
-            name, get_capabilities(name), stateful, platform, graph, processes
-        )
+        reason = refusal(_REGISTRY[name], graph, platform, processes, options)
         if reason is None:
             return name
-        reasons.append(reason)
+        reasons.append(str(reason))
 
     detail = "; ".join(reasons) if reasons else "no mappings are registered"
     raise UnsupportedFeatureError(

@@ -28,6 +28,9 @@ INCRBY-before-XADD ordering the termination drain proof relies on, and
 
 from __future__ import annotations
 
+import math
+import re
+import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.core import Connection, SocketServer
@@ -55,18 +58,33 @@ def _s(raw: bytes) -> str:
     return raw.decode("utf-8")
 
 
+#: Digits only: int() would also take "1_000" and " 5 " (Python literals).
+_is_integer = re.compile(rb"-?\d+").fullmatch
+
+
 def _i(raw: bytes) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise RedisError(f"value is not an integer or out of range: {raw!r}") from None
+    if not _is_integer(raw):
+        raise RedisError(f"value is not an integer or out of range: {raw!r}")
+    return int(raw)
 
 
 def _f(raw: bytes) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise RedisError(f"value is not a valid float: {raw!r}") from None
+        value = math.nan
+    # Finite and spelled as a number: float() also takes "inf", "nan",
+    # "1_0" and " 5 ".
+    if not math.isfinite(value) or b"_" in raw or raw != raw.strip():
+        raise RedisError(f"value is not a valid float: {raw!r}")
+    return value
+
+
+def _timeout(value: float, limit: float = threading.TIMEOUT_MAX) -> float:
+    """A blocking command's timeout: one a parked wait can be given."""
+    if not 0 <= value <= limit:
+        raise RedisError("timeout is negative or out of range")
+    return value
 
 
 def _value_bytes(value: Any) -> Any:
@@ -301,7 +319,7 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
     def blpop(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # BLPOP key [key ...] timeout -- Redis semantics: 0 blocks forever.
         arity(args, 2, "BLPOP")
-        hit = ks.blpop([_s(a) for a in args[:-1]], _f(args[-1]), cancelled)
+        hit = ks.blpop([_s(a) for a in args[:-1]], _timeout(_f(args[-1])), cancelled)
         if hit is None:
             return NIL_ARRAY
         key, value = hit
@@ -315,7 +333,7 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
     def blmoveseq(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # BLMOVESEQ source destination timeout (0 blocks forever).
         arity(args, 3, "BLMOVESEQ")
-        hit = ks.blmove(_s(args[0]), _s(args[1]), _f(args[2]), cancelled)
+        hit = ks.blmove(_s(args[0]), _s(args[1]), _timeout(_f(args[2])), cancelled)
         if hit is None:
             return NIL_ARRAY
         seq, value = hit
@@ -342,8 +360,12 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
 
     # ----------------------------------------------------------------- hashes
     def hset(args: List[bytes]) -> Any:
+        # HSET key field value [field value ...]: every pair, atomically.
         arity(args, 3, "HSET")
-        return ks.hset(_s(args[0]), _s(args[1]), args[2])
+        if len(args) % 2 == 0:
+            raise RedisError("wrong number of arguments for 'hset' command")
+        key, pairs = _s(args[0]), zip(args[1::2], args[2::2])
+        return sum(ks.transaction([("hset", (key, _s(f), v), {}) for f, v in pairs]))
 
     def hget(args: List[bytes]) -> Any:
         arity(args, 2, "HGET")
@@ -444,7 +466,7 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             if word == b"COUNT":
                 count = _i(rest.pop(0))
             elif word == b"BLOCK":
-                block_ms = _i(rest.pop(0))
+                block_ms = _timeout(_i(rest.pop(0)), threading.TIMEOUT_MAX * 1000)
             elif word == b"NOACK":
                 noack = True
             else:

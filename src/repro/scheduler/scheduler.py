@@ -210,23 +210,19 @@ class JobScheduler:
 
         Raises :class:`QuotaExceededError` when the tenant is at its
         ``max_outstanding`` cap, ``RuntimeError`` on a closed scheduler or
-        engine, and whatever the engine's option gating or the mapping's
-        validation raises -- all synchronously, before the job is queued.
+        engine, and every refusal ``Engine.submit`` would raise (the
+        mapping's ``prepare`` is the one legality gate) -- all
+        synchronously, before the job is queued or counted.
         """
-        graph, name, procs, merged = self.engine._resolve_submission(
-            workflow, processes, mapping, options
-        )
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
-        # Prepared off the scheduler lock (planning can be slow); a handle
-        # refused below was never handed out and holds no thread or timer.
-        job = self.engine._prepare_job(
-            name, graph, inputs, procs, merged,
-            time_scale=time_scale, seed=seed, deadline=None,
-            stream=None, results_channel=True,
+        # Prepared off the scheduler lock (planning can be slow): every
+        # legality refusal raises here, before anything is queued.
+        job, procs = self.engine._prepare_job(
+            workflow, inputs, processes, seed, mapping, time_scale, deadline,
+            options, stream=None, results_channel=True,
         )
         with self._cond:
             if self._closed:
+                job.cancel()  # never handed out: disarm its deadline
                 raise RuntimeError("JobScheduler is closed; create a new one")
             quota = self.quotas.get(tenant)
             if quota is not None and quota.max_outstanding is not None:
@@ -234,6 +230,7 @@ class JobScheduler:
                     1 for r in self._queue + self._live if r.tenant == tenant
                 )
                 if outstanding >= quota.max_outstanding:
+                    job.cancel()  # as above
                     self.stats.note_rejected()
                     raise QuotaExceededError(
                         f"tenant {tenant!r} has {outstanding} outstanding "
@@ -249,14 +246,15 @@ class JobScheduler:
                     time.monotonic() - submitted_at
                 )
             )
-            job._on_terminal(lambda j: self._job_terminal(record, j))
             self._queue.append(record)
             self.stats.note_submitted()
+            # Registered once queued: a deadline that already expired fires
+            # the hook at once, and finds the record where it looks for it.
+            job._on_terminal(lambda j: self._job_terminal(record, j))
             self._cond.notify_all()
         # Tracked by the engine so Engine.close() cancels queued scheduler
         # jobs along with its own.
         self.engine._adopt_job(job)
-        job._arm_deadline(deadline)
         return job
 
     def prewarm(

@@ -76,6 +76,8 @@ class TestEngineBasics:
         tweaked = engine.with_options(processes=5)
         assert tweaked.config.processes == 5
         assert tweaked.config.mapping == "simple"
+        # One initialiser: no construction path can miss an attribute.
+        assert vars(engine).keys() == vars(tweaked).keys() == vars(Engine()).keys()
 
     def test_typo_of_config_field_rejected(self):
         """Misspelled RunConfig fields must not silently become inert

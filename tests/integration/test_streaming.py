@@ -335,9 +335,14 @@ class TestCancellation:
         """Regression: a bad deadline must not orphan a running driver."""
         engine = Engine(mapping="multi", processes=4, time_scale=FAST_SCALE)
         with engine:
+            # Refused before anything is leased: no deployment was made...
             with pytest.raises(ValueError, match="deadline"):
                 engine.submit(_pipeline(), inputs=[1], deadline=0)
-            # The session deployment survived the rejected submission warm.
+            first = engine.submit(_pipeline(), inputs=[1]).wait(timeout=10.0)
+            assert first.counters["deploy_cold"] == 1
+            # ...and a primed session survives a rejected submission warm.
+            with pytest.raises(ValueError, match="deadline"):
+                engine.submit(_pipeline(), inputs=[1], deadline=0)
             after = engine.submit(_pipeline(), inputs=[1]).wait(timeout=10.0)
             assert after.counters["deploy_warm"] == 1
 

@@ -66,7 +66,16 @@ class TestRegistry:
         assert get_capabilities("hybrid_redis").requires_redis
         assert not get_capabilities("dyn_auto_multi").stateful
         assert get_capabilities("dyn_auto_multi").autoscaling
-        assert get_capabilities("multi").static_allocation
+
+    def test_process_floor_is_a_function_of_the_graph(self):
+        """Not a capability bit: pinning mappings derive it per graph."""
+        chain, stateful = _stateless_graph(), _stateful_graph()
+        assert get_mapping_class("simple").process_floor(stateful) == 1
+        assert get_mapping_class("dyn_multi").process_floor(chain) == 1
+        assert get_mapping_class("multi").process_floor(chain) == 3
+        # hybrid_redis: pinned stateful instances + one stateless worker.
+        assert get_mapping_class("hybrid_redis").process_floor(chain) == 1
+        assert get_mapping_class("hybrid_redis").process_floor(stateful) == 3  # 2 pinned + 1
 
     def test_capability_table_covers_all(self):
         rows = capability_table()

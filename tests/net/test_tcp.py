@@ -213,3 +213,76 @@ class TestResilience:
         # Stale writers (lower seq than stored) are rejected.
         assert not client.snapshot("cp", "pe-0", 1, b"old")
         assert client.restore("cp", "missing") is None
+
+
+class TestHostileNumbers:
+    """Numbers off the wire are validated, not handed to ``int()``/``float()``:
+    a bad one answers ``-ERR`` and the connection serves the next command."""
+
+    @pytest.fixture
+    def talk(self, server):
+        import socket
+
+        from repro.net.resp import INCOMPLETE, RespDecoder, encode_command
+
+        sock = socket.create_connection((server.host, server.port), timeout=5.0)
+        decoder = RespDecoder()
+
+        def talk(*command):
+            sock.sendall(encode_command(command))
+            while (reply := decoder.decode()) is INCOMPLETE:
+                data = sock.recv(65536)
+                assert data, f"connection closed on {command!r}"
+                decoder.feed(data)
+            return reply
+
+        yield talk
+        sock.close()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("BLPOP", "k", "inf"),
+            ("BLPOP", "k", "1e400"),
+            ("BLPOP", "k", "1e300"),  # finite, but no wait can take it
+            ("BLPOP", "k", "nan"),
+            ("BLPOP", "k", "-1"),
+            ("BLPOP", "k", " 1 "),
+            ("BLMOVESEQ", "src", "dst", "inf"),
+            ("BLMOVESEQ", "src", "dst", "-0.5"),
+            ("XREAD", "BLOCK", "-1", "STREAMS", "s", "$"),
+            ("XREAD", "BLOCK", "1e3", "STREAMS", "s", "$"),
+            ("INCRBY", "c", "1_000"),
+            ("INCRBY", "c", " 5 "),
+            ("INCRBY", "c", "+5"),
+            ("HSET", "h", "f", "v", "f2"),
+        ],
+        ids=lambda command: " ".join(command),
+    )
+    def test_bad_number_is_an_error_reply_on_a_live_connection(
+        self, server, talk, command
+    ):
+        from repro.net.resp import ErrorReply
+
+        assert talk("PING") == "PONG"  # the handler thread is up
+        handlers = [
+            t for t in threading.enumerate() if t.name == f"resp-conn-{server.port}"
+        ]
+        assert len(handlers) == 1
+        reply = talk(*command)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        # Same connection, next command: the handler thread survived.
+        assert talk("PING") == "PONG"
+        assert handlers[0].is_alive()
+        assert server.keyspace.get("c") is None and server.keyspace.hlen("h") == 0
+
+    def test_hset_stores_every_pair(self, server, talk):
+        assert talk("HSET", "h", "f", "v", "f2", "v2") == 2
+        assert talk("HSET", "h", "f", "again", "f3", "v3") == 1  # one new field
+        assert server.keyspace.hgetall("h") == {
+            "f": b"again", "f2": b"v2", "f3": b"v3",
+        }
+
+    def test_valid_numbers_still_parse(self, talk):
+        assert talk("INCRBY", "c", "-5") == -5
+        assert talk("BLPOP", "k", "0.01") is None

@@ -363,3 +363,71 @@ class TestResultReporting:
         g = linear_graph(Emit(name="src"), Double(name="d"))
         result = run(g, inputs=[1], mapping="simple")
         assert result.top_pes() == []
+
+
+class TestRunPlansAgainstItsInputs:
+    """``repro plan`` and ``repro run --optimize`` read the same plan: the
+    buffered wiring materializes its inputs at prepare time, so the planner
+    profiles against them instead of planning blind."""
+
+    @staticmethod
+    def _spy_plans(monkeypatch):
+        plans = []
+        plan = Planner.plan
+
+        def spy(self, *args, **kwargs):
+            plans.append(plan(self, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(Planner, "plan", spy)
+        return plans
+
+    def test_engine_run_profiles_the_real_inputs(self, monkeypatch):
+        plans = self._spy_plans(monkeypatch)
+        g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
+        Engine(mapping="simple", optimize=True).run(g, inputs=[1, 2, 3])
+        (enacted,) = plans
+        assert enacted.cost.source == "profile" and enacted.cost.sampled == 3
+        # ...which is what `repro plan` does (timings aside).
+        shown = Planner.default().plan(g, provided=normalize_inputs(g, [1, 2, 3]))
+        assert (enacted.steps, enacted.estimated_tuples, enacted.cost.sampled) == (
+            shown.steps, shown.estimated_tuples, shown.cost.sampled
+        )
+
+    def test_streaming_submission_still_plans_blind(self, monkeypatch):
+        """A live submission must not consume its (possibly lazy) inputs."""
+        plans = self._spy_plans(monkeypatch)
+        consumed = []
+
+        def lazy():
+            for item in (1, 2, 3):
+                consumed.append(item)
+                yield item
+
+        g = linear_graph(Emit(name="src"), Double(name="d"))
+        with Engine(mapping="dyn_multi", processes=2, optimize=True,
+                    time_scale=FAST_SCALE) as engine:
+            job = engine.submit(g, inputs=lazy())
+            assert sorted(job.wait(10).output("d")) == [2, 4, 6]
+        assert plans[0].cost.sampled <= 1  # the `{}` probe, never the inputs
+
+    @pytest.mark.parametrize(
+        "workflow",
+        ["galaxy", "seismic", "seismic2", "sentiment", "sentiment-recoverable",
+         "sentiment-scoring"],
+    )
+    def test_catalog_plans_do_not_depend_on_the_sample(self, workflow):
+        """Guard: profiling against the inputs changes the plan's cost
+        model, not what it enacts -- steps, graph and counters stay those
+        of the blind plan."""
+        from repro.scheduler.catalog import build_named_workflow
+
+        graph, inputs = build_named_workflow(workflow)
+        blind = Planner.default().plan(graph)
+        seen = Planner.default().plan(graph, provided=normalize_inputs(graph, inputs))
+        assert seen.steps == blind.steps
+        assert seen.counters == blind.counters
+        assert sorted(seen.graph.pes) == sorted(blind.graph.pes)
+        assert [
+            (e.src, e.src_port, e.dst, e.dst_port) for e in seen.graph.edges
+        ] == [(e.src, e.src_port, e.dst, e.dst_port) for e in blind.graph.edges]

@@ -8,8 +8,6 @@ global-state coordinator would serialize it); the hybrid's 4-way
 partitioned ``happyState`` must beat it.
 """
 
-import pytest
-
 from repro.bench.harness import BenchConfig, run_cell
 from repro.platforms.profiles import SERVER
 from repro.workflows.sentiment.workflow import build_sentiment_workflow

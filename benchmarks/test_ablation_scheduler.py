@@ -23,8 +23,6 @@ latency (the service-level metric the stats surface exists for).
 import os
 import time
 
-import pytest
-
 from repro.engine import Engine
 from repro.scheduler import JobScheduler
 from repro.scheduler.catalog import build_named_workflow

@@ -17,6 +17,13 @@ This script makes that file; it never touches ``e2e_bench/`` or
 that checkout.  Raw per-run lines go to ``--log`` (JSONL, not committed);
 ``--from-log`` summarises an existing log instead of running anything.
 
+``--workload W`` (repeatable) restricts the run to some of the gated
+workloads.  With it an **A/A control** is one more invocation: give two
+clones of the parent as ``--parent`` / ``--change`` and keep its ``--log``;
+``--aa-log`` then folds that log into the summary as ``aa_control`` (same
+cells, "change" being the second copy), so a reader can hold the change's
+gap against the gap two copies of one commit show on the same host.
+
 The summary keeps medians, quartiles and pair counts only -- no sample
 arrays -- so the file stays a few KB.  A pair is *won* when the change's
 run is better than the parent's run of the same pair by the metric's own
@@ -100,6 +107,10 @@ def summarise(runs: List[Dict[str, Any]], benchmark: Dict[str, Any]) -> Dict[str
     return out
 
 
+def read_log(path: Path) -> List[Dict[str, Any]]:
+    return [json.loads(line) for line in path.read_text().splitlines() if line]
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
@@ -112,18 +123,26 @@ def main(argv: List[str]) -> int:
         "--log", type=Path, default=Path(tempfile.gettempdir()) / "bench_trajectory_runs.jsonl"
     )
     parser.add_argument("--from-log", type=Path)
+    parser.add_argument("--workload", action="append", help="only this gated workload")
+    parser.add_argument("--aa-log", type=Path, help="log of a parent-vs-parent-copy run")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    gated = [w["name"] for w in benchmark["workloads"]]
+    if args.workload:
+        unknown = sorted(set(args.workload) - set(gated))
+        if unknown:
+            parser.error(f"not a gated workload: {', '.join(unknown)}")
+        gated = [name for name in gated if name in args.workload]
     if args.from_log is not None:
-        runs = [json.loads(line) for line in args.from_log.read_text().splitlines() if line]
+        runs = read_log(args.from_log)
     else:
         if args.parent is None:
             parser.error("--parent is required unless --from-log is given")
         runs = []
         with args.log.open("w") as log:
             for run in paired_runs(
-                args.parent, args.change, [w["name"] for w in benchmark["workloads"]],
+                args.parent, args.change, gated,
                 args.pairs, args.seed, benchmark["run_seconds"],
             ):
                 runs.append(run)
@@ -138,6 +157,13 @@ def main(argv: List[str]) -> int:
         "seeds": sorted({run["seed"] for run in runs}),
         "workloads": summarise(runs, benchmark),
     }
+    if args.aa_log is not None:
+        control = read_log(args.aa_log)
+        summary["aa_control"] = {
+            "method": "the same pairs with a second clone of the parent as the change",
+            "seeds": sorted({run["seed"] for run in control}),
+            "workloads": summarise(control, benchmark),
+        }
     text = json.dumps(summary, indent=1, sort_keys=True) + "\n"
     out = args.out if args.out is not None else args.change / f"BENCH_{args.pr}.json"
     out.write_text(text)

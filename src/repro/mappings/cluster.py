@@ -23,9 +23,10 @@ How a run is assembled:
   identical to ``dyn_redis``), and runs the same
   :class:`~repro.mappings.redis_tasks.StreamWorker` body under the same
   dedicated driver as a ``dyn_redis`` thread -- only its client dials a
-  socket.  Results relay back **in band**: an entry's collected outputs
-  ride its settle pipeline as one ``RPUSH {ns}:results v1 v2 ...`` ahead of
-  the ack (no round trip of their own, and nothing acked is ever
+  socket.  Results relay back **in band**: the collected outputs of a
+  window of entries ride its one settle pipeline as one ``RPUSH
+  {ns}:results v1 v2 ...`` ahead of the window's first ack (no round trip
+  of their own, one pump wake per window, and nothing acked is ever
   unrelayed).  The coordinator's pump pops the list into its collector,
   draining whatever queued per wake-up, and ends on the stop sentinel the
   coordinator pushes once every worker is joined -- every worker push
@@ -123,11 +124,15 @@ class _RelayCollector:
     """Worker-side stand-in for :class:`ResultsCollector`.
 
     Collected emissions cannot land in the coordinator's memory directly --
-    there is a process boundary in the way -- so they are buffered while an
-    entry runs and :meth:`flush` appends them to its settle pipeline as one
-    ``RPUSH`` onto the run's results list, which the coordinator's pump
-    drains into the real collector.  The client pickles each
-    ``(pe, port, value)`` triple like any other list payload.
+    there is a process boundary in the way -- so they are buffered while a
+    window of entries runs and :meth:`flush` appends them to the window's
+    settle pipeline as one ``RPUSH`` onto the run's results list, which the
+    coordinator's pump drains into the real collector.  The worker
+    assembles that pipeline after the window ran, so the first entry's
+    flush takes everything and the later ones find the buffer empty: one
+    ``RPUSH`` and one pump wake per window, ahead of every ack in it.  The
+    client pickles each ``(pe, port, value)`` triple like any other list
+    payload.
     """
 
     def __init__(self, results_key: str) -> None:
@@ -192,7 +197,7 @@ class _ClusterWorker:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def _publish(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
-        """An entry's children and its relayed results, both ahead of its ack."""
+        """An entry's children and what the window relays, both ahead of its ack."""
         self.worker.publish_tasks(pipe, deliveries)
         self.relay.flush(pipe)
 

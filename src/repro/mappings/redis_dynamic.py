@@ -15,11 +15,13 @@ seeds and children are published as batch envelopes (one ``XADD`` + one
 fetched envelope with a single conditional ``XACKDECR
 amount=len(envelope)`` -- cutting the per-tuple command count (the
 round-trip handicap above) by the batch factor while keeping the
-outstanding-counter drain proof exact at batch granularity.  Fetches stay
-one *entry* per poll: an entry already carries up to ``batch_size``
-tuples, and pulling several envelopes at once would hand one worker a
-quadratic slice of the backlog and collapse load balancing exactly when
-work is scarce.
+outstanding-counter drain proof exact at batch granularity.  A poll still
+fetches one *entry*: an entry already carries up to ``batch_size`` tuples,
+and pulling several envelopes at once would hand one worker a quadratic
+slice of the backlog and collapse load balancing exactly when work is
+scarce.  Only a saturated worker's read-ahead asks for more, and it sizes
+that window from its own timings so that it never holds more than about
+ten round trips' worth of work (:func:`repro.mappings.redis_tasks.window_size`).
 """
 
 from __future__ import annotations

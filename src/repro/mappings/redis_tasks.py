@@ -24,12 +24,17 @@ the batch factor.
 :class:`StreamWorker` is the consuming side: the one fetch -> invoke ->
 settle (``XACKDECR``) -> reclaim (``XAUTOCLAIM``) body every Redis mapping
 runs, whichever transport its client rides and whoever decides when the
-run is over.  Its settle pipeline also reads the next entry, so a saturated
-worker pays one round trip per entry (see the class docstring).
+run is over.  It works in *windows*: one pipeline settles every entry of a
+window in fetch order and reads the next window, so a saturated worker pays
+one round trip per window -- and a window is as many entries as make that
+trip a small share of the work it carries (:func:`window_size`), which for
+entries that dwarf a trip is one (see the class docstring).
 """
 
 from __future__ import annotations
 
+import math
+import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.concrete import ConcreteWorkflow, Delivery
@@ -49,6 +54,36 @@ UNLIMITED = float("inf")
 #: Commands per pipelined seeding frame: seeding costs a round trip per few
 #: hundred commands, and no single frame ever carries the whole input.
 SEED_FRAME = 256
+
+#: Largest share of a window's work its settle trip may cost: a worker reads
+#: ahead as many entries as bring the trip down to this share.
+TRIP_SHARE = 0.1
+
+#: Most entries one window carries.  Measured on ``cluster_tcp``, the saving
+#: per avoided trip flattens past 8, while what a crash repeats and what a
+#: peer cannot steal keep growing with the window.
+WINDOW_CAP = 8
+
+
+def window_size(trip: float, service: float, reclaim_idle: float) -> int:
+    """Entries per window, from a worker's own measurements (one time unit).
+
+    ``trip`` is the wall time of a settle round trip and ``service`` the
+    wall time of running one entry.  The window is the smallest that keeps
+    the trip within :data:`TRIP_SHARE` of the work it settles, at most
+    :data:`WINDOW_CAP`, and never more than a quarter of ``reclaim_idle`` of
+    measured work: a live worker's last entry must not sit in the PEL long
+    enough to look abandoned.  Entries that cost ten trips or more get 1.
+    """
+    if service <= 0:
+        return WINDOW_CAP
+    wanted = math.ceil(min(trip / (TRIP_SHARE * service), WINDOW_CAP))
+    return max(1, min(wanted, int(reclaim_idle / (4 * service))))
+
+
+def _ewma(mean: Optional[float], sample: float) -> float:
+    """Fold one measurement into a running mean (the first one is the mean)."""
+    return sample if mean is None else 0.75 * mean + 0.25 * sample
 
 
 def reclaim_threshold_ms(options, clock) -> float:
@@ -170,12 +205,12 @@ class RedisTaskBoard:
             )
         )
 
-    def queue_fetch(self, pipe: Pipeline, consumer: str) -> None:
-        """Append a non-blocking one-entry read for ``consumer`` to a pipeline.
+    def queue_fetch(self, pipe: Pipeline, consumer: str, count: int = 1) -> None:
+        """Append a non-blocking read of up to ``count`` entries to a pipeline.
 
         Decode its reply with :meth:`fetched`.
         """
-        pipe.xreadgroup(self.group, consumer, {self.stream_key: ">"}, count=1)
+        pipe.xreadgroup(self.group, consumer, {self.stream_key: ">"}, count=count)
 
     @staticmethod
     def fetched(reply: List[Tuple[str, list]]) -> List[Tuple[str, Any]]:
@@ -188,6 +223,18 @@ class RedisTaskBoard:
 
     def ack(self, entry_id: str, client: RedisClient) -> None:
         client.xack(self.stream_key, self.group, entry_id)
+
+    def queue_pills(self, pipe: Pipeline, pill_ids: List[str]) -> None:
+        """Append the acks of the pills one fetch pulled to a pipeline.
+
+        The first is the fetching worker's own.  Every further one was
+        meant for a peer and is published again behind its ack, so the peer
+        still ends on a pill instead of polling out its retry budget.
+        """
+        for position, entry_id in enumerate(pill_ids):
+            pipe.xack(self.stream_key, self.group, entry_id)
+            if position:
+                pipe.xadd(self.stream_key, {"pill": 1})
 
     def complete(self, client: RedisClient) -> None:
         """Declare one fetched task fully processed (children already put)."""
@@ -308,14 +355,31 @@ class StreamWorker:
         prefetched ones included, before any is run (``crash_after``
         failure injection).
 
-    **Round-trip budget.**  One pipeline settles an entry (children,
-    ``XACKDECR``) *and* reads the next with a non-blocking ``XREADGROUP >
-    COUNT 1``: a saturated worker costs one round trip per entry.  Only an
-    empty prefetch falls back to the separate blocking :meth:`_fetch` (two
-    trips for that entry), where backoff, the termination check and the
-    ``XAUTOCLAIM`` cadence live.  A worker prefetches unless the entry
-    raised, its fetch carried a pill, or it exhausts the session's budget --
-    so nobody returns holding an entry only reclaim could free.
+    **Round-trip budget.**  A fetch's entries are one *window*: they run
+    back to back and one pipeline settles them all in fetch order (e1's
+    children, e1's ``XACKDECR``, e2's children, e2's ``XACKDECR``, ...),
+    acks the pills the fetch pulled and reads the next window with a
+    non-blocking ``XREADGROUP > COUNT w``: a saturated worker costs one
+    round trip per window.  ``w`` is no option.  Each worker keeps a running
+    mean of its settle trip's wall time and of its wall time per entry and
+    reads ahead :func:`window_size` entries: as many as make the trip a
+    tenth of the work it settles, so entries that dwarf a trip keep
+    ``w == 1`` -- one fused settle-and-fetch trip per entry -- and only
+    fine-grained streams batch their trips.  A worker with no measurement
+    yet, and a budgeted session (whose idle time is the scaler's signal and
+    which must return holding nothing), read one entry ahead.  Only an empty
+    read-ahead falls back to the separate blocking :meth:`_fetch`, where
+    backoff, the termination check and the ``XAUTOCLAIM`` cadence live.  A
+    window reads ahead unless an entry raised, the caller's ``stop()`` cut it
+    short, its fetch carried a pill, or it exhausts the session's budget.
+
+    **What a failure leaves.**  Nothing of a window is published or acked
+    before its one settle, so a worker killed mid-window leaves the whole
+    window in the PEL and its adopter re-runs all of it: at-least-once,
+    never lost, and at most ``WINDOW_CAP`` entries repeated.  A PE raising
+    in entry *j* still settles e1..e*j* (the children gathered so far, then
+    the acks) before the exception propagates; the unstarted tail stays
+    pending, exactly as a crash leaves it.
 
     The three ``run_*`` drivers differ only in who ends the run.
     """
@@ -353,6 +417,10 @@ class StreamWorker:
         self.base_block_ms = max(1, int(clock.to_real(policy.poll_interval) * 1000))
         #: What the last settle pipeline read ahead; the next fetch hands it out.
         self._prefetched: List[Tuple[str, Any]] = []
+        #: Running means (real seconds) of a settle trip and of one entry's
+        #: run; ``None`` until measured.  They size the next window.
+        self._trip: Optional[float] = None
+        self._service: Optional[float] = None
 
     # ------------------------------------------------------------ the body
     def publish_tasks(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
@@ -360,68 +428,94 @@ class StreamWorker:
             pipe, [(d.dst, d.dst_port, d.data) for d in deliveries], self.batch_size
         )
 
-    def process_entry(self, entry_id: str, payload: Any, budget: float = UNLIMITED) -> int:
-        """Run every task carried by one stream entry; returns the count.
-
-        The batch-aware hot path: an entry may be a single task or a batch
-        envelope.  All tasks are executed without re-entering the fetch/ack
-        machinery per tuple; their children are gathered and the entry is
-        settled once -- one pipelined round trip publishing the children,
-        releasing the entry's credits with a conditional
-        ``XACKDECR amount=len(entry)`` and reading the next entry.
-
-        ``budget`` is how many more tasks the caller means to run; an entry
-        that uses it up (``0``: any entry) does not read ahead.
-        """
-        tasks = batch_items(payload)
-        deliveries: List[Delivery] = []
-        prefetch = False
-        try:
-            for pe_name, port, item in tasks:
-                inputs = item if port is None else {port: item}
-                emissions = self.copies[pe_name]._invoke(inputs)
-                self.count("tasks")
-                deliveries.extend(
-                    dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
-                )
-            prefetch = len(tasks) < budget
-        finally:
-            # Settle even when a PE raised: the entry must not linger in
-            # the PEL for a peer to adopt and fail on again.  What it
-            # published lands before its ack, so a crash in between can
-            # only repeat work (at-least-once), never lose it.
-            pipe = self.client.pipeline()
-            self.publish(pipe, deliveries)
-            self.board.queue_settle(pipe, entry_id, len(tasks))
-            if prefetch:
-                self.board.queue_fetch(pipe, self.consumer)
-            replies = pipe.execute()
-        if prefetch:
-            self._prefetched = self.board.fetched(replies[-1])
-        return len(tasks)
+    def _window(self) -> int:
+        """How many entries the next read-ahead asks for."""
+        if self._trip is None or self._service is None:
+            return 1
+        return window_size(self._trip, self._service, self.reclaim_idle_ms / 1000.0)
 
     def consume(
-        self, fetched: List[Tuple[str, Any]], budget: float = UNLIMITED
+        self,
+        fetched: List[Tuple[str, Any]],
+        budget: float = UNLIMITED,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> Tuple[int, bool]:
-        """Run one fetch's entries; returns ``(tasks run, saw a pill)``.
+        """Run one fetch's entries as a window; returns ``(tasks run, saw a pill)``.
+
+        The batch-aware hot path: an entry may be a single task or a batch
+        envelope (settled whole, ``XACKDECR amount=len(entry)``), and no
+        entry re-enters the fetch/ack machinery on its own -- everything the
+        window produced goes out in the one :meth:`_settle` trip.
 
         Pills always trail real work in stream order (they are only
         broadcast once the board drained), so tasks run first and the
-        caller exits on the pill.  A multi-entry fetch may pull pills meant
-        for peers into our PEL; ack them all -- the peers still terminate
-        through their own stop condition.  Only the last entry of a
-        pill-free fetch reads ahead, within ``budget`` tasks.
+        caller exits on the pill.  ``stop`` is asked before every entry;
+        once true, the rest of the window stays pending.  ``budget`` is how
+        many more tasks the caller means to run: a window that uses it up
+        does not read ahead (``0``: never), and a finite one reads a single
+        entry ahead.
         """
-        if self.after_fetch is not None:
-            self.after_fetch(sum(1 for _, payload in fetched if payload is not PILL))
-        tasks, got_pill = 0, any(payload is PILL for _, payload in fetched)
-        for entry_id, payload in fetched:
-            if payload is PILL:
-                self.board.ack(entry_id, self.client)
+        pills = [entry_id for entry_id, payload in fetched if payload is PILL]
+        #: ``(entry id, tasks carried, children)`` of every entry started.
+        ran: List[Tuple[str, int, List[Delivery]]] = []
+        tasks, window = 0, 0
+        started = time.perf_counter()
+        try:
+            for entry_id, payload in fetched:
+                if payload is PILL:
+                    continue
+                if stop is not None and stop():
+                    break
+                items = batch_items(payload)
+                deliveries: List[Delivery] = []
+                ran.append((entry_id, len(items), deliveries))
+                for pe_name, port, item in items:
+                    inputs = item if port is None else {port: item}
+                    emissions = self.copies[pe_name]._invoke(inputs)
+                    self.count("tasks")
+                    deliveries.extend(
+                        dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
+                    )
+                tasks += len(items)
             else:
-                ahead = not got_pill and entry_id == fetched[-1][0]
-                tasks += self.process_entry(entry_id, payload, budget - tasks if ahead else 0)
-        return tasks, got_pill
+                if not pills and tasks < budget:
+                    window = self._window() if budget == UNLIMITED else 1
+        finally:
+            # Settle even when a PE raised: a started entry must not linger
+            # in the PEL for a peer to adopt and fail on again.
+            self._settle(ran, pills, window, started)
+        return tasks, bool(pills)
+
+    def _settle(
+        self,
+        ran: List[Tuple[str, int, List[Delivery]]],
+        pills: List[str],
+        window: int,
+        started: float,
+    ) -> None:
+        """The one round trip of a window: settle ``ran``, read ``window`` ahead.
+
+        Per entry, what it published lands before its ack, so a crash in
+        between can only repeat work (at-least-once), never lose it.  The
+        pipeline is assembled here, after the window ran, so a ``publish``
+        that carries per-window state (cluster's relayed results) lands it
+        with the first entry -- ahead of every ack of the window.
+        """
+        pipe = self.client.pipeline()
+        for entry_id, amount, deliveries in ran:
+            self.publish(pipe, deliveries)
+            self.board.queue_settle(pipe, entry_id, amount)
+        self.board.queue_pills(pipe, pills)
+        if window:
+            self.board.queue_fetch(pipe, self.consumer, window)
+        sent = time.perf_counter()
+        replies = pipe.execute()
+        if ran:
+            self.count("settle_trips")
+            self._trip = _ewma(self._trip, time.perf_counter() - sent)
+            self._service = _ewma(self._service, (sent - started) / len(ran))
+        if window:
+            self._prefetched = self.board.fetched(replies[-1])
 
     def reclaim_stale(self) -> int:
         """Adopt and run tasks stuck with dead consumers (the recovery path).
@@ -430,25 +524,29 @@ class StreamWorker:
         in the PEL, where no ``>`` read will ever see them again -- without
         reclaim the outstanding counter never drains and the run hangs.
         Starved workers call this once the queue looks empty but work is
-        still outstanding.  Returns the number of tasks recovered.
+        still outstanding.  Each adopted entry is a window of its own that
+        reads nothing ahead.  Returns the number of tasks recovered.
         """
         tasks = 0
-        for entry_id, payload in self.board.recover_stale(
+        for entry in self.board.recover_stale(
             self.consumer, self.client, min_idle_ms=self.reclaim_idle_ms
         ):
             self.count("reclaimed")
-            tasks += self.process_entry(entry_id, payload, budget=0)
+            tasks += self.consume([entry], budget=0)[0]
         return tasks
 
     def _fetch(self, empty_streak: int = 0) -> List[Tuple[str, Any]]:
         """The next entries: what the last settle read ahead, else a blocking read."""
         if self._prefetched:
             fetched, self._prefetched = self._prefetched, []
-            return fetched
-        # Exponential backoff while starved (capped at 32x): idle consumers
-        # polling at 1 kHz would contend on the server lock and the GIL.
-        block_ms = self.base_block_ms << min(empty_streak, 5)
-        return self.board.fetch(self.consumer, self.client, block_ms=block_ms)
+        else:
+            # Exponential backoff while starved (capped at 32x): idle consumers
+            # polling at 1 kHz would contend on the server lock and the GIL.
+            block_ms = self.base_block_ms << min(empty_streak, 5)
+            fetched = self.board.fetch(self.consumer, self.client, block_ms=block_ms)
+        if fetched and self.after_fetch is not None:
+            self.after_fetch(sum(1 for _, payload in fetched if payload is not PILL))
+        return fetched
 
     def _reclaim_due(self, empty_streak: int) -> bool:
         # On the first starved poll past the retry budget, then every 8th --
@@ -518,7 +616,7 @@ class StreamWorker:
             fetched = self._fetch(empty_streak)
             if fetched:
                 empty_streak = 0
-                if self.consume(fetched)[1]:
+                if self.consume(fetched, stop=stop)[1]:
                     return
                 continue
             empty_streak += 1

@@ -7,7 +7,7 @@ time per mapping (figures), and prioritized ratio rows (tables).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.metrics.ratios import RatioSummary
 from repro.metrics.result import RunResult

@@ -33,7 +33,6 @@ from repro.redisim.streams import (
     ConsumerGroup,
     PendingEntry,
     Stream,
-    StreamEntry,
     StreamID,
 )
 

@@ -16,7 +16,7 @@ hybrid dynamic scheduling.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.pe import GenericPE, IterativePE
 from repro.workflows.sentiment.articles import make_article

@@ -9,10 +9,7 @@ import pytest
 
 from repro import run
 from repro.bench.harness import BenchConfig, run_grid
-from repro.bench.reporting import (
-    autoscaling_saves_process_time,
-    mapping_dominates,
-)
+from repro.bench.reporting import autoscaling_saves_process_time
 from repro.platforms.profiles import CLOUD, SERVER, get_platform
 from repro.workflows.astro.workflow import build_internal_extinction_workflow
 from repro.workflows.sentiment.workflow import build_sentiment_workflow

@@ -1,9 +1,11 @@
 """The fused settle-and-fetch trip of :class:`StreamWorker`.
 
-One pipeline settles an entry and reads the next, so a saturated worker
-costs one round trip per entry.  These tests count round trips
-(``client.ops``) and pending entries (``XPENDING``) on an in-process
-keyspace -- structure, never wall-clock -- and pin who may read ahead when.
+One pipeline settles a window of entries and reads the next, so a saturated
+worker costs at most one round trip per entry (``tests/mappings/
+test_window.py`` pins the windows wider than one).  These tests count
+round trips (``client.ops``) and pending entries (``XPENDING``) on an
+in-process keyspace -- structure, never wall-clock -- and pin who may read
+ahead when.
 """
 
 import pytest
@@ -19,6 +21,16 @@ class Boom(IterativePE):
         if data == "boom":
             raise ValueError("boom")
         return data
+
+
+def _wide(worker):
+    """Pin ``worker``'s read-ahead at ``WINDOW_CAP``, whatever it measures.
+
+    An infinite trip stays infinite under the running mean, so the sizing
+    rule answers the cap from the first settle to the last.
+    """
+    worker._trip, worker._service = float("inf"), 0.0
+    return worker
 
 
 def _pending(wf, consumer=None):
@@ -112,11 +124,19 @@ class TestWhoMayReadAhead:
         assert wf.board.outstanding() == 1 and wf.board.backlog() == 1
 
     def test_prefetched_pill_is_acked_and_ends_the_worker(self):
-        """A pill behind the last task rides back on that task's settle."""
+        """Pills behind the last task ride back on a read-ahead.
+
+        Re-pinned for windows: the read-ahead is ``COUNT w`` now, so it
+        brings *both* pills where ``COUNT 1`` brought one.  The properties
+        are the old ones -- the worker ends on a pill it acked, and the
+        peer's pill survives for the peer to end on -- but the peer's is
+        now one the first worker published again behind its ack, in the
+        same trip.
+        """
         state, wf = _workforce(linear_graph(Double(name="double")), [1, 2])
         wf.seed_roots()
         wf.board.put_pills(2)  # one for this worker, one for a peer
-        worker = wf.worker("first")
+        worker = _wide(wf.worker("first"))
         fetched_pills = []
         consume = worker.consume
 
@@ -126,11 +146,12 @@ class TestWhoMayReadAhead:
 
         worker.consume = spy
         worker.run_dedicated(lambda: pytest.fail("a pilled worker must not broadcast"))
-        assert fetched_pills == [PILL]
-        # 1 opening fetch + 2 fused trips (the second brought the pill) + its ack.
-        assert worker.client.ops == 4
+        assert fetched_pills == [PILL, PILL]
+        # 1 opening fetch + 2 window trips: the first brought the second
+        # task and both pills, the second settled all three.
+        assert worker.client.ops == 3
         assert _pending(wf) == 0 and wf.board.is_drained()
-        assert wf.board.backlog() == 1  # the peer's pill is still there
+        assert wf.board.backlog() == 1  # the peer's pill is there again
 
         wf.worker("peer").run_dedicated(lambda: pytest.fail("pilled too"))
         assert wf.board.backlog() == 0 and _pending(wf) == 0
@@ -138,10 +159,15 @@ class TestWhoMayReadAhead:
 
     def test_after_fetch_counts_prefetched_entries(self):
         """``crash_after`` fires on the n-th fetched entry however it was
-        fetched -- with that entry in the PEL and un-acked."""
+        fetched -- with that entry in the PEL and un-acked.
+
+        Re-pinned for windows: a read-ahead of ``COUNT w`` hands all four
+        remaining entries to one ``after_fetch`` call, so the crash finds
+        four entries fetched, pending and un-acked where it found one.
+        """
         _state, wf = _workforce(linear_graph(Double(name="double")), list(range(5)))
         wf.seed_roots()
-        worker = wf.worker("doomed")
+        worker = _wide(wf.worker("doomed"))
         seen = []
 
         class Killed(Exception):
@@ -155,14 +181,22 @@ class TestWhoMayReadAhead:
         worker.after_fetch = after_fetch
         with pytest.raises(Killed):
             worker.run_dedicated(lambda: None)
-        assert seen == [1, 1, 1]
-        assert _pending(wf, wf.consumer_name("doomed")) == 1
-        assert wf.board.outstanding() == 3  # two settled, the third still owed
+        assert seen == [1, 4]  # every entry counted before any of its fetch ran
+        assert _pending(wf, wf.consumer_name("doomed")) == 4
+        assert wf.board.outstanding() == 4  # one settled, the window still owed
 
     def test_stop_is_observed_between_two_entries(self):
-        """``run_until`` checks ``stop()`` before every entry, read ahead or not."""
+        """``run_until`` checks ``stop()`` before every entry, read ahead or not.
+
+        Re-pinned for windows: the worker's hands now hold a whole window
+        (entries 2..9) when ``stop()`` turns true, so this pins that the
+        check sits between two entries *of a window*, not between windows.
+        """
         state, wf = _workforce(linear_graph(Double(name="double")), list(range(10)))
         wf.seed_roots()
-        worker = wf.worker("stoppable")
+        worker = _wide(wf.worker("stoppable"))
         worker.run_until(lambda: state.counters.get("tasks") >= 3)
         assert state.counters.get("tasks") == 3
+        # What ran is settled; the window's unstarted tail stays pending.
+        assert wf.board.outstanding() == 7
+        assert _pending(wf, wf.consumer_name("stoppable")) == 6

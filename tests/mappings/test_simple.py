@@ -4,7 +4,6 @@ from repro import run
 from repro.core.graph import WorkflowGraph
 from tests.conftest import (
     AddOne,
-    Collect,
     Double,
     Emit,
     FAST_SCALE,

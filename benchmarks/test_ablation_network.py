@@ -81,9 +81,15 @@ def test_transport_tcp_loopback(benchmark, capsys, tcp_server):
         )
 
 
-def test_cluster_sentiment_over_tcp(benchmark):
-    """End-to-end distributed run: worker processes over a real socket."""
+def test_cluster_sentiment_over_tcp(benchmark, capsys):
+    """End-to-end distributed run: worker processes over a real socket.
+
+    Prints the run's wire budget -- settle trips, how many were read a
+    window later, keyspace commands per task -- from the keyspace's own
+    command tally (nested ``incrby`` ticks of ``XACKDECR`` included).
+    """
     graph, inputs = build_sentiment_scoring_workflow(articles=20)
+    keyspace = RedisServer()
 
     def once():
         return run(
@@ -95,8 +101,17 @@ def test_cluster_sentiment_over_tcp(benchmark):
             time_scale=0.002,
             # fork keeps the cell sub-second (spawn pays interpreter boot).
             start_method="fork",
+            redis_server=keyspace,
         )
 
     result = benchmark.pedantic(once, rounds=1, iterations=1)
     assert result.total_outputs() == 40
     assert result.counters.get("graph_copies") == 2
+    tasks, commands = result.counters["tasks"], sum(keyspace.command_count.values())
+    with capsys.disabled():
+        print(
+            f"\n[network] cluster_redis: tasks {tasks}, "
+            f"settle_trips {result.counters.get('settle_trips', 0)}, "
+            f"settles_in_flight {result.counters.get('settles_in_flight', 0)}, "
+            f"{commands} keyspace commands ({commands / tasks:.2f} per task)"
+        )

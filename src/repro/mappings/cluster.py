@@ -25,13 +25,14 @@ How a run is assembled:
   dedicated driver as a ``dyn_redis`` thread -- only its client dials a
   socket.  Results relay back **in band**: the collected outputs of a
   window of entries ride its one settle pipeline as one ``RPUSH
-  {ns}:results v1 v2 ...`` ahead of the window's first ack (no round trip
-  of their own, one pump wake per window, and nothing acked is ever
+  {ns}:results v1 v2 ...`` ahead of the window's ack (no round trip of
+  their own, one pump wake per window, and nothing acked is ever
   unrelayed).  The coordinator's pump pops the list into its collector,
-  draining whatever queued per wake-up, and ends on the stop sentinel the
-  coordinator pushes once every worker is joined -- every worker push
-  precedes it in list order, so nothing waits out a blocking-pop timeout.
-  Counters accumulate locally and flush once at exit.
+  taking whatever queued with one ``LPOP key count`` per wake-up, and ends
+  on the stop sentinel the coordinator pushes once every worker is joined
+  -- every worker push precedes it in list order, so nothing waits out a
+  blocking-pop timeout.  Counters accumulate locally and flush once at
+  exit.
 - **Recovery** is inherited wholesale: a worker SIGKILLed mid-run leaves
   its fetched-but-unacked entries in the group PEL, and starved survivors
   adopt them via ``XAUTOCLAIM`` exactly as in-process workers do -- now
@@ -69,7 +70,7 @@ from repro.net.server import RespTCPServer
 from repro.redisim.client import Pipeline
 from repro.runtime.clock import Clock
 
-#: How long a worker polls for the jobspec before giving up (real seconds).
+#: How long a worker waits for the jobspec before giving up (real seconds).
 JOBSPEC_TIMEOUT = 30.0
 
 #: Longest single ``BLPOP`` of the results pump (real seconds).  An idle
@@ -77,7 +78,7 @@ JOBSPEC_TIMEOUT = 30.0
 #: so this value is not part of any run's wall time.
 PUMP_BLOCK = 0.2
 
-#: Results popped per round trip once the pump is awake.
+#: Most results the pump takes in the one ``LPOP`` behind a wake-up.
 PUMP_DRAIN = 512
 
 #: Stop sentinel of the results list (a relayed result is always a triple).
@@ -130,7 +131,7 @@ class _RelayCollector:
     coordinator's pump drains into the real collector.  The worker
     assembles that pipeline after the window ran, so the first entry's
     flush takes everything and the later ones find the buffer empty: one
-    ``RPUSH`` and one pump wake per window, ahead of every ack in it.  The
+    ``RPUSH`` and one pump wake per window, ahead of its ack.  The
     client pickles each ``(pe, port, value)`` triple like any other list
     payload.
     """
@@ -197,7 +198,7 @@ class _ClusterWorker:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def _publish(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
-        """An entry's children and what the window relays, both ahead of its ack."""
+        """An entry's children and what the window relays, both ahead of the ack."""
         self.worker.publish_tasks(pipe, deliveries)
         self.relay.flush(pipe)
 
@@ -240,25 +241,23 @@ class _ClusterWorker:
 def run_worker(address: str, namespace: str, index: int) -> None:
     """Join a cluster run as one worker process (also the ``repro join`` entry).
 
-    Dials ``address``, polls ``{namespace}:jobspec`` until the coordinator
-    publishes it, rebuilds the run context and consumes the task stream to
-    termination.  Module-level by necessity: the ``spawn`` start method
-    imports this module in a fresh interpreter and looks the target up by
-    qualified name.
+    Dials ``address``, reads ``{namespace}:jobspec`` -- a worker that is
+    there before the coordinator parks on ``{namespace}:ready``, where the
+    coordinator leaves one token per worker once the jobspec is published --
+    rebuilds the run context and consumes the task stream to termination.
+    Module-level by necessity: the ``spawn`` start method imports this
+    module in a fresh interpreter and looks the target up by qualified name.
     """
     client = SocketRedisClient(address=address)
     try:
         deadline = time.monotonic() + JOBSPEC_TIMEOUT
-        while True:
-            raw = client.get(f"{namespace}:jobspec")
-            if raw is not None:
-                break
-            if time.monotonic() > deadline:
+        while (raw := client.get(f"{namespace}:jobspec")) is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or client.blpop(f"{namespace}:ready", remaining) is None:
                 raise TimeoutError(
                     f"no jobspec appeared under {namespace!r} at {address} "
                     f"within {JOBSPEC_TIMEOUT}s"
                 )
-            time.sleep(0.05)
         spec = pickle.loads(raw)
         worker = _ClusterWorker(client, namespace, index, spec)
         try:
@@ -315,8 +314,9 @@ class ClusterRedisMapping(Mapping):
         board.setup()
         results_key = f"{namespace}:results"
         errors_key = f"{namespace}:errors"
+        ready_key = f"{namespace}:ready"
         run_keys = (
-            f"{namespace}:jobspec", results_key, errors_key,
+            f"{namespace}:jobspec", ready_key, results_key, errors_key,
             f"{namespace}:pills_sent", f"{namespace}:counters",
         )
         client.delete(*run_keys)
@@ -340,25 +340,24 @@ class ClusterRedisMapping(Mapping):
             "crash_workers": tuple(crash_workers),
         }
         client.set(f"{namespace}:jobspec", _dumps_jobspec(jobspec))
+        # Wake whoever joined before the jobspec existed (``repro join``).
+        client.rpush(ready_key, *range(state.processes))
 
         # Results pump: pops the relay list into the local collector until
         # it meets the stop sentinel.  Once awake it takes whatever else
-        # queued in bounded non-blocking pops, so a backlog costs round
-        # trips per PUMP_DRAIN results, not per result.
+        # queued with one atomic ``LPOP key count``, so a backlog costs a
+        # round trip per PUMP_DRAIN results, not per result.
         def pump() -> None:
             pump_client = SocketRedisClient(address=address)
             try:
                 while True:
                     hit = pump_client.blpop(results_key, timeout=PUMP_BLOCK)
-                    batch = [] if hit is None else [hit[1]]
-                    while batch:
-                        for result in batch:
-                            if result is _PUMP_STOP:
-                                return
-                            state.collector.add(*result)
-                        batch = pump_client.lrange(results_key, 0, PUMP_DRAIN - 1)
-                        if batch:
-                            pump_client.ltrim(results_key, len(batch), -1)
+                    if hit is None:
+                        continue
+                    for result in [hit[1], *(pump_client.lpop(results_key, PUMP_DRAIN) or ())]:
+                        if result is _PUMP_STOP:
+                            return
+                        state.collector.add(*result)
             finally:
                 pump_client.close()
 

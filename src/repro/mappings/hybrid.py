@@ -49,9 +49,9 @@ Both planes micro-batch with ``batch_size > 1``: stateless tasks travel as
 batch envelopes on the global stream (as in ``dyn_redis``), and deliveries
 into a private queue are grouped per pinned instance -- one RPUSHSEQ
 element carrying up to ``batch_size`` messages under a **single sequence
-number**, with its credits added by one ``INCRBY len(batch)``.  The
-consumer BLMOVEs one element per round trip (= up to ``batch_size``
-tuples), and the recovery machinery operates at batch granularity
+number**, its ``len(batch)`` credits booked by the pipeline that carries
+it.  The consumer BLMOVEs one element per round trip (= up to
+``batch_size`` tuples), and the recovery machinery operates at batch granularity
 throughout: an envelope is one pending-log element (checkpoint trimming is
 untouched), its credits are released all-or-nothing by the checkpoint that
 covers it, and replay dedup compares the envelope's sequence number --
@@ -220,24 +220,24 @@ class HybridRedisMapping(Mapping):
 
         # ------------------------------------------------------ dispatching
         def queue_deliveries(pipe, deliveries: List[Delivery]) -> None:
-            """Append routed deliveries to a pipeline (one round trip).
+            """Append routed deliveries to a pipeline, payloads only.
 
             Private queues bypass the global stream entirely; the shared
             outstanding counter still covers them so the drain proof holds
-            across both planes.  In recoverable mode private-queue pushes
-            are sequence-tagged (RPUSHSEQ) so consumers get a stable replay
-            cursor.
+            across both planes -- one credit per delivery, which the
+            pipeline's owner books ahead of every payload
+            (:meth:`RedisTaskBoard.book`: the stateless plane's settle for a
+            whole window, :func:`dispatch` for a pinned instance), so the
+            drain proof never observes a published-but-uncounted tuple.  In
+            recoverable mode private-queue pushes are sequence-tagged
+            (RPUSHSEQ) so consumers get a stable replay cursor.
 
             With ``batch_size > 1`` deliveries are grouped: stateless tasks
             into stream-entry envelopes, private-queue messages per pinned
-            instance into single RPUSHSEQ elements (one seq per envelope),
-            each preceded by one ``INCRBY len(envelope)`` -- credits always
-            land before the payload, so the drain proof never observes a
-            published-but-uncounted tuple.
+            instance into single RPUSHSEQ elements (one seq per envelope).
             """
             if batch_size <= 1:
                 for d in deliveries:
-                    pipe.incr(board.counter_key)
                     if d.dst in stateful_names:
                         push_private(
                             pipe, private_key(d.dst, d.dst_index), ("data", d.dst_port, d.data)
@@ -258,15 +258,19 @@ class HybridRedisMapping(Mapping):
             board.queue_tasks(pipe, stateless_tasks, batch_size)
             for key, messages in private.items():
                 for chunk in chunked(messages, batch_size):
-                    pipe.incrby(board.counter_key, len(chunk))
                     push_private(pipe, key, as_envelope(chunk))
                     state.counters.inc("private_puts", len(chunk))
+
+        def dispatch(pipe, deliveries: List[Delivery]) -> None:
+            """A pinned instance's deliveries behind their credit, booked once."""
+            board.book(pipe, len(deliveries))
+            queue_deliveries(pipe, deliveries)
 
         def route_and_dispatch(
             pe_name: str, index: int, emissions: List[Tuple[str, object]], client: RedisClient
         ) -> None:
             pipe = client.pipeline()
-            queue_deliveries(
+            dispatch(
                 pipe, dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
             )
             pipe.execute()
@@ -335,7 +339,7 @@ class HybridRedisMapping(Mapping):
                         board=board,
                         policy=policy,
                         abort=abort,
-                        queue_deliveries=queue_deliveries,
+                        dispatch=dispatch,
                         concrete=concrete,
                         store=store_for(client),
                         checkpoint_interval=checkpoint_interval,
@@ -350,7 +354,7 @@ class HybridRedisMapping(Mapping):
                         board=board,
                         policy=policy,
                         abort=abort,
-                        queue_deliveries=queue_deliveries,
+                        dispatch=dispatch,
                         concrete=concrete,
                         injector=injector,
                     )
@@ -586,7 +590,7 @@ class HybridRedisMapping(Mapping):
 
     def _run_plain(
         self, state, instance, pe_name, index, *,
-        client, key, board, policy, abort, queue_deliveries, concrete,
+        client, key, board, policy, abort, dispatch, concrete,
         injector=None,
     ) -> None:
         """Non-recoverable consumption: destructive BLPOP, per-element decr.
@@ -611,7 +615,7 @@ class HybridRedisMapping(Mapping):
             # One pipelined round trip: children + completion.  The element
             # carries one credit per tuple it batched; release them all.
             pipe = client.pipeline()
-            queue_deliveries(pipe, deliveries)
+            dispatch(pipe, deliveries)
             pipe.decrby(board.counter_key, batch_len(item))
             pipe.execute()
             if injector is not None:
@@ -619,7 +623,7 @@ class HybridRedisMapping(Mapping):
 
     def _run_recoverable(
         self, state, instance, pe_name, index, *,
-        client, key, board, policy, abort, queue_deliveries, concrete,
+        client, key, board, policy, abort, dispatch, concrete,
         store, checkpoint_interval, injector, trace,
     ) -> None:
         """Checkpointed consumption: BLMOVE into a pending log, sequence
@@ -692,7 +696,7 @@ class HybridRedisMapping(Mapping):
                 concrete=concrete, injector=injector, iid=iid,
             )
             pipe = client.pipeline()
-            queue_deliveries(pipe, deliveries)
+            dispatch(pipe, deliveries)
             pipe.execute()
             last_seq = seq
             if injector is not None:

@@ -14,12 +14,12 @@ outstanding-count so they never interfere with the drain proof.
 Batched transport: a stream entry's ``task`` field may carry a
 :class:`~repro.runtime.queues.Batch` envelope of up to ``batch_size``
 tasks instead of a single one.  The outstanding counter still counts
-*tasks* -- producers ``INCRBY len(batch)`` before publishing, and
-completion releases the whole envelope's credits with one conditional
-``XACKDECR amount=len(batch)`` -- so the drain proof is exact at batch
-granularity while the command count (the per-tuple round-trip cost the
-paper identifies as the Redis mappings' handicap, Section 5.6) drops by
-the batch factor.
+*tasks* -- producers ``INCRBY`` one credit per task, once per pipeline and
+before anything in it is published, and completion releases the whole
+envelope's credits with one conditional ``XACKDECR amount=len(batch)`` --
+so the drain proof is exact at batch granularity while the command count
+(the per-tuple round-trip cost the paper identifies as the Redis mappings'
+handicap, Section 5.6) drops by the batch factor.
 
 :class:`StreamWorker` is the consuming side: the one fetch -> invoke ->
 settle (``XACKDECR``) -> reclaim (``XAUTOCLAIM``) body every Redis mapping
@@ -28,20 +28,24 @@ run is over.  It works in *windows*: one pipeline settles every entry of a
 window in fetch order and reads the next window, so a saturated worker pays
 one round trip per window -- and a window is as many entries as make that
 trip a small share of the work it carries (:func:`window_size`), which for
-entries that dwarf a trip is one (see the class docstring).
+entries that dwarf a trip is one.  Where a trip takes time at all, the
+worker does not wait it out either: it *sends* a window's settle and *reads*
+it a window later, running what it already holds in between (see the class
+docstring).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.concrete import ConcreteWorkflow, Delivery
 from repro.core.pe import GenericPE
 from repro.mappings.base import dispatch_emissions
 from repro.mappings.termination import TerminationPolicy
-from repro.redisim.client import Pipeline, RedisClient
+from repro.redisim.client import Flight, Pipeline, RedisClient
 from repro.runtime.clock import Clock
 from repro.runtime.queues import as_envelope, batch_items, chunked
 
@@ -51,8 +55,8 @@ PILL = "__pill__"
 #: ``budget`` of a worker that may always read ahead.
 UNLIMITED = float("inf")
 
-#: Commands per pipelined seeding frame: seeding costs a round trip per few
-#: hundred commands, and no single frame ever carries the whole input.
+#: Most commands per pipelined seeding frame: seeding costs a round trip per
+#: few hundred commands, and no single frame ever carries the whole input.
 SEED_FRAME = 256
 
 #: Largest share of a window's work its settle trip may cost: a worker reads
@@ -73,7 +77,9 @@ def window_size(trip: float, service: float, reclaim_idle: float) -> int:
     the trip within :data:`TRIP_SHARE` of the work it settles, at most
     :data:`WINDOW_CAP`, and never more than a quarter of ``reclaim_idle`` of
     measured work: a live worker's last entry must not sit in the PEL long
-    enough to look abandoned.  Entries that cost ten trips or more get 1.
+    enough to look abandoned, and a worker whose settles fly holds two
+    windows -- half of ``reclaim_idle``.  Entries that cost ten trips or
+    more get 1.
     """
     if service <= 0:
         return WINDOW_CAP
@@ -144,32 +150,38 @@ class RedisTaskBoard:
         c.incr(self.counter_key)
         return c.xadd(self.stream_key, {"task": task})
 
-    def queue_tasks(self, pipe, tasks: List[Any], batch_size: int) -> None:
-        """Append the publication commands for ``tasks`` to a pipeline.
+    def book(self, pipe, credit: int) -> None:
+        """Append the credit of everything a pipeline is about to publish.
 
-        Credits are added (``INCRBY``) before each envelope's ``XADD``
-        within the same transaction, preserving the put-before-publish
-        ordering the drain proof relies on.
+        Whoever owns a pipeline books it once, ahead of every payload --
+        the put-before-publish ordering the drain proof relies on: the
+        counter may run ahead of what is published, never behind it.
+        """
+        if credit:
+            pipe.incrby(self.counter_key, credit)
+
+    def queue_tasks(self, pipe, tasks: List[Any], batch_size: int) -> None:
+        """Append ``tasks`` to a pipeline as envelopes of up to ``batch_size``.
+
+        Payloads only: their credit (one per task) is the pipeline owner's
+        to :meth:`book` first.
         """
         for chunk in chunked(tasks, max(1, batch_size)):
-            if len(chunk) == 1:
-                pipe.incr(self.counter_key)
-            else:
-                pipe.incrby(self.counter_key, len(chunk))
             pipe.xadd(self.stream_key, {"task": as_envelope(chunk)})
 
     def put_tasks(
         self, tasks: List[Any], batch_size: int, client: Optional[RedisClient] = None
     ) -> None:
-        """Publish ``tasks`` in pipelined frames of :data:`SEED_FRAME` commands.
+        """Publish ``tasks`` in pipelined frames of half :data:`SEED_FRAME` envelopes.
 
         Every batch size takes this path: envelopes of up to ``batch_size``
-        (an unbatched task is an envelope of one), two commands each.
+        (an unbatched task is an envelope of one) behind the frame's credit.
         Frames break on envelope boundaries, so the stream holds the same
         entries in the same order as one unbounded pipeline would leave.
         """
         pipe = (client if client is not None else self.client).pipeline()
         for frame in chunked(tasks, SEED_FRAME // 2 * max(1, batch_size)):
+            self.book(pipe, len(frame))
             self.queue_tasks(pipe, frame, batch_size)
             pipe.execute()
 
@@ -224,16 +236,17 @@ class RedisTaskBoard:
     def ack(self, entry_id: str, client: RedisClient) -> None:
         client.xack(self.stream_key, self.group, entry_id)
 
-    def queue_pills(self, pipe: Pipeline, pill_ids: List[str]) -> None:
-        """Append the acks of the pills one fetch pulled to a pipeline.
+    def queue_pills(self, pipe: Pipeline, pill_ids: List[str], own: int = 1) -> None:
+        """Append the acks of the pills a worker pulled to a pipeline.
 
-        The first is the fetching worker's own.  Every further one was
-        meant for a peer and is published again behind its ack, so the peer
-        still ends on a pill instead of polling out its retry budget.
+        The first ``own`` are the fetching worker's to end on.  Every
+        further one was meant for a peer and is published again behind its
+        ack, so the peer still ends on a pill instead of polling out its
+        retry budget.
         """
         for position, entry_id in enumerate(pill_ids):
             pipe.xack(self.stream_key, self.group, entry_id)
-            if position:
+            if position >= own:
                 pipe.xadd(self.stream_key, {"pill": 1})
 
     def complete(self, client: RedisClient) -> None:
@@ -249,22 +262,30 @@ class RedisTaskBoard:
         real deployment pipelines them for exactly the same reason.
         """
         pipe = client.pipeline()
+        self.book(pipe, len(children))
         self.queue_tasks(pipe, children, 1)
-        self.queue_settle(pipe, entry_id, 1)
+        self.queue_settle(pipe, [(entry_id, 1)])
         pipe.execute()
 
-    def queue_settle(self, pipe: Pipeline, entry_id: str, amount: int) -> None:
-        """Append the settlement of one consumed entry to a pipeline.
+    def queue_settle(self, pipe: Pipeline, settled: List[Tuple[str, int]]) -> None:
+        """Append the settlement of consumed entries, as one command.
 
-        The ack and the completion decrement are one conditional step
+        ``settled`` is ``(entry id, amount)`` pairs in fetch order.  The
+        ack and the completion decrement are one conditional step
         (XACKDECR): when an entry was reclaimed (XAUTOCLAIM) and finished
         by both its original consumer and its adopter, only the first
         finisher's ack succeeds and only that one decrements -- the
         outstanding counter stays exactly-once per entry and can never go
-        negative.  ``amount`` is the entry's task count (``len(batch)`` for
-        an envelope), released all-or-nothing with the ack.
+        negative, and a batch sent twice releases nothing the second time.
+        ``amount`` is the entry's task count (``len(batch)`` for an
+        envelope), released all-or-nothing with its ack.
         """
-        pipe.xack_decr(self.stream_key, self.group, entry_id, self.counter_key, amount)
+        if settled:
+            (entry_id, amount), *more = settled
+            pipe.xack_decr(
+                self.stream_key, self.group, entry_id, self.counter_key, amount,
+                *(word for pair in more for word in pair),
+            )
 
     # ------------------------------------------------------------ monitoring
     def outstanding(self, client: Optional[RedisClient] = None) -> int:
@@ -356,10 +377,11 @@ class StreamWorker:
         failure injection).
 
     **Round-trip budget.**  A fetch's entries are one *window*: they run
-    back to back and one pipeline settles them all in fetch order (e1's
-    children, e1's ``XACKDECR``, e2's children, e2's ``XACKDECR``, ...),
-    acks the pills the fetch pulled and reads the next window with a
-    non-blocking ``XREADGROUP > COUNT w``: a saturated worker costs one
+    back to back and one pipeline settles them all: the credit of everything
+    the window published (one ``INCRBY``, ahead of every payload), each
+    entry's children in fetch order, one ``XACKDECR`` naming every entry in
+    fetch order, the acks of the pills the fetch pulled, and a non-blocking
+    ``XREADGROUP > COUNT n`` that reads ahead.  A saturated worker costs one
     round trip per window.  ``w`` is no option.  Each worker keeps a running
     mean of its settle trip's wall time and of its wall time per entry and
     reads ahead :func:`window_size` entries: as many as make the trip a
@@ -373,13 +395,34 @@ class StreamWorker:
     window reads ahead unless an entry raised, the caller's ``stop()`` cut it
     short, its fetch carried a pill, or it exhausts the session's budget.
 
+    **Sent, then read.**  A settle is *sent* (:meth:`Pipeline.begin`) and its
+    replies are *read* when the worker next needs them: just before it sends
+    the next pipeline, when its hand is empty, or on the way out.  So at most
+    one settle is in flight, and it is left in flight only while there is a
+    window in hand to run meanwhile.  The read-ahead refills the hand to
+    **two** windows only where that can pay -- the worker has seen a flight
+    of its own that had not landed when ``begin`` returned (never so on an
+    in-process keyspace) and ``w > 1`` -- and to one everywhere else, where
+    every settle is read at once and the wire carries one trip per window as
+    before.  Coarse entries (``w == 1``) are never held back from a starved
+    peer, and budgeted sessions never fly.
+
     **What a failure leaves.**  Nothing of a window is published or acked
-    before its one settle, so a worker killed mid-window leaves the whole
-    window in the PEL and its adopter re-runs all of it: at-least-once,
-    never lost, and at most ``WINDOW_CAP`` entries repeated.  A PE raising
-    in entry *j* still settles e1..e*j* (the children gathered so far, then
-    the acks) before the exception propagates; the unstarted tail stays
-    pending, exactly as a crash leaves it.
+    before its one settle, and a settle is one frame: a worker killed with a
+    settle in flight has delivered either all of it or none of it.  What it
+    holds -- the window it is running and its hand, at most two windows
+    (``2 * WINDOW_CAP`` entries) once the keyspace has answered -- stays in
+    the PEL and its adopter re-runs all of it: at-least-once, never lost.  A
+    connection that dies under a flight makes :meth:`Flight.result` send the
+    batch again; the repeated ``XACKDECR`` finds nothing pending and releases
+    nothing, so the outstanding counter still ends at 0 (what the lost reply
+    had read ahead waits in this worker's PEL to be reclaimed).  A PE raising in
+    entry *j* first reads the settle in flight, then settles e1..e*j*
+    synchronously (the children gathered so far, then the acks) before the
+    exception propagates; the unstarted tail and the hand stay pending,
+    exactly as a crash leaves them.  ``stop()`` and a pill read the settle in
+    flight before the worker returns, and pills it had read ahead for peers
+    are acked and published again with the last trip.
 
     The three ``run_*`` drivers differ only in who ends the run.
     """
@@ -415,8 +458,14 @@ class StreamWorker:
         self.after_fetch = after_fetch
         #: Blocking-read length of an unstarved poll (real milliseconds).
         self.base_block_ms = max(1, int(clock.to_real(policy.poll_interval) * 1000))
-        #: What the last settle pipeline read ahead; the next fetch hands it out.
-        self._prefetched: List[Tuple[str, Any]] = []
+        #: Windows read ahead and not yet run, oldest first: at most two.
+        self._hand: Deque[List[Tuple[str, Any]]] = deque()
+        #: The settle sent and not yet read, with the window size its
+        #: read-ahead is cut by (0: it reads nothing ahead).
+        self._flight: Optional[Tuple[Flight, int]] = None
+        #: Whether a settle of this worker was ever still on the wire when
+        #: ``begin`` returned: only then is there a wait to work through.
+        self._flew = False
         #: Running means (real seconds) of a settle trip and of one entry's
         #: run; ``None`` until measured.  They size the next window.
         self._trip: Optional[float] = None
@@ -493,29 +542,57 @@ class StreamWorker:
         window: int,
         started: float,
     ) -> None:
-        """The one round trip of a window: settle ``ran``, read ``window`` ahead.
+        """The one trip of a window: settle ``ran``, read ahead in windows of ``window``.
 
-        Per entry, what it published lands before its ack, so a crash in
-        between can only repeat work (at-least-once), never lose it.  The
+        Credit first, then what each entry published, then the acks: a crash
+        in between can only repeat work (at-least-once), never lose it.  The
         pipeline is assembled here, after the window ran, so a ``publish``
         that carries per-window state (cluster's relayed results) lands it
-        with the first entry -- ahead of every ack of the window.
+        with the first entry -- ahead of the window's ack.
+
+        ``window == 0`` is the way out (a pill, a raise, ``stop()``, a spent
+        budget, an adopted entry): nothing is read ahead, the trip is waited
+        out, and pills still in hand -- a peer's, every one -- go back with it.
         """
+        ran_until = time.perf_counter()
+        self._land()
+        own = 1 if pills else 0
+        if not window:
+            pills = pills + [
+                entry_id for held in self._hand for entry_id, payload in held if payload is PILL
+            ]
         pipe = self.client.pipeline()
-        for entry_id, amount, deliveries in ran:
+        self.board.book(pipe, sum(len(deliveries) for _id, _amount, deliveries in ran))
+        for _entry_id, _amount, deliveries in ran:
             self.publish(pipe, deliveries)
-            self.board.queue_settle(pipe, entry_id, amount)
-        self.board.queue_pills(pipe, pills)
-        if window:
-            self.board.queue_fetch(pipe, self.consumer, window)
+        self.board.queue_settle(pipe, [(entry_id, amount) for entry_id, amount, _d in ran])
+        self.board.queue_pills(pipe, pills, own)
+        # Two windows in hand where a settle can fly over the first of them.
+        ahead = ((2 if window > 1 and self._flew else 1) - len(self._hand)) * window
+        if ahead > 0:
+            self.board.queue_fetch(pipe, self.consumer, ahead)
         sent = time.perf_counter()
-        replies = pipe.execute()
+        flight = pipe.begin()
+        self._flight = (flight, window if ahead > 0 else 0)
+        self._flew = self._flew or not flight.landed
         if ran:
             self.count("settle_trips")
+            self._service = _ewma(self._service, (ran_until - started) / len(ran))
+        if window and self._hand:
+            self.count("settles_in_flight")
+            return
+        self._land()
+        if ran:
             self._trip = _ewma(self._trip, time.perf_counter() - sent)
-            self._service = _ewma(self._service, (sent - started) / len(ran))
+
+    def _land(self) -> None:
+        """Read the settle in flight, if any; what it read ahead joins the hand."""
+        if self._flight is None:
+            return
+        (flight, window), self._flight = self._flight, None
+        replies = flight.result()
         if window:
-            self._prefetched = self.board.fetched(replies[-1])
+            self._hand.extend(chunked(self.board.fetched(replies[-1]), window))
 
     def reclaim_stale(self) -> int:
         """Adopt and run tasks stuck with dead consumers (the recovery path).
@@ -536,9 +613,11 @@ class StreamWorker:
         return tasks
 
     def _fetch(self, empty_streak: int = 0) -> List[Tuple[str, Any]]:
-        """The next entries: what the last settle read ahead, else a blocking read."""
-        if self._prefetched:
-            fetched, self._prefetched = self._prefetched, []
+        """The next window: one a settle read ahead, else a blocking read."""
+        if not self._hand:
+            self._land()
+        if self._hand:
+            fetched = self._hand.popleft()
         else:
             # Exponential backoff while starved (capped at 32x): idle consumers
             # polling at 1 kHz would contend on the server lock and the GIL.
@@ -626,3 +705,5 @@ class StreamWorker:
                 and self.reclaim_stale()
             ):
                 empty_streak = 0
+        # Stopped between two windows: the way out with nothing to settle.
+        self._settle([], [], 0, 0.0)

@@ -1,16 +1,17 @@
 """The socket transport of :class:`repro.redisim.client.RedisClient`.
 
-:class:`ConnectionPool` is the RESP-over-TCP form of the facade's two-method
-transport: it translates each ``(name, args, kwargs)`` command into RESP2
-words, ships the batch to a :class:`~repro.net.server.RespTCPServer` (or
-genuine Redis -- the ``real_redis`` parity lane) and folds each reply back
-into the shape :class:`~repro.redisim.server.RedisServer` returns in
-process.  The wire syntax of every command lives in one table
-(:data:`_CODEC`); the command methods, pipeline, marshalling and latency
-accounting are the facade's own, so the task-board and mapping layers are
-transport-agnostic: hand them either pairing and they cannot tell the
-difference.  :class:`SocketRedisClient` is the thin constructor of the
-TCP pairing.
+:class:`ConnectionPool` is the RESP-over-TCP form of the facade's
+transport: ``begin`` translates each ``(name, args, kwargs)`` command into
+RESP2 words and ships the batch to a
+:class:`~repro.net.server.RespTCPServer` (or genuine Redis -- the
+``real_redis`` parity lane); the flight it returns reads the replies and
+folds each back into the shape
+:class:`~repro.redisim.server.RedisServer` returns in process.  The wire
+syntax of every command lives in one table (:data:`_CODEC`); the command
+methods, pipeline, marshalling and latency accounting are the facade's
+own, so the task-board and mapping layers are transport-agnostic: hand
+them either pairing and they cannot tell the difference.
+:class:`SocketRedisClient` is the thin constructor of the TCP pairing.
 
 Connection handling follows what production Redis clients do:
 
@@ -29,7 +30,9 @@ Connection handling follows what production Redis clients do:
   own.  Without this, parent and child interleave replies on one socket
   and both read garbage.  This is the SafeRedis/per-pid-cursor pattern,
   and it is what makes ``spawn`` and ``fork`` start methods behave
-  identically for the cluster mapping.
+  identically for the cluster mapping.  It is the only fork guard: a
+  flight's connection is out of the pool between its two halves, and a
+  flight is begun and read in one process.
 
 String/hash/counter values travel raw and come back as ``bytes`` (callers
 already ``int(...)`` their counters, which accepts ``b"5"``); list values
@@ -45,7 +48,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.net.resp import INCOMPLETE, ErrorReply, RespDecoder, encode_command
-from repro.redisim.client import Command, RedisClient
+from repro.redisim.client import Command, Flight, RedisClient, Transport
 from repro.redisim.errors import ConnectionError as RedisConnectionError
 from repro.redisim.errors import RedisError
 from repro.runtime.clock import Clock
@@ -264,7 +267,7 @@ _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "decrby": (_verb("DECRBY"), _raw),
     "lpush": (_verb("LPUSH"), _raw),
     "rpush": (_verb("RPUSH"), _raw),
-    "lpop": (_verb("LPOP"), _raw),
+    "lpop": (_verb("LPOP"), _raw),  # with a count: an array, nil for no key
     "rpop": (_verb("RPOP"), _raw),
     "blpop": (_blpop, _hit),
     "llen": (_verb("LLEN"), _raw),
@@ -340,7 +343,7 @@ class _Connection:
             pass
 
 
-class ConnectionPool:
+class ConnectionPool(Transport):
     """A small thread-safe pool of RESP connections to one ``host:port``.
 
     The socket :class:`~repro.redisim.client.Transport`.
@@ -416,14 +419,16 @@ class ConnectionPool:
             conn.close()
 
     # --------------------------------------------------------------- execute
-    def execute(self, commands: List[Command]) -> List[Any]:
-        """Send a command batch on one connection; return its decoded replies.
+    def begin(self, commands: List[Command]) -> Flight:
+        """Send a command batch on one connection; the flight reads its replies.
 
-        One ``sendall`` of the concatenated frames, then exactly
-        ``len(commands)`` replies read back in order -- pipelining.  Dead
-        connections are replaced and the batch retried with exponential
-        backoff before giving up with redisim's ``ConnectionError``.  An
-        error reply raises :class:`ReplyError`.
+        One ``sendall`` of the concatenated frames -- pipelining -- and the
+        connection stays checked out until :meth:`Flight.result` has read
+        exactly ``len(commands)`` replies back in order.  A connection found
+        dead at either half is replaced and the batch *sent again*, with
+        exponential backoff, before giving up with redisim's
+        ``ConnectionError``: at-least-once, as a synchronous round trip
+        always was.  An error reply raises :class:`ReplyError`.
         """
         self._check_pid()
         frames, decoders = [], []
@@ -431,30 +436,54 @@ class ConnectionPool:
             encode, decode = _CODEC[name]
             frames.append(encode_command(encode(*args, **kwargs)))
             decoders.append(decode)
-        out = []
-        for reply, decode in zip(self._round_trip(b"".join(frames), len(frames)), decoders):
-            if isinstance(reply, ErrorReply):
-                raise ReplyError(reply)
-            out.append(decode(reply))
-        return out
+        payload = b"".join(frames)
+        try:
+            conn, error = self._send(payload), None
+        except OSError as exc:
+            conn, error = None, exc
 
-    def _round_trip(self, payload: bytes, expected: int) -> List[Any]:
-        last_error: Optional[Exception] = None
-        for attempt in range(self.RETRIES + 1):
-            if attempt:
+        def read() -> List[Any]:
+            out = []
+            for reply, decode in zip(self._land(conn, payload, len(frames), error), decoders):
+                if isinstance(reply, ErrorReply):
+                    raise ReplyError(reply)
+                out.append(decode(reply))
+            return out
+
+        return Flight(read=read)
+
+    def _send(self, payload: bytes) -> _Connection:
+        conn = self._acquire()
+        try:
+            conn.send(payload)
+        except OSError:
+            conn.close()
+            raise
+        return conn
+
+    def _land(
+        self,
+        conn: Optional[_Connection],
+        payload: bytes,
+        expected: int,
+        last_error: Optional[Exception],
+    ) -> List[Any]:
+        """Read the replies to ``payload``, sent on ``conn`` unless that failed."""
+        for redial in range(self.RETRIES + 1):
+            if redial:
                 self.retries += 1
-                time.sleep(self.BACKOFF * (2 ** (attempt - 1)))
-            try:
-                conn = self._acquire()
-            except OSError as exc:
-                last_error = exc
+                time.sleep(self.BACKOFF * (2 ** (redial - 1)))
+                try:
+                    conn = self._send(payload)
+                except OSError as exc:
+                    conn, last_error = None, exc
+            if conn is None:
                 continue
             try:
-                conn.send(payload)
                 replies = [conn.read_reply() for _ in range(expected)]
             except OSError as exc:
                 conn.close()
-                last_error = exc
+                conn, last_error = None, exc
                 continue
             self._release(conn)
             return replies

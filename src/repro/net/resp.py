@@ -178,6 +178,21 @@ def _parse(buf: Union[bytes, bytearray, memoryview], pos: int) -> Tuple[Any, int
         items: List[Any] = []
         cursor = body
         for _ in range(count):
+            # A command is an array of bulk strings: those are read here,
+            # without a call each; anything else recurses.
+            if buf[cursor : cursor + 1] == b"$":
+                line_end = buf.find(b"\r\n", cursor + 1)
+                if line_end < 0:
+                    raise _NeedMore
+                try:
+                    length = int(buf[cursor + 1 : line_end])
+                except ValueError:
+                    length = -2
+                end = line_end + 2 + length
+                if length >= 0 and buf[end : end + 2] == CRLF:
+                    items.append(bytes(buf[line_end + 2 : end]))
+                    cursor = end + 2
+                    continue
             item, cursor = _parse(buf, cursor)
             items.append(item)
         return items, cursor
@@ -195,25 +210,31 @@ class RespDecoder:
             handle(value)
 
     Partial input stays buffered across :meth:`feed` calls; a complete
-    value is consumed from the buffer exactly once.
+    value is consumed from the buffer exactly once.  Consuming moves a read
+    cursor; the bytes behind it are dropped once per :meth:`feed`, not once
+    per value, so a burst of pipelined values is not shifted down per value.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._pos = 0
 
     def __len__(self) -> int:
-        return len(self._buf)
+        """Bytes fed and not yet consumed."""
+        return len(self._buf) - self._pos
 
     def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._buf[: self._pos]
+            self._pos = 0
         self._buf += data
 
     def decode(self) -> Any:
         """One complete value, or :data:`INCOMPLETE` if none is buffered."""
         try:
-            value, consumed = _parse(self._buf, 0)
+            value, self._pos = _parse(self._buf, self._pos)
         except _NeedMore:
             return INCOMPLETE
-        del self._buf[:consumed]
         return value
 
     def decode_all(self) -> List[Any]:

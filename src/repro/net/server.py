@@ -296,8 +296,12 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         return ks.rpush(_s(args[0]), *args[1:])
 
     def lpop(args: List[bytes]) -> Any:
+        # LPOP key [count]: with a count, an array (nil for a missing key).
         arity(args, 1, "LPOP")
-        return _value_bytes(ks.lpop(_s(args[0])))
+        if len(args) == 1:
+            return _value_bytes(ks.lpop(_s(args[0])))
+        popped = ks.lpop(_s(args[0]), _i(args[1]))
+        return NIL_ARRAY if popped is None else [_value_bytes(v) for v in popped]
 
     def rpop(args: List[bytes]) -> Any:
         arity(args, 1, "RPOP")
@@ -521,9 +525,12 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         return ks.xack(_s(args[0]), _s(args[1]), *(_s(a) for a in args[2:]))
 
     def xackdecr(args: List[bytes]) -> Any:
-        # XACKDECR key group entry_id counter_key amount (redisim extension).
+        # XACKDECR key group id counter amount [id amount ...] (redisim extension).
         arity(args, 5, "XACKDECR")
-        return ks.xackdecr(_s(args[0]), _s(args[1]), _s(args[2]), _s(args[3]), _i(args[4]))
+        more = [_i(a) if position % 2 else _s(a) for position, a in enumerate(args[5:])]
+        return ks.xackdecr(
+            _s(args[0]), _s(args[1]), _s(args[2]), _s(args[3]), _i(args[4]), *more
+        )
 
     def xpending(args: List[bytes]) -> Any:
         arity(args, 2, "XPENDING")

@@ -17,13 +17,17 @@ The client exists for three reasons:
    slower than their Multiprocessing counterparts (Section 5.6).
 
 Every command -- and every :class:`Pipeline` batch -- reaches the keyspace
-through ``transport.execute(commands)``, where a command is a
+through ``transport.begin(commands)``, where a command is a
 ``(name, args, kwargs)`` triple in :class:`RedisServer`'s own method
-vocabulary.  :class:`InProcessTransport` hands the triple straight to the
-server object (no wire codec on that path);
-:class:`repro.net.client.ConnectionPool` translates it to RESP and back.
-Marshalling, latency and accounting therefore exist once, whichever side
-of a socket the keyspace lives on.
+vocabulary.  A round trip has two halves: ``begin`` *sends* the batch and
+returns a :class:`Flight`, ``flight.result()`` *reads* its replies, and
+``execute(commands)`` is ``begin(commands).result()`` -- one path, whether
+or not the caller does something else in between.
+:class:`InProcessTransport` hands the triple straight to the server object
+(no wire codec on that path) and its flights have landed before ``begin``
+returns; :class:`repro.net.client.ConnectionPool` translates to RESP and
+back, and its flights land when read.  Marshalling, latency and accounting
+therefore exist once, whichever side of a socket the keyspace lives on.
 
 Each client instance tracks how many commands it issued (``ops``) so
 benchmarks can report communication volume.
@@ -43,29 +47,71 @@ from repro.runtime.clock import Clock
 Command = Tuple[str, tuple, dict]
 
 
+class Flight:
+    """The second half of a round trip: a batch already sent, replies to read.
+
+    ``landed`` says whether the replies are at hand (an in-process batch ran
+    inside ``begin``; a socket's are still on the wire).  :meth:`result`
+    reads them -- waiting if it must -- and answers the same list ever after.
+    A flight is begun and read by one thread of one process.
+    """
+
+    def __init__(
+        self,
+        replies: Optional[List[Any]] = None,
+        read: Optional[Callable[[], List[Any]]] = None,
+    ) -> None:
+        self._replies = replies
+        self._read = read
+
+    @property
+    def landed(self) -> bool:
+        return self._read is None
+
+    def result(self) -> List[Any]:
+        if self._read is not None:
+            self._replies = self._read()
+            self._read = None
+        return self._replies
+
+    def then(self, decode: Callable[[List[Any]], List[Any]]) -> "Flight":
+        """This flight with ``decode`` applied to its replies, as landed as it is."""
+        if self._read is None:
+            return Flight(decode(self._replies))
+        return Flight(read=lambda: decode(self.result()))
+
+
 class Transport(Protocol):
-    """Where commands go: ordered replies for one batch, and a way to hang up."""
+    """Where commands go: a batch sent, its replies read, and a way to hang up.
+
+    A transport supplies :meth:`begin` and :meth:`close`; :meth:`execute` is
+    defined here, once, for every transport that derives from this class.
+    """
+
+    def begin(self, commands: List[Command]) -> Flight:
+        """Send ``commands`` as one round trip; the flight reads one reply each."""
 
     def execute(self, commands: List[Command]) -> List[Any]:
-        """Run ``commands`` in order as one round trip; one reply each."""
+        """The round trip, waited out."""
+        return self.begin(commands).result()
 
     def close(self) -> None:
         """Release whatever per-process handles the transport owns."""
 
 
-class InProcessTransport:
+class InProcessTransport(Transport):
     """Direct method calls on a :class:`RedisServer` in the same process."""
 
     def __init__(self, server: RedisServer) -> None:
         self._server = server
 
-    def execute(self, commands: List[Command]) -> List[Any]:
+    def begin(self, commands: List[Command]) -> Flight:
         # A lone command is its own atomic step; only a real batch needs
         # the server's one-lock, one-wakeup transaction.
         if len(commands) == 1:
             name, args, kwargs = commands[0]
-            return [getattr(self._server, name)(*args, **kwargs)]
-        return self._server.transaction(commands)
+            return Flight([getattr(self._server, name)(*args, **kwargs)])
+        return Flight(self._server.transaction(commands))
 
     def close(self) -> None:
         """Nothing to release: the server outlives its clients."""
@@ -141,9 +187,10 @@ class Pipeline:
         return self._queue("xack", key, group, *entry_ids)
 
     def xack_decr(
-        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
+        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1,
+        *more: Any,
     ) -> "Pipeline":
-        return self._queue("xackdecr", key, group, entry_id, counter_key, amount)
+        return self._queue("xackdecr", key, group, entry_id, counter_key, amount, *more)
 
     def xreadgroup(
         self,
@@ -165,17 +212,24 @@ class Pipeline:
     def delete(self, *keys: str) -> "Pipeline":
         return self._queue("delete", *keys)
 
-    def execute(self) -> List[Any]:
-        """Run the batch; clears the pipeline and returns per-command results."""
+    def begin(self) -> Flight:
+        """Send the batch and clear the pipeline; the flight reads the results."""
         if not self._commands:
-            return []
+            return Flight([])
         self._client._charge()
         commands, self._commands = self._commands, []
         decoders, self._decoders = self._decoders, {}
-        replies = self._client._transport.execute(commands)
-        for position, decode in decoders.items():
-            replies[position] = decode(replies[position])
-        return replies
+
+        def decoded(replies: List[Any]) -> List[Any]:
+            for position, decode in decoders.items():
+                replies[position] = decode(replies[position])
+            return replies
+
+        return self._client._transport.begin(commands).then(decoded)
+
+    def execute(self) -> List[Any]:
+        """Run the batch; clears the pipeline and returns per-command results."""
+        return self.begin().result()
 
 
 class RedisClient:
@@ -310,8 +364,13 @@ class RedisClient:
     def rpush(self, key: str, *values: Any) -> int:
         return self._call("rpush", key, *(self._enc(v) for v in values))
 
-    def lpop(self, key: str) -> Any:
-        return self._dec(self._call("lpop", key))
+    def lpop(self, key: str, count: Optional[int] = None) -> Any:
+        """Pop the head; with ``count`` (Redis >= 6.2) up to that many, as a
+        list -- ``None`` either way when the key does not exist."""
+        if count is None:
+            return self._dec(self._call("lpop", key))
+        popped = self._call("lpop", key, count)
+        return None if popped is None else [self._dec(v) for v in popped]
 
     def rpop(self, key: str) -> Any:
         return self._dec(self._call("rpop", key))
@@ -465,14 +524,16 @@ class RedisClient:
         return self._call("xack", key, group, *entry_ids)
 
     def xack_decr(
-        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
+        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1,
+        *more: Any,
     ) -> int:
         """XACK + conditional DECRBY in one atomic server-side step.
 
         ``amount`` is the entry's work-unit count (``len(batch)`` for batch
-        envelopes), released all-or-nothing with the ack.
+        envelopes), released all-or-nothing with the ack.  ``more`` settles
+        further entries in the same step, as ``id, amount`` pairs.
         """
-        return self._call("xackdecr", key, group, entry_id, counter_key, amount)
+        return self._call("xackdecr", key, group, entry_id, counter_key, amount, *more)
 
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
         return self._call("xpending", key, group)

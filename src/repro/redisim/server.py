@@ -52,6 +52,11 @@ def _parse_range_id(raw: str, *, is_start: bool) -> StreamID:
     return StreamID.parse(raw, default_seq=0 if is_start else (2**63 - 1))
 
 
+def _is_int(value: Any, at_least: int) -> bool:
+    """A real integer no smaller than ``at_least`` (``True`` and ``"5"`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= at_least
+
+
 class RedisServer:
     """The in-process server: one keyspace, one big lock, condition wakeups.
 
@@ -289,10 +294,19 @@ class RedisServer:
             del self._data[key]
         return value
 
-    def lpop(self, key: str) -> Any:
+    def lpop(self, key: str, count: Optional[int] = None) -> Any:
+        """Pop the head; ``LPOP key count`` (Redis >= 6.2) pops up to ``count``
+        in one atomic step and answers a list, ``None`` for a missing key."""
+        if count is not None and not _is_int(count, 0):
+            raise RedisError(f"value is out of range, must be positive: {count!r}")
         with self._cond:
             self._count("lpop")
-            return self._pop(key, left=True)
+            if count is None:
+                return self._pop(key, left=True)
+            lst = self._get_typed(key, _TYPE_LIST)
+            if not lst:
+                return None
+            return [self._pop(key, left=True) for _ in range(min(count, len(lst)))]
 
     def rpop(self, key: str) -> Any:
         with self._cond:
@@ -752,9 +766,10 @@ class RedisServer:
                     return []
 
     def xackdecr(
-        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1
+        self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1,
+        *more: Any,
     ) -> int:
-        """XACK one entry and, only if it was still pending, DECRBY a counter.
+        """XACK entries and DECRBY a counter by what the still-pending ones carried.
 
         The in-process equivalent of the Lua script real deployments pair
         with XAUTOCLAIM: completion counting must be exactly-once per
@@ -766,32 +781,46 @@ class RedisServer:
         a bare task, ``len(batch)`` for a batch envelope -- so counted
         termination stays exact at batch granularity: either the whole
         envelope's credits are released (first successful ack) or none are.
+
+        ``more`` settles further entries in the same atomic step, as
+        ``id, amount`` pairs (``XACKDECR key group id counter amount [id
+        amount ...]``): each is acked in order, and one ``DECRBY`` releases
+        the amounts of those actually acked -- none for an unknown or
+        already-acked id, once for an id named twice.  Returns how many were
+        acked; nothing is acked when any amount is malformed.
         """
-        if amount < 1:
-            raise RedisError(f"xackdecr amount must be >= 1, got {amount}")
+        if len(more) % 2:
+            raise RedisError("xackdecr takes entry ids and amounts in pairs")
+        settled = [(entry_id, amount), *zip(more[::2], more[1::2])]
+        for _entry_id, units in settled:
+            if not _is_int(units, 1):
+                raise RedisError(f"xackdecr amount must be an integer >= 1, got {units!r}")
         with self._cond:
             self._count("xackdecr")
-            acked = self.xack(key, group, entry_id)
-            if acked:
-                self.decrby(counter_key, amount)
-            return acked
+            grp, now = self._group(key, group), self._now()
+            released = [units for each, units in settled if self._ack(grp, each, now)]
+            if released:
+                self.decrby(counter_key, sum(released))
+            return len(released)
 
     def xack(self, key: str, group: str, *entry_ids: str) -> int:
         with self._cond:
             self._count("xack")
-            grp = self._group(key, group)
-            now = self._now()
-            acked = 0
-            for raw in entry_ids:
-                entry_id = StreamID.parse(raw)
-                pending = grp.pel.pop(entry_id, None)
-                if pending is not None:
-                    member = grp.consumers.get(pending.consumer)
-                    if member is not None:
-                        member.pending.discard(entry_id)
-                        member.last_seen = now
-                    acked += 1
-            return acked
+            grp, now = self._group(key, group), self._now()
+            return sum(self._ack(grp, raw, now) for raw in entry_ids)
+
+    @staticmethod
+    def _ack(grp: ConsumerGroup, raw: str, now: float) -> bool:
+        """Drop one entry from the group's PEL; ``False`` if it was not pending."""
+        entry_id = StreamID.parse(raw)
+        pending = grp.pel.pop(entry_id, None)
+        if pending is None:
+            return False
+        member = grp.consumers.get(pending.consumer)
+        if member is not None:
+            member.pending.discard(entry_id)
+            member.last_seen = now
+        return True
 
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
         """Summary form: count, min/max pending IDs, per-consumer counts."""

@@ -150,6 +150,44 @@ class TestPipeline:
         assert isinstance(replies[2], str) and "-" in replies[2]
 
 
+class TestFlight:
+    """The two halves of a round trip on a socket: sent by ``begin``, read
+    by ``result``, one connection held in between."""
+
+    def test_a_flight_has_not_landed_until_it_is_read(self, client):
+        pipe = client.pipeline()
+        pipe.rpush("q", "a", "b")
+        pipe.incrby("n", 3)
+        flight = pipe.begin()
+        assert not flight.landed
+        # The connection is the flight's: another command takes another one.
+        assert client.get("other") is None
+        assert flight.result() == [2, 3]
+        assert flight.landed and flight.result() == [2, 3]
+        assert client.lpop("q", 5) == ["a", "b"]
+
+    def test_dropped_mid_flight_the_batch_is_sent_again(self, server, client):
+        """At-least-once: the reply of a batch the server ran is lost with
+        the connection, ``result()`` re-sends it, and the repeated
+        ``XACKDECR`` finds nothing pending -- the counter is released once."""
+        client.xgroup_create("st", "g", mkstream=True)
+        client.xadd("st", {"task": "t"})
+        client.incrby("outstanding", 1)
+        [(_key, [(entry_id, _fields)])] = client.xreadgroup("g", "w0", {"st": ">"})
+        pipe = client.pipeline()
+        pipe.incrby("sent", 1)
+        pipe.xack_decr("st", "g", entry_id, "outstanding", 1)
+        with server.keyspace._lock:  # the handler has the frame, not the keyspace
+            flight = pipe.begin()
+            time.sleep(0.05)
+            server.drop_connections()
+        assert client.retries == 0
+        assert flight.result()[0] in (1, 2)  # run once, or twice with the first reply lost
+        assert client.retries == 1
+        assert int(client.get("outstanding")) == 0
+        assert client.xpending("st", "g")["pending"] == 0
+
+
 class TestResilience:
     def test_reconnects_after_connection_drop(self, server, client):
         client.set("k", "1")
@@ -282,6 +320,82 @@ class TestHostileNumbers:
         assert server.keyspace.hgetall("h") == {
             "f": b"again", "f2": b"v2", "f3": b"v3",
         }
+
+    @pytest.fixture
+    def fetched(self, server, talk):
+        """Four entries pending under one consumer, and a counter at 100."""
+        assert talk("XGROUP", "CREATE", "st", "g", "0", "MKSTREAM") == "OK"
+        ids = [talk("XADD", "st", "*", "task", "t").decode() for _ in range(4)]
+        talk("XREADGROUP", "GROUP", "g", "w0", "COUNT", "10", "STREAMS", "st", ">")
+        assert talk("INCRBY", "n", "100") == 100
+        return ids
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ("{b}",),  # an id without its amount
+            ("{b}", "1", "{c}"),
+            ("{b}", "0"),
+            ("{b}", "-1"),
+            ("{b}", "1_000"),
+            ("{b}", " 5 "),
+            ("{b}", "+5"),
+            ("{b}", "1.0"),
+        ],
+        ids=" ".join,
+    )
+    def test_hostile_variadic_xackdecr_settles_nothing(self, server, talk, fetched, tail):
+        from repro.net.resp import ErrorReply
+
+        a, b, c, _d = fetched
+        words = [word.format(b=b, c=c) for word in tail]
+        reply = talk("XACKDECR", "st", "g", a, "n", "1", *words)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert talk("PING") == "PONG"  # same connection, next command
+        assert int(server.keyspace.get("n")) == 100
+        assert server.keyspace.xpending("st", "g")["pending"] == 4
+
+    @pytest.mark.parametrize("amount", ["0", "-1", "1_000", " 5 "])
+    def test_hostile_first_amount_settles_nothing(self, server, talk, fetched, amount):
+        from repro.net.resp import ErrorReply
+
+        reply = talk("XACKDECR", "st", "g", fetched[0], "n", amount, fetched[1], "1")
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert int(server.keyspace.get("n")) == 100
+        assert server.keyspace.xpending("st", "g")["pending"] == 4
+
+    def test_variadic_xackdecr_releases_what_it_acked(self, server, talk, fetched):
+        a, b, c, d = fetched
+        # The five-argument form replies exactly as it did.
+        assert talk("XACKDECR", "st", "g", a, "n", "3") == 1
+        assert talk("XACKDECR", "st", "g", a, "n", "3") == 0
+        # An unknown id acks and releases nothing.
+        assert talk("XACKDECR", "st", "g", "999-0", "n", "5", "999-1", "6") == 0
+        assert int(server.keyspace.get("n")) == 97
+        # The same id twice releases once; a half-stale list (``a`` is
+        # settled) releases only the live entries' amounts.
+        assert talk("XACKDECR", "st", "g", b, "n", "7", b, "7") == 1
+        assert talk("XACKDECR", "st", "g", a, "n", "10", c, "20", b, "30", d, "40") == 2
+        assert int(server.keyspace.get("n")) == 97 - 7 - 20 - 40
+        assert server.keyspace.xpending("st", "g")["pending"] == 0
+
+    @pytest.mark.parametrize("count", ["-1", "1_0", " 2 ", "two", "1.5"])
+    def test_hostile_lpop_count_pops_nothing(self, server, talk, count):
+        from repro.net.resp import ErrorReply
+
+        assert talk("RPUSH", "q", "a", "b") == 2
+        reply = talk("LPOP", "q", count)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert talk("PING") == "PONG"
+        assert server.keyspace.llen("q") == 2
+
+    def test_lpop_with_a_count_is_one_atomic_pop(self, talk):
+        assert talk("RPUSH", "q", "a", "b", "c") == 3
+        assert talk("LPOP", "q", "2") == [b"a", b"b"]
+        assert talk("LPOP", "q", "0") == []
+        assert talk("LPOP", "q", "9") == [b"c"]
+        assert talk("LPOP", "q", "9") is None  # no key: nil, as Redis >= 6.2
+        assert talk("LPOP", "q") is None
 
     def test_valid_numbers_still_parse(self, talk):
         assert talk("INCRBY", "c", "-5") == -5

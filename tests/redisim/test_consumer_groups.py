@@ -199,3 +199,72 @@ class TestIdleTime:
         server.xack("s", "g", eid)
         [row] = server.xinfo_consumers("s", "g")
         assert row["idle"] == pytest.approx(0.0)
+
+
+class TestVariadicXackdecr:
+    """``XACKDECR key group id counter amount [id amount ...]`` at the
+    in-process front door: every entry acked in order, one ``DECRBY`` of
+    the amounts actually acked, and nothing at all on a malformed call."""
+
+    @pytest.fixture
+    def fetched(self, server):
+        ids = make_group(server, n_entries=4)
+        server.xreadgroup("g", "c", {"s": ">"})
+        server.set("n", 100)
+        return ids
+
+    def test_five_argument_form_replies_as_before(self, server, fetched):
+        assert server.xackdecr("s", "g", fetched[0], "n", 3) == 1
+        assert server.xackdecr("s", "g", fetched[0], "n", 3) == 0
+        assert server.get("n") == 97
+
+    def test_every_pair_is_settled_with_one_decrement(self, server, fetched):
+        a, b, c, _d = fetched
+        before = dict(server.command_count)
+        assert server.xackdecr("s", "g", a, "n", 1, b, 2, c, 4) == 3
+        assert server.get("n") == 100 - 7
+        assert server.xpending("s", "g")["pending"] == 1
+        assert server.command_count["incrby"] - before.get("incrby", 0) == 1
+
+    def test_unknown_id_acks_and_releases_nothing(self, server, fetched):
+        assert server.xackdecr("s", "g", "999-0", "n", 5, "999-1", 6) == 0
+        assert server.get("n") == 100
+        assert server.xpending("s", "g")["pending"] == 4
+
+    def test_an_id_named_twice_releases_once(self, server, fetched):
+        a = fetched[0]
+        assert server.xackdecr("s", "g", a, "n", 5, a, 5) == 1
+        assert server.get("n") == 95
+
+    def test_half_stale_list_releases_only_the_live_entries(self, server, fetched):
+        a, b, c, d = fetched
+        assert server.xackdecr("s", "g", a, "n", 1, c, 1) == 2  # a peer was first
+        assert server.xackdecr("s", "g", a, "n", 10, b, 20, c, 30, d, 40) == 2
+        assert server.get("n") == 100 - 2 - 20 - 40
+        assert server.xpending("s", "g")["pending"] == 0
+
+    @pytest.mark.parametrize(
+        "more",
+        [
+            ("1-1",),  # an id without its amount
+            ("1-1", 1, "1-2"),
+            ("1-1", 0),
+            ("1-1", -1),
+            ("1-1", "1_000"),
+            ("1-1", " 5 "),
+            ("1-1", 1.0),
+            ("1-1", True),
+        ],
+    )
+    def test_a_malformed_tail_settles_nothing(self, server, fetched, more):
+        with pytest.raises(RedisError):
+            server.xackdecr("s", "g", fetched[0], "n", 1, *more)
+        assert server.get("n") == 100
+        assert server.xpending("s", "g")["pending"] == 4
+
+    @pytest.mark.parametrize("amount", [0, -1, "1_000", " 5 ", None])
+    def test_a_malformed_first_amount_settles_nothing(self, server, fetched, amount):
+        with pytest.raises(RedisError):
+            server.xackdecr("s", "g", fetched[0], "n", amount, fetched[1], 1)
+        assert server.get("n") == 100
+        assert server.xpending("s", "g")["pending"] == 4

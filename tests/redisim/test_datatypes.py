@@ -90,6 +90,22 @@ class TestLists:
     def test_pop_empty_is_none(self, server):
         assert server.lpop("missing") is None
 
+    def test_lpop_with_a_count_pops_up_to_that_many(self, server):
+        """``LPOP key count`` (Redis >= 6.2): a list, nil for a missing key."""
+        server.rpush("q", "a", "b", "c")
+        assert server.lpop("q", 2) == ["a", "b"]
+        assert server.lpop("q", 0) == []
+        assert server.lpop("q", 9) == ["c"]
+        assert server.exists("q") == 0
+        assert server.lpop("q", 9) is None
+
+    @pytest.mark.parametrize("count", [-1, "2", 1.0, True])
+    def test_lpop_with_a_hostile_count_pops_nothing(self, server, count):
+        server.rpush("q", "a", "b")
+        with pytest.raises(RedisError):
+            server.lpop("q", count)
+        assert server.llen("q") == 2
+
     def test_empty_list_key_removed(self, server):
         server.rpush("q", "only")
         server.lpop("q")

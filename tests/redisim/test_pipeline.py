@@ -118,6 +118,38 @@ class TestClientPipeline:
         # One charge (10 ms) not ten (100 ms).
         assert elapsed < 0.06
 
+    def test_execute_is_begin_then_result(self, client):
+        """One path: an in-process batch runs inside ``begin`` and its
+        flight has landed; ``execute`` only reads it."""
+        pipe = client.pipeline()
+        pipe.incr("n").rpush("q", ("payload", 1))
+        flight = pipe.begin()
+        assert len(pipe) == 0 and client.ops == 1
+        assert flight.landed and client.get("n") == 1
+        assert flight.result() == [1, 1] and flight.result() == [1, 1]
+        assert client.pipeline().begin().result() == []
+        assert client.ops == 2  # the GET; an empty batch is no trip
+
+    def test_a_flight_decodes_its_reads_when_it_lands(self, server):
+        """A transport whose flights are still on the wire after ``begin``:
+        the pipeline's reply decoding waits for ``result()``."""
+        from repro.redisim.client import Flight, InProcessTransport
+
+        class Slow(InProcessTransport):
+            def begin(self, commands):
+                flight = super().begin(commands)
+                return Flight(read=flight.result)
+
+        client = RedisClient(Slow(server))
+        client.xgroup_create("s", "g", id="0", mkstream=True)
+        client.xadd("s", {"task": ("pe", None, 7)})
+        pipe = client.pipeline()
+        pipe.xreadgroup("g", "c", {"s": ">"}, count=4)
+        flight = pipe.begin()
+        assert not flight.landed
+        [(key, [(_entry_id, fields)])] = flight.result()[0]
+        assert flight.landed and key == "s" and fields == {"task": ("pe", None, 7)}
+
     def test_delete_in_pipeline(self, client):
         client.set("a", 1)
         pipe = client.pipeline()

@@ -27,8 +27,8 @@ live workflow, ``job.results()`` yields outputs as they are produced, and
 *session* per mapping -- a warm :class:`~repro.mappings.base.Deployment`
 (worker pool, redisim server) reused by consecutive submissions so only
 the first pays the spin-up (``deploy_cold`` vs ``deploy_warm`` counters).
-:meth:`Engine.run` is a ``submit().wait()`` shim over an ephemeral cold
-deployment, byte-identical to the pre-session engine.
+:meth:`Engine.run` is the one-shot path instead: the resolved mapping's
+``execute`` over an ephemeral cold deployment, with no ``Job``.
 
 :class:`RunConfig` is the frozen record of the engine's settings --
 build one explicitly (``Engine.from_config``) when configurations are
@@ -289,7 +289,7 @@ class Engine:
         self, graph: Any, processes: Optional[int] = None
     ) -> str:
         """The mapping name a run of ``graph`` would use (selection only)."""
-        return self._resolve_submission(graph, processes, None, {})[1]
+        return self._resolve_submission(graph, processes, None, None, None, {})[1]
 
     def _engine_for(self, name: str) -> Mapping:
         engine = self._engines.get(name)
@@ -315,21 +315,18 @@ class Engine:
         Engine-level settings apply unless overridden per run; ``options``
         merge over (and win against) the engine's configured options.
 
-        A ``submit().wait()`` shim: the job runs on an ephemeral cold
-        deployment (no session reuse, no extra counters), so one-shot runs
-        stay byte-identical to the pre-session engine.  Long-lived callers
+        The resolved mapping's :meth:`~repro.mappings.base.Mapping.execute`
+        (``"auto"`` selects per graph): inputs taken in full, every refusal
+        raised before anything runs, an ephemeral cold deployment (no
+        session reuse, no extra counters), enactment on a driver thread
+        this call joins.  No :class:`~repro.jobs.Job` is made, so
+        :meth:`close` does not cancel a run in flight.  Long-lived callers
         ingesting or consuming incrementally use :meth:`submit`.
         """
-        # The buffered wiring is the classic one-shot enactment path --
-        # byte-identical outputs and counters -- and a wait()-only job
-        # never reads the results tap.
-        job, _procs = self._prepare_job(
-            workflow, inputs, processes, seed, mapping, time_scale, None,
-            options, stream=False, results_channel=False,
+        graph, name, settings = self._resolve_submission(
+            workflow, processes, mapping, time_scale, seed, options
         )
-        job._launch()
-        self._adopt_job(job)
-        return job.wait()
+        return self._engine_for(name).execute(graph, inputs, **settings)
 
     def submit(
         self,
@@ -408,7 +405,7 @@ class Engine:
         # deployment and leaves a warm session idle for the next job.
         job, procs = self._prepare_job(
             workflow, inputs, processes, seed, mapping, time_scale, deadline,
-            options, stream=None, results_channel=True,
+            options,
         )
         pool = self._session(job.mapping)
         deployment = None
@@ -435,13 +432,18 @@ class Engine:
         workflow: Union[WorkflowGraph, Any],
         processes: Optional[int],
         mapping: Optional[str],
+        time_scale: Optional[float],
+        seed: Optional[int],
         options: Dict[str, Any],
     ) -> tuple:
-        """Coerce and resolve one submission; merge its options.
+        """Coerce and resolve one submission, for ``run`` and ``submit`` alike.
 
-        Returns ``(graph, mapping_name, processes, merged_options)``.
-        Nothing is capability-checked here: ``"auto"`` selects with the rule
-        set the mapping's ``prepare`` enforces.
+        Returns ``(graph, mapping_name, settings)``: ``settings`` are the
+        keyword arguments of the mapping's ``execute`` / ``prepare`` --
+        processes, platform, time scale and seed with the engine's
+        defaults applied, then the merged options.  Nothing is
+        capability-checked here: ``"auto"`` selects with the rule set the
+        mapping enforces.
         """
         self._ensure_open()
         _check_option_typos(options)
@@ -459,7 +461,13 @@ class Engine:
             name = select_mapping(
                 graph, self._platform, self.config.prefer, procs, options=merged
             )
-        return graph, name, procs, merged
+        return graph, name, dict(
+            processes=procs,
+            platform=self._platform,
+            time_scale=time_scale if time_scale is not None else self.config.time_scale,
+            seed=seed if seed is not None else self.config.seed,
+            **merged,
+        )
 
     def _prepare_job(
         self,
@@ -471,34 +479,19 @@ class Engine:
         time_scale: Optional[float],
         deadline: Optional[float],
         options: Dict[str, Any],
-        *,
-        stream: Optional[bool],
-        results_channel: bool,
     ) -> tuple:
         """Resolve one submission and hand it to its mapping's ``prepare``.
 
         The single funnel onto ``Mapping.prepare`` -- where every refusal
-        is raised -- for the direct path and the scheduler alike, so
-        engine-level defaults (time scale, seed) apply identically.
-        Returns ``(job, processes)``; the caller leases a deployment,
-        launches the job on it and has it tracked (:meth:`_adopt_job`).
+        is raised -- for ``submit`` and the scheduler alike.  Returns
+        ``(job, processes)``; the caller leases a deployment, launches the
+        job on it and has it tracked (:meth:`_adopt_job`).
         """
-        graph, name, procs, merged = self._resolve_submission(
-            workflow, processes, mapping, options
+        graph, name, settings = self._resolve_submission(
+            workflow, processes, mapping, time_scale, seed, options
         )
-        job = self._engine_for(name).prepare(
-            graph,
-            inputs=inputs,
-            processes=procs,
-            platform=self._platform,
-            time_scale=time_scale if time_scale is not None else self.config.time_scale,
-            seed=seed if seed is not None else self.config.seed,
-            deadline=deadline,
-            stream=stream,
-            results_channel=results_channel,
-            **merged,
-        )
-        return job, procs
+        job = self._engine_for(name).prepare(graph, inputs, deadline=deadline, **settings)
+        return job, settings["processes"]
 
     def _adopt_job(self, job: Job) -> None:
         """Track a job until terminal so :meth:`close` can cancel it."""
@@ -554,7 +547,9 @@ class Engine:
 
         Live jobs are cancelled (and given a short grace period to unwind),
         every session's warm deployment is torn down, and the mapping-engine
-        cache is released.  Idempotent.
+        cache is released.  A :meth:`run` in flight on another thread is no
+        job: ``close`` does not wait on it, and it still returns its result.
+        Idempotent.
         """
         with self._lock:
             already = self._closed

@@ -30,6 +30,7 @@ launched already accepts ``send``/``close_input`` (ingestion buffers) and
 from __future__ import annotations
 
 import enum
+import numbers
 import queue
 import threading
 from typing import Any, Callable, Iterator, List, Optional, Tuple
@@ -63,6 +64,20 @@ TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELLED}
 
 class JobCancelledError(RuntimeError):
     """Raised by :meth:`Job.wait`/:meth:`Job.results` on a cancelled job."""
+
+
+def check_seconds(name: str, value: Any) -> Optional[float]:
+    """``None``, or a ``deadline`` / ``timeout`` in real seconds that a timer
+    can be given: a real, non-bool, finite ``0 < value <= TIMEOUT_MAX``.
+    Anything else -- ``NaN`` fires at once, ``inf`` kills the timer thread,
+    ``True`` reads as one second -- raises ``ValueError``."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        0 < value <= threading.TIMEOUT_MAX
+    ):
+        raise ValueError(f"{name} must be seconds in (0, TIMEOUT_MAX], got {value!r}")
+    return float(value)
 
 
 #: Sentinel closing the streaming results channel.
@@ -207,8 +222,8 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> RunResult:
         """Close the input and block until the final result.
 
-        This is the one-shot contract of ``Engine.run()``: waiting implies
-        no further input is coming, so the input is closed first.  Raises
+        The record ``Engine.run()`` returns: waiting implies no further
+        input is coming, so the input is closed first.  Raises
         ``TimeoutError`` if the job is not terminal within ``timeout``,
         re-raises the enactment error on failure, and raises
         :class:`JobCancelledError` on a cancelled job (after teardown has

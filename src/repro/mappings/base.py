@@ -35,6 +35,7 @@ base class owns everything common to all mappings:
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
 import threading
 from contextlib import contextmanager
@@ -47,7 +48,7 @@ from repro.core.exceptions import MappingError
 from repro.core.fusion import MemberMeter
 from repro.core.graph import WorkflowGraph
 from repro.core.pe import GenericPE
-from repro.jobs import Job, JobCancelledError
+from repro.jobs import Job, JobCancelledError, check_seconds
 from repro.mappings.registry import Capabilities, floor_refusal, refusal
 from repro.metrics.result import RunResult
 from repro.planner import Plan, Planner
@@ -943,10 +944,15 @@ class Mapping:
     ) -> RunResult:
         """Enact ``graph`` and return the measured :class:`RunResult`.
 
-        The one-shot path: inputs are taken in full up front, enactment
-        runs on the calling thread with an ephemeral (cold) deployment,
-        and results surface only in the returned record -- exactly the
-        pre-session contract.  Long-lived callers use :meth:`submit`.
+        The one-shot path, and ``Engine.run``'s: inputs are taken in full
+        (``None`` is one empty invocation per source) and the plan is
+        profiled against them, every refusal raises here before anything
+        runs, the deployment is ephemeral and cold, and results surface
+        only in the returned record.  The enactment runs on a
+        ``job-<mapping>-<workflow>`` driver thread this call joins,
+        re-raising its error: on the caller's own thread the same run
+        peaks 12-35% higher in RSS (``docs/benchmarks.md``).  Long-lived
+        callers use :meth:`submit`.
 
         Parameters
         ----------
@@ -976,7 +982,20 @@ class Mapping:
             graph, provided, processes, platform, time_scale, seed, options,
             plan,
         )
-        return self._run_measured(state)
+        outcome: List[Any] = []
+
+        def drive() -> None:
+            try:
+                outcome.append(self._run_measured(state))
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                outcome.append(exc)
+
+        driver = threading.Thread(target=drive, name=f"job-{self.name}-{graph.name}", daemon=True)
+        driver.start()
+        driver.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
 
     def submit(
         self,
@@ -988,30 +1007,22 @@ class Mapping:
         seed: int = 0,
         deployment: Optional[Deployment] = None,
         deadline: Optional[float] = None,
-        stream: Optional[bool] = None,
-        results_channel: bool = True,
-        busy_fallback: bool = False,
         **options: Any,
     ) -> Job:
         """Start enacting ``graph`` and return a live :class:`Job` handle.
 
-        :meth:`prepare` (which documents ``inputs`` / ``stream`` /
-        ``results_channel`` / ``deadline``) followed at once by the job's
-        launch on ``deployment``: a warm :class:`Deployment` from
-        :meth:`deploy`, or ``None`` to run cold with ephemeral resources,
-        exactly like :meth:`execute`.  ``busy_fallback=True`` marks a cold
-        ephemeral run taken only because the caller's warm slot was
-        occupied (the ``deploy_busy_fallback`` counter), distinguishing it
-        from a plain first-use cold deploy.  Every refusal raises here,
+        :meth:`prepare` (which documents ``inputs``, ``deadline`` and the
+        wiring) followed at once by the job's launch on ``deployment``: a
+        warm :class:`Deployment` from :meth:`deploy`, or ``None`` to run
+        cold with ephemeral resources.  Every refusal raises here,
         synchronously; enactment errors surface from ``job.wait()`` /
         ``job.results()``.
         """
         job = self.prepare(
             graph, inputs, processes, platform, time_scale, seed,
-            deadline=deadline, stream=stream, results_channel=results_channel,
-            **options,
+            deadline=deadline, **options,
         )
-        job._launch(deployment, busy_fallback)
+        job._launch(deployment)
         return job
 
     def prepare(
@@ -1023,75 +1034,55 @@ class Mapping:
         time_scale: float = 1.0,
         seed: int = 0,
         deadline: Optional[float] = None,
-        stream: Optional[bool] = None,
-        results_channel: bool = True,
         **options: Any,
     ) -> Job:
         """Validate a submission and build its :class:`Job`, not yet enacting.
 
         Everything :meth:`submit` does short of touching a deployment, so
         every refusal -- the rule set ``select_mapping`` selects with,
-        :func:`~repro.mappings.registry.refusal` -- is raised here,
-        synchronously and for ``Engine.submit`` and ``JobScheduler.submit``
-        alike, before a deployment, thread or timer exists.  The
-        returned job is ``PENDING`` and already accepts ``send`` /
-        ``close_input`` / ``cancel``; ``job._launch(deployment)`` starts its
-        driver thread (``job-<mapping>-<workflow>``).  A scheduler prepares
-        at submit time and launches at admission, so the handle it returned
-        is the one that runs.
+        :func:`~repro.mappings.registry.refusal`, and a ``deadline`` no
+        timer can take (:func:`~repro.jobs.check_seconds`) -- is raised
+        here, synchronously and for ``Engine.submit`` and
+        ``JobScheduler.submit`` alike, before a deployment, thread or timer
+        exists.  The returned job is ``PENDING`` and already accepts
+        ``send`` / ``close_input`` / ``cancel``; ``job._launch(deployment)``
+        starts its driver thread (``job-<mapping>-<workflow>``).  A
+        scheduler prepares at submit time and launches at admission, so the
+        handle it returned is the one that runs.
 
-        On streaming mappings (``Capabilities.streaming``) the launched
-        workflow runs on the driver thread while input is still open:
-        initial ``inputs`` are consumed *lazily* into the running graph,
-        then whatever ``job.send`` buffered before the launch, then live
-        sends; ``job.close_input`` ends the stream, and ``job.results()``
-        yields outputs as the collector receives them.  Other mappings
-        buffer ingestion and enact once the input closes (results still
-        stream).  ``stream=False`` forces the buffered wiring even on a
-        streaming mapping -- the classic enactment path, byte-identical
-        counters, ``inputs=None`` read as one empty invocation per source
-        (a live submission reads it as "no initial inputs") -- which is
-        what the ``Engine.run()`` shim uses.  ``results_channel=False``
-        skips the collector tap for wait-only callers (the shim again):
-        ``job.results()`` then ends without yielding, instead of buffering
-        every output a second time for a consumer that never comes.
-        ``deadline`` (real seconds, counted from now) cancels the job when
-        exceeded, launched or not.
+        The wiring follows ``Capabilities.streaming`` alone: streaming
+        mappings run while input is still open, consuming the initial
+        ``inputs`` *lazily*, then what ``job.send`` buffered before the
+        launch, then live sends; the others buffer ingestion and enact once
+        the input closes.  Either way ``job.results()`` streams outputs and
+        ``inputs=None`` means "no initial inputs, I will ``send``" -- not
+        :meth:`execute`'s one empty invocation per source (drive such a
+        source with ``inputs=[{}]``).  ``deadline`` (real seconds, counted
+        from now) cancels the job when exceeded, launched or not.
         """
         options = dict(options)
         caps = self.capabilities
-        if deadline is not None and deadline <= 0:
-            # Validated before any wiring: a bad deadline must not leave a
-            # wired handle behind.
-            raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
-        if inputs is None and stream is not False:
-            # For a *live* submission ``inputs=None`` means "no initial
-            # inputs, the sources are driven by send()" -- whether ingestion
-            # streams or buffers -- not the one-shot convention of a single
-            # empty invocation per source (drive a producer-style source
-            # explicitly with ``inputs=[{}]`` or ``job.send(pe, [{}])``).
-            # ``stream=False`` is the classic path and keeps the convention.
-            inputs = []
-        if stream is None:
-            stream = caps.streaming
-        elif stream and not caps.streaming:
-            raise MappingError(
-                f"mapping {self.name!r} does not support live streaming "
-                f"submissions; drop stream=True for buffered ingestion"
-            )
+        # Validated before any wiring: a bad deadline must not leave a
+        # wired handle behind.
+        deadline = check_seconds("deadline", deadline)
+        stream = caps.streaming
         # The buffered wiring materializes its inputs now, so the planner
         # profiles against them; a streaming submission must not consume
         # its (possibly lazy) input iterators and plans without a sample.
         provided, plan = self._admit(
-            graph, inputs, processes, platform, options, eager=not stream
+            graph, [] if inputs is None else inputs, processes, platform,
+            options, eager=not stream,
         )
         job = Job(mapping=self.name, workflow=graph.name, streaming=stream)
-        tap = job._emit if results_channel else None
-        wire = self._wire_streaming if stream else self._wire_buffered
-        send, close, cancel, drive = wire(
-            job, graph, provided, processes, platform, time_scale, seed,
-            options, plan, tap,
+        # Every job gets its results tap; the wiring supplies the inputs
+        # (and, streaming, the cancellation plumbing).
+        build = functools.partial(
+            self._build_state, graph, processes=processes, platform=platform,
+            time_scale=time_scale, seed=seed, options=options, plan=plan,
+            tap=job._emit,
         )
+        wire = self._wire_streaming if stream else self._wire_buffered
+        send, close, cancel, drive = wire(job, graph, provided, build)
 
         def launch(deployment: Optional[Deployment], busy_fallback: bool) -> None:
             if deployment is not None:
@@ -1123,13 +1114,7 @@ class Mapping:
         job: Job,
         graph: WorkflowGraph,
         provided: Dict[str, Iterator[Dict[str, Any]]],
-        processes: int,
-        platform: PlatformProfile,
-        time_scale: float,
-        seed: int,
-        options: Dict[str, Any],
-        plan: Optional[Plan],
-        tap: Optional[Callable[[str, Any], None]],
+        build: Callable[..., EnactmentState],
     ) -> Tuple[Callable, Callable, Callable, Callable]:
         """The live wiring: ``(send, close, cancel, drive)`` over a LiveFeed.
 
@@ -1139,10 +1124,7 @@ class Mapping:
         later ones.
         """
         control = StreamControl()
-        state = self._build_state(
-            graph, provided, processes, platform, time_scale, seed, options,
-            plan, tap=tap, control=control,
-        )
+        state = build(provided, control=control)
         feed = LiveFeed(state.provided, cancelled=control.cancelled)
         state.feed = feed
         roots = {pe.name for pe in graph.roots()}
@@ -1179,13 +1161,7 @@ class Mapping:
         job: Job,
         graph: WorkflowGraph,
         buffer: Dict[str, List[Dict[str, Any]]],
-        processes: int,
-        platform: PlatformProfile,
-        time_scale: float,
-        seed: int,
-        options: Dict[str, Any],
-        plan: Optional[Plan],
-        tap: Optional[Callable[[str, Any], None]],
+        build: Callable[..., EnactmentState],
     ) -> Tuple[Callable, Callable, Callable, Callable]:
         """The buffered wiring: ``(send, close, cancel, drive)`` over a dict.
 
@@ -1217,10 +1193,7 @@ class Mapping:
             try:
                 with buffer_lock:
                     provided = {root: list(items) for root, items in buffer.items()}
-                state = self._build_state(
-                    graph, provided, processes, platform, time_scale, seed,
-                    options, plan, tap=tap,
-                )
+                state = build(provided)
                 self._note_deployment(state, deployment, busy_fallback)
                 result = self._run_measured(state)
             except BaseException as exc:  # noqa: BLE001 - driver boundary
@@ -1237,7 +1210,7 @@ class Mapping:
     def _note_deployment(
         state: EnactmentState,
         deployment: Optional[Deployment],
-        busy_fallback: bool = False,
+        busy_fallback: bool,
     ) -> None:
         """Counter-stamp how this submission got its enactment resources.
 

@@ -68,6 +68,11 @@ TRIP_SHARE = 0.1
 #: peer cannot steal keep growing with the window.
 WINDOW_CAP = 8
 
+#: Nominal seconds a pending entry may idle before a starved worker adopts
+#: it: far above the paper's second-scale tasks, so only dead consumers are
+#: robbed.
+RECLAIM_IDLE = 30.0
+
 
 def window_size(trip: float, service: float, reclaim_idle: float) -> int:
     """Entries per window, from a worker's own measurements (one time unit).
@@ -93,20 +98,14 @@ def _ewma(mean: Optional[float], sample: float) -> float:
 
 
 def reclaim_threshold_ms(options, clock) -> float:
-    """Resolve the XAUTOCLAIM idle threshold shared by the Redis mappings.
+    """The XAUTOCLAIM idle threshold (real ms) shared by the Redis mappings.
 
-    ``reclaim_idle`` is in *nominal* seconds -- scaled by the clock like
-    every other time knob, so the margin over task service times (nominal
-    too) survives any time_scale; the default sits far above the paper's
-    second-scale tasks, so only genuinely dead consumers are robbed.  A
-    100 ms real floor prevents sub-millisecond theft windows at test-speed
-    scales.  Tests can pin the threshold directly with ``reclaim_idle_ms``
-    (real milliseconds).
+    :data:`RECLAIM_IDLE` scaled by the clock like every other time knob, so
+    the margin over task service times (nominal too) survives any
+    time_scale, floored at 100 ms so test-speed scales never open
+    sub-millisecond theft windows.  Tests pin it with ``reclaim_idle_ms``.
     """
-    reclaim_idle = options.get("reclaim_idle", 30.0)
-    return options.get(
-        "reclaim_idle_ms", max(1000.0 * clock.to_real(reclaim_idle), 100.0)
-    )
+    return options.get("reclaim_idle_ms", max(1000.0 * clock.to_real(RECLAIM_IDLE), 100.0))
 
 
 class RedisTaskBoard:

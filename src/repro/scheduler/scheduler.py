@@ -217,8 +217,7 @@ class JobScheduler:
         # Prepared off the scheduler lock (planning can be slow): every
         # legality refusal raises here, before anything is queued.
         job, procs = self.engine._prepare_job(
-            workflow, inputs, processes, seed, mapping, time_scale, deadline,
-            options, stream=None, results_channel=True,
+            workflow, inputs, processes, seed, mapping, time_scale, deadline, options
         )
         with self._cond:
             if self._closed:

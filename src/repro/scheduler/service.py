@@ -44,7 +44,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.exceptions import ReproError
-from repro.jobs import Job
+from repro.jobs import Job, check_seconds
 from repro.net.core import Connection, SocketServer
 from repro.scheduler.catalog import (
     build_named_workflow,
@@ -190,7 +190,7 @@ class SchedulerService(SocketServer):
 
     def _op_results(self, sock, request) -> Tuple[Optional[Dict[str, Any]], bool]:
         job = self._job(request)
-        timeout = request.get("timeout")
+        timeout = check_seconds("timeout", request.get("timeout"))
         try:
             for key, value in job.results(timeout=timeout):
                 sock.sendall(_encode({"ok": True, "key": key, "value": value}))
@@ -206,8 +206,9 @@ class SchedulerService(SocketServer):
 
     def _op_wait(self, sock, request) -> Tuple[Dict[str, Any], bool]:
         job = self._job(request)
+        timeout = check_seconds("timeout", request.get("timeout"))
         try:
-            result = job.wait(timeout=request.get("timeout"))
+            result = job.wait(timeout=timeout)
         except TimeoutError as exc:
             return {"ok": False, "error": str(exc)}, False
         except Exception as exc:

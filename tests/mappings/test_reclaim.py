@@ -93,7 +93,7 @@ class TestReclaimStale:
 
 class TestReclaimThreshold:
     def test_threshold_scales_with_clock(self):
-        """``reclaim_idle`` is nominal seconds: the real threshold must track
+        """``RECLAIM_IDLE`` is nominal seconds: the real threshold must track
         time_scale (like every other time knob), so slow-but-live consumers
         keep their margin at any scale."""
         from repro.runtime.clock import Clock
@@ -103,8 +103,7 @@ class TestReclaimThreshold:
         state = EnactmentState(
             graph=graph, provided=normalize_inputs(graph, [1]), processes=1,
             ctx=ctx, platform=LAPTOP, meter=ActivityMeter(ctx.clock),
-            collector=ResultsCollector(), counters=Counters(),
-            options={"reclaim_idle": 30.0},
+            collector=ResultsCollector(), counters=Counters(), options={},
         )
         wf = RedisWorkforce(state, TerminationPolicy())
         assert wf.reclaim_idle_ms == pytest.approx(30_000.0)

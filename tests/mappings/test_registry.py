@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.exceptions import MappingError, UnsupportedFeatureError
+from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
 from repro.mappings import (
     Capabilities,
@@ -136,11 +136,10 @@ class TestThirdPartyRegistration:
             assert mapping.capabilities == get_capabilities("stateless_only_test")
             with pytest.raises(UnsupportedFeatureError, match="stateless"):
                 mapping.execute(_stateful_graph(), inputs=[("a", 1)])
-            with pytest.raises(MappingError, match="live streaming"):
-                mapping.submit(_stateless_graph(), inputs=[1], stream=True)
-            # Buffered submission still works, and deploys no worker pool.
+            # Submission buffers, and deploys no worker pool.
             assert mapping.deploy(2).pool is None
             job = mapping.submit(_stateless_graph(), inputs=[1, 2])
+            assert not job.streaming
             job.close_input()
             assert job.wait().counters["tasks"] == 6
         finally:

@@ -407,6 +407,50 @@ class TestEngineIntegration:
             assert blocker.done()
 
 
+#: Deadlines no timer can be given: NaN fired at once, inf / 1e300 killed
+#: the timer thread, ``True`` read as one second, a string compared badly.
+HOSTILE_DEADLINES = [
+    float("nan"), float("inf"), float("-inf"), 1e300, threading.TIMEOUT_MAX * 2,
+    True, False, 0, -1, "5",
+]
+
+
+def _timers():
+    return {t for t in threading.enumerate() if isinstance(t, threading.Timer)}
+
+
+class TestHostileDeadline:
+    """A deadline is a real, non-bool, finite ``0 < d <= TIMEOUT_MAX``;
+    anything else is a synchronous ``ValueError`` that leaves nothing behind."""
+
+    @pytest.mark.parametrize("deadline", HOSTILE_DEADLINES, ids=repr)
+    def test_engine_submit_refuses(self, deadline):
+        before = _timers()
+        with _engine() as engine:
+            with pytest.raises(ValueError, match="deadline must be"):
+                engine.submit(_pipeline(), inputs=[1], deadline=deadline)
+            assert engine._jobs == [] and engine._sessions == {}
+            assert _timers() == before
+
+    @pytest.mark.parametrize("deadline", HOSTILE_DEADLINES, ids=repr)
+    def test_scheduler_submit_refuses(self, deadline):
+        before = _timers()
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                with pytest.raises(ValueError, match="deadline must be"):
+                    sched.submit(_pipeline(), inputs=[1], deadline=deadline)
+                assert sched.stats.submitted == 0 and sched._pools == {}
+                assert engine._jobs == []
+                assert _timers() == before
+
+    @pytest.mark.parametrize("deadline", [1, 0.5, threading.TIMEOUT_MAX])
+    def test_the_extremes_that_are_legal_still_arm(self, deadline):
+        with _engine() as engine:
+            job = engine.submit(_pipeline(), inputs=[1], deadline=deadline)
+            assert job._deadline_timer is not None
+            assert _values(job.wait(timeout=30)) == [3]
+
+
 class TestStats:
     def test_percentile_nearest_rank(self):
         assert percentile([], 99) is None

@@ -159,6 +159,41 @@ class TestSubmitValidation:
         client.request(op="cancel", job=submitted["job"])
 
 
+class TestHostileSeconds:
+    """``deadline`` and ``timeout`` off the wire are validated like
+    ``TestHostileNumbers`` validates RESP numbers: a bad one is an error
+    reply naming the field, nothing is queued or armed, and the connection
+    serves the next request."""
+
+    #: ``json.loads`` accepts ``NaN`` / ``Infinity``; the client sends them.
+    HOSTILE = [float("nan"), float("inf"), 1e300, True, 0, -1, "5"]
+
+    @pytest.mark.parametrize("deadline", HOSTILE, ids=repr)
+    def test_submit_deadline(self, client, deadline):
+        reply = client.request(
+            op="submit", workflow="sentiment-scoring", params={"articles": 4},
+            inputs=None, deadline=deadline,
+        )
+        assert reply["ok"] is False
+        assert "deadline must be" in reply["error"]
+        assert client.request(op="stats")["stats"]["submitted"] == 0
+        assert client.request(op="ping")["pong"] is True
+
+    @pytest.mark.parametrize("op", ["wait", "results"])
+    @pytest.mark.parametrize("timeout", HOSTILE, ids=repr)
+    def test_wait_and_results_timeout(self, client, op, timeout):
+        submitted = client.request(
+            op="submit", workflow="sentiment-scoring", params={"articles": 4},
+            inputs=None,
+        )
+        job = submitted["job"]
+        reply = client.request(op=op, job=job, timeout=timeout)
+        assert reply["ok"] is False and "state" not in reply
+        assert reply["error"].startswith("timeout must be")
+        assert client.request(op="ping")["pong"] is True
+        assert client.request(op="cancel", job=job)["cancelled"] is True
+
+
 class TestJobLifecycleOverWire:
     def test_submit_feed_results_wait_stats(self, client):
         submitted = client.request(

@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import BenchConfig, run_cell
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell
 from repro.platforms.profiles import SERVER
 from repro.workflows import (
     build_sentiment_scoring_workflow,
@@ -75,40 +75,33 @@ def test_batching_throughput_grid(benchmark, capsys, batch_size):
 
 
 def test_batch32_speedup_at_least_1_3x(benchmark, capsys):
-    """The acceptance criterion, measured as paired rounds.
-
-    Unbatched and batch-32 cells alternate within each round and the
-    *median per-round throughput ratio* is asserted: machine-load drift
-    hits both members of a pair alike and cancels, where two separately
-    timed blocks would let it masquerade as a batching effect.
+    """The acceptance criterion, measured as paired rounds
+    (:func:`~repro.bench.harness.paired_ratio`) of throughput: machine-load
+    drift hits both members of a pair alike and cancels, where two
+    separately timed blocks would let it masquerade as a batching effect.
     """
 
     def once():
-        pairs = []
-        for _ in range(PAIR_ROUNDS):
-            unbatched = run_cell(
-                _scoring_factory, "dyn_auto_redis", PROCESSES, SERVER, CONFIG
-            )
-            batched = run_cell(
+        return paired_ratio(
+            lambda: run_cell(
                 _scoring_factory, "dyn_auto_redis", PROCESSES, SERVER, CONFIG,
                 batch_size=32,
-            )
-            pairs.append((unbatched, batched))
-        return pairs
-
-    pairs = benchmark.pedantic(once, rounds=1, iterations=1)
-    ratios = sorted(_throughput(b) / _throughput(u) for u, b in pairs)
-    median = ratios[len(ratios) // 2]
-    with capsys.disabled():
-        print(
-            f"\nmedian speedup={median:.2f}x over {PAIR_ROUNDS} pairs "
-            f"(per-pair: {', '.join(f'{r:.2f}x' for r in ratios)})"
+            ),
+            lambda: run_cell(
+                _scoring_factory, "dyn_auto_redis", PROCESSES, SERVER, CONFIG
+            ),
+            PAIR_ROUNDS,
+            measure=_throughput,
+            label="batch-32 speedup (batched/unbatched throughput)",
         )
+
+    with capsys.disabled():
+        paired = benchmark.pedantic(once, rounds=1, iterations=1)
     # Identical results with and without batching...
-    unbatched, batched = pairs[0]
+    batched, unbatched = paired.pairs[0]
     assert _outputs(batched) == _outputs(unbatched)
     # ...and the batched transport clears the acceptance bar.
-    assert median >= 1.3
+    assert paired.median >= 1.3
 
 
 def test_hybrid_stateful_batching_identical_results(benchmark, capsys):

@@ -9,7 +9,7 @@ runtime overhead on the sentiment workflow stays within 10%.
 
 import pytest
 
-from repro.bench.harness import BenchConfig, run_cell
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell
 from repro.platforms.profiles import SERVER
 from repro.state import DEFAULT_CHECKPOINT_INTERVAL
 from repro.workflows.sentiment.workflow import build_recoverable_sentiment_workflow
@@ -49,40 +49,30 @@ def test_checkpoint_overhead_grid(benchmark, capsys, label, options):
 
 
 def test_default_interval_overhead_within_10_percent(benchmark, capsys):
-    """The acceptance criterion, measured as paired rounds.
-
-    Baseline and checkpointed cells alternate within each round and the
-    *median per-round ratio* is asserted: machine-load drift hits both
-    members of a pair alike and cancels, where two separately timed blocks
-    would let it masquerade as checkpoint overhead.
+    """The acceptance criterion, measured as paired rounds
+    (:func:`~repro.bench.harness.paired_ratio`): machine-load drift hits
+    both members of a pair alike and cancels, where two separately timed
+    blocks would let it masquerade as checkpoint overhead.
     """
     pair_config = BenchConfig(time_scale=CONFIG.time_scale, repeats=1)
-    rounds = 5
 
     def once():
-        pairs = []
-        for _ in range(rounds):
-            baseline = run_cell(_factory, "hybrid_redis", PROCESSES, SERVER, pair_config)
-            checkpointed = run_cell(
+        return paired_ratio(
+            lambda: run_cell(
                 _factory, "hybrid_redis", PROCESSES, SERVER, pair_config,
                 checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
-            )
-            pairs.append((baseline, checkpointed))
-        return pairs
-
-    pairs = benchmark.pedantic(once, rounds=1, iterations=1)
-    ratios = sorted(c.runtime / b.runtime for b, c in pairs)
-    median_ratio = ratios[len(ratios) // 2]
-    baseline, checkpointed = pairs[0]
-    with capsys.disabled():
-        print(
-            f"\nmedian overhead={100 * (median_ratio - 1):+.1f}% over {rounds} pairs "
-            f"(per-pair: {', '.join(f'{100 * (r - 1):+.1f}%' for r in ratios)}; "
-            f"{checkpointed.counters.get('checkpoints', 0)} checkpoints/run)"
+            ),
+            lambda: run_cell(_factory, "hybrid_redis", PROCESSES, SERVER, pair_config),
+            rounds=5,
+            label="checkpointed/baseline runtime",
         )
+
+    with capsys.disabled():
+        paired = benchmark.pedantic(once, rounds=1, iterations=1)
+    checkpointed, baseline = paired.pairs[0]
     # Identical results with and without checkpointing...
     assert checkpointed.output("top3Happiest", "top3") == baseline.output(
         "top3Happiest", "top3"
     )
     # ...and the default interval costs at most 10% runtime.
-    assert median_ratio - 1.0 <= 0.10
+    assert paired.median - 1.0 <= 0.10

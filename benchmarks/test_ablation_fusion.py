@@ -30,7 +30,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import BenchConfig, run_cell
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell
 from repro.core.graph import WorkflowGraph
 from repro.platforms.profiles import SERVER
 from repro.workflows import (
@@ -82,35 +82,27 @@ def _outputs(result):
 
 
 def test_fused_chain_speedup_at_least_1_3x(benchmark, capsys):
-    """The acceptance criterion, measured as paired rounds.
-
-    Fused and unfused cells alternate within each round and the *median
-    per-round runtime ratio* is asserted, so machine-load drift hits both
-    members of a pair alike and cancels.
+    """The acceptance criterion, measured as paired rounds
+    (:func:`~repro.bench.harness.paired_ratio`), so machine-load drift hits
+    both members of a pair alike and cancels.
     """
 
     def once():
-        pairs = []
-        for _ in range(PAIR_ROUNDS):
-            unfused = run_cell(
+        return paired_ratio(
+            lambda: run_cell(
                 _fine_chain_factory, "dyn_auto_multi", PROCESSES, SERVER, CHAIN_CONFIG
-            )
-            fused = run_cell(
+            ),
+            lambda: run_cell(
                 _fine_chain_factory, "dyn_auto_multi", PROCESSES, SERVER, CHAIN_CONFIG,
                 fuse=True,
-            )
-            pairs.append((unfused, fused))
-        return pairs
-
-    pairs = benchmark.pedantic(once, rounds=1, iterations=1)
-    ratios = sorted(u.runtime / f.runtime for u, f in pairs)
-    median = ratios[len(ratios) // 2]
-    with capsys.disabled():
-        print(
-            f"\nmedian fusion speedup={median:.2f}x over {PAIR_ROUNDS} pairs "
-            f"(per-pair: {', '.join(f'{r:.2f}x' for r in ratios)})"
+            ),
+            PAIR_ROUNDS,
+            label="fusion speedup (unfused/fused runtime)",
         )
-    unfused, fused = pairs[0]
+
+    with capsys.disabled():
+        paired = benchmark.pedantic(once, rounds=1, iterations=1)
+    unfused, fused = paired.pairs[0]
     # The whole 4-PE chain collapsed into one operator...
     assert fused.counters["fused_chains"] == 1
     assert fused.counters["fused_members"] == 4
@@ -121,7 +113,7 @@ def test_fused_chain_speedup_at_least_1_3x(benchmark, capsys):
         assert fused.counters[f"member_tasks.{member}"] == GALAXIES
         assert member in fused.pe_times
     # ...and the fused run clears the acceptance bar.
-    assert median >= 1.3
+    assert paired.median >= 1.3
 
 
 @pytest.mark.parametrize("fuse", (False, True))

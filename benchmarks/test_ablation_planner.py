@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import BenchConfig, run_cell
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell
 from repro.core.graph import WorkflowGraph
 from repro.mappings.base import normalize_inputs
 from repro.planner import Planner
@@ -65,35 +65,27 @@ def _outputs(result):
 
 
 def test_planner_chain_speedup_at_least_1_3x(benchmark, capsys):
-    """The acceptance criterion, measured as paired rounds.
-
-    Plain and optimized cells alternate within each round and the *median
-    per-round runtime ratio* is asserted, so machine-load drift hits both
-    members of a pair alike and cancels.
+    """The acceptance criterion, measured as paired rounds
+    (:func:`~repro.bench.harness.paired_ratio`), so machine-load drift hits
+    both members of a pair alike and cancels.
     """
 
     def once():
-        pairs = []
-        for _ in range(PAIR_ROUNDS):
-            plain = run_cell(
+        return paired_ratio(
+            lambda: run_cell(
                 _fine_chain_factory, "dyn_auto_multi", PROCESSES, SERVER, CHAIN_CONFIG
-            )
-            optimized = run_cell(
+            ),
+            lambda: run_cell(
                 _fine_chain_factory, "dyn_auto_multi", PROCESSES, SERVER, CHAIN_CONFIG,
                 optimize=True,
-            )
-            pairs.append((plain, optimized))
-        return pairs
-
-    pairs = benchmark.pedantic(once, rounds=1, iterations=1)
-    ratios = sorted(p.runtime / o.runtime for p, o in pairs)
-    median = ratios[len(ratios) // 2]
-    with capsys.disabled():
-        print(
-            f"\nmedian planner speedup={median:.2f}x over {PAIR_ROUNDS} pairs "
-            f"(per-pair: {', '.join(f'{r:.2f}x' for r in ratios)})"
+            ),
+            PAIR_ROUNDS,
+            label="planner speedup (plain/optimized runtime)",
         )
-    plain, optimized = pairs[0]
+
+    with capsys.disabled():
+        paired = benchmark.pedantic(once, rounds=1, iterations=1)
+    plain, optimized = paired.pairs[0]
     # The planner collapsed the whole 4-PE chain (via its chain-fusion
     # rule) and stamped its bookkeeping counter...
     assert optimized.counters["fused_chains"] == 1
@@ -106,7 +98,7 @@ def test_planner_chain_speedup_at_least_1_3x(benchmark, capsys):
         assert optimized.counters[f"member_tasks.{member}"] == GALAXIES
         assert member in optimized.pe_times
     # ...and the optimized run clears the acceptance bar.
-    assert median >= 1.3
+    assert paired.median >= 1.3
 
 
 @pytest.mark.parametrize("optimize", (False, True))

@@ -12,8 +12,9 @@ sequential submissions on the primed session).
 The workload is deliberately tiny -- a 3-PE pipeline over a handful of
 tuples -- so the spin-up cost the session amortizes (thread-pool spawn,
 deployment wiring) is a visible fraction of each submission.  Cold and
-warm bursts alternate within each round and the *median per-round ratio*
-is asserted, so machine-load drift hits both members of a pair alike.
+warm bursts run as paired rounds (:func:`repro.bench.harness.paired_ratio`)
+and the *median per-round ratio* is asserted, so machine-load drift hits
+both members of a pair alike.
 
 Acceptance bar: **warm measurably cheaper** -- median cold/warm >= 1.05
 on ``multi`` and ``dyn_auto_multi``, with the ``deploy_warm`` counter
@@ -27,6 +28,7 @@ import time
 
 import pytest
 
+from repro.bench.harness import paired_ratio
 from repro.core.pe import reset_auto_names
 from repro.engine import Engine
 from tests.conftest import AddOne, Double, Emit, linear_graph
@@ -83,21 +85,17 @@ def test_warm_submit_cheaper_than_cold(benchmark, capsys, mapping):
     """The acceptance criterion: warm submits skip the deployment spin-up."""
 
     def once():
-        pairs = []
-        for _ in range(PAIR_ROUNDS):
-            pairs.append((_cold_burst(mapping), _warm_burst(mapping)))
-        return pairs
-
-    pairs = benchmark.pedantic(once, rounds=1, iterations=1)
-    ratios = sorted(cold / warm for cold, warm in pairs)
-    median = ratios[len(ratios) // 2]
-    with capsys.disabled():
-        print(
-            f"\n[{mapping}] median cold/warm submit-burst latency = {median:.2f}x "
-            f"over {PAIR_ROUNDS} rounds of {SUBMITS_PER_BURST} submits "
-            f"(per-round: {', '.join(f'{r:.2f}x' for r in ratios)})"
+        return paired_ratio(
+            lambda: _cold_burst(mapping),
+            lambda: _warm_burst(mapping),
+            PAIR_ROUNDS,
+            measure=float,
+            label=f"[{mapping}] cold/warm latency of {SUBMITS_PER_BURST}-submit bursts",
         )
-    assert median >= SPEEDUP_BAR
+
+    with capsys.disabled():
+        paired = benchmark.pedantic(once, rounds=1, iterations=1)
+    assert paired.median >= SPEEDUP_BAR
 
 
 def test_warm_submit_results_identical(benchmark):

@@ -10,8 +10,9 @@ two checkouts and comparing the files::
 
 The grid is the six catalog workflows (at small sizes) x the seven
 in-process registry names x {plain, batch_size=8, fuse=True,
-optimize=True} x {``Engine.run``, ``Mapping.execute``}, plus
-``cluster_redis`` on the two stateless workflows.  Each
+optimize=True, checkpoint_interval=5} x {``Engine.run``,
+``Mapping.execute``}, plus ``cluster_redis`` on the two stateless
+workflows.  Each
 cell records its outputs -- per results key, the multiset of canonical
 ``repr`` strings of ``e2e_bench/oracle.py`` -- and every counter outside
 :data:`VOLATILE`; a cell that raises records the exception's type instead
@@ -41,8 +42,11 @@ from oracle import canonical  # noqa: E402
 
 #: Counters that differ between two runs of one cell on one commit: they
 #: tally scaler rounds, activations, idle wake-ups and settle trips, not work.
+#: ``checkpoints`` too: a pinned instance also checkpoints whenever its queue
+#: read times out with work uncommitted, so the count follows arrival timing
+#: (3 or 4 on one ``seismic2`` cell, run to run).
 VOLATILE = frozenset({
-    "empty_polls", "graph_copies", "max_active", "scale_iterations",
+    "checkpoints", "empty_polls", "graph_copies", "max_active", "scale_iterations",
     "settle_trips", "settles_in_flight",
 })
 
@@ -65,6 +69,9 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
     "batch8": {"batch_size": 8},
     "fuse": {"fuse": True},
     "optimize": {"optimize": True},
+    # The recoverable pinned path; every mapping without stateful
+    # checkpointing refuses it.
+    "checkpoint": {"checkpoint_interval": 5},
 }
 
 ENTRIES = ("run", "execute")

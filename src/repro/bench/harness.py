@@ -1,4 +1,4 @@
-"""Grid runner for the evaluation experiments."""
+"""Grid runner and paired-ratio primitive for the evaluation experiments."""
 
 from __future__ import annotations
 
@@ -120,3 +120,48 @@ def run_grid(
                 engine, factory, config.repeats, mapping=mapping, processes=p
             )
     return grid
+
+
+@dataclass
+class PairedRatio:
+    """What :func:`paired_ratio` measured: the median, every round's ratio
+    in run order, and each round's ``(a, b)`` results."""
+
+    median: float
+    ratios: List[float]
+    pairs: List[Tuple[Any, Any]]
+
+
+def paired_ratio(
+    cell_a: Callable[[], Any],
+    cell_b: Callable[[], Any],
+    rounds: int,
+    measure: Callable[[Any], float] = lambda result: result.runtime,
+    label: str = "a/b",
+) -> PairedRatio:
+    """The median of ``measure(a) / measure(b)`` over ``rounds`` paired rounds.
+
+    Each round runs both cells back to back, alternating which runs first,
+    so load drift hits both sides alike and cancels in the round's ratio.
+    One warm-up round runs first and is discarded: it takes the first-run
+    costs (imports, caches, a VM's CPU burst credit) off the measured
+    rounds.  Every ratio is printed under ``label``.
+    """
+    pairs: List[Tuple[Any, Any]] = []
+    for round_no in range(rounds + 1):
+        if round_no % 2:
+            b = cell_b()
+            a = cell_a()
+        else:
+            a = cell_a()
+            b = cell_b()
+        if round_no:
+            pairs.append((a, b))
+    ratios = [measure(a) / measure(b) for a, b in pairs]
+    median = sorted(ratios)[len(ratios) // 2]
+    print(
+        f"\n{label}: median {median:.3f} over {rounds} rounds "
+        f"({', '.join(f'{r:.3f}' for r in ratios)})",
+        flush=True,
+    )
+    return PairedRatio(median, ratios, pairs)

@@ -138,8 +138,9 @@ class RunConfig:
         Deliveries between state checkpoints of pinned stateful instances
         (recoverable mappings only).  Setting it enables checkpoint/restore
         on ``hybrid_redis``; ``None`` (default) leaves recovery off unless
-        ``state_store`` is provided.  Counted in tuples, so it bounds the
-        replay window identically at any ``batch_size``.
+        ``state_store`` or a ``crash_injector`` option is provided.  Counted
+        in tuples, so it bounds the replay window identically at any
+        ``batch_size``.
     state_store:
         Where instance snapshots live (a :class:`repro.state.StateStore`).
         Providing one enables checkpoint/restore at the default interval;

@@ -11,11 +11,18 @@ The mapping that reconciles dynamic scheduling with stateful applications:
   stream as ``dyn_redis`` -- with the extra capability of "depositing their
   outputs into private queues specifically designated for stateful tasks".
 
-Termination is staged: once the global task pool is drained, stateful PEs
-are closed in topological order (each instance flushes its aggregate in
-``postprocess``, whose emissions may create further downstream work that is
-drained before the next stage closes); finally the stateless workers are
-released with poison pills.
+Termination is staged, and the shared outstanding counter is its only
+proof.  Once the global task pool is drained, stateful PEs are closed in
+topological order: the coordinator pushes one close marker per instance of
+a stage, in the pipeline that books one credit per marker.  An instance
+that consumes its marker flushes its aggregate in ``postprocess`` and
+releases the marker's credit in the pipeline that dispatches the flush,
+behind the flush's own credit.  So the next time the counter reads zero,
+the stage has flushed and everything downstream of its flush has drained;
+then the next stage closes.  An instance stopped by an abort never consumed
+its marker and releases nothing.  Finally the stateless workers are
+released with poison pills, and every worker thread, pinned and stateless,
+is joined once before the run's keys are torn down.
 
 Crash recovery (``repro.state``)
 --------------------------------
@@ -41,7 +48,9 @@ Deliveries between a checkpoint and a crash are therefore applied exactly
 once to the instance's state, but their downstream emissions may be sent
 twice (at-least-once): the outstanding-work credit of an uncommitted
 delivery is only released by the checkpoint that covers it, which also
-keeps the drain proof honest across crashes.
+keeps the drain proof honest across crashes.  A close marker found in the
+pending log on replay releases its credit exactly once, with the flush that
+follows the final checkpoint.
 
 Batched transport (``batch_size``)
 ----------------------------------
@@ -138,15 +147,8 @@ class HybridRedisMapping(Mapping):
         checkpoint_interval: Optional[int] = state.options.get("checkpoint_interval")
         state_store: Optional[StateStore] = state.options.get("state_store")
         injector: Optional[CrashInjector] = state.options.get("crash_injector")
-        recover_opt = state.options.get("recover")
-        recovery: bool = (
-            bool(recover_opt)
-            if recover_opt is not None
-            else (
-                checkpoint_interval is not None
-                or state_store is not None
-                or injector is not None
-            )
+        recovery = (
+            checkpoint_interval is not None or state_store is not None or injector is not None
         )
         if recovery and checkpoint_interval is None:
             checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
@@ -199,11 +201,11 @@ class HybridRedisMapping(Mapping):
         def private_key(pe_name: str, index: int) -> str:
             return f"{namespace}:private:{pe_name}:{index}"
 
-        abort = threading.Event()
-        #: Set by the coordinator once the run is drained and pills are out.
-        #: With batched fetches (count > 1) one worker can swallow pills
-        #: meant for peers; the event is the peers' pill-independent exit.
-        shutdown = threading.Event()
+        #: Every worker's exit: set by the first worker error, which aborts
+        #: the run, and by the coordinator once it is done, drained or not.
+        #: With batched fetches (count > 1) one stateless worker can swallow
+        #: pills meant for peers; the event is the peers' pill-independent exit.
+        stop = threading.Event()
 
         def push_private(target, key: str, message: tuple) -> None:
             """Push one message onto a private queue (client or pipeline).
@@ -232,20 +234,11 @@ class HybridRedisMapping(Mapping):
             recoverable mode private-queue pushes are sequence-tagged
             (RPUSHSEQ) so consumers get a stable replay cursor.
 
-            With ``batch_size > 1`` deliveries are grouped: stateless tasks
+            Deliveries are grouped whatever the batch size: stateless tasks
             into stream-entry envelopes, private-queue messages per pinned
-            instance into single RPUSHSEQ elements (one seq per envelope).
+            instance into envelopes of up to ``batch_size`` (one element, and
+            one seq, each).  An envelope of one is the bare message.
             """
-            if batch_size <= 1:
-                for d in deliveries:
-                    if d.dst in stateful_names:
-                        push_private(
-                            pipe, private_key(d.dst, d.dst_index), ("data", d.dst_port, d.data)
-                        )
-                        state.counters.inc("private_puts")
-                    else:
-                        pipe.xadd(board.stream_key, {"task": (d.dst, d.dst_port, d.data)})
-                return
             stateless_tasks: List[tuple] = []
             private: Dict[str, List[tuple]] = {}
             for d in deliveries:
@@ -265,15 +258,6 @@ class HybridRedisMapping(Mapping):
             """A pinned instance's deliveries behind their credit, booked once."""
             board.book(pipe, len(deliveries))
             queue_deliveries(pipe, deliveries)
-
-        def route_and_dispatch(
-            pe_name: str, index: int, emissions: List[Tuple[str, object]], client: RedisClient
-        ) -> None:
-            pipe = client.pipeline()
-            dispatch(
-                pipe, dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
-            )
-            pipe.execute()
 
         # ------------------------------------------------------ seed roots
         seed_client = new_client()
@@ -311,7 +295,7 @@ class HybridRedisMapping(Mapping):
         seed_pipe = seed_client.pipeline()
         for key, messages in private_seeds.items():
             for chunk in chunked(messages, batch_size):
-                seed_pipe.incrby(board.counter_key, len(chunk))
+                board.book(seed_pipe, len(chunk))
                 push_private(seed_pipe, key, as_envelope(chunk))
                 if len(seed_pipe) >= SEED_FRAME:
                     seed_pipe.execute()
@@ -331,35 +315,36 @@ class HybridRedisMapping(Mapping):
             try:
                 instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
                 instance.preprocess()
+                consumer = dict(
+                    client=client,
+                    key=private_key(pe_name, index),
+                    board=board,
+                    policy=policy,
+                    stop=stop,
+                    dispatch=dispatch,
+                    concrete=concrete,
+                )
                 if recovery:
-                    self._run_recoverable(
-                        state, instance, pe_name, index,
-                        client=client,
-                        key=private_key(pe_name, index),
-                        board=board,
-                        policy=policy,
-                        abort=abort,
-                        dispatch=dispatch,
-                        concrete=concrete,
+                    closed = self._run_recoverable(
+                        state, instance, pe_name, index, **consumer,
                         store=store_for(client),
                         checkpoint_interval=checkpoint_interval,
                         injector=injector,
                         trace=trace,
                     )
                 else:
-                    self._run_plain(
-                        state, instance, pe_name, index,
-                        client=client,
-                        key=private_key(pe_name, index),
-                        board=board,
-                        policy=policy,
-                        abort=abort,
-                        dispatch=dispatch,
-                        concrete=concrete,
-                        injector=injector,
+                    closed = self._run_plain(state, instance, pe_name, index, **consumer)
+                if closed:
+                    # Flush the aggregate state (top-3 tables, per-state
+                    # sums...) and release the close marker's credit behind it.
+                    flushed = dispatch_emissions(
+                        concrete, state.collector, pe_name, index,
+                        instance._flush_postprocess(),
                     )
-                # Flush the aggregate state (top-3 tables, per-state sums...)
-                route_and_dispatch(pe_name, index, instance._flush_postprocess(), client)
+                    pipe = client.pipeline()
+                    dispatch(pipe, flushed)
+                    pipe.decrby(board.counter_key, 1)
+                    pipe.execute()
                 with plane_lock:
                     completed.add(slot)
             except InjectedCrash:
@@ -370,7 +355,7 @@ class HybridRedisMapping(Mapping):
                     trace.note(state.clock.now(), "crash", f"{pe_name}.{index}")
             except BaseException as exc:  # noqa: BLE001 - worker boundary
                 state.record_error(exc)
-                abort.set()
+                stop.set()
                 with plane_lock:
                     completed.add(slot)
             finally:
@@ -394,7 +379,7 @@ class HybridRedisMapping(Mapping):
             Only the coordinator thread calls this, so detection and
             respawn cannot race with each other.
             """
-            if not recovery or abort.is_set():
+            if not recovery or stop.is_set():
                 return
             with plane_lock:
                 dead = [
@@ -412,7 +397,7 @@ class HybridRedisMapping(Mapping):
                             f"than {max_respawns} times; giving up"
                         )
                     )
-                    abort.set()
+                    stop.set()
                     return
                 respawns[slot] = attempts + 1
                 state.counters.inc("respawns")
@@ -449,10 +434,10 @@ class HybridRedisMapping(Mapping):
                     clock=state.clock,
                     reclaim_idle_ms=reclaim_idle_ms,
                     publish=queue_deliveries,
-                ).run_until(lambda: abort.is_set() or shutdown.is_set())
+                ).run_until(stop.is_set)
             except BaseException as exc:  # noqa: BLE001 - worker boundary
                 state.record_error(exc)
-                abort.set()
+                stop.set()
             finally:
                 state.meter.deactivate(worker_id)
 
@@ -484,7 +469,6 @@ class HybridRedisMapping(Mapping):
             t.start()
 
         join_timeout = state.options.get("join_timeout", 300.0)
-        join_slice = max(0.01, state.clock.to_real(policy.poll_interval))
         # A real sleep per poll: below the clock's resolution `clock.sleep`
         # only books debt, and the loop would spin on `GET outstanding`.
         drain_poll = max(state.clock.to_real(policy.poll_interval), Clock.SLEEP_RESOLUTION)
@@ -494,7 +478,7 @@ class HybridRedisMapping(Mapping):
             deadline = state.clock.now() + join_timeout
             while not board.is_drained(coordinator_client):
                 supervise()
-                if abort.is_set():
+                if stop.is_set():
                     raise MappingError("hybrid run aborted by worker error")
                 if state.clock.now() > deadline:
                     raise MappingError(
@@ -503,48 +487,30 @@ class HybridRedisMapping(Mapping):
                     )
                 time.sleep(drain_poll)
 
-        def join_instance(pe_name: str, index: int, deadline: float) -> None:
-            """Wait for one pinned instance to close, supervising re-pins."""
-            slot = (pe_name, index)
-            while True:
-                with plane_lock:
-                    thread = threads[slot]
-                    done = slot in completed
-                if done and not thread.is_alive():
-                    return
-                thread.join(timeout=join_slice)
-                supervise()
-                if abort.is_set():
-                    raise MappingError("hybrid run aborted during staged close")
-                if state.clock.now() > deadline:
-                    raise MappingError(
-                        f"stateful worker {pe_name}.{index} hung at close"
-                    )
-
         try:
             wait_drained()
-            # Staged close of the stateful plane in topological order: each
-            # stage's postprocess may feed later stages, so drain between.
+            # Staged close of the stateful plane in topological order.  Each
+            # close marker carries a credit its instance releases with its
+            # flush, so a drain after a stage's closes proves the stage
+            # flushed and everything its flush fed ran.
             for name in graph.topological_order():
                 if name not in stateful_names:
                     continue
+                pipe = coordinator_client.pipeline()
+                board.book(pipe, allocation[name])
                 for idx in range(allocation[name]):
-                    push_private(coordinator_client, private_key(name, idx), ("close",))
-                deadline = state.clock.now() + join_timeout
-                for idx in range(allocation[name]):
-                    join_instance(name, idx, deadline)
+                    push_private(pipe, private_key(name, idx), ("close",))
+                pipe.execute()
                 wait_drained()
         except MappingError as exc:
             state.record_error(exc)
-            abort.set()
         finally:
             board.put_pills(len(stateless_threads))
-            shutdown.set()
-            for t in stateless_threads:
+            stop.set()
+            for t in [*stateless_threads, *threads.values()]:
                 t.join(timeout=join_timeout)
                 if t.is_alive():
                     state.record_error(TimeoutError(f"worker {t.name} hung at exit"))
-                    abort.set()
                     break
             board.teardown()
         return trace
@@ -565,7 +531,7 @@ class HybridRedisMapping(Mapping):
 
     def _invoke_element(
         self, state, instance, pe_name, index, item, *,
-        concrete, injector, iid,
+        concrete, injector=None,
     ) -> List[Delivery]:
         """Run every message of one private-queue element (bare or batch).
 
@@ -578,11 +544,11 @@ class HybridRedisMapping(Mapping):
         deliveries: List[Delivery] = []
         for message in batch_items(item):
             if injector is not None:
-                injector.record_invocation(iid)
+                injector.record_invocation(instance.instance_id)
             emissions = self._invoke_message(instance, message)
             state.counters.inc("stateful_tasks")
             if injector is not None:
-                injector.maybe_crash(iid, "post-process")
+                injector.maybe_crash(instance.instance_id, "post-process")
             deliveries.extend(
                 dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
             )
@@ -590,27 +556,23 @@ class HybridRedisMapping(Mapping):
 
     def _run_plain(
         self, state, instance, pe_name, index, *,
-        client, key, board, policy, abort, dispatch, concrete,
-        injector=None,
-    ) -> None:
+        client, key, board, policy, stop, dispatch, concrete,
+    ) -> bool:
         """Non-recoverable consumption: destructive BLPOP, per-element decr.
 
-        ``injector`` is honoured here too (with ``recover=False``) so the
-        pre-recovery failure mode -- a dead pinned worker stalling the run
-        until the join timeout -- stays demonstrable.
+        Returns whether the instance consumed its close marker; ``False``
+        means ``stop`` ended it first.
         """
-        iid = instance.instance_id
         timeout = max(0.005, state.clock.to_real(policy.poll_interval))
-        while not abort.is_set():
+        while not stop.is_set():
             hit = client.blpop(key, timeout=timeout)
             if hit is None:
                 continue
             _key, item = hit
             if self._is_close(item):
-                return
+                return True
             deliveries = self._invoke_element(
-                state, instance, pe_name, index, item,
-                concrete=concrete, injector=injector, iid=iid,
+                state, instance, pe_name, index, item, concrete=concrete
             )
             # One pipelined round trip: children + completion.  The element
             # carries one credit per tuple it batched; release them all.
@@ -618,14 +580,13 @@ class HybridRedisMapping(Mapping):
             dispatch(pipe, deliveries)
             pipe.decrby(board.counter_key, batch_len(item))
             pipe.execute()
-            if injector is not None:
-                injector.maybe_crash(iid, "post-dispatch")
+        return False
 
     def _run_recoverable(
         self, state, instance, pe_name, index, *,
-        client, key, board, policy, abort, dispatch, concrete,
+        client, key, board, policy, stop, dispatch, concrete,
         store, checkpoint_interval, injector, trace,
-    ) -> None:
+    ) -> bool:
         """Checkpointed consumption: BLMOVE into a pending log, sequence
         dedup, interval/idle checkpoints that release credits in bulk.
 
@@ -641,6 +602,10 @@ class HybridRedisMapping(Mapping):
         the replay window to ~N deliveries regardless of envelope size; an
         envelope is never split across a checkpoint -- the interval firing
         mid-batch checkpoints right after the element completes.
+
+        Returns whether the instance consumed its close marker.  Only then
+        does it take the final checkpoint: an instance ended by ``stop``
+        leaves its pending log and credits as a crash would.
         """
         iid = instance.instance_id
         pending_key = f"{key}:pending"
@@ -693,7 +658,7 @@ class HybridRedisMapping(Mapping):
                 return
             deliveries = self._invoke_element(
                 state, instance, pe_name, index, item,
-                concrete=concrete, injector=injector, iid=iid,
+                concrete=concrete, injector=injector,
             )
             pipe = client.pipeline()
             dispatch(pipe, deliveries)
@@ -705,19 +670,19 @@ class HybridRedisMapping(Mapping):
         # Replay what a crashed predecessor left behind: every entry still
         # in the pending log holds an unreleased credit, whether or not its
         # state effect survived in the snapshot.
-        replayed_close = False
+        closed = False
         backlog = client.lrange_seq(pending_key)
         if backlog:
             state.counters.inc("replayed", sum(batch_len(item) for _s, item in backlog))
         for seq, item in backlog:
             if self._is_close(item):
-                replayed_close = True
+                closed = True
                 break
             process(seq, item)
         if backlog:
             checkpoint()
 
-        while not replayed_close and not abort.is_set():
+        while not closed and not stop.is_set():
             hit = client.blmove_seq(key, pending_key, timeout=timeout)
             if hit is None:
                 # Idle: commit stragglers so the drain proof can complete
@@ -726,10 +691,14 @@ class HybridRedisMapping(Mapping):
                 continue
             seq, item = hit
             if self._is_close(item):
+                closed = True
                 break
             process(seq, item)
             if uncommitted_credits >= checkpoint_interval:
                 checkpoint()
-        checkpoint()
-        # The close marker (which carries no credit) is all that can remain.
-        client.delete(pending_key)
+        if closed:
+            checkpoint()
+            # The close marker, whose credit the caller releases with the
+            # flush, is all that can remain.
+            client.delete(pending_key)
+        return closed

@@ -143,12 +143,6 @@ class RedisTaskBoard:
         self.client.delete(self.stream_key, self.counter_key)
 
     # ------------------------------------------------------------- producer
-    def put(self, task: Any, client: Optional[RedisClient] = None) -> str:
-        """Enqueue one task (increments outstanding *before* publishing)."""
-        c = client if client is not None else self.client
-        c.incr(self.counter_key)
-        return c.xadd(self.stream_key, {"task": task})
-
     def book(self, pipe, credit: int) -> None:
         """Append the credit of everything a pipeline is about to publish.
 
@@ -232,9 +226,6 @@ class RedisTaskBoard:
             for entry_id, fields in entries
         ]
 
-    def ack(self, entry_id: str, client: RedisClient) -> None:
-        client.xack(self.stream_key, self.group, entry_id)
-
     def queue_pills(self, pipe: Pipeline, pill_ids: List[str], own: int = 1) -> None:
         """Append the acks of the pills a worker pulled to a pipeline.
 
@@ -247,24 +238,6 @@ class RedisTaskBoard:
             pipe.xack(self.stream_key, self.group, entry_id)
             if position >= own:
                 pipe.xadd(self.stream_key, {"pill": 1})
-
-    def complete(self, client: RedisClient) -> None:
-        """Declare one fetched task fully processed (children already put)."""
-        client.decr(self.counter_key)
-
-    def finish(self, entry_id: str, children: List[Any], client: RedisClient) -> None:
-        """Publish children + XACK + complete in one pipelined round trip.
-
-        The per-task hot path: doing these as individual commands costs one
-        client/server round trip (and one server-lock acquisition) each,
-        which under many workers dominates fine-grained task streams; a
-        real deployment pipelines them for exactly the same reason.
-        """
-        pipe = client.pipeline()
-        self.book(pipe, len(children))
-        self.queue_tasks(pipe, children, 1)
-        self.queue_settle(pipe, [(entry_id, 1)])
-        pipe.execute()
 
     def queue_settle(self, pipe: Pipeline, settled: List[Tuple[str, int]]) -> None:
         """Append the settlement of consumed entries, as one command.
@@ -686,8 +659,8 @@ class StreamWorker:
 
         The coordinator owns termination (hybrid's staged close), so a
         starved worker only ever reclaims -- and only while work is
-        outstanding: in recoverable runs the counter legitimately stays
-        > 0 between stateful checkpoints.
+        outstanding: the counter legitimately stays > 0 between stateful
+        checkpoints and while a stage's close markers are out.
         """
         empty_streak = 0
         while not stop():

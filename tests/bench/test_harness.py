@@ -8,7 +8,7 @@ from repro.bench.experiments import (
     list_experiments,
     run_single,
 )
-from repro.bench.harness import BenchConfig, run_cell, run_grid
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell, run_grid
 from repro.platforms.profiles import LAPTOP
 from tests.conftest import AddOne, Double, FAST_SCALE, linear_graph
 
@@ -52,6 +52,38 @@ class TestRunGrid:
         config = BenchConfig(time_scale=FAST_SCALE)
         grid = run_grid(tiny_factory, ["simple"], [1], "laptop", config)
         assert ("simple", 1) in grid
+
+
+class TestPairedRatio:
+    def test_alternates_discards_warmup_takes_median(self, capsys):
+        calls = []
+
+        def cell(side, values):
+            def run():
+                calls.append(side)
+                return values.pop(0)
+            return run
+
+        # Round 0 is the warm-up; its 100.0 / 1.0 must not count.
+        paired = paired_ratio(
+            cell("a", [100.0, 2.0, 3.0, 12.0]), cell("b", [1.0, 1.0, 1.0, 2.0]), 3,
+            measure=float, label="toy",
+        )
+        assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+        assert paired.ratios == [2.0, 3.0, 6.0]
+        assert paired.median == 3.0
+        assert paired.pairs == [(2.0, 1.0), (3.0, 1.0), (12.0, 2.0)]
+        assert "toy: median 3.000 over 3 rounds (2.000, 3.000, 6.000)" in capsys.readouterr().out
+
+    def test_default_measure_is_runtime(self):
+        config = BenchConfig(time_scale=FAST_SCALE)
+        paired = paired_ratio(
+            lambda: run_cell(tiny_factory, "simple", 1, LAPTOP, config),
+            lambda: run_cell(tiny_factory, "simple", 1, LAPTOP, config),
+            1,
+        )
+        (a, b), = paired.pairs
+        assert paired.ratios == [a.runtime / b.runtime]
 
 
 class TestExperimentDefinitions:

@@ -110,6 +110,16 @@ class StatefulCounter(GenericPE):
             self.write(self.OUTPUT_NAME, (key, self.counts[key]))
 
 
+def settle_entry(board, client, entry_id, children=()) -> None:
+    """Settle one fetched entry as a worker's window does, in one pipeline:
+    the children's credit, their payloads, then the entry's ``XACKDECR``."""
+    pipe = client.pipeline()
+    board.book(pipe, len(children))
+    board.queue_tasks(pipe, list(children), 1)
+    board.queue_settle(pipe, [(entry_id, 1)])
+    pipe.execute()
+
+
 def linear_graph(*pes, name="linear") -> WorkflowGraph:
     """Chain PEs: pe0.output -> pe1.input -> ..."""
     graph = WorkflowGraph(name)

@@ -1,11 +1,14 @@
 """Tests for the hybrid Redis mapping (stateful + dynamic stateless)."""
 
+import threading
+
 import pytest
 
 from repro import run
-from repro.core.exceptions import InsufficientProcessesError
+from repro.core.exceptions import InsufficientProcessesError, MappingError
 from repro.core.graph import WorkflowGraph
 from repro.core.pe import GenericPE
+from repro.state import CrashInjector
 from tests.conftest import (
     AddOne,
     Double,
@@ -51,8 +54,14 @@ class TestHybridStateful:
         result = _run_hybrid(g, items, 6)
         assert sorted(result.output("counter")) == sorted((f"k{k}", 5) for k in range(10))
 
-    def test_staged_close_chain(self):
-        """Stateful -> stateless -> stateful chains close in stages."""
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"checkpoint_interval": 2}, {"batch_size": 3}],
+        ids=["plain", "checkpoint", "batch3"],
+    )
+    def test_staged_close_chain(self, options):
+        """Stateful -> stateless -> stateful chains close in stages, on
+        plain, recoverable and batched private queues alike."""
 
         class Relabel(Emit):
             def _process(self, data):  # ("a", 2) -> ("a", "seen")
@@ -67,7 +76,7 @@ class TestHybridStateful:
         g.connect(stage1, "output", mid, "input")
         g.connect(mid, "output", stage2, "input")
         items = [("a", 1), ("b", 2), ("a", 3)]
-        result = _run_hybrid(g, items, 6)
+        result = _run_hybrid(g, items, 6, **options)
         # stage1 flushes ("a", 2) and ("b", 1); stage2 counts one item per key.
         assert sorted(result.output("stage2")) == [("a", 1), ("b", 1)]
 
@@ -76,6 +85,31 @@ class TestHybridStateful:
         result = _run_hybrid(g, [("a", 1), ("b", 2)], 4)
         assert result.counters["stateful_tasks"] == 2
         assert result.counters["private_puts"] == 2
+
+
+def _hybrid_threads():
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("hybrid-"))
+
+
+class TestNoLeakedThreads:
+    """No ``hybrid-*`` worker outlives the run, whether it returns or raises."""
+
+    def test_clean_run(self):
+        g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
+        _run_hybrid(g, [(f"k{i % 4}", i) for i in range(24)], 4)
+        assert _hybrid_threads() == []
+
+    def test_crash_budget_abort(self):
+        """The supervisor gives up on an instance that dies on every respawn;
+        its peer and the stateless plane are joined before the run raises."""
+        g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
+        injector = CrashInjector({"counter.0": 1}, max_crashes=100)
+        with pytest.raises(MappingError, match="crashed more than"):
+            _run_hybrid(
+                g, [(f"k{i % 4}", i) for i in range(24)], 4,
+                checkpoint_interval=2, crash_injector=injector, max_respawns=2,
+            )
+        assert _hybrid_threads() == []
 
 
 class StatefulRoot(GenericPE):

@@ -22,7 +22,7 @@ from repro.mappings.redis_dynamic import RedisWorkforce
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
 from repro.runtime.accounting import ActivityMeter
-from tests.conftest import Double, Emit, FAST_SCALE, linear_graph
+from tests.conftest import Double, Emit, FAST_SCALE, linear_graph, settle_entry
 
 pytestmark = pytest.mark.recovery
 
@@ -130,14 +130,14 @@ class TestReclaimThreshold:
         go negative (masking real work) nor stick positive (hanging)."""
         graph = linear_graph(Double(name="double"))
         _state, wf = _workforce(graph, [])
-        entry_id = wf.board.put(("double", "input", 1))
+        wf.board.put_tasks([("double", "input", 1)], 1)
         slow_client = wf.client_for_worker()
-        assert len(wf.board.fetch("slow", slow_client, block_ms=10)) == 1
+        [(entry_id, _task)] = wf.board.fetch("slow", slow_client, block_ms=10)
         adopter_client = wf.client_for_worker()
         adopted = wf.board.recover_stale("adopter", adopter_client, min_idle_ms=0.0)
         assert [eid for eid, _ in adopted] == [entry_id]
-        wf.board.finish(entry_id, [], adopter_client)   # adopter completes
-        wf.board.finish(entry_id, [], slow_client)      # original completes late
+        settle_entry(wf.board, adopter_client, entry_id)   # adopter completes
+        settle_entry(wf.board, slow_client, entry_id)      # original completes late
         assert wf.board.outstanding() == 0
         assert wf.board.is_drained()
 

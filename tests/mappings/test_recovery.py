@@ -219,17 +219,6 @@ class TestCrashRecovery:
                 time_scale=FAST_SCALE, checkpoint_interval=5,
             )
 
-    def test_crash_without_recovery_times_out(self):
-        """The pre-recovery failure mode: a silently dead pinned worker
-        stalls the drain until the join timeout trips."""
-        g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
-        injector = CrashInjector({"counter.0": 2})
-        with pytest.raises(MappingError, match="did not drain"):
-            _run(
-                g, _items(), crash_injector=injector, recover=False,
-                join_timeout=1.0,
-            )
-
 
 class TestSentimentRecovery:
     """Acceptance: killing a pinned stateful worker mid-run on the sentiment

@@ -15,6 +15,7 @@ from tests.conftest import (
     FAST_SCALE,
     StatefulCounter,
     linear_graph,
+    settle_entry,
 )
 
 
@@ -28,12 +29,11 @@ class TestRedisTaskBoard:
 
     def test_put_fetch_ack_complete(self, board):
         client = board.client
-        board.put(("pe", "input", 42))
+        board.put_tasks([("pe", "input", 42)], 1)
         assert board.outstanding() == 1
         [(entry_id, task)] = board.fetch("c1", client)
         assert task == ("pe", "input", 42)
-        board.ack(entry_id, client)
-        board.complete(client)
+        settle_entry(board, client, entry_id)
         assert board.is_drained()
 
     def test_pills_fetch_as_sentinel(self, board):
@@ -43,21 +43,20 @@ class TestRedisTaskBoard:
         assert board.is_drained()  # pills carry no outstanding count
 
     def test_backlog_is_group_lag(self, board):
-        board.put(("pe", None, 1))
-        board.put(("pe", None, 2))
+        board.put_tasks([("pe", None, 1), ("pe", None, 2)], 1)
         assert board.backlog() == 2
         board.fetch("c1", board.client)
         assert board.backlog() == 1
 
     def test_avg_idle_filters_consumers(self, board):
-        board.put(("pe", None, 1))
+        board.put_tasks([("pe", None, 1)], 1)
         board.fetch("c1", board.client)
         assert board.avg_idle_ms({"c1"}) >= 0.0
         assert board.avg_idle_ms({"ghost"}) == 0.0
 
     def test_recover_stale_reclaims_unacked(self, board):
         client = board.client
-        board.put(("pe", "input", "lost"))
+        board.put_tasks([("pe", "input", "lost")], 1)
         board.fetch("dead-worker", client)
         recovered = board.recover_stale("rescuer", client, min_idle_ms=0)
         assert [task for _id, task in recovered] == [("pe", "input", "lost")]
@@ -72,12 +71,12 @@ class TestRedisTaskBoard:
         server = RedisServer()
         board = RedisTaskBoard(RedisClient(server), namespace="x")
         board.setup()
-        board.put(("pe", None, 1))
+        board.put_tasks([("pe", None, 1)], 1)
         board.setup()  # fresh run in the same namespace
         assert board.outstanding() == 0
 
     def test_teardown_removes_keys(self, board):
-        board.put(("pe", None, 1))
+        board.put_tasks([("pe", None, 1)], 1)
         board.teardown()
         assert board.client.exists(board.stream_key, board.counter_key) == 0
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs-site gate: relative links resolve, capability matrix matches code.
+"""Docs-site gate: relative links resolve, docs match the code.
 
-Two checks over ``docs/*.md`` and ``README.md``:
+Three checks over ``docs/*.md`` and ``README.md``:
 
 1. **Link resolution** -- every relative markdown link target (after
    stripping any ``#fragment``) must exist on disk.  External links
@@ -12,6 +12,9 @@ Two checks over ``docs/*.md`` and ``README.md``:
    definitions as ``repro list``, via :data:`repro.cli._CAPABILITY_COLUMNS`).
    Registering a new mapping or flipping a capability bit without
    regenerating the docs fails CI.
+3. **CLI flags** -- every ``--flag`` written in ``docs/cli.md`` must be an
+   option string of :func:`repro.cli._build_parser` or one of its
+   subcommands, so a removed or renamed flag cannot stay documented.
 
 Usage::
 
@@ -28,17 +31,20 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs"
 CAPABILITIES_DOC = DOCS_DIR / "capabilities.md"
+CLI_DOC = DOCS_DIR / "cli.md"
 MATRIX_BEGIN = "<!-- capability-matrix:begin -->"
 MATRIX_END = "<!-- capability-matrix:end -->"
 
 #: ``[text](target)`` -- target up to the first ``)`` or whitespace, which
 #: is all the docs tree uses (no titles, no nested parens in URLs).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: A long option as written in prose or an example (not a ``---`` rule).
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _import_repro() -> None:
@@ -116,6 +122,32 @@ def check_matrix(write: bool) -> List[str]:
     ]
 
 
+def cli_option_strings() -> Set[str]:
+    """Every option string of the ``repro`` parser and its subparsers."""
+    _import_repro()
+    from repro.cli import _build_parser
+
+    options: Set[str] = set()
+    parsers = [_build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return options
+
+
+def check_cli_flags() -> List[str]:
+    """Flags written in ``docs/cli.md`` that no ``repro`` parser accepts."""
+    known = cli_option_strings()
+    flags = FLAG_RE.findall(CLI_DOC.read_text(encoding="utf-8"))
+    return [
+        f"docs/{CLI_DOC.name}: {flag} is not an option of `repro` or its subcommands"
+        for flag in sorted(set(flags) - known)
+    ]
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Check docs links and capability-matrix freshness."
@@ -135,13 +167,17 @@ def main(argv: List[str] | None = None) -> int:
             return 2
         errors.extend(check_links(path))
     errors.extend(check_matrix(write=args.write))
+    errors.extend(check_cli_flags())
 
     if errors:
         for error in errors:
             print(error, file=sys.stderr)
         print(f"\nFAIL: {len(errors)} docs problem(s)", file=sys.stderr)
         return 1
-    print(f"OK: {len(files)} file(s) checked, links resolve, matrix is fresh")
+    print(
+        f"OK: {len(files)} file(s) checked, links resolve, matrix is fresh, "
+        f"CLI flags exist"
+    )
     return 0
 
 

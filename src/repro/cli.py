@@ -98,14 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(1 = unbatched transport, identical to the classic engine)",
     )
     run_p.add_argument(
-        "--batch-linger-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="max real milliseconds a buffered tuple may wait for batch "
-        "companions on buffered port-to-port transport (0 = no linger)",
-    )
-    run_p.add_argument(
         "--address",
         default=None,
         metavar="HOST:PORT",
@@ -238,7 +230,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         time_scale=args.time_scale,
         seed=args.seed,
         batch_size=args.batch_size,
-        batch_linger_ms=args.batch_linger_ms,
         fuse=args.fuse,
         optimize=args.optimize,
         checkpoint_interval=args.checkpoint_interval,

@@ -107,13 +107,12 @@ class RunConfig:
         ``1`` (default) is unbatched -- byte-identical to the pre-batching
         engine.  Larger values amortize the per-tuple enactment overhead
         (the dominant cost of fine-grained streams) at the price of
-        coarser scheduling granularity.
-    batch_linger_ms:
-        Upper bound (real milliseconds) a buffered tuple may wait for
-        batch companions on buffered port-to-port transport (the static
-        ``multi`` mapping); ``0`` disables the linger trigger.  Dynamic
-        mappings batch within one invocation/fetch and never hold tuples
-        back, so linger does not apply to them.
+        coarser scheduling granularity.  Most mappings batch within one
+        invocation or fetch and never hold a tuple back.  Only the static
+        ``multi`` mapping does: each worker keeps one buffer per
+        destination instance, sends it when full, and flushes every
+        partial buffer when it is about to wait for input and before its
+        end-of-stream pills.
     fuse:
         Operator fusion (:mod:`repro.core.fusion`): collapse fusable 1:1
         PE chains into in-process ``FusedPE`` operators before enactment,
@@ -157,7 +156,6 @@ class RunConfig:
     seed: int = 0
     prefer: Union[str, Sequence[str], None] = None
     batch_size: int = 1
-    batch_linger_ms: float = 0.0
     fuse: Union[bool, str] = False
     optimize: Union[bool, str] = False
     checkpoint_interval: Optional[int] = None
@@ -183,8 +181,6 @@ class RunConfig:
         opts: Dict[str, Any] = {}
         if self.batch_size != 1:
             opts["batch_size"] = self.batch_size
-        if self.batch_linger_ms:
-            opts["batch_linger_ms"] = self.batch_linger_ms
         return opts
 
     def fusion_options(self) -> Dict[str, Any]:
@@ -222,7 +218,6 @@ class Engine:
         seed: int = 0,
         prefer: Union[str, Sequence[str], None] = None,
         batch_size: int = 1,
-        batch_linger_ms: float = 0.0,
         fuse: Union[bool, str] = False,
         optimize: Union[bool, str] = False,
         checkpoint_interval: Optional[int] = None,
@@ -239,7 +234,6 @@ class Engine:
                 seed=seed,
                 prefer=prefer,
                 batch_size=batch_size,
-                batch_linger_ms=batch_linger_ms,
                 fuse=fuse,
                 optimize=optimize,
                 checkpoint_interval=checkpoint_interval,

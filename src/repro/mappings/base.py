@@ -153,25 +153,6 @@ def resolve_plan(
     return None
 
 
-def resolve_batch_linger(options: Dict[str, Any]) -> float:
-    """Resolve ``batch_linger_ms`` (real milliseconds) to real seconds.
-
-    The linger bound is a *real-time* knob, like ``reclaim_idle_ms``: it
-    caps how long a buffered tuple may wait for companions, which only
-    matters on the wall clock.
-    """
-    linger_ms = options.get("batch_linger_ms", 0.0)
-    try:
-        linger_ms = float(linger_ms)
-    except (TypeError, ValueError):
-        raise MappingError(
-            f"batch_linger_ms must be a number, got {linger_ms!r}"
-        ) from None
-    if linger_ms < 0:
-        raise MappingError(f"batch_linger_ms must be >= 0, got {linger_ms}")
-    return linger_ms / 1000.0
-
-
 # --------------------------------------------------------------------- inputs
 
 def first_input_port(pe: GenericPE) -> Optional[str]:

@@ -267,12 +267,9 @@ class DynamicWorkforce(Workforce):
     def load(self, strategy: ScalingStrategy) -> float:
         """The backlog, in tuples.
 
-        Under batched transport ``qsize`` counts envelopes, which
-        understates the pending work by the batch factor and would make
-        the scaler shrink a loaded pool.
+        ``qsize`` would count envelopes (understating batched work by the
+        batch factor) and pills; ``pending_tasks`` counts neither.
         """
-        if self.batch_size == 1:
-            return self.queue.qsize()
         return self.queue.pending_tasks
 
     def default_strategy(self) -> ScalingStrategy:

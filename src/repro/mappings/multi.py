@@ -35,7 +35,6 @@ from repro.mappings.base import (
     instantiate,
     live_feeder,
     marshal,
-    resolve_batch_linger,
     resolve_batch_size,
     run_workers,
 )
@@ -73,15 +72,15 @@ class _WorkerCancelled(BaseException):
 class MultiMapping(Mapping):
     """Static one-instance-per-process enactment.
 
-    Streaming submissions give every *source* instance a private input
-    channel fed round-robin by the live :class:`~repro.mappings.base.
-    LiveFeed`; the channel's poison pill (sent at ``close_input``) plays
-    the role the exhausted input share plays in the one-shot path, after
-    which the usual counted-pill termination cascades downstream.  Workers
-    run on the session's warm pool (cold: on threads of their own) and
-    block in ``get()``; cancellation wakes each with a marker message, and
-    a cancelled worker still closes its downstream ports so no peer blocks
-    on a dead producer.
+    Every *source* instance reads a private input channel fed round-robin:
+    filled and pilled before the workers start on a one-shot run, fed by
+    the live :class:`~repro.mappings.base.LiveFeed` and pilled at
+    ``close_input`` on a streaming one.  After that pill the usual
+    counted-pill termination cascades downstream.  Workers run on the
+    session's warm pool (cold: on threads of their own) and block in
+    ``get()``, flushing their batched outbox first; cancellation wakes
+    each with a marker message, and a cancelled worker still closes its
+    downstream ports so no peer blocks on a dead producer.
     """
 
     name = "multi"
@@ -94,7 +93,6 @@ class MultiMapping(Mapping):
         concrete = ConcreteWorkflow.from_static(graph, state.processes)
         allocation = concrete.allocation
         batch_size = resolve_batch_size(state.options)
-        batch_linger = resolve_batch_linger(state.options)
         state.counters.inc("instances", concrete.total_instances())
         state.counters.inc("idle_processes", state.processes - concrete.total_instances())
 
@@ -130,42 +128,30 @@ class MultiMapping(Mapping):
             """Per-worker delivery path: direct sends, or batched via a
             worker-local :class:`BatchingBuffer` per destination instance.
 
-            Buffers are worker-owned (no locking on the hot path); the
-            returned ``flush`` MUST run before the worker's pills go out,
-            so end-of-stream can never overtake buffered tuples on the
-            same channel (FIFO per queue then guarantees pill-after-data).
-            The third element, ``poll``, is non-None when a linger bound is
-            set: the worker calls it while idle so a buffered tail honours
-            the bound even with no further traffic to that destination.
+            Buffers are worker-owned (no locking on the hot path).  The
+            returned ``flush`` runs whenever the worker is about to wait
+            for input -- so a tuple is held only while its producer is busy
+            -- and before the worker's pills go out, so end-of-stream never
+            overtakes buffered tuples on the same FIFO channel.
             """
             if batch_size <= 1:
-                return send, lambda: None, None
+                return send, lambda: None
             buffers: Dict[Tuple[str, int], BatchingBuffer] = {}
 
             def deliver(dst: str, dst_index: int, message: Any) -> None:
                 key = (dst, dst_index)
                 buffer = buffers.get(key)
                 if buffer is None:
-                    buffer = BatchingBuffer(
-                        lambda item, _key=key: send(_key[0], _key[1], item),
-                        batch_size=batch_size,
-                        linger=batch_linger,
+                    buffer = buffers[key] = BatchingBuffer(
+                        lambda item: send(dst, dst_index, item), batch_size
                     )
-                    # Attached so a close() of the destination channel can
-                    # never strand (or outrace) a buffered tail tuple.
-                    queues[key].attach_buffer(buffer)
-                    buffers[key] = buffer
                 buffer.add(message)
 
             def flush() -> None:
                 for buffer in buffers.values():
                     buffer.flush()
 
-            def poll() -> None:
-                for buffer in buffers.values():
-                    buffer.poll()
-
-            return deliver, flush, (poll if batch_linger > 0 else None)
+            return deliver, flush
 
         def broadcast_pills(pe_name: str) -> None:
             """A finished instance closes every downstream instance's port."""
@@ -183,46 +169,38 @@ class MultiMapping(Mapping):
             ):
                 deliver(delivery.dst, delivery.dst_index, (_DATA, delivery.dst_port, marshal(delivery.data)))
 
-        streaming = state.streaming
-        root_shares: Dict[Tuple[str, int], List[Dict[str, Any]]] = {}
-        channels: Dict[Tuple[str, int], CloseableQueue] = {}
-        if streaming:
-            # Source instances read from private live-input channels instead
-            # of pre-split shares; the feed round-robins across instances
-            # exactly as split_inputs does below.
-            for root in state.provided:
-                for idx in range(allocation[root]):
-                    channels[(root, idx)] = CloseableQueue()
-        else:
+        # Every source instance reads its own inputs from a private channel,
+        # fed round-robin (item i to instance i mod n) and ended by one pill:
+        # filled and closed up front for a one-shot run, by the live feed
+        # below for a streaming one.
+        channels: Dict[Tuple[str, int], CloseableQueue] = {
+            (root, idx): CloseableQueue()
+            for root in state.provided
+            for idx in range(allocation[root])
+        }
+        rr: Dict[str, int] = {}
 
-            def split_inputs(items: List[Dict[str, Any]], count: int) -> List[List[Dict[str, Any]]]:
-                shares: List[List[Dict[str, Any]]] = [[] for _ in range(count)]
-                for i, item in enumerate(items):
-                    shares[i % count].append(item)
-                return shares
+        def feed_sink(root: str, item: Dict[str, Any]) -> None:
+            index = rr.get(root, 0)
+            rr[root] = index + 1
+            channels[(root, index % allocation[root])].put(item)
 
-            for root, items in state.provided.items():
-                shares = split_inputs(items, allocation[root])
-                for idx, share in enumerate(shares):
-                    root_shares[(root, idx)] = share
+        def feed_close() -> None:
+            for channel in channels.values():
+                channel.close(1)
 
         def worker(pe_name: str, index: int) -> None:
             worker_id = f"{pe_name}.{index}"
-            deliver, flush_outbox, poll_outbox = make_deliver()
+            deliver, flush_outbox = make_deliver()
 
             def receive(source: CloseableQueue) -> Any:
-                if poll_outbox is None:
+                # Flush exactly when about to wait: a buffered tuple waits
+                # only while this producer is busy.
+                try:
+                    item = source.get_nowait()
+                except Empty:
+                    flush_outbox()
                     item = source.get()
-                else:
-                    # Wake at the linger cadence so a buffered tail
-                    # flushes on deadline even while we are starved of
-                    # input (the documented upper bound on buffering).
-                    while True:
-                        try:
-                            item = source.get(timeout=batch_linger)
-                            break
-                        except Empty:
-                            poll_outbox()
                 if state.cancelled():
                     raise _WorkerCancelled()
                 return item
@@ -230,17 +208,12 @@ class MultiMapping(Mapping):
             try:
                 instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
                 instance.preprocess()
-                # A source instance's own inputs: its pre-split share, or
-                # its live channel up to the pill close_input sends.
                 channel = channels.get((pe_name, index))
-                if channel is None:
-                    own_inputs = root_shares.get((pe_name, index), ())
-                else:
-                    own_inputs = iter(lambda: receive(channel), POISON_PILL)
-                for item in own_inputs:
-                    emissions = instance._invoke(item)
-                    state.counters.inc("tasks")
-                    route_out(pe_name, index, emissions, deliver)
+                if channel is not None:
+                    for item in iter(lambda: receive(channel), POISON_PILL):
+                        emissions = instance._invoke(item)
+                        state.counters.inc("tasks")
+                        route_out(pe_name, index, emissions, deliver)
                 remaining = dict(expected_pills[(pe_name, index)])
                 queue = queues[(pe_name, index)]
                 while any(v > 0 for v in remaining.values()):
@@ -288,7 +261,11 @@ class MultiMapping(Mapping):
             (f"multi-{name}.{idx}", worker, (name, idx))
             for name, idx in concrete.all_instances()
         ]
-        if not streaming:
+        if not state.streaming:
+            for root, items in state.provided.items():
+                for item in items:
+                    feed_sink(root, item)
+            feed_close()
             run_workers(state, calls)
             return None
 
@@ -298,24 +275,16 @@ class MultiMapping(Mapping):
 
         state.control.on_cancel(wake_workers)
 
+        def live_sink(root: str, item: Dict[str, Any]) -> None:
+            feed_sink(root, item)
+            state.counters.inc("stream_inputs")
+
         # The *feed* stage: drain initial inputs into the live channels
         # (lazily, while workers already consume), then forward sends until
         # close_input pills the channels.
-        rr: Dict[str, int] = {}
-
-        def feed_sink(root: str, item: Dict[str, Any]) -> None:
-            index = rr.get(root, 0)
-            rr[root] = index + 1
-            channels[(root, index % allocation[root])].put(item)
-            state.counters.inc("stream_inputs")
-
-        def feed_close() -> None:
-            for channel in channels.values():
-                channel.close(1)
-
         def run_feed() -> None:
             try:
-                state.feed.attach(feed_sink, feed_close)
+                state.feed.attach(live_sink, feed_close)
             except BaseException as exc:  # noqa: BLE001 - feed boundary
                 # A failing input iterable must not strand the workers:
                 # close the channels so they drain out, and surface the

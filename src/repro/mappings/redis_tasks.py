@@ -502,7 +502,7 @@ class StreamWorker:
                 if not pills and tasks < budget:
                     window = self._window() if budget == UNLIMITED else 1
         finally:
-            # Settle even when a PE raised: a started entry must not linger
+            # Settle even when a PE raised: a started entry must not stay
             # in the PEL for a peer to adopt and fail on again.
             self._settle(ran, pills, window, started)
         return tasks, bool(pills)

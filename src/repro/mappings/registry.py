@@ -55,8 +55,8 @@ class Capabilities:
         stateless tasks, and -- on ``hybrid_redis`` -- checkpoint/restore
         of pinned stateful instances (:mod:`repro.state`).
     batching:
-        Honours the ``batch_size`` / ``batch_linger_ms`` transport options
-        (micro-batched tuple envelopes on its queues/streams).  Mappings
+        Honours the ``batch_size`` transport option (micro-batched tuple
+        envelopes on its queues/streams).  Mappings
         without it are rejected by the engine when batching is requested,
         rather than silently running unbatched.
     fusion:
@@ -219,12 +219,10 @@ def refusal(
     # A mapping that ignored one of these options would silently run without
     # it while the user believes it is on, so the request is refused.
     lacks = None
-    if not caps.batching and (
-        opts.get("batch_size", 1) != 1 or opts.get("batch_linger_ms", 0)
-    ):
+    if not caps.batching and opts.get("batch_size", 1) != 1:
         lacks = (
-            "batched transport (batch_size/batch_linger_ms); pick a batching "
-            "mapping or drop the options"
+            "batched transport (batch_size); pick a batching mapping or drop "
+            "the option"
         )
     elif not (caps.recoverable and caps.stateful) and (
         "checkpoint_interval" in opts or "state_store" in opts

@@ -25,17 +25,18 @@ of fine-grained streams.  :class:`Batch` is the transport envelope that
 amortizes it: ``k`` tuples travel as one queue item / one Redis command,
 and batch-aware worker loops iterate the envelope without re-entering the
 dispatch machinery per tuple.  :class:`BatchingBuffer` accumulates tuples
-on the producer side and flushes on either trigger of the classic pair:
+on the producer side and sends a full envelope once ``batch_size`` tuples
+are buffered; a partial one goes out only when its owner calls
+:meth:`BatchingBuffer.flush`.  The buffer keeps no clock: the owner
+knows when nothing more is coming for a while.  The static ``multi``
+mapping, the one owner that holds tuples across invocations, flushes
+every buffer of a worker exactly when that worker is about to wait for
+input, and again before it sends its poison pills.  A tuple therefore
+waits in a buffer only while its producer is busy, and end-of-stream
+never overtakes buffered data on a FIFO channel.
 
-- **size** -- ``batch_size`` tuples are buffered (a full envelope), or
-- **linger** -- the oldest buffered tuple has waited ``linger`` seconds
-  (bounded staleness for trickle-rate producers).
-
-Both queue flavours understand envelopes natively: a :class:`Batch` put on
-a :class:`TrackedQueue` accounts one outstanding unit *per tuple*, so the
-drain proof stays exact at any batch size, and :meth:`CloseableQueue.close`
-flushes every attached buffer before broadcasting pills, so a
-linger-buffered tail tuple can never be dropped at shutdown.
+A :class:`Batch` put on a :class:`TrackedQueue` accounts one outstanding
+unit *per tuple*, so the drain proof stays exact at any batch size.
 
 ``batch_size=1`` (the default everywhere) bypasses the envelope entirely --
 single tuples travel bare, exactly as before batching existed.
@@ -45,9 +46,8 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Sequence
 
 
 class _PoisonPill:
@@ -127,7 +127,7 @@ def as_envelope(items: List[Any]) -> Any:
 
 
 class BatchingBuffer:
-    """Producer-side tuple accumulator with size- and linger-triggered flush.
+    """Producer-side tuple accumulator: size-triggered and owner-flushed.
 
     Parameters
     ----------
@@ -138,84 +138,33 @@ class BatchingBuffer:
         Flush as soon as this many tuples are buffered.  ``1`` makes the
         buffer a transparent pass-through (every ``add`` forwards
         immediately, no envelope).
-    linger:
-        Maximum *real* seconds the oldest buffered tuple may wait before a
-        flush is forced.  ``0`` disables the linger trigger (size-only).
-        The check runs on every :meth:`add` and on :meth:`poll` -- this is
-        a cooperative buffer, there is no background flusher thread, so
-        owners must :meth:`flush` at natural barriers (end of stream,
-        before termination markers).  :meth:`CloseableQueue.close` does
-        this automatically for attached buffers.
-    now:
-        Clock used for the linger age (defaults to ``time.monotonic``).
 
-    A buffer is intentionally **not** thread-safe: each producer owns its
-    buffers, exactly as each producer owns its client connection in the
-    Redis mappings.
+    There is no timer and no background flusher: a partial envelope waits
+    until the owner calls :meth:`flush` (see the module docs for when
+    ``multi`` does).  A buffer is intentionally **not** thread-safe: each
+    producer owns its buffers, exactly as each producer owns its client
+    connection in the Redis mappings.
     """
 
-    def __init__(
-        self,
-        sink: Union[Callable[[Any], Any], "CloseableQueue"],
-        batch_size: int = 1,
-        linger: float = 0.0,
-        now: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, sink: Callable[[Any], Any], batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if linger < 0:
-            raise ValueError(f"linger must be >= 0, got {linger}")
-        if isinstance(sink, CloseableQueue):
-            queue_sink = sink
-            sink.attach_buffer(self)
-            self._sink: Callable[[Any], Any] = queue_sink.put
-        else:
-            self._sink = sink
+        self._sink = sink
         self.batch_size = batch_size
-        self.linger = linger
-        self._now = now if now is not None else time.monotonic
         self._items: List[Any] = []
-        self._oldest: float = 0.0
-        #: Envelopes flushed so far (monitoring).
-        self.flushes = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     @property
     def pending(self) -> int:
         """Tuples currently buffered (0 right after a flush)."""
         return len(self._items)
 
-    def _expired(self) -> bool:
-        return (
-            self.linger > 0
-            and bool(self._items)
-            and (self._now() - self._oldest) >= self.linger
-        )
-
     def add(self, item: Any) -> bool:
         """Buffer one tuple; returns True when this call flushed."""
         if self.batch_size <= 1:
             self._sink(item)
-            self.flushes += 1
             return True
-        if not self._items:
-            self._oldest = self._now()
         self._items.append(item)
-        if len(self._items) >= self.batch_size or self._expired():
-            self.flush()
-            return True
-        return False
-
-    def poll(self) -> bool:
-        """Flush if the linger deadline passed; returns True when flushed.
-
-        For producers with idle periods: call between ``add`` bursts so a
-        buffered tail does not wait past ``linger`` for a companion tuple
-        that may never come.
-        """
-        if self._expired():
+        if len(self._items) >= self.batch_size:
             self.flush()
             return True
         return False
@@ -226,7 +175,6 @@ class BatchingBuffer:
             return False
         items, self._items = self._items, []
         self._sink(as_envelope(items))
-        self.flushes += 1
         return True
 
 
@@ -236,18 +184,12 @@ class CloseableQueue:
     ``close(n)`` enqueues ``n`` poison pills so that ``n`` consumers each
     observe end-of-stream exactly once.  Counted-termination logic (waiting
     for one pill per upstream producer instance) lives in the mappings.
-
-    Batched producers should create their buffer via :meth:`buffer` (or
-    attach an external one with :meth:`attach_buffer`): attached buffers
-    are flushed by :meth:`close` *before* the pills go out, so end-of-stream
-    can never overtake a linger-buffered tail tuple.
     """
 
     def __init__(self, maxsize: int = 0) -> None:
         self._q: "queue.Queue[Any]" = queue.Queue(maxsize=maxsize)
         self._close_lock = threading.Lock()
         self._closed = False
-        self._buffers: List["BatchingBuffer"] = []
 
     def put(self, item: Any) -> None:
         self._q.put(item)
@@ -277,31 +219,8 @@ class CloseableQueue:
     def closed(self) -> bool:
         return self._closed
 
-    # -- batching ----------------------------------------------------------
-    def buffer(
-        self,
-        batch_size: int = 1,
-        linger: float = 0.0,
-        now: Optional[Callable[[], float]] = None,
-    ) -> "BatchingBuffer":
-        """A producer-side :class:`BatchingBuffer` feeding this queue.
-
-        The buffer is attached, so :meth:`close` flushes it first.
-        """
-        return BatchingBuffer(self, batch_size=batch_size, linger=linger, now=now)
-
-    def attach_buffer(self, buffer: "BatchingBuffer") -> None:
-        """Register a buffer to be flushed by :meth:`close`."""
-        with self._close_lock:
-            self._buffers.append(buffer)
-
     def close(self, consumers: int = 1) -> None:
         """Signal end-of-stream to ``consumers`` readers.  Idempotent.
-
-        Attached batching buffers are flushed before the pills are
-        broadcast: a linger-buffered tail tuple must land ahead of
-        end-of-stream, or counted-termination consumers would stop reading
-        with data still in flight (and silently drop it).
 
         Only the first call broadcasts pills: re-closing (e.g. an error
         path unwinding after a clean shutdown already closed the channel)
@@ -314,9 +233,6 @@ class CloseableQueue:
             if self._closed:
                 return
             self._closed = True
-            buffers = list(self._buffers)
-        for buffer in buffers:
-            buffer.flush()
         for _ in range(consumers):
             self._q.put(POISON_PILL)
 

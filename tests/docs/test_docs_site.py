@@ -1,11 +1,12 @@
 """The docs site is checked, not trusted.
 
 ``scripts/check_docs.py`` is the single gate: every relative link in
-``docs/*.md`` and ``README.md`` must resolve, and the capability matrix
+``docs/*.md`` and ``README.md`` must resolve, the capability matrix
 in ``docs/capabilities.md`` must match what the live mapping registry
-renders.  These tests run the script the way CI does (a subprocess, so
-its exit codes and argument parsing are covered too) and pin the drift
-check's teeth on a doctored copy.
+renders, and every ``--flag`` in ``docs/cli.md`` must exist on the
+``repro`` parser.  These tests run the script the way CI does (a
+subprocess, so its exit codes and argument parsing are covered too) and
+pin the drift and flag checks' teeth on doctored copies.
 """
 
 import os
@@ -33,35 +34,49 @@ def test_docs_links_resolve_and_matrix_is_fresh():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_drifted_matrix_fails_and_write_repairs_it(tmp_path):
-    # A doctored checkout: same scripts/src, capability matrix edited the
-    # way a stale docs page would be after a registry change.
+def _doctored_checkout(tmp_path, page, old, new):
+    """A copy of the docs and scripts (``src`` linked) with one edit to
+    ``docs/<page>``, the way a stale page would read; returns the page."""
     for name in ("docs", "scripts"):
         shutil.copytree(os.path.join(REPO_ROOT, name), tmp_path / name)
     shutil.copy(os.path.join(REPO_ROOT, "README.md"), tmp_path / "README.md")
     os.symlink(os.path.join(REPO_ROOT, "src"), tmp_path / "src")
-    capabilities = tmp_path / "docs" / "capabilities.md"
-    capabilities.write_text(
-        capabilities.read_text(encoding="utf-8").replace(
-            "| `simple` | yes |", "| `simple` | no |"
-        ),
-        encoding="utf-8",
-    )
+    path = tmp_path / "docs" / page
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path
 
-    check = tmp_path / "scripts" / "check_docs.py"
+
+def _run_copy(tmp_path, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    drifted = subprocess.run(
-        [sys.executable, str(check)], capture_output=True, text=True, env=env
-    )
-    assert drifted.returncode == 1
-    assert "drifted" in drifted.stderr
-
-    repaired = subprocess.run(
-        [sys.executable, str(check), "--write"],
+    return subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "check_docs.py"), *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_drifted_matrix_fails_and_write_repairs_it(tmp_path):
+    capabilities = _doctored_checkout(
+        tmp_path, "capabilities.md", "| `simple` | yes |", "| `simple` | no |"
+    )
+    drifted = _run_copy(tmp_path)
+    assert drifted.returncode == 1
+    assert "drifted" in drifted.stderr
+
+    repaired = _run_copy(tmp_path, "--write")
     assert repaired.returncode == 0, repaired.stdout + repaired.stderr
     assert "| `simple` | yes |" in capabilities.read_text(encoding="utf-8")
+
+
+def test_stale_cli_flag_fails(tmp_path):
+    _doctored_checkout(
+        tmp_path, "cli.md", "`--batch-size N`", "`--batch-size N`, `--batch-wait-ms MS`"
+    )
+    stale = _run_copy(tmp_path)
+    assert stale.returncode == 1
+    assert "--batch-wait-ms is not an option" in stale.stderr
+    assert "--batch-size" not in stale.stderr

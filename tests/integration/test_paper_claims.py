@@ -8,13 +8,17 @@ they run inside the unit-test budget.  The full-scale equivalents live in
 import pytest
 
 from repro import run
-from repro.bench.harness import BenchConfig, run_grid
+from repro.bench.harness import BenchConfig, paired_ratio, run_cell, run_grid
 from repro.bench.reporting import autoscaling_saves_process_time
-from repro.platforms.profiles import CLOUD, SERVER, get_platform
+from repro.platforms.profiles import CLOUD, SERVER
 from repro.workflows.astro.workflow import build_internal_extinction_workflow
 from repro.workflows.sentiment.workflow import build_sentiment_workflow
 
 SCALE = 0.004
+#: Paired rounds of the wall-clock ratios (each after one warm-up round).
+PAIR_ROUNDS = 5
+#: Two rounds per process count: 12 sentiment runs, as a 3-repeat grid had.
+PAIR_ROUNDS_STATEFUL = 2
 
 
 def galaxy_factory():
@@ -69,19 +73,20 @@ class TestStatefulMappingSuperiority:
     0.32 at full scale).
     """
 
-    def test_hybrid_beats_multi_runtime(self):
-        config = BenchConfig(time_scale=0.04, repeats=3)
-        grid = run_grid(
-            sentiment_factory,
-            ["multi", "hybrid_redis"],
-            [14, 16],
-            SERVER,
-            config,
-        )
-        ratios = [
-            grid[("hybrid_redis", p)].runtime / grid[("multi", p)].runtime
-            for p in (14, 16)
-        ]
+    def test_hybrid_beats_multi_runtime(self, capsys):
+        config = BenchConfig(time_scale=0.04)
+
+        def cell(mapping, processes):
+            return lambda: run_cell(sentiment_factory, mapping, processes, SERVER, config)
+
+        with capsys.disabled():
+            ratios = [
+                paired_ratio(
+                    cell("hybrid_redis", p), cell("multi", p), PAIR_ROUNDS_STATEFUL,
+                    label=f"sentiment hybrid_redis/multi runtime at p={p}",
+                ).median
+                for p in (14, 16)
+            ]
         assert sum(ratios) / len(ratios) < 1.0, ratios
 
     def test_hybrid_results_match_multi(self):
@@ -100,7 +105,7 @@ class TestStatefulMappingSuperiority:
 class TestCloudOversubscription:
     """Section 5.2: cloud (8 cores) dips when processes exceed cores."""
 
-    def test_contention_hurts_beyond_cores(self):
+    def test_contention_hurts_beyond_cores(self, capsys):
         config = BenchConfig(time_scale=SCALE)
 
         def cpu_heavy_factory():
@@ -112,22 +117,31 @@ class TestCloudOversubscription:
             graph.pe("internalExtinction").compute_cost = 0.08
             return graph, inputs[:80]
 
-        grid = run_grid(cpu_heavy_factory, ["dyn_multi"], [8, 16], CLOUD, config)
-        r8 = grid[("dyn_multi", 8)].runtime
-        r16 = grid[("dyn_multi", 16)].runtime
+        def cell(processes):
+            return lambda: run_cell(cpu_heavy_factory, "dyn_multi", processes, CLOUD, config)
+
+        with capsys.disabled():
+            paired = paired_ratio(
+                cell(16), cell(8), PAIR_ROUNDS,
+                label="cloud dyn_multi runtime(16)/runtime(8)",
+            )
         # With only 8 cores, 16 processes cannot be ~2x faster than 8; the
         # curve flattens (and may dip from switching costs).
-        assert r16 > r8 * 0.7
+        assert paired.median > 0.7
 
 
 class TestDynamicBeatsStaticAtLowProcesses:
     """The motivation of Figure 1/2: dynamic balances where static idles."""
 
-    def test_dyn_multi_beats_multi(self):
+    def test_dyn_multi_beats_multi(self, capsys):
         config = BenchConfig(time_scale=SCALE)
-        grid = run_grid(
-            galaxy_factory, ["multi", "dyn_multi"], [5], get_platform("server"), config
-        )
-        assert (
-            grid[("dyn_multi", 5)].runtime < grid[("multi", 5)].runtime * 1.1
-        )
+
+        def cell(mapping):
+            return lambda: run_cell(galaxy_factory, mapping, 5, SERVER, config)
+
+        with capsys.disabled():
+            paired = paired_ratio(
+                cell("dyn_multi"), cell("multi"), PAIR_ROUNDS,
+                label="galaxy dyn_multi/multi runtime at p=5",
+            )
+        assert paired.median < 1.1

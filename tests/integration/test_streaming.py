@@ -84,24 +84,27 @@ class PhantomSource(IterativePE):
 
 
 class TestLiveStreaming:
+    @pytest.mark.parametrize("batch_size", (1, 8))
     @pytest.mark.parametrize("mapping", STREAMING_MAPPINGS)
-    def test_first_result_before_completion(self, mapping):
-        """Acceptance (a): results flow while the input is still open."""
-        engine = Engine(mapping=mapping, processes=4, time_scale=FAST_SCALE)
+    def test_first_result_before_completion(self, mapping, batch_size):
+        """Acceptance (a): results flow while the input is still open --
+        batched too, where fewer tuples than one envelope were sent."""
+        engine = Engine(
+            mapping=mapping, processes=4, time_scale=FAST_SCALE, batch_size=batch_size
+        )
         with engine:
             job = engine.submit(_pipeline())
             assert job.streaming
-            job.send("src", [10])
-            stream = job.results(timeout=10.0)
+            job.send("src", [10, 1, 2])
+            stream = job.results(timeout=2.0)
             key, value = next(stream)
             # The input is still open, so the job cannot have completed.
             assert not job.done()
             assert job.state is JobState.RUNNING
-            assert (key, value) == ("add.output", 21)
-            job.send("src", [1, 2])
+            assert key == "add.output" and value in (21, 3, 5)
             job.close_input()
             rest = sorted(value for _key, value in stream)
-            assert rest == [3, 5]
+            assert sorted([value, *rest]) == [3, 5, 21]
             result = job.wait(timeout=10.0)
             assert job.state is JobState.DONE
             assert sorted(result.output("add")) == [3, 5, 21]

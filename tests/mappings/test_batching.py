@@ -17,7 +17,7 @@ import pytest
 from repro import Engine, run
 from repro.core.exceptions import MappingError, UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
-from repro.mappings.base import resolve_batch_linger, resolve_batch_size
+from repro.mappings.base import resolve_batch_size
 from tests.conftest import (
     AddOne,
     Double,
@@ -51,20 +51,11 @@ def _collect_sorted(result):
 class TestOptionResolution:
     def test_defaults(self):
         assert resolve_batch_size({}) == 1
-        assert resolve_batch_linger({}) == 0.0
-
-    def test_linger_converts_ms_to_seconds(self):
-        assert resolve_batch_linger({"batch_linger_ms": 250}) == 0.25
 
     @pytest.mark.parametrize("bad", [0, -1, "many", None, 1.5])
     def test_bad_batch_size_rejected(self, bad):
         with pytest.raises(MappingError):
             resolve_batch_size({"batch_size": bad})
-
-    @pytest.mark.parametrize("bad", [-1, "slow", None])
-    def test_bad_linger_rejected(self, bad):
-        with pytest.raises(MappingError):
-            resolve_batch_linger({"batch_linger_ms": bad})
 
 
 class TestBatchSizeOneIsIdentity:
@@ -75,11 +66,8 @@ class TestBatchSizeOneIsIdentity:
         assert config.transport_options() == {}
 
     def test_non_default_config_passes_options(self):
-        config = Engine(batch_size=16, batch_linger_ms=5.0).config
-        assert config.transport_options() == {
-            "batch_size": 16,
-            "batch_linger_ms": 5.0,
-        }
+        config = Engine(batch_size=16).config
+        assert config.transport_options() == {"batch_size": 16}
 
     @pytest.mark.parametrize("mapping", ("multi", "dyn_multi", "dyn_redis"))
     def test_same_outputs_and_transport_counts(self, mapping):
@@ -133,28 +121,10 @@ class TestBatchedEquivalence:
         )
         assert sorted(result.output("counter")) == [(f"k{i}", 4) for i in range(5)]
 
-    def test_multi_linger_bounded_buffering(self):
-        """A linger bound with a large batch_size still delivers everything
-        (the tail flushes at the pill barrier at the latest)."""
-        result = run(
-            _stateless_factory(), inputs=list(range(9)), processes=4,
-            mapping="multi", time_scale=FAST_SCALE,
-            batch_size=64, batch_linger_ms=1.0,
-        )
-        expected = _collect_sorted(
-            run(_stateless_factory(), inputs=list(range(9)), mapping="simple")
-        )
-        assert _collect_sorted(result) == expected
-
 
 class TestEngineGating:
     def test_simple_mapping_rejects_batching(self):
         engine = Engine(mapping="simple", batch_size=8)
-        with pytest.raises(UnsupportedFeatureError, match="batch"):
-            engine.run(linear_graph(Emit(name="src")), inputs=[1])
-
-    def test_simple_mapping_rejects_linger(self):
-        engine = Engine(mapping="simple", batch_linger_ms=10.0)
         with pytest.raises(UnsupportedFeatureError, match="batch"):
             engine.run(linear_graph(Emit(name="src")), inputs=[1])
 

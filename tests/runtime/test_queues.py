@@ -129,78 +129,9 @@ class TestBatchingBuffer:
         assert not buf.flush()
         assert out == []
 
-    def test_linger_triggered_flush(self):
-        """The oldest buffered tuple waits at most ``linger`` seconds."""
-        out = []
-        clock = [0.0]
-        buf = BatchingBuffer(out.append, batch_size=10, linger=0.5, now=lambda: clock[0])
-        buf.add("a")
-        clock[0] = 0.2
-        assert not buf.poll()
-        clock[0] = 0.6  # past the deadline: next add (or poll) flushes
-        assert buf.add("b")
-        assert len(out) == 1 and list(out[0]) == ["a", "b"]
-
-    def test_poll_flushes_expired_tail(self):
-        out = []
-        clock = [0.0]
-        buf = BatchingBuffer(out.append, batch_size=10, linger=0.5, now=lambda: clock[0])
-        buf.add("tail")
-        clock[0] = 1.0
-        assert buf.poll()
-        assert out == ["tail"]
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             BatchingBuffer(lambda item: None, batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingBuffer(lambda item: None, batch_size=2, linger=-1.0)
-
-
-class TestCloseFlushesBuffers:
-    def test_close_flushes_linger_buffered_tail(self):
-        """Regression: a linger-buffered tail tuple must never be dropped
-        at shutdown -- close() flushes attached buffers *before* the pills,
-        so per-queue FIFO puts the data ahead of end-of-stream."""
-        q = CloseableQueue()
-        buf = q.buffer(batch_size=8, linger=60.0)
-        buf.add("tail-tuple")  # would linger for a minute
-        q.close(consumers=1)
-        assert q.get() == "tail-tuple"
-        assert q.get() is POISON_PILL
-
-    def test_close_flushes_multiple_buffers(self):
-        q = CloseableQueue()
-        first, second = q.buffer(batch_size=4), q.buffer(batch_size=4)
-        first.add("a")
-        second.add("b")
-        second.add("c")
-        q.close(consumers=2)
-        items = [q.get() for _ in range(4)]
-        assert items[0] == "a"
-        assert list(items[1]) == ["b", "c"]
-        assert items[2] is POISON_PILL and items[3] is POISON_PILL
-
-    def test_reclose_does_not_reflush(self):
-        """Close is idempotent for buffers too: a tuple added after the
-        first close stays buffered rather than leaking past the pills."""
-        q = CloseableQueue()
-        buf = q.buffer(batch_size=8)
-        buf.add("early")
-        q.close(consumers=1)
-        buf.add("late")
-        q.close(consumers=1)
-        assert q.get() == "early"
-        assert q.get() is POISON_PILL
-        assert q.empty()
-        assert buf.pending == 1
-
-    def test_external_buffer_attachable(self):
-        q = CloseableQueue()
-        buf = BatchingBuffer(q, batch_size=8)  # queue sink auto-attaches
-        buf.add("x")
-        q.close()
-        assert q.get() == "x"
 
 
 class TestTrackedQueueBatches:

@@ -105,6 +105,12 @@ class FilterColumns(IterativePE):
         return {"id": data["id"], "table": filtered}
 
 
+#: Inclusive upper T-type bounds of the spiral bands, and each band's
+#: coefficient; the last coefficient is for types above 10 (and NaN).
+_BAND_EDGES = np.array([3.0, 5.0, 7.0, 10.0])
+_BAND_COEFFICIENTS = np.array([1.58, 1.33, 1.10, 0.92, 0.0])
+
+
 def internal_extinction(mtype: np.ndarray, logr25: np.ndarray) -> np.ndarray:
     """Vectorized internal-extinction computation.
 
@@ -118,11 +124,10 @@ def internal_extinction(mtype: np.ndarray, logr25: np.ndarray) -> np.ndarray:
     logr25 = np.asarray(logr25, dtype=np.float64)
     if mtype.shape != logr25.shape:
         raise ValueError("MType and logr25 must have identical shapes")
-    coefficient = np.select(
-        [mtype < 1, mtype <= 3, mtype <= 5, mtype <= 7, mtype <= 10],
-        [0.0, 1.58, 1.33, 1.10, 0.92],
-        default=0.0,
-    )
+    # A band lookup: ``searchsorted`` finds the first edge >= T (NaN sorts
+    # past every edge), then types below 1 are zeroed.
+    band = np.searchsorted(_BAND_EDGES, mtype)
+    coefficient = np.where(mtype < 1, 0.0, _BAND_COEFFICIENTS[band])
     return coefficient * logr25
 
 

@@ -109,6 +109,44 @@ class TestLiveStreaming:
             assert job.state is JobState.DONE
             assert sorted(result.output("add")) == [3, 5, 21]
 
+    @pytest.mark.parametrize("batch_size", (4, 64))
+    def test_batched_multi_answers_each_send_before_the_next(self, batch_size):
+        """The flush rule tuple by tuple: a worker with nothing left to
+        read flushes its partial envelope, so every send is answered while
+        the input is open, however large the envelope."""
+        engine = Engine(
+            mapping="multi", processes=4, time_scale=FAST_SCALE, batch_size=batch_size
+        )
+        with engine:
+            job = engine.submit(_pipeline())
+            stream = job.results(timeout=2.0)
+            answers = []
+            for item in (1, 2, 3):
+                job.send("src", [item])
+                answers.append(next(stream))
+            assert job.state is JobState.RUNNING
+            job.close_input()
+            assert list(stream) == []
+            result = job.wait(timeout=10.0)
+        assert answers == [("add.output", 3), ("add.output", 5), ("add.output", 7)]
+        assert result.counters["stream_inputs"] == 3
+
+    def test_live_sends_reach_sources_round_robin(self):
+        """Live item i goes to source instance i mod n, as on a one-shot run."""
+
+        class InstanceTag(IterativePE):
+            def _process(self, data):
+                return (self.instance_index, data)
+
+        src = InstanceTag(name="src")
+        src.numprocesses = 2
+        engine = Engine(mapping="multi", processes=2, time_scale=FAST_SCALE)
+        with engine:
+            job = engine.submit(linear_graph(src, name="tags"))
+            job.send("src", range(6))
+            result = job.wait(timeout=10.0)
+        assert sorted(result.output("src")) == sorted((i % 2, i) for i in range(6))
+
     @pytest.mark.parametrize("mapping", STREAMING_MAPPINGS)
     def test_streaming_matches_one_shot_outputs(self, mapping):
         engine = Engine(mapping=mapping, processes=4, time_scale=FAST_SCALE)

@@ -5,6 +5,7 @@ import pytest
 from repro import run
 from repro.core.exceptions import InsufficientProcessesError
 from repro.core.graph import WorkflowGraph
+from repro.core.pe import IterativePE
 from tests.conftest import (
     AddOne,
     Collect,
@@ -19,6 +20,13 @@ from tests.conftest import (
 def _run_multi(graph, inputs, processes, **kw):
     kw.setdefault("time_scale", FAST_SCALE)
     return run(graph, inputs=inputs, processes=processes, mapping="multi", **kw)
+
+
+class InstanceTag(IterativePE):
+    """Emits ``(instance_index, data)``: which instance read the item."""
+
+    def _process(self, data):
+        return (self.instance_index, data)
 
 
 class TestMultiCorrectness:
@@ -45,6 +53,15 @@ class TestMultiCorrectness:
         result = _run_multi(g, [1], 12)
         assert result.counters["instances"] == 10  # 1 + 3 + 3 + 3
         assert result.counters["idle_processes"] == 2
+
+    def test_sources_read_inputs_round_robin(self):
+        """A one-shot run fills the source channels as the live feed does:
+        item i goes to source instance i mod n."""
+        src = InstanceTag(name="src")
+        src.numprocesses = 3
+        result = _run_multi(linear_graph(src), list(range(9)), 3)
+        assert sorted(result.output("src")) == sorted((i % 3, i) for i in range(9))
+        assert "stream_inputs" not in result.counters
 
     def test_below_minimum_raises(self):
         g = linear_graph(Emit(name="a"), Emit(name="b"), Emit(name="c"))

@@ -71,6 +71,17 @@ class TestCloseableQueue:
         q.put("x")
         assert q.qsize() == 1 and not q.empty()
 
+    def test_close_queues_pills_behind_data(self):
+        """FIFO end-of-stream: what a producer put (its flushed envelopes)
+        reaches the consumer before the pills ``close`` adds."""
+        q = CloseableQueue()
+        q.put(Batch(["a", "b"]))
+        q.put("c")
+        q.close(consumers=2)
+        assert list(q.get()) == ["a", "b"]
+        assert q.get() == "c"
+        assert q.get() is POISON_PILL and q.get() is POISON_PILL
+
 
 class TestBatchEnvelope:
     def test_iteration_and_len(self):
@@ -128,6 +139,27 @@ class TestBatchingBuffer:
         buf = BatchingBuffer(out.append, batch_size=4)
         assert not buf.flush()
         assert out == []
+
+    def test_partial_envelope_waits_for_owner_flush(self):
+        """No timer: a partial envelope stays put until its owner flushes."""
+        out = []
+        buf = BatchingBuffer(out.append, batch_size=4)
+        buf.add("a")
+        buf.add("b")
+        time.sleep(0.02)
+        assert out == [] and buf.pending == 2
+        assert buf.flush()
+        assert list(out[0]) == ["a", "b"]
+
+    def test_flush_sends_only_the_tail(self):
+        out = []
+        buf = BatchingBuffer(out.append, batch_size=3)
+        for item in "abcde":
+            buf.add(item)
+        assert buf.pending == 2
+        buf.flush()
+        assert [list(envelope) for envelope in out] == [["a", "b", "c"], ["d", "e"]]
+        assert buf.pending == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,29 @@ class TestVOTableService:
         service.query(3, 4)
         assert service.queries_served == 2
 
+    def test_normal_columns_match_per_column_draws(self):
+        """The one ``standard_normal`` draw reproduces, bit for bit, the
+        four ``rng.normal`` calls the columns are documented by."""
+        for index in range(25):
+            coords = catalog_coordinates(index)
+            table = VOTableService().query(coords["ra"], coords["dec"])
+            key = (
+                int(round(coords["ra"] * 1e6)) & 0xFFFFFFFF,
+                int(round(coords["dec"] * 1e6)) & 0xFFFFFFFF,
+            )
+            rng = np.random.default_rng(np.random.SeedSequence([7, *key]))
+            mtype = rng.integers(-5, 11, size=32).astype(np.float64)
+            logr25 = np.abs(rng.normal(0.25, 0.2, size=32)).clip(0.0, 1.2)
+            bt = rng.normal(14.0, 1.5, size=32)
+            vt = bt - np.abs(rng.normal(0.6, 0.2, size=32))
+            e_logr25 = np.abs(rng.normal(0.02, 0.01, size=32))
+            expected = {
+                "MType": mtype, "logr25": logr25, "BT": bt, "VT": vt,
+                "e_logr25": e_logr25,
+            }
+            for column, values in expected.items():
+                assert table[column].tobytes() == values.tobytes(), (index, column)
+
 
 class TestInternalExtinctionFormula:
     def test_ellipticals_have_no_extinction(self):
@@ -87,6 +110,26 @@ class TestInternalExtinctionFormula:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             internal_extinction(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "mtype, coefficient",
+        [
+            (0.999, 0.0),
+            (1.0, 1.58),
+            (3.0, 1.58),
+            (3.5, 1.33),
+            (5.0, 1.33),
+            (7.0, 1.10),
+            (10.0, 0.92),
+            (10.5, 0.0),
+            (float("nan"), 0.0),
+        ],
+    )
+    def test_band_boundaries(self, mtype, coefficient):
+        """Bands are closed above (T <= 3, 5, 7, 10); T < 1, T > 10 and an
+        unknown (NaN) type take no correction."""
+        [result] = internal_extinction(np.array([mtype]), np.array([2.0]))
+        assert result == 2.0 * coefficient
 
 
 class TestAstroPEs:

@@ -116,9 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--optimize",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="run the cost-based graph planner (all rewrite rules, "
-        "profiled costs) before enactment; outputs are unchanged by "
-        "contract -- see 'repro plan' for the dry-run explanation",
+        help="run the graph planner (chain fusion; no profiling) before "
+        "enactment; outputs are unchanged by contract -- see 'repro plan' "
+        "for the profiled explanation",
     )
     output_mode = run_p.add_mutually_exclusive_group()
     output_mode.add_argument(

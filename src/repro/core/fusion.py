@@ -21,8 +21,8 @@ enacts it without special cases.
 This module holds only the *runtime* side of fusion: the
 :class:`FusedPE` operator and the :class:`MemberMeter` attribution hook.
 The rewrite itself -- chain discovery, fusability rules, graph surgery --
-lives in :mod:`repro.planner.fusion`, where it is the first rewrite rule
-of the cost-based graph planner (:mod:`repro.planner`).
+lives in :mod:`repro.planner.fusion`, the one rewrite of the graph
+planner (:mod:`repro.planner`).
 
 What the rest of the engine sees
 --------------------------------

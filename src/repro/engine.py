@@ -123,16 +123,14 @@ class RunConfig:
         fails otherwise; ``"auto"`` fuses where the mapping supports it
         and silently skips where it does not.
     optimize:
-        Cost-based graph optimization (:mod:`repro.planner`): apply the
-        full rewrite-rule planner -- chain fusion plus dead-output
-        elimination, fan-out replication and grouping-corridor partial
-        fusion -- under a profiled cost model, and enact the rewritten
-        graph.  Workflow outputs are unchanged by contract (knob
-        suggestions are advisory only).  Same tri-state as ``fuse``:
-        ``True`` requires ``Capabilities.fusion``, ``"auto"`` skips
-        silently on mappings without it.  ``fuse`` stays as the
-        byte-identical fusion-only shim; ``optimize`` supersedes it when
-        both are set.
+        Graph planning (:mod:`repro.planner`): apply the planner's one
+        rewrite, chain fusion, and enact the fused graph -- the same
+        graph ``fuse`` enacts, plus the ``planner_rules`` counter.  The
+        run does not profile its PEs (``repro plan`` does, to explain).
+        Workflow outputs are unchanged by contract.  Same tri-state as
+        ``fuse``: ``True`` requires ``Capabilities.fusion``, ``"auto"``
+        skips silently on mappings without it; ``optimize`` supersedes
+        ``fuse`` when both are set.
     checkpoint_interval:
         Deliveries between state checkpoints of pinned stateful instances
         (recoverable mappings only).  Setting it enables checkpoint/restore

@@ -16,9 +16,8 @@ base class owns everything common to all mappings:
 - graph optimization: the ``fuse`` / ``optimize`` / ``plan`` options
   resolve to a :class:`~repro.planner.Plan` (via the
   :class:`~repro.planner.Planner`) whose rewritten graph -- fused chains
-  collapsed into :class:`~repro.core.fusion.FusedPE` operators, dead
-  outputs pruned, cheap PEs replicated -- is what the mapping enacts;
-  every mapping executes planned graphs transparently,
+  collapsed into :class:`~repro.core.fusion.FusedPE` operators -- is what
+  the mapping enacts; every mapping executes planned graphs transparently,
 - output collection (emissions on unconnected ports become results), with
   an optional streaming tap so consumers can observe results as they are
   produced,
@@ -117,39 +116,28 @@ def gate_plan_option(name: str, value: Any, caps: Capabilities) -> Any:
 
 
 def resolve_plan(
-    options: Dict[str, Any],
-    caps: Capabilities,
-    graph: WorkflowGraph,
-    platform: PlatformProfile,
-    provided: Optional[Dict[str, List[Dict[str, Any]]]] = None,
+    options: Dict[str, Any], caps: Capabilities, graph: WorkflowGraph
 ) -> Optional[Plan]:
     """The one path from the planning options to a :class:`Plan` (or None).
 
-    Pops ``fuse``, ``optimize``, ``plan`` (a prebuilt :class:`Plan` to
-    enact as-is) and ``wanted_outputs`` (the results keys the caller
-    consumes, enabling dead-output elimination) out of ``options``; the
-    two tri-states go through :func:`gate_plan_option`.  A prebuilt plan
-    wins; ``optimize`` runs the full planner (profiling against
-    ``provided`` when the inputs are already materialized); ``fuse`` is
-    sugar for the fusion-only planner -- no profiling, no planner
-    counters, byte-identical to the classic fusion rewrite.
+    Pops ``fuse``, ``optimize`` and ``plan`` (a prebuilt :class:`Plan` to
+    enact as-is) out of ``options``; the two tri-states go through
+    :func:`gate_plan_option`.  A prebuilt plan wins; ``optimize`` and
+    ``fuse`` both fuse chains, ``optimize`` adding the ``planner_rules``
+    counter.  Neither profiles: the rewrite reads no costs.
     """
     fuse, optimize = (
         gate_plan_option(name, options.pop(name, False), caps)
         for name in ("fuse", "optimize")
     )
     plan = options.pop("plan", None)
-    wanted_outputs = options.pop("wanted_outputs", None)
     if plan is not None:
         if not isinstance(plan, Plan):
             raise MappingError(f"plan= expects a repro.planner.Plan, got {plan!r}")
         return plan
-    if optimize:
-        return Planner.default().plan(
-            graph, provided=provided, platform=platform, wanted_outputs=wanted_outputs
-        )
-    if fuse:
-        return Planner.fusion_only().plan(graph, profile=False)
+    if optimize or fuse:
+        planner = Planner.default() if optimize else Planner.fusion_only()
+        return planner.plan(graph, profile=False)
     return None
 
 
@@ -340,23 +328,16 @@ def dispatch_emissions(
     ``(pe, port)`` pair, see :class:`repro.core.fusion.FusedPE`): emissions
     on an unconnected aliased port are credited to the original results
     key, so a fused run reports the same output keys as an unfused one.
-    It may also declare ``collector_drops`` (a set of port names): the
-    planner marks ports whose output nothing consumes -- dead-output
-    elimination, fan-out replica ports serving other branches -- and
-    emissions on them are discarded instead of collected.
     """
     deliveries: List[Delivery] = []
     pe = concrete.graph.pes.get(pe_name)
     aliases = getattr(pe, "collector_aliases", None)
-    drops = getattr(pe, "collector_drops", None)
     for port, data in emissions:
         if concrete.connected(pe_name, port):
             deliveries.extend(concrete.route_output(pe_name, index, port, data))
         elif aliases and port in aliases:
             original_pe, original_port = aliases[port]
             collector.add(original_pe, original_port, data)
-        elif drops and port in drops:
-            pass
         else:
             collector.add(pe_name, port, data)
     return deliveries
@@ -574,13 +555,13 @@ class DeploymentPool:
             deployment.warm = True
             with self._lock:
                 self._deploying -= 1
-                if self._closed:
-                    break
-                self._idle.append(deployment)
-                added += 1
-        else:
-            return added
-        deployment.teardown()  # closed mid-prewarm
+                refused = self._closed
+                if not refused:
+                    self._idle.append(deployment)
+                    added += 1
+            if refused:
+                deployment.teardown()  # the pool closed mid-deploy
+                break
         return added
 
     def release(self, deployment: Deployment, reusable: bool = True) -> None:
@@ -926,10 +907,9 @@ class Mapping:
         """Enact ``graph`` and return the measured :class:`RunResult`.
 
         The one-shot path, and ``Engine.run``'s: inputs are taken in full
-        (``None`` is one empty invocation per source) and the plan is
-        profiled against them, every refusal raises here before anything
-        runs, the deployment is ephemeral and cold, and results surface
-        only in the returned record.  The enactment runs on a
+        (``None`` is one empty invocation per source), every refusal
+        raises here before anything runs, the deployment is ephemeral and
+        cold, and results surface only in the returned record.  The enactment runs on a
         ``job-<mapping>-<workflow>`` driver thread this call joins,
         re-raising its error: on the caller's own thread the same run
         peaks 12-35% higher in RSS (``docs/benchmarks.md``).  Long-lived
@@ -1047,9 +1027,8 @@ class Mapping:
         # wired handle behind.
         deadline = check_seconds("deadline", deadline)
         stream = caps.streaming
-        # The buffered wiring materializes its inputs now, so the planner
-        # profiles against them; a streaming submission must not consume
-        # its (possibly lazy) input iterators and plans without a sample.
+        # The buffered wiring materializes its inputs now; a streaming
+        # submission consumes its (possibly lazy) iterators only once live.
         provided, plan = self._admit(
             graph, [] if inputs is None else inputs, processes, platform,
             options, eager=not stream,
@@ -1217,9 +1196,9 @@ class Mapping:
         """The legality gate of execute() and prepare(): refuse, or plan.
 
         Raises what :func:`~repro.mappings.registry.refusal` returns
-        (options, graph, platform), reads the inputs -- materialized when
-        ``eager``, else lazy per-root iterators the planner never sees --
-        resolves the plan, and holds ``processes`` against the floor of the
+        (options, graph, platform), reads the inputs (materialized when
+        ``eager``, else lazy per-root iterators), resolves the plan without
+        running a PE, and holds ``processes`` against the floor of the
         graph that plan enacts.  Returns ``(provided, plan)``.
         """
         graph.validate()
@@ -1227,9 +1206,7 @@ class Mapping:
         if error is not None:
             raise error
         provided = (normalize_inputs if eager else iter_root_inputs)(graph, inputs)
-        plan = resolve_plan(
-            options, self.capabilities, graph, platform, provided if eager else None
-        )
+        plan = resolve_plan(options, self.capabilities, graph)
         enacted = plan.graph if plan is not None and plan.transformed else graph
         error = floor_refusal(self, enacted, processes)
         if error is not None:
@@ -1266,7 +1243,7 @@ class Mapping:
             # Enact the plan's rewritten graph: an ordinary WorkflowGraph,
             # so every mapping executes it transparently.  Inputs were
             # normalized against the user's graph, then re-keyed onto the
-            # rewritten sources (and pruned roots dropped).
+            # fused sources.
             graph = plan.graph
             provided = plan.rename_inputs(provided)
             root_rename = dict(plan.member_to_fused)

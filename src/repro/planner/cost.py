@@ -1,8 +1,10 @@
-"""Measured per-PE costs: the evidence the planner's rules act on.
+"""Measured per-PE costs: how ``repro plan`` prices a plan.
 
-Rewrite decisions (replicate this PE? suggest a bigger batch?) are driven
-by *measured* costs rather than structural heuristics, in the spirit of
-the throughput-optimal placement work (arXiv:2112.13875).  Three evidence
+The rewrite itself (chain fusion) is structural and reads no costs; the
+cost model prices the plan's graph for the explain output -- predicted
+busy time per node and the advisory ``numprocesses`` / ``batch_size``
+suggestions -- from *measured* costs where it can, in the spirit of the
+throughput-optimal placement work (arXiv:2112.13875).  Three evidence
 sources, best first:
 
 1. :func:`profile_graph` -- a cheap sequential **profiling dry-run** in
@@ -15,13 +17,14 @@ sources, best first:
 2. :meth:`CostModel.from_result` -- per-member attribution from a prior
    fused run (``RunResult.pe_times`` / ``member_tasks.*`` counters,
    PR 4's :class:`~repro.core.fusion.MemberMeter`).
-3. :meth:`CostModel.uniform` -- the fallback when nothing was measured:
-   every PE costs one unit, so structural rules still fire and the
-   explain-plan is explicit about the guess (``source="uniform"``).
+3. :meth:`CostModel.uniform` -- the fallback when nothing was measured
+   (and what every enactment plans under: runs never profile): every PE
+   costs one unit, and the explain-plan is explicit about the guess
+   (``source="uniform"``).
 
 Costs are kept in nominal seconds per invocation, the same unit as the
-platform profiles' ``queue_latency``, so "is this PE cheaper than the hop
-it would save?" is a direct comparison.
+platform profiles' ``queue_latency``, so the ``batch_size`` suggestion
+compares per-tuple work with the hop cost directly.
 """
 
 from __future__ import annotations
@@ -121,26 +124,20 @@ class CostModel:
     def cost_of(self, pe_name: str) -> float:
         """Estimated nominal seconds one invocation of ``pe_name`` costs.
 
-        A fused node's cost is the sum of its members' (the planner prices
-        nodes of *rewritten* graphs against profiles of the original).
-        Replica clones (``name~dst`` from fan-out replication) price as
-        their template.
+        An unmeasured PE costs one unit.
         """
-        if pe_name in self.per_tuple:
-            return self.per_tuple[pe_name]
-        base = pe_name.split("~", 1)[0]
-        return self.per_tuple.get(base, 1.0)
+        return self.per_tuple.get(pe_name, 1.0)
 
     def node_cost(self, pe: Any) -> float:
+        """A node's cost; a fused node's is the sum of its members' (the
+        planner prices the *rewritten* graph against profiles of the
+        original)."""
         if isinstance(pe, FusedPE):
             return sum(self.cost_of(name) for name in pe.member_names)
         return self.cost_of(pe.name)
 
     def out_selectivity(self, pe_name: str, port: str) -> float:
-        if (pe_name, port) in self.selectivity:
-            return self.selectivity[(pe_name, port)]
-        base = pe_name.split("~", 1)[0]
-        return self.selectivity.get((base, port), 1.0)
+        return self.selectivity.get((pe_name, port), 1.0)
 
     def estimated_invocations(
         self, graph: WorkflowGraph, root_inputs: Optional[Dict[str, int]] = None

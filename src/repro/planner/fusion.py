@@ -1,12 +1,10 @@
 """The chain-fusion rewrite: discovery and graph surgery.
 
-Relocated from :mod:`repro.core.fusion` when the planner subsystem was
-introduced: the *runtime* object (:class:`~repro.core.fusion.FusedPE`)
-stays in the core, while the *rewrite* -- deciding what to fuse and
-rebuilding the graph -- lives here with the other planner rules.
-:func:`fuse_graph` is the primitive behind both the ``fuse=`` engine
-option (via :meth:`repro.planner.Planner.fusion_only`) and the planner's
-:class:`~repro.planner.rules.ChainFusion` rule.
+The *runtime* object (:class:`~repro.core.fusion.FusedPE`) lives in the
+core; the *rewrite* -- deciding what to fuse and rebuilding the graph --
+lives here.  :func:`fuse_graph` is the planner's one rewrite, behind both
+the ``fuse=`` engine option (via :meth:`repro.planner.Planner.fusion_only`)
+and ``optimize=`` (via :meth:`repro.planner.Planner.default`).
 
 Fusability
 ----------
@@ -34,7 +32,7 @@ collapsed into the maximal chain containing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.fusion import FusedPE
 from repro.core.graph import WorkflowGraph
@@ -59,9 +57,7 @@ class FusionPlan:
     def fused(self) -> bool:
         return bool(self.chains)
 
-    def rename_inputs(
-        self, provided: Dict[str, List[Dict[str, Any]]]
-    ) -> Dict[str, List[Dict[str, Any]]]:
+    def rename_inputs(self, provided: Mapping[str, Any]) -> Dict[str, Any]:
         """Re-key normalized root inputs onto fused source PEs."""
         return {
             self.member_to_fused.get(root, root): items
@@ -135,16 +131,17 @@ def find_fusable_chains(
     return chains
 
 
-def fuse_chains(
-    graph: WorkflowGraph, found: List[Tuple[List[str], Optional[int]]]
-) -> FusionPlan:
-    """Collapse the given chains of ``graph`` into :class:`FusedPE` operators.
+def fuse_graph(graph: WorkflowGraph) -> FusionPlan:
+    """Collapse every maximal fusable chain of ``graph`` into a FusedPE.
 
-    The graph surgery behind :func:`fuse_graph`, factored out so rules
-    with their own chain-discovery policy (e.g. grouping-corridor partial
-    fusion) reuse the same provably-correct rewrite.  Chains must be
-    disjoint linear runs of ``graph``.
+    Returns a :class:`FusionPlan` whose ``graph`` is a *new*
+    :class:`WorkflowGraph` sharing the unfused PEs with the input graph
+    (PEs are templates; enactment deep-copies them per instance).  When no
+    chain qualifies the input graph itself is returned unchanged, so
+    ``fuse=True`` on a non-fusable workflow is byte-identical to
+    ``fuse=False``.
     """
+    found = find_fusable_chains(graph)
     if not found:
         return FusionPlan(graph=graph)
 
@@ -188,15 +185,3 @@ def fuse_chains(
         member_to_fused=member_to_fused,
     )
 
-
-def fuse_graph(graph: WorkflowGraph) -> FusionPlan:
-    """Collapse every maximal fusable chain of ``graph`` into a FusedPE.
-
-    Returns a :class:`FusionPlan` whose ``graph`` is a *new*
-    :class:`WorkflowGraph` sharing the unfused PEs with the input graph
-    (PEs are templates; enactment deep-copies them per instance).  When no
-    chain qualifies the input graph itself is returned unchanged, so
-    ``fuse=True`` on a non-fusable workflow is byte-identical to
-    ``fuse=False``.
-    """
-    return fuse_chains(graph, find_fusable_chains(graph))

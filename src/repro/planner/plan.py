@@ -1,12 +1,13 @@
 """The :class:`Plan`: a rewritten graph plus the evidence behind it.
 
 A plan is what the planner hands the enactment layer -- and what
-``repro plan`` prints to the user.  It carries the rewritten
-:class:`~repro.core.graph.WorkflowGraph`, the trace of rules that fired,
-the fused-chain bookkeeping the mappings need (input re-keying, member
-attribution), predicted per-PE costs under the plan's
-:class:`~repro.planner.cost.CostModel`, and advisory
-``numprocesses``/``batch_size`` suggestions.
+``repro plan`` prints to the user.  It carries the chain-fused
+:class:`~repro.core.graph.WorkflowGraph`, the rule trace (``chain_fusion``
+when anything fused), the fused-chain bookkeeping the mappings need
+(input re-keying, member attribution), predicted per-PE costs under the
+plan's :class:`~repro.planner.cost.CostModel`, and advisory
+``numprocesses``/``batch_size`` suggestions.  Only ``repro plan`` profiles
+that model; a run plans under uniform costs and reads none of them.
 
 Suggestions are *advisory only*: applying them would change scheduling
 and transport granularity, so the engine never auto-applies them --
@@ -46,11 +47,11 @@ class Plan:
         The rule trace, in application order.
     chains:
         Member names of every chain collapsed into a
-        :class:`~repro.core.fusion.FusedPE`, across all fusing rules.
+        :class:`~repro.core.fusion.FusedPE`.
     member_to_fused:
         Member name -> fused PE name (used to re-key root input specs).
     cost:
-        The cost model the rules decided under.
+        The cost model the plan was priced under.
     predicted_costs:
         Final-graph PE name -> predicted total busy time in nominal
         seconds (per-invocation cost x estimated invocations).
@@ -78,7 +79,7 @@ class Plan:
 
     @property
     def transformed(self) -> bool:
-        """Whether any rule changed the graph."""
+        """Whether the rewrite changed the graph."""
         return bool(self.steps)
 
     @property
@@ -87,17 +88,11 @@ class Plan:
         return bool(self.chains)
 
     def rename_inputs(self, provided: Mapping[str, Any]) -> Dict[str, Any]:
-        """Re-key normalized root inputs onto the rewritten graph.
-
-        Fused source PEs take their fusion's name; inputs for roots the
-        plan pruned (dead-output elimination) are dropped.
-        """
-        renamed: Dict[str, Any] = {}
-        for root, items in provided.items():
-            target = self.member_to_fused.get(root, root)
-            if target in self.graph.pes:
-                renamed[target] = items
-        return renamed
+        """Re-key normalized root inputs onto fused source PEs."""
+        return {
+            self.member_to_fused.get(root, root): items
+            for root, items in provided.items()
+        }
 
     def explain(self) -> str:
         """The human-readable explain-plan (what ``repro plan`` prints)."""
@@ -118,7 +113,7 @@ class Plan:
             for i, step in enumerate(self.steps, 1):
                 lines.append(f"  {i}. {step.rule}: {step.detail}")
         else:
-            lines.append("rules fired  : none (graph already optimal under the rules)")
+            lines.append("rules fired  : none (no fusable chain)")
         if self.predicted_costs:
             lines.append("predicted costs (nominal s/tuple x est. tuples):")
             width = max(len(name) for name in self.predicted_costs)

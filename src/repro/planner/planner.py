@@ -1,26 +1,25 @@
-"""The :class:`Planner`: rules + cost model -> :class:`Plan`.
+"""The :class:`Planner`: chain fusion + cost model -> :class:`Plan`.
 
-One planning pass applies its rewrite rules once each, in order, to a
-workflow graph, then prices the final graph under the cost model and
-derives advisory knob suggestions.  Two stock configurations:
+One planning pass fuses a workflow graph's maximal 1:1 chains
+(:func:`repro.planner.fusion.fuse_graph`, the planner's one rewrite),
+then prices the result under the cost model and derives advisory knob
+suggestions.  Two stock configurations:
 
-- :meth:`Planner.default` (also just ``Planner()``) -- the full rule set
-  (:func:`repro.planner.rules.default_rules`), used by
-  ``optimize=True|"auto"``.
-- :meth:`Planner.fusion_only` -- exactly the chain-fusion rule with no
-  profiling and no extra counters: the byte-identical engine behind the
-  classic ``fuse=`` option.
+- :meth:`Planner.default` (also just ``Planner()``) -- used by
+  ``optimize=True|"auto"`` and ``repro plan``; stamps ``planner_rules``.
+- :meth:`Planner.fusion_only` -- the same rewrite with no extra counters:
+  the byte-identical engine behind the classic ``fuse=`` option.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.graph import WorkflowGraph
 from repro.planner.cost import CostModel, profile_graph
+from repro.planner.fusion import fuse_graph
 from repro.planner.plan import Plan, RuleApplication
-from repro.planner.rules import PlanContext, RewriteRule, ChainFusion, default_rules
 from repro.platforms.profiles import LAPTOP, PlatformProfile
 
 #: Upper bound for the numprocesses suggestion (the paper's largest sweep).
@@ -28,16 +27,9 @@ MAX_SUGGESTED_PROCESSES = 16
 
 
 class Planner:
-    """Applies rewrite rules to workflow graphs under a cost model."""
+    """Fuses workflow graphs' chains and prices them under a cost model."""
 
-    def __init__(
-        self,
-        rules: Optional[Iterable[RewriteRule]] = None,
-        annotate: bool = True,
-    ) -> None:
-        self.rules: List[RewriteRule] = (
-            list(rules) if rules is not None else default_rules()
-        )
+    def __init__(self, annotate: bool = True) -> None:
         #: Whether plans stamp planner bookkeeping counters on the run
         #: (``planner_rules``).  The fusion-only shim turns this off so the
         #: classic ``fuse=`` path keeps byte-identical counters.
@@ -49,8 +41,8 @@ class Planner:
 
     @classmethod
     def fusion_only(cls) -> "Planner":
-        """The ``fuse=`` shim: chain fusion alone, no planner annotations."""
-        return cls(rules=[ChainFusion()], annotate=False)
+        """The ``fuse=`` shim: chain fusion without planner annotations."""
+        return cls(annotate=False)
 
     def plan(
         self,
@@ -60,10 +52,13 @@ class Planner:
         prior: Optional[Any] = None,
         platform: PlatformProfile = LAPTOP,
         profile: bool = True,
-        wanted_outputs: Optional[Iterable[str]] = None,
         seed: int = 0,
     ) -> Plan:
         """Plan one workflow graph.
+
+        The rewrite is structural: what fuses never depends on the cost
+        model, which only prices the result (``predicted_costs``,
+        ``suggestions``) for ``repro plan`` to explain.
 
         Parameters
         ----------
@@ -86,9 +81,6 @@ class Planner:
             Run the profiling dry-run when no ``cost`` was given.  With
             ``False`` the model degrades to uniform costs (plus ``prior``
             metrics, if any).
-        wanted_outputs:
-            Results keys (``"<pe>.<port>"``) the caller consumes; enables
-            dead-output elimination.
         seed:
             RNG seed for the profiling dry-run (PEs that draw randomness
             profile deterministically).
@@ -112,64 +104,45 @@ class Planner:
                     source=f"{cost.source}+metrics",
                     sampled=cost.sampled,
                 )
-        ctx = PlanContext(
-            cost=cost,
-            wanted_outputs=(
-                frozenset(wanted_outputs) if wanted_outputs is not None else None
-            ),
+
+        fusion = fuse_graph(graph)
+        current = fusion.graph
+        steps = ()
+        counters: Dict[str, int] = {}
+        if fusion.fused:
+            described = ", ".join("+".join(chain) for chain in fusion.chains)
+            steps = (
+                RuleApplication(
+                    rule="chain_fusion",
+                    detail=f"fused {len(fusion.chains)} chain(s): {described}",
+                ),
+            )
+            counters["fused_chains"] = len(fusion.chains)
+            counters["fused_members"] = sum(len(c) for c in fusion.chains)
+            if self.annotate:
+                counters["planner_rules"] = len(steps)
+
+        tuples = cost.estimated_invocations(
+            current, fusion.rename_inputs({
+                root: len(items) for root, items in (provided or {}).items()
+            }),
         )
-
-        current = graph
-        steps: List[RuleApplication] = []
-        chains: List[tuple] = []
-        member_to_fused: Dict[str, str] = {}
-        for rule in self.rules:
-            result = rule.apply(current, ctx)
-            if result is None:
-                continue
-            current = result.graph
-            steps.append(RuleApplication(rule=rule.name, detail=result.detail))
-            chains.extend(result.chains)
-            member_to_fused.update(result.member_to_fused)
-
-        root_counts = self._root_counts(current, provided, member_to_fused)
-        tuples = cost.estimated_invocations(current, root_counts)
         predicted = {
             name: cost.node_cost(pe) * tuples.get(name, 0.0)
             for name, pe in current.pes.items()
         }
-        counters: Dict[str, int] = {}
-        if chains:
-            counters["fused_chains"] = len(chains)
-            counters["fused_members"] = sum(len(c) for c in chains)
-        if self.annotate and steps:
-            counters["planner_rules"] = len(steps)
         return Plan(
             graph=current,
             original=graph,
-            steps=tuple(steps),
-            chains=tuple(tuple(c) for c in chains),
-            member_to_fused=member_to_fused,
+            steps=steps,
+            chains=fusion.chains,
+            member_to_fused=fusion.member_to_fused,
             cost=cost,
             predicted_costs=predicted,
             estimated_tuples=tuples,
             suggestions=self._suggest(predicted, cost, platform),
             counters=counters,
         )
-
-    @staticmethod
-    def _root_counts(
-        graph: WorkflowGraph,
-        provided: Optional[Dict[str, List[Dict[str, Any]]]],
-        member_to_fused: Dict[str, str],
-    ) -> Dict[str, int]:
-        """Per-root input counts, re-keyed onto the rewritten graph."""
-        counts: Dict[str, int] = {}
-        for root, items in (provided or {}).items():
-            target = member_to_fused.get(root, root)
-            if target in graph.pes:
-                counts[target] = counts.get(target, 0) + len(items)
-        return counts
 
     @staticmethod
     def _suggest(

@@ -66,12 +66,10 @@ class TestCostModel:
         assert model.source == "uniform"
         assert model.cost_of("src") == model.cost_of("d") == 1.0
 
-    def test_replica_clone_falls_back_to_template_cost(self):
+    def test_unmeasured_pe_costs_one_unit(self):
         model = CostModel(
             per_tuple={"mid": 0.25}, selectivity={("mid", "output"): 2.0}
         )
-        assert model.cost_of("mid~sink") == 0.25
-        assert model.out_selectivity("mid~sink", "output") == 2.0
         assert model.cost_of("unknown") == 1.0
 
     def test_from_result_uses_member_attribution(self):

@@ -12,10 +12,11 @@ from repro import Engine, run
 from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import GroupBy
-from repro.core.pe import IterativePE
+from repro.core.pe import IterativePE, reset_auto_names
+from repro.mappings import get_mapping
 from repro.mappings.base import Mapping, normalize_inputs
 from repro.mappings.registry import Capabilities, register_mapping, unregister_mapping
-from repro.planner import Planner
+from repro.planner import CostModel, Planner, fuse_graph
 from repro.workflows import (
     build_internal_extinction_workflow,
     build_sentiment_workflow,
@@ -36,16 +37,27 @@ def _sorted_outputs(result):
     return {key: sorted(map(repr, values)) for key, values in result.outputs.items()}
 
 
-class ReplicableEmit(IterativePE):
-    replicable = True
+def _edges(graph):
+    return [(e.src, e.src_port, e.dst, e.dst_port) for e in graph.edges]
 
+
+#: Catalog workflow -> parameters that keep a run small.
+CATALOG_SIZES = {
+    "galaxy": {},
+    "seismic": {"stations": 4},
+    "seismic2": {"stations": 4},
+    "sentiment": {"articles": 20},
+    "sentiment-recoverable": {"articles": 20},
+    "sentiment-scoring": {"articles": 40},
+}
+
+
+class Relay(IterativePE):
     def _process(self, data):
         return data
 
 
 class KeyedDouble(IterativePE):
-    key_preserving = True
-
     def __init__(self, name=None, instances=2):
         super().__init__(name)
         self.numprocesses = instances
@@ -69,7 +81,7 @@ def _grouped_graph():
 def _fanout_graph():
     g = WorkflowGraph("fanout")
     src = Emit(name="src")
-    mid = ReplicableEmit(name="mid")
+    mid = Relay(name="mid")
     g.connect(src, "output", mid, "input")
     g.connect(mid, "output", Double(name="left"), "input")
     g.connect(mid, "output", AddOne(name="right"), "input")
@@ -100,18 +112,6 @@ class TestPlanner:
         assert plan.graph is g
         assert plan.counters == {}
 
-    def test_rename_inputs_drops_pruned_roots(self):
-        g = WorkflowGraph("doe")
-        src, dead_src = Emit(name="src"), Emit(name="dead_src")
-        g.connect(src, "output", Double(name="keep"), "input")
-        g.connect(dead_src, "output", AddOne(name="dead"), "input")
-        plan = Planner.default().plan(
-            g, profile=False, wanted_outputs={"keep.output"}
-        )
-        provided = {"src": [{"input": 1}], "dead_src": [{"input": 2}]}
-        renamed = plan.rename_inputs(provided)
-        assert set(renamed) == {plan.member_to_fused.get("src", "src")}
-
     def test_suggestions_are_advisory(self):
         graph, inputs = build_sentiment_workflow(articles=20)
         provided = normalize_inputs(graph, inputs)
@@ -129,6 +129,87 @@ class TestPlanner:
             g2, provided={"src": [{"input": 1}]}, prior=prior
         )
         assert plan.cost.source.endswith("+metrics")
+
+    def test_rename_inputs_rekeys_fused_roots_only(self):
+        g = WorkflowGraph("half-fused")
+        a, b = Emit(name="a"), Emit(name="b")
+        d, sink = Double(name="d"), Collect(name="sink")
+        g.connect(a, "output", d, "input")
+        g.connect(d, "output", sink, "input")
+        g.connect(b, "output", sink, "input")
+        plan = Planner.default().plan(g, profile=False)
+        assert plan.chains == (("a", "d"),)
+        provided = {"a": [{"input": 1}], "b": [{"input": 2}]}
+        assert plan.rename_inputs(provided) == {
+            plan.member_to_fused["a"]: [{"input": 1}], "b": [{"input": 2}],
+        }
+
+    def test_estimates_anchor_on_the_fused_root(self):
+        g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
+        provided = {"src": [{"input": i} for i in range(7)]}
+        plan = Planner.default().plan(g, provided=provided, profile=False)
+        assert plan.estimated_tuples == {plan.member_to_fused["src"]: 7.0}
+
+
+def _linear_graph():
+    return linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
+
+
+def _join_graph():
+    g = WorkflowGraph("join")
+    sink = Collect(name="sink")
+    g.connect(Emit(name="a"), "output", sink, "input")
+    g.connect(Emit(name="b"), "output", sink, "input")
+    return g
+
+
+def _stateful_head_graph():
+    return linear_graph(
+        Emit(name="src"), StatefulCounter(name="counter", instances=2),
+        Double(name="d"),
+    )
+
+
+SHAPES = {
+    "linear": _linear_graph,
+    "fanout": _fanout_graph,
+    "grouped": _grouped_graph,
+    "join": _join_graph,
+    "stateful_head": _stateful_head_graph,
+}
+
+
+class TestOneRewrite:
+    """The planner's rewrite is chain fusion, whatever the cost model says:
+    that is why a run may plan without profiling."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_plan_is_fuse_graph_under_any_costs(self, shape):
+        g = SHAPES[shape]()
+        skewed = CostModel(
+            per_tuple={name: 10.0 ** i for i, name in enumerate(g.pes)},
+            selectivity={(name, "output"): 0.0 for name in g.pes},
+        )
+        expected = fuse_graph(g)
+        for plan in (
+            Planner.default().plan(g, profile=False),
+            Planner.default().plan(g, cost=skewed),
+        ):
+            assert plan.chains == expected.chains
+            assert sorted(plan.graph.pes) == sorted(expected.graph.pes)
+            assert _edges(plan.graph) == _edges(expected.graph)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_fusion_only_differs_only_by_planner_rules(self, shape):
+        g = SHAPES[shape]()
+        full = Planner.default().plan(g, profile=False)
+        shim = Planner.fusion_only().plan(g, profile=False)
+        assert (full.steps, full.chains, full.member_to_fused) == (
+            shim.steps, shim.chains, shim.member_to_fused
+        )
+        counters = dict(full.counters)
+        assert counters.pop("planner_rules", 0) == len(full.steps)
+        assert counters == shim.counters
 
 
 class TestExplainPlan:
@@ -162,7 +243,7 @@ class TestExplainPlan:
         g.connect(a, "output", sink, "input")
         g.connect(b, "output", sink, "input")
         text = Planner.default().plan(g, profile=False).explain()
-        assert "rules fired" in text
+        assert "rules fired  : none (no fusable chain)" in text
         assert "chain_fusion" not in text
 
 
@@ -181,7 +262,14 @@ class TestOptimizedEquivalence:
             time_scale=FAST_SCALE, optimize=True,
         )
         assert _sorted_outputs(optimized) == expected
-        assert optimized.counters["planner_rules"] >= 1
+        # The whole 4-PE chain collapsed into one fused operator, with
+        # the planner's counter and per-member attribution intact.
+        assert optimized.counters["fused_chains"] == 1
+        assert optimized.counters["fused_members"] == 4
+        assert optimized.counters["planner_rules"] == 1
+        for member in ("readRaDec", "getVOTable", "filterColumns", "internalExtinction"):
+            assert optimized.counters[f"member_tasks.{member}"] == len(inputs)
+            assert member in optimized.pe_times
 
     @pytest.mark.parametrize("mapping", ("simple", "multi", "hybrid_redis"))
     def test_sentiment(self, mapping):
@@ -201,7 +289,8 @@ class TestOptimizedEquivalence:
 
     @pytest.mark.parametrize("mapping", ("simple", "multi", "hybrid_redis"))
     def test_grouping_corridor(self, mapping):
-        """Partial fusion keeps the GroupBy partitioning bit-for-bit."""
+        """GroupBy hops into pinned multi-instance PEs stay unfused, so the
+        partitioning holds bit-for-bit."""
         items = [(f"k{i % 5}", i) for i in range(25)]
         expected = _sorted_outputs(
             run(_grouped_graph(), inputs=items, mapping="simple",
@@ -214,7 +303,7 @@ class TestOptimizedEquivalence:
         assert _sorted_outputs(optimized) == expected
 
     @pytest.mark.parametrize("mapping", ("simple", "dyn_multi"))
-    def test_fanout_replication(self, mapping):
+    def test_fanout(self, mapping):
         inputs = list(range(20))
         expected = _sorted_outputs(
             run(_fanout_graph(), inputs=inputs, mapping="simple",
@@ -224,8 +313,6 @@ class TestOptimizedEquivalence:
             _fanout_graph(), inputs=inputs, processes=4, mapping=mapping,
             time_scale=FAST_SCALE, optimize=True,
         )
-        # Replication may or may not fire (cost-gated), but outputs are
-        # identical either way -- that is the contract.
         assert _sorted_outputs(optimized) == expected
 
     @pytest.mark.parametrize("mapping", ("simple", *PARALLEL_MAPPINGS))
@@ -247,25 +334,6 @@ class TestOptimizedEquivalence:
         )
         assert _sorted_outputs(optimized) == expected
         assert optimized.counters["fused_chains"] == 1
-
-    def test_dead_output_elimination_under_enactment(self):
-        g = WorkflowGraph("doe")
-        src = Emit(name="src")
-        g.connect(src, "output", Double(name="keep"), "input")
-        g.connect(src, "output", AddOne(name="dead"), "input")
-        plain = run(g, inputs=[1, 2, 3], mapping="simple", time_scale=FAST_SCALE)
-
-        g2 = WorkflowGraph("doe")
-        src2 = Emit(name="src")
-        g2.connect(src2, "output", Double(name="keep"), "input")
-        g2.connect(src2, "output", AddOne(name="dead"), "input")
-        optimized = run(
-            g2, inputs=[1, 2, 3], mapping="simple", time_scale=FAST_SCALE,
-            optimize=True, wanted_outputs=["keep.output"],
-        )
-        # Exactly the wanted key survives, with identical values.
-        assert set(optimized.outputs) == {"keep.output"}
-        assert sorted(optimized.output("keep")) == sorted(plain.output("keep"))
 
     def test_optimize_auto_matches_plain_on_streaming_submit(self):
         """The submit path plans without consuming the (lazy) input."""
@@ -366,50 +434,74 @@ class TestResultReporting:
 
 
 class TestRunPlansAgainstItsInputs:
-    """``repro plan`` and ``repro run --optimize`` read the same plan: the
-    buffered wiring materializes its inputs at prepare time, so the planner
-    profiles against them instead of planning blind."""
+    """A run plans from its graph alone.  Chain fusion reads no costs, so
+    no entry point profiles -- no PE sees a sample tuple before the
+    enactment -- while ``repro plan`` profiles to explain; the catalog
+    guard below holds the profiled and the unprofiled plan to one graph."""
 
-    @staticmethod
-    def _spy_plans(monkeypatch):
+    @pytest.mark.parametrize("mapping", ("simple", "dyn_multi"))
+    @pytest.mark.parametrize("entry", ("run", "execute", "submit"))
+    def test_runs_never_profile(self, monkeypatch, entry, mapping):
+        """``simple`` takes the buffered wiring, ``dyn_multi`` the live one."""
+        import repro.planner.planner as planner_module
+
+        profiled = []
+        profile = planner_module.profile_graph
+
+        def spy(graph, *args, **kwargs):
+            profiled.append(graph.name)
+            return profile(graph, *args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "profile_graph", spy)
+        g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
+        settings = dict(processes=2, time_scale=FAST_SCALE, optimize=True)
+        if entry == "run":
+            result = Engine(mapping=mapping, **settings).run(g, inputs=[1, 2, 3])
+        elif entry == "execute":
+            result = get_mapping(mapping).execute(g, [1, 2, 3], **settings)
+        else:
+            with Engine(mapping=mapping, **settings) as engine:
+                job = engine.submit(g, inputs=[1, 2, 3])
+                job.close_input()
+                result = job.wait(10)
+        assert profiled == []
+        assert sorted(result.output("a")) == [3, 5, 7]
+        assert result.counters["planner_rules"] == 1
+        assert result.counters["fused_members"] == 3
+
+    @pytest.mark.parametrize("workflow", sorted(CATALOG_SIZES))
+    def test_catalog_optimize_enacts_what_fuse_enacts(
+        self, monkeypatch, tmp_path, workflow
+    ):
+        """``optimize`` runs the graph ``fuse`` runs; the counters differ
+        only by ``planner_rules``."""
+        from repro.mappings import base
+        from repro.scheduler.catalog import build_named_workflow
+
         plans = []
-        plan = Planner.plan
+        resolve = base.resolve_plan
 
-        def spy(self, *args, **kwargs):
-            plans.append(plan(self, *args, **kwargs))
+        def spy(*args, **kwargs):
+            plans.append(resolve(*args, **kwargs))
             return plans[-1]
 
-        monkeypatch.setattr(Planner, "plan", spy)
-        return plans
-
-    def test_engine_run_profiles_the_real_inputs(self, monkeypatch):
-        plans = self._spy_plans(monkeypatch)
-        g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
-        Engine(mapping="simple", optimize=True).run(g, inputs=[1, 2, 3])
-        (enacted,) = plans
-        assert enacted.cost.source == "profile" and enacted.cost.sampled == 3
-        # ...which is what `repro plan` does (timings aside).
-        shown = Planner.default().plan(g, provided=normalize_inputs(g, [1, 2, 3]))
-        assert (enacted.steps, enacted.estimated_tuples, enacted.cost.sampled) == (
-            shown.steps, shown.estimated_tuples, shown.cost.sampled
-        )
-
-    def test_streaming_submission_still_plans_blind(self, monkeypatch):
-        """A live submission must not consume its (possibly lazy) inputs."""
-        plans = self._spy_plans(monkeypatch)
-        consumed = []
-
-        def lazy():
-            for item in (1, 2, 3):
-                consumed.append(item)
-                yield item
-
-        g = linear_graph(Emit(name="src"), Double(name="d"))
-        with Engine(mapping="dyn_multi", processes=2, optimize=True,
-                    time_scale=FAST_SCALE) as engine:
-            job = engine.submit(g, inputs=lazy())
-            assert sorted(job.wait(10).output("d")) == [2, 4, 6]
-        assert plans[0].cost.sampled <= 1  # the `{}` probe, never the inputs
+        monkeypatch.setattr(base, "resolve_plan", spy)
+        results = []
+        for option in ("fuse", "optimize"):
+            reset_auto_names()
+            graph, inputs = build_named_workflow(workflow, **CATALOG_SIZES[workflow])
+            for pe in graph.pes.values():
+                if hasattr(pe, "out_dir"):
+                    pe.out_dir = str(tmp_path)
+            engine = Engine(mapping="simple", time_scale=FAST_SCALE, **{option: True})
+            results.append(engine.run(graph, inputs=inputs))
+        fused, optimized = (plan.graph for plan in plans)
+        assert sorted(optimized.pes) == sorted(fused.pes)
+        assert _edges(optimized) == _edges(fused)
+        counters = dict(results[1].counters)
+        assert counters.pop("planner_rules") == 1
+        assert counters == results[0].counters
+        assert _sorted_outputs(results[1]) == _sorted_outputs(results[0])
 
     @pytest.mark.parametrize(
         "workflow",

@@ -154,6 +154,53 @@ class TestConcurrentJobs:
         assert result.counters.get("deploy_warm") == 1
         assert "deploy_cold" not in result.counters
 
+    def test_prewarm_on_a_full_pool_adds_nothing(self):
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=2, pool_size=2) as sched:
+                assert sched.prewarm(MAPPING) == 2
+                assert sched.prewarm(MAPPING) == 0
+                idle = sched._pool_for(MAPPING)._idle
+                assert len(idle) == 2
+                assert all(deployment.pool is not None for deployment in idle)
+
+    def test_prewarm_tops_up_without_tearing_down(self):
+        """A second prewarm adds to the idle deployments the first left."""
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=2, pool_size=2) as sched:
+                assert sched.prewarm(MAPPING, count=1) == 1
+                assert sched.prewarm(MAPPING) == 1
+                idle = sched._pool_for(MAPPING)._idle
+                assert len(idle) == 2
+                assert all(deployment.pool is not None for deployment in idle)
+                result = _batch(sched, _pipeline(), [1]).wait(timeout=30)
+        assert _values(result) == [3]
+        assert result.counters.get("deploy_warm") == 1
+
+    def test_prewarm_on_a_closed_pool_adds_nothing(self):
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=2, pool_size=2) as sched:
+                sched._pool_for(MAPPING).close()
+                assert sched.prewarm(MAPPING) == 0
+
+    def test_pool_closed_mid_deploy_tears_down_the_refused_deployment(
+        self, monkeypatch
+    ):
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=2, pool_size=2) as sched:
+                pool = sched._pool_for(MAPPING)
+                deploy = pool._mapping.deploy
+                refused = []
+
+                def deploy_then_close(*args, **kwargs):
+                    refused.append(deploy(*args, **kwargs))
+                    pool.close()
+                    return refused[-1]
+
+                monkeypatch.setattr(pool._mapping, "deploy", deploy_then_close)
+                assert sched.prewarm(MAPPING) == 0
+        assert len(refused) == 1
+        assert refused[0].pool is None
+
 
 class TestQueueEdges:
     def test_sends_interleave_on_one_warm_deployment(self):

@@ -657,10 +657,10 @@ class StreamWorker:
     def run_until(self, stop: Callable[[], bool]) -> None:
         """Externally shut down: poll until ``stop()`` or a pill.
 
-        The coordinator owns termination (hybrid's staged close), so a
-        starved worker only ever reclaims -- and only while work is
-        outstanding: the counter legitimately stays > 0 between stateful
-        checkpoints and while a stage's close markers are out.
+        The coordinator owns termination (hybrid's staged close), and a
+        starved worker never reclaims: a worker that fails aborts the run,
+        so no dead consumer's entries wait in the PEL, and an adoption could
+        only run a live but slow peer's window a second time.
         """
         empty_streak = 0
         while not stop():
@@ -671,11 +671,5 @@ class StreamWorker:
                     return
                 continue
             empty_streak += 1
-            if (
-                self._reclaim_due(empty_streak)
-                and not self.board.is_drained(self.client)
-                and self.reclaim_stale()
-            ):
-                empty_streak = 0
         # Stopped between two windows: the way out with nothing to settle.
         self._settle([], [], 0, 0.0)

@@ -146,8 +146,7 @@ class TestReclaimEndToEnd:
     @pytest.mark.parametrize("mapping", ["dyn_redis", "dyn_auto_redis", "hybrid_redis"])
     def test_healthy_runs_never_reclaim(self, mapping):
         """With every consumer alive the conservative default threshold must
-        keep reclaim quiet -- no double execution.  hybrid_redis covers the
-        stateless-plane reclaim path."""
+        keep reclaim quiet -- no double execution."""
         g = linear_graph(Emit(name="a"), Double(name="b"))
         result = run(
             g,
@@ -158,3 +157,30 @@ class TestReclaimEndToEnd:
         )
         assert sorted(result.output("b")) == sorted(2 * i for i in range(12))
         assert result.counters.get("reclaimed", 0) == 0
+
+    def test_hybrid_never_adopts_a_slow_peers_window(self):
+        """hybrid_redis's stateless plane does not reclaim at all.  A worker
+        there that fails aborts the run, so every entry in the PEL belongs
+        to a live worker; with envelopes that outlast the idle threshold (a
+        loaded host, here a 1 ms threshold) a starved peer used to adopt
+        them and run them a second time."""
+        g = linear_graph(Emit(name="a"), SlowDouble(name="b"))
+        result = run(
+            g,
+            inputs=list(range(24)),
+            processes=4,
+            mapping="hybrid_redis",
+            time_scale=FAST_SCALE,
+            batch_size=4,
+            reclaim_idle_ms=1.0,
+        )
+        assert sorted(result.output("b")) == sorted(2 * i for i in range(24))
+        assert result.counters.get("reclaimed", 0) == 0
+
+
+class SlowDouble(Double):
+    """``Double`` that holds its worker for 5 ms of real time per tuple."""
+
+    def _process(self, data):
+        time.sleep(0.005)
+        return super()._process(data)

@@ -25,9 +25,10 @@ def _serialized():
 
 
 def test_hybrid_partitioning_ablation(benchmark, capsys):
-    # Equal stateless pools (6 workers each) so the comparison isolates the
-    # stateful plane: partitioned = 6 stateful + 6 stateless of 12;
-    # serialized = 3 stateful + 6 stateless of 9.
+    # Equal stateless pools (7 workers each) so the comparison isolates the
+    # stateful plane: partitioned = 5 pinned + 7 stateless of 12;
+    # serialized = 2 pinned + 7 stateless of 9 (top3Happiest.1, which the
+    # global grouping never feeds, gets no worker in either).
     def once():
         partitioned = run_cell(_partitioned, "hybrid_redis", 12, SERVER, CONFIG)
         serialized = run_cell(_serialized, "hybrid_redis", 9, SERVER, CONFIG)

@@ -5,11 +5,22 @@ The mapping that reconciles dynamic scheduling with stateful applications:
 - **Stateful PE instances are pinned to dedicated processes** holding local
   state and a *private queue* (a Redis list consumed with BLPOP), so
   group-by and global groupings are honoured without any global state
-  synchronisation.
+  synchronisation.  An instance no grouping can feed gets no process: a
+  non-root PE whose every input is exactly ``AllToOne`` (the global
+  grouping) is only ever routed to instance 0, so its other instances --
+  the paper's "static inefficiency" -- are instantiated and preprocessed
+  by the coordinator, which flushes them when their stage closes.
 - **Stateless PEs are scheduled dynamically** by the remaining
-  ``N - #stateful-instances`` processes through the same global Redis
-  stream as ``dyn_redis`` -- with the extra capability of "depositing their
-  outputs into private queues specifically designated for stateful tasks".
+  ``N - #threaded-stateful-instances`` processes through the same global
+  Redis stream as ``dyn_redis`` -- with the extra capability of "depositing
+  their outputs into private queues specifically designated for stateful
+  tasks".
+- **Pinned queues are consumed in windows.**  After a blocking pop hits,
+  the consumer takes up to ``WINDOW_CAP - 1`` more elements in one command
+  (``LPOP key count``; in recoverable mode one ``BLMOVESEQ ... COUNT``
+  moves the whole window into the pending log), runs them in order and
+  settles them once.  A close marker ends a window: the elements ahead of
+  it settle, then the flush.
 
 Termination is staged, and the shared outstanding counter is its only
 proof.  Once the global task pool is drained, stateful PEs are closed in
@@ -59,8 +70,8 @@ batch envelopes on the global stream (as in ``dyn_redis``), and deliveries
 into a private queue are grouped per pinned instance -- one RPUSHSEQ
 element carrying up to ``batch_size`` messages under a **single sequence
 number**, its ``len(batch)`` credits booked by the pipeline that carries
-it.  The consumer BLMOVEs one element per round trip (= up to
-``batch_size`` tuples), and the recovery machinery operates at batch granularity
+it.  The consumer moves up to ``WINDOW_CAP`` elements per round trip (each
+up to ``batch_size`` tuples), and the recovery machinery operates at batch granularity
 throughout: an envelope is one pending-log element (checkpoint trimming is
 untouched), its credits are released all-or-nothing by the checkpoint that
 covers it, and replay dedup compares the envelope's sequence number --
@@ -83,6 +94,7 @@ from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow, Delivery
 from repro.core.exceptions import MappingError
 from repro.core.graph import WorkflowGraph
+from repro.core.groupings import AllToOne
 from repro.mappings.base import (
     EnactmentState,
     Mapping,
@@ -93,6 +105,7 @@ from repro.mappings.base import (
 )
 from repro.mappings.redis_tasks import (
     SEED_FRAME,
+    WINDOW_CAP,
     RedisTaskBoard,
     StreamWorker,
     reclaim_threshold_ms,
@@ -135,8 +148,29 @@ class HybridRedisMapping(Mapping):
 
     @classmethod
     def process_floor(cls, graph: WorkflowGraph) -> int:
-        """Every pinned stateful instance, plus one stateless worker."""
+        """Every pinned stateful instance, plus one stateless worker.
+
+        Instances no grouping can feed (:meth:`fed_instances`) still count:
+        they get no thread, but the floor, and with it admission and
+        ``mapping="auto"`` selection, is the paper's static one.
+        """
         return sum(cls.pinned_instances(graph).values()) + 1
+
+    @classmethod
+    def fed_instances(cls, graph: WorkflowGraph) -> Dict[str, int]:
+        """Pinned instances a tuple can reach, by name: those get a thread.
+
+        A PE that is not a root and whose every input is exactly
+        ``AllToOne`` (matched by type, as the router's direct path is: a
+        subclass may override ``route``) is only ever routed to instance 0;
+        a root's seeds go round-robin over all of its instances.
+        """
+        fed = cls.pinned_instances(graph)
+        for name in fed:
+            edges = graph.in_edges(name)
+            if edges and all(type(graph.effective_grouping(e)) is AllToOne for e in edges):
+                fed[name] = 1
+        return fed
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
         graph = state.graph
@@ -193,9 +227,12 @@ class HybridRedisMapping(Mapping):
         stateful_names = set(pinned)
         allocation = {name: pinned.get(name, 1) for name in graph.pes}
         concrete = ConcreteWorkflow(graph, allocation)
-        n_stateful = sum(pinned.values())
-        stateless_workers = state.processes - n_stateful
-        state.counters.inc("stateful_instances", n_stateful)
+        # Only instances a grouping can feed get a worker; the slots of the
+        # rest go to the stateless plane.
+        threaded = self.fed_instances(graph)
+        n_threaded = sum(threaded.values())
+        stateless_workers = state.processes - n_threaded
+        state.counters.inc("stateful_instances", n_threaded)
         state.counters.inc("stateless_workers", stateless_workers)
 
         def private_key(pe_name: str, index: int) -> str:
@@ -207,8 +244,8 @@ class HybridRedisMapping(Mapping):
         #: pills meant for peers; the event is the peers' pill-independent exit.
         stop = threading.Event()
 
-        def push_private(target, key: str, message: tuple) -> None:
-            """Push one message onto a private queue (client or pipeline).
+        def push_private(target, key: str, *messages: object) -> None:
+            """Push messages onto a private queue (client or pipeline).
 
             The single place that decides plain vs sequence-tagged pushes:
             in recoverable mode every private-queue message -- deliveries,
@@ -216,9 +253,9 @@ class HybridRedisMapping(Mapping):
             number, or the consumer's replay cursor would desynchronize.
             """
             if recovery:
-                target.rpush_seq(key, message)
+                target.rpush_seq(key, *messages)
             else:
-                target.rpush(key, message)
+                target.rpush(key, *messages)
 
         # ------------------------------------------------------ dispatching
         def queue_deliveries(pipe, deliveries: List[Delivery]) -> None:
@@ -237,7 +274,8 @@ class HybridRedisMapping(Mapping):
             Deliveries are grouped whatever the batch size: stateless tasks
             into stream-entry envelopes, private-queue messages per pinned
             instance into envelopes of up to ``batch_size`` (one element, and
-            one seq, each).  An envelope of one is the bare message.
+            one seq, each), all of an instance's envelopes in one push.  An
+            envelope of one is the bare message.
             """
             stateless_tasks: List[tuple] = []
             private: Dict[str, List[tuple]] = {}
@@ -250,9 +288,10 @@ class HybridRedisMapping(Mapping):
                     stateless_tasks.append((d.dst, d.dst_port, d.data))
             board.queue_tasks(pipe, stateless_tasks, batch_size)
             for key, messages in private.items():
-                for chunk in chunked(messages, batch_size):
-                    push_private(pipe, key, as_envelope(chunk))
-                    state.counters.inc("private_puts", len(chunk))
+                push_private(
+                    pipe, key, *(as_envelope(chunk) for chunk in chunked(messages, batch_size))
+                )
+                state.counters.inc("private_puts", len(messages))
 
         def dispatch(pipe, deliveries: List[Delivery]) -> None:
             """A pinned instance's deliveries behind their credit, booked once."""
@@ -446,7 +485,7 @@ class HybridRedisMapping(Mapping):
             (name, idx)
             for name in graph.topological_order()
             if name in stateful_names
-            for idx in range(allocation[name])
+            for idx in range(threaded[name])
         ]
         stateless_threads = [
             threading.Thread(
@@ -488,21 +527,44 @@ class HybridRedisMapping(Mapping):
                 time.sleep(drain_poll)
 
         try:
+            # The instances no grouping feeds live here, on the coordinator:
+            # preprocessed now, flushed when their stage closes.
+            unthreaded = {
+                name: [
+                    instantiate(graph.pe(name), idx, allocation[name], state.ctx)
+                    for idx in range(threaded[name], allocation[name])
+                ]
+                for name in stateful_names
+            }
+            for instances in unthreaded.values():
+                for instance in instances:
+                    instance.preprocess()
             wait_drained()
             # Staged close of the stateful plane in topological order.  Each
             # close marker carries a credit its instance releases with its
             # flush, so a drain after a stage's closes proves the stage
-            # flushed and everything its flush fed ran.
+            # flushed and everything its flush fed ran.  An unthreaded
+            # instance's flush rides in the markers' pipeline, behind the
+            # same booking.
             for name in graph.topological_order():
                 if name not in stateful_names:
                     continue
+                flushed = [
+                    delivery
+                    for instance in unthreaded[name]
+                    for delivery in dispatch_emissions(
+                        concrete, state.collector, name, instance.instance_index,
+                        instance._flush_postprocess(),
+                    )
+                ]
                 pipe = coordinator_client.pipeline()
-                board.book(pipe, allocation[name])
-                for idx in range(allocation[name]):
+                board.book(pipe, threaded[name] + len(flushed))
+                for idx in range(threaded[name]):
                     push_private(pipe, private_key(name, idx), ("close",))
+                queue_deliveries(pipe, flushed)
                 pipe.execute()
                 wait_drained()
-        except MappingError as exc:
+        except Exception as exc:  # noqa: BLE001 - unthreaded instances run PE code here
             state.record_error(exc)
         finally:
             board.put_pills(len(stateless_threads))
@@ -558,8 +620,11 @@ class HybridRedisMapping(Mapping):
         self, state, instance, pe_name, index, *,
         client, key, board, policy, stop, dispatch, concrete,
     ) -> bool:
-        """Non-recoverable consumption: destructive BLPOP, per-element decr.
+        """Non-recoverable consumption in windows: a destructive BLPOP, then
+        ``LPOP key count`` for up to ``WINDOW_CAP - 1`` more, settled once.
 
+        A private queue has one consumer and nothing reclaims it, so the
+        window needs no sizing: whatever queued behind the hit runs now.
         Returns whether the instance consumed its close marker; ``False``
         means ``stop`` ended it first.
         """
@@ -568,18 +633,27 @@ class HybridRedisMapping(Mapping):
             hit = client.blpop(key, timeout=timeout)
             if hit is None:
                 continue
-            _key, item = hit
-            if self._is_close(item):
-                return True
-            deliveries = self._invoke_element(
-                state, instance, pe_name, index, item, concrete=concrete
-            )
-            # One pipelined round trip: children + completion.  The element
+            window = [hit[1], *(client.lpop(key, WINDOW_CAP - 1) or ())]
+            deliveries: List[Delivery] = []
+            credits = 0
+            closed = False
+            for item in window:
+                if self._is_close(item):
+                    closed = True
+                    break
+                deliveries.extend(
+                    self._invoke_element(state, instance, pe_name, index, item, concrete=concrete)
+                )
+                credits += batch_len(item)
+            # One pipelined round trip: children + completion.  Each element
             # carries one credit per tuple it batched; release them all.
-            pipe = client.pipeline()
-            dispatch(pipe, deliveries)
-            pipe.decrby(board.counter_key, batch_len(item))
-            pipe.execute()
+            if credits:
+                pipe = client.pipeline()
+                dispatch(pipe, deliveries)
+                pipe.decrby(board.counter_key, credits)
+                pipe.execute()
+            if closed:
+                return True
         return False
 
     def _run_recoverable(
@@ -595,13 +669,20 @@ class HybridRedisMapping(Mapping):
         lose a credited delivery, and the coordinator's drain proof remains
         exact across crashes and re-pins.
 
+        Elements are consumed in windows: one ``BLMOVESEQ ... COUNT``
+        moves up to ``WINDOW_CAP`` of them -- and never more than the
+        checkpoint interval has room for -- into the pending log atomically,
+        they run in order, and one pipeline dispatches their children.  The
+        checkpoint test runs at the window boundary, so a checkpoint only
+        ever covers elements whose children are booked.
+
         Batched elements keep every invariant at batch granularity: one
         pending-log element = one sequence number = ``len(batch)`` credits,
         applied/deduplicated/released as a unit.  The checkpoint interval
         counts *tuples* (credits), so ``checkpoint_interval=N`` still bounds
         the replay window to ~N deliveries regardless of envelope size; an
-        envelope is never split across a checkpoint -- the interval firing
-        mid-batch checkpoints right after the element completes.
+        envelope is never split across a checkpoint -- the interval filling
+        mid-window checkpoints right after the window completes.
 
         Returns whether the instance consumed its close marker.  Only then
         does it take the final checkpoint: an instance ended by ``stop``
@@ -644,28 +725,44 @@ class HybridRedisMapping(Mapping):
             uncommitted_credits = 0
             state.counters.inc("checkpoints")
 
-        def process(seq: int, item) -> None:
+        def process(window) -> bool:
+            """Run a window of pending-log entries in order, then dispatch
+            their children in one pipeline; ``True`` if the close marker
+            ended it."""
             nonlocal last_seq, uncommitted_entries, uncommitted_credits
-            uncommitted_entries += 1
-            uncommitted_credits += batch_len(item)
-            if seq <= last_seq:
-                # Already reflected in the restored snapshot: skip the state
-                # mutation, but keep the element in this commit window so
-                # its credits are released by the next checkpoint.  Dedup is
-                # exact at batch granularity because the element was applied
-                # atomically under one seq before the snapshot covered it.
-                state.counters.inc("deduplicated", batch_len(item))
-                return
-            deliveries = self._invoke_element(
-                state, instance, pe_name, index, item,
-                concrete=concrete, injector=injector,
-            )
-            pipe = client.pipeline()
-            dispatch(pipe, deliveries)
-            pipe.execute()
-            last_seq = seq
-            if injector is not None:
-                injector.maybe_crash(iid, "post-dispatch")
+            deliveries: List[Delivery] = []
+            applied = None
+            closed = False
+            for seq, item in window:
+                if self._is_close(item):
+                    closed = True
+                    break
+                uncommitted_entries += 1
+                uncommitted_credits += batch_len(item)
+                if seq <= last_seq:
+                    # Already reflected in the restored snapshot: skip the
+                    # state mutation, but keep the element in this commit
+                    # window so its credits are released by the next
+                    # checkpoint.  Dedup is exact at batch granularity
+                    # because the element was applied atomically under one
+                    # seq before the snapshot covered it.
+                    state.counters.inc("deduplicated", batch_len(item))
+                    continue
+                deliveries.extend(
+                    self._invoke_element(
+                        state, instance, pe_name, index, item,
+                        concrete=concrete, injector=injector,
+                    )
+                )
+                applied = seq
+            if applied is not None:
+                pipe = client.pipeline()
+                dispatch(pipe, deliveries)
+                pipe.execute()
+                last_seq = applied
+                if injector is not None:
+                    injector.maybe_crash(iid, "post-dispatch")
+            return closed
 
         # Replay what a crashed predecessor left behind: every entry still
         # in the pending log holds an unreleased credit, whether or not its
@@ -674,27 +771,27 @@ class HybridRedisMapping(Mapping):
         backlog = client.lrange_seq(pending_key)
         if backlog:
             state.counters.inc("replayed", sum(batch_len(item) for _s, item in backlog))
-        for seq, item in backlog:
-            if self._is_close(item):
-                closed = True
+        for window in chunked(backlog, WINDOW_CAP):
+            closed = process(window)
+            if closed:
                 break
-            process(seq, item)
         if backlog:
             checkpoint()
 
         while not closed and not stop.is_set():
-            hit = client.blmove_seq(key, pending_key, timeout=timeout)
-            if hit is None:
+            # A window never runs past the checkpoint interval: it still
+            # bounds what a crash replays.
+            room = max(1, checkpoint_interval - uncommitted_credits)
+            window = client.blmove_seq(
+                key, pending_key, timeout=timeout, count=min(WINDOW_CAP, room)
+            )
+            if window is None:
                 # Idle: commit stragglers so the drain proof can complete
                 # even when the stream ends mid-interval.
                 checkpoint()
                 continue
-            seq, item = hit
-            if self._is_close(item):
-                closed = True
-                break
-            process(seq, item)
-            if uncommitted_credits >= checkpoint_interval:
+            closed = process(window)
+            if not closed and uncommitted_credits >= checkpoint_interval:
                 checkpoint()
         if closed:
             checkpoint()

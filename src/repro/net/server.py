@@ -335,13 +335,22 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         return ks.rpushseq(_s(args[0]), *args[1:])
 
     def blmoveseq(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
-        # BLMOVESEQ source destination timeout (0 blocks forever).
+        # BLMOVESEQ source destination timeout [COUNT n] (0 blocks forever);
+        # with COUNT, a list of [seq, value] pairs.
         arity(args, 3, "BLMOVESEQ")
-        hit = ks.blmove(_s(args[0]), _s(args[1]), _timeout(_f(args[2])), cancelled)
+        count = None
+        if len(args) > 3:
+            if len(args) != 5 or args[3].upper() != b"COUNT":
+                raise RedisError("syntax error in 'blmoveseq'")
+            count = _i(args[4])
+        hit = ks.blmove(
+            _s(args[0]), _s(args[1]), _timeout(_f(args[2])), cancelled, count=count
+        )
         if hit is None:
             return NIL_ARRAY
-        seq, value = hit
-        return [seq, _value_bytes(value)]
+        if count is None:
+            return [hit[0], _value_bytes(hit[1])]
+        return [[seq, _value_bytes(value)] for seq, value in hit]
 
     def lrangeseq(args: List[bytes]) -> Any:
         arity(args, 3, "LRANGESEQ")

@@ -397,15 +397,21 @@ class RedisClient:
         return self._call("rpushseq", key, *(self._enc(v) for v in values))
 
     def blmove_seq(
-        self, source: str, destination: str, timeout: Optional[float] = None
-    ) -> Optional[Tuple[int, Any]]:
+        self, source: str, destination: str, timeout: Optional[float] = None,
+        count: Optional[int] = None,
+    ) -> Any:
         """Blocking move of one sequenced entry; returns ``(seq, value)``.
 
         The raw ``(seq, blob)`` pair lands on ``destination`` untouched, so
         a recovering consumer replaying ``destination`` sees exactly what
-        was delivered (see :meth:`lrange_seq`).
+        was delivered (see :meth:`lrange_seq`).  With ``count`` (at least 1)
+        up to that many entries move in one atomic step, answered as a list
+        of ``(seq, value)`` pairs; ``None`` on timeout either way.
         """
-        return self._dec_hit(self._call("blmove", source, destination, timeout=timeout))
+        if count is None:
+            return self._dec_hit(self._call("blmove", source, destination, timeout=timeout))
+        moved = self._call("blmove", source, destination, timeout=timeout, count=count)
+        return None if moved is None else [self._dec_hit(entry) for entry in moved]
 
     def lrange_seq(self, key: str, start: int = 0, end: int = -1) -> List[Tuple[int, Any]]:
         """LRANGE over a sequenced list, decoding to ``(seq, value)`` pairs."""

@@ -343,6 +343,7 @@ class RedisServer:
         destination: str,
         timeout: Optional[float] = None,
         cancelled: Optional[Callable[[], bool]] = None,
+        count: Optional[int] = None,
     ) -> Any:
         """Blocking ``LMOVE source destination LEFT RIGHT``; ``None`` on timeout.
 
@@ -350,17 +351,26 @@ class RedisServer:
         ``destination`` -- the reliable-queue idiom (redis.io: pattern behind
         ``BLMOVE``): the element is never in limbo, so a consumer that dies
         mid-processing leaves it recoverable on ``destination``.
+
+        With ``count`` (at least 1, as ``BLMPOP``'s) the same step moves up
+        to ``count`` elements, in order, once ``source`` is non-empty, and
+        answers them as a list.
         """
+        if count is not None and not _is_int(count, 1):
+            raise RedisError(f"count must be an integer >= 1, got {count!r}")
         deadline = self._now() + timeout if timeout else None
         with self._cond:
             self._count("blmove")
             while True:
                 lst = self._get_typed(source, _TYPE_LIST)
                 if lst:
-                    value = self._pop(source, left=True)
-                    self._list_for_write(destination).append(value)
+                    moved = [
+                        self._pop(source, left=True)
+                        for _ in range(1 if count is None else min(count, len(lst)))
+                    ]
+                    self._list_for_write(destination).extend(moved)
                     self._cond.notify_all()
-                    return value
+                    return moved[0] if count is None else moved
                 if not self._park(deadline, cancelled):
                     return None
 

@@ -5,10 +5,27 @@ import threading
 import pytest
 
 from repro import run
+from repro.core.concrete import ConcreteWorkflow
+from repro.core.context import ExecutionContext
 from repro.core.exceptions import InsufficientProcessesError, MappingError
 from repro.core.graph import WorkflowGraph
+from repro.core.groupings import AllToOne
 from repro.core.pe import GenericPE
-from repro.state import CrashInjector
+from repro.mappings.base import (
+    Counters,
+    EnactmentState,
+    ResultsCollector,
+    instantiate,
+)
+from repro.mappings.hybrid import HybridRedisMapping
+from repro.mappings.redis_tasks import RedisTaskBoard
+from repro.mappings.termination import TerminationPolicy
+from repro.platforms.profiles import LAPTOP
+from repro.redisim.client import RedisClient
+from repro.redisim.server import RedisServer
+from repro.runtime.accounting import ActivityMeter
+from repro.state import CrashInjector, RedisSnapshotStore
+from repro.workflows import build_sentiment_workflow
 from tests.conftest import (
     AddOne,
     Double,
@@ -144,3 +161,225 @@ class TestHybridStatefulRoot:
             if isinstance(item, tuple) and item and item[0] == "count"
         )
         assert counts == [3, 3]
+
+
+# --------------------------------------------- instances no grouping can feed
+class GlobalTally(GenericPE):
+    """Global-grouped (``AllToOne``) aggregate whose flush always emits,
+    fed or not: ``(instance index, inputs seen)``."""
+
+    def __init__(self, name="tally", instances=2, grouping="global"):
+        super().__init__(name)
+        self._add_input(self.INPUT_NAME, grouping=grouping)
+        self._add_output(self.OUTPUT_NAME)
+        self.numprocesses = instances
+        self.seen = 0
+
+    def process(self, inputs):
+        self.seen += 1
+
+    def postprocess(self):
+        self.write(self.OUTPUT_NAME, (self.instance_index, self.seen))
+
+
+class Spread(AllToOne):
+    """An ``AllToOne`` subclass that overrides ``route``: it reaches every
+    instance, so matching by ``isinstance`` would starve instance 1."""
+
+    def route(self, data, n_instances, state):
+        return [data % n_instances]
+
+
+def _started_threads(monkeypatch):
+    """Names of every thread started from here on."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def _top3(result):
+    [rows] = result.output("top3Happiest", "top3")
+    return [(state, round(mean, 9), count) for state, mean, count in rows]
+
+
+class TestUnfedInstancesGetNoThread:
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"checkpoint_interval": 2}, {"batch_size": 3}],
+        ids=["plain", "checkpoint", "batch3"],
+    )
+    def test_sentiment_frees_the_top3_slot(self, monkeypatch, options):
+        graph, inputs = build_sentiment_workflow(articles=24)
+        expected = _top3(run(graph, inputs=inputs, mapping="simple", time_scale=FAST_SCALE))
+        started = _started_threads(monkeypatch)
+        result = _run_hybrid(graph, inputs, 8, **options)
+        assert result.counters["stateful_instances"] == 5
+        assert result.counters["stateless_workers"] == 3
+        assert "hybrid-stateful-top3Happiest.0" in started
+        assert "hybrid-stateful-top3Happiest.1" not in started
+        assert sum(name.startswith("hybrid-stateless-") for name in started) == 3
+        assert _top3(result) == expected
+        # The paper's floor, and with it admission, does not move.
+        assert HybridRedisMapping.process_floor(graph) == 7
+
+    def test_unfed_flush_is_reported_and_routed(self):
+        """The coordinator flushes the unthreaded instance: its emission is
+        routed on, and the stateful stage behind it closes after it."""
+        g = WorkflowGraph("unfed")
+        src = Emit(name="src")
+        tally = GlobalTally(instances=2)
+        relabel = Emit(name="relabel")
+        counter = StatefulCounter(name="counter", instances=2)
+        g.connect(src, "output", tally, "input")
+        g.connect(tally, "output", relabel, "input")
+        g.connect(relabel, "output", counter, "input")
+        result = _run_hybrid(g, list(range(5)), 5)
+        assert result.counters["stateful_instances"] == 3  # tally.0 + counter.0/1
+        # One flush from each tally instance, keyed by its index, counted.
+        assert sorted(result.output("counter")) == [(0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("options", [{}, {"checkpoint_interval": 2}], ids=["plain", "checkpoint"])
+    def test_unfed_flush_emits_as_a_pinned_one_did(self, options):
+        g = linear_graph(Emit(name="src"), GlobalTally(instances=3))
+        result = _run_hybrid(g, list(range(4)), 4, **options)
+        assert result.counters["stateful_instances"] == 1
+        assert result.counters["stateless_workers"] == 3
+        # One flush per instance, fed or not -- as when each had a thread.
+        assert sorted(result.output("tally")) == [(0, 4), (1, 0), (2, 0)]
+
+    def test_a_global_root_keeps_every_instance(self):
+        """A root's seeds go round-robin over all of its instances."""
+        g = linear_graph(GlobalTally(instances=2), Emit(name="sink"))
+        result = _run_hybrid(g, [None] * 4, 3)
+        assert result.counters["stateful_instances"] == 2
+        assert sorted(result.output("sink")) == [(0, 2), (1, 2)]
+
+    def test_a_mixed_input_pe_keeps_every_instance(self):
+        g = WorkflowGraph("mixed")
+        left, right = Emit(name="left"), Emit(name="right")
+        both = GlobalTally(instances=2)
+        both._add_input("keyed", grouping=[0])
+        g.connect(left, "output", both, "input")
+        g.connect(right, "output", both, "keyed")
+        result = _run_hybrid(g, {"left": [1, 2], "right": [("a", 1), ("b", 2)]}, 4)
+        assert result.counters["stateful_instances"] == 2
+        assert result.counters["stateless_workers"] == 2
+
+    def test_an_overriding_alltoone_subclass_keeps_every_instance(self):
+        g = linear_graph(Emit(name="src"), GlobalTally(instances=2, grouping=Spread()))
+        result = _run_hybrid(g, [0, 1, 2, 3, 5], 3)
+        assert result.counters["stateful_instances"] == 2
+        assert sorted(result.output("tally")) == [(0, 2), (1, 3)]
+
+
+# ------------------------------------------------------ windowed consumption
+class Accumulate(GenericPE):
+    """A single-instance stateful root that keeps every input it applied."""
+
+    def __init__(self, name="acc"):
+        super().__init__(name)
+        self._add_input(self.INPUT_NAME)
+        self._add_output(self.OUTPUT_NAME)
+        self.stateful = True
+        self.numprocesses = 1
+        self.applied = []
+
+    def process(self, inputs):
+        self.applied.append(inputs[self.INPUT_NAME])
+
+    def postprocess(self):
+        self.write(self.OUTPUT_NAME, sorted(self.applied))
+
+
+def _consumer(graph, pe_name, server, messages, *, recovery=False):
+    """One pinned instance's consumption loop wired by hand around a queue
+    already holding ``messages`` (their credits booked)."""
+    ctx = ExecutionContext()
+    state = EnactmentState(
+        graph=graph, provided={}, processes=2, ctx=ctx, platform=LAPTOP,
+        meter=ActivityMeter(ctx.clock), collector=ResultsCollector(),
+        counters=Counters(), options={},
+    )
+    client = RedisClient(server)
+    board = RedisTaskBoard(client, namespace="t")
+    board.setup()
+    key = "t:private"
+    if recovery:
+        client.rpush_seq(key, *messages)
+    else:
+        client.rpush(key, *messages)
+    client.incrby(board.counter_key, len(messages))
+    instance = instantiate(graph.pe(pe_name), 0, 1, ctx)
+    wiring = dict(
+        client=client, key=key, board=board,
+        policy=TerminationPolicy(poll_interval=0.005), stop=threading.Event(),
+        dispatch=lambda pipe, deliveries: board.book(pipe, len(deliveries)),
+        concrete=ConcreteWorkflow(graph, {name: 1 for name in graph.pes}),
+    )
+    return state, instance, board, wiring
+
+
+class TestPinnedWindows:
+    def test_a_backlog_settles_in_at_most_two_pipelines(self):
+        """8 elements queued before the instance starts run as one window
+        (BLPOP + LPOP 7): at most two settles, where one per element was."""
+        server = RedisServer()
+        g = WorkflowGraph("window")
+        g.add(Accumulate())
+        result = _run_hybrid(g, list(range(8)), 2, redis_server=server)
+        assert result.output("acc") == [list(range(8))]
+        counts = server.command_count
+        assert counts["lpop"] >= 1
+        # ``decrby`` tallies as ``incrby``: 8 seed credits, the close
+        # marker's credit and its release at the flush are the rest.
+        settles = counts["incrby"] - 8 - 2
+        assert 1 <= settles <= 2, counts
+
+    @pytest.mark.parametrize("recovery", [False, True], ids=["plain", "recoverable"])
+    def test_a_close_marker_ends_its_window(self, recovery):
+        """Elements ahead of the marker run and settle; the marker's credit
+        is all that is left, for the flush that follows."""
+        server = RedisServer()
+        graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
+        data = [("data", "input", item) for item in [("a", 1), ("b", 2), ("a", 3)]]
+        state, instance, board, wiring = _consumer(
+            graph, "counter", server, [*data, ("close",)], recovery=recovery
+        )
+        mapping = HybridRedisMapping()
+        if recovery:
+            closed = mapping._run_recoverable(
+                state, instance, "counter", 0, **wiring,
+                store=RedisSnapshotStore(wiring["client"], namespace="t"),
+                checkpoint_interval=25, injector=None, trace=None,
+            )
+        else:
+            closed = mapping._run_plain(state, instance, "counter", 0, **wiring)
+        assert closed
+        assert instance.counts == {"a": 2, "b": 1}
+        assert board.outstanding() == 1
+        assert server.exists("t:private") == 0
+        # One window: one pop of the queue, one release of three credits.
+        pops = server.command_count.get("blmove" if recovery else "blpop")
+        assert pops == 1
+        assert instance._flush_postprocess() == [("output", ("a", 2)), ("output", ("b", 1))]
+
+    def test_a_crash_mid_window_replays_each_element_once(self):
+        """Crash after the 3rd element of an 8-element window applied its
+        state: the whole window is in the pending log, the replay applies
+        every element exactly once, and the run drains."""
+        g = WorkflowGraph("window")
+        g.add(Accumulate())
+        injector = CrashInjector({"acc.0": 3}, point="post-process")
+        result = _run_hybrid(g, list(range(8)), 2, crash_injector=injector)
+        assert result.output("acc") == [list(range(8))]
+        assert result.counters["crashes"] == 1
+        assert result.counters["respawns"] == 1
+        assert result.counters["replayed"] == 8
+        assert result.counters["stateful_tasks"] == 3 + 8
+        assert _hybrid_threads() == []

@@ -397,6 +397,38 @@ class TestHostileNumbers:
         assert talk("LPOP", "q", "9") is None  # no key: nil, as Redis >= 6.2
         assert talk("LPOP", "q") is None
 
+    @pytest.mark.parametrize("count", ["-1", "0", "1_0", " 2 ", "two", "1.5"])
+    def test_hostile_blmoveseq_count_moves_nothing(self, server, talk, count):
+        from repro.net.resp import ErrorReply
+
+        assert talk("RPUSHSEQ", "q", "a", "b") == [1, 2]
+        reply = talk("BLMOVESEQ", "q", "q:log", "0.01", "COUNT", count)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert talk("PING") == "PONG"
+        assert server.keyspace.llen("q") == 2
+        assert server.keyspace.llen("q:log") == 0
+
+    @pytest.mark.parametrize(
+        "tail", [("COUNT",), ("LIMIT", "2"), ("COUNT", "2", "COUNT", "3")], ids=" ".join
+    )
+    def test_malformed_blmoveseq_options_are_an_error(self, talk, tail):
+        from repro.net.resp import ErrorReply
+
+        assert talk("RPUSHSEQ", "q", "a") == [1]
+        reply = talk("BLMOVESEQ", "q", "q:log", "0.01", *tail)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert talk("LLEN", "q") == 1
+
+    def test_blmoveseq_with_a_count_is_one_atomic_move(self, talk):
+        assert talk("RPUSHSEQ", "q", "a", "b", "c") == [1, 2, 3]
+        assert talk("BLMOVESEQ", "q", "q:log", "0.01", "COUNT", "2") == [
+            [1, b"a"], [2, b"b"],
+        ]
+        assert talk("BLMOVESEQ", "q", "q:log", "0.01", "count", "9") == [[3, b"c"]]
+        assert talk("BLMOVESEQ", "q", "q:log", "0.01", "COUNT", "9") is None  # timeout: nil
+        assert talk("LRANGESEQ", "q:log", "0", "-1") == [[1, b"a"], [2, b"b"], [3, b"c"]]
+        assert talk("BLMOVESEQ", "q:log", "q", "0.01") == [1, b"a"]  # no COUNT: one pair
+
     def test_valid_numbers_still_parse(self, talk):
         assert talk("INCRBY", "c", "-5") == -5
         assert talk("BLPOP", "k", "0.01") is None

@@ -255,6 +255,14 @@ class TestRedisimExtensions:
         both(a, b, k("q"), lambda c, key: c.lrange_seq(key + ":log"))
         both(a, b, k("q"), lambda c, key: c.rpush_seq(key, "z"))  # seq survives emptying
 
+    def test_sequenced_lists_move_in_windows(self, transports):
+        a, b, k = transports
+        both(a, b, k("q"), lambda c, key: c.rpush_seq(key, "x", {"y": 2}, 3))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.1, count=2))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.1, count=2))
+        both(a, b, k("q"), lambda c, key: c.blmove_seq(key, key + ":log", timeout=0.05, count=2))
+        both(a, b, k("q"), lambda c, key: c.lrange_seq(key + ":log"))
+
     def test_snapshot_restore(self, transports):
         a, b, k = transports
         both(a, b, k("cp"), lambda c, key: c.snapshot(key, "pe-0", 2, {"total": 5}))

@@ -8,6 +8,7 @@ import pytest
 
 from repro.redisim import RedisClient, RedisServer
 from repro.redisim.errors import ConnectionError as RedisConnectionError
+from repro.redisim.errors import RedisError
 
 
 @pytest.fixture
@@ -101,6 +102,48 @@ class TestBlmove:
         RedisClient(server).rpush_seq("src", "hello")
         thread.join(timeout=2.0)
         assert results == [(1, "hello")]
+
+
+class TestBlmoveCount:
+    """``BLMOVESEQ ... COUNT n``: a window of entries enters the log at once."""
+
+    def test_moves_up_to_count_in_order(self, server, client):
+        client.rpush_seq("src", "a", "b", "c")
+        assert client.blmove_seq("src", "dst", timeout=0.1, count=2) == [(1, "a"), (2, "b")]
+        assert client.blmove_seq("src", "dst", timeout=0.1, count=9) == [(3, "c")]
+        assert client.lrange_seq("dst") == [(1, "a"), (2, "b"), (3, "c")]
+        assert server.exists("src") == 0
+        # One command per window, however many entries it moved.
+        assert server.command_count["blmove"] == 2
+
+    def test_timeout_returns_none(self, client):
+        assert client.blmove_seq("src", "dst", timeout=0.01, count=4) is None
+
+    def test_wakes_on_push_and_takes_what_queued(self, server, client):
+        results = []
+
+        def consumer():
+            results.append(client.blmove_seq("src", "dst", timeout=2.0, count=8))
+
+        thread = threading.Thread(target=consumer, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        RedisClient(server).rpush_seq("src", "x", "y")
+        thread.join(timeout=2.0)
+        assert results == [[(1, "x"), (2, "y")]]
+
+    def test_same_source_and_destination_rotates(self, client):
+        client.rpush_seq("q", "a", "b")
+        assert client.blmove_seq("q", "q", timeout=0.1, count=2) == [(1, "a"), (2, "b")]
+        assert client.lrange_seq("q") == [(1, "a"), (2, "b")]
+
+    @pytest.mark.parametrize("count", [-1, 0, "2", 1.0, True])
+    def test_hostile_count_moves_nothing(self, server, count):
+        server.rpushseq("src", "a", "b")
+        with pytest.raises(RedisError):
+            server.blmove("src", "dst", timeout=0.01, count=count)
+        assert server.llen("src") == 2
+        assert server.exists("dst") == 0
 
 
 class TestLtrim:

@@ -368,6 +368,7 @@ class HybridRedisMapping(Mapping):
                         state, instance, pe_name, index, **consumer,
                         store=store_for(client),
                         checkpoint_interval=checkpoint_interval,
+                        batch_size=batch_size,
                         injector=injector,
                         trace=trace,
                     )
@@ -659,7 +660,7 @@ class HybridRedisMapping(Mapping):
     def _run_recoverable(
         self, state, instance, pe_name, index, *,
         client, key, board, policy, stop, dispatch, concrete,
-        store, checkpoint_interval, injector, trace,
+        store, checkpoint_interval, batch_size, injector, trace,
     ) -> bool:
         """Checkpointed consumption: BLMOVE into a pending log, sequence
         dedup, interval/idle checkpoints that release credits in bulk.
@@ -670,19 +671,21 @@ class HybridRedisMapping(Mapping):
         exact across crashes and re-pins.
 
         Elements are consumed in windows: one ``BLMOVESEQ ... COUNT``
-        moves up to ``WINDOW_CAP`` of them -- and never more than the
-        checkpoint interval has room for -- into the pending log atomically,
+        moves up to ``WINDOW_CAP`` of them into the pending log atomically,
         they run in order, and one pipeline dispatches their children.  The
         checkpoint test runs at the window boundary, so a checkpoint only
         ever covers elements whose children are booked.
 
         Batched elements keep every invariant at batch granularity: one
-        pending-log element = one sequence number = ``len(batch)`` credits,
-        applied/deduplicated/released as a unit.  The checkpoint interval
-        counts *tuples* (credits), so ``checkpoint_interval=N`` still bounds
-        the replay window to ~N deliveries regardless of envelope size; an
-        envelope is never split across a checkpoint -- the interval filling
-        mid-window checkpoints right after the window completes.
+        pending-log element = one sequence number = up to ``batch_size``
+        credits, applied/deduplicated/released as a unit.  The checkpoint
+        interval counts *tuples* (credits), and a window takes no more
+        elements than the interval's remaining room holds at ``batch_size``
+        tuples each (at least one), so what a crash replays stays below
+        ``checkpoint_interval + batch_size`` tuples whatever the envelope
+        size; an envelope is never split across a checkpoint -- the
+        interval filling mid-window checkpoints right after the window
+        completes.
 
         Returns whether the instance consumed its close marker.  Only then
         does it take the final checkpoint: an instance ended by ``stop``
@@ -779,11 +782,11 @@ class HybridRedisMapping(Mapping):
             checkpoint()
 
         while not closed and not stop.is_set():
-            # A window never runs past the checkpoint interval: it still
-            # bounds what a crash replays.
-            room = max(1, checkpoint_interval - uncommitted_credits)
+            # A window overshoots the checkpoint interval by less than one
+            # envelope: it still bounds what a crash replays.
+            room = (checkpoint_interval - uncommitted_credits) // batch_size
             window = client.blmove_seq(
-                key, pending_key, timeout=timeout, count=min(WINDOW_CAP, room)
+                key, pending_key, timeout=timeout, count=max(1, min(WINDOW_CAP, room))
             )
             if window is None:
                 # Idle: commit stragglers so the drain proof can complete

@@ -356,7 +356,7 @@ class TestPinnedWindows:
             closed = mapping._run_recoverable(
                 state, instance, "counter", 0, **wiring,
                 store=RedisSnapshotStore(wiring["client"], namespace="t"),
-                checkpoint_interval=25, injector=None, trace=None,
+                checkpoint_interval=25, batch_size=1, injector=None, trace=None,
             )
         else:
             closed = mapping._run_plain(state, instance, "counter", 0, **wiring)
@@ -382,4 +382,23 @@ class TestPinnedWindows:
         assert result.counters["respawns"] == 1
         assert result.counters["replayed"] == 8
         assert result.counters["stateful_tasks"] == 3 + 8
+        assert _hybrid_threads() == []
+
+    @pytest.mark.parametrize("crash_after", [3, 5, 11])
+    def test_a_batched_window_stays_inside_the_checkpoint_interval(self, crash_after):
+        """Envelopes of 3 against an interval of 4: a window takes no more
+        envelopes than the interval has room for, so a crash replays at
+        most ``interval + batch_size - 1`` tuples.  Sized in elements
+        against a room in tuples, the first window would move 4 envelopes,
+        12 tuples."""
+        g = WorkflowGraph("window")
+        g.add(Accumulate())
+        injector = CrashInjector({"acc.0": crash_after}, point="post-process")
+        result = _run_hybrid(
+            g, list(range(24)), 2,
+            crash_injector=injector, checkpoint_interval=4, batch_size=3,
+        )
+        assert result.output("acc") == [list(range(24))]
+        assert result.counters["crashes"] == 1
+        assert 1 <= result.counters["replayed"] <= 4 + 3 - 1
         assert _hybrid_threads() == []

@@ -12,8 +12,9 @@ method table.  ``repro.net`` puts a real socket in the middle:
 - :mod:`repro.net.server` -- :class:`~repro.net.server.RespTCPServer`, a
   threaded TCP front-end mapping RESP command arrays onto an existing
   :class:`~repro.redisim.server.RedisServer` keyspace, including the
-  blocking commands (``BLPOP``, blocking ``XREAD``/``XREADGROUP``) without
-  holding the keyspace lock across the wire.
+  blocking commands (``BLPOP``, ``BLMOVESEQ``, blocking ``XREADGROUP``)
+  without holding the keyspace lock across the wire.  It serves exactly
+  the commands :mod:`repro.redisim` lists; any other verb answers ``-ERR``.
 - :mod:`repro.net.client` -- the socket transport of the one command
   facade, :class:`~repro.redisim.client.RedisClient`:
   :class:`~repro.net.client.ConnectionPool` (pooled TCP connections with

@@ -45,7 +45,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.net.resp import INCOMPLETE, ErrorReply, RespDecoder, encode_command
 from repro.redisim.client import Command, Flight, RedisClient, Transport
@@ -91,13 +91,8 @@ def _blmove(
     return words if count is None else [*words, "COUNT", count]
 
 
-def _xadd(
-    key: str, fields: Dict[str, Any], entry_id: str = "*", maxlen: Optional[int] = None
-) -> List[Any]:
-    words: List[Any] = ["XADD", key]
-    if maxlen is not None:
-        words += ["MAXLEN", maxlen]
-    words.append(entry_id)
+def _xadd(key: str, fields: Dict[str, Any], entry_id: str = "*") -> List[Any]:
+    words: List[Any] = ["XADD", key, entry_id]
     for field, value in fields.items():
         words += [field, value]
     return words
@@ -112,32 +107,16 @@ def _xrange(
     return words
 
 
-def _read_words(
-    words: List[Any], streams: Dict[str, str],
-    count: Optional[int], block_ms: Optional[int], noack: bool = False,
+def _xreadgroup(
+    group: str, consumer: str, streams: Dict[str, str],
+    count: Optional[int] = None, block_ms: Optional[int] = None,
 ) -> List[Any]:
+    words: List[Any] = ["XREADGROUP", "GROUP", group, consumer]
     if count is not None:
         words += ["COUNT", count]
     if block_ms is not None:
         words += ["BLOCK", block_ms]
-    if noack:
-        words.append("NOACK")
     return [*words, "STREAMS", *streams.keys(), *streams.values()]
-
-
-def _xread(
-    streams: Dict[str, str], count: Optional[int] = None, block_ms: Optional[int] = None
-) -> List[Any]:
-    return _read_words(["XREAD"], streams, count, block_ms)
-
-
-def _xreadgroup(
-    group: str, consumer: str, streams: Dict[str, str],
-    count: Optional[int] = None, block_ms: Optional[int] = None, noack: bool = False,
-) -> List[Any]:
-    return _read_words(
-        ["XREADGROUP", "GROUP", group, consumer], streams, count, block_ms, noack
-    )
 
 
 def _xgroup_create(
@@ -145,30 +124,6 @@ def _xgroup_create(
 ) -> List[Any]:
     words = ["XGROUP", "CREATE", key, group, entry_id]
     return [*words, "MKSTREAM"] if mkstream else words
-
-
-def _xpending_range(
-    key: str,
-    group: str,
-    min_id: str = "-",
-    max_id: str = "+",
-    count: int = 10,
-    consumer: Optional[str] = None,
-    min_idle_ms: Optional[float] = None,
-) -> List[Any]:
-    words: List[Any] = ["XPENDING", key, group]
-    if min_idle_ms is not None:
-        words += ["IDLE", min_idle_ms]
-    words += [min_id, max_id, count]
-    if consumer is not None:
-        words.append(consumer)
-    return words
-
-
-def _xclaim(
-    key: str, group: str, consumer: str, min_idle_ms: float, entry_ids: Iterable[str]
-) -> List[Any]:
-    return ["XCLAIM", key, group, consumer, min_idle_ms, *entry_ids]
 
 
 def _xautoclaim(
@@ -234,12 +189,8 @@ def _streams(raw: Any) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
     return [(_str(key), _entries(entries)) for key, entries in raw or []]
 
 
-def _info_map(flat: Any) -> Dict[str, Any]:
-    return {field: _num(value) for field, value in _pairs(flat)}
-
-
 def _info_rows(rows: Any) -> List[Dict[str, Any]]:
-    return [_info_map(row) for row in rows]
+    return [{field: _num(value) for field, value in _pairs(row)} for row in rows]
 
 
 def _xpending(reply: Any) -> Dict[str, Any]:
@@ -252,34 +203,18 @@ def _xpending(reply: Any) -> Dict[str, Any]:
     }
 
 
-def _xpending_rows(rows: Any) -> List[Dict[str, Any]]:
-    return [
-        {
-            "message_id": _str(row[0]),
-            "consumer": _str(row[1]),
-            "time_since_delivered": float(_str(row[2])),
-            "times_delivered": row[3],
-        }
-        for row in rows
-    ]
-
-
 _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "ping": (_verb("PING"), lambda reply: _str(reply) == "PONG"),
-    "flushall": (_verb("FLUSHALL"), lambda reply: None),
     "dbsize": (_verb("DBSIZE"), _raw),
     "keys": (_verb("KEYS"), lambda reply: [_str(k) for k in reply]),
-    "type": (_verb("TYPE"), _str),
     "delete": (_verb("DEL"), _raw),
     "exists": (_verb("EXISTS"), _raw),
     "set": (_verb("SET"), _ok),
     "get": (_verb("GET"), _raw),
     "incrby": (_verb("INCRBY"), _raw),
     "decrby": (_verb("DECRBY"), _raw),
-    "lpush": (_verb("LPUSH"), _raw),
     "rpush": (_verb("RPUSH"), _raw),
     "lpop": (_verb("LPOP"), _raw),  # with a count: an array, nil for no key
-    "rpop": (_verb("RPOP"), _raw),
     "blpop": (_blpop, _hit),
     "llen": (_verb("LLEN"), _raw),
     "lrange": (_verb("LRANGE"), _raw),
@@ -289,34 +224,19 @@ _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "lrangeseq": (_verb("LRANGESEQ"), _raw),
     "snapshot": (_verb("SNAPSHOT"), bool),
     "restore": (_verb("RESTORE"), _hit),
-    "hset": (_verb("HSET"), _raw),
-    "hget": (_verb("HGET"), _raw),
     "hdel": (_verb("HDEL"), _raw),
     "hgetall": (_verb("HGETALL"), lambda reply: dict(_pairs(reply))),
-    "hlen": (_verb("HLEN"), _raw),
     "hincrby": (_verb("HINCRBY"), _raw),
-    "sadd": (_verb("SADD"), _raw),
-    "srem": (_verb("SREM"), _raw),
-    "smembers": (_verb("SMEMBERS"), lambda reply: {_str(m) for m in reply}),
-    "scard": (_verb("SCARD"), _raw),
-    "sismember": (_verb("SISMEMBER"), bool),
     "xadd": (_xadd, _str),
     "xlen": (_verb("XLEN"), _raw),
-    "xtrim": (lambda key, maxlen: ["XTRIM", key, "MAXLEN", maxlen], _raw),
     "xrange": (_xrange, _entries),
-    "xread": (_xread, _streams),
     "xgroup_create": (_xgroup_create, _ok),
-    "xgroup_destroy": (_verb("XGROUP", "DESTROY"), _raw),
-    "xgroup_delconsumer": (_verb("XGROUP", "DELCONSUMER"), _raw),
     "xreadgroup": (_xreadgroup, _streams),
     "xack": (_verb("XACK"), _raw),
     "xackdecr": (_verb("XACKDECR"), _raw),
     "xpending": (_verb("XPENDING"), _xpending),
-    "xpending_range": (_xpending_range, _xpending_rows),
-    "xclaim": (_xclaim, _entries),
     # Genuine Redis >= 7 appends a third element (deleted-ID list).
     "xautoclaim": (_xautoclaim, lambda reply: (_str(reply[0]), _entries(reply[1]))),
-    "xinfo_stream": (_verb("XINFO", "STREAM"), _info_map),
     "xinfo_groups": (_verb("XINFO", "GROUPS"), _info_rows),
     "xinfo_consumers": (_verb("XINFO", "CONSUMERS"), _info_rows),
 }

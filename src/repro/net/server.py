@@ -8,19 +8,21 @@ accept thread, connection registry and lifecycle are
 (:meth:`RespTCPServer.handle`) and the command table.
 
 **A blocking command parks once.**  ``BLPOP`` / ``BLMOVESEQ`` / blocking
-``XREAD`` / ``XREADGROUP`` hand the client's whole timeout to the keyspace
-and wait on its condition variable (which releases the keyspace lock: it
-is never held across the wire) exactly as an in-process caller does -- one
-``command_count`` tick, ``$`` resolved once.  The waiter is unparked by
+``XREADGROUP`` hand the client's whole timeout to the keyspace and wait on
+its condition variable (which releases the keyspace lock: it is never held
+across the wire) exactly as an in-process caller does -- one
+``command_count`` tick.  The waiter is unparked by
 data, by its deadline, or -- through :meth:`RedisServer.wake` -- by its
 connection dying or shutdown, and then returns *without* consuming
 anything.  A client that disappears while its command is parked is
 noticed at the command's deadline or at shutdown.
 
-The command set is the one the mappings use: strings, lists, hashes, sets,
+The command set is the one the system sends (see :mod:`repro.redisim` for
+the list and the rule that admits a command): strings, lists, hashes,
 streams, consumer groups, XAUTOCLAIM -- plus redisim's own extensions
 (``RPUSHSEQ``/``LRANGESEQ``/``BLMOVESEQ``, ``SNAPSHOT``/``RESTORE``,
-``XACKDECR``).  Pipelining needs no special handling: a connection's
+``XACKDECR``).  Any other verb, or an option outside a command's syntax,
+answers ``-ERR`` and the connection serves its next command.  Pipelining needs no special handling: a connection's
 commands execute strictly in arrival order, which preserves the
 INCRBY-before-XADD ordering the termination drain proof relies on, and
 ``XACKDECR`` keeps ack+decrement a single atomic command.
@@ -51,7 +53,7 @@ OK = SimpleString("OK")
 
 #: Commands that can park in the keyspace; their handlers also take the
 #: connection's ``cancelled`` predicate.
-_PARKING = frozenset({"BLPOP", "BLMOVESEQ", "XREAD", "XREADGROUP"})
+_PARKING = frozenset({"BLPOP", "BLMOVESEQ", "XREADGROUP"})
 
 
 def _s(raw: bytes) -> str:
@@ -233,24 +235,12 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
     def ping(args: List[bytes]) -> Any:
         return SimpleString(_s(args[0])) if args else SimpleString("PONG")
 
-    def echo(args: List[bytes]) -> Any:
-        arity(args, 1, "ECHO")
-        return args[0]
-
-    def flushall(args: List[bytes]) -> Any:
-        ks.flushall()
-        return OK
-
     def dbsize(args: List[bytes]) -> Any:
         return ks.dbsize()
 
     def keys(args: List[bytes]) -> Any:
         arity(args, 1, "KEYS")
         return [k.encode() for k in ks.keys(_s(args[0]))]
-
-    def type_(args: List[bytes]) -> Any:
-        arity(args, 1, "TYPE")
-        return SimpleString(ks.type(_s(args[0])))
 
     def delete(args: List[bytes]) -> Any:
         arity(args, 1, "DEL")
@@ -274,23 +264,11 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         arity(args, 2, "INCRBY")
         return ks.incrby(_s(args[0]), _i(args[1]))
 
-    def incr(args: List[bytes]) -> Any:
-        arity(args, 1, "INCR")
-        return ks.incrby(_s(args[0]), 1)
-
     def decrby(args: List[bytes]) -> Any:
         arity(args, 2, "DECRBY")
         return ks.decrby(_s(args[0]), _i(args[1]))
 
-    def decr(args: List[bytes]) -> Any:
-        arity(args, 1, "DECR")
-        return ks.decrby(_s(args[0]), 1)
-
     # ------------------------------------------------------------------ lists
-    def lpush(args: List[bytes]) -> Any:
-        arity(args, 2, "LPUSH")
-        return ks.lpush(_s(args[0]), *args[1:])
-
     def rpush(args: List[bytes]) -> Any:
         arity(args, 2, "RPUSH")
         return ks.rpush(_s(args[0]), *args[1:])
@@ -302,10 +280,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             return _value_bytes(ks.lpop(_s(args[0])))
         popped = ks.lpop(_s(args[0]), _i(args[1]))
         return NIL_ARRAY if popped is None else [_value_bytes(v) for v in popped]
-
-    def rpop(args: List[bytes]) -> Any:
-        arity(args, 1, "RPOP")
-        return _value_bytes(ks.rpop(_s(args[0])))
 
     def llen(args: List[bytes]) -> Any:
         arity(args, 1, "LLEN")
@@ -372,18 +346,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         return [seq, _value_bytes(blob)]
 
     # ----------------------------------------------------------------- hashes
-    def hset(args: List[bytes]) -> Any:
-        # HSET key field value [field value ...]: every pair, atomically.
-        arity(args, 3, "HSET")
-        if len(args) % 2 == 0:
-            raise RedisError("wrong number of arguments for 'hset' command")
-        key, pairs = _s(args[0]), zip(args[1::2], args[2::2])
-        return sum(ks.transaction([("hset", (key, _s(f), v), {}) for f, v in pairs]))
-
-    def hget(args: List[bytes]) -> Any:
-        arity(args, 2, "HGET")
-        return _value_bytes(ks.hget(_s(args[0]), _s(args[1])))
-
     def hdel(args: List[bytes]) -> Any:
         arity(args, 2, "HDEL")
         return ks.hdel(_s(args[0]), *(_s(a) for a in args[1:]))
@@ -396,68 +358,22 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             flat.append(_value_bytes(value))
         return flat
 
-    def hlen(args: List[bytes]) -> Any:
-        arity(args, 1, "HLEN")
-        return ks.hlen(_s(args[0]))
-
     def hincrby(args: List[bytes]) -> Any:
         arity(args, 3, "HINCRBY")
         return ks.hincrby(_s(args[0]), _s(args[1]), _i(args[2]))
 
-    # ------------------------------------------------------------------- sets
-    def sadd(args: List[bytes]) -> Any:
-        arity(args, 2, "SADD")
-        return ks.sadd(_s(args[0]), *args[1:])
-
-    def srem(args: List[bytes]) -> Any:
-        arity(args, 2, "SREM")
-        return ks.srem(_s(args[0]), *args[1:])
-
-    def smembers(args: List[bytes]) -> Any:
-        arity(args, 1, "SMEMBERS")
-        return sorted(_value_bytes(m) for m in ks.smembers(_s(args[0])))
-
-    def scard(args: List[bytes]) -> Any:
-        arity(args, 1, "SCARD")
-        return ks.scard(_s(args[0]))
-
-    def sismember(args: List[bytes]) -> Any:
-        arity(args, 2, "SISMEMBER")
-        return int(ks.sismember(_s(args[0]), args[1]))
-
     # ---------------------------------------------------------------- streams
     def xadd(args: List[bytes]) -> Any:
-        # XADD key [MAXLEN n] id field value [field value ...]
+        # XADD key id field value [field value ...]
         arity(args, 4, "XADD")
-        rest = list(args)
-        key = _s(rest.pop(0))
-        maxlen = None
-        if rest and rest[0].upper() == b"MAXLEN":
-            rest.pop(0)
-            if rest and rest[0] in (b"~", b"="):
-                rest.pop(0)
-            maxlen = _i(rest.pop(0))
-        entry_id = _s(rest.pop(0))
-        if not rest or len(rest) % 2:
+        if len(args) % 2:
             raise RedisError("wrong number of arguments for 'xadd' command")
-        fields = {_s(rest[i]): rest[i + 1] for i in range(0, len(rest), 2)}
-        return ks.xadd(key, fields, entry_id=entry_id, maxlen=maxlen)
+        fields = {_s(args[i]): args[i + 1] for i in range(2, len(args), 2)}
+        return ks.xadd(_s(args[0]), fields, entry_id=_s(args[1]))
 
     def xlen(args: List[bytes]) -> Any:
         arity(args, 1, "XLEN")
         return ks.xlen(_s(args[0]))
-
-    def xtrim(args: List[bytes]) -> Any:
-        arity(args, 2, "XTRIM")
-        rest = list(args)
-        key = _s(rest.pop(0))
-        if rest and rest[0].upper() == b"MAXLEN":
-            rest.pop(0)
-            if rest and rest[0] in (b"~", b"="):
-                rest.pop(0)
-        if not rest:
-            raise RedisError("wrong number of arguments for 'xtrim' command")
-        return ks.xtrim(key, _i(rest[0]))
 
     def xrange(args: List[bytes]) -> Any:
         arity(args, 3, "XRANGE")
@@ -468,49 +384,34 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             count = _i(rest[4])
         return _entries_reply(ks.xrange(key, min_id, max_id, count))
 
-    def _parse_read_options(
-        rest: List[bytes], name: str
-    ) -> Tuple[Optional[int], Optional[int], bool, Dict[str, str]]:
-        count = None
-        block_ms = None
-        noack = False
-        while rest and rest[0].upper() not in (b"STREAMS",):
-            word = rest.pop(0).upper()
-            if word == b"COUNT":
-                count = _i(rest.pop(0))
-            elif word == b"BLOCK":
-                block_ms = _timeout(_i(rest.pop(0)), threading.TIMEOUT_MAX * 1000)
-            elif word == b"NOACK":
-                noack = True
-            else:
-                raise RedisError(f"syntax error in '{name}' near {word!r}")
-        if not rest or rest.pop(0).upper() != b"STREAMS":
-            raise RedisError(f"wrong number of arguments for '{name}' command")
-        if len(rest) % 2 or not rest:
-            raise RedisError(
-                f"unbalanced '{name}' list of streams: keys and IDs must pair up"
-            )
-        half = len(rest) // 2
-        streams = {_s(rest[i]): _s(rest[half + i]) for i in range(half)}
-        return count, block_ms, noack, streams
-
-    def xread(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
-        # BLOCK 0 blocks forever, as in Redis.
-        arity(args, 3, "XREAD")
-        count, block_ms, _noack, streams = _parse_read_options(list(args), "xread")
-        return _streams_reply(ks.xread(streams, count, block_ms, cancelled))
-
     def xreadgroup(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
-        # XREADGROUP GROUP g consumer [COUNT n] [BLOCK ms] [NOACK] STREAMS ...
+        # XREADGROUP GROUP g consumer [COUNT n] [BLOCK ms] STREAMS key... id...
+        # (BLOCK 0 blocks forever, as in Redis).
         arity(args, 6, "XREADGROUP")
         rest = list(args)
         if rest.pop(0).upper() != b"GROUP":
             raise RedisError("syntax error: XREADGROUP must start with GROUP")
         group, consumer = _s(rest.pop(0)), _s(rest.pop(0))
-        count, block_ms, noack, streams = _parse_read_options(rest, "xreadgroup")
+        count = block_ms = None
+        while rest and rest[0].upper() != b"STREAMS":
+            word = rest.pop(0).upper()
+            if word == b"COUNT" and rest:
+                count = _i(rest.pop(0))
+            elif word == b"BLOCK" and rest:
+                block_ms = _timeout(_i(rest.pop(0)), threading.TIMEOUT_MAX * 1000)
+            else:
+                raise RedisError(f"syntax error in 'xreadgroup' near {word!r}")
+        if not rest or rest.pop(0).upper() != b"STREAMS":
+            raise RedisError("wrong number of arguments for 'xreadgroup' command")
+        if len(rest) % 2 or not rest:
+            raise RedisError(
+                "unbalanced 'xreadgroup' list of streams: keys and IDs must pair up"
+            )
+        half = len(rest) // 2
+        streams = {_s(rest[i]): _s(rest[half + i]) for i in range(half)}
         # History reads (explicit cursor) come back as [[key, []]], not nil.
         return _streams_reply(
-            ks.xreadgroup(group, consumer, streams, count, block_ms, noack, cancelled)
+            ks.xreadgroup(group, consumer, streams, count, block_ms, cancelled)
         )
 
     def xgroup(args: List[bytes]) -> Any:
@@ -521,12 +422,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             mkstream = any(a.upper() == b"MKSTREAM" for a in args[4:])
             ks.xgroup_create(_s(args[1]), _s(args[2]), entry_id=_s(args[3]), mkstream=mkstream)
             return OK
-        if sub == b"DESTROY":
-            arity(args, 3, "XGROUP DESTROY")
-            return ks.xgroup_destroy(_s(args[1]), _s(args[2]))
-        if sub == b"DELCONSUMER":
-            arity(args, 4, "XGROUP DELCONSUMER")
-            return ks.xgroup_delconsumer(_s(args[1]), _s(args[2]), _s(args[3]))
         raise RedisError(f"unknown XGROUP subcommand {sub!r}")
 
     def xack(args: List[bytes]) -> Any:
@@ -542,50 +437,19 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         )
 
     def xpending(args: List[bytes]) -> Any:
-        arity(args, 2, "XPENDING")
-        rest = list(args)
-        key, group = _s(rest.pop(0)), _s(rest.pop(0))
-        if not rest:
-            summary = ks.xpending(key, group)
-            consumers = [
-                [name, str(count)] for name, count in sorted(summary["consumers"].items())
-            ]
-            return [
-                summary["pending"],
-                summary["min"],
-                summary["max"],
-                consumers or NIL_ARRAY,
-            ]
-        # Extended form: [IDLE ms] start end count [consumer]
-        min_idle_ms = None
-        if rest[0].upper() == b"IDLE":
-            rest.pop(0)
-            min_idle_ms = _f(rest.pop(0))
-        if len(rest) < 3:
+        # XPENDING key group: the summary form only.
+        if len(args) != 2:
             raise RedisError("wrong number of arguments for 'xpending' command")
-        start, end, count = _s(rest.pop(0)), _s(rest.pop(0)), _i(rest.pop(0))
-        consumer = _s(rest.pop(0)) if rest else None
-        rows = ks.xpending_range(
-            key, group, start, end, count, consumer=consumer, min_idle_ms=min_idle_ms
-        )
-        return [
-            [
-                row["message_id"],
-                row["consumer"],
-                repr(float(row["time_since_delivered"])),
-                row["times_delivered"],
-            ]
-            for row in rows
+        summary = ks.xpending(_s(args[0]), _s(args[1]))
+        consumers = [
+            [name, str(count)] for name, count in sorted(summary["consumers"].items())
         ]
-
-    def xclaim(args: List[bytes]) -> Any:
-        arity(args, 5, "XCLAIM")
-        return _entries_reply(
-            ks.xclaim(
-                _s(args[0]), _s(args[1]), _s(args[2]), _f(args[3]),
-                [_s(a) for a in args[4:]],
-            )
-        )
+        return [
+            summary["pending"],
+            summary["min"],
+            summary["max"],
+            consumers or NIL_ARRAY,
+        ]
 
     def xautoclaim(args: List[bytes]) -> Any:
         # XAUTOCLAIM key group consumer min-idle-time start [COUNT n]
@@ -602,8 +466,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
     def xinfo(args: List[bytes]) -> Any:
         arity(args, 2, "XINFO")
         sub = args[0].upper()
-        if sub == b"STREAM":
-            return _flat_map(ks.xinfo_stream(_s(args[1])))
         if sub == b"GROUPS":
             return [_flat_map(row) for row in ks.xinfo_groups(_s(args[1]))]
         if sub == b"CONSUMERS":
@@ -612,20 +474,15 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         raise RedisError(f"unknown XINFO subcommand {sub!r}")
 
     return {
-        "PING": ping, "ECHO": echo, "FLUSHALL": flushall, "DBSIZE": dbsize,
-        "KEYS": keys, "TYPE": type_, "DEL": delete, "EXISTS": exists,
-        "SET": set_, "GET": get, "INCRBY": incrby, "INCR": incr,
-        "DECRBY": decrby, "DECR": decr,
-        "LPUSH": lpush, "RPUSH": rpush, "LPOP": lpop, "RPOP": rpop,
-        "LLEN": llen, "LRANGE": lrange, "LTRIM": ltrim, "BLPOP": blpop,
+        "PING": ping, "DBSIZE": dbsize, "KEYS": keys, "DEL": delete, "EXISTS": exists,
+        "SET": set_, "GET": get, "INCRBY": incrby, "DECRBY": decrby,
+        "RPUSH": rpush, "LPOP": lpop, "LLEN": llen, "LRANGE": lrange,
+        "LTRIM": ltrim, "BLPOP": blpop,
         "RPUSHSEQ": rpushseq, "BLMOVESEQ": blmoveseq, "LRANGESEQ": lrangeseq,
         "SNAPSHOT": snapshot, "RESTORE": restore,
-        "HSET": hset, "HGET": hget, "HDEL": hdel, "HGETALL": hgetall,
-        "HLEN": hlen, "HINCRBY": hincrby,
-        "SADD": sadd, "SREM": srem, "SMEMBERS": smembers, "SCARD": scard,
-        "SISMEMBER": sismember,
-        "XADD": xadd, "XLEN": xlen, "XTRIM": xtrim, "XRANGE": xrange,
-        "XREAD": xread, "XREADGROUP": xreadgroup, "XGROUP": xgroup,
-        "XACK": xack, "XACKDECR": xackdecr, "XPENDING": xpending,
-        "XCLAIM": xclaim, "XAUTOCLAIM": xautoclaim, "XINFO": xinfo,
+        "HDEL": hdel, "HGETALL": hgetall, "HINCRBY": hincrby,
+        "XADD": xadd, "XLEN": xlen, "XRANGE": xrange,
+        "XREADGROUP": xreadgroup, "XGROUP": xgroup, "XACK": xack,
+        "XACKDECR": xackdecr, "XPENDING": xpending, "XAUTOCLAIM": xautoclaim,
+        "XINFO": xinfo,
     }

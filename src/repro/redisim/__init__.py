@@ -7,25 +7,35 @@ the ``dyn_auto_redis`` auto-scaling strategy monitors the consumer group's
 average idle time (Section 3.2.2).
 
 No Redis server is available in this environment, so this package implements
-the command subset those mappings exercise, from scratch, as a thread-safe
-in-process data-structure server:
+the commands those mappings send, from scratch, as a thread-safe in-process
+data-structure server:
 
-- strings (GET/SET/INCRBY/DECRBY) -- used for shared counters,
-- lists (LPUSH/RPUSH/LPOP/RPOP/BLPOP/BLMOVE/LLEN/LRANGE/LTRIM) -- private
-  queues and per-instance pending (replay) logs, plus RPUSHSEQ, a
-  sequence-tagging append used for crash-recoverable delivery,
+- strings (GET/SET/INCRBY/DECRBY) -- shared counters,
+- lists (RPUSH/LPOP/BLPOP/LTRIM/LLEN/LRANGE) -- private queues and
+  per-instance pending (replay) logs, plus redisim's sequenced lists
+  (RPUSHSEQ/BLMOVESEQ/LRANGESEQ) for crash-recoverable delivery,
 - SNAPSHOT/RESTORE -- sequence-guarded state snapshots backing the
   checkpoint/restore subsystem (:mod:`repro.state`),
-- hashes and sets -- bookkeeping,
-- streams (XADD/XLEN/XRANGE/XREAD/XTRIM) with **consumer groups**
-  (XGROUP CREATE, XREADGROUP, XACK, XPENDING, XCLAIM, XAUTOCLAIM,
-  XINFO STREAM/GROUPS/CONSUMERS) including pending-entry lists, delivery
-  counters and per-consumer idle times.
+- hashes (HINCRBY/HGETALL/HDEL) -- cluster counters, and listing and
+  deleting the snapshots of :mod:`repro.state`,
+- streams (XADD/XLEN/XRANGE) with **consumer groups** (XGROUP CREATE,
+  XREADGROUP, XACK, XACKDECR, the summary form of XPENDING, XAUTOCLAIM,
+  XINFO GROUPS/CONSUMERS) including pending-entry lists and per-consumer
+  idle times,
+- generic reads (KEYS/DBSIZE/EXISTS) and DEL.
+
+The rule that keeps the list this short: a command lands with its first
+non-test caller.  The mappings, benchmarks and scripts send every command
+above, except the reads tests and operators use to check a run (KEYS,
+DBSIZE, EXISTS, XRANGE, XPENDING, XLEN, LLEN).  Anything else --
+``SADD``, ``XREAD``, ``XADD ... MAXLEN`` and the like -- is an unknown
+command, in process (no such method) and on the wire (``-ERR``).
 
 Semantics follow the Redis documentation closely enough that the mappings
 could be pointed at a real server by swapping :class:`RedisClient` for
 ``redis.Redis`` (method names and signatures mirror redis-py).  See
-DESIGN.md's substitution table for the fidelity argument.
+``docs/architecture.md`` ("Substrates") for how the keyspace, its client
+and its wire front-end fit together.
 """
 
 from repro.redisim.client import RedisClient

@@ -173,10 +173,6 @@ class Pipeline:
     def ltrim(self, key: str, start: int, end: int) -> "Pipeline":
         return self._queue("ltrim", key, start, end)
 
-    def lpush(self, key: str, *values: Any) -> "Pipeline":
-        encoded = tuple(self._client._enc(v) for v in values)
-        return self._queue("lpush", key, *encoded)
-
     def hincrby(self, key: str, field: str, amount: int = 1) -> "Pipeline":
         return self._queue("hincrby", key, field, amount)
 
@@ -310,7 +306,7 @@ class RedisClient:
     def _dec_streams(
         self, reply: List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        """Decode an ``XREAD``/``XREADGROUP`` reply, lone or pipelined."""
+        """Decode an ``XREADGROUP`` reply, lone or pipelined."""
         return [(key, self._dec_entries(entries)) for key, entries in reply]
 
     def _dec_hit(self, hit: Optional[Tuple[Any, Any]]) -> Optional[Tuple[Any, Any]]:
@@ -322,17 +318,11 @@ class RedisClient:
         return Pipeline(self)
 
     # --------------------------------------------------------------- generic
-    def flushall(self) -> None:
-        self._call("flushall")
-
     def dbsize(self) -> int:
         return self._call("dbsize")
 
     def keys(self, pattern: str = "*") -> List[str]:
         return self._call("keys", pattern)
-
-    def type(self, key: str) -> str:
-        return self._call("type", key)
 
     def delete(self, *keys: str) -> int:
         return self._call("delete", *keys)
@@ -358,9 +348,6 @@ class RedisClient:
     decr = decrby
 
     # ----------------------------------------------------------------- lists
-    def lpush(self, key: str, *values: Any) -> int:
-        return self._call("lpush", key, *(self._enc(v) for v in values))
-
     def rpush(self, key: str, *values: Any) -> int:
         return self._call("rpush", key, *(self._enc(v) for v in values))
 
@@ -371,9 +358,6 @@ class RedisClient:
             return self._dec(self._call("lpop", key))
         popped = self._call("lpop", key, count)
         return None if popped is None else [self._dec(v) for v in popped]
-
-    def rpop(self, key: str) -> Any:
-        return self._dec(self._call("rpop", key))
 
     def blpop(
         self, keys: "str | Iterable[str]", timeout: Optional[float] = None
@@ -430,39 +414,14 @@ class RedisClient:
         return self._dec_hit(self._call("restore", key, snapshot_id))
 
     # ---------------------------------------------------------------- hashes
-    def hset(self, key: str, field: str, value: Any) -> int:
-        return self._call("hset", key, field, value)
-
-    def hget(self, key: str, field: str) -> Any:
-        return self._call("hget", key, field)
-
     def hdel(self, key: str, *fields: str) -> int:
         return self._call("hdel", key, *fields)
 
     def hgetall(self, key: str) -> Dict[str, Any]:
         return self._call("hgetall", key)
 
-    def hlen(self, key: str) -> int:
-        return self._call("hlen", key)
-
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
         return self._call("hincrby", key, field, amount)
-
-    # ------------------------------------------------------------------ sets
-    def sadd(self, key: str, *members: Any) -> int:
-        return self._call("sadd", key, *members)
-
-    def srem(self, key: str, *members: Any) -> int:
-        return self._call("srem", key, *members)
-
-    def smembers(self, key: str) -> set:
-        return self._call("smembers", key)
-
-    def scard(self, key: str) -> int:
-        return self._call("scard", key)
-
-    def sismember(self, key: str, member: Any) -> bool:
-        return self._call("sismember", key, member)
 
     # --------------------------------------------------------------- streams
     def xadd(
@@ -470,15 +429,11 @@ class RedisClient:
         key: str,
         fields: Mapping[str, Any],
         id: str = "*",  # noqa: A002 - redis-py parameter name
-        maxlen: Optional[int] = None,
     ) -> str:
-        return self._call("xadd", key, self._enc_fields(fields), entry_id=id, maxlen=maxlen)
+        return self._call("xadd", key, self._enc_fields(fields), entry_id=id)
 
     def xlen(self, key: str) -> int:
         return self._call("xlen", key)
-
-    def xtrim(self, key: str, maxlen: int) -> int:
-        return self._call("xtrim", key, maxlen)
 
     def xrange(
         self,
@@ -489,26 +444,10 @@ class RedisClient:
     ) -> List[Tuple[str, Dict[str, Any]]]:
         return self._dec_entries(self._call("xrange", key, min, max, count))
 
-    def xread(
-        self,
-        streams: Mapping[str, str],
-        count: Optional[int] = None,
-        block: Optional[int] = None,
-    ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        return self._dec_streams(
-            self._call("xread", streams, count=count, block_ms=block)
-        )
-
     def xgroup_create(
         self, key: str, group: str, id: str = "$", mkstream: bool = False  # noqa: A002
     ) -> bool:
         return self._call("xgroup_create", key, group, entry_id=id, mkstream=mkstream)
-
-    def xgroup_destroy(self, key: str, group: str) -> int:
-        return self._call("xgroup_destroy", key, group)
-
-    def xgroup_delconsumer(self, key: str, group: str, consumer: str) -> int:
-        return self._call("xgroup_delconsumer", key, group, consumer)
 
     def xreadgroup(
         self,
@@ -517,12 +456,10 @@ class RedisClient:
         streams: Mapping[str, str],
         count: Optional[int] = None,
         block: Optional[int] = None,
-        noack: bool = False,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
         return self._dec_streams(
             self._call(
-                "xreadgroup", groupname, consumername, streams,
-                count=count, block_ms=block, noack=noack,
+                "xreadgroup", groupname, consumername, streams, count=count, block_ms=block
             )
         )
 
@@ -544,33 +481,6 @@ class RedisClient:
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
         return self._call("xpending", key, group)
 
-    def xpending_range(
-        self,
-        key: str,
-        group: str,
-        min: str = "-",  # noqa: A002
-        max: str = "+",  # noqa: A002
-        count: int = 10,
-        consumername: Optional[str] = None,
-        idle: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        return self._call(
-            "xpending_range", key, group, min, max, count,
-            consumer=consumername, min_idle_ms=idle,
-        )
-
-    def xclaim(
-        self,
-        key: str,
-        group: str,
-        consumername: str,
-        min_idle_time: float,
-        message_ids: Iterable[str],
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        return self._dec_entries(
-            self._call("xclaim", key, group, consumername, min_idle_time, message_ids)
-        )
-
     def xautoclaim(
         self,
         key: str,
@@ -585,9 +495,6 @@ class RedisClient:
             start=start_id, count=count,
         )
         return cursor, self._dec_entries(claimed)
-
-    def xinfo_stream(self, key: str) -> Dict[str, Any]:
-        return self._call("xinfo_stream", key)
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
         return self._call("xinfo_groups", key)

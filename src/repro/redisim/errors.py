@@ -11,7 +11,7 @@ class ConnectionError(RedisError):  # noqa: A001 - redis-py shadows the builtin 
     """Server is shut down (or shutting down) under a blocked/issuing client.
 
     Mirrors ``redis.exceptions.ConnectionError``: clients parked in blocking
-    reads (``BLPOP``, ``BLMOVE``, blocking ``XREAD``/``XREADGROUP``) are
+    reads (``BLPOP``, ``BLMOVE``, blocking ``XREADGROUP``) are
     woken with this error when the server closes, instead of waiting out
     their timeouts (or hanging forever with ``timeout=None``).
     """

@@ -1,11 +1,11 @@
 """Thread-safe in-process Redis server.
 
 Holds a single keyspace mapping keys to typed values (string, list, hash,
-set, stream) and implements the command subset the workflow mappings use.
-All commands run under one re-entrant lock; blocking commands (``BLPOP``,
-blocking ``XREAD``/``XREADGROUP``) wait on a condition variable that every
-mutation notifies, which mirrors the event-driven wakeup behaviour of a real
-Redis client connection.
+stream) and implements the commands the workflow mappings send.  All
+commands run under one re-entrant lock; blocking commands (``BLPOP``,
+``BLMOVE``, blocking ``XREADGROUP``) wait on a condition variable that
+every mutation notifies, which mirrors the event-driven wakeup behaviour of
+a real Redis client connection.
 
 Commands follow the semantics documented at redis.io closely; deliberate
 simplifications (no expiry, no persistence, no cluster) are listed in the
@@ -39,7 +39,6 @@ from repro.redisim.streams import (
 _TYPE_STRING = "string"
 _TYPE_LIST = "list"
 _TYPE_HASH = "hash"
-_TYPE_SET = "set"
 _TYPE_STREAM = "stream"
 
 
@@ -85,7 +84,7 @@ class RedisServer:
         """Shut the server down, waking every blocked reader.
 
         Clients parked in blocking commands (``BLPOP``, ``BLMOVE``, blocking
-        ``XREAD``/``XREADGROUP``) are released immediately with
+        ``XREADGROUP``) are released immediately with
         :class:`~repro.redisim.errors.ConnectionError` -- without this, a
         reader blocked with ``timeout=None`` would hang forever once the
         server goes away, because nothing would ever notify its condition
@@ -153,9 +152,8 @@ class RedisServer:
     _TXN_COMMANDS = frozenset(
         {
             "set", "get", "incrby", "decrby", "delete",
-            "lpush", "rpush", "rpushseq", "lpop", "rpop", "ltrim",
-            "hset", "hdel", "hincrby", "sadd", "srem",
-            "xadd", "xack", "xackdecr", "xtrim", "snapshot", "xreadgroup",
+            "rpush", "rpushseq", "lpop", "ltrim", "hdel", "hincrby",
+            "xadd", "xack", "xackdecr", "snapshot", "xreadgroup",
         }
     )
 
@@ -188,13 +186,6 @@ class RedisServer:
         return results
 
     # --------------------------------------------------------------- generic
-    def flushall(self) -> None:
-        with self._cond:
-            self._count("flushall")
-            self._data.clear()
-            self._seq.clear()
-            self._cond.notify_all()
-
     def dbsize(self) -> int:
         with self._lock:
             self._count("dbsize")
@@ -204,12 +195,6 @@ class RedisServer:
         with self._lock:
             self._count("keys")
             return [k for k in self._data if fnmatch.fnmatchcase(k, pattern)]
-
-    def type(self, key: str) -> str:
-        with self._lock:
-            self._count("type")
-            slot = self._data.get(key)
-            return "none" if slot is None else slot[0]
 
     def delete(self, *keys: str) -> int:
         with self._cond:
@@ -267,15 +252,6 @@ class RedisServer:
             self._data[key] = (_TYPE_LIST, value)
         return value
 
-    def lpush(self, key: str, *values: Any) -> int:
-        with self._cond:
-            self._count("lpush")
-            lst = self._list_for_write(key)
-            for value in values:
-                lst.appendleft(value)
-            self._cond.notify_all()
-            return len(lst)
-
     def rpush(self, key: str, *values: Any) -> int:
         with self._cond:
             self._count("rpush")
@@ -285,11 +261,12 @@ class RedisServer:
             self._cond.notify_all()
             return len(lst)
 
-    def _pop(self, key: str, left: bool) -> Any:
+    def _pop(self, key: str) -> Any:
+        """Pop the head of the list at ``key``, dropping the key once empty."""
         lst = self._get_typed(key, _TYPE_LIST)
         if not lst:
             return None
-        value = lst.popleft() if left else lst.pop()
+        value = lst.popleft()
         if not lst:
             del self._data[key]
         return value
@@ -302,16 +279,11 @@ class RedisServer:
         with self._cond:
             self._count("lpop")
             if count is None:
-                return self._pop(key, left=True)
+                return self._pop(key)
             lst = self._get_typed(key, _TYPE_LIST)
             if not lst:
                 return None
-            return [self._pop(key, left=True) for _ in range(min(count, len(lst)))]
-
-    def rpop(self, key: str) -> Any:
-        with self._cond:
-            self._count("rpop")
-            return self._pop(key, left=False)
+            return [self._pop(key) for _ in range(min(count, len(lst)))]
 
     def blpop(
         self,
@@ -333,7 +305,7 @@ class RedisServer:
                 for key in keys:
                     lst = self._get_typed(key, _TYPE_LIST)
                     if lst:
-                        return key, self._pop(key, left=True)
+                        return key, self._pop(key)
                 if not self._park(deadline, cancelled):
                     return None
 
@@ -365,7 +337,7 @@ class RedisServer:
                 lst = self._get_typed(source, _TYPE_LIST)
                 if lst:
                     moved = [
-                        self._pop(source, left=True)
+                        self._pop(source)
                         for _ in range(1 if count is None else min(count, len(lst)))
                     ]
                     self._list_for_write(destination).extend(moved)
@@ -435,23 +407,6 @@ class RedisServer:
     lrangeseq = lrange
 
     # ---------------------------------------------------------------- hashes
-    def hset(self, key: str, field: str, value: Any) -> int:
-        with self._cond:
-            self._count("hset")
-            mapping = self._get_typed(key, _TYPE_HASH)
-            if mapping is None:
-                mapping = {}
-                self._data[key] = (_TYPE_HASH, mapping)
-            created = 0 if field in mapping else 1
-            mapping[field] = value
-            return created
-
-    def hget(self, key: str, field: str) -> Any:
-        with self._lock:
-            self._count("hget")
-            mapping = self._get_typed(key, _TYPE_HASH)
-            return None if mapping is None else mapping.get(field)
-
     def hdel(self, key: str, *fields: str) -> int:
         with self._cond:
             self._count("hdel")
@@ -473,12 +428,6 @@ class RedisServer:
             mapping = self._get_typed(key, _TYPE_HASH)
             return {} if mapping is None else dict(mapping)
 
-    def hlen(self, key: str) -> int:
-        with self._lock:
-            self._count("hlen")
-            mapping = self._get_typed(key, _TYPE_HASH)
-            return 0 if mapping is None else len(mapping)
-
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
         with self._cond:
             self._count("hincrby")
@@ -492,51 +441,6 @@ class RedisServer:
                 raise RedisError(f"hash field {key!r}/{field!r} is not an integer") from exc
             mapping[field] = new_value
             return new_value
-
-    # ------------------------------------------------------------------ sets
-    def sadd(self, key: str, *members: Any) -> int:
-        with self._cond:
-            self._count("sadd")
-            value = self._get_typed(key, _TYPE_SET)
-            if value is None:
-                value = set()
-                self._data[key] = (_TYPE_SET, value)
-            before = len(value)
-            value.update(members)
-            return len(value) - before
-
-    def srem(self, key: str, *members: Any) -> int:
-        with self._cond:
-            self._count("srem")
-            value = self._get_typed(key, _TYPE_SET)
-            if value is None:
-                return 0
-            removed = 0
-            for member in members:
-                if member in value:
-                    value.discard(member)
-                    removed += 1
-            if not value:
-                del self._data[key]
-            return removed
-
-    def smembers(self, key: str) -> set:
-        with self._lock:
-            self._count("smembers")
-            value = self._get_typed(key, _TYPE_SET)
-            return set() if value is None else set(value)
-
-    def scard(self, key: str) -> int:
-        with self._lock:
-            self._count("scard")
-            value = self._get_typed(key, _TYPE_SET)
-            return 0 if value is None else len(value)
-
-    def sismember(self, key: str, member: Any) -> bool:
-        with self._lock:
-            self._count("sismember")
-            value = self._get_typed(key, _TYPE_SET)
-            return False if value is None else member in value
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self, key: str, snapshot_id: str, seq: int, blob: Any) -> bool:
@@ -588,19 +492,15 @@ class RedisServer:
             raise NoGroupError(key, group)
         return stream.groups[group]
 
-    def xadd(
-        self,
-        key: str,
-        fields: Mapping[str, Any],
-        entry_id: str = "*",
-        maxlen: Optional[int] = None,
-    ) -> str:
+    def xadd(self, key: str, fields: Mapping[str, Any], entry_id: str = "*") -> str:
         with self._cond:
             self._count("xadd")
-            stream = self._stream_for_write(key)
+            stream = self._stream_or_none(key)
+            if stream is None:
+                stream = Stream()
             new_id = stream.add(fields, now_ms=self._now_ms(), entry_id=entry_id)
-            if maxlen is not None:
-                stream.trim_maxlen(maxlen)
+            # Stored once the entry is in, so a refused XADD makes no key.
+            self._data[key] = (_TYPE_STREAM, stream)
             self._cond.notify_all()
             return str(new_id)
 
@@ -609,12 +509,6 @@ class RedisServer:
             self._count("xlen")
             stream = self._stream_or_none(key)
             return 0 if stream is None else len(stream)
-
-    def xtrim(self, key: str, maxlen: int) -> int:
-        with self._cond:
-            self._count("xtrim")
-            stream = self._stream_or_none(key)
-            return 0 if stream is None else stream.trim_maxlen(maxlen)
 
     def xrange(
         self,
@@ -631,44 +525,6 @@ class RedisServer:
             start = _parse_range_id(min_id, is_start=True)
             end = _parse_range_id(max_id, is_start=False)
             return [(str(e.id), dict(e.fields)) for e in stream.range(start, end, count)]
-
-    def xread(
-        self,
-        streams: Mapping[str, str],
-        count: Optional[int] = None,
-        block_ms: Optional[int] = None,
-        cancelled: Optional[Callable[[], bool]] = None,
-    ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        """Plain (group-less) stream read; ``$`` means "only new entries".
-
-        ``block_ms`` ``None`` does not block; ``0`` blocks forever (as in
-        Redis).  ``$`` is resolved once, at entry, under the lock.
-        """
-        deadline = self._now() + block_ms / 1000.0 if block_ms else None
-        with self._cond:
-            self._count("xread")
-            cursors: Dict[str, StreamID] = {}
-            for key, raw in streams.items():
-                if raw == "$":
-                    stream = self._stream_or_none(key)
-                    cursors[key] = stream.last_id if stream is not None else StreamID(0, 0)
-                else:
-                    cursors[key] = StreamID.parse(raw)
-            while True:
-                reply = []
-                for key, last in cursors.items():
-                    stream = self._stream_or_none(key)
-                    if stream is None:
-                        continue
-                    entries = stream.after(last, count)
-                    if entries:
-                        reply.append(
-                            (key, [(str(e.id), dict(e.fields)) for e in entries])
-                        )
-                if reply:
-                    return reply
-                if block_ms is None or not self._park(deadline, cancelled):
-                    return []
 
     def xgroup_create(
         self, key: str, group: str, entry_id: str = "$", mkstream: bool = False
@@ -688,28 +544,6 @@ class RedisServer:
             stream.groups[group] = ConsumerGroup(group, last_delivered=start)
             return True
 
-    def xgroup_destroy(self, key: str, group: str) -> int:
-        with self._cond:
-            self._count("xgroup_destroy")
-            stream = self._stream_or_none(key)
-            if stream is None or group not in stream.groups:
-                return 0
-            del stream.groups[group]
-            return 1
-
-    def xgroup_delconsumer(self, key: str, group: str, consumer: str) -> int:
-        """Remove a consumer; returns the number of pending entries it held."""
-        with self._cond:
-            self._count("xgroup_delconsumer")
-            grp = self._group(key, group)
-            member = grp.consumers.pop(consumer, None)
-            if member is None:
-                return 0
-            pending = len(member.pending)
-            for entry_id in member.pending:
-                grp.pel.pop(entry_id, None)
-            return pending
-
     def xreadgroup(
         self,
         group: str,
@@ -717,10 +551,10 @@ class RedisServer:
         streams: Mapping[str, str],
         count: Optional[int] = None,
         block_ms: Optional[int] = None,
-        noack: bool = False,
         cancelled: Optional[Callable[[], bool]] = None,
     ) -> List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]:
-        """Consumer-group read; ``block_ms`` as for :meth:`xread`.
+        """Consumer-group read; ``block_ms`` ``None`` does not block, ``0``
+        blocks forever (as in Redis).
 
         ``">"`` delivers entries never delivered to this group (advancing the
         group cursor and inserting into the PEL); an explicit ID replays the
@@ -744,11 +578,10 @@ class RedisServer:
                             for entry in entries:
                                 grp.last_delivered = entry.id
                                 grp.entries_read += 1
-                                if not noack:
-                                    grp.pel[entry.id] = PendingEntry(
-                                        consumer=consumer, delivery_time=now
-                                    )
-                                    member.pending.add(entry.id)
+                                grp.pel[entry.id] = PendingEntry(
+                                    consumer=consumer, delivery_time=now
+                                )
+                                member.pending.add(entry.id)
                                 delivered.append((str(entry.id), dict(entry.fields)))
                             reply.append((key, delivered))
                     else:
@@ -759,11 +592,8 @@ class RedisServer:
                         )
                         if count is not None:
                             own = own[:count]
-                        replayed = []
-                        for entry_id in own:
-                            entry = stream.get(entry_id)
-                            fields = {} if entry is None else dict(entry.fields)
-                            replayed.append((str(entry_id), fields))
+                        # Entries never leave a stream, so each is there.
+                        replayed = [(str(eid), dict(stream.get(eid).fields)) for eid in own]
                         # Per Redis: replay returns (possibly empty) history
                         # immediately and never blocks.
                         reply.append((key, replayed))
@@ -850,84 +680,6 @@ class RedisServer:
                 "consumers": per_consumer,
             }
 
-    def xpending_range(
-        self,
-        key: str,
-        group: str,
-        min_id: str = "-",
-        max_id: str = "+",
-        count: int = 10,
-        consumer: Optional[str] = None,
-        min_idle_ms: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        """Extended form: per-entry pending details, optionally filtered."""
-        with self._lock:
-            self._count("xpending_range")
-            grp = self._group(key, group)
-            now = self._now()
-            start = _parse_range_id(min_id, is_start=True)
-            end = _parse_range_id(max_id, is_start=False)
-            rows = []
-            for entry_id in sorted(grp.pel):
-                if not (start <= entry_id <= end):
-                    continue
-                pending = grp.pel[entry_id]
-                if consumer is not None and pending.consumer != consumer:
-                    continue
-                idle = (now - pending.delivery_time) * 1000.0
-                if min_idle_ms is not None and idle < min_idle_ms:
-                    continue
-                rows.append(
-                    {
-                        "message_id": str(entry_id),
-                        "consumer": pending.consumer,
-                        "time_since_delivered": idle,
-                        "times_delivered": pending.delivery_count,
-                    }
-                )
-                if len(rows) >= count:
-                    break
-            return rows
-
-    def xclaim(
-        self,
-        key: str,
-        group: str,
-        consumer: str,
-        min_idle_ms: float,
-        entry_ids: Iterable[str],
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Transfer ownership of sufficiently idle pending entries."""
-        with self._cond:
-            self._count("xclaim")
-            grp = self._group(key, group)
-            stream = self._stream_or_none(key)
-            now = self._now()
-            claimer = grp.get_consumer(consumer, now)
-            claimed = []
-            for raw in entry_ids:
-                entry_id = StreamID.parse(raw)
-                pending = grp.pel.get(entry_id)
-                if pending is None:
-                    continue
-                idle = (now - pending.delivery_time) * 1000.0
-                if idle < min_idle_ms:
-                    continue
-                previous = grp.consumers.get(pending.consumer)
-                if previous is not None:
-                    previous.pending.discard(entry_id)
-                entry = stream.get(entry_id)
-                if entry is None:
-                    # Entry was trimmed: Redis deletes such PEL records.
-                    del grp.pel[entry_id]
-                    continue
-                pending.consumer = consumer
-                pending.delivery_time = now
-                pending.delivery_count += 1
-                claimer.pending.add(entry_id)
-                claimed.append((str(entry_id), dict(entry.fields)))
-            return claimed
-
     def xautoclaim(
         self,
         key: str,
@@ -943,8 +695,8 @@ class RedisServer:
             grp = self._group(key, group)
             start_id = StreamID.parse(start)
             candidates = sorted(eid for eid in grp.pel if eid >= start_id)
-            claimed = self.xclaim(
-                key, group, consumer, min_idle_ms, [str(e) for e in candidates[:count]]
+            claimed = self._claim(
+                grp, self._stream_or_none(key), consumer, min_idle_ms, candidates[:count]
             )
             if len(candidates) > count:
                 cursor = str(candidates[count])
@@ -952,18 +704,30 @@ class RedisServer:
                 cursor = "0-0"
             return cursor, claimed
 
-    def xinfo_stream(self, key: str) -> Dict[str, Any]:
-        with self._lock:
-            self._count("xinfo_stream")
-            stream = self._stream_or_none(key)
-            if stream is None:
-                raise RedisError(f"no such key {key!r}")
-            return {
-                "length": len(stream),
-                "last-generated-id": str(stream.last_id),
-                "groups": len(stream.groups),
-                "entries-added": stream.length_added,
-            }
+    def _claim(
+        self,
+        grp: ConsumerGroup,
+        stream: Stream,
+        consumer: str,
+        min_idle_ms: float,
+        entry_ids: List[StreamID],
+    ) -> List[Tuple[str, Dict[str, Any]]]:
+        """Hand ``consumer`` the pending ``entry_ids`` idle at least ``min_idle_ms``."""
+        now = self._now()
+        claimer = grp.get_consumer(consumer, now)
+        claimed = []
+        for entry_id in entry_ids:
+            pending = grp.pel[entry_id]
+            if (now - pending.delivery_time) * 1000.0 < min_idle_ms:
+                continue
+            previous = grp.consumers.get(pending.consumer)
+            if previous is not None:
+                previous.pending.discard(entry_id)
+            pending.consumer = consumer
+            pending.delivery_time = now
+            claimer.pending.add(entry_id)
+            claimed.append((str(entry_id), dict(stream.get(entry_id).fields)))
+        return claimed
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
         with self._lock:

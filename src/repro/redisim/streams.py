@@ -7,9 +7,8 @@ mappings their semantics:
 - consumer groups with a *last-delivered* cursor, so multiple workers
   cooperatively consume a single stream (the "Global Queue" of Figure 2),
 - per-group pending entry lists (PEL) recording which consumer holds each
-  undelivered-but-unacknowledged entry, with delivery timestamps and
-  counters -- the substrate for at-least-once delivery and for XAUTOCLAIM
-  recovery,
+  delivered-but-unacknowledged entry, with delivery timestamps -- the
+  substrate for at-least-once delivery and for XAUTOCLAIM recovery,
 - per-consumer idle times, the metric the ``dyn_auto_redis`` auto-scaling
   strategy monitors (Section 3.2.2: "we utilize Redis's consumer group's
   average idle time").
@@ -95,11 +94,10 @@ class StreamEntry:
 
 @dataclass
 class PendingEntry:
-    """PEL record: who holds an entry, since when, delivered how many times."""
+    """PEL record: who holds an entry, and since when."""
 
     consumer: str
     delivery_time: float
-    delivery_count: int = 1
 
 
 @dataclass
@@ -143,7 +141,7 @@ class ConsumerGroup:
 
 
 class Stream:
-    """Append-only log with consumer groups.
+    """Append-only log with consumer groups; an entry, once added, stays.
 
     Entries are kept sorted by ID; a parallel key list supports ``bisect``
     range queries, keeping XRANGE/XREADGROUP scans :math:`O(\\log n + k)`.
@@ -154,9 +152,8 @@ class Stream:
         self._keys: List[Tuple[int, int]] = []
         self.last_id = StreamID(0, 0)
         self.groups: Dict[str, ConsumerGroup] = {}
-        self.length_added = 0  # total XADDs ever (survives XTRIM)
 
-    # -- append / trim -------------------------------------------------------
+    # -- append ----------------------------------------------------------------
     def add(self, fields: Mapping[str, object], now_ms: int, entry_id: Optional[str] = None) -> StreamID:
         """Append an entry; ``entry_id`` of ``None``/``"*"`` auto-generates."""
         if not fields:
@@ -178,17 +175,7 @@ class Stream:
         self.entries.append(entry)
         self._keys.append(new_id._key())
         self.last_id = new_id
-        self.length_added += 1
         return new_id
-
-    def trim_maxlen(self, maxlen: int) -> int:
-        """Drop oldest entries beyond ``maxlen``; returns number removed."""
-        excess = len(self.entries) - maxlen
-        if excess <= 0:
-            return 0
-        del self.entries[:excess]
-        del self._keys[:excess]
-        return excess
 
     # -- range queries ---------------------------------------------------------
     def __len__(self) -> int:
@@ -217,7 +204,7 @@ class Stream:
         return selected
 
     def get(self, entry_id: StreamID) -> Optional[StreamEntry]:
-        """Entry with exactly this ID, or None (e.g. trimmed away)."""
+        """Entry with exactly this ID, or None."""
         index = bisect.bisect_left(self._keys, entry_id._key())
         if index < len(self._keys) and self._keys[index] == entry_id._key():
             return self.entries[index]

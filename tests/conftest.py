@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -19,6 +21,34 @@ def _deterministic_auto_names():
     from the first unnamed ``Double()``, regardless of test order."""
     reset_auto_names()
     yield
+
+
+def no_leaked_threads(*prefixes, contains=(), grace=5.0):
+    """Body of an autouse fixture: ``yield from no_leaked_threads("resp-")``.
+
+    Fails the test if a thread whose name starts with one of ``prefixes``
+    (or contains one of ``contains``) started during it and is still alive
+    ``grace`` seconds after it ended.  Threads unwind asynchronously after
+    ``close()`` (a handler ends when its socket reads EOF), so the check
+    polls up to the grace.
+    """
+
+    def watched():
+        return {
+            t
+            for t in threading.enumerate()
+            if t.name.startswith(prefixes) or any(part in t.name for part in contains)
+        }
+
+    before = watched()
+    yield
+    end = time.monotonic() + grace
+    while True:
+        leaked = watched() - before
+        if not leaked or time.monotonic() >= end:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"leaked threads: {sorted(t.name for t in leaked)}"
 
 
 #: time_scale used across the suite: nominal seconds become ~2 ms.

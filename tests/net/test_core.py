@@ -150,7 +150,6 @@ class TestRespUnwinding:
         [
             (("BLPOP", "q", "0"), "blpop"),
             (("BLMOVESEQ", "q", "q:log", "0"), "blmove"),
-            (("XREAD", "BLOCK", "0", "STREAMS", "st", "$"), "xread"),
             (
                 ("XREADGROUP", "GROUP", "g", "c", "BLOCK", "0", "STREAMS", "st", ">"),
                 "xreadgroup",

@@ -79,8 +79,8 @@ class TestCommandEncoding:
 
     def test_command_decodes_as_reply_array(self):
         decoder = RespDecoder()
-        decoder.feed(encode_command(["LPUSH", "q", 5]))
-        assert decoder.decode() == [b"LPUSH", b"q", b"5"]
+        decoder.feed(encode_command(["RPUSH", "q", 5]))
+        assert decoder.decode() == [b"RPUSH", b"q", b"5"]
 
 
 class TestReassembly:

@@ -6,12 +6,14 @@ Every test here drives a real loopback socket against
 """
 
 import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.net.client import ReplyError, SocketRedisClient
+from repro.net.resp import INCOMPLETE, ErrorReply, RespDecoder, encode_command
 from repro.net.server import RespTCPServer
 from repro.redisim.server import RedisError, RedisServer
 
@@ -32,6 +34,24 @@ def client(server):
     cli.close()
 
 
+@pytest.fixture
+def talk(server):
+    """A raw RESP socket: ``talk(*words)`` sends one command, returns its reply."""
+    sock = socket.create_connection((server.host, server.port), timeout=5.0)
+    decoder = RespDecoder()
+
+    def talk(*command):
+        sock.sendall(encode_command(command))
+        while (reply := decoder.decode()) is INCOMPLETE:
+            data = sock.recv(65536)
+            assert data, f"connection closed on {command!r}"
+            decoder.feed(data)
+        return reply
+
+    yield talk
+    sock.close()
+
+
 class TestBasics:
     def test_ping(self, client):
         assert client.ping() is True
@@ -49,19 +69,17 @@ class TestBasics:
         client.rpush("q", payload)
         assert client.lpop("q") == payload
 
-    def test_hashes_and_sets(self, client):
-        client.hset("h", "f", b"1")
+    def test_hashes(self, client):
+        client.hincrby("h", "f", 1)
         client.hincrby("h", "f", 2)
-        assert client.hget("h", "f") == b"3"
         assert client.hgetall("h") == {"f": b"3"}
-        client.sadd("s", "a", "b")
-        assert client.smembers("s") == {"a", "b"}
-        assert client.sismember("s", "a") == 1
+        assert client.hdel("h", "f", "ghost") == 1
+        assert client.exists("h") == 0
 
     def test_wrongtype_maps_to_reply_error(self, client):
         client.set("k", "v")
         with pytest.raises(ReplyError) as excinfo:
-            client.lpush("k", 1)
+            client.rpush("k", 1)
         assert excinfo.value.code == "WRONGTYPE"
         assert isinstance(excinfo.value, RedisError)
 
@@ -98,7 +116,8 @@ class TestBlocking:
         other.close()
         assert got == ("q", "late")
 
-    def test_blocking_xread_sees_new_entries(self, server, client):
+    def test_blocking_xreadgroup_sees_new_entries(self, server, client):
+        client.xgroup_create("st", "g", mkstream=True)
         other = SocketRedisClient(address=server.address)
 
         def add():
@@ -107,7 +126,7 @@ class TestBlocking:
 
         t = threading.Thread(target=add)
         t.start()
-        got = client.xread({"st": "$"}, block=5000)
+        got = client.xreadgroup("g", "w0", {"st": ">"}, block=5000)
         t.join()
         other.close()
         assert got and got[0][0] == "st"
@@ -137,6 +156,15 @@ class TestStreamsOverWire:
         pending = client.xpending("st", "g")
         assert pending["consumers"] == {"live": 1}
 
+    def test_xautoclaim_pages_with_count(self, client):
+        client.xgroup_create("st", "g", mkstream=True)
+        ids = [client.xadd("st", {"task": n}) for n in range(3)]
+        client.xreadgroup("g", "dead", {"st": ">"}, count=10)
+        cursor, claimed = client.xautoclaim("st", "g", "live", min_idle_time=0, count=2)
+        assert [eid for eid, _f in claimed] == ids[:2] and cursor == ids[2]
+        cursor, claimed = client.xautoclaim("st", "g", "live", 0, start_id=cursor, count=2)
+        assert [eid for eid, _f in claimed] == ids[2:] and cursor == "0-0"
+        assert client.xpending("st", "g")["consumers"] == {"live": 3}
 
 class TestPipeline:
     def test_pipeline_is_ordered_and_decoded(self, client):
@@ -257,26 +285,6 @@ class TestHostileNumbers:
     """Numbers off the wire are validated, not handed to ``int()``/``float()``:
     a bad one answers ``-ERR`` and the connection serves the next command."""
 
-    @pytest.fixture
-    def talk(self, server):
-        import socket
-
-        from repro.net.resp import INCOMPLETE, RespDecoder, encode_command
-
-        sock = socket.create_connection((server.host, server.port), timeout=5.0)
-        decoder = RespDecoder()
-
-        def talk(*command):
-            sock.sendall(encode_command(command))
-            while (reply := decoder.decode()) is INCOMPLETE:
-                data = sock.recv(65536)
-                assert data, f"connection closed on {command!r}"
-                decoder.feed(data)
-            return reply
-
-        yield talk
-        sock.close()
-
     @pytest.mark.parametrize(
         "command",
         [
@@ -288,20 +296,17 @@ class TestHostileNumbers:
             ("BLPOP", "k", " 1 "),
             ("BLMOVESEQ", "src", "dst", "inf"),
             ("BLMOVESEQ", "src", "dst", "-0.5"),
-            ("XREAD", "BLOCK", "-1", "STREAMS", "s", "$"),
-            ("XREAD", "BLOCK", "1e3", "STREAMS", "s", "$"),
+            ("XREADGROUP", "GROUP", "g", "c", "BLOCK", "-1", "STREAMS", "s", ">"),
+            ("XREADGROUP", "GROUP", "g", "c", "BLOCK", "1e3", "STREAMS", "s", ">"),
             ("INCRBY", "c", "1_000"),
             ("INCRBY", "c", " 5 "),
             ("INCRBY", "c", "+5"),
-            ("HSET", "h", "f", "v", "f2"),
         ],
         ids=lambda command: " ".join(command),
     )
     def test_bad_number_is_an_error_reply_on_a_live_connection(
         self, server, talk, command
     ):
-        from repro.net.resp import ErrorReply
-
         assert talk("PING") == "PONG"  # the handler thread is up
         handlers = [
             t for t in threading.enumerate() if t.name == f"resp-conn-{server.port}"
@@ -312,14 +317,7 @@ class TestHostileNumbers:
         # Same connection, next command: the handler thread survived.
         assert talk("PING") == "PONG"
         assert handlers[0].is_alive()
-        assert server.keyspace.get("c") is None and server.keyspace.hlen("h") == 0
-
-    def test_hset_stores_every_pair(self, server, talk):
-        assert talk("HSET", "h", "f", "v", "f2", "v2") == 2
-        assert talk("HSET", "h", "f", "again", "f3", "v3") == 1  # one new field
-        assert server.keyspace.hgetall("h") == {
-            "f": b"again", "f2": b"v2", "f3": b"v3",
-        }
+        assert server.keyspace.dbsize() == 0
 
     @pytest.fixture
     def fetched(self, server, talk):
@@ -345,8 +343,6 @@ class TestHostileNumbers:
         ids=" ".join,
     )
     def test_hostile_variadic_xackdecr_settles_nothing(self, server, talk, fetched, tail):
-        from repro.net.resp import ErrorReply
-
         a, b, c, _d = fetched
         words = [word.format(b=b, c=c) for word in tail]
         reply = talk("XACKDECR", "st", "g", a, "n", "1", *words)
@@ -357,8 +353,6 @@ class TestHostileNumbers:
 
     @pytest.mark.parametrize("amount", ["0", "-1", "1_000", " 5 "])
     def test_hostile_first_amount_settles_nothing(self, server, talk, fetched, amount):
-        from repro.net.resp import ErrorReply
-
         reply = talk("XACKDECR", "st", "g", fetched[0], "n", amount, fetched[1], "1")
         assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
         assert int(server.keyspace.get("n")) == 100
@@ -381,8 +375,6 @@ class TestHostileNumbers:
 
     @pytest.mark.parametrize("count", ["-1", "1_0", " 2 ", "two", "1.5"])
     def test_hostile_lpop_count_pops_nothing(self, server, talk, count):
-        from repro.net.resp import ErrorReply
-
         assert talk("RPUSH", "q", "a", "b") == 2
         reply = talk("LPOP", "q", count)
         assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
@@ -399,8 +391,6 @@ class TestHostileNumbers:
 
     @pytest.mark.parametrize("count", ["-1", "0", "1_0", " 2 ", "two", "1.5"])
     def test_hostile_blmoveseq_count_moves_nothing(self, server, talk, count):
-        from repro.net.resp import ErrorReply
-
         assert talk("RPUSHSEQ", "q", "a", "b") == [1, 2]
         reply = talk("BLMOVESEQ", "q", "q:log", "0.01", "COUNT", count)
         assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
@@ -412,8 +402,6 @@ class TestHostileNumbers:
         "tail", [("COUNT",), ("LIMIT", "2"), ("COUNT", "2", "COUNT", "3")], ids=" ".join
     )
     def test_malformed_blmoveseq_options_are_an_error(self, talk, tail):
-        from repro.net.resp import ErrorReply
-
         assert talk("RPUSHSEQ", "q", "a") == [1]
         reply = talk("BLMOVESEQ", "q", "q:log", "0.01", *tail)
         assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
@@ -432,3 +420,52 @@ class TestHostileNumbers:
     def test_valid_numbers_still_parse(self, talk):
         assert talk("INCRBY", "c", "-5") == -5
         assert talk("BLPOP", "k", "0.01") is None
+
+
+class TestUnknownCommands:
+    """A verb or option the keyspace does not implement answers ``-ERR``,
+    stores and delivers nothing, and the connection serves its next command."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("SADD", "s", "m"),
+            ("XREAD", "STREAMS", "st", "0"),
+            ("XADD", "k", "MAXLEN", "5", "*", "f", "v"),
+            ("XREADGROUP", "GROUP", "g", "c", "NOACK", "STREAMS", "st", ">"),
+            ("XREADGROUP", "GROUP", "g", "c", "COUNT", "1", "BLOCK"),  # no value
+            # The rest of the verbs and forms no component sends.
+            ("FLUSHALL",),
+            ("TYPE", "st"),
+            ("ECHO", "hi"),
+            ("INCR", "n"),
+            ("DECR", "n"),
+            ("LPUSH", "q", "a"),
+            ("RPOP", "st"),
+            ("HSET", "h", "f", "v"),
+            ("HGET", "h", "f"),
+            ("HLEN", "h"),
+            ("SREM", "s", "m"),
+            ("SMEMBERS", "s"),
+            ("SCARD", "s"),
+            ("SISMEMBER", "s", "m"),
+            ("XTRIM", "st", "MAXLEN", "0"),
+            ("XGROUP", "DESTROY", "st", "g"),
+            ("XGROUP", "DELCONSUMER", "st", "g", "c"),
+            ("XPENDING", "st", "g", "-", "+", "10"),
+            ("XINFO", "STREAM", "st"),
+            ("XCLAIM", "st", "g", "c", "0", "0-1"),
+        ],
+        ids=lambda command: " ".join(command),
+    )
+    def test_error_reply_then_pong_on_the_same_socket(self, server, talk, command):
+        assert talk("XGROUP", "CREATE", "st", "g", "$", "MKSTREAM") == "OK"
+        entry_id = talk("XADD", "st", "*", "f", "v")
+        reply = talk(*command)
+        assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
+        assert talk("PING") == "PONG"
+        assert server.keyspace.xlen("k") == 0
+        assert server.keyspace.keys("*") == ["st"]
+        # Nothing was delivered: the group still hands out the entry.
+        delivered = talk("XREADGROUP", "GROUP", "g", "c", "STREAMS", "st", ">")
+        assert delivered == [[b"st", [[entry_id, [b"f", b"v"]]]]]

@@ -1,4 +1,4 @@
-"""Tests for XCLAIM / XAUTOCLAIM (crash recovery of pending entries)."""
+"""Tests for XAUTOCLAIM (crash recovery of pending entries)."""
 
 import pytest
 
@@ -20,43 +20,6 @@ def seed(server, n=3):
     return [server.xadd("s", {"v": i}) for i in range(n)]
 
 
-class TestXClaim:
-    def test_claims_idle_entries(self, server, timeline):
-        ids = seed(server)
-        server.xreadgroup("g", "dead", {"s": ">"}, count=3)
-        timeline["t"] = 10.0  # entries now 9000 ms idle
-        claimed = server.xclaim("s", "g", "alive", 5000, ids)
-        assert [eid for eid, _f in claimed] == ids
-        assert server.xpending("s", "g")["consumers"] == {"alive": 3}
-
-    def test_respects_min_idle(self, server, timeline):
-        ids = seed(server, n=1)
-        server.xreadgroup("g", "dead", {"s": ">"})
-        timeline["t"] = 1.5  # only 500 ms idle
-        assert server.xclaim("s", "g", "alive", 5000, ids) == []
-
-    def test_claim_bumps_delivery_count(self, server, timeline):
-        ids = seed(server, n=1)
-        server.xreadgroup("g", "dead", {"s": ">"})
-        timeline["t"] = 10.0
-        server.xclaim("s", "g", "alive", 0, ids)
-        rows = server.xpending_range("s", "g")
-        assert rows[0]["times_delivered"] == 2
-
-    def test_claim_unknown_id_ignored(self, server):
-        seed(server, n=1)
-        assert server.xclaim("s", "g", "c", 0, ["999-999"]) == []
-
-    def test_claim_trimmed_entry_drops_pel(self, server, timeline):
-        ids = seed(server, n=2)
-        server.xreadgroup("g", "dead", {"s": ">"}, count=2)
-        server.xtrim("s", 1)  # first entry gone from the log
-        timeline["t"] = 10.0
-        claimed = server.xclaim("s", "g", "alive", 0, ids)
-        assert [eid for eid, _f in claimed] == [ids[1]]
-        assert server.xpending("s", "g")["pending"] == 1
-
-
 class TestXAutoClaim:
     def test_scans_and_claims(self, server, timeline):
         ids = seed(server, n=5)
@@ -75,3 +38,47 @@ class TestXAutoClaim:
         timeline["t"] = 1.1
         cursor, claimed = server.xautoclaim("s", "g", "alive", 60000)
         assert claimed == [] and cursor == "0-0"
+
+    def test_claim_transfers_ownership(self, server, timeline):
+        ids = seed(server)
+        server.xreadgroup("g", "dead", {"s": ">"}, count=3)
+        timeline["t"] = 10.0  # entries now 9000 ms idle
+        _cursor, claimed = server.xautoclaim("s", "g", "alive", 5000)
+        assert [eid for eid, _f in claimed] == ids
+        assert server.xpending("s", "g")["consumers"] == {"alive": 3}
+        assert server.xreadgroup("g", "alive", {"s": "0-0"})[0][1] == claimed
+
+    def test_a_reclaim_is_one_command(self, server, timeline):
+        seed(server, n=1)
+        server.xreadgroup("g", "dead", {"s": ">"})
+        timeline["t"] = 10.0
+        server.xautoclaim("s", "g", "alive", 0)
+        assert server.command_count["xautoclaim"] == 1
+        assert "xclaim" not in server.command_count
+
+    def test_claims_only_entries_idle_long_enough(self, server, timeline):
+        ids = seed(server, n=3)
+        server.xreadgroup("g", "dead", {"s": ">"}, count=2)
+        timeline["t"] = 5.0
+        server.xreadgroup("g", "slow", {"s": ">"}, count=1)
+        timeline["t"] = 6.0  # dead's two entries 5000 ms idle, slow's 1000 ms
+        _cursor, claimed = server.xautoclaim("s", "g", "alive", 3000)
+        assert [eid for eid, _f in claimed] == ids[:2]
+        assert server.xpending("s", "g")["consumers"] == {"alive": 2, "slow": 1}
+
+    def test_acked_entries_are_not_claimed(self, server, timeline):
+        ids = seed(server, n=3)
+        server.xreadgroup("g", "dead", {"s": ">"}, count=3)
+        server.xack("s", "g", ids[1])
+        timeline["t"] = 10.0
+        _cursor, claimed = server.xautoclaim("s", "g", "alive", 0)
+        assert [eid for eid, _f in claimed] == [ids[0], ids[2]]
+
+    def test_a_claim_restarts_the_idle_clock(self, server, timeline):
+        seed(server, n=1)
+        server.xreadgroup("g", "dead", {"s": ">"})
+        timeline["t"] = 10.0
+        assert len(server.xautoclaim("s", "g", "alive", 5000)[1]) == 1
+        timeline["t"] = 11.0  # 1000 ms since the claim, not 10 000
+        assert server.xautoclaim("s", "g", "thief", 5000) == ("0-0", [])
+        assert server.xpending("s", "g")["consumers"] == {"alive": 1}

@@ -1,5 +1,7 @@
 """Tests for consumer groups: XGROUP/XREADGROUP/XACK/XPENDING/XINFO."""
 
+import threading
+
 import pytest
 
 from repro.redisim.errors import BusyGroupError, NoGroupError, RedisError
@@ -30,15 +32,16 @@ class TestXGroupCreate:
         with pytest.raises(BusyGroupError):
             server.xgroup_create("s", "g")
 
-    def test_destroy(self, server):
-        server.xgroup_create("s", "g", mkstream=True)
-        assert server.xgroup_destroy("s", "g") == 1
-        assert server.xgroup_destroy("s", "g") == 0
-
     def test_dollar_start_skips_existing(self, server):
         server.xadd("s", {"v": "old"})
         server.xgroup_create("s", "g", entry_id="$")
         assert server.xreadgroup("g", "c", {"s": ">"}) == []
+
+    def test_explicit_start_skips_entries_up_to_it(self, server):
+        ids = [server.xadd("s", {"v": i}) for i in range(3)]
+        server.xgroup_create("s", "g", entry_id=ids[0])
+        _key, entries = server.xreadgroup("g", "c", {"s": ">"})[0]
+        assert [eid for eid, _f in entries] == ids[1:]
 
 
 class TestXReadGroup:
@@ -77,6 +80,21 @@ class TestXReadGroup:
         _key, entries = replay[0]
         assert len(entries) == 2
 
+    def test_history_after_a_cursor_skips_earlier_entries(self, server):
+        ids = make_group(server, n_entries=3)
+        server.xreadgroup("g", "c", {"s": ">"}, count=3)
+        _key, entries = server.xreadgroup("g", "c", {"s": ids[0]})[0]
+        assert [eid for eid, _f in entries] == ids[1:]
+
+    def test_reads_several_streams_in_one_call(self, server):
+        make_group(server, n_entries=2)
+        server.xgroup_create("t", "g", entry_id="0", mkstream=True)
+        other = server.xadd("t", {"v": "t0"})
+        reply = dict(server.xreadgroup("g", "c", {"s": ">", "t": ">"}))
+        assert len(reply["s"]) == 2
+        assert reply["t"] == [(other, {"v": "t0"})]
+        assert server.xpending("t", "g")["consumers"] == {"c": 1}
+
     def test_history_after_ack_is_empty(self, server):
         make_group(server, n_entries=1)
         [(eid, _f)] = server.xreadgroup("g", "c", {"s": ">"})[0][1]
@@ -84,10 +102,24 @@ class TestXReadGroup:
         replay = server.xreadgroup("g", "c", {"s": "0-0"})
         assert replay[0][1] == []
 
-    def test_noack_skips_pel(self, server):
-        make_group(server, n_entries=1)
-        server.xreadgroup("g", "c", {"s": ">"}, noack=True)
-        assert server.xpending("s", "g")["pending"] == 0
+    def test_blocking_read_wakes_on_add(self):
+        server = RedisServer()
+        server.xgroup_create("s", "g", mkstream=True)
+        got = []
+
+        def reader():
+            got.append(server.xreadgroup("g", "c", {"s": ">"}, block_ms=2000))
+
+        t = threading.Thread(target=reader)
+        t.start()
+        server.xadd("s", {"v": "fresh"})
+        t.join(timeout=3)
+        assert got and got[0][0][1][0][1] == {"v": "fresh"}
+
+    def test_blocking_read_times_out(self):
+        server = RedisServer()
+        server.xgroup_create("s", "g", mkstream=True)
+        assert server.xreadgroup("g", "c", {"s": ">"}, block_ms=20) == []
 
 
 class TestXAck:
@@ -119,19 +151,6 @@ class TestXPending:
         summary = server.xpending("s", "g")
         assert summary == {"pending": 0, "min": None, "max": None, "consumers": {}}
 
-    def test_range_filter_by_consumer(self, server):
-        make_group(server, n_entries=3)
-        server.xreadgroup("g", "c1", {"s": ">"}, count=2)
-        server.xreadgroup("g", "c2", {"s": ">"}, count=1)
-        rows = server.xpending_range("s", "g", consumer="c2")
-        assert len(rows) == 1 and rows[0]["consumer"] == "c2"
-
-    def test_range_reports_delivery_count(self, server):
-        make_group(server, n_entries=1)
-        server.xreadgroup("g", "c", {"s": ">"})
-        rows = server.xpending_range("s", "g")
-        assert rows[0]["times_delivered"] == 1
-
 
 class TestXInfo:
     def test_groups_lag(self, server):
@@ -148,21 +167,9 @@ class TestXInfo:
         [row] = server.xinfo_consumers("s", "g")
         assert row["name"] == "c1" and row["pending"] == 2
 
-    def test_stream_info(self, server):
-        make_group(server, n_entries=2)
-        info = server.xinfo_stream("s")
-        assert info["length"] == 2
-        assert info["groups"] == 1
-
-    def test_stream_info_missing_raises(self, server):
+    def test_groups_of_a_missing_stream_raises(self, server):
         with pytest.raises(RedisError):
-            server.xinfo_stream("nope")
-
-    def test_delconsumer_drops_pel(self, server):
-        make_group(server, n_entries=2)
-        server.xreadgroup("g", "c1", {"s": ">"}, count=2)
-        assert server.xgroup_delconsumer("s", "g", "c1") == 2
-        assert server.xpending("s", "g")["pending"] == 0
+            server.xinfo_groups("missing")
 
 
 class TestIdleTime:

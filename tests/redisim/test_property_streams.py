@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.redisim.server import RedisServer
-from repro.redisim.streams import Stream, StreamID
+from repro.redisim.streams import StreamID
 
 
 def fresh_server():
@@ -77,13 +77,3 @@ class TestStreamProperties:
                         exhausted = False
         assert sorted(seen) == sorted(values)
         assert server.xpending("s", "g")["pending"] == 0
-
-    @given(st.lists(st.integers(), min_size=1, max_size=60), st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_trim_keeps_newest(self, values, maxlen):
-        stream = Stream()
-        for i, v in enumerate(values):
-            stream.add({"v": v}, now_ms=i + 1)
-        stream.trim_maxlen(maxlen)
-        kept = [e.fields["v"] for e in stream.entries]
-        assert kept == values[-maxlen:]

@@ -234,23 +234,6 @@ class TestServerShutdown:
         assert not thread.is_alive()
         assert len(errors) == 1
 
-    def test_blocking_xread_woken_on_close(self, server, client):
-        errors = []
-
-        def reader():
-            try:
-                client.xread({"stream": "$"}, block=30_000)
-            except RedisConnectionError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        server.close()
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert len(errors) == 1
-
     def test_blocking_xreadgroup_woken_on_close(self, server, client):
         client.xgroup_create("stream", "grp", id="0", mkstream=True)
         errors = []

@@ -1,6 +1,4 @@
-"""Tests for stream IDs, XADD/XRANGE/XLEN/XTRIM and plain XREAD."""
-
-import threading
+"""Tests for stream IDs and XADD/XRANGE/XLEN."""
 
 import pytest
 
@@ -66,6 +64,11 @@ class TestXAdd:
         with pytest.raises(StreamIDError):
             server.xadd("s", {"v": 1}, entry_id="0-0")
 
+    def test_a_refused_add_creates_no_key(self, server):
+        with pytest.raises(StreamIDError):
+            server.xadd("s", {"v": 1}, entry_id="0-0")
+        assert server.exists("s") == 0 and server.keys() == []
+
     def test_empty_fields_rejected(self, server):
         with pytest.raises(StreamIDError):
             server.xadd("s", {})
@@ -80,14 +83,6 @@ class TestXAdd:
         assert server.xlen("s") == 0
         server.xadd("s", {"v": 1})
         assert server.xlen("s") == 1
-
-    def test_maxlen_trims(self, server):
-        for i in range(10):
-            server.xadd("s", {"v": i}, maxlen=5)
-        assert server.xlen("s") == 5
-        values = [fields["v"] for _id, fields in server.xrange("s")]
-        assert values == [5, 6, 7, 8, 9]
-
 
 class TestXRange:
     def test_full_range(self, server):
@@ -107,54 +102,3 @@ class TestXRange:
 
     def test_missing_stream_empty(self, server):
         assert server.xrange("nope") == []
-
-    def test_xtrim(self, server):
-        for i in range(6):
-            server.xadd("s", {"v": i})
-        assert server.xtrim("s", 2) == 4
-        assert server.xlen("s") == 2
-
-
-class TestXRead:
-    def test_read_from_start(self, server):
-        server.xadd("s", {"v": 1})
-        server.xadd("s", {"v": 2})
-        reply = server.xread({"s": "0-0"})
-        assert len(reply) == 1
-        key, entries = reply[0]
-        assert key == "s" and len(entries) == 2
-
-    def test_read_after_cursor(self, server):
-        first = server.xadd("s", {"v": 1})
-        server.xadd("s", {"v": 2})
-        reply = server.xread({"s": first})
-        _key, entries = reply[0]
-        assert [f["v"] for _e, f in entries] == [2]
-
-    def test_read_nothing_returns_empty(self, server):
-        server.xadd("s", {"v": 1})
-        last = server.xrange("s")[-1][0]
-        assert server.xread({"s": last}) == []
-
-    def test_dollar_means_new_only(self, server):
-        server.xadd("s", {"v": "old"})
-        assert server.xread({"s": "$"}) == []
-
-    def test_blocking_read_wakes_on_add(self):
-        server = RedisServer()
-        got = []
-
-        def reader():
-            got.append(server.xread({"s": "0-0"}, block_ms=2000))
-
-        server.xadd("s", {"seed": 1})
-        server.delete("s")
-        t = threading.Thread(target=reader)
-        t.start()
-        server.xadd("s", {"v": "fresh"})
-        t.join(timeout=3)
-        assert got and got[0][0][1][0][1] == {"v": "fresh"}
-
-    def test_blocking_read_times_out(self):
-        server = RedisServer()
-        assert server.xread({"missing": "0-0"}, block_ms=20) == []

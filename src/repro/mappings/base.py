@@ -330,12 +330,12 @@ def dispatch_emissions(
     key, so a fused run reports the same output keys as an unfused one.
     """
     deliveries: List[Delivery] = []
-    pe = concrete.graph.pes.get(pe_name)
-    aliases = getattr(pe, "collector_aliases", None)
     for port, data in emissions:
         if concrete.connected(pe_name, port):
             deliveries.extend(concrete.route_output(pe_name, index, port, data))
-        elif aliases and port in aliases:
+            continue
+        aliases = getattr(concrete.graph.pes.get(pe_name), "collector_aliases", None)
+        if aliases and port in aliases:
             original_pe, original_port = aliases[port]
             collector.add(original_pe, original_port, data)
         else:

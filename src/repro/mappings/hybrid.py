@@ -235,8 +235,12 @@ class HybridRedisMapping(Mapping):
         state.counters.inc("stateful_instances", n_threaded)
         state.counters.inc("stateless_workers", stateless_workers)
 
-        def private_key(pe_name: str, index: int) -> str:
-            return f"{namespace}:private:{pe_name}:{index}"
+        #: Private-queue key by ``(pe, index)``, formatted once per run.
+        private_keys = {
+            (name, idx): f"{namespace}:private:{name}:{idx}"
+            for name in stateful_names
+            for idx in range(allocation[name])
+        }
 
         #: Every worker's exit: set by the first worker error, which aborts
         #: the run, and by the coordinator once it is done, drained or not.
@@ -281,17 +285,18 @@ class HybridRedisMapping(Mapping):
             private: Dict[str, List[tuple]] = {}
             for d in deliveries:
                 if d.dst in stateful_names:
-                    private.setdefault(private_key(d.dst, d.dst_index), []).append(
+                    private.setdefault(private_keys[d.dst, d.dst_index], []).append(
                         ("data", d.dst_port, d.data)
                     )
                 else:
                     stateless_tasks.append((d.dst, d.dst_port, d.data))
             board.queue_tasks(pipe, stateless_tasks, batch_size)
             for key, messages in private.items():
-                push_private(
-                    pipe, key, *(as_envelope(chunk) for chunk in chunked(messages, batch_size))
-                )
-                state.counters.inc("private_puts", len(messages))
+                if batch_size > 1:
+                    messages = [as_envelope(chunk) for chunk in chunked(messages, batch_size)]
+                push_private(pipe, key, *messages)
+            if private:
+                state.counters.inc("private_puts", len(deliveries) - len(stateless_tasks))
 
         def dispatch(pipe, deliveries: List[Delivery]) -> None:
             """A pinned instance's deliveries behind their credit, booked once."""
@@ -309,7 +314,7 @@ class HybridRedisMapping(Mapping):
         # never held.
         for name in stateful_names:
             for idx in range(allocation[name]):
-                key = private_key(name, idx)
+                key = private_keys[name, idx]
                 seed_client.delete(key, f"{key}:pending")
                 if recovery:
                     state_store.delete(f"{name}.{idx}")
@@ -325,7 +330,7 @@ class HybridRedisMapping(Mapping):
                 if root in stateful_names:
                     index = rr_counter % allocation[root]
                     rr_counter += 1
-                    private_seeds.setdefault(private_key(root, index), []).append(
+                    private_seeds.setdefault(private_keys[root, index], []).append(
                         ("root", item, None)
                     )
                 else:
@@ -356,7 +361,7 @@ class HybridRedisMapping(Mapping):
                 instance.preprocess()
                 consumer = dict(
                     client=client,
-                    key=private_key(pe_name, index),
+                    key=private_keys[pe_name, index],
                     board=board,
                     policy=policy,
                     stop=stop,
@@ -561,7 +566,7 @@ class HybridRedisMapping(Mapping):
                 pipe = coordinator_client.pipeline()
                 board.book(pipe, threaded[name] + len(flushed))
                 for idx in range(threaded[name]):
-                    push_private(pipe, private_key(name, idx), ("close",))
+                    push_private(pipe, private_keys[name, idx], ("close",))
                 queue_deliveries(pipe, flushed)
                 pipe.execute()
                 wait_drained()
@@ -605,16 +610,21 @@ class HybridRedisMapping(Mapping):
         survive -- while the post-dispatch point belongs to the caller.
         """
         deliveries: List[Delivery] = []
-        for message in batch_items(item):
-            if injector is not None:
-                injector.record_invocation(instance.instance_id)
-            emissions = self._invoke_message(instance, message)
-            state.counters.inc("stateful_tasks")
-            if injector is not None:
-                injector.maybe_crash(instance.instance_id, "post-process")
-            deliveries.extend(
-                dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
-            )
+        invoked = 0
+        try:
+            for message in batch_items(item):
+                if injector is not None:
+                    injector.record_invocation(instance.instance_id)
+                emissions = self._invoke_message(instance, message)
+                invoked += 1
+                if injector is not None:
+                    injector.maybe_crash(instance.instance_id, "post-process")
+                deliveries.extend(
+                    dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
+                )
+        finally:
+            # Counted once per element, crash included: what ran, ran.
+            state.counters.inc("stateful_tasks", invoked)
         return deliveries
 
     def _run_plain(

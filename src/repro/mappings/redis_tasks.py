@@ -159,8 +159,10 @@ class RedisTaskBoard:
         Payloads only: their credit (one per task) is the pipeline owner's
         to :meth:`book` first.
         """
-        for chunk in chunked(tasks, max(1, batch_size)):
-            pipe.xadd(self.stream_key, {"task": as_envelope(chunk)})
+        if batch_size > 1:
+            tasks = [as_envelope(chunk) for chunk in chunked(tasks, batch_size)]
+        for envelope in tasks:
+            pipe.xadd(self.stream_key, {"task": envelope})
 
     def put_tasks(
         self, tasks: List[Any], batch_size: int, client: Optional[RedisClient] = None
@@ -338,11 +340,11 @@ class StreamWorker:
         counter sink ``count(name, amount=1)`` -- in-process state for
         threads, a relay buffer and a local tally for worker processes.
     publish:
-        ``publish(pipe, deliveries)`` appends what an entry produced to the
-        settling pipeline, ahead of the ack.  Default
-        (:meth:`publish_tasks`): batch envelopes on the task stream; hybrid
-        routes stateful destinations to private queues, cluster workers add
-        their relayed results.
+        ``publish(pipe, deliveries)`` appends what a window produced, every
+        entry's children in fetch order, to the settling pipeline in one
+        call, ahead of the ack.  Default (:meth:`publish_tasks`): batch
+        envelopes on the task stream; hybrid routes stateful destinations to
+        private queues, cluster workers add their relayed results.
     after_fetch:
         Called with the number of real entries of each non-empty fetch,
         prefetched ones included, before any is run (``crash_after``
@@ -477,8 +479,10 @@ class StreamWorker:
         entry ahead.
         """
         pills = [entry_id for entry_id, payload in fetched if payload is PILL]
-        #: ``(entry id, tasks carried, children)`` of every entry started.
-        ran: List[Tuple[str, int, List[Delivery]]] = []
+        #: ``(entry id, tasks carried)`` of every entry started, and what
+        #: they produced, in fetch order.
+        ran: List[Tuple[str, int]] = []
+        children: List[Delivery] = []
         tasks, window = 0, 0
         started = time.perf_counter()
         try:
@@ -488,15 +492,14 @@ class StreamWorker:
                 if stop is not None and stop():
                     break
                 items = batch_items(payload)
-                deliveries: List[Delivery] = []
-                ran.append((entry_id, len(items), deliveries))
+                ran.append((entry_id, len(items)))
                 for pe_name, port, item in items:
                     inputs = item if port is None else {port: item}
                     emissions = self.copies[pe_name]._invoke(inputs)
-                    self.count("tasks")
-                    deliveries.extend(
+                    children.extend(
                         dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
                     )
+                self.count("tasks", len(items))
                 tasks += len(items)
             else:
                 if not pills and tasks < budget:
@@ -504,23 +507,24 @@ class StreamWorker:
         finally:
             # Settle even when a PE raised: a started entry must not stay
             # in the PEL for a peer to adopt and fail on again.
-            self._settle(ran, pills, window, started)
+            self._settle(ran, children, pills, window, started)
         return tasks, bool(pills)
 
     def _settle(
         self,
-        ran: List[Tuple[str, int, List[Delivery]]],
+        ran: List[Tuple[str, int]],
+        children: List[Delivery],
         pills: List[str],
         window: int,
         started: float,
     ) -> None:
         """The one trip of a window: settle ``ran``, read ahead in windows of ``window``.
 
-        Credit first, then what each entry published, then the acks: a crash
+        Credit first, then what the window published, then the acks: a crash
         in between can only repeat work (at-least-once), never lose it.  The
-        pipeline is assembled here, after the window ran, so a ``publish``
-        that carries per-window state (cluster's relayed results) lands it
-        with the first entry -- ahead of the window's ack.
+        pipeline is assembled here, after the window ran, and ``publish``
+        is called once with every child in fetch order, so per-window state
+        (cluster's relayed results) lands with them -- ahead of the ack.
 
         ``window == 0`` is the way out (a pill, a raise, ``stop()``, a spent
         budget, an adopted entry): nothing is read ahead, the trip is waited
@@ -534,10 +538,10 @@ class StreamWorker:
                 entry_id for held in self._hand for entry_id, payload in held if payload is PILL
             ]
         pipe = self.client.pipeline()
-        self.board.book(pipe, sum(len(deliveries) for _id, _amount, deliveries in ran))
-        for _entry_id, _amount, deliveries in ran:
-            self.publish(pipe, deliveries)
-        self.board.queue_settle(pipe, [(entry_id, amount) for entry_id, amount, _d in ran])
+        self.board.book(pipe, len(children))
+        if ran:
+            self.publish(pipe, children)
+        self.board.queue_settle(pipe, ran)
         self.board.queue_pills(pipe, pills, own)
         # Two windows in hand where a settle can fly over the first of them.
         ahead = ((2 if window > 1 and self._flew else 1) - len(self._hand)) * window
@@ -672,4 +676,4 @@ class StreamWorker:
                 continue
             empty_streak += 1
         # Stopped between two windows: the way out with nothing to settle.
-        self._settle([], [], 0, 0.0)
+        self._settle([], [], [], 0, 0.0)

@@ -36,6 +36,7 @@ benchmarks can report communication volume.
 from __future__ import annotations
 
 import pickle
+from functools import partial
 from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple, Union,
 )
@@ -117,8 +118,8 @@ class InProcessTransport(Transport):
         """Nothing to release: the server outlives its clients."""
 
 
-def _dumps(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+#: ``value -> bytes``, one C call (no Python frame of its own).
+_dumps = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _loads(value: Any) -> Any:
@@ -163,12 +164,10 @@ class Pipeline:
     decr = decrby
 
     def rpush(self, key: str, *values: Any) -> "Pipeline":
-        encoded = tuple(self._client._enc(v) for v in values)
-        return self._queue("rpush", key, *encoded)
+        return self._queue("rpush", key, *[self._client._enc(v) for v in values])
 
     def rpush_seq(self, key: str, *values: Any) -> "Pipeline":
-        encoded = tuple(self._client._enc(v) for v in values)
-        return self._queue("rpushseq", key, *encoded)
+        return self._queue("rpushseq", key, *[self._client._enc(v) for v in values])
 
     def ltrim(self, key: str, start: int, end: int) -> "Pipeline":
         return self._queue("ltrim", key, start, end)
@@ -214,6 +213,9 @@ class Pipeline:
             return Flight([])
         self._client._charge()
         commands, self._commands = self._commands, []
+        flight = self._client._transport.begin(commands)
+        if not self._decoders:
+            return flight
         decoders, self._decoders = self._decoders, {}
 
         def decoded(replies: List[Any]) -> List[Any]:
@@ -221,7 +223,7 @@ class Pipeline:
                 replies[position] = decode(replies[position])
             return replies
 
-        return self._client._transport.begin(commands).then(decoded)
+        return flight.then(decoded)
 
     def execute(self) -> List[Any]:
         """Run the batch; clears the pipeline and returns per-command results."""
@@ -278,7 +280,7 @@ class RedisClient:
     # ------------------------------------------------------------------ util
     def _charge(self) -> None:
         self.ops += 1
-        if self._latency > 0 and self._clock is not None:
+        if self._latency:  # a clock comes with any latency (see __init__)
             self._clock.sleep(self._latency)
 
     def _call(self, name: str, *args: Any, **kwargs: Any) -> Any:
@@ -295,13 +297,14 @@ class RedisClient:
     def _enc_fields(self, fields: Mapping[str, Any]) -> Dict[str, Any]:
         return {name: self._enc(value) for name, value in fields.items()}
 
-    def _dec_fields(self, fields: Mapping[str, Any]) -> Dict[str, Any]:
-        return {name: self._dec(value) for name, value in fields.items()}
-
     def _dec_entries(
         self, entries: List[Tuple[str, Dict[str, Any]]]
     ) -> List[Tuple[str, Dict[str, Any]]]:
-        return [(eid, self._dec_fields(fields)) for eid, fields in entries]
+        dec = self._dec
+        return [
+            (eid, {name: dec(value) for name, value in fields.items()})
+            for eid, fields in entries
+        ]
 
     def _dec_streams(
         self, reply: List[Tuple[str, List[Tuple[str, Dict[str, Any]]]]]

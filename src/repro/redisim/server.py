@@ -3,9 +3,13 @@
 Holds a single keyspace mapping keys to typed values (string, list, hash,
 stream) and implements the commands the workflow mappings send.  All
 commands run under one re-entrant lock; blocking commands (``BLPOP``,
-``BLMOVE``, blocking ``XREADGROUP``) wait on a condition variable that
-every mutation notifies, which mirrors the event-driven wakeup behaviour of
-a real Redis client connection.
+``BLMOVE``, blocking ``XREADGROUP``) wait on a condition variable over that
+lock, which every mutation notifies while a client is parked on it -- the
+event-driven wakeup behaviour of a real Redis client connection.
+
+A command takes the lock itself (``with self._lock``), not the condition's
+Python-level ``__enter__``, and a write with nobody parked skips the
+``notify_all``: both run once per command, on the path every hop takes.
 
 Commands follow the semantics documented at redis.io closely; deliberate
 simplifications (no expiry, no persistence, no cluster) are listed in the
@@ -34,6 +38,7 @@ from repro.redisim.streams import (
     PendingEntry,
     Stream,
     StreamID,
+    by_id,
 )
 
 _TYPE_STRING = "string"
@@ -70,6 +75,8 @@ class RedisServer:
         self._now = now
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
+        #: Clients waiting in :meth:`_park` right now (read under the lock).
+        self._parked = 0
         self._data: Dict[str, Tuple[str, Any]] = {}
         self._seq: Dict[str, int] = {}
         self._closed = False
@@ -91,11 +98,17 @@ class RedisServer:
         variable again.  Non-blocking commands issued after close also fail
         with :class:`~repro.redisim.errors.ConnectionError`.  Idempotent.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._cond.notify_all()
+
+    @property
+    def parked(self) -> int:
+        """How many clients wait in a blocking command right now."""
+        with self._lock:
+            return self._parked
 
     def _check_open(self) -> None:
         if self._closed:
@@ -104,7 +117,7 @@ class RedisServer:
     def wake(self) -> None:
         """Wake every parked blocking command to re-check its ``cancelled``
         predicate (the TCP front-end's, when a connection of its dies)."""
-        with self._cond:
+        with self._lock:
             self._cond.notify_all()
 
     def _park(
@@ -117,18 +130,33 @@ class RedisServer:
         because ``deadline`` passed or ``cancelled()`` turned true; a closed
         server raises instead.
         """
-        if deadline is None:
-            timed_out = not self._cond.wait()
-        else:
-            remaining = deadline - self._now()
-            timed_out = remaining <= 0 or not self._cond.wait(timeout=remaining)
+        self._parked += 1
+        try:
+            if deadline is None:
+                timed_out = not self._cond.wait()
+            else:
+                remaining = deadline - self._now()
+                timed_out = remaining <= 0 or not self._cond.wait(timeout=remaining)
+        finally:
+            self._parked -= 1
         self._check_open()
         return not (timed_out or (cancelled is not None and cancelled()))
 
+    def _notify(self) -> None:
+        """Wake the parked clients after a write; nobody parked, no call.
+
+        Every write runs under the lock a parking client holds until it
+        waits, so a write that reads ``_parked == 0`` cannot miss a waiter.
+        """
+        if self._parked:
+            self._cond.notify_all()
+
     # ------------------------------------------------------------------ util
     def _count(self, command: str) -> None:
-        self._check_open()
-        self.command_count[command] = self.command_count.get(command, 0) + 1
+        if self._closed:
+            raise ConnectionError("redisim server is closed")
+        counts = self.command_count
+        counts[command] = counts.get(command, 0) + 1
 
     def _get_typed(self, key: str, expected: str) -> Any:
         slot = self._data.get(key)
@@ -173,16 +201,17 @@ class RedisServer:
         lock mid-transaction and void its atomicity.
         """
         results = []
-        with self._cond:
+        allowed = self._TXN_COMMANDS
+        with self._lock:
             for name, args, kwargs in commands:
-                if name not in self._TXN_COMMANDS:
+                if name not in allowed:
                     raise RedisError(f"command {name!r} not allowed in a transaction")
                 if name == "xreadgroup" and (
                     len(args) > 4 or kwargs.get("block_ms") is not None
                 ):
                     raise RedisError("blocking xreadgroup not allowed in a transaction")
                 results.append(getattr(self, name)(*args, **kwargs))
-            self._cond.notify_all()
+            self._notify()
         return results
 
     # --------------------------------------------------------------- generic
@@ -197,7 +226,7 @@ class RedisServer:
             return [k for k in self._data if fnmatch.fnmatchcase(k, pattern)]
 
     def delete(self, *keys: str) -> int:
-        with self._cond:
+        with self._lock:
             self._count("delete")
             removed = 0
             for key in keys:
@@ -206,7 +235,7 @@ class RedisServer:
                     del self._data[key]
                     removed += 1
             if removed:
-                self._cond.notify_all()
+                self._notify()
             return removed
 
     def exists(self, *keys: str) -> int:
@@ -218,7 +247,7 @@ class RedisServer:
     def set(self, key: str, value: Any) -> bool:
         # No notify: nothing blocks on string values, and waking every
         # BLPOP/XREADGROUP waiter per counter write is pure contention.
-        with self._cond:
+        with self._lock:
             self._count("set")
             self._data[key] = (_TYPE_STRING, value)
             return True
@@ -229,7 +258,7 @@ class RedisServer:
             return self._get_typed(key, _TYPE_STRING)
 
     def incrby(self, key: str, amount: int = 1) -> int:
-        with self._cond:
+        with self._lock:
             self._count("incrby")
             current = self._get_typed(key, _TYPE_STRING)
             if current is None:
@@ -253,12 +282,11 @@ class RedisServer:
         return value
 
     def rpush(self, key: str, *values: Any) -> int:
-        with self._cond:
+        with self._lock:
             self._count("rpush")
             lst = self._list_for_write(key)
-            for value in values:
-                lst.append(value)
-            self._cond.notify_all()
+            lst.extend(values)
+            self._notify()
             return len(lst)
 
     def _pop(self, key: str) -> Any:
@@ -271,19 +299,26 @@ class RedisServer:
             del self._data[key]
         return value
 
+    def _take(self, key: str, lst: deque, count: int) -> List[Any]:
+        """Pop up to ``count`` from the head of ``lst``, the list at ``key``."""
+        taken = [lst.popleft() for _ in range(min(count, len(lst)))]
+        if not lst:
+            del self._data[key]
+        return taken
+
     def lpop(self, key: str, count: Optional[int] = None) -> Any:
         """Pop the head; ``LPOP key count`` (Redis >= 6.2) pops up to ``count``
         in one atomic step and answers a list, ``None`` for a missing key."""
         if count is not None and not _is_int(count, 0):
             raise RedisError(f"value is out of range, must be positive: {count!r}")
-        with self._cond:
+        with self._lock:
             self._count("lpop")
             if count is None:
                 return self._pop(key)
             lst = self._get_typed(key, _TYPE_LIST)
             if not lst:
                 return None
-            return [self._pop(key) for _ in range(min(count, len(lst)))]
+            return self._take(key, lst, count)
 
     def blpop(
         self,
@@ -299,7 +334,7 @@ class RedisServer:
         """
         keys = list(keys)
         deadline = self._now() + timeout if timeout else None
-        with self._cond:
+        with self._lock:
             self._count("blpop")
             while True:
                 for key in keys:
@@ -331,17 +366,14 @@ class RedisServer:
         if count is not None and not _is_int(count, 1):
             raise RedisError(f"count must be an integer >= 1, got {count!r}")
         deadline = self._now() + timeout if timeout else None
-        with self._cond:
+        with self._lock:
             self._count("blmove")
             while True:
                 lst = self._get_typed(source, _TYPE_LIST)
                 if lst:
-                    moved = [
-                        self._pop(source)
-                        for _ in range(1 if count is None else min(count, len(lst)))
-                    ]
+                    moved = self._take(source, lst, 1 if count is None else count)
                     self._list_for_write(destination).extend(moved)
-                    self._cond.notify_all()
+                    self._notify()
                     return moved[0] if count is None else moved
                 if not self._park(deadline, cancelled):
                     return None
@@ -355,7 +387,7 @@ class RedisServer:
         itself), so consumers can use it as a stable replay cursor across
         crashes.  Returns the assigned sequence numbers.
         """
-        with self._cond:
+        with self._lock:
             self._count("rpushseq")
             lst = self._list_for_write(key)
             assigned = []
@@ -365,12 +397,12 @@ class RedisServer:
                 lst.append((seq, value))
                 assigned.append(seq)
             self._seq[key] = seq
-            self._cond.notify_all()
+            self._notify()
             return assigned
 
     def ltrim(self, key: str, start: int, end: int) -> bool:
         """Trim the list to ``[start, end]`` (inclusive, as in Redis LTRIM)."""
-        with self._cond:
+        with self._lock:
             self._count("ltrim")
             lst = self._get_typed(key, _TYPE_LIST)
             if lst is None:
@@ -408,7 +440,7 @@ class RedisServer:
 
     # ---------------------------------------------------------------- hashes
     def hdel(self, key: str, *fields: str) -> int:
-        with self._cond:
+        with self._lock:
             self._count("hdel")
             mapping = self._get_typed(key, _TYPE_HASH)
             if mapping is None:
@@ -429,7 +461,7 @@ class RedisServer:
             return {} if mapping is None else dict(mapping)
 
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
-        with self._cond:
+        with self._lock:
             self._count("hincrby")
             mapping = self._get_typed(key, _TYPE_HASH)
             if mapping is None:
@@ -454,7 +486,7 @@ class RedisServer:
         instance was already re-pinned and advanced elsewhere -- can never
         clobber newer state.
         """
-        with self._cond:
+        with self._lock:
             self._count("snapshot")
             mapping = self._get_typed(key, _TYPE_HASH)
             if mapping is None:
@@ -493,16 +525,18 @@ class RedisServer:
         return stream.groups[group]
 
     def xadd(self, key: str, fields: Mapping[str, Any], entry_id: str = "*") -> str:
-        with self._cond:
+        with self._lock:
             self._count("xadd")
             stream = self._stream_or_none(key)
-            if stream is None:
+            if stream is not None:
+                wire = stream.add(fields, self._now_ms(), entry_id)
+            else:
                 stream = Stream()
-            new_id = stream.add(fields, now_ms=self._now_ms(), entry_id=entry_id)
-            # Stored once the entry is in, so a refused XADD makes no key.
-            self._data[key] = (_TYPE_STREAM, stream)
-            self._cond.notify_all()
-            return str(new_id)
+                wire = stream.add(fields, self._now_ms(), entry_id)
+                # Stored once the entry is in, so a refused XADD makes no key.
+                self._data[key] = (_TYPE_STREAM, stream)
+            self._notify()
+            return wire
 
     def xlen(self, key: str) -> int:
         with self._lock:
@@ -524,12 +558,12 @@ class RedisServer:
                 return []
             start = _parse_range_id(min_id, is_start=True)
             end = _parse_range_id(max_id, is_start=False)
-            return [(str(e.id), dict(e.fields)) for e in stream.range(start, end, count)]
+            return [(e.wire, dict(e.fields)) for e in stream.range(start, end, count)]
 
     def xgroup_create(
         self, key: str, group: str, entry_id: str = "$", mkstream: bool = False
     ) -> bool:
-        with self._cond:
+        with self._lock:
             self._count("xgroup_create")
             stream = self._stream_or_none(key)
             if stream is None:
@@ -561,46 +595,45 @@ class RedisServer:
         calling consumer's own pending entries after that ID.
         """
         deadline = self._now() + block_ms / 1000.0 if block_ms else None
-        with self._cond:
+        with self._lock:
             self._count("xreadgroup")
             while True:
                 reply = []
                 now = self._now()
                 for key, cursor in streams.items():
-                    grp = self._group(key, group)
                     stream = self._stream_or_none(key)
+                    grp = None if stream is None else stream.groups.get(group)
+                    if grp is None:
+                        raise NoGroupError(key, group)
                     member = grp.get_consumer(consumer, now, refresh=False)
                     if cursor == ">":
                         entries = stream.after(grp.last_delivered, count)
                         if entries:
                             member.last_seen = now  # delivery refreshes idle
-                            delivered = []
+                            grp.last_delivered = entries[-1].id
+                            grp.entries_read += len(entries)
+                            pel, held = grp.pel, member.pending
                             for entry in entries:
-                                grp.last_delivered = entry.id
-                                grp.entries_read += 1
-                                grp.pel[entry.id] = PendingEntry(
-                                    consumer=consumer, delivery_time=now
-                                )
-                                member.pending.add(entry.id)
-                                delivered.append((str(entry.id), dict(entry.fields)))
-                            reply.append((key, delivered))
+                                pel[entry.wire] = PendingEntry(entry, consumer, now)
+                                held.add(entry.wire)
+                            reply.append(
+                                (key, [(entry.wire, dict(entry.fields)) for entry in entries])
+                            )
                     else:
                         # Replay this consumer's PEL after the given ID.
                         start = StreamID.parse(cursor)
                         own = sorted(
-                            eid for eid in member.pending if eid > start
+                            (grp.pel[wire] for wire in member.pending),
+                            key=by_id,
                         )
-                        if count is not None:
-                            own = own[:count]
-                        # Entries never leave a stream, so each is there.
-                        replayed = [(str(eid), dict(stream.get(eid).fields)) for eid in own]
+                        own = [p.entry for p in own if p.entry.id > start][:count]
+                        replayed = [(entry.wire, dict(entry.fields)) for entry in own]
                         # Per Redis: replay returns (possibly empty) history
                         # immediately and never blocks.
                         reply.append((key, replayed))
-                if any(entries for _, entries in reply):
-                    return reply
-                if any(cursor != ">" for cursor in streams.values()):
-                    # History reads return immediately even when empty.
+                # A ">" read replies only once something was delivered;
+                # history reads return immediately even when empty.
+                if reply:
                     return reply
                 if block_ms is None or not self._park(deadline, cancelled):
                     return []
@@ -635,7 +668,7 @@ class RedisServer:
         for _entry_id, units in settled:
             if not _is_int(units, 1):
                 raise RedisError(f"xackdecr amount must be an integer >= 1, got {units!r}")
-        with self._cond:
+        with self._lock:
             self._count("xackdecr")
             grp, now = self._group(key, group), self._now()
             released = [units for each, units in settled if self._ack(grp, each, now)]
@@ -644,21 +677,27 @@ class RedisServer:
             return len(released)
 
     def xack(self, key: str, group: str, *entry_ids: str) -> int:
-        with self._cond:
+        with self._lock:
             self._count("xack")
             grp, now = self._group(key, group), self._now()
             return sum(self._ack(grp, raw, now) for raw in entry_ids)
 
     @staticmethod
     def _ack(grp: ConsumerGroup, raw: str, now: float) -> bool:
-        """Drop one entry from the group's PEL; ``False`` if it was not pending."""
-        entry_id = StreamID.parse(raw)
-        pending = grp.pel.pop(entry_id, None)
+        """Drop one entry from the group's PEL; ``False`` if it was not pending.
+
+        ``raw`` is looked up as the wire ID a reply named; only a miss is
+        parsed, so another spelling of a pending ID (``"5"`` for ``"5-0"``)
+        still acks it and a malformed one still raises.
+        """
+        pending = grp.pel.pop(raw, None)
         if pending is None:
-            return False
+            wire = str(StreamID.parse(raw))
+            if wire == raw or (pending := grp.pel.pop(wire, None)) is None:
+                return False
         member = grp.consumers.get(pending.consumer)
         if member is not None:
-            member.pending.discard(entry_id)
+            member.pending.discard(pending.entry.wire)
             member.last_seen = now
         return True
 
@@ -669,14 +708,14 @@ class RedisServer:
             grp = self._group(key, group)
             if not grp.pel:
                 return {"pending": 0, "min": None, "max": None, "consumers": {}}
-            ids = sorted(grp.pel)
+            records = grp.pel.values()
             per_consumer: Dict[str, int] = {}
-            for entry in grp.pel.values():
-                per_consumer[entry.consumer] = per_consumer.get(entry.consumer, 0) + 1
+            for record in records:
+                per_consumer[record.consumer] = per_consumer.get(record.consumer, 0) + 1
             return {
-                "pending": len(ids),
-                "min": str(ids[0]),
-                "max": str(ids[-1]),
+                "pending": len(grp.pel),
+                "min": min(records, key=by_id).entry.wire,
+                "max": max(records, key=by_id).entry.wire,
                 "consumers": per_consumer,
             }
 
@@ -690,16 +729,16 @@ class RedisServer:
         count: int = 100,
     ) -> Tuple[str, List[Tuple[str, Dict[str, Any]]]]:
         """Scan the PEL from ``start`` claiming idle entries; returns cursor."""
-        with self._cond:
+        with self._lock:
             self._count("xautoclaim")
             grp = self._group(key, group)
             start_id = StreamID.parse(start)
-            candidates = sorted(eid for eid in grp.pel if eid >= start_id)
-            claimed = self._claim(
-                grp, self._stream_or_none(key), consumer, min_idle_ms, candidates[:count]
+            candidates = sorted(
+                (p for p in grp.pel.values() if p.entry.id >= start_id), key=by_id
             )
+            claimed = self._claim(grp, consumer, min_idle_ms, candidates[:count])
             if len(candidates) > count:
-                cursor = str(candidates[count])
+                cursor = candidates[count].entry.wire
             else:
                 cursor = "0-0"
             return cursor, claimed
@@ -707,26 +746,25 @@ class RedisServer:
     def _claim(
         self,
         grp: ConsumerGroup,
-        stream: Stream,
         consumer: str,
         min_idle_ms: float,
-        entry_ids: List[StreamID],
+        records: List[PendingEntry],
     ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Hand ``consumer`` the pending ``entry_ids`` idle at least ``min_idle_ms``."""
+        """Hand ``consumer`` the pending ``records`` idle at least ``min_idle_ms``."""
         now = self._now()
         claimer = grp.get_consumer(consumer, now)
         claimed = []
-        for entry_id in entry_ids:
-            pending = grp.pel[entry_id]
+        for pending in records:
             if (now - pending.delivery_time) * 1000.0 < min_idle_ms:
                 continue
+            entry = pending.entry
             previous = grp.consumers.get(pending.consumer)
             if previous is not None:
-                previous.pending.discard(entry_id)
+                previous.pending.discard(entry.wire)
             pending.consumer = consumer
             pending.delivery_time = now
-            claimer.pending.add(entry_id)
-            claimed.append((str(entry_id), dict(stream.get(entry_id).fields)))
+            claimer.pending.add(entry.wire)
+            claimed.append((entry.wire, dict(entry.fields)))
         return claimed
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
@@ -737,7 +775,7 @@ class RedisServer:
                 raise RedisError(f"no such key {key!r}")
             rows = []
             for grp in stream.groups.values():
-                lag = len(stream.after(grp.last_delivered))
+                lag = stream.lag(grp.last_delivered)
                 rows.append(
                     {
                         "name": grp.name,

@@ -22,23 +22,31 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import total_ordering
-from typing import Dict, List, Mapping, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Mapping, Optional
 
 from repro.redisim.errors import StreamIDError
 
 
-@total_ordering
-class StreamID:
-    """A Redis stream entry ID: ``<milliseconds>-<sequence>``."""
+class StreamID(tuple):
+    """A Redis stream entry ID: ``<milliseconds>-<sequence>``.
 
-    __slots__ = ("ms", "seq")
+    A ``(ms, seq)`` tuple, so hashing, equality and ordering are the
+    tuple's own and run in C -- a stream's index bisects on them.
+    """
 
-    def __init__(self, ms: int, seq: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, ms: int, seq: int) -> "StreamID":
         if ms < 0 or seq < 0:
             raise StreamIDError(f"stream ID components must be non-negative: {ms}-{seq}")
-        self.ms = ms
-        self.seq = seq
+        return tuple.__new__(cls, (ms, seq))
+
+    ms = property(itemgetter(0))
+    seq = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @classmethod
     def parse(cls, raw: "str | StreamID", default_seq: int = 0) -> "StreamID":
@@ -56,27 +64,13 @@ class StreamID:
 
     def next(self) -> "StreamID":
         """Smallest ID strictly greater than this one."""
-        return StreamID(self.ms, self.seq + 1)
-
-    def _key(self) -> Tuple[int, int]:
-        return (self.ms, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StreamID) and self._key() == other._key()
-
-    def __lt__(self, other: "StreamID") -> bool:
-        if not isinstance(other, StreamID):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return StreamID(self[0], self[1] + 1)
 
     def __str__(self) -> str:
-        return f"{self.ms}-{self.seq}"
+        return f"{self[0]}-{self[1]}"
 
     def __repr__(self) -> str:
-        return f"StreamID({self.ms}, {self.seq})"
+        return f"StreamID({self[0]}, {self[1]})"
 
 
 #: Identity of "the very beginning" / "the very end" in range queries.
@@ -84,25 +78,42 @@ MIN_ID = StreamID(0, 0)
 MAX_ID = StreamID(2**63 - 1, 2**63 - 1)
 
 
-@dataclass
 class StreamEntry:
-    """One appended entry: an ID plus a flat field mapping."""
+    """One appended entry: its ID, that ID's wire form, and a field mapping.
 
-    id: StreamID
-    fields: Dict[str, object]
+    ``wire`` is ``str(id)``, formatted once at ``XADD``: every reply naming
+    the entry reuses it, and the group's PEL is keyed by it.
+    """
+
+    __slots__ = ("id", "wire", "fields")
+
+    def __init__(self, entry_id: StreamID, fields: Dict[str, object]) -> None:
+        self.id = entry_id
+        self.wire = f"{entry_id[0]}-{entry_id[1]}"
+        self.fields = fields
 
 
-@dataclass
 class PendingEntry:
-    """PEL record: who holds an entry, and since when."""
+    """PEL record: the delivered entry, who holds it, and since when."""
 
-    consumer: str
-    delivery_time: float
+    __slots__ = ("entry", "consumer", "delivery_time")
+
+    def __init__(self, entry: StreamEntry, consumer: str, delivery_time: float) -> None:
+        self.entry = entry
+        self.consumer = consumer
+        self.delivery_time = delivery_time
+
+
+#: Sort key putting PEL records in stream order (not wire-string order).
+by_id = attrgetter("entry.id")
 
 
 @dataclass
 class Consumer:
-    """Per-group consumer bookkeeping (idle time source for the auto-scaler)."""
+    """Per-group consumer bookkeeping (idle time source for the auto-scaler).
+
+    ``pending`` holds the wire IDs of the entries this consumer holds.
+    """
 
     name: str
     last_seen: float
@@ -114,13 +125,19 @@ class Consumer:
 
 
 class ConsumerGroup:
-    """A consumer group over one stream."""
+    """A consumer group over one stream.
+
+    ``pel`` maps the wire ID of every delivered-but-unacknowledged entry to
+    its :class:`PendingEntry`: an ack names the entry as the reply did, so
+    it resolves with one dict lookup, and anything that needs stream order
+    sorts the records by :data:`by_id`.
+    """
 
     def __init__(self, name: str, last_delivered: StreamID) -> None:
         self.name = name
         self.last_delivered = last_delivered
         self.consumers: Dict[str, Consumer] = {}
-        self.pel: Dict[StreamID, PendingEntry] = {}
+        self.pel: Dict[str, PendingEntry] = {}
         self.entries_read = 0
 
     def get_consumer(self, name: str, now: float, refresh: bool = True) -> Consumer:
@@ -143,39 +160,41 @@ class ConsumerGroup:
 class Stream:
     """Append-only log with consumer groups; an entry, once added, stays.
 
-    Entries are kept sorted by ID; a parallel key list supports ``bisect``
+    Entries are kept sorted by ID; a parallel ID list supports ``bisect``
     range queries, keeping XRANGE/XREADGROUP scans :math:`O(\\log n + k)`.
     """
 
     def __init__(self) -> None:
         self.entries: List[StreamEntry] = []
-        self._keys: List[Tuple[int, int]] = []
-        self.last_id = StreamID(0, 0)
+        self._ids: List[StreamID] = []
+        self.last_id = MIN_ID
         self.groups: Dict[str, ConsumerGroup] = {}
 
     # -- append ----------------------------------------------------------------
-    def add(self, fields: Mapping[str, object], now_ms: int, entry_id: Optional[str] = None) -> StreamID:
-        """Append an entry; ``entry_id`` of ``None``/``"*"`` auto-generates."""
+    def add(self, fields: Mapping[str, object], now_ms: int, entry_id: Optional[str] = None) -> str:
+        """Append an entry; ``entry_id`` of ``None``/``"*"`` auto-generates.
+
+        Returns the new entry's wire ID.
+        """
         if not fields:
             raise StreamIDError("XADD requires at least one field")
+        last = self.last_id
         if entry_id is None or entry_id == "*":
-            if now_ms > self.last_id.ms:
-                new_id = StreamID(now_ms, 0)
-            else:
-                new_id = StreamID(self.last_id.ms, self.last_id.seq + 1)
+            # Both parts are known non-negative: skip the parsing constructor.
+            new_id = tuple.__new__(
+                StreamID, (now_ms, 0) if now_ms > last[0] else (last[0], last[1] + 1)
+            )
         else:
             new_id = StreamID.parse(entry_id)
             # Redis rule: explicit IDs must be strictly increasing, and 0-0
             # is never a valid entry ID.
-            if new_id <= self.last_id or new_id == StreamID(0, 0):
-                raise StreamIDError(
-                    f"XADD id {new_id} is not greater than last id {self.last_id}"
-                )
-        entry = StreamEntry(id=new_id, fields=dict(fields))
+            if new_id <= last or new_id == MIN_ID:
+                raise StreamIDError(f"XADD id {new_id} is not greater than last id {last}")
+        entry = StreamEntry(new_id, dict(fields))
         self.entries.append(entry)
-        self._keys.append(new_id._key())
+        self._ids.append(new_id)
         self.last_id = new_id
-        return new_id
+        return entry.wire
 
     # -- range queries ---------------------------------------------------------
     def __len__(self) -> int:
@@ -188,24 +207,20 @@ class Stream:
         count: Optional[int] = None,
     ) -> List[StreamEntry]:
         """Entries with ``start <= id <= end`` in ID order."""
-        lo = bisect.bisect_left(self._keys, start._key())
-        hi = bisect.bisect_right(self._keys, end._key())
-        selected = self.entries[lo:hi]
+        lo = bisect.bisect_left(self._ids, start)
+        hi = bisect.bisect_right(self._ids, end)
         if count is not None:
-            selected = selected[:count]
-        return selected
+            hi = min(hi, lo + count)
+        return self.entries[lo:hi]
 
     def after(self, last: StreamID, count: Optional[int] = None) -> List[StreamEntry]:
-        """Entries with ``id > last`` (the ``>`` cursor of XREADGROUP)."""
-        lo = bisect.bisect_right(self._keys, last._key())
-        selected = self.entries[lo:]
-        if count is not None:
-            selected = selected[:count]
-        return selected
+        """At most ``count`` entries with ``id > last`` (the ``>`` cursor of
+        XREADGROUP); slices only what it returns."""
+        lo = bisect.bisect_right(self._ids, last)
+        if count is None:
+            return self.entries[lo:]
+        return self.entries[lo : lo + count]
 
-    def get(self, entry_id: StreamID) -> Optional[StreamEntry]:
-        """Entry with exactly this ID, or None."""
-        index = bisect.bisect_left(self._keys, entry_id._key())
-        if index < len(self._keys) and self._keys[index] == entry_id._key():
-            return self.entries[index]
-        return None
+    def lag(self, last: StreamID) -> int:
+        """How many entries have ``id > last`` (XINFO GROUPS' ``lag``)."""
+        return len(self._ids) - bisect.bisect_right(self._ids, last)

@@ -1,10 +1,13 @@
 """Tests for stream IDs and XADD/XRANGE/XLEN."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.redisim.errors import StreamIDError
 from repro.redisim.server import RedisServer
-from repro.redisim.streams import StreamID
+from repro.redisim.streams import Stream, StreamID
 
 
 class TestStreamID:
@@ -37,6 +40,12 @@ class TestStreamID:
 
     def test_hashable(self):
         assert len({StreamID(1, 1), StreamID.parse("1-1")}) == 1
+
+    def test_copies_and_pickles_as_itself(self):
+        sid = StreamID(9, 5)
+        for twin in (copy.deepcopy(sid), pickle.loads(pickle.dumps(sid))):
+            assert type(twin) is StreamID and twin == sid and str(twin) == "9-5"
+        assert (sid.ms, sid.seq) == (9, 5)
 
 
 @pytest.fixture
@@ -102,3 +111,56 @@ class TestXRange:
 
     def test_missing_stream_empty(self, server):
         assert server.xrange("nope") == []
+
+
+def _rolled_over():
+    """Five entries across a millisecond rollover: 9-0, 9-1, 9-2, 10-0, 10-1."""
+    stream = Stream()
+    wires = [stream.add({"n": n}, now_ms=ms) for n, ms in enumerate([9, 9, 9, 10, 10])]
+    assert wires == ["9-0", "9-1", "9-2", "10-0", "10-1"]
+    return stream
+
+
+class TestAfter:
+    """``Stream.after(last, count)`` (the ``>`` cursor) and the group lag."""
+
+    @pytest.mark.parametrize(
+        "last, count, expected",
+        [
+            (StreamID(9, 1), None, ["9-2", "10-0", "10-1"]),
+            (StreamID(9, 1), 1, ["9-2"]),
+            (StreamID(9, 1), 2, ["9-2", "10-0"]),
+            (StreamID(9, 1), 10, ["9-2", "10-0", "10-1"]),
+            (StreamID(9, 2), 1, ["10-0"]),
+            (StreamID(9, 7), None, ["10-0", "10-1"]),
+            (StreamID(0, 0), 1, ["9-0"]),
+            (StreamID(10, 1), None, []),
+            (StreamID(10, 1), 1, []),
+        ],
+    )
+    def test_after_across_a_millisecond_rollover(self, last, count, expected):
+        stream = _rolled_over()
+        assert [entry.wire for entry in stream.after(last, count)] == expected
+        assert stream.lag(last) == len(stream.after(last))
+
+    def test_wire_ids_are_formatted_once_and_match_the_id(self):
+        stream = _rolled_over()
+        for entry in stream.after(StreamID(0, 0)):
+            assert entry.wire == str(entry.id)
+            assert StreamID.parse(entry.wire) == entry.id
+
+    def test_group_lag_across_a_millisecond_rollover(self):
+        clock = iter([0.009, 0.009, 0.009, 0.010, 0.010])
+        server = RedisServer(now=lambda: next(clock, 0.011))
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        ids = [server.xadd("s", {"n": n}) for n in range(5)]
+        assert ids == ["9-0", "9-1", "9-2", "10-0", "10-1"]
+        lags = []
+        for count in (1, 2, None):
+            [row] = server.xinfo_groups("s")
+            lags.append(row["lag"])
+            server.xreadgroup("g", "c", {"s": ">"}, count=count)
+        [row] = server.xinfo_groups("s")
+        assert lags + [row["lag"]] == [5, 4, 2, 0]
+        assert row["last-delivered-id"] == "10-1"
+        assert row["entries-read"] == 5

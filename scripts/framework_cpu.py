@@ -21,9 +21,10 @@ around the layers' functions and prints where its CPU went: per-thread
 ``time.thread_time`` *exclusive* time (a wrapper's children are not its
 own), summed over threads, per layer -- PE invoke, each keyspace command,
 transaction, pickle, client, dispatch, worker loop, queues, counters --
-and per function.  The wrappers cost about a microsecond per call, so the
-instrumented run reads higher than the timed one; both totals are printed.
-A profiler (cProfile) is not used: its per-call hook inflates the call-heavy
+and per function.  A wrapper costs one to two microseconds per call; the
+script measures that cost first and takes it back out of every row, so the
+rows are estimates whose sum is the run's CPU net of the wrappers.  A
+profiler (cProfile) is not used: its per-call hook inflates the call-heavy
 helpers several-fold on these workloads.
 
 ``--quick`` runs the workloads at their quick sizes with one repeat: a
@@ -163,6 +164,11 @@ class Attribution:
         self._patched.append((owner, attr, raw))
         setattr(owner, attr, wrapped)
 
+    def rebind(self, module: Any, attr: str, wrapped: Callable) -> None:
+        """Point a module's name at ``wrapped``, undone by :meth:`unpatch`."""
+        self._patched.append((module, attr, getattr(module, attr)))
+        setattr(module, attr, wrapped)
+
     def unpatch(self) -> None:
         for owner, attr, raw in reversed(self._patched):
             setattr(owner, attr, raw)
@@ -279,8 +285,7 @@ def instrument(attribution: Attribution) -> None:
         for attr, value in list(vars(module).items()):
             hit = originals.get(id(value))
             if hit is not None and hit[0] is value:
-                attribution._patched.append((module, attr, value))
-                setattr(module, attr, hit[1])
+                attribution.rebind(module, attr, hit[1])
     for name in ("dumps", "loads"):
         attribution.patch(pickle, name, "pickle", f"pickle.{name}")
 
@@ -300,8 +305,8 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
         row = layers.setdefault(layer, [0, 0.0])
         row[0] += calls
         row[1] += spent
-    calls = sum(calls for calls, _spent in layers.values())
-    wrappers = calls * (attribution.inside + attribution.outside)
+    wrapped_calls = sum(calls for calls, _spent in layers.values())
+    wrappers = wrapped_calls * (attribution.inside + attribution.outside)
     attributed = sum(spent for _calls, spent in layers.values())
     layers["unattributed"] = [0, max(0.0, total - wrappers - attributed)]
     total -= wrappers
@@ -309,7 +314,7 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
     print(f"\n{name} ({spec.engine['mapping']}, {len(inputs)} inputs): attributed run")
     print(
         f"process CPU {total:.3f} s net of {wrappers:.3f} s of wrappers "
-        f"({calls} calls at {attribution.inside * 1e6:.2f} + "
+        f"({wrapped_calls} calls at {attribution.inside * 1e6:.2f} + "
         f"{attribution.outside * 1e6:.2f} us); exclusive thread CPU by layer"
     )
     print(f"{'layer':<32} {'calls':>8} {'CPU s':>8} {'share':>7} {'us/input':>9}")

@@ -10,20 +10,26 @@ code with next to no framework, so for each workload::
 
     framework us per input = (CPU of the workload's mapping - CPU of simple) / inputs
 
-with both CPUs the median of ``--repeats`` in-process runs (each side gets
-one untimed warm-up run first).  CPU is ``time.process_time``: every thread
-of this interpreter, which is where the in-process mappings run all their
-workers.  The workloads, their inputs and their engine settings are
-``e2e_bench/workloads.py``'s (imported, never modified), time scale aside.
+with both CPUs the median of ``--repeats`` runs (each side gets one
+untimed warm-up run first).  A run's CPU is ``time.process_time`` --
+every thread of this interpreter, which is where the in-process mappings
+run all their workers and where ``cluster_tcp``'s coordinator and RESP
+server run -- plus the ``RUSAGE_CHILDREN`` CPU of the worker processes it
+reaped (``cluster_tcp``'s forked workers); ``workers s``, a part of
+``mapping s``, is the median of the latter.  The workloads, their inputs
+and their engine settings are ``e2e_bench/workloads.py``'s (imported,
+never modified), time scale aside.
 
 ``--attribute`` then runs each workload's mapping once more with wrappers
 around the layers' functions and prints where its CPU went: per-thread
 ``time.thread_time`` *exclusive* time (a wrapper's children are not its
 own), summed over threads, per layer -- PE invoke, each keyspace command,
 transaction, pickle, client, dispatch, worker loop, queues, counters --
-and per function.  A wrapper costs one to two microseconds per call; the
-script measures that cost first and takes it back out of every row, so the
-rows are estimates whose sum is the run's CPU net of the wrappers.  A
+and per function, for this process only (a forked worker's tallies die
+with it; its CPU is printed as one line).  A wrapper costs one to two
+microseconds per call; the script measures that cost first and takes it
+back out of every row, so the rows are estimates whose sum is the run's
+CPU net of the wrappers.  A
 profiler (cProfile) is not used: its per-call hook inflates the call-heavy
 helpers several-fold on these workloads.
 
@@ -35,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import pickle
+import resource
 import statistics
 import sys
 import threading
@@ -51,7 +59,7 @@ from workloads import ENGINE_SEED, ENGINE_WORKLOADS  # noqa: E402
 
 from repro import Engine  # noqa: E402
 
-WORKLOADS = ("stateful_hybrid", "chain_queue", "galaxy_autoscale")
+WORKLOADS = ("stateful_hybrid", "cluster_tcp", "chain_queue", "galaxy_autoscale")
 TIME_SCALE = 1e-6
 
 
@@ -62,12 +70,24 @@ def _engine(settings: Dict[str, Any], mapping: str | None = None) -> Engine:
     return Engine(seed=ENGINE_SEED, **settings)
 
 
-def run_cpu(make_graph: Callable[[], Any], inputs: List[Any], engine: Engine) -> float:
-    """Process CPU seconds of one ``Engine.run``."""
+def _children_cpu() -> float:
+    """CPU seconds of every child process this interpreter has reaped."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_cpu(
+    make_graph: Callable[[], Any], inputs: List[Any], engine: Engine
+) -> Tuple[float, float]:
+    """CPU seconds of one ``Engine.run``: this process's, and its workers'.
+
+    The second is what the worker processes the run started and reaped
+    spent (0 for the in-process mappings).
+    """
     graph = make_graph()
-    started = time.process_time()
+    started, children = time.process_time(), _children_cpu()
     engine.run(graph, inputs=list(inputs))
-    return time.process_time() - started
+    return time.process_time() - started, _children_cpu() - children
 
 
 def measure(name: str, repeats: int, quick: bool, seed: int) -> Dict[str, Any]:
@@ -75,7 +95,7 @@ def measure(name: str, repeats: int, quick: bool, seed: int) -> Dict[str, Any]:
     spec = ENGINE_WORKLOADS[name]
     make_graph, inputs = spec.make(spec.quick_size if quick else spec.size, seed)
     sides = {"mapping": _engine(spec.engine), "simple": _engine(spec.engine, "simple")}
-    samples: Dict[str, List[float]] = {side: [] for side in sides}
+    samples: Dict[str, List[Tuple[float, float]]] = {side: [] for side in sides}
     for side, engine in sides.items():
         run_cpu(make_graph, inputs, engine)
     # Alternate the sides so a drifting host moves both alike.
@@ -84,13 +104,14 @@ def measure(name: str, repeats: int, quick: bool, seed: int) -> Dict[str, Any]:
             samples[side].append(run_cpu(make_graph, inputs, engine))
     for engine in sides.values():
         engine.close()
-    mapping_s = statistics.median(samples["mapping"])
-    simple_s = statistics.median(samples["simple"])
+    mapping_s = statistics.median(sum(sample) for sample in samples["mapping"])
+    simple_s = statistics.median(sum(sample) for sample in samples["simple"])
     return {
         "workload": name,
         "mapping": spec.engine["mapping"],
         "inputs": len(inputs),
         "mapping_cpu_s": mapping_s,
+        "workers_cpu_s": statistics.median(workers for _own, workers in samples["mapping"]),
         "simple_cpu_s": simple_s,
         "framework_us_per_input": (mapping_s - simple_s) / len(inputs) * 1e6,
     }
@@ -113,6 +134,12 @@ class Attribution:
         self._patched: List[Tuple[Any, str, Any]] = []
         #: Wrapper CPU per call charged to the call itself / to its caller.
         self.inside = self.outside = 0.0
+        # A worker process forked while another thread held the lock would
+        # block on its first tally.
+        os.register_at_fork(after_in_child=self._fresh_lock)
+
+    def _fresh_lock(self) -> None:
+        self._lock = threading.Lock()
 
     def _tally(self) -> Dict[Tuple[str, str], List[float]]:
         tally = getattr(self._local, "tally", None)
@@ -157,7 +184,9 @@ class Attribution:
             wrapped: Any = staticmethod(self.wrap(raw.__func__, layer, label))
         elif isinstance(raw, classmethod):
             wrapped = classmethod(self.wrap(raw.__func__, layer, label))
-        elif callable(raw):
+        elif callable(raw) and not inspect.isclass(raw):
+            # A class held as an attribute (``DynamicMapping.workforce``)
+            # is called to construct, not bound as a method: leave it be.
             wrapped = self.wrap(raw, layer, label)
         else:
             return
@@ -216,6 +245,9 @@ class Attribution:
 MODULE_LAYERS = {
     "repro.redisim.client": "client",
     "repro.net.client": "client",
+    "repro.net.resp": "RESP codec",
+    "repro.net.server": "RESP server",
+    "repro.net.core": "RESP server",
     "repro.mappings.redis_tasks": "worker loop",
     "repro.mappings.hybrid": "worker loop",
     "repro.mappings.dynamic": "worker loop",
@@ -261,6 +293,7 @@ def instrument(attribution: Attribution) -> None:
     import repro.mappings.base  # noqa: F401
     import repro.mappings.hybrid  # noqa: F401
     import repro.net.client  # noqa: F401
+    import repro.net.server  # noqa: F401
 
     modules = [name for name in sys.modules if name.startswith("repro.")]
     originals: Dict[int, Any] = {}
@@ -297,7 +330,7 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
     engine = _engine(spec.engine)
     run_cpu(make_graph, inputs, engine)
     attribution.reset()
-    total = run_cpu(make_graph, inputs, engine)
+    total, workers = run_cpu(make_graph, inputs, engine)
     engine.close()
     rows = attribution.rows()
     layers: Dict[str, List[float]] = {}
@@ -317,6 +350,9 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
         f"({wrapped_calls} calls at {attribution.inside * 1e6:.2f} + "
         f"{attribution.outside * 1e6:.2f} us); exclusive thread CPU by layer"
     )
+    if workers:
+        # Their tallies die with them: only this process is attributed.
+        print(f"worker processes {workers:.3f} s more, not attributed")
     print(f"{'layer':<32} {'calls':>8} {'CPU s':>8} {'share':>7} {'us/input':>9}")
     for layer, (calls, spent) in sorted(layers.items(), key=lambda item: -item[1][1]):
         share = spent / total if total else 0.0
@@ -340,14 +376,14 @@ def main(argv: List[str] | None = None) -> int:
     print(f"framework CPU at time scale {TIME_SCALE:g}, median of {repeats} (seed {args.seed})")
     print(
         f"{'workload':<18} {'mapping':<16} {'inputs':>6} "
-        f"{'simple s':>9} {'mapping s':>10} {'framework us/input':>19}"
+        f"{'simple s':>9} {'mapping s':>10} {'workers s':>10} {'framework us/input':>19}"
     )
     for name in names:
         row = measure(name, repeats, args.quick, args.seed)
         print(
             f"{row['workload']:<18} {row['mapping']:<16} {row['inputs']:>6} "
             f"{row['simple_cpu_s']:>9.3f} {row['mapping_cpu_s']:>10.3f} "
-            f"{row['framework_us_per_input']:>19.1f}"
+            f"{row['workers_cpu_s']:>10.3f} {row['framework_us_per_input']:>19.1f}"
         )
     if args.attribute:
         attribution = Attribution()

@@ -61,8 +61,12 @@ class Autoscaler:
         Starting ``active_size``; defaults to half the pool (Algorithm 1
         line 6).
     scale_interval:
-        Nominal pacing delay between ``process``-loop iterations when no
-        session slot opens up, preventing a busy spin on an empty queue.
+        Nominal seconds :meth:`process` sleeps after *every* session it
+        dispatches, whether or not the backlog is empty: the pacing that
+        keeps an empty-but-unterminated queue from busy-spinning the
+        monitor also paces every dispatch of a full one.  Why it stays a
+        fixed sleep for now, and what replaces it, is ``ROADMAP.md``
+        direction 1.
     trace:
         Optional :class:`ScalingTrace` to record decisions into.
     """
@@ -190,7 +194,7 @@ class Autoscaler:
             if not dispatched:
                 self.wait_all_done()
                 return
-            # Gentle pacing so an empty-but-unterminated queue does not
-            # busy-spin the monitor.
+            # Paces every dispatch, not only an empty queue's (see
+            # ``scale_interval``).
             if self.scale_interval > 0:
                 self.clock.sleep(self.scale_interval)

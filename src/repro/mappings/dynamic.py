@@ -493,7 +493,9 @@ class DynamicMapping(Mapping):
     ``initial_active``:
         Starting active size (default: half the pool, Algorithm 1 line 6).
     ``scale_interval``:
-        Nominal pacing of the auto-scaler's monitoring loop.
+        Nominal seconds the auto-scaler sleeps after every session it
+        dispatches, backlog or not (:class:`~repro.autoscale.autoscaler.Autoscaler`;
+        ``ROADMAP.md`` direction 1 is why it stays).
     ``session_chunk``:
         Maximum tasks a worker session processes before returning
         control -- a soft cap at batch granularity, an envelope is never

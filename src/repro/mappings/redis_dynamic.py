@@ -10,8 +10,9 @@ makes Redis mappings heavier than their multiprocessing twins
 (Section 5.6).
 
 With ``batch_size > 1`` the transport is micro-batched end-to-end: root
-seeds and children are published as batch envelopes (one ``XADD`` per
-up-to-``batch_size`` tasks, behind one ``INCRBY`` for the whole pipeline),
+seeds and children are published as batch envelopes (one stream entry per
+up-to-``batch_size`` tasks, all of a pipeline's in one ``XADDN``, behind one
+``INCRBY`` for the whole pipeline),
 and workers settle each fetched envelope all-or-nothing with a conditional
 ``XACKDECR ... amount=len(envelope)`` -- cutting the per-tuple command count (the
 round-trip handicap above) by the batch factor while keeping the

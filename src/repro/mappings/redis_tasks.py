@@ -2,8 +2,9 @@
 
 Replaces the multiprocessing global queue of Figure 2 with a **Redis
 Stream** consumed through a consumer group (Section 3.1.1): producers
-``XADD`` tasks, workers ``XREADGROUP`` with the ``>`` cursor (cooperative
-consumption, at-least-once), and ``XACK`` on completion.  A Redis string
+append tasks (one ``XADDN`` carries all that a pipeline publishes),
+workers ``XREADGROUP`` with the ``>`` cursor (cooperative consumption,
+at-least-once), and ``XACK`` on completion.  A Redis string
 counter tracks *outstanding* work for the safe termination condition, and
 ``XINFO CONSUMERS`` provides the per-consumer idle times the
 ``dyn_auto_redis`` strategy monitors.
@@ -156,13 +157,16 @@ class RedisTaskBoard:
     def queue_tasks(self, pipe, tasks: List[Any], batch_size: int) -> None:
         """Append ``tasks`` to a pipeline as envelopes of up to ``batch_size``.
 
+        One stream entry per envelope, in order, all in one ``XADDN``: a
+        window's children cost the keyspace one command, not one each.
         Payloads only: their credit (one per task) is the pipeline owner's
         to :meth:`book` first.
         """
+        if not tasks:
+            return
         if batch_size > 1:
             tasks = [as_envelope(chunk) for chunk in chunked(tasks, batch_size)]
-        for envelope in tasks:
-            pipe.xadd(self.stream_key, {"task": envelope})
+        pipe.xaddn(self.stream_key, "task", *tasks)
 
     def put_tasks(
         self, tasks: List[Any], batch_size: int, client: Optional[RedisClient] = None
@@ -189,9 +193,10 @@ class RedisTaskBoard:
         return self.outstanding()
 
     def put_pills(self, count: int, client: Optional[RedisClient] = None) -> None:
-        c = client if client is not None else self.client
-        for _ in range(count):
-            c.xadd(self.stream_key, {"pill": 1})
+        """Publish ``count`` pills in one ``XADDN``."""
+        if count:
+            c = client if client is not None else self.client
+            c.xaddn(self.stream_key, "pill", *[1] * count)
 
     # ------------------------------------------------------------- consumer
     def fetch(
@@ -232,14 +237,14 @@ class RedisTaskBoard:
         """Append the acks of the pills a worker pulled to a pipeline.
 
         The first ``own`` are the fetching worker's to end on.  Every
-        further one was meant for a peer and is published again behind its
-        ack, so the peer still ends on a pill instead of polling out its
-        retry budget.
+        further one was meant for a peer and is published again behind the
+        acks, all in one ``XADDN``, so the peer still ends on a pill instead
+        of polling out its retry budget.
         """
-        for position, entry_id in enumerate(pill_ids):
+        for entry_id in pill_ids:
             pipe.xack(self.stream_key, self.group, entry_id)
-            if position >= own:
-                pipe.xadd(self.stream_key, {"pill": 1})
+        if len(pill_ids) > own:
+            pipe.xaddn(self.stream_key, "pill", *[1] * (len(pill_ids) - own))
 
     def queue_settle(self, pipe: Pipeline, settled: List[Tuple[str, int]]) -> None:
         """Append the settlement of consumed entries, as one command.

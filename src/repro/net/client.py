@@ -228,6 +228,7 @@ _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "hgetall": (_verb("HGETALL"), lambda reply: dict(_pairs(reply))),
     "hincrby": (_verb("HINCRBY"), _raw),
     "xadd": (_xadd, _str),
+    "xaddn": (_verb("XADDN"), lambda reply: [_str(entry_id) for entry_id in reply]),
     "xlen": (_verb("XLEN"), _raw),
     "xrange": (_xrange, _entries),
     "xgroup_create": (_xgroup_create, _ok),

@@ -21,8 +21,9 @@ The command set is the one the system sends (see :mod:`repro.redisim` for
 the list and the rule that admits a command): strings, lists, hashes,
 streams, consumer groups, XAUTOCLAIM -- plus redisim's own extensions
 (``RPUSHSEQ``/``LRANGESEQ``/``BLMOVESEQ``, ``SNAPSHOT``/``RESTORE``,
-``XACKDECR``).  Any other verb, or an option outside a command's syntax,
-answers ``-ERR`` and the connection serves its next command.  Pipelining needs no special handling: a connection's
+``XADDN``, ``XACKDECR``).  Any other verb, or an option outside a
+command's syntax, answers ``-ERR`` and the connection serves its next
+command.  Pipelining needs no special handling: a connection's
 commands execute strictly in arrival order, which preserves the
 INCRBY-before-XADD ordering the termination drain proof relies on, and
 ``XACKDECR`` keeps ack+decrement a single atomic command.
@@ -371,6 +372,11 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         fields = {_s(args[i]): args[i + 1] for i in range(2, len(args), 2)}
         return ks.xadd(_s(args[0]), fields, entry_id=_s(args[1]))
 
+    def xaddn(args: List[bytes]) -> Any:
+        # XADDN key field value [value ...] (redisim extension).
+        arity(args, 3, "XADDN")
+        return ks.xaddn(_s(args[0]), _s(args[1]), *args[2:])
+
     def xlen(args: List[bytes]) -> Any:
         arity(args, 1, "XLEN")
         return ks.xlen(_s(args[0]))
@@ -481,7 +487,7 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         "RPUSHSEQ": rpushseq, "BLMOVESEQ": blmoveseq, "LRANGESEQ": lrangeseq,
         "SNAPSHOT": snapshot, "RESTORE": restore,
         "HDEL": hdel, "HGETALL": hgetall, "HINCRBY": hincrby,
-        "XADD": xadd, "XLEN": xlen, "XRANGE": xrange,
+        "XADD": xadd, "XADDN": xaddn, "XLEN": xlen, "XRANGE": xrange,
         "XREADGROUP": xreadgroup, "XGROUP": xgroup, "XACK": xack,
         "XACKDECR": xackdecr, "XPENDING": xpending, "XAUTOCLAIM": xautoclaim,
         "XINFO": xinfo,

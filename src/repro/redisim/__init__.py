@@ -18,10 +18,11 @@ data-structure server:
   checkpoint/restore subsystem (:mod:`repro.state`),
 - hashes (HINCRBY/HGETALL/HDEL) -- cluster counters, and listing and
   deleting the snapshots of :mod:`repro.state`,
-- streams (XADD/XLEN/XRANGE) with **consumer groups** (XGROUP CREATE,
-  XREADGROUP, XACK, XACKDECR, the summary form of XPENDING, XAUTOCLAIM,
-  XINFO GROUPS/CONSUMERS) including pending-entry lists and per-consumer
-  idle times,
+- streams (XADD/XLEN/XRANGE, plus redisim's XADDN: one entry per value
+  in one command) with **consumer groups** (XGROUP CREATE, XREADGROUP,
+  XACK, XACKDECR, the summary form of XPENDING, XAUTOCLAIM, XINFO
+  GROUPS/CONSUMERS) including pending-entry lists and per-consumer idle
+  times,
 - generic reads (KEYS/DBSIZE/EXISTS) and DEL.
 
 The rule that keeps the list this short: a command lands with its first

@@ -178,6 +178,9 @@ class Pipeline:
     def xadd(self, key: str, fields: Mapping[str, Any], id: str = "*") -> "Pipeline":  # noqa: A002
         return self._queue("xadd", key, self._client._enc_fields(fields), entry_id=id)
 
+    def xaddn(self, key: str, field: str, *values: Any) -> "Pipeline":
+        return self._queue("xaddn", key, field, *[self._client._enc(v) for v in values])
+
     def xack(self, key: str, group: str, *entry_ids: str) -> "Pipeline":
         return self._queue("xack", key, group, *entry_ids)
 
@@ -434,6 +437,11 @@ class RedisClient:
         id: str = "*",  # noqa: A002 - redis-py parameter name
     ) -> str:
         return self._call("xadd", key, self._enc_fields(fields), entry_id=id)
+
+    def xaddn(self, key: str, field: str, *values: Any) -> List[str]:
+        """XADDN (redisim): one auto-ID entry ``{field: value}`` per value,
+        in order, as one command; returns the new IDs."""
+        return self._call("xaddn", key, field, *(self._enc(v) for v in values))
 
     def xlen(self, key: str) -> int:
         return self._call("xlen", key)

@@ -181,7 +181,7 @@ class RedisServer:
         {
             "set", "get", "incrby", "decrby", "delete",
             "rpush", "rpushseq", "lpop", "ltrim", "hdel", "hincrby",
-            "xadd", "xack", "xackdecr", "snapshot", "xreadgroup",
+            "xadd", "xaddn", "xack", "xackdecr", "snapshot", "xreadgroup",
         }
     )
 
@@ -537,6 +537,26 @@ class RedisServer:
                 self._data[key] = (_TYPE_STREAM, stream)
             self._notify()
             return wire
+
+    def xaddn(self, key: str, field: str, *values: Any) -> List[str]:
+        """XADDN: one auto-ID entry ``{field: value}`` per value, in order.
+
+        A redisim extension: a window's children in one atomic step, one
+        command and one wakeup, not one ``XADD`` each.  Answers the new
+        IDs.  Refused whole -- no key made, no entry added -- on an empty
+        value list or a key holding another type.
+        """
+        if not values:
+            raise RedisError("wrong number of arguments for 'xaddn' command")
+        with self._lock:
+            self._count("xaddn")
+            stream = self._stream_or_none(key)
+            if stream is None:
+                stream = Stream()
+                self._data[key] = (_TYPE_STREAM, stream)
+            wires = stream.add_each(field, values, self._now_ms())
+            self._notify()
+            return wires
 
     def xlen(self, key: str) -> int:
         with self._lock:

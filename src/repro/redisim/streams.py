@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.redisim.errors import StreamIDError
 
@@ -195,6 +195,27 @@ class Stream:
         self._ids.append(new_id)
         self.last_id = new_id
         return entry.wire
+
+    def add_each(self, field: str, values: Iterable[object], now_ms: int) -> List[str]:
+        """Append one ``{field: value}`` entry per value, in order, with auto IDs.
+
+        ``values`` holds at least one value.  The IDs are the ones as many
+        auto-ID :meth:`add` calls at ``now_ms`` would assign.  Returns the
+        new entries' wire IDs.
+        """
+        ms, seq = self.last_id
+        if now_ms > ms:
+            ms, seq = now_ms, -1
+        entries, ids = self.entries, self._ids
+        first = len(entries)
+        for value in values:
+            seq += 1
+            # Both parts are known non-negative: skip the parsing constructor.
+            new_id = tuple.__new__(StreamID, (ms, seq))
+            entries.append(StreamEntry(new_id, {field: value}))
+            ids.append(new_id)
+        self.last_id = ids[-1]
+        return [entry.wire for entry in entries[first:]]
 
     # -- range queries ---------------------------------------------------------
     def __len__(self) -> int:

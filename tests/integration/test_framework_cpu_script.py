@@ -6,17 +6,50 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "framework_cpu.py"
 
+#: Workload -> (mapping, quick input count).
+WORKLOADS = {
+    "stateful_hybrid": ("hybrid_redis", "40"),
+    "cluster_tcp": ("cluster_redis", "24"),
+    "chain_queue": ("dyn_auto_multi", "300"),
+    "galaxy_autoscale": ("dyn_auto_multi", "16"),
+}
+
+
+def _sections(lines):
+    """The attribution table of each workload, by workload name."""
+    sections, name = {}, None
+    for line in lines:
+        if line.endswith("attributed run"):
+            name = line.split()[0]
+            sections[name] = []
+        elif name is not None:
+            sections[name].append(line)
+    return sections
+
 
 def test_quick_run_prints_a_row_and_an_attribution_table():
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--quick", "--workload", "stateful_hybrid", "--attribute"],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, str(SCRIPT), "--quick", "--attribute"],
+        capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    [row] = [line.split() for line in lines if line.startswith("stateful_hybrid  ")]
-    assert row[1:3] == ["hybrid_redis", "40"]
-    layers = {line.split()[0] for line in lines if line}
+    for name, (mapping, inputs) in WORKLOADS.items():
+        [row] = [line.split() for line in lines if line.startswith(f"{name}  ")]
+        assert row[1:3] == [mapping, inputs]
+    sections = _sections(lines)
+    assert set(sections) == set(WORKLOADS)
+    layers = {name: {line.split()[0] for line in table if line} for name, table in sections.items()}
     # The layers the attribution prices, each reached by the run.
-    assert {"PE", "pickle", "transaction", "dispatch", "worker", "client"} <= layers
-    assert any(line.startswith("keyspace xadd ") for line in lines)
+    assert {"PE", "pickle", "transaction", "dispatch", "worker", "client"} <= layers[
+        "stateful_hybrid"
+    ]
+    assert {"RESP", "client", "keyspace"} <= layers["cluster_tcp"]
+    assert {"PE", "dispatch", "worker", "queues"} <= layers["chain_queue"]
+    assert {"PE", "worker"} <= layers["galaxy_autoscale"]
+    # A window's children and the pills go out as XADDN; nothing sends XADD.
+    for name in ("stateful_hybrid", "cluster_tcp"):
+        assert any(line.startswith("keyspace xaddn ") for line in sections[name])
+        assert not any(line.startswith("keyspace xadd ") for line in sections[name])
+    # The forked workers' CPU is reported, not attributed.
+    assert any(line.startswith("worker processes ") for line in sections["cluster_tcp"])

@@ -20,6 +20,7 @@ from repro.core.pe import IterativePE
 from repro.mappings.base import ResultsCollector, normalize_inputs
 from repro.mappings.cluster import _ClusterWorker
 from repro.mappings.redis_tasks import (
+    SEED_FRAME,
     TRIP_SHARE,
     WINDOW_CAP,
     RedisTaskBoard,
@@ -73,6 +74,17 @@ def _acked(frame):
         for name, args, _k in frame
         if name == "xackdecr"
         for entry_id in (args[2], *args[5::2])
+    ]
+
+
+def _published(frame):
+    """The tasks a frame publishes to the stream, in order (``XADDN key
+    task value [value ...]``)."""
+    return [
+        pickle.loads(value)
+        for name, args, _k in frame
+        if name == "xaddn"
+        for value in args[2:]
     ]
 
 
@@ -146,8 +158,10 @@ class TestTripsPerWindow:
         ``INCRBY sum(children)``, every child, *one* ``XACKDECR`` naming the
         window's entries, the read-ahead -- not ``INCR, XADD, XACKDECR`` per
         entry -- because the coordinator is billed per command it decodes.
-        The properties are the old ones: credit ahead of every payload,
-        every child ahead of the ack, ids acked in fetch order."""
+        Re-pinned again for the one-command publish: every child rides one
+        ``XADDN``, in the order the entries ran.  The properties are the old
+        ones: credit ahead of every payload, every child ahead of the ack,
+        ids acked in fetch order."""
         n = 20
         graph = linear_graph(Double(name="a"), AddOne(name="b"))
         state, wf = _workforce(graph, list(range(n)))
@@ -167,9 +181,7 @@ class TestTripsPerWindow:
         ]
         for frame in settles:
             names = [name for name, _a, _k in frame]
-            children = [
-                pickle.loads(args[1]["task"]) for name, args, _k in frame if name == "xadd"
-            ]
+            children = _published(frame)
             # What the window's entries published, in the order they ran.
             expected = []
             for entry_id in _acked(frame):
@@ -183,8 +195,33 @@ class TestTripsPerWindow:
             assert names[: len(credit)] == ["incrby"] * len(credit)
             # ... and one ack behind the last child, then only the read-ahead.
             assert names.count("xackdecr") == 1
-            assert names[len(credit):] == ["xadd"] * len(children) + ["xackdecr", "xreadgroup"]
+            assert names[len(credit):] == ["xaddn"] * bool(children) + ["xackdecr", "xreadgroup"]
             assert _read_ahead(frame) == WINDOW_CAP
+
+    def test_a_windows_children_cost_one_xaddn(self):
+        """However many children a window's entries produce, the settle
+        publishes them with exactly one stream command, and the keyspace
+        counts one ``XADDN`` per publishing frame and no ``XADD``."""
+        n = 40
+        graph = linear_graph(Double(name="a"), AddOne(name="b"))
+        state, wf = _workforce(graph, list(range(n)))
+        keyspace = wf.board.client._transport._server
+        wf.seed_roots()
+        seeded = keyspace.command_count.get("xaddn", 0)
+        worker = _wide(wf.worker("solo"))
+        frames = _spy(worker.client)
+        worker.run_dedicated(lambda: None)
+        assert sorted(state.collector.as_dict()["b.output"]) == [2 * i + 1 for i in range(n)]
+
+        publishing = [frame for frame in frames if _published(frame)]
+        for frame in publishing:
+            [xaddn] = [args for name, args, _k in frame if name == "xaddn"]
+            [credit] = [args[1] for name, args, _k in frame if name == "incrby"]
+            assert len(xaddn) - 2 == credit
+        assert max(len(_published(frame)) for frame in publishing) == WINDOW_CAP
+        assert sum(len(_published(frame)) for frame in publishing) == n
+        assert keyspace.command_count["xaddn"] - seeded == len(publishing)
+        assert keyspace.command_count.get("xadd", 0) == 0
 
     def test_coarse_entries_put_the_parents_commands_on_the_wire(self):
         """With service >> trip the window is one entry and the wire carries
@@ -202,7 +239,7 @@ class TestTripsPerWindow:
         assert sorted(state.collector.as_dict()["b.output"]) == [1, 3, 5]
 
         names = [[name for name, _a, _k in frame] for frame in frames]
-        fused_a = ["incrby", "xadd", "xackdecr", "xreadgroup"]
+        fused_a = ["incrby", "xaddn", "xackdecr", "xreadgroup"]
         fused_b = ["xackdecr", "xreadgroup"]
         assert names[: 1 + 2 * n] == [["xreadgroup"]] + [fused_a] * n + [fused_b] * n
         # ... then only the starved tail: blocking reads and the drain check.
@@ -265,7 +302,7 @@ class TestFailureMidWindow:
         # exactly the ones that started, in fetch order.
         assert [len(_acked(frame)) for frame in _settles(frames)] == [1, 2]
         assert [name for name, _a, _k in _settles(frames)[-1]] == [
-            "incrby", "xadd", "xackdecr"
+            "incrby", "xaddn", "xackdecr"
         ]
         stream = [entry_id for entry_id, _f in wf.board.client.xrange(wf.board.stream_key)]
         assert _acked(_settles(frames)[-1]) == stream[1:3]
@@ -456,7 +493,7 @@ class TestSettleInFlight:
         worker.consume = nothing_up
         worker.run_dedicated(lambda: None)
         names = [[name for name, _a, _k in frame] for frame in frames]
-        fused_a = ["incrby", "xadd", "xackdecr", "xreadgroup"]
+        fused_a = ["incrby", "xaddn", "xackdecr", "xreadgroup"]
         fused_b = ["xackdecr", "xreadgroup"]
         assert names[: 1 + 2 * n] == [["xreadgroup"]] + [fused_a] * n + [fused_b] * n
         assert all(_read_ahead(frame) == 1 for frame in _settles(frames))
@@ -642,6 +679,12 @@ class TestWireBudget:
         assert tally["incrby"] <= 2 * trips + 64
         assert tally["xackdecr"] <= trips + 8
         assert tally.get("lrange", 0) <= 1 and "ltrim" not in tally  # the pump LPOPs
+        # One stream publish per settle at most (a window's children are
+        # one XADDN), per seeding frame, and one for the pills.
+        seeds = sum(len(items) for items in normalize_inputs(graph, inputs).values())
+        frames = -(-seeds // (SEED_FRAME // 2))
+        assert "xadd" not in tally
+        assert tally["xaddn"] <= trips + frames + 1
 
     def test_dyn_redis_never_flies_and_keeps_its_trip_count(self):
         graph, inputs = build_sentiment_scoring_workflow(articles=400)

@@ -91,6 +91,24 @@ def test_a_write_in_a_pipeline_wakes_the_parked_reader(layer, command):
     assert keyspace.parked == 0
 
 
+def test_an_xaddn_in_a_pipeline_wakes_a_parked_xreadgroup(layer):
+    """Every entry of the one ``XADDN`` is there when the reader wakes."""
+    keyspace, connect = layer
+    reader, writer = connect(), connect()
+    writer.xgroup_create("s", "g", id="0", mkstream=True)
+    thread, outcome = parked_call(
+        lambda: reader.xreadgroup("g", "c", {"s": ">"}, count=10, block=int(WAIT * 1000))
+    )
+    assert wait_until(lambda: keyspace.parked == 1)
+    pipe = writer.pipeline()
+    pipe.incrby("unrelated", 1)
+    pipe.xaddn("s", "f", "v", "w", "x")
+    _count, ids = pipe.execute()
+    thread.join(WAIT)
+    assert outcome == [("ok", [("s", list(zip(ids, [{"f": "v"}, {"f": "w"}, {"f": "x"}])))])]
+    assert keyspace.parked == 0
+
+
 @pytest.mark.parametrize("command", sorted(READS))
 def test_a_timeout_leaves_nobody_parked(layer, command):
     keyspace, connect = layer

@@ -300,6 +300,101 @@ class TestRedisimExtensions:
         assert both(a, b, k("st"), settle) == (1, 0, 0)
 
 
+class TestXaddn:
+    """XADDN, one entry per value in one command: transports pair only.
+
+    The keyspace runs on a clock the scenarios set, so auto IDs repeat
+    exactly on both sides."""
+
+    @pytest.fixture
+    def clock(self):
+        return [0.005]
+
+    @pytest.fixture
+    def keyspace(self, clock):
+        return RedisServer(now=lambda: clock[0])
+
+    def test_ids_increase_within_a_millisecond_and_across_its_rollover(self, transports, clock):
+        a, b, k = transports
+
+        def append(c, key):
+            clock[0] = 0.005
+            ids = [c.xadd(key, {"n": 0})]
+            ids += c.xaddn(key, "n", 1, 2, 3)  # the same millisecond
+            clock[0] = 0.006
+            ids += c.xaddn(key, "n", 4, 5)  # the next one
+            ids.append(c.xadd(key, {"n": 6}, id="9-0"))
+            clock[0] = 0.007  # behind the last ID: its sequence goes on
+            ids += c.xaddn(key, "n", 7, 8)
+            return ids, [fields["n"] for _id, fields in c.xrange(key)]
+
+        ids, values = both(a, b, k("ids"), append)
+        assert ids == ["5-0", "5-1", "5-2", "5-3", "6-0", "6-1", "9-0", "9-1", "9-2"]
+        assert values == list(range(9))
+
+    def test_a_refused_xaddn_makes_no_key_and_no_entry(self, transports):
+        a, b, k = transports
+
+        def refused(c, key):
+            c.set(key, "v")
+            c.xadd(key + ":s", {"n": 0})
+            outcomes = []
+            for call in (
+                lambda: c.xaddn(key, "n", 1, 2),  # wrong type
+                lambda: c.xaddn(key + ":new", "n"),  # no values
+                lambda: c.xaddn(key + ":s", "n"),  # no values, on a stream
+            ):
+                try:
+                    call()
+                    outcomes.append(None)
+                except RedisError as exc:
+                    outcomes.append(
+                        "WRONGTYPE" if str(exc).startswith("WRONGTYPE")
+                        else "wrong number of arguments" in str(exc)
+                    )
+            return outcomes, wire(c.get(key)), c.exists(key + ":new"), c.xlen(key + ":s")
+
+        assert both(a, b, k("no"), refused) == (["WRONGTYPE", True, True], b"v", 0, 1)
+
+    def test_group_reads_acks_and_claims_treat_its_entries_as_xadds(self, transports, clock):
+        a, b, k = transports
+
+        def each(c, key, tasks):
+            for task in tasks:
+                c.xadd(key, {"task": task})
+
+        def at_once(c, key, tasks):
+            c.xaddn(key, "task", *tasks)
+
+        def lifecycle(c, key, publish):
+            clock[0] = 0.005
+            c.xgroup_create(key, "g", mkstream=True)
+            publish(c, key, [("pe", None, n) for n in range(4)])
+            c.incrby(key + ":n", 4)
+            [(_key, fetched)] = c.xreadgroup("g", "dead", {key: ">"}, count=2)
+            [(_key, mine)] = c.xreadgroup("g", "live", {key: ">"}, count=1)
+            settled = c.xack_decr(key, "g", mine[0][0], key + ":n", 1)
+            clock[0] = 1.0  # the dead consumer's entries idle for 995 ms
+            _cursor, claimed = c.xautoclaim(key, "g", "live", min_idle_time=100)
+            (first, _f), *others = claimed
+            more = [word for entry_id, _f in others for word in (entry_id, 1)]
+            adopted = c.xack_decr(key, "g", first, key + ":n", 1, *more)
+            [(_key, rest)] = c.xreadgroup("g", "live", {key: ">"})
+            return (
+                fetched, mine, settled, claimed, adopted, rest,
+                int(c.get(key + ":n")), c.xpending(key, "g")["pending"],
+            )
+
+        one = both(a, b, k("each"), lambda c, key: lifecycle(c, key, each))
+        many = both(a, b, k("once"), lambda c, key: lifecycle(c, key, at_once))
+        assert one == many
+        fetched, mine, settled, claimed, adopted, rest, outstanding, pending = many
+        assert [entry_id for entry_id, _f in fetched + mine] == ["5-0", "5-1", "5-2"]
+        assert claimed == fetched and (settled, adopted) == (1, 2)
+        assert rest == [("5-3", {"task": ("pe", None, 3)})]
+        assert (outstanding, pending) == (1, 1)
+
+
 class TestParkedCommands:
     """A blocking command parks once in the keyspace on either transport.
     Transports pair only: the tests watch the shared keyspace to know the

@@ -31,6 +31,6 @@ def test_planning_overhead_is_bounded(benchmark, capsys):
             f"\n[plan-overhead] rules={len(plan.steps)} "
             f"sampled={plan.cost.sampled} tuple(s)"
         )
-    assert plan.transformed
+    assert plan.fused
     # 5 sample tuples through 8 PEs at 1% time scale: planning is cheap.
     assert benchmark.stats.stats.max < 1.0

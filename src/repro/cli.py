@@ -10,7 +10,7 @@ Examples::
     repro bench fig08
     repro bench table3
 
-    # explain what the cost-based planner would do (no enactment)
+    # explain what the planner would fuse, with measured costs (no enactment)
     repro plan sentiment
     repro run galaxy --optimize --processes 8
 
@@ -137,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan_p = sub.add_parser(
         "plan",
-        help="explain what the cost-based planner would do to a workflow",
+        help="explain what the planner would fuse in a workflow, with "
+        "per-PE costs measured by a profiling dry-run",
     )
     plan_p.add_argument("workflow", choices=workflow_names())
     plan_p.add_argument("--platform", default="laptop")
@@ -339,10 +340,6 @@ _CAPABILITY_COLUMNS = (
     ("dynamic", lambda name, caps: "yes" if caps.dynamic else "no"),
     ("recover", lambda name, caps: "yes" if caps.recoverable else "no"),
     ("batch", lambda name, caps: "yes" if caps.batching else "no"),
-    ("fuse", lambda name, caps: "yes" if caps.fusion else "no"),
-    # The planner rides the fusion enactment plumbing, so the optimizer
-    # capability follows the fusion bit.
-    ("opt", lambda name, caps: "yes" if caps.fusion else "no"),
     ("stream", lambda name, caps: "yes" if caps.streaming else "no"),
     ("net", lambda name, caps: "yes" if caps.networked else "no"),
 )

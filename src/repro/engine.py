@@ -48,7 +48,7 @@ from repro.mappings.base import (
     DeploymentPool,
     InputSpec,
     Mapping,
-    validate_tristate,
+    check_plan_option,
 )
 from repro.mappings.registry import get_mapping, select_mapping
 from repro.metrics.result import RunResult
@@ -118,19 +118,16 @@ class RunConfig:
         PE chains into in-process ``FusedPE`` operators before enactment,
         removing the queue hop (and, on Redis mappings, the round trip
         and pickle) between chained PEs.  ``False`` (default) leaves the
-        graph untouched -- byte-identical to the pre-fusion engine.
-        ``True`` requires a mapping declaring ``Capabilities.fusion`` and
-        fails otherwise; ``"auto"`` fuses where the mapping supports it
-        and silently skips where it does not.
+        graph untouched -- byte-identical to the pre-fusion engine.  Every
+        mapping fuses (the rewrite happens above the mapping).  A plain
+        bool: anything else raises ``TypeError``.
     optimize:
         Graph planning (:mod:`repro.planner`): apply the planner's one
         rewrite, chain fusion, and enact the fused graph -- the same
         graph ``fuse`` enacts, plus the ``planner_rules`` counter.  The
         run does not profile its PEs (``repro plan`` does, to explain).
-        Workflow outputs are unchanged by contract.  Same tri-state as
-        ``fuse``: ``True`` requires ``Capabilities.fusion``, ``"auto"``
-        skips silently on mappings without it; ``optimize`` supersedes
-        ``fuse`` when both are set.
+        Workflow outputs are unchanged by contract.  A plain bool, like
+        ``fuse``; ``optimize`` supersedes ``fuse`` when both are set.
     checkpoint_interval:
         Deliveries between state checkpoints of pinned stateful instances
         (recoverable mappings only).  Setting it enables checkpoint/restore
@@ -154,11 +151,15 @@ class RunConfig:
     seed: int = 0
     prefer: Union[str, Sequence[str], None] = None
     batch_size: int = 1
-    fuse: Union[bool, str] = False
-    optimize: Union[bool, str] = False
+    fuse: bool = False
+    optimize: bool = False
     checkpoint_interval: Optional[int] = None
     state_store: Optional[Any] = None
     options: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_plan_option("fuse", self.fuse)
+        check_plan_option("optimize", self.optimize)
 
     def recovery_options(self) -> Dict[str, Any]:
         """The checkpoint/restore settings as mapping options (set fields only)."""
@@ -188,10 +189,7 @@ class RunConfig:
         transport defaults, so a default-configured engine hands mappings
         exactly the options it did before fusion existed.
         """
-        requests = {"fuse": self.fuse, "optimize": self.optimize}
-        for name, value in requests.items():
-            validate_tristate(name, value)
-        return {name: value for name, value in requests.items() if value is not False}
+        return {name: True for name in ("fuse", "optimize") if getattr(self, name)}
 
     def resolved_platform(self) -> PlatformProfile:
         """The platform as a :class:`PlatformProfile` (names looked up)."""
@@ -216,8 +214,8 @@ class Engine:
         seed: int = 0,
         prefer: Union[str, Sequence[str], None] = None,
         batch_size: int = 1,
-        fuse: Union[bool, str] = False,
-        optimize: Union[bool, str] = False,
+        fuse: bool = False,
+        optimize: bool = False,
         checkpoint_interval: Optional[int] = None,
         state_store: Optional[Any] = None,
         options: Optional[Dict[str, Any]] = None,

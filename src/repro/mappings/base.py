@@ -13,8 +13,8 @@ base class owns everything common to all mappings:
 - input normalization (how source PEs are driven), eagerly for the one-shot
   :meth:`Mapping.execute` path and lazily (:func:`iter_root_inputs`) for
   streaming submissions,
-- graph optimization: the ``fuse`` / ``optimize`` / ``plan`` options
-  resolve to a :class:`~repro.planner.Plan` (via the
+- graph optimization: the ``fuse`` / ``optimize`` options resolve to a
+  :class:`~repro.planner.Plan` (via the
   :class:`~repro.planner.Planner`) whose rewritten graph -- fused chains
   collapsed into :class:`~repro.core.fusion.FusedPE` operators -- is what
   the mapping enacts; every mapping executes planned graphs transparently,
@@ -98,43 +98,27 @@ def resolve_batch_size(options: Dict[str, Any]) -> int:
     return coerced
 
 
-def validate_tristate(name: str, value: Any) -> None:
-    """Validate a ``False | True | "auto"`` planning option."""
-    if value not in (False, True, "auto"):
-        raise TypeError(f"{name} must be True, False or 'auto', got {value!r}")
+def check_plan_option(name: str, value: Any) -> bool:
+    """Validate one of the ``fuse`` / ``optimize`` planning options."""
+    if value is not True and value is not False:
+        raise TypeError(
+            f"{name} must be True or False ('auto' was removed: every mapping "
+            f"fuses), got {value!r}"
+        )
+    return value
 
 
-def gate_plan_option(name: str, value: Any, caps: Capabilities) -> Any:
-    """Validate one of ``fuse`` / ``optimize``; off where ``caps.fusion`` is.
-
-    The planner rides on fusion's enactment plumbing, so both options share
-    the fusion bit.  Without it only the soft ``"auto"`` gets this far
-    (:func:`~repro.mappings.registry.refusal` refused ``True``): skipped.
-    """
-    validate_tristate(name, value)
-    return value if caps.fusion else False
-
-
-def resolve_plan(
-    options: Dict[str, Any], caps: Capabilities, graph: WorkflowGraph
-) -> Optional[Plan]:
+def resolve_plan(options: Dict[str, Any], graph: WorkflowGraph) -> Optional[Plan]:
     """The one path from the planning options to a :class:`Plan` (or None).
 
-    Pops ``fuse``, ``optimize`` and ``plan`` (a prebuilt :class:`Plan` to
-    enact as-is) out of ``options``; the two tri-states go through
-    :func:`gate_plan_option`.  A prebuilt plan wins; ``optimize`` and
-    ``fuse`` both fuse chains, ``optimize`` adding the ``planner_rules``
-    counter.  Neither profiles: the rewrite reads no costs.
+    Pops ``fuse`` and ``optimize`` out of ``options``.  Both fuse chains,
+    ``optimize`` adding the ``planner_rules`` counter.  Neither profiles:
+    the rewrite reads no costs.
     """
     fuse, optimize = (
-        gate_plan_option(name, options.pop(name, False), caps)
+        check_plan_option(name, options.pop(name, False))
         for name in ("fuse", "optimize")
     )
-    plan = options.pop("plan", None)
-    if plan is not None:
-        if not isinstance(plan, Plan):
-            raise MappingError(f"plan= expects a repro.planner.Plan, got {plan!r}")
-        return plan
     if optimize or fuse:
         planner = Planner.default() if optimize else Planner.fusion_only()
         return planner.plan(graph, profile=False)
@@ -1206,8 +1190,8 @@ class Mapping:
         if error is not None:
             raise error
         provided = (normalize_inputs if eager else iter_root_inputs)(graph, inputs)
-        plan = resolve_plan(options, self.capabilities, graph)
-        enacted = plan.graph if plan is not None and plan.transformed else graph
+        plan = resolve_plan(options, graph)
+        enacted = plan.graph if plan is not None else graph
         error = floor_refusal(self, enacted, processes)
         if error is not None:
             raise error
@@ -1239,7 +1223,7 @@ class Mapping:
         counters = Counters()
         member_meter: Optional[MemberMeter] = None
         root_rename: Dict[str, str] = {}
-        if plan is not None and plan.transformed:
+        if plan is not None and plan.fused:
             # Enact the plan's rewritten graph: an ordinary WorkflowGraph,
             # so every mapping executes it transparently.  Inputs were
             # normalized against the user's graph, then re-keyed onto the
@@ -1247,9 +1231,8 @@ class Mapping:
             graph = plan.graph
             provided = plan.rename_inputs(provided)
             root_rename = dict(plan.member_to_fused)
-            if plan.fused:
-                member_meter = MemberMeter()
-                ctx.pe_meter = member_meter
+            member_meter = MemberMeter()
+            ctx.pe_meter = member_meter
             for name, amount in plan.counters.items():
                 counters.inc(name, amount)
         state = EnactmentState(

@@ -280,7 +280,6 @@ def run_worker(address: str, namespace: str, index: int) -> None:
         requires_redis=True,
         recoverable=True,
         batching=True,
-        fusion=True,
         networked=True,
         description="Distributed worker processes over RESP/TCP",
     )

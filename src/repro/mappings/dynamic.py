@@ -519,7 +519,6 @@ class DynamicMapping(Mapping):
             stateful=False,
             dynamic=True,
             batching=True,
-            fusion=True,
             requires_redis=cls.workforce.requires_redis,
             recoverable=cls.workforce.recoverable,
             streaming=cls.workforce.streaming,

@@ -132,7 +132,6 @@ from repro.state import (
         requires_redis=True,
         recoverable=True,
         batching=True,
-        fusion=True,
         description="Stateful-aware hybrid: pinned state + dynamic stateless pool",
     )
 )

@@ -64,7 +64,6 @@ class _WorkerCancelled(BaseException):
     Capabilities(
         stateful=True,
         batching=True,
-        fusion=True,
         streaming=True,
         description="Static Multiprocessing baseline (one process per instance)",
     )

@@ -59,14 +59,6 @@ class Capabilities:
         envelopes on its queues/streams).  Mappings
         without it are rejected by the engine when batching is requested,
         rather than silently running unbatched.
-    fusion:
-        Executes operator-fusion rewrites (the ``fuse`` option): fusable
-        1:1 chains collapse into in-process :class:`repro.core.fusion.
-        FusedPE` operators before enactment.  All built-in mappings
-        support it (the rewrite happens above the mapping); the flag gates
-        third-party backends that bypass the shared enactment path --
-        ``fuse=True`` on such a mapping is rejected rather than silently
-        ignored (``fuse="auto"`` skips it instead).
     streaming:
         Runs the live streaming path of :meth:`repro.mappings.base.
         Mapping.submit`: tuples sent through a :class:`repro.jobs.Job`
@@ -93,7 +85,6 @@ class Capabilities:
     dynamic: bool = False
     recoverable: bool = False
     batching: bool = False
-    fusion: bool = False
     streaming: bool = False
     networked: bool = False
     description: str = ""
@@ -216,6 +207,11 @@ def refusal(
     separately, once they hold the planned graph).
     """
     name, caps, opts = mapping.name, mapping.capabilities, options or {}
+    if "plan" in opts:
+        return UnsupportedFeatureError(
+            f"mapping {name!r} does not take plan=: the option was removed; a "
+            "run plans itself, so pass fuse=True or drop the option"
+        )
     # A mapping that ignored one of these options would silently run without
     # it while the user believes it is on, so the request is refused.
     lacks = None
@@ -235,12 +231,6 @@ def refusal(
         )
     elif not caps.networked and "address" in opts:
         lacks = "a server address: it is not networked; use cluster_redis or drop address="
-    elif not caps.fusion and (opts.get("fuse") is True or opts.get("optimize") is True):
-        # ``"auto"`` is the soft request: rewrite where supported, else skip.
-        lacks = (
-            "operator fusion / the graph planner (fuse/optimize=True); pick a "
-            "fusing mapping, use 'auto' or drop the option"
-        )
     elif not caps.stateful and graph.is_stateful():
         lacks = (
             f"stateful PEs or state-pinning groupings, which {graph.name!r} "

@@ -27,7 +27,6 @@ from repro.mappings.registry import Capabilities, register_mapping
 @register_mapping(
     Capabilities(
         stateful=True,
-        fusion=True,
         description="Sequential reference mapping (the semantic oracle)",
     )
 )

@@ -2,9 +2,9 @@
 
 The *runtime* object (:class:`~repro.core.fusion.FusedPE`) lives in the
 core; the *rewrite* -- deciding what to fuse and rebuilding the graph --
-lives here.  :func:`fuse_graph` is the planner's one rewrite, behind both
-the ``fuse=`` engine option (via :meth:`repro.planner.Planner.fusion_only`)
-and ``optimize=`` (via :meth:`repro.planner.Planner.default`).
+lives here.  :func:`fuse_graph` is the planner's one rewrite, and the
+:class:`~repro.planner.plan.Plan` it returns is what a ``fuse=True`` or
+``optimize=True`` run enacts.
 
 Fusability
 ----------
@@ -31,38 +31,12 @@ collapsed into the maximal chain containing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.fusion import FusedPE
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import Shuffle
-
-
-@dataclass(frozen=True)
-class FusionPlan:
-    """Outcome of one rewrite pass.
-
-    ``graph`` is the rewritten workflow (the input graph, unchanged, when
-    nothing fused); ``chains`` lists the member names of each collapsed
-    chain; ``member_to_fused`` maps every member name to its fused PE's
-    name (used to re-key input specs for fused source PEs).
-    """
-
-    graph: WorkflowGraph
-    chains: Tuple[Tuple[str, ...], ...] = ()
-    member_to_fused: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def fused(self) -> bool:
-        return bool(self.chains)
-
-    def rename_inputs(self, provided: Mapping[str, Any]) -> Dict[str, Any]:
-        """Re-key normalized root inputs onto fused source PEs."""
-        return {
-            self.member_to_fused.get(root, root): items
-            for root, items in provided.items()
-        }
+from repro.planner.plan import Plan
 
 
 def _merge_pin(current: Optional[int], new: Optional[int]) -> Tuple[bool, Optional[int]]:
@@ -131,19 +105,20 @@ def find_fusable_chains(
     return chains
 
 
-def fuse_graph(graph: WorkflowGraph) -> FusionPlan:
+def fuse_graph(graph: WorkflowGraph) -> Plan:
     """Collapse every maximal fusable chain of ``graph`` into a FusedPE.
 
-    Returns a :class:`FusionPlan` whose ``graph`` is a *new*
+    Returns a :class:`~repro.planner.plan.Plan` whose ``graph`` is a *new*
     :class:`WorkflowGraph` sharing the unfused PEs with the input graph
-    (PEs are templates; enactment deep-copies them per instance).  When no
-    chain qualifies the input graph itself is returned unchanged, so
+    (PEs are templates; enactment deep-copies them per instance), and whose
+    counters are ``fused_chains`` / ``fused_members``.  When no chain
+    qualifies the input graph itself is returned unchanged, so
     ``fuse=True`` on a non-fusable workflow is byte-identical to
     ``fuse=False``.
     """
     found = find_fusable_chains(graph)
     if not found:
-        return FusionPlan(graph=graph)
+        return Plan(graph=graph, original=graph)
 
     stateful_names = {pe.name for pe in graph.stateful_pes()}
     member_to_fused: Dict[str, str] = {}
@@ -179,9 +154,15 @@ def fuse_graph(graph: WorkflowGraph) -> FusionPlan:
         dst = dst_fused if dst_fused is not None else edge.dst
         rewritten.connect(src, src_port, dst, edge.dst_port, grouping=edge.grouping)
     rewritten.validate()
-    return FusionPlan(
+    chains = tuple(tuple(chain) for chain, _pin in found)
+    return Plan(
         graph=rewritten,
-        chains=tuple(tuple(chain) for chain, _pin in found),
+        original=graph,
+        chains=chains,
         member_to_fused=member_to_fused,
+        counters={
+            "fused_chains": len(chains),
+            "fused_members": sum(len(chain) for chain in chains),
+        },
     )
 

@@ -1,24 +1,18 @@
-"""The :class:`Plan`: a rewritten graph plus the evidence behind it.
+"""The :class:`Plan`: a chain-fused graph and its bookkeeping.
 
-A plan is what the planner hands the enactment layer -- and what
-``repro plan`` prints to the user.  It carries the chain-fused
-:class:`~repro.core.graph.WorkflowGraph`, the rule trace (``chain_fusion``
-when anything fused), the fused-chain bookkeeping the mappings need
-(input re-keying, member attribution), predicted per-PE costs under the
-plan's :class:`~repro.planner.cost.CostModel`, and advisory
-``numprocesses``/``batch_size`` suggestions.  Only ``repro plan`` profiles
-that model; a run plans under uniform costs and reads none of them.
-
-Suggestions are *advisory only*: applying them would change scheduling
-and transport granularity, so the engine never auto-applies them --
-``optimize="auto"`` must stay byte-identical in outputs to
-``optimize=False``.
+A plan is what :func:`~repro.planner.fusion.fuse_graph` returns, what the
+enactment layer runs and what ``repro plan`` prints.  It carries the
+chain-fused :class:`~repro.core.graph.WorkflowGraph`, the fused-chain
+bookkeeping the mappings need (input re-keying, member attribution) and
+the counters the run is stamped with.  Only ``repro plan`` attaches a
+:class:`~repro.planner.cost.CostModel`: what its profiling dry-run
+measured, printed as measured.  A run's plan carries none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.graph import WorkflowGraph
 from repro.planner.cost import CostModel
@@ -39,53 +33,48 @@ class Plan:
     Attributes
     ----------
     graph:
-        The rewritten workflow (the input graph itself when no rule
-        fired).
+        The rewritten workflow (the input graph itself when nothing
+        fused).
     original:
         The graph the plan was made from, for before/after reporting.
-    steps:
-        The rule trace, in application order.
     chains:
         Member names of every chain collapsed into a
         :class:`~repro.core.fusion.FusedPE`.
     member_to_fused:
         Member name -> fused PE name (used to re-key root input specs).
-    cost:
-        The cost model the plan was priced under.
-    predicted_costs:
-        Final-graph PE name -> predicted total busy time in nominal
-        seconds (per-invocation cost x estimated invocations).
-    estimated_tuples:
-        Final-graph PE name -> estimated invocation count.
-    suggestions:
-        Advisory knob choices (``numprocesses``, ``batch_size``); never
-        auto-applied.
     counters:
         Counters the enactment stamps on the run when it applies this
-        plan (``fused_chains``/``fused_members``, matching the classic
-        fusion path byte-for-byte; ``planner_rules`` on optimizer plans).
+        plan (``fused_chains``/``fused_members``; ``planner_rules`` on
+        optimizer plans).
+    cost:
+        What ``repro plan``'s profiling dry-run measured on the original
+        graph; ``None`` when nothing was profiled.
     """
 
     graph: WorkflowGraph
     original: WorkflowGraph
-    steps: Tuple[RuleApplication, ...] = ()
     chains: Tuple[Tuple[str, ...], ...] = ()
     member_to_fused: Dict[str, str] = field(default_factory=dict)
-    cost: CostModel = field(default_factory=CostModel)
-    predicted_costs: Dict[str, float] = field(default_factory=dict)
-    estimated_tuples: Dict[str, float] = field(default_factory=dict)
-    suggestions: Dict[str, Any] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def transformed(self) -> bool:
-        """Whether the rewrite changed the graph."""
-        return bool(self.steps)
+    cost: Optional[CostModel] = None
 
     @property
     def fused(self) -> bool:
-        """Whether the plan's graph contains fused operators."""
+        """Whether the rewrite changed the graph (any chain fused)."""
         return bool(self.chains)
+
+    @property
+    def steps(self) -> Tuple[RuleApplication, ...]:
+        """The rule trace: ``chain_fusion`` when anything fused."""
+        if not self.chains:
+            return ()
+        described = ", ".join("+".join(chain) for chain in self.chains)
+        return (
+            RuleApplication(
+                rule="chain_fusion",
+                detail=f"fused {len(self.chains)} chain(s): {described}",
+            ),
+        )
 
     def rename_inputs(self, provided: Mapping[str, Any]) -> Dict[str, Any]:
         """Re-key normalized root inputs onto fused source PEs."""
@@ -98,12 +87,6 @@ class Plan:
         """The human-readable explain-plan (what ``repro plan`` prints)."""
         lines = [
             f"plan for workflow {self.original.name!r}",
-            f"cost model   : {self.cost.source}"
-            + (
-                f" ({self.cost.sampled} sample tuple(s) profiled)"
-                if self.cost.sampled
-                else ""
-            ),
             f"graph        : {len(self.original.pes)} PEs / "
             f"{len(self.original.edges)} edges -> "
             f"{len(self.graph.pes)} PEs / {len(self.graph.edges)} edges",
@@ -114,23 +97,21 @@ class Plan:
                 lines.append(f"  {i}. {step.rule}: {step.detail}")
         else:
             lines.append("rules fired  : none (no fusable chain)")
-        if self.predicted_costs:
-            lines.append("predicted costs (nominal s/tuple x est. tuples):")
-            width = max(len(name) for name in self.predicted_costs)
-            ranked = sorted(
-                self.predicted_costs.items(), key=lambda kv: kv[1], reverse=True
+        if self.cost is None:
+            lines.append("measured     : not profiled")
+            return "\n".join(lines)
+        lines.append(
+            f"measured     : {self.cost.sampled} sample tuple(s) profiled "
+            "(nominal s/invocation, emissions/invocation per port)"
+        )
+        width = max((len(name) for name in self.cost.per_tuple), default=0)
+        for name, seconds in self.cost.per_tuple.items():
+            ports = " ".join(
+                f"{port}={rate:g}"
+                for (pe, port), rate in self.cost.selectivity.items()
+                if pe == name
             )
-            for name, total in ranked:
-                tuples = self.estimated_tuples.get(name, 0.0)
-                per = total / tuples if tuples else 0.0
-                lines.append(
-                    f"  {name.ljust(width)}  {per:.6f} x {tuples:g} = {total:.4f}"
-                )
-        if self.suggestions:
-            rendered = ", ".join(
-                f"{key}={value}" for key, value in sorted(self.suggestions.items())
-            )
-            lines.append(f"suggestions  : {rendered} (advisory; not auto-applied)")
+            lines.append(f"  {name.ljust(width)}  {seconds:.6f}  {ports}".rstrip())
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ import pytest
 from repro.core.context import ExecutionContext
 from repro.core.exceptions import GraphError
 from repro.core.fusion import FusedPE, MemberMeter, fused_name
-from repro.planner.fusion import FusionPlan, find_fusable_chains, fuse_graph
+from repro.planner import Plan, find_fusable_chains, fuse_graph
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import GroupBy, Shuffle
 from tests.conftest import (
@@ -129,6 +129,8 @@ class TestRewrite:
         assert plan.graph is g
         assert not plan.fused
         assert plan.chains == ()
+        assert plan.steps == ()
+        assert plan.counters == {}
 
     def test_fused_graph_structure(self):
         g = WorkflowGraph("fan")
@@ -140,6 +142,9 @@ class TestRewrite:
         name = fused_name(["d", "da"])
         assert set(plan.graph.pes) == {"src", "a", name}
         assert plan.member_to_fused == {"d": name, "da": name}
+        assert plan.counters == {"fused_chains": 1, "fused_members": 2}
+        (step,) = plan.steps
+        assert (step.rule, step.detail) == ("chain_fusion", "fused 1 chain(s): d+da")
         # The inbound edge re-pointed at the fused head, port unchanged.
         (edge,) = plan.graph.in_edges(name)
         assert (edge.src, edge.dst_port) == ("src", "input")
@@ -265,6 +270,6 @@ class TestFusedPE:
 
     def test_plan_dataclass_defaults(self):
         g = linear_graph(Emit(name="x"))
-        plan = FusionPlan(graph=g)
+        plan = Plan(graph=g, original=g)
         assert not plan.fused
         assert plan.rename_inputs({"x": [{}]}) == {"x": [{}]}

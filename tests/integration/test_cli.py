@@ -30,19 +30,6 @@ class TestCliList:
         assert multi_row.split()[col] == "yes"
         assert simple_row.split()[col] == "no"
 
-    def test_list_has_opt_column(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        header = next(line for line in out.splitlines()
-                      if line.strip().startswith("name "))
-        col = header.split().index("opt")
-        # The planner rides the fusion plumbing: opt follows the fuse bit.
-        fuse_col = header.split().index("fuse")
-        for line in out.splitlines():
-            cells = line.split()
-            if len(cells) > col and cells[0] in ("simple", "multi", "dyn_multi"):
-                assert cells[col] == cells[fuse_col]
-
 
 class TestCliRun:
     def test_run_galaxy(self, capsys):

@@ -81,7 +81,7 @@ class TestStatelessEquivalence:
 
 def _dynamic_row(description, **bits):
     return Capabilities(
-        stateful=False, dynamic=True, batching=True, fusion=True,
+        stateful=False, dynamic=True, batching=True,
         description=description, **bits,
     )
 

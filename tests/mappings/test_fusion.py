@@ -11,19 +11,14 @@ Contracts pinned here:
    every PE collapses.
 3. Fusing a non-fusable graph changes nothing (graph returned as-is,
    identical counters).
-4. The engine rejects ``fuse=True`` on mappings that do not declare the
-   capability and silently skips with ``fuse="auto"``.
-5. Per-member metrics survive fusion (``member_tasks.*`` counters and
+4. Per-member metrics survive fusion (``member_tasks.*`` counters and
    ``RunResult.pe_times``).
 """
 
 import pytest
 
 from repro import Engine, run
-from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
-from repro.mappings.base import Mapping
-from repro.mappings.registry import Capabilities, register_mapping, unregister_mapping
 from tests.conftest import (
     AddOne,
     Collect,
@@ -72,11 +67,6 @@ class TestFuseOffIsIdentity:
 
     def test_enabled_config_passes_option(self):
         assert Engine(fuse=True).config.fusion_options() == {"fuse": True}
-        assert Engine(fuse="auto").config.fusion_options() == {"fuse": "auto"}
-
-    def test_invalid_fuse_value_rejected(self):
-        with pytest.raises(TypeError, match="fuse must be"):
-            Engine(fuse="always").run(linear_graph(Emit(name="s")), inputs=[1])
 
     @pytest.mark.parametrize("mapping", ("multi", "dyn_multi", "dyn_redis"))
     def test_fuse_false_same_outputs_and_counters(self, mapping):
@@ -202,56 +192,3 @@ class TestMemberMetrics:
         result = run(_chain_factory(), inputs=list(range(6)), mapping="simple", fuse=True)
         assert set(result.pe_times) == {"src", "d", "a", "dd"}
         assert all(t >= 0.0 for t in result.pe_times.values())
-
-
-class TestEngineGating:
-    def _register_unfused_mapping(self):
-        class NoFusionMapping(Mapping):
-            name = "nofuse_test"
-            supports_stateful = True
-
-            def _enact(self, state):
-                from repro.mappings.simple import SimpleMapping
-
-                return SimpleMapping()._enact(state)
-
-        register_mapping(Capabilities(stateful=True, description="test"))(
-            NoFusionMapping
-        )
-        return NoFusionMapping
-
-    def test_fuse_true_rejected_without_capability(self):
-        self._register_unfused_mapping()
-        try:
-            engine = Engine(mapping="nofuse_test", fuse=True)
-            with pytest.raises(UnsupportedFeatureError, match="fusion"):
-                engine.run(linear_graph(Emit(name="s"), Double(name="d")), inputs=[1])
-        finally:
-            unregister_mapping("nofuse_test")
-
-    def test_fuse_auto_skips_without_capability(self):
-        self._register_unfused_mapping()
-        try:
-            engine = Engine(mapping="nofuse_test", fuse="auto")
-            result = engine.run(
-                linear_graph(Emit(name="s"), Double(name="d")), inputs=[1, 2]
-            )
-            # Ran unfused: no rewrite counters, original result keys.
-            assert "fused_chains" not in result.counters
-            assert sorted(result.output("d")) == [2, 4]
-        finally:
-            unregister_mapping("nofuse_test")
-
-    def test_fuse_auto_fuses_with_capability(self):
-        engine = Engine(mapping="simple", fuse="auto")
-        result = engine.run(
-            linear_graph(Emit(name="s"), Double(name="d")), inputs=[1, 2]
-        )
-        assert result.counters["fused_chains"] == 1
-        assert sorted(result.output("d")) == [2, 4]
-
-    def test_all_builtin_mappings_declare_fusion(self):
-        from repro.mappings.registry import get_capabilities
-
-        for name in ("simple", *PARALLEL_MAPPINGS):
-            assert get_capabilities(name).fusion, name

@@ -20,6 +20,7 @@ from repro.core.exceptions import (
     UnsupportedFeatureError,
 )
 from repro.mappings import capability_table, get_mapping, select_mapping
+from repro.planner import fuse_graph
 from repro.platforms.profiles import HPC, SERVER
 from repro.scheduler import JobScheduler
 from repro.workflows import build_sentiment_workflow
@@ -80,11 +81,12 @@ SCENARIOS = {
         None if caps.networked else UnsupportedFeatureError,
     ),
     "fuse=True": lambda cls, caps: (
-        _graph_for(caps), SERVER, PROCESSES, {"fuse": True},
-        None if caps.fusion else UnsupportedFeatureError,
+        _graph_for(caps), SERVER, PROCESSES, {"fuse": True}, None,
     ),
-    "fuse='auto'": lambda cls, caps: (
-        _graph_for(caps), SERVER, PROCESSES, {"fuse": "auto"}, None,
+    # The prebuilt-plan option was removed; it is refused by name.
+    "plan=": lambda cls, caps: (
+        _graph_for(caps), SERVER, PROCESSES,
+        {"plan": fuse_graph(_graph_for(caps))}, UnsupportedFeatureError,
     ),
 }
 

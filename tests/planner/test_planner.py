@@ -1,6 +1,6 @@
 """Planner end-to-end: plans, explain output, equivalence, engine gating.
 
-The headline contract: ``optimize=True|"auto"`` never changes a
+The headline contract: ``optimize=True`` never changes a
 workflow's observable outputs -- only how they are computed.  Every
 equivalence test below compares the optimized run against the untouched
 graph on the sequential oracle and on parallel mappings.
@@ -14,9 +14,9 @@ from repro.core.graph import WorkflowGraph
 from repro.core.groupings import GroupBy
 from repro.core.pe import IterativePE, reset_auto_names
 from repro.mappings import get_mapping
-from repro.mappings.base import Mapping, normalize_inputs
-from repro.mappings.registry import Capabilities, register_mapping, unregister_mapping
-from repro.planner import CostModel, Planner, fuse_graph
+from repro.mappings.base import normalize_inputs
+from repro.planner import Planner, fuse_graph
+from repro.scheduler import JobScheduler
 from repro.workflows import (
     build_internal_extinction_workflow,
     build_sentiment_workflow,
@@ -93,14 +93,13 @@ class TestPlanner:
         g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
         plan = Planner.fusion_only().plan(g, profile=False)
         assert plan.counters == {"fused_chains": 1, "fused_members": 3}
-        assert plan.cost.source == "uniform"
-        assert plan.cost.sampled == 0
+        assert plan.cost is None
 
     def test_default_planner_annotates(self):
         g = linear_graph(Emit(name="src"), Double(name="d"))
         plan = Planner.default().plan(g, provided={"src": [{"input": 1}]})
         assert plan.counters.get("planner_rules") == 1
-        assert plan.cost.source == "profile"
+        assert plan.cost.sampled == 1
 
     def test_plan_without_rewrites_is_untransformed(self):
         g = WorkflowGraph("join")
@@ -108,27 +107,9 @@ class TestPlanner:
         g.connect(a, "output", sink, "input")
         g.connect(b, "output", sink, "input")
         plan = Planner.default().plan(g, profile=False)
-        assert not plan.transformed
+        assert not plan.fused
         assert plan.graph is g
         assert plan.counters == {}
-
-    def test_suggestions_are_advisory(self):
-        graph, inputs = build_sentiment_workflow(articles=20)
-        provided = normalize_inputs(graph, inputs)
-        plan = Planner.default().plan(graph, provided=provided)
-        assert "numprocesses" in plan.suggestions
-        # The plan records them but nothing in the graph enforces them.
-        for pe in plan.graph.pes.values():
-            assert pe.numprocesses != "numprocesses"
-
-    def test_prior_result_overrides_profiled_costs(self):
-        g = linear_graph(Emit(name="src"), Double(name="d"))
-        prior = run(g, inputs=[1, 2, 3, 4], mapping="simple", fuse=True)
-        g2 = linear_graph(Emit(name="src"), Double(name="d"))
-        plan = Planner.default().plan(
-            g2, provided={"src": [{"input": 1}]}, prior=prior
-        )
-        assert plan.cost.source.endswith("+metrics")
 
     def test_rename_inputs_rekeys_fused_roots_only(self):
         g = WorkflowGraph("half-fused")
@@ -143,12 +124,6 @@ class TestPlanner:
         assert plan.rename_inputs(provided) == {
             plan.member_to_fused["a"]: [{"input": 1}], "b": [{"input": 2}],
         }
-
-    def test_estimates_anchor_on_the_fused_root(self):
-        g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
-        provided = {"src": [{"input": i} for i in range(7)]}
-        plan = Planner.default().plan(g, provided=provided, profile=False)
-        assert plan.estimated_tuples == {plan.member_to_fused["src"]: 7.0}
 
 
 def _linear_graph():
@@ -180,20 +155,16 @@ SHAPES = {
 
 
 class TestOneRewrite:
-    """The planner's rewrite is chain fusion, whatever the cost model says:
+    """The planner's rewrite is chain fusion, whatever the profile measures:
     that is why a run may plan without profiling."""
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_plan_is_fuse_graph_under_any_costs(self, shape):
+    def test_plan_is_fuse_graph(self, shape):
         g = SHAPES[shape]()
-        skewed = CostModel(
-            per_tuple={name: 10.0 ** i for i, name in enumerate(g.pes)},
-            selectivity={(name, "output"): 0.0 for name in g.pes},
-        )
         expected = fuse_graph(g)
         for plan in (
             Planner.default().plan(g, profile=False),
-            Planner.default().plan(g, cost=skewed),
+            Planner.default().plan(g),
         ):
             assert plan.chains == expected.chains
             assert sorted(plan.graph.pes) == sorted(expected.graph.pes)
@@ -217,15 +188,27 @@ class TestExplainPlan:
         graph, inputs = build_sentiment_workflow(articles=50)
         provided = normalize_inputs(graph, inputs)
         plan = Planner.default().plan(graph, provided=provided)
-        text = plan.explain()
-        assert "plan for workflow 'sentiment_news'" in text
-        assert "profile" in text
-        assert "rules fired" in text
-        assert "chain_fusion" in text
-        assert "predicted costs" in text
-        # Per-PE cost lines mention the fused operators by member names.
-        assert "sentimentAFINN" in text
-        assert "suggestions" in text and "advisory" in text
+        lines = plan.explain().splitlines()
+        assert lines[0] == "plan for workflow 'sentiment_news'"
+        assert lines[1] == "graph        : 8 PEs / 8 edges -> 5 PEs / 5 edges"
+        assert lines[2] == "rules fired  :"
+        assert "chain_fusion" in lines[3]
+        assert lines[4] == (
+            "measured     : 5 sample tuple(s) profiled "
+            "(nominal s/invocation, emissions/invocation per port)"
+        )
+        # One measured line per PE of the original graph, by member name:
+        # its nominal seconds per invocation, then emissions per port.
+        measured = {line.split()[0]: line.split()[1:] for line in lines[5:]}
+        assert set(measured) == set(graph.pes)
+        for name, (seconds, *ports) in measured.items():
+            assert float(seconds) == pytest.approx(plan.cost.per_tuple[name], abs=1e-6)
+            assert ports == [
+                f"{port}={plan.cost.selectivity[(name, port)]:g}"
+                for port in graph.pes[name].outputconnections
+            ]
+        assert measured["readArticles"][1:] == ["output=1"]
+        assert not any("predicted" in line or "suggest" in line for line in lines)
 
     def test_astro_explain_contents(self):
         graph, inputs = build_internal_extinction_workflow(scale=1)
@@ -316,7 +299,7 @@ class TestOptimizedEquivalence:
         assert _sorted_outputs(optimized) == expected
 
     @pytest.mark.parametrize("mapping", ("simple", *PARALLEL_MAPPINGS))
-    def test_optimize_auto_identical_on_every_mapping(self, mapping):
+    def test_optimize_identical_on_every_mapping(self, mapping):
         """The acceptance contract, on every built-in in-process mapping."""
 
         def factory():
@@ -330,15 +313,15 @@ class TestOptimizedEquivalence:
         )
         optimized = run(
             factory(), inputs=inputs, processes=4, mapping=mapping,
-            time_scale=FAST_SCALE, optimize="auto",
+            time_scale=FAST_SCALE, optimize=True,
         )
         assert _sorted_outputs(optimized) == expected
         assert optimized.counters["fused_chains"] == 1
 
-    def test_optimize_auto_matches_plain_on_streaming_submit(self):
+    def test_optimize_matches_plain_on_streaming_submit(self):
         """The submit path plans without consuming the (lazy) input."""
         engine = Engine(mapping="multi", processes=6, time_scale=FAST_SCALE,
-                        optimize="auto")
+                        optimize=True)
         job = engine.submit(linear_graph(Emit(name="src"), Double(name="d")))
         job.send("src", iter([1, 2, 3]))
         job.close_input()
@@ -348,68 +331,53 @@ class TestOptimizedEquivalence:
         assert result.counters["fused_chains"] == 1
 
 
+#: What a non-bool ``fuse`` / ``optimize`` raises, at every door.
+PLAN_OPTION_ERROR = (
+    "{name} must be True or False ('auto' was removed: every mapping fuses), "
+    "got {value!r}"
+)
+
+
 class TestEngineGating:
-    def _register_unfused_mapping(self):
-        class NoFusionMapping(Mapping):
-            name = "noopt_test"
-            supports_stateful = True
-
-            def _enact(self, state):
-                from repro.mappings.simple import SimpleMapping
-
-                return SimpleMapping()._enact(state)
-
-        register_mapping(Capabilities(stateful=True, description="test"))(
-            NoFusionMapping
-        )
-        return NoFusionMapping
-
-    def test_optimize_true_rejected_without_capability(self):
-        self._register_unfused_mapping()
-        try:
-            engine = Engine(mapping="noopt_test", optimize=True)
-            with pytest.raises(UnsupportedFeatureError, match="planner"):
-                engine.run(linear_graph(Emit(name="s"), Double(name="d")), inputs=[1])
-        finally:
-            unregister_mapping("noopt_test")
-
-    def test_optimize_auto_skips_without_capability(self):
-        self._register_unfused_mapping()
-        try:
-            engine = Engine(mapping="noopt_test", optimize="auto")
-            result = engine.run(
-                linear_graph(Emit(name="s"), Double(name="d")), inputs=[1, 2]
-            )
-            assert "planner_rules" not in result.counters
-            assert sorted(result.output("d")) == [2, 4]
-        finally:
-            unregister_mapping("noopt_test")
-
     def test_config_emits_optimize_option(self):
         assert Engine().config.fusion_options() == {}
         assert Engine(optimize=True).config.fusion_options() == {"optimize": True}
-        assert Engine(fuse="auto", optimize="auto").config.fusion_options() == {
-            "fuse": "auto", "optimize": "auto"
+        assert Engine(fuse=True, optimize=True).config.fusion_options() == {
+            "fuse": True, "optimize": True
         }
 
-    def test_invalid_values_share_one_message_template(self):
-        """Satellite of the refactor: the tri-state validation lives in one
-        helper, so the two options' errors are identical modulo the name."""
-        g = linear_graph(Emit(name="s"))
-        with pytest.raises(TypeError) as fuse_err:
-            Engine(fuse="bogus").run(g, inputs=[1])
-        with pytest.raises(TypeError) as opt_err:
-            Engine(optimize="bogus").run(g, inputs=[1])
-        assert str(fuse_err.value) == "fuse must be True, False or 'auto', got 'bogus'"
-        assert str(opt_err.value) == str(fuse_err.value).replace(
-            "fuse", "optimize"
-        )
+    @pytest.mark.parametrize("door", ("Engine", "with_options", "run", "execute"))
+    @pytest.mark.parametrize("value", ("auto", 1, 1.0, "yes"))
+    @pytest.mark.parametrize("name", ("fuse", "optimize"))
+    def test_planning_options_are_plain_bools(self, name, value, door):
+        """``fuse`` / ``optimize`` take ``True`` or ``False`` only.  The
+        constructor, ``with_options`` and a bare mapping's ``execute``
+        raise one message; a per-run ``Engine.run`` refuses the key itself
+        (an engine-level setting) whatever its value."""
+        g = linear_graph(Emit(name="s"), Double(name="d"))
+        with pytest.raises(TypeError) as err:
+            if door == "Engine":
+                Engine(**{name: value})
+            elif door == "with_options":
+                Engine().with_options(**{name: value})
+            elif door == "run":
+                Engine(mapping="simple").run(g, inputs=[1], **{name: value})
+            else:
+                get_mapping("simple").execute(g, [1], **{name: value})
+        if door == "run":
+            assert str(err.value).startswith(f"{name!r} is an engine-level setting")
+        else:
+            assert str(err.value) == PLAN_OPTION_ERROR.format(name=name, value=value)
 
-    def test_config_layer_raises_same_message(self):
-        with pytest.raises(TypeError, match="fuse must be True, False or 'auto'"):
-            Engine(fuse="always").config.fusion_options()
-        with pytest.raises(TypeError, match="optimize must be True, False or 'auto'"):
-            Engine(optimize="always").config.fusion_options()
+    @pytest.mark.parametrize("door", ("Engine", "execute"))
+    def test_prebuilt_plan_option_is_refused_by_name(self, door):
+        g = linear_graph(Emit(name="s"), Double(name="d"))
+        plan = Planner.default().plan(g, profile=False)
+        with pytest.raises(UnsupportedFeatureError, match="plan=: the option was removed"):
+            if door == "Engine":
+                Engine(plan=plan).run(g, inputs=[1])
+            else:
+                get_mapping("simple").execute(g, [1], plan=plan)
 
 
 class TestResultReporting:
@@ -439,11 +407,15 @@ class TestRunPlansAgainstItsInputs:
     enactment -- while ``repro plan`` profiles to explain; the catalog
     guard below holds the profiled and the unprofiled plan to one graph."""
 
+    @pytest.mark.parametrize("option", ("fuse", "optimize"))
     @pytest.mark.parametrize("mapping", ("simple", "dyn_multi"))
-    @pytest.mark.parametrize("entry", ("run", "execute", "submit"))
-    def test_runs_never_profile(self, monkeypatch, entry, mapping):
-        """``simple`` takes the buffered wiring, ``dyn_multi`` the live one."""
+    @pytest.mark.parametrize("entry", ("run", "execute", "submit", "scheduled"))
+    def test_runs_never_profile(self, monkeypatch, entry, mapping, option):
+        """No entry point profiles or prices: building a ``CostModel``
+        raises.  ``simple`` takes the buffered wiring, ``dyn_multi`` the
+        live one."""
         import repro.planner.planner as planner_module
+        from repro.planner.cost import CostModel
 
         profiled = []
         profile = planner_module.profile_graph
@@ -452,21 +424,30 @@ class TestRunPlansAgainstItsInputs:
             profiled.append(graph.name)
             return profile(graph, *args, **kwargs)
 
+        def priced(*args, **kwargs):
+            raise AssertionError("a run built a CostModel")
+
         monkeypatch.setattr(planner_module, "profile_graph", spy)
+        monkeypatch.setattr(CostModel, "__init__", priced)
         g = linear_graph(Emit(name="src"), Double(name="d"), AddOne(name="a"))
-        settings = dict(processes=2, time_scale=FAST_SCALE, optimize=True)
+        settings = dict(processes=2, time_scale=FAST_SCALE, **{option: True})
         if entry == "run":
             result = Engine(mapping=mapping, **settings).run(g, inputs=[1, 2, 3])
         elif entry == "execute":
             result = get_mapping(mapping).execute(g, [1, 2, 3], **settings)
         else:
-            with Engine(mapping=mapping, **settings) as engine:
-                job = engine.submit(g, inputs=[1, 2, 3])
+            with Engine(mapping=mapping, **settings) as engine, JobScheduler(
+                engine, max_concurrent=1
+            ) as scheduler:
+                job = engine.submit(
+                    g, inputs=[1, 2, 3],
+                    scheduler=scheduler if entry == "scheduled" else None,
+                )
                 job.close_input()
                 result = job.wait(10)
         assert profiled == []
         assert sorted(result.output("a")) == [3, 5, 7]
-        assert result.counters["planner_rules"] == 1
+        assert result.counters.get("planner_rules", 0) == (option == "optimize")
         assert result.counters["fused_members"] == 3
 
     @pytest.mark.parametrize("workflow", sorted(CATALOG_SIZES))

@@ -7,7 +7,7 @@ the paper reports, and asserts the qualitative shape.
 
 Workloads replay the paper's second-scale runs at a small time scale
 (see ``BenchConfig``); absolute numbers are therefore not comparable to the
-paper, shapes and ratios are (DESIGN.md).
+paper, shapes and ratios are (docs/benchmarks.md, "Methodology").
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-site gate: relative links resolve, docs match the code.
 
-Three checks over ``docs/*.md`` and ``README.md``:
+Three checks over ``docs/*.md`` and ``README.md``, and one over the code:
 
 1. **Link resolution** -- every relative markdown link target (after
    stripping any ``#fragment``) must exist on disk.  External links
@@ -15,14 +15,18 @@ Three checks over ``docs/*.md`` and ``README.md``:
 3. **CLI flags** -- every ``--flag`` written in ``docs/cli.md`` must be an
    option string of :func:`repro.cli._build_parser` or one of its
    subcommands, so a removed or renamed flag cannot stay documented.
+4. **Doc names in code** -- every ``*.md`` path named in ``src/``,
+   ``benchmarks/`` or ``scripts/`` (a docstring's "see docs/cli.md")
+   must exist, at the repo root, under ``docs/`` or beside the naming
+   file, so a deleted or renamed document cannot stay cited.
 
 Usage::
 
     python scripts/check_docs.py            # check, exit 1 on any failure
     python scripts/check_docs.py --write    # regenerate the matrix block
 
-Exit status: 0 clean, 1 on broken links or matrix drift, 2 when the
-markers or files the checks need are missing.
+Exit status: 0 clean, 1 on any failed check, 2 when the markers or files
+the checks need are missing.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ MATRIX_END = "<!-- capability-matrix:end -->"
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A long option as written in prose or an example (not a ``---`` rule).
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A markdown file named in code: ``ROADMAP.md``, ``docs/cli.md``.
+MD_PATH_RE = re.compile(r"[\w./-]*\w\.md\b")
+#: The code trees whose docstrings and comments may cite a document.
+CODE_DIRS = ("src", "benchmarks", "scripts")
 
 
 def _import_repro() -> None:
@@ -148,6 +156,25 @@ def check_cli_flags() -> List[str]:
     ]
 
 
+def check_md_names() -> List[str]:
+    """``*.md`` paths named in the code trees that resolve nowhere."""
+    errors: List[str] = []
+    for tree in CODE_DIRS:
+        for path in sorted((REPO_ROOT / tree).rglob("*")):
+            if path.suffix not in (".py", ".sh"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            for number, line in enumerate(text.splitlines(), 1):
+                for name in MD_PATH_RE.findall(line):
+                    if not any(
+                        (base / name).exists()
+                        for base in (REPO_ROOT, DOCS_DIR, path.parent)
+                    ):
+                        rel = path.relative_to(REPO_ROOT)
+                        errors.append(f"{rel}:{number}: names {name}, which does not exist")
+    return errors
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Check docs links and capability-matrix freshness."
@@ -168,6 +195,7 @@ def main(argv: List[str] | None = None) -> int:
         errors.extend(check_links(path))
     errors.extend(check_matrix(write=args.write))
     errors.extend(check_cli_flags())
+    errors.extend(check_md_names())
 
     if errors:
         for error in errors:
@@ -176,7 +204,7 @@ def main(argv: List[str] | None = None) -> int:
         return 1
     print(
         f"OK: {len(files)} file(s) checked, links resolve, matrix is fresh, "
-        f"CLI flags exist"
+        f"CLI flags exist, cited documents exist"
     )
     return 0
 

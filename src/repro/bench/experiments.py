@@ -3,8 +3,9 @@
 Each :class:`Experiment` bundles the platform, mapping set, process counts
 and workload variants of one paper artifact, runs the grid through
 :mod:`repro.bench.harness`, and renders the same rows/series the paper
-reports.  The experiment ids mirror DESIGN.md's experiment index
-(``fig08`` ... ``fig13``, ``table1`` ... ``table3``).
+reports.  The experiment ids are the paper's artifact numbers
+(``fig08`` ... ``fig13``, ``table1`` ... ``table3``; docs/benchmarks.md,
+"Figures and tables").
 
 Process counts follow the published figures: {5, 7, 10, 12, 15} on server
 and cloud, {4, 8, 16, 32, 64} on HPC, {8, 10, 12, 14, 16} for the

@@ -24,7 +24,8 @@ class BenchConfig:
     time_scale:
         Nominal-to-real scale for every run.  The default replays the
         paper's second-scale workloads at 1.5% speed, keeping the full
-        grid tractable; ratios are scale-invariant (DESIGN.md).
+        grid tractable; ratios are scale-invariant (docs/benchmarks.md,
+        "Methodology").
     seed:
         Run seed (identical across cells for comparability).
     repeats:

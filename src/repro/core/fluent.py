@@ -416,10 +416,6 @@ class Pipeline:
             graph.validate()
         return graph
 
-    # Engines call this duck-typed hook to accept pipelines and graphs alike.
-    def as_graph(self) -> "WorkflowGraph":
-        return self.build()
-
     def __repr__(self) -> str:
         stages = 0 if self._chain is None else len(self._chain.pes)
         return f"Pipeline({self.name!r}, pes={stages})"

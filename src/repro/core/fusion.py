@@ -9,8 +9,14 @@ chains* -- linear runs of PEs connected 1:1 -- and collapses each into a
 single :class:`FusedPE` whose ``process()`` drives the member PEs through
 direct in-memory calls.  Inside a fusion there is no queue, no batch
 envelope and no pickle: a member's emission is handed to the next member
-as the same Python object (ownership transfers at emission, exactly the
-:func:`repro.mappings.base.marshal` contract).
+as the same Python object.  Every in-process mapping hop does the same:
+payload *ownership transfers* at emission (a producer never touches an
+emitted object again, matching dispel4py semantics), so a copy is not
+needed for correctness -- and under threads the pickle work would
+serialize on the GIL, distorting exactly the scaling behaviour being
+measured (real processes pay serialization cost in parallel).  The Redis
+mappings keep full client-side serialization, where it models a real
+client encoding its output buffer.
 
 The approach follows the local-rewrite school ("Optimizing Stateful
 Dataflow with Local Rewrites", PAPERS.md): each rewrite is local to one

@@ -202,7 +202,8 @@ class Engine:
     """Reusable enactment facade over the mapping registry.
 
     Parameters mirror :class:`RunConfig`; extra keyword arguments become
-    mapping options (``Engine(mapping="dyn_auto_multi", session_chunk=16)``).
+    mapping options
+    (``Engine(mapping="dyn_auto_multi", strategy=BacklogStrategy(min_queue=2))``).
     """
 
     def __init__(
@@ -329,9 +330,6 @@ class Engine:
         mapping: Optional[str] = None,
         time_scale: Optional[float] = None,
         deadline: Optional[float] = None,
-        scheduler: Optional[Any] = None,
-        tenant: Optional[str] = None,
-        priority: int = 0,
         **options: Any,
     ) -> Job:
         """Start enacting a workflow and return its :class:`~repro.jobs.Job`.
@@ -349,24 +347,17 @@ class Engine:
         seconds) cancels the job when exceeded.  Overlapping submissions
         on one mapping fall back to ephemeral cold deployments (a session's
         warmth is exclusive to one job at a time) -- counted
-        ``deploy_busy_fallback`` on the run.
-
-        Passing ``scheduler=`` (a :class:`repro.scheduler.JobScheduler`
-        bound to this engine) routes the submission through scheduled
-        admission instead: the job queues under ``tenant`` fair-share
-        accounting at ``priority`` until a shared warm deployment is free,
-        eliminating busy fallbacks.  ``tenant``/``priority`` are only
-        meaningful with a scheduler and raise ``TypeError`` otherwise.
+        ``deploy_busy_fallback`` on the run.  Scheduled admission (tenants,
+        priorities, queueing for a shared warm deployment) is
+        :meth:`repro.scheduler.JobScheduler.submit`; ``scheduler=``,
+        ``tenant=`` and ``priority=`` here are refused by name.
 
         Raises
         ------
         RuntimeError
             On a closed engine.
         TypeError
-            On misspelled engine-level options, or ``tenant``/``priority``
-            without a ``scheduler``.
-        ValueError
-            When ``scheduler`` is bound to a different engine.
+            On misspelled engine-level options.
         MappingError
             When the mapping may not enact the request (the rule set of
             :func:`repro.mappings.registry.refusal`, shared with ``run``,
@@ -374,24 +365,6 @@ class Engine:
             a capability it lacks, or ``processes`` is below its floor.
             Raised here, before anything is leased or deployed.
         """
-        if scheduler is not None:
-            if scheduler.engine is not self:
-                raise ValueError(
-                    "scheduler= is bound to a different Engine; submit "
-                    "through that engine (or build the scheduler over this "
-                    "one)"
-                )
-            return scheduler.submit(
-                workflow, inputs, processes=processes, seed=seed,
-                mapping=mapping, time_scale=time_scale, deadline=deadline,
-                tenant=tenant if tenant is not None else "default",
-                priority=priority, **options,
-            )
-        if tenant is not None or priority != 0:
-            raise TypeError(
-                "tenant=/priority= apply to scheduled submission only; "
-                "pass scheduler= as well"
-            )
         # Prepared before anything is leased: a refused request creates no
         # deployment and leaves a warm session idle for the next job.
         job, procs = self._prepare_job(

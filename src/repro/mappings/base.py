@@ -60,19 +60,20 @@ from repro.runtime.workers import WorkerPool
 
 InputSpec = Union[None, int, List[Any], Dict[str, Union[int, List[Any]]]]
 
+#: Real seconds an enactment waits for its workers (a join, a drain) before
+#: it records a :class:`TimeoutError`: a hang guard, never reached by a
+#: healthy run.
+JOIN_TIMEOUT = 300.0
+
 
 def marshal(data: Any, copy_payloads: bool = False) -> Any:
-    """Hand a payload across a queue boundary.
+    """A payload as a queue boundary would hand it over.
 
-    With ``copy_payloads`` the payload is pickle round-tripped, as crossing
-    a real process boundary would.  The default is pass-through: payload
-    *ownership transfers* at emission (a producer never touches an emitted
-    object again, matching dispel4py semantics), so the copy is not needed
-    for correctness -- and under threads the pickle work would serialize on
-    the GIL, distorting exactly the scaling behaviour being measured (real
-    processes pay serialization cost in parallel).  The Redis mappings keep
-    full client-side serialization, where it models a real client encoding
-    its output buffer.
+    No mapping hop calls this: in-process hops pass the emitted object
+    itself (ownership transfers at emission, see :mod:`repro.core.fusion`).
+    With ``copy_payloads`` the payload is pickle round-tripped, the cost a
+    real process boundary pays; ``e2e_bench``'s ``mappings.marshal_us``
+    probe times that.
     """
     if copy_payloads:
         return pickle.loads(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
@@ -115,10 +116,8 @@ def resolve_plan(options: Dict[str, Any], graph: WorkflowGraph) -> Optional[Plan
     ``optimize`` adding the ``planner_rules`` counter.  Neither profiles:
     the rewrite reads no costs.
     """
-    fuse, optimize = (
-        check_plan_option(name, options.pop(name, False))
-        for name in ("fuse", "optimize")
-    )
+    fuse = check_plan_option("fuse", options.pop("fuse", False))
+    optimize = check_plan_option("optimize", options.pop("optimize", False))
     if optimize or fuse:
         planner = Planner.default() if optimize else Planner.fusion_only()
         return planner.plan(graph, profile=False)
@@ -806,10 +805,9 @@ def run_workers(
     :class:`WorkerPool`: its dispatch hand-off is paid while the first
     workers already run, and at 64 workers that cost ``dyn_multi`` ~28%
     process time on fig10's 10X workload.)  A worker still running after
-    ``join_timeout`` is recorded as a :class:`TimeoutError` and the join
-    stops waiting.
+    :data:`JOIN_TIMEOUT` is recorded as a :class:`TimeoutError` and the
+    join stops waiting.
     """
-    timeout = state.options.get("join_timeout", 300.0)
     if state.pool is not None:
         handles = [state.pool.apply_async(func, args) for _name, func, args in calls]
         waits = [(handle.wait, handle.ready) for handle in handles]
@@ -822,10 +820,10 @@ def run_workers(
             thread.start()
         waits = [(thread.join, lambda t=thread: not t.is_alive()) for thread in threads]
     for (name, _func, _args), (wait, finished) in zip(calls, waits):
-        wait(timeout=timeout)
+        wait(timeout=JOIN_TIMEOUT)
         if not finished():
             state.record_error(
-                TimeoutError(f"worker {name} did not finish in {timeout}s")
+                TimeoutError(f"worker {name} did not finish in {JOIN_TIMEOUT}s")
             )
             break
 

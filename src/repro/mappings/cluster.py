@@ -61,7 +61,13 @@ from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow, Delivery
 from repro.core.context import ExecutionContext
 from repro.core.pe import GenericPE
-from repro.mappings.base import EnactmentState, Mapping, graph_copy, resolve_batch_size
+from repro.mappings.base import (
+    JOIN_TIMEOUT,
+    EnactmentState,
+    Mapping,
+    graph_copy,
+    resolve_batch_size,
+)
 from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
@@ -333,7 +339,7 @@ class ClusterRedisMapping(Mapping):
             "seed": state.ctx.seed,
             "policy": policy,
             "batch_size": batch_size,
-            "reclaim_idle_ms": reclaim_threshold_ms(options, state.clock),
+            "reclaim_idle_ms": reclaim_threshold_ms(state.clock),
             "total_workers": state.processes,
             "crash_after": options.get("crash_after"),
             "crash_workers": tuple(crash_workers),
@@ -379,14 +385,13 @@ class ClusterRedisMapping(Mapping):
         try:
             for proc in workers:
                 proc.start()
-            timeout = options.get("join_timeout", 300.0)
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + JOIN_TIMEOUT
             for index, proc in enumerate(workers):
                 proc.join(timeout=max(0.1, deadline - time.monotonic()))
                 if proc.is_alive():
                     state.record_error(
                         TimeoutError(
-                            f"worker {proc.name} did not finish in {timeout}s"
+                            f"worker {proc.name} did not finish in {JOIN_TIMEOUT}s"
                         )
                     )
                     proc.terminate()

@@ -36,12 +36,12 @@ from repro.autoscale.trace import ScalingTrace
 from repro.core.concrete import ConcreteWorkflow
 from repro.core.pe import GenericPE
 from repro.mappings.base import (
+    JOIN_TIMEOUT,
     EnactmentState,
     Mapping,
     dispatch_emissions,
     graph_copy,
     live_feeder,
-    marshal,
     resolve_batch_size,
     run_workers,
 )
@@ -200,7 +200,7 @@ class DynamicWorkforce(Workforce):
             emissions = copies[pe_name]._invoke(inputs)
             tally["tasks"] += 1
             children = [
-                (delivery.dst, delivery.dst_port, marshal(delivery.data))
+                (delivery.dst, delivery.dst_port, delivery.data)
                 for delivery in dispatch_emissions(
                     self.concrete, self.state.collector, pe_name, 0, emissions
                 )
@@ -370,6 +370,11 @@ def run_dedicated(state: EnactmentState, workforce: Workforce) -> None:
         run_workers(state, [(worker_id, run_worker, (worker_id,)) for worker_id in keys])
 
 
+#: Most tasks a worker session processes before it returns control to the
+#: scaler -- a soft cap at batch granularity, an envelope is never split.
+SESSION_CHUNK = 8
+
+
 def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
     """Algorithm 1: worker *sessions* dispatched through the scaler's gate.
 
@@ -382,8 +387,6 @@ def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
     """
     strategy = state.options.get("strategy") or workforce.default_strategy()
     trace = ScalingTrace(strategy.metric_name)
-    session_chunk = state.options.get("session_chunk", 8)
-    join_timeout = state.options.get("join_timeout", 300.0)
 
     def session() -> int:
         # Pool threads are the "processes"; a session is one active phase
@@ -392,7 +395,7 @@ def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
         worker_id = threading.current_thread().name
         with state.meter.active(worker_id):
             try:
-                return workforce.drain_session(worker_id, session_chunk)
+                return workforce.drain_session(worker_id, SESSION_CHUNK)
             except BaseException as exc:  # noqa: BLE001 - worker boundary
                 state.record_error(exc)
                 return 0
@@ -410,8 +413,6 @@ def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
             strategy,
             monitor=lambda: workforce.load(strategy),
             clock=state.clock,
-            initial_active=state.options.get("initial_active"),
-            scale_interval=state.options.get("scale_interval", 0.01),
             trace=trace,
         )
         try:
@@ -421,10 +422,10 @@ def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
             # submission (teardown closes it); an ephemeral pool does not.
             if own_pool:
                 pool.close()
-                pool.join(timeout=join_timeout)
+                pool.join(timeout=JOIN_TIMEOUT)
             else:
                 scaler.stop()
-                if not scaler.wait_all_done(timeout=join_timeout):
+                if not scaler.wait_all_done(timeout=JOIN_TIMEOUT):
                     # A session stuck past the timeout would otherwise ride
                     # along invisibly on the warm pool into the next job;
                     # failing the run forfeits the deployment instead.
@@ -490,16 +491,13 @@ class DynamicMapping(Mapping):
         (``BacklogStrategy(min_queue=...)``,
         ``IdleTimeStrategy(threshold_ms=...)``); also how the ablation
         benchmark swaps strategies.
-    ``initial_active``:
-        Starting active size (default: half the pool, Algorithm 1 line 6).
-    ``scale_interval``:
-        Nominal seconds the auto-scaler sleeps after every session it
-        dispatches, backlog or not (:class:`~repro.autoscale.autoscaler.Autoscaler`;
-        ``ROADMAP.md`` direction 1 is why it stays).
-    ``session_chunk``:
-        Maximum tasks a worker session processes before returning
-        control -- a soft cap at batch granularity, an envelope is never
-        split.
+
+    The rest of Algorithm 1's pacing is fixed: the active set starts at
+    half the pool (line 6), the scaler sleeps
+    :class:`~repro.autoscale.autoscaler.Autoscaler`'s ``scale_interval``
+    (0.01 nominal s) after every session it dispatches (``ROADMAP.md``
+    direction 1 is why it stays), and a session runs at most
+    :data:`SESSION_CHUNK` tasks.
     """
 
     #: The substrate: a :class:`Workforce` subclass.

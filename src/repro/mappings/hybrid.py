@@ -53,7 +53,8 @@ stateful plane in *recoverable* mode (enabled by any of the
 - a supervisor on the coordinator thread detects silently-dead pinned
   workers, **re-pins** the instance on a fresh worker, restores the latest
   snapshot and replays the pending log (entries at or below the snapshot's
-  sequence are deduplicated) before resuming the private queue.
+  sequence are deduplicated) before resuming the private queue; an
+  instance that dies more than :data:`MAX_RESPAWNS` times fails the run.
 
 Deliveries between a checkpoint and a crash are therefore applied exactly
 once to the instance's state, but their downstream emissions may be sent
@@ -96,6 +97,7 @@ from repro.core.exceptions import MappingError
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import AllToOne
 from repro.mappings.base import (
+    JOIN_TIMEOUT,
     EnactmentState,
     Mapping,
     dispatch_emissions,
@@ -123,6 +125,9 @@ from repro.state import (
     RedisSnapshotStore,
     StateStore,
 )
+
+#: Respawns the supervisor grants one pinned instance before it gives up.
+MAX_RESPAWNS = 3
 
 
 @register_mapping(
@@ -189,7 +194,6 @@ class HybridRedisMapping(Mapping):
             raise MappingError(
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
-        max_respawns: int = state.options.get("max_respawns", 3)
         batch_size = resolve_batch_size(state.options)
         trace = ScalingTrace(metric_name="recovery events") if recovery else None
 
@@ -434,11 +438,11 @@ class HybridRedisMapping(Mapping):
             for pe_name, index in dead:
                 slot = (pe_name, index)
                 attempts = respawns.get(slot, 0)
-                if attempts >= max_respawns:
+                if attempts >= MAX_RESPAWNS:
                     state.record_error(
                         MappingError(
                             f"stateful instance {pe_name}.{index} crashed more "
-                            f"than {max_respawns} times; giving up"
+                            f"than {MAX_RESPAWNS} times; giving up"
                         )
                     )
                     stop.set()
@@ -454,7 +458,7 @@ class HybridRedisMapping(Mapping):
                 spawn(pe_name, index)
 
         # -------------------------------------------------- stateless plane
-        reclaim_idle_ms = reclaim_threshold_ms(state.options, state.clock)
+        reclaim_idle_ms = reclaim_threshold_ms(state.clock)
         stateless_pes = {
             name: pe for name, pe in graph.pes.items() if name not in stateful_names
         }
@@ -512,21 +516,20 @@ class HybridRedisMapping(Mapping):
         for t in stateless_threads:
             t.start()
 
-        join_timeout = state.options.get("join_timeout", 300.0)
         # A real sleep per poll: below the clock's resolution `clock.sleep`
         # only books debt, and the loop would spin on `GET outstanding`.
         drain_poll = max(state.clock.to_real(policy.poll_interval), Clock.SLEEP_RESOLUTION)
         coordinator_client = new_client()
 
         def wait_drained() -> None:
-            deadline = state.clock.now() + join_timeout
+            deadline = state.clock.now() + JOIN_TIMEOUT
             while not board.is_drained(coordinator_client):
                 supervise()
                 if stop.is_set():
                     raise MappingError("hybrid run aborted by worker error")
                 if state.clock.now() > deadline:
                     raise MappingError(
-                        f"hybrid run did not drain within {join_timeout}s "
+                        f"hybrid run did not drain within {JOIN_TIMEOUT}s "
                         f"(outstanding={board.outstanding(coordinator_client)})"
                     )
                 time.sleep(drain_poll)
@@ -575,7 +578,7 @@ class HybridRedisMapping(Mapping):
             board.put_pills(len(stateless_threads))
             stop.set()
             for t in [*stateless_threads, *threads.values()]:
-                t.join(timeout=join_timeout)
+                t.join(timeout=JOIN_TIMEOUT)
                 if t.is_alive():
                     state.record_error(TimeoutError(f"worker {t.name} hung at exit"))
                     break

@@ -34,7 +34,6 @@ from repro.mappings.base import (
     dispatch_emissions,
     instantiate,
     live_feeder,
-    marshal,
     resolve_batch_size,
     run_workers,
 )
@@ -166,7 +165,7 @@ class MultiMapping(Mapping):
             for delivery in dispatch_emissions(
                 concrete, state.collector, pe_name, index, emissions
             ):
-                deliver(delivery.dst, delivery.dst_index, (_DATA, delivery.dst_port, marshal(delivery.data)))
+                deliver(delivery.dst, delivery.dst_index, (_DATA, delivery.dst_port, delivery.data))
 
         # Every source instance reads its own inputs from a private channel,
         # fed round-robin (item i to instance i mod n) and ended by one pill:

@@ -60,7 +60,7 @@ class RedisWorkforce(Workforce):
         self.server: RedisServer = state.options.get("redis_server") or RedisServer()
         #: How long a pending entry must sit unacknowledged before a starved
         #: peer adopts it (XAUTOCLAIM); see :func:`reclaim_threshold_ms`.
-        self.reclaim_idle_ms: float = reclaim_threshold_ms(state.options, state.clock)
+        self.reclaim_idle_ms: float = reclaim_threshold_ms(state.clock)
         self.board = RedisTaskBoard(
             self.client_for_worker(), namespace=f"repro:{state.graph.name}"
         )

@@ -98,15 +98,15 @@ def _ewma(mean: Optional[float], sample: float) -> float:
     return sample if mean is None else 0.75 * mean + 0.25 * sample
 
 
-def reclaim_threshold_ms(options, clock) -> float:
+def reclaim_threshold_ms(clock) -> float:
     """The XAUTOCLAIM idle threshold (real ms) shared by the Redis mappings.
 
     :data:`RECLAIM_IDLE` scaled by the clock like every other time knob, so
     the margin over task service times (nominal too) survives any
     time_scale, floored at 100 ms so test-speed scales never open
-    sub-millisecond theft windows.  Tests pin it with ``reclaim_idle_ms``.
+    sub-millisecond theft windows.
     """
-    return options.get("reclaim_idle_ms", max(1000.0 * clock.to_real(RECLAIM_IDLE), 100.0))
+    return max(1000.0 * clock.to_real(RECLAIM_IDLE), 100.0)
 
 
 class RedisTaskBoard:

@@ -177,6 +177,26 @@ def capability_table() -> List[Tuple[str, Capabilities]]:
 
 # --------------------------------------------------------------- selection
 
+#: Mapping options that were removed, each with what a run does instead.
+#: Unknown options pass through (``mapping="auto"`` forwards every option to
+#: whichever mapping it picks), so these are refused by name: a caller who
+#: still passes one is told rather than silently ignored.
+REMOVED_OPTIONS: Dict[str, str] = {
+    "plan": "a run plans itself, so pass fuse=True or drop the option",
+    "session_chunk": "an auto-scaled worker session runs at most "
+    "dynamic.SESSION_CHUNK (8) tasks",
+    "initial_active": "the auto-scaler starts with half the pool active",
+    "scale_interval": "the auto-scaler sleeps 0.01 nominal s per session",
+    "max_respawns": "hybrid_redis respawns a pinned instance at most "
+    "hybrid.MAX_RESPAWNS (3) times",
+    "reclaim_idle_ms": "the reclaim threshold follows the clock "
+    "(redis_tasks.reclaim_threshold_ms)",
+    "join_timeout": "workers are joined within base.JOIN_TIMEOUT (300 s)",
+    "scheduler": "submit through JobScheduler.submit",
+    "tenant": "pass it to JobScheduler.submit",
+    "priority": "pass it to JobScheduler.submit",
+}
+
 #: Auto-selection preference orders (first feasible candidate wins).
 _STATEFUL_ORDER = ("hybrid_redis", "multi", "simple")
 _STATELESS_ORDER = (
@@ -207,10 +227,11 @@ def refusal(
     separately, once they hold the planned graph).
     """
     name, caps, opts = mapping.name, mapping.capabilities, options or {}
-    if "plan" in opts:
+    removed = next((option for option in opts if option in REMOVED_OPTIONS), None)
+    if removed is not None:
         return UnsupportedFeatureError(
-            f"mapping {name!r} does not take plan=: the option was removed; a "
-            "run plans itself, so pass fuse=True or drop the option"
+            f"mapping {name!r} does not take {removed}=: the option was "
+            f"removed; {REMOVED_OPTIONS[removed]}"
         )
     # A mapping that ignored one of these options would silently run without
     # it while the user believes it is on, so the request is refused.

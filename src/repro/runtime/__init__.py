@@ -16,10 +16,10 @@ This package provides the low-level machinery every mapping is built on:
 - :mod:`repro.runtime.accounting` -- per-worker activity meters implementing
   the paper's *total process time* metric (sum of active process durations).
 
-The paper runs workers as OS processes; we run them as threads (see
-DESIGN.md, substitution table).  All workloads in this repository are
-sleep/IO-dominated, so threads preserve the queueing and contention dynamics
-while keeping the suite portable and fast.
+The paper runs workers as OS processes; we run them as threads.  All
+workloads in this repository are sleep/IO-dominated, so threads preserve
+the queueing and contention dynamics while keeping the suite portable and
+fast.
 """
 
 from repro.runtime.accounting import ActivityMeter

@@ -13,9 +13,10 @@ Two queue flavours are provided:
   which is the safe termination condition the paper's retry + poison-pill
   strategy (Section 3.2.3) approximates.
 
-Both flavours also count puts/gets so the monitoring framework (queue size
-for the ``dyn_auto_multi`` auto-scaling strategy, Figure 13) can observe them
-without touching internals.
+A :class:`TrackedQueue` also reports its backlog
+(:attr:`TrackedQueue.pending_tasks`) so the monitoring framework (queue
+size for the ``dyn_auto_multi`` auto-scaling strategy, Figure 13) can
+observe it without touching internals.
 
 Batched transport
 -----------------
@@ -261,13 +262,10 @@ class TrackedQueue:
         self._items: Deque[Any] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._drained = threading.Condition(self._lock)
         #: Getters parked in ``_not_empty``; producers skip the notify at 0.
         self._waiting = 0
         self._outstanding = 0
         self._pending_tasks = 0
-        self._total_put = 0
-        self._total_got = 0
 
     # -- producer side -----------------------------------------------------
     def put(self, item: Any) -> None:
@@ -299,7 +297,6 @@ class TrackedQueue:
         self._items.extend(items)
         self._outstanding += count
         self._pending_tasks += count
-        self._total_put += count
         if self._waiting:
             self._not_empty.notify(len(items))
 
@@ -316,9 +313,7 @@ class TrackedQueue:
                     self._waiting -= 1
             item = self._items.popleft()
             if item is not POISON_PILL:
-                count = batch_len(item)
-                self._total_got += count
-                self._pending_tasks -= count
+                self._pending_tasks -= batch_len(item)
         return item
 
     def settle(self, children: Sequence[Any] = (), count: int = 1) -> None:
@@ -343,8 +338,6 @@ class TrackedQueue:
                 # never see the parent gone and the children not yet there.
                 self._enqueue(children)
             self._outstanding -= count
-            if self._outstanding == 0:
-                self._drained.notify_all()
 
     def mark_done(self, count: int = 1) -> None:
         """:meth:`settle` for ``count`` tasks whose children, if any, were
@@ -373,20 +366,8 @@ class TrackedQueue:
     def outstanding(self) -> int:
         return self._outstanding
 
-    @property
-    def total_put(self) -> int:
-        return self._total_put
-
-    @property
-    def total_got(self) -> int:
-        return self._total_got
-
     def is_drained(self) -> bool:
         """True when every task ever put has been fully processed."""
         with self._lock:
             return self._outstanding == 0
 
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until drained (or timeout); returns drained status."""
-        with self._lock:
-            return self._drained.wait_for(lambda: self._outstanding == 0, timeout)

@@ -32,9 +32,9 @@ through the engine (validated, wired, buffering ``send``), queues it, and
 admission *launches that same object* on a leased deployment -- prepare ->
 queue -> launch.  A scheduled job therefore costs the threads a direct one
 does (its ``job-*`` driver) plus the shared dispatcher; callers
-``send``/``results``/``wait`` identically, and
-``Engine.submit(scheduler=...)`` routes through here so the in-process and
-daemon (``repro serve``) paths share one code path.
+``send``/``results``/``wait`` identically.  :meth:`JobScheduler.submit` is
+the one door to scheduled admission: in-process callers and the daemon
+(``repro serve``) both come through it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@
 
 Each subpackage exposes a ``build_workflow(...)`` factory returning a
 ready-to-run :class:`~repro.core.graph.WorkflowGraph` plus an input spec,
-and documents the synthetic substitutions for external data sources
-(see DESIGN.md).
+and documents the synthetic substitutions for external data sources.
 """
 
 from repro.workflows.astro import build_internal_extinction_workflow

@@ -1,7 +1,7 @@
 """Simulated Virtual Observatory table service.
 
 The paper's workflow downloads VOTables for each galaxy from a VO service
-over the network.  Offline substitution (see DESIGN.md): a deterministic
+over the network.  Offline substitution: a deterministic
 synthetic catalog.  Given sky coordinates, the service synthesizes a small
 photometry table whose contents are a pure function of the coordinates, so
 repeated runs (and different mappings) observe identical data.

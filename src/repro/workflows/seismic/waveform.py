@@ -1,7 +1,7 @@
 """Synthetic seismic waveform generation.
 
 The paper's workflow consumes continuous waveform data from FDSN stations.
-Offline substitution (DESIGN.md): deterministic synthetic seismograms --
+Offline substitution: deterministic synthetic seismograms --
 a superposition of microseism-band sinusoids, transient "events", a linear
 instrument drift and white noise.  The composition is a pure function of
 the station index, so every mapping processes identical data.

@@ -15,7 +15,7 @@ stateless, making this workflow "an ideal testbed to explore the behavior
 of enhanced dynamic deployment within the realm of a real stateful
 application".
 
-Substitutions (DESIGN.md): the Kaggle news dataset becomes a deterministic
+Substitutions: the Kaggle news dataset becomes a deterministic
 synthetic article generator; the AFINN and SentiWordNet-3 lexicons become
 embedded mini-lexicons with the same shape (word -> valence / positive &
 negative scores).

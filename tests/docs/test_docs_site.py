@@ -3,12 +3,14 @@
 ``scripts/check_docs.py`` is the single gate: every relative link in
 ``docs/*.md`` and ``README.md`` must resolve, the capability matrix
 in ``docs/capabilities.md`` must match what the live mapping registry
-renders, and every ``--flag`` in ``docs/cli.md`` must exist on the
-``repro`` parser.  These tests run the script the way CI does (a
-subprocess, so its exit codes and argument parsing are covered too) and
-pin the drift and flag checks' teeth on doctored copies.
+renders, every ``--flag`` in ``docs/cli.md`` must exist on the
+``repro`` parser, and every ``*.md`` path the code names must exist.
+These tests run the script the way CI does (a subprocess, so its exit
+codes and argument parsing are covered too) and pin the drift, flag and
+cited-document checks' teeth on doctored copies.
 """
 
+import glob
 import os
 import shutil
 import subprocess
@@ -34,13 +36,19 @@ def test_docs_links_resolve_and_matrix_is_fresh():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _doctored_checkout(tmp_path, page, old, new):
-    """A copy of the docs and scripts (``src`` linked) with one edit to
-    ``docs/<page>``, the way a stale page would read; returns the page."""
+def _checkout(tmp_path):
+    """A copy of the docs, scripts and top-level documents (``src`` linked)."""
     for name in ("docs", "scripts"):
         shutil.copytree(os.path.join(REPO_ROOT, name), tmp_path / name)
-    shutil.copy(os.path.join(REPO_ROOT, "README.md"), tmp_path / "README.md")
+    for document in glob.glob(os.path.join(REPO_ROOT, "*.md")):
+        shutil.copy(document, tmp_path)
     os.symlink(os.path.join(REPO_ROOT, "src"), tmp_path / "src")
+
+
+def _doctored_checkout(tmp_path, page, old, new):
+    """:func:`_checkout` with one edit to ``docs/<page>``, the way a stale
+    page would read; returns the page."""
+    _checkout(tmp_path)
     path = tmp_path / "docs" / page
     text = path.read_text(encoding="utf-8")
     assert old in text
@@ -80,3 +88,14 @@ def test_stale_cli_flag_fails(tmp_path):
     assert stale.returncode == 1
     assert "--batch-wait-ms is not an option" in stale.stderr
     assert "--batch-size" not in stale.stderr
+
+
+def test_code_naming_a_missing_document_fails(tmp_path):
+    _checkout(tmp_path)
+    (tmp_path / "scripts" / "stale.py").write_text(
+        '"""See DESIGN.md and docs/cli.md."""\n', encoding="utf-8"
+    )
+    stale = _run_copy(tmp_path)
+    assert stale.returncode == 1
+    assert "scripts/stale.py:1: names DESIGN.md" in stale.stderr
+    assert "docs/cli.md" not in stale.stderr

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import Engine, Pipeline, RunConfig, WorkflowGraph
+from repro.autoscale.strategies import BacklogStrategy
 from repro.core.exceptions import UnsupportedFeatureError
 from repro.platforms.profiles import HPC, SERVER
 from tests.conftest import Collect, Double, Emit, StatefulCounter, linear_graph
@@ -50,10 +51,17 @@ class TestEngineBasics:
         assert result.processes == 3
 
     def test_engine_options_forwarded_and_overridable(self):
+        class Tagged(BacklogStrategy):
+            def __init__(self, metric_name):
+                super().__init__()
+                self.metric_name = metric_name
+
         engine = Engine(mapping="dyn_auto_multi", processes=4, time_scale=FAST,
-                        session_chunk=4)
-        result = engine.run(_stateless(), inputs=list(range(8)), session_chunk=2)
+                        strategy=Tagged("engine-level"))
+        result = engine.run(_stateless(), inputs=list(range(8)),
+                            strategy=Tagged("per-run"))
         assert result.mapping == "dyn_auto_multi"
+        assert result.trace.metric_name == "per-run"
         assert sorted(result.output("dbl")) == [2 * i for i in range(8)]
 
     def test_accepts_pipeline_and_chain(self):
@@ -95,9 +103,9 @@ class TestEngineBasics:
             engine.run(_stateless(), inputs=[1], platform="server")
 
     def test_constructor_accepts_options_dict(self):
-        engine = Engine(mapping="dyn_auto_multi", options={"session_chunk": 4},
+        engine = Engine(mapping="dyn_auto_multi", options={"strategy": "s"},
                         min_queue=1)
-        assert engine.config.options == {"session_chunk": 4, "min_queue": 1}
+        assert engine.config.options == {"strategy": "s", "min_queue": 1}
 
     def test_with_options_dict_also_typo_checked(self):
         engine = Engine(mapping="simple")
@@ -110,9 +118,9 @@ class TestEngineBasics:
 
     def test_with_options_routes_mapping_options(self):
         """Non-RunConfig kwargs become mapping options, as in __init__."""
-        engine = Engine(mapping="dyn_auto_multi", session_chunk=16)
-        tweaked = engine.with_options(session_chunk=8, processes=3)
-        assert tweaked.config.options["session_chunk"] == 8
+        engine = Engine(mapping="dyn_auto_multi", strategy="a")
+        tweaked = engine.with_options(strategy="b", processes=3)
+        assert tweaked.config.options["strategy"] == "b"
         assert tweaked.config.processes == 3
 
     def test_with_options_splits_config_fields_from_mapping_options(self):
@@ -120,12 +128,12 @@ class TestEngineBasics:
         options -- in one call mixing both."""
         engine = Engine(mapping="dyn_auto_multi", processes=2)
         tweaked = engine.with_options(
-            processes=6, time_scale=0.5, seed=3, min_queue=1, scale_interval=0.2
+            processes=6, time_scale=0.5, seed=3, min_queue=1, strategy="s"
         )
         assert tweaked.config.processes == 6
         assert tweaked.config.time_scale == 0.5
         assert tweaked.config.seed == 3
-        assert tweaked.config.options == {"min_queue": 1, "scale_interval": 0.2}
+        assert tweaked.config.options == {"min_queue": 1, "strategy": "s"}
         # The source engine is untouched.
         assert engine.config.processes == 2
         assert engine.config.options == {}
@@ -133,9 +141,9 @@ class TestEngineBasics:
     def test_with_options_dict_merges_over_existing(self):
         """options= merges with (and keyword options win over) the
         inherited mapping options."""
-        engine = Engine(mapping="dyn_auto_multi", session_chunk=16, min_queue=2)
-        tweaked = engine.with_options(options={"min_queue": 5}, session_chunk=4)
-        assert tweaked.config.options == {"session_chunk": 4, "min_queue": 5}
+        engine = Engine(mapping="dyn_auto_multi", strategy="a", min_queue=2)
+        tweaked = engine.with_options(options={"min_queue": 5}, strategy="b")
+        assert tweaked.config.options == {"strategy": "b", "min_queue": 5}
 
     def test_with_options_derived_engine_has_fresh_caches(self):
         engine = Engine(mapping="simple", time_scale=FAST)

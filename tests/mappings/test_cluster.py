@@ -87,13 +87,14 @@ class TestRecovery:
                 mapping="cluster_redis",
                 crash_workers=[1],
                 crash_after=5,
-                reclaim_idle_ms=200,
             )
             if result.counters.get("crashed_workers"):
                 break
         assert result.counters.get("crashed_workers") == 1
-        # The survivor adopted the dead worker's PEL via XAUTOCLAIM, so the
-        # output multiset is still byte-identical to the healthy run.
+        # The survivor adopted the dead worker's PEL via XAUTOCLAIM once it
+        # sat idle past the clock's threshold (the 100 ms floor at
+        # FAST_SCALE), so the output multiset is still byte-identical to
+        # the healthy run.
         assert _collect_sorted(result) == expected_outputs
 
 

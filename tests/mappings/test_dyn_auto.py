@@ -67,11 +67,6 @@ class TestDynAutoScaler:
         actives = [p.active_size for p in result.trace.points]
         assert all(1 <= a <= 6 for a in actives)
 
-    def test_initial_active_option(self):
-        g = linear_graph(SlowPE(name="s"))
-        result = _run_auto(g, list(range(10)), 6, initial_active=2)
-        assert result.trace.points[0].active_size <= 3
-
     def test_custom_strategy_injection(self):
         g = linear_graph(SlowPE(name="s"))
         result = _run_auto(g, list(range(10)), 4, strategy=RateStrategy(alpha=0.5))

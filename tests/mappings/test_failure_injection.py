@@ -78,7 +78,6 @@ class TestWorkerErrors:
                 processes=4,
                 mapping="hybrid_redis",
                 time_scale=FAST_SCALE,
-                join_timeout=10.0,
             )
 
     @pytest.mark.parametrize("mapping", ["multi", "dyn_multi"])

@@ -124,7 +124,7 @@ class TestNoLeakedThreads:
         with pytest.raises(MappingError, match="crashed more than"):
             _run_hybrid(
                 g, [(f"k{i % 4}", i) for i in range(24)], 4,
-                checkpoint_interval=2, crash_injector=injector, max_respawns=2,
+                checkpoint_interval=2, crash_injector=injector,
             )
         assert _hybrid_threads() == []
 

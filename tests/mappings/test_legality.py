@@ -90,6 +90,31 @@ SCENARIOS = {
     ),
 }
 
+#: Mapping options that became constants, and ``Engine.submit``'s removed
+#: scheduling parameters, each with a value a caller might still pass.
+#: Refused by name on every mapping, whatever the value.
+REMOVED_OPTIONS = {
+    "session_chunk": 4,
+    "initial_active": 2,
+    "scale_interval": 0.2,
+    "max_respawns": 2,
+    "reclaim_idle_ms": 10.0,
+    "join_timeout": 20.0,
+    "tenant": "acme",
+    "priority": 1,
+}
+
+
+def _removed(option, value):
+    return lambda cls, caps: (
+        _graph_for(caps), SERVER, PROCESSES, {option: value}, UnsupportedFeatureError,
+    )
+
+
+SCENARIOS.update(
+    {f"{option}=": _removed(option, value) for option, value in REMOVED_OPTIONS.items()}
+)
+
 
 def _job_path_threads():
     """Driver, dispatcher, feeder, warm-pool and deadline-timer threads."""
@@ -149,6 +174,8 @@ def test_all_entry_points_agree(name, scenario):
                 with pytest.raises(MappingError) as raised:
                     call()
                 assert raised.type is expected
+                for option in options.keys() & {"plan", *REMOVED_OPTIONS}:
+                    assert f"does not take {option}=" in str(raised.value)
             # Nothing was leased, queued or counted for a refused request.
             assert not eng._sessions or all(
                 pool.deployment is None for pool in eng._sessions.values()

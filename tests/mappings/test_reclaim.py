@@ -22,13 +22,16 @@ from repro.mappings.redis_dynamic import RedisWorkforce
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
 from repro.runtime.accounting import ActivityMeter
+from repro.runtime.clock import Clock
 from tests.conftest import Double, Emit, FAST_SCALE, linear_graph, settle_entry
 
 pytestmark = pytest.mark.recovery
 
 
-def _workforce(graph, inputs, **options):
-    ctx = ExecutionContext()
+def _workforce(graph, inputs, time_scale=1.0, **options):
+    """A Redis workforce whose reclaim threshold follows ``time_scale``:
+    30 s at 1.0, the 100 ms floor at ``FAST_SCALE``."""
+    ctx = ExecutionContext(clock=Clock(time_scale))
     state = EnactmentState(
         graph=graph,
         provided=normalize_inputs(graph, inputs),
@@ -44,18 +47,23 @@ def _workforce(graph, inputs, **options):
     return state, RedisWorkforce(state, policy)
 
 
+def _outwait(wf):
+    """Sleep until an entry fetched now has idled past ``wf``'s threshold."""
+    time.sleep(wf.reclaim_idle_ms / 1000.0 + 0.05)
+
+
 class TestReclaimStale:
     def test_dead_consumer_task_adopted(self):
         """A task fetched by a consumer that dies before acking is adopted
         and completed by a starved live worker."""
         graph = linear_graph(Double(name="double"))
-        state, wf = _workforce(graph, [1, 2, 3], reclaim_idle_ms=10.0)
+        state, wf = _workforce(graph, [1, 2, 3], time_scale=FAST_SCALE)
         wf.graph_copy("ghost")  # the ghost 'process' boots, fetches, dies
         wf.seed_roots()
         ghost_client = wf.client_for_worker()
         stolen = wf.board.fetch("ghost", ghost_client, block_ms=10)
         assert len(stolen) == 1  # one task now pending under the dead ghost
-        time.sleep(0.05)  # let the pending entry's idle time exceed 10ms
+        _outwait(wf)
 
         wf.worker_loop("live", total_workers=1)
         assert sorted(state.collector.as_dict()["double.output"]) == [2, 4, 6]
@@ -66,7 +74,7 @@ class TestReclaimStale:
         """Entries below the idle threshold belong to a live (slow) consumer
         and must not be double-executed."""
         graph = linear_graph(Double(name="double"))
-        state, wf = _workforce(graph, [1], reclaim_idle_ms=60_000.0)
+        state, wf = _workforce(graph, [1])  # a 30 s threshold
         wf.seed_roots()
         busy_client = wf.client_for_worker()
         held = wf.board.fetch("busy", busy_client, block_ms=10)
@@ -79,11 +87,11 @@ class TestReclaimStale:
     def test_drain_session_reclaims(self):
         """Auto-scaled sessions also adopt stale work instead of starving."""
         graph = linear_graph(Emit(name="emit"))
-        state, wf = _workforce(graph, [7], reclaim_idle_ms=10.0)
+        state, wf = _workforce(graph, [7], time_scale=FAST_SCALE)
         wf.seed_roots()
         ghost_client = wf.client_for_worker()
         assert len(wf.board.fetch("ghost", ghost_client, block_ms=10)) == 1
-        time.sleep(0.05)
+        _outwait(wf)
 
         processed = wf.drain_session("live", chunk=8)
         assert processed == 1
@@ -96,31 +104,13 @@ class TestReclaimThreshold:
         """``RECLAIM_IDLE`` is nominal seconds: the real threshold must track
         time_scale (like every other time knob), so slow-but-live consumers
         keep their margin at any scale."""
-        from repro.runtime.clock import Clock
-
-        graph = linear_graph(Double(name="double"))
-        ctx = ExecutionContext(clock=Clock(1.0))
-        state = EnactmentState(
-            graph=graph, provided=normalize_inputs(graph, [1]), processes=1,
-            ctx=ctx, platform=LAPTOP, meter=ActivityMeter(ctx.clock),
-            collector=ResultsCollector(), counters=Counters(), options={},
-        )
-        wf = RedisWorkforce(state, TerminationPolicy())
+        _state, wf = _workforce(linear_graph(Double(name="double")), [1], time_scale=1.0)
         assert wf.reclaim_idle_ms == pytest.approx(30_000.0)
 
     def test_threshold_floor_at_tiny_scales(self):
         """At test-speed scales the computed threshold bottoms out at 100ms
         real, never sub-millisecond theft windows."""
-        from repro.runtime.clock import Clock
-
-        graph = linear_graph(Double(name="double"))
-        ctx = ExecutionContext(clock=Clock(0.002))
-        state = EnactmentState(
-            graph=graph, provided=normalize_inputs(graph, [1]), processes=1,
-            ctx=ctx, platform=LAPTOP, meter=ActivityMeter(ctx.clock),
-            collector=ResultsCollector(), counters=Counters(), options={},
-        )
-        wf = RedisWorkforce(state, TerminationPolicy())
+        _state, wf = _workforce(linear_graph(Double(name="double")), [1], time_scale=0.002)
         assert wf.reclaim_idle_ms == pytest.approx(100.0)
 
     def test_double_finish_decrements_once(self):
@@ -162,8 +152,9 @@ class TestReclaimEndToEnd:
         """hybrid_redis's stateless plane does not reclaim at all.  A worker
         there that fails aborts the run, so every entry in the PEL belongs
         to a live worker; with envelopes that outlast the idle threshold (a
-        loaded host, here a 1 ms threshold) a starved peer used to adopt
-        them and run them a second time."""
+        loaded host, here 4 x 30 ms envelopes against the 100 ms floor at
+        FAST_SCALE) a starved peer used to adopt them and run them a second
+        time."""
         g = linear_graph(Emit(name="a"), SlowDouble(name="b"))
         result = run(
             g,
@@ -172,15 +163,14 @@ class TestReclaimEndToEnd:
             mapping="hybrid_redis",
             time_scale=FAST_SCALE,
             batch_size=4,
-            reclaim_idle_ms=1.0,
         )
         assert sorted(result.output("b")) == sorted(2 * i for i in range(24))
         assert result.counters.get("reclaimed", 0) == 0
 
 
 class SlowDouble(Double):
-    """``Double`` that holds its worker for 5 ms of real time per tuple."""
+    """``Double`` that holds its worker for 30 ms of real time per tuple."""
 
     def _process(self, data):
-        time.sleep(0.005)
+        time.sleep(0.03)
         return super()._process(data)

@@ -179,10 +179,7 @@ class TestCrashRecovery:
         g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
         injector = CrashInjector({"counter.0": 1}, max_crashes=100)
         with pytest.raises(MappingError, match="crashed more than"):
-            _run(
-                g, _items(), checkpoint_interval=2, crash_injector=injector,
-                max_respawns=2, join_timeout=20.0,
-            )
+            _run(g, _items(), checkpoint_interval=2, crash_injector=injector)
 
     def test_shared_server_survives_aborted_predecessor(self):
         """Regression: an aborted run's orphaned private queues / pending
@@ -196,7 +193,7 @@ class TestCrashRecovery:
         with pytest.raises(MappingError):
             _run(
                 g, _items(), redis_server=server, checkpoint_interval=2,
-                crash_injector=injector, max_respawns=1, join_timeout=20.0,
+                crash_injector=injector,
             )
         g2 = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
         second = _run(g2, _items(keys=2, per_key=4), redis_server=server,

@@ -33,9 +33,9 @@ from repro.net.server import RespTCPServer
 from repro.redisim.client import Flight, RedisClient, Transport
 from repro.redisim.server import RedisServer
 from repro.workflows import build_sentiment_scoring_workflow
-from tests.conftest import AddOne, Double, linear_graph
+from tests.conftest import FAST_SCALE, AddOne, Double, linear_graph
 from tests.mappings.test_fused_trip import Boom, _pending, _wide
-from tests.mappings.test_reclaim import _workforce
+from tests.mappings.test_reclaim import _outwait, _workforce
 
 pytestmark = pytest.mark.recovery
 
@@ -318,7 +318,7 @@ class TestFailureMidWindow:
         expected = run(graph, inputs=list(range(n)), mapping="simple").output("wire")
         Tripwire.armed = True
 
-        state, wf = _workforce(graph, list(range(n)), reclaim_idle_ms=10.0)
+        state, wf = _workforce(graph, list(range(n)), time_scale=FAST_SCALE)
         wf.seed_roots()
         doomed = wf.worker("doomed")
         doomed.collector = ResultsCollector()  # its memory dies with it
@@ -331,7 +331,7 @@ class TestFailureMidWindow:
         assert wf.board.outstanding() == n  # nothing of the window was acked
         assert wf.board.backlog() == n - width
 
-        time.sleep(0.05)  # let the window's idle time pass the 10 ms threshold
+        _outwait(wf)  # let the window's idle time pass the 100 ms floor
         wf.worker_loop("adopter", total_workers=1)
         assert state.counters.get("reclaimed") == width
         assert Counter(state.collector.as_dict()["wire.output"]) == Counter(expected)

@@ -439,10 +439,8 @@ class TestRunPlansAgainstItsInputs:
             with Engine(mapping=mapping, **settings) as engine, JobScheduler(
                 engine, max_concurrent=1
             ) as scheduler:
-                job = engine.submit(
-                    g, inputs=[1, 2, 3],
-                    scheduler=scheduler if entry == "scheduled" else None,
-                )
+                submit = scheduler.submit if entry == "scheduled" else engine.submit
+                job = submit(g, inputs=[1, 2, 3])
                 job.close_input()
                 result = job.wait(10)
         assert profiled == []

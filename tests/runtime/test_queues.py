@@ -170,8 +170,7 @@ class TestTrackedQueueBatches:
     def test_batch_put_counts_tuples(self):
         q = TrackedQueue()
         q.put(Batch([("t", None, 1), ("t", None, 2), ("t", None, 3)]))
-        assert q.outstanding == 3
-        assert q.total_put == 3
+        assert q.outstanding == q.pending_tasks == 3
         assert q.qsize() == 1  # one envelope on the wire
 
     def test_pending_tasks_gauge_counts_tuples(self):
@@ -191,7 +190,7 @@ class TestTrackedQueueBatches:
         q = TrackedQueue()
         q.put(Batch([1, 2]))
         item = q.get()
-        assert q.total_got == 2
+        assert q.pending_tasks == 0 and q.outstanding == 2
         for _ in batch_items(item):
             q.mark_done()
         assert q.is_drained()
@@ -266,8 +265,8 @@ class TestTrackedQueueAccounting:
         q.put("a")
         q.put("b")
         q.get()
-        assert q.total_put == 2
-        assert q.total_got == 1
+        assert q.pending_tasks == 1
+        assert q.outstanding == 2
 
 
 class TestTrackedQueuePills:
@@ -277,7 +276,7 @@ class TestTrackedQueuePills:
         assert q.is_drained()
         assert q.get() is POISON_PILL
         assert q.get() is POISON_PILL
-        assert q.total_got == 0
+        assert q.pending_tasks == q.outstanding == 0
 
     def test_put_pill_via_put(self):
         q = TrackedQueue()
@@ -287,30 +286,6 @@ class TestTrackedQueuePills:
 
 
 class TestTrackedQueueWaiting:
-    def test_wait_drained_immediate(self):
-        assert TrackedQueue().wait_drained(timeout=0.01)
-
-    def test_wait_drained_timeout(self):
-        q = TrackedQueue()
-        q.put("x")
-        assert not q.wait_drained(timeout=0.02)
-
-    def test_wait_drained_wakes_on_completion(self):
-        q = TrackedQueue()
-        q.put("x")
-        woke = threading.Event()
-
-        def waiter():
-            if q.wait_drained(timeout=2.0):
-                woke.set()
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        q.get()
-        q.mark_done()
-        t.join(timeout=2.0)
-        assert woke.is_set()
-
     def test_get_blocking_timeout(self):
         q = TrackedQueue()
         with pytest.raises(Empty):
@@ -325,28 +300,6 @@ class TestTrackedQueueWaiting:
         t.join(timeout=5.0)
         assert not t.is_alive() and got == ["x"]
 
-    def test_wait_drained_wakes_exactly_at_drain(self):
-        """Settling a parent *with* a child must not release the waiter;
-        settling the last childless task must."""
-        q = TrackedQueue()
-        q.put("parent")
-        woke = threading.Event()
-
-        def waiter():
-            if q.wait_drained(timeout=5.0):
-                woke.set()
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        q.get()
-        q.settle(["child"])
-        assert not woke.wait(timeout=0.05)
-        assert q.outstanding == 1
-        q.get()
-        q.settle()
-        t.join(timeout=5.0)
-        assert not t.is_alive() and woke.is_set()
-
 
 class TestTrackedQueueSettle:
     def test_settle_enqueues_children_and_settles_parent(self):
@@ -355,7 +308,7 @@ class TestTrackedQueueSettle:
         q.get()
         q.settle(["a", "b"])
         assert q.outstanding == 2 and q.pending_tasks == 2
-        assert q.total_put == 3 and q.qsize() == 2
+        assert q.qsize() == 2
         assert [q.get(), q.get()] == ["a", "b"]
 
     def test_settle_counts_batch_children_per_tuple(self):
@@ -404,7 +357,7 @@ class TestTrackedQueueSettle:
             t.join(timeout=5.0)
         assert not any(t.is_alive() for t in threads)
         assert got == [POISON_PILL] * 3
-        assert q.total_put == 0 and q.total_got == 0 and q.is_drained()
+        assert q.pending_tasks == 0 and q.is_drained()
 
 
 class _YieldingChildren(list):
@@ -449,19 +402,23 @@ class TestTrackedQueueStress:
             t.join(timeout=10.0)
         assert q.outstanding == q.pending_tasks == len(chains)
 
+        # A task is tallied once got, before its settle: ``outstanding``
+        # can only read 0 with every task tallied.
+        got = []
         early_zero = []
         stop = threading.Event()
 
         def monitor():
             while not stop.is_set():
-                if q.outstanding == 0 and q.total_put < expected:
-                    early_zero.append(q.total_put)
+                if q.outstanding == 0 and len(got) < expected:
+                    early_zero.append(len(got))
 
         def consumer():
             while True:
                 task = q.get(timeout=10.0)
                 if task is POISON_PILL:
                     return
+                got.append(task)
                 depth, slow = task
                 children = [(depth - 1, slow)] if depth else []
                 q.settle(_YieldingChildren(children) if slow else children)
@@ -474,7 +431,10 @@ class TestTrackedQueueStress:
             watcher.start()
             for t in threads:
                 t.start()
-            drained = q.wait_drained(timeout=30.0)
+            deadline = time.monotonic() + 30.0
+            while not q.is_drained() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            drained = q.is_drained()
             q.put_pill(self.WORKERS)
             for t in threads:
                 t.join(timeout=10.0)
@@ -484,5 +444,5 @@ class TestTrackedQueueStress:
             sys.setswitchinterval(interval)
         assert drained and not any(t.is_alive() for t in threads)
         assert not early_zero
-        assert q.total_put == q.total_got == expected
+        assert len(got) == expected
         assert q.outstanding == 0 and q.pending_tasks == 0 and q.qsize() == 0

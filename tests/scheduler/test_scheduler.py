@@ -8,9 +8,8 @@ Covers the scheduler tentpole's acceptance surface:
   fairness, priority with starvation-free aging, hard tenant quotas;
 - queue-edge cases: interleaved ``send()`` while queued, cancel while
   queued, deadline expiring in the queue, backpressure in both modes;
-- the ``Engine.submit(scheduler=...)`` routing and the
-  ``deploy_busy_fallback`` regression (pinned without a scheduler, gone
-  with one);
+- the ``deploy_busy_fallback`` regression (pinned without a scheduler,
+  gone with one);
 - ``SchedulerStats`` lifecycle metrics;
 - one ``Job`` per submission: the handle ``submit`` returns is the one
   admission launches (identity, direct-submission parity, send ordering
@@ -23,7 +22,7 @@ import time
 import pytest
 
 from repro import Engine, JobCancelledError, JobState
-from repro.core.exceptions import MappingError
+from repro.core.exceptions import MappingError, UnsupportedFeatureError
 from repro.core.pe import IterativePE
 from repro.scheduler import (
     BackpressureError,
@@ -384,29 +383,16 @@ class TestFairnessAndPriority:
 
 
 class TestEngineIntegration:
-    def test_engine_submit_routes_through_scheduler(self):
+    @pytest.mark.parametrize("option", ["scheduler", "tenant", "priority"])
+    def test_engine_submit_refuses_the_scheduling_parameters(self, option):
+        """Scheduled admission has one door, ``JobScheduler.submit``;
+        ``Engine.submit`` names the parameter instead of running unscheduled."""
         with _engine() as engine:
-            with JobScheduler(engine, max_concurrent=2) as sched:
-                job = engine.submit(
-                    _pipeline(), inputs=[1, 2], scheduler=sched,
-                    tenant="acme", priority=1,
-                )
-                result = job.wait(timeout=30)
-        assert job.state is JobState.DONE
-        assert _values(result) == [3, 5]
-        assert sched.stats.admissions == ["acme"]
-        assert result.counters.get("deploy_busy_fallback", 0) == 0
-
-    def test_tenant_without_scheduler_is_rejected(self):
-        with _engine() as engine:
-            with pytest.raises(TypeError, match="scheduler"):
-                engine.submit(_pipeline(), inputs=[1], tenant="acme")
-
-    def test_foreign_scheduler_is_rejected(self):
-        with _engine() as engine, _engine() as other:
-            with JobScheduler(other, max_concurrent=1) as sched:
-                with pytest.raises(ValueError, match="different Engine"):
-                    engine.submit(_pipeline(), inputs=[1], scheduler=sched)
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                value = {"scheduler": sched, "tenant": "acme", "priority": 1}[option]
+                with pytest.raises(UnsupportedFeatureError, match=f"{option}="):
+                    engine.submit(_pipeline(), inputs=[1], **{option: value})
+                assert sched.stats.submitted == 0
 
     def test_busy_fallback_counter_pinned_without_scheduler(self):
         """Pre-scheduler behavior: overlap falls back cold, now counted."""

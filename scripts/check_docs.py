@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-site gate: relative links resolve, docs match the code.
 
-Three checks over ``docs/*.md`` and ``README.md``, and one over the code:
+Four checks over ``docs/*.md`` and ``README.md``, and one over the code:
 
 1. **Link resolution** -- every relative markdown link target (after
    stripping any ``#fragment``) must exist on disk.  External links
@@ -19,6 +19,10 @@ Three checks over ``docs/*.md`` and ``README.md``, and one over the code:
    ``benchmarks/`` or ``scripts/`` (a docstring's "see docs/cli.md")
    must exist, at the repo root, under ``docs/`` or beside the naming
    file, so a deleted or renamed document cannot stay cited.
+5. **Doc imports** -- every ``from repro… import name`` (and ``import
+   repro…``) in a fenced ``python`` block of the docs or the README must
+   resolve against the live package, so a removed public name cannot stay
+   in an example.
 
 Usage::
 
@@ -32,6 +36,8 @@ the checks need are missing.
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -51,6 +57,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 #: A markdown file named in code: ``ROADMAP.md``, ``docs/cli.md``.
 MD_PATH_RE = re.compile(r"[\w./-]*\w\.md\b")
+#: A fenced python block's body, up to its closing fence.
+PY_FENCE_RE = re.compile(r"^```python[^\n]*\n(.*?)^```", re.M | re.S)
 #: The code trees whose docstrings and comments may cite a document.
 CODE_DIRS = ("src", "benchmarks", "scripts")
 
@@ -175,6 +183,51 @@ def check_md_names() -> List[str]:
     return errors
 
 
+def _resolves(module: str, name: str | None) -> bool:
+    """Whether ``from module import name`` (or ``import module``) works."""
+    try:
+        imported = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or name == "*" or hasattr(imported, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def check_doc_imports(path: Path) -> List[str]:
+    """``repro`` imports in one file's python blocks that do not resolve."""
+    _import_repro()
+    errors: List[str] = []
+    rel = path.relative_to(REPO_ROOT)
+    text = path.read_text(encoding="utf-8")
+    for match in PY_FENCE_RE.finditer(text):
+        first_line = text.count("\n", 0, match.start(1)) + 1
+        try:
+            tree = ast.parse(match.group(1))
+        except SyntaxError as exc:
+            line = first_line + (exc.lineno or 1) - 1
+            errors.append(f"{rel}:{line}: python block does not parse")
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module, name in pairs:
+                if module.split(".")[0] != "repro" or _resolves(module, name):
+                    continue
+                line = first_line + node.lineno - 1
+                shown = f"import {module}" if name is None else f"from {module} import {name}"
+                errors.append(f"{rel}:{line}: `{shown}` does not resolve")
+    return errors
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Check docs links and capability-matrix freshness."
@@ -193,6 +246,7 @@ def main(argv: List[str] | None = None) -> int:
             print(f"check_docs: {path} does not exist", file=sys.stderr)
             return 2
         errors.extend(check_links(path))
+        errors.extend(check_doc_imports(path))
     errors.extend(check_matrix(write=args.write))
     errors.extend(check_cli_flags())
     errors.extend(check_md_names())
@@ -204,7 +258,7 @@ def main(argv: List[str] | None = None) -> int:
         return 1
     print(
         f"OK: {len(files)} file(s) checked, links resolve, matrix is fresh, "
-        f"CLI flags exist, cited documents exist"
+        f"CLI flags exist, cited documents exist, doc imports resolve"
     )
     return 0
 

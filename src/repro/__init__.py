@@ -75,10 +75,8 @@ from repro.platforms import CLOUD, HPC, LAPTOP, SERVER, PlatformProfile, get_pla
 from repro.scheduler import (
     BackpressureError,
     JobScheduler,
-    QuotaExceededError,
     SchedulerService,
     SchedulerStats,
-    TenantQuota,
 )
 from repro.state import (
     CrashInjector,
@@ -149,7 +147,6 @@ __all__ = [
     "Planner",
     "PlatformProfile",
     "ProducerPE",
-    "QuotaExceededError",
     "RedisSnapshotStore",
     "RunConfig",
     "RunResult",
@@ -159,7 +156,6 @@ __all__ = [
     "Shuffle",
     "Snapshot",
     "StateStore",
-    "TenantQuota",
     "TerminationPolicy",
     "WorkflowGraph",
     "__version__",

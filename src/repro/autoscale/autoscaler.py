@@ -9,9 +9,9 @@ Algorithm 1            This implementation
 ``pool``               :class:`repro.runtime.workers.WorkerPool`
 ``threshold``          owned by the :class:`ScalingStrategy`
 ``queue``              monitored via the injected ``monitor`` callable
-``active_size``        :attr:`Autoscaler.active_size` (default ``max/2``)
+``active_size``        :attr:`Autoscaler.active_size` (starts at ``max/2``)
 ``active_count``       :attr:`Autoscaler.active_count`
-``shrink/grow``        :meth:`shrink` / :meth:`grow` (clamped to [min, max])
+``shrink/grow``        :meth:`shrink` / :meth:`grow` (clamped to [1, max])
 ``auto_scale``         :meth:`auto_scale` (monitor -> strategy -> ±1)
 ``start``              :meth:`start` (blocks while count >= size, then
                        ``pool.apply_async(func, args, callback=done)``)
@@ -39,6 +39,18 @@ from repro.autoscale.trace import ScalingTrace
 from repro.runtime.clock import Clock
 from repro.runtime.workers import WorkerPool
 
+#: Lower clamp for ``active_size``: Algorithm 1 shrinks "with a minimum of 1".
+MIN_ACTIVE = 1
+
+#: Nominal seconds :meth:`Autoscaler.process` sleeps after *every* session
+#: it dispatches, whether or not the backlog is empty: the pacing that keeps
+#: an empty-but-unterminated queue from busy-spinning the monitor also paces
+#: every dispatch of a full one.  ``ROADMAP.md`` direction 5(b) turns it into
+#: the timeout of a wait on the workforce's condition; it stays a plain sleep
+#: until the benchmark stops gating ``chain_queue.active_share``, which
+#: rewards sleeping.
+SCALE_INTERVAL = 0.01
+
 
 class Autoscaler:
     """Dynamic resource controller for the auto-scaling mappings.
@@ -53,20 +65,7 @@ class Autoscaler:
         Zero-argument callable producing the current observation of the
         monitored metric (queue size / average idle time).
     clock:
-        Time source; ``scale_interval`` is expressed in nominal seconds.
-    min_active:
-        Lower clamp for ``active_size`` (Algorithm 1 shrinks "with a
-        minimum of 1").
-    initial_active:
-        Starting ``active_size``; defaults to half the pool (Algorithm 1
-        line 6).
-    scale_interval:
-        Nominal seconds :meth:`process` sleeps after *every* session it
-        dispatches, whether or not the backlog is empty: the pacing that
-        keeps an empty-but-unterminated queue from busy-spinning the
-        monitor also paces every dispatch of a full one.  Why it stays a
-        fixed sleep for now, and what replaces it, is ``ROADMAP.md``
-        direction 1.
+        Time source; :data:`SCALE_INTERVAL` is expressed in nominal seconds.
     trace:
         Optional :class:`ScalingTrace` to record decisions into.
     """
@@ -77,40 +76,25 @@ class Autoscaler:
         strategy: ScalingStrategy,
         monitor: Callable[[], float],
         clock: Optional[Clock] = None,
-        min_active: int = 1,
-        initial_active: Optional[int] = None,
-        scale_interval: float = 0.01,
         trace: Optional[ScalingTrace] = None,
     ) -> None:
-        if min_active < 1:
-            raise ValueError("min_active must be >= 1")
         self.pool = pool
         self.max_pool_size = pool.size
         self.strategy = strategy
         self.monitor = monitor
         self.clock = clock if clock is not None else Clock()
-        self.min_active = min_active
-        if initial_active is None:
-            initial_active = max(min_active, self.max_pool_size // 2)
-        if not min_active <= initial_active <= self.max_pool_size:
-            raise ValueError(
-                f"initial_active={initial_active} outside "
-                f"[{min_active}, {self.max_pool_size}]"
-            )
-        if scale_interval < 0:
-            raise ValueError("scale_interval must be >= 0")
-        self.active_size = initial_active
+        # Algorithm 1 line 6: half the pool starts active.
+        self.active_size = max(MIN_ACTIVE, self.max_pool_size // 2)
         self.active_count = 0
-        self.scale_interval = scale_interval
         self.trace = trace if trace is not None else ScalingTrace(strategy.metric_name)
         self._cond = threading.Condition()
         self._stopped = False
 
     # ------------------------------------------------------------- scaling
     def shrink(self, size_to_shrink: int = 1) -> None:
-        """Decrease ``active_size`` (clamped at ``min_active``)."""
+        """Decrease ``active_size`` (clamped at :data:`MIN_ACTIVE`)."""
         with self._cond:
-            self.active_size = max(self.min_active, self.active_size - size_to_shrink)
+            self.active_size = max(MIN_ACTIVE, self.active_size - size_to_shrink)
 
     def grow(self, size_to_grow: int = 1) -> None:
         """Increase ``active_size`` (clamped at ``max_pool_size``)."""
@@ -195,6 +179,5 @@ class Autoscaler:
                 self.wait_all_done()
                 return
             # Paces every dispatch, not only an empty queue's (see
-            # ``scale_interval``).
-            if self.scale_interval > 0:
-                self.clock.sleep(self.scale_interval)
+            # :data:`SCALE_INTERVAL`).
+            self.clock.sleep(SCALE_INTERVAL)

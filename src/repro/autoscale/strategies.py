@@ -87,49 +87,26 @@ class BacklogStrategy(ScalingStrategy):
     and defers to future work).  This strategy instead compares the queue
     size against the number of active processes:
 
-    - backlog above ``grow_factor x active`` -- capacity is short, grow;
-    - backlog below ``shrink_factor x active`` (or at/below ``min_queue``)
-      -- capacity exceeds demand, shrink;
+    - backlog above ``active`` -- capacity is short, grow;
+    - backlog below ``active`` (or empty) -- capacity exceeds demand,
+      shrink;
     - otherwise hold.
 
-    With the defaults the active size tracks ``min(queue, pool)``: full
-    parallelism while a backlog exists, one-by-one deactivation as the
-    stream drains -- which is what makes the Table 1 process-time savings
-    materialise without giving back runtime.
-
-    Parameters
-    ----------
-    grow_factor:
-        Grow while ``queue > grow_factor * active_size``.
-    shrink_factor:
-        Shrink while ``queue < shrink_factor * active_size``.
-    min_queue:
-        Backlogs at or below this size always vote to shrink.
+    The active size thus tracks ``min(queue, pool)``: full parallelism
+    while a backlog exists, one-by-one deactivation as the stream drains
+    -- which is what makes the Table 1 process-time savings materialise
+    without giving back runtime.
     """
 
     metric_name = "queue size"
     wants_active_size = True
 
-    def __init__(
-        self,
-        grow_factor: float = 1.0,
-        shrink_factor: float = 1.0,
-        min_queue: int = 0,
-    ) -> None:
-        if grow_factor < shrink_factor:
-            raise ValueError("grow_factor must be >= shrink_factor")
-        if min_queue < 0:
-            raise ValueError("min_queue must be >= 0")
-        self.grow_factor = grow_factor
-        self.shrink_factor = shrink_factor
-        self.min_queue = min_queue
-
     def decide(self, observation: float, active_size: int = 1) -> int:
-        if observation <= self.min_queue:
+        if observation <= 0:
             return -1
-        if observation > self.grow_factor * active_size:
+        if observation > active_size:
             return +1
-        if observation < self.shrink_factor * active_size:
+        if observation < active_size:
             return -1
         return 0
 
@@ -145,28 +122,21 @@ class IdleTimeStrategy(ScalingStrategy):
     Parameters
     ----------
     threshold_ms:
-        Idle-time threshold in milliseconds.
-    hysteresis_ms:
-        Optional dead band around the threshold in which the strategy holds,
-        damping oscillation (0 reproduces the paper's binary behaviour).
+        Idle-time threshold in milliseconds; an observation exactly at it
+        holds.
     """
 
     metric_name = "avg idle time (ms)"
 
-    def __init__(self, threshold_ms: float, hysteresis_ms: float = 0.0) -> None:
+    def __init__(self, threshold_ms: float) -> None:
         if threshold_ms <= 0:
             raise ValueError("threshold_ms must be positive")
-        if hysteresis_ms < 0:
-            raise ValueError("hysteresis_ms must be >= 0")
         self.threshold_ms = threshold_ms
-        self.hysteresis_ms = hysteresis_ms
 
     def decide(self, observation: float) -> int:
-        upper = self.threshold_ms + self.hysteresis_ms
-        lower = self.threshold_ms - self.hysteresis_ms
-        if observation > upper:
+        if observation > self.threshold_ms:
             return -1
-        if observation < lower:
+        if observation < self.threshold_ms:
             return +1
         return 0
 
@@ -177,16 +147,16 @@ class RateStrategy(ScalingStrategy):
     Smooths the queue-size signal with an exponential moving average and
     scales on the smoothed trend, filtering out the single-sample noise
     that makes :class:`QueueSizeStrategy` oscillate (the lag/overshoot the
-    paper observes in Figure 13 and flags for future work).
+    paper observes in Figure 13 and flags for future work).  A smoothed
+    backlog at or below zero always votes to shrink.
     """
 
     metric_name = "queue size (EWMA)"
 
-    def __init__(self, alpha: float = 0.3, min_queue: int = 0) -> None:
+    def __init__(self, alpha: float = 0.3) -> None:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
-        self.min_queue = min_queue
         self._ewma: Optional[float] = None
         self._last_ewma: Optional[float] = None
 
@@ -196,7 +166,7 @@ class RateStrategy(ScalingStrategy):
         else:
             self._ewma = self.alpha * observation + (1 - self.alpha) * self._ewma
         last, self._last_ewma = self._last_ewma, self._ewma
-        if self._ewma <= self.min_queue:
+        if self._ewma <= 0:
             return -1
         if last is None:
             return 0

@@ -113,7 +113,6 @@ class FusedPE(GenericPE):
         self,
         members: Sequence[GenericPE],
         internal_edges: Sequence[Edge],
-        name: Optional[str] = None,
         stateful: bool = False,
     ) -> None:
         if len(members) < 2:
@@ -123,7 +122,7 @@ class FusedPE(GenericPE):
                 f"chain of {len(members)} members needs {len(members) - 1} "
                 f"internal edges, got {len(internal_edges)}"
             )
-        super().__init__(name or fused_name([m.name for m in members]))
+        super().__init__(fused_name([m.name for m in members]))
         self.members: List[GenericPE] = list(members)
         self.stateful = bool(stateful) or any(m.is_stateful() for m in members)
 

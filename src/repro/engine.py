@@ -67,8 +67,14 @@ def _check_option_typos(options: Dict[str, Any]) -> None:
     """
     import difflib
 
-    config_fields = [f.name for f in fields(RunConfig)]
+    config_fields = [f.name for f in fields(RunConfig) if f.name != "options"]
     for key in options:
+        if key == "options":
+            raise TypeError(
+                "the options= dict was removed; pass each mapping option "
+                "as its own keyword argument (Engine(strategy=...), "
+                "with_options(strategy=...))"
+            )
         if key in config_fields:
             raise TypeError(
                 f"{key!r} is an engine-level setting, not a mapping option; "
@@ -203,7 +209,7 @@ class Engine:
 
     Parameters mirror :class:`RunConfig`; extra keyword arguments become
     mapping options
-    (``Engine(mapping="dyn_auto_multi", strategy=BacklogStrategy(min_queue=2))``).
+    (``Engine(mapping="dyn_auto_multi", strategy=QueueSizeStrategy(min_queue=2))``).
     """
 
     def __init__(
@@ -219,7 +225,6 @@ class Engine:
         optimize: bool = False,
         checkpoint_interval: Optional[int] = None,
         state_store: Optional[Any] = None,
-        options: Optional[Dict[str, Any]] = None,
         **extra_options: Any,
     ) -> None:
         self._init(
@@ -235,7 +240,7 @@ class Engine:
                 optimize=optimize,
                 checkpoint_interval=checkpoint_interval,
                 state_store=state_store,
-                options={**(options or {}), **extra_options},
+                options=extra_options,
             )
         )
 
@@ -491,17 +496,13 @@ class Engine:
         closed engine, like every other facade entry point.
         """
         self._ensure_open()
-        options = dict(self.config.options)
-        config_fields = {f.name for f in fields(RunConfig)}
-        field_changes = {}
-        option_changes = dict(changes.pop("options", {}))
-        for key in list(changes):
-            if key in config_fields:
-                field_changes[key] = changes.pop(key)
-            else:
-                option_changes[key] = changes.pop(key)
+        # ``options`` is no settable field: it falls to the options check,
+        # which names the removed dict.
+        config_fields = {f.name for f in fields(RunConfig)} - {"options"}
+        field_changes = {k: v for k, v in changes.items() if k in config_fields}
+        option_changes = {k: v for k, v in changes.items() if k not in config_fields}
         _check_option_typos(option_changes)
-        options.update(option_changes)
+        options = {**self.config.options, **option_changes}
         config = replace(self.config, **field_changes, options=options)
         return Engine.from_config(config)
 

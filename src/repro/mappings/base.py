@@ -709,10 +709,10 @@ class StreamControl:
 class EnactmentState:
     """Everything :meth:`Mapping._enact` needs, bundled.
 
-    ``feed`` / ``control`` / ``pool`` are only set on streaming
-    submissions: the live input bridge, the cancellation plumbing, and --
-    bound at launch -- the leased deployment's warm worker pool (``None``
-    means spin up an ephemeral one).
+    ``control`` is the cancellation plumbing.  ``feed`` / ``pool`` are
+    bound at launch, on streaming submissions only: the live input bridge
+    and the leased deployment's warm worker pool (``None`` means spin up
+    an ephemeral one).
     """
 
     def __init__(
@@ -726,9 +726,7 @@ class EnactmentState:
         collector: ResultsCollector,
         counters: Counters,
         options: Dict[str, Any],
-        feed: Optional[LiveFeed] = None,
         control: Optional[StreamControl] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.graph = graph
         self.provided = provided
@@ -739,9 +737,9 @@ class EnactmentState:
         self.collector = collector
         self.counters = counters
         self.options = options
-        self.feed = feed
+        self.feed: Optional[LiveFeed] = None
         self.control = control
-        self.pool = pool
+        self.pool: Optional[WorkerPool] = None
         #: Member-level meter when the fusion rewrite ran (else None).
         self.member_meter: Optional[MemberMeter] = None
         #: Original root name -> fused root name (identity when unfused).

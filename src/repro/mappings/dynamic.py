@@ -488,15 +488,14 @@ class DynamicMapping(Mapping):
 
     ``strategy``:
         The scaling strategy instance -- the single way to tune it
-        (``BacklogStrategy(min_queue=...)``,
+        (``QueueSizeStrategy(min_queue=...)``,
         ``IdleTimeStrategy(threshold_ms=...)``); also how the ablation
         benchmark swaps strategies.
 
     The rest of Algorithm 1's pacing is fixed: the active set starts at
     half the pool (line 6), the scaler sleeps
-    :class:`~repro.autoscale.autoscaler.Autoscaler`'s ``scale_interval``
-    (0.01 nominal s) after every session it dispatches (``ROADMAP.md``
-    direction 1 is why it stays), and a session runs at most
+    :data:`~repro.autoscale.autoscaler.SCALE_INTERVAL` after every
+    session it dispatches, and a session runs at most
     :data:`SESSION_CHUNK` tasks.
     """
 

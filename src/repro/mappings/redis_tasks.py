@@ -69,6 +69,9 @@ TRIP_SHARE = 0.1
 #: peer cannot steal keep growing with the window.
 WINDOW_CAP = 8
 
+#: The consumer group every worker of a task board reads through.
+GROUP = "workers"
+
 #: Nominal seconds a pending entry may idle before a starved worker adopts
 #: it: far above the paper's second-scale tasks, so only dead consumers are
 #: robbed.
@@ -120,16 +123,11 @@ class RedisTaskBoard:
         server, passing them to the per-call methods.
     namespace:
         Key prefix isolating this run from others on the shared server.
-    group:
-        Consumer group name.
     """
 
-    def __init__(
-        self, client: RedisClient, namespace: str = "repro", group: str = "workers"
-    ) -> None:
+    def __init__(self, client: RedisClient, namespace: str = "repro") -> None:
         self.client = client
         self.namespace = namespace
-        self.group = group
         self.stream_key = f"{namespace}:tasks"
         self.counter_key = f"{namespace}:outstanding"
 
@@ -137,7 +135,7 @@ class RedisTaskBoard:
     def setup(self) -> None:
         """Create the stream + group and zero the outstanding counter."""
         self.client.delete(self.stream_key, self.counter_key)
-        self.client.xgroup_create(self.stream_key, self.group, id="0", mkstream=True)
+        self.client.xgroup_create(self.stream_key, GROUP, id="0", mkstream=True)
         self.client.set(self.counter_key, 0)
 
     def teardown(self) -> None:
@@ -209,7 +207,7 @@ class RedisTaskBoard:
         """Read new entries for ``consumer``; pills come back as ``PILL``."""
         return self.fetched(
             client.xreadgroup(
-                self.group,
+                GROUP,
                 consumer,
                 {self.stream_key: ">"},
                 count=count,
@@ -222,7 +220,7 @@ class RedisTaskBoard:
 
         Decode its reply with :meth:`fetched`.
         """
-        pipe.xreadgroup(self.group, consumer, {self.stream_key: ">"}, count=count)
+        pipe.xreadgroup(GROUP, consumer, {self.stream_key: ">"}, count=count)
 
     @staticmethod
     def fetched(reply: List[Tuple[str, list]]) -> List[Tuple[str, Any]]:
@@ -242,7 +240,7 @@ class RedisTaskBoard:
         of polling out its retry budget.
         """
         for entry_id in pill_ids:
-            pipe.xack(self.stream_key, self.group, entry_id)
+            pipe.xack(self.stream_key, GROUP, entry_id)
         if len(pill_ids) > own:
             pipe.xaddn(self.stream_key, "pill", *[1] * (len(pill_ids) - own))
 
@@ -262,7 +260,7 @@ class RedisTaskBoard:
         if settled:
             (entry_id, amount), *more = settled
             pipe.xack_decr(
-                self.stream_key, self.group, entry_id, self.counter_key, amount,
+                self.stream_key, GROUP, entry_id, self.counter_key, amount,
                 *(word for pair in more for word in pair),
             )
 
@@ -290,7 +288,7 @@ class RedisTaskBoard:
         """Entries not yet delivered to the group (the group's lag)."""
         c = client if client is not None else self.client
         for info in c.xinfo_groups(self.stream_key):
-            if info["name"] == self.group:
+            if info["name"] == GROUP:
                 return int(info["lag"])
         return 0
 
@@ -301,7 +299,7 @@ class RedisTaskBoard:
     ) -> float:
         """Average idle time (ms) of the given consumers (default: all)."""
         c = client if client is not None else self.client
-        rows = c.xinfo_consumers(self.stream_key, self.group)
+        rows = c.xinfo_consumers(self.stream_key, GROUP)
         if consumers is not None:
             wanted = set(consumers)
             rows = [row for row in rows if row["name"] in wanted]
@@ -320,14 +318,14 @@ class RedisTaskBoard:
         adopt them once they are idle enough.
         """
         _cursor, entries = client.xautoclaim(
-            self.stream_key, self.group, consumer, min_idle_ms
+            self.stream_key, GROUP, consumer, min_idle_ms
         )
         recovered: List[Tuple[str, Any]] = []
         for entry_id, fields in entries:
             if "pill" in fields:
                 # Pills are immediately re-acked; they were for the dead
                 # consumer and termination broadcasting re-sends as needed.
-                client.xack(self.stream_key, self.group, entry_id)
+                client.xack(self.stream_key, GROUP, entry_id)
                 continue
             recovered.append((entry_id, fields["task"]))
         return recovered

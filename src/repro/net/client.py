@@ -435,7 +435,7 @@ class SocketRedisClient(RedisClient):
     ----------
     address:
         ``"host:port"`` of the server (the form workers are handed).
-    op_latency / clock / serialize:
+    op_latency / clock:
         As on :class:`~repro.redisim.client.RedisClient`.  ``op_latency``
         usually stays 0 here -- the socket provides *real* latency, which
         is the point.
@@ -446,9 +446,8 @@ class SocketRedisClient(RedisClient):
         address: str,
         op_latency: float = 0.0,
         clock: Optional[Clock] = None,
-        serialize: bool = True,
     ) -> None:
-        super().__init__(ConnectionPool(address), op_latency, clock, serialize)
+        super().__init__(ConnectionPool(address), op_latency, clock)
         self.address = address
 
     def ping(self) -> bool:

@@ -247,14 +247,12 @@ class RedisClient:
         ``clock``.  ``0`` disables latency injection.
     clock:
         Clock used to charge latency.  Required when ``op_latency > 0``.
-    serialize:
-        Pickle payload values (stream fields / list items).  Leave enabled
-        for realistic isolation; disable only in micro-benchmarks that want
-        to measure raw data-structure cost.
 
-    String, hash and counter values are *not* marshalled: the in-process
-    transport hands back the stored object, a socket hands back ``bytes``
-    (callers already ``int(...)`` their counters, which accepts ``b"5"``).
+    Payload values (stream fields, list items, snapshots) are always
+    pickled.  String, hash and counter values are *not* marshalled: the
+    in-process transport hands back the stored object, a socket hands back
+    ``bytes`` (callers already ``int(...)`` their counters, which accepts
+    ``b"5"``).
     """
 
     def __init__(
@@ -262,7 +260,6 @@ class RedisClient:
         server: Union[RedisServer, Transport],
         op_latency: float = 0.0,
         clock: Optional[Clock] = None,
-        serialize: bool = True,
     ) -> None:
         if op_latency < 0:
             raise ValueError("op_latency must be >= 0")
@@ -273,7 +270,6 @@ class RedisClient:
         )
         self._latency = op_latency
         self._clock = clock
-        self._serialize = serialize
         self.ops = 0
 
     def close(self) -> None:
@@ -291,11 +287,8 @@ class RedisClient:
         self._charge()
         return self._transport.execute([(name, args, kwargs)])[0]
 
-    def _enc(self, value: Any) -> Any:
-        return _dumps(value) if self._serialize else value
-
-    def _dec(self, value: Any) -> Any:
-        return _loads(value) if self._serialize else value
+    _enc = staticmethod(_dumps)
+    _dec = staticmethod(_loads)
 
     def _enc_fields(self, fields: Mapping[str, Any]) -> Dict[str, Any]:
         return {name: self._enc(value) for name, value in fields.items()}

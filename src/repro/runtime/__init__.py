@@ -16,10 +16,14 @@ This package provides the low-level machinery every mapping is built on:
 - :mod:`repro.runtime.accounting` -- per-worker activity meters implementing
   the paper's *total process time* metric (sum of active process durations).
 
-The paper runs workers as OS processes; we run them as threads.  All
-workloads in this repository are sleep/IO-dominated, so threads preserve
-the queueing and contention dynamics while keeping the suite portable and
-fast.
+The paper runs workers as OS processes.  The in-process mappings run them
+as threads of this package's pools: every workload here is
+sleep/IO-dominated, so threads preserve the queueing and contention
+dynamics while keeping the suite portable and fast.  ``cluster_redis``
+runs its workers as OS processes
+(``multiprocessing.get_context(start_method).Process``, ``spawn`` by
+default), which reach the keyspace over TCP; ``repro join`` adds more from
+other processes or hosts.
 """
 
 from repro.runtime.accounting import ActivityMeter

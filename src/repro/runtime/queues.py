@@ -187,8 +187,8 @@ class CloseableQueue:
     for one pill per upstream producer instance) lives in the mappings.
     """
 
-    def __init__(self, maxsize: int = 0) -> None:
-        self._q: "queue.Queue[Any]" = queue.Queue(maxsize=maxsize)
+    def __init__(self) -> None:
+        self._q: "queue.Queue[Any]" = queue.Queue()
         self._close_lock = threading.Lock()
         self._closed = False
 

@@ -11,21 +11,20 @@ Admission control, in decision order:
 
 1. **Concurrency cap** -- at most ``max_concurrent`` jobs enact at once.
 2. **Fair share** -- among tenants with admissible work, the next slot
-   goes to the tenant with the largest *weighted deficit*
-   (``total_admitted * weight_share - admitted``): over time every tenant
-   receives slots proportional to its :class:`TenantQuota` weight,
-   regardless of submission bursts.  Ties break toward the higher weight,
-   then submission order.
+   goes to the tenant furthest below an equal share, i.e. the one admitted
+   least so far: over time every tenant receives an equal share of slots,
+   regardless of submission bursts.  Ties break toward the earliest
+   submission.
 3. **Priority with aging** -- within the chosen tenant, the job with the
-   highest *effective* priority (``priority + waited/aging_interval``)
+   highest *effective* priority (``priority + waited/AGING_INTERVAL``)
    wins, so a low-priority job's rank rises the longer it waits and
    starvation is impossible.  Ties break FIFO.
 
-Hard per-tenant ``max_outstanding`` quotas reject at submit time
-(:class:`QuotaExceededError`); queue-depth backpressure surfaces through
-``Job.send`` on not-yet-admitted jobs (block or
-:class:`BackpressureError`, per ``backpressure=``).  Lifecycle metrics
-live on :attr:`JobScheduler.stats` (:class:`SchedulerStats`).
+Tenant and priority arrive per submission (in process or over the
+``repro serve`` wire); nothing is configured per tenant.  Queue-depth
+backpressure surfaces through ``Job.send`` on not-yet-admitted jobs
+(block or :class:`BackpressureError`, per ``backpressure=``).  Lifecycle
+metrics live on :attr:`JobScheduler.stats` (:class:`SchedulerStats`).
 
 One submission is one :class:`~repro.jobs.Job`: ``submit`` *prepares* it
 through the engine (validated, wired, buffering ``send``), queues it, and
@@ -43,43 +42,18 @@ import functools
 import itertools
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.jobs import Job, JobState
 from repro.mappings.base import DeploymentPool, InputSpec
 
 
-class QuotaExceededError(RuntimeError):
-    """A tenant's ``max_outstanding`` quota refused a submission."""
+#: Seconds of queue wait worth one priority level.
+AGING_INTERVAL = 5.0
 
 
 class BackpressureError(RuntimeError):
     """``Job.send`` on a queued job overflowed the scheduler's high-water mark."""
-
-
-@dataclass(frozen=True)
-class TenantQuota:
-    """Per-tenant admission policy.
-
-    ``weight`` scales the tenant's fair share of admission slots (a
-    weight-3 tenant receives three slots for every one a weight-1 tenant
-    gets, when both have work queued).  ``max_outstanding`` caps the
-    tenant's queued+running jobs; further submissions raise
-    :class:`QuotaExceededError` until jobs finish.  ``None`` leaves the
-    tenant uncapped.
-    """
-
-    weight: float = 1.0
-    max_outstanding: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"quota weight must be > 0, got {self.weight}")
-        if self.max_outstanding is not None and self.max_outstanding < 1:
-            raise ValueError(
-                f"max_outstanding must be >= 1, got {self.max_outstanding}"
-            )
 
 
 class _QueuedJob:
@@ -114,18 +88,12 @@ class JobScheduler:
         Global cap on concurrently enacting jobs (queued jobs wait).
     pool_size:
         Warm deployments kept per mapping (default: ``max_concurrent``).
-    quotas:
-        ``{tenant: TenantQuota}``; unlisted tenants get weight 1.0 and no
-        outstanding cap.
     high_water:
         Max tuples ``Job.send`` accepts for a not-yet-admitted job (they
         wait in the job's own ingestion buffer).
     backpressure:
         What an over-high-water ``send`` does: ``"block"`` until the job is
         admitted and launched, or ``"error"`` (:class:`BackpressureError`).
-    aging_interval:
-        Seconds of queue wait worth one priority level -- smaller values
-        age starved jobs upward faster.
     """
 
     def __init__(
@@ -134,10 +102,8 @@ class JobScheduler:
         *,
         max_concurrent: int = 4,
         pool_size: Optional[int] = None,
-        quotas: Optional[Dict[str, TenantQuota]] = None,
         high_water: int = 1024,
         backpressure: str = "block",
-        aging_interval: float = 5.0,
     ) -> None:
         if max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
@@ -149,15 +115,11 @@ class JobScheduler:
             raise ValueError(
                 f"backpressure must be 'block' or 'error', got {backpressure!r}"
             )
-        if aging_interval <= 0:
-            raise ValueError(f"aging_interval must be > 0, got {aging_interval}")
         self.engine = engine
         self.max_concurrent = max_concurrent
         self.pool_size = pool_size if pool_size is not None else max_concurrent
-        self.quotas = dict(quotas or {})
         self.high_water = high_water
         self.backpressure = backpressure
-        self.aging_interval = aging_interval
         from repro.scheduler.stats import SchedulerStats
 
         self.stats = SchedulerStats()
@@ -208,11 +170,10 @@ class JobScheduler:
         after submitting (or ``wait()``, which closes first), otherwise an
         idle open-input job can hold a slot other queued jobs need.
 
-        Raises :class:`QuotaExceededError` when the tenant is at its
-        ``max_outstanding`` cap, ``RuntimeError`` on a closed scheduler or
-        engine, and every refusal ``Engine.submit`` would raise (the
-        mapping's ``prepare`` is the one legality gate) -- all
-        synchronously, before the job is queued or counted.
+        Raises ``RuntimeError`` on a closed scheduler or engine, and every
+        refusal ``Engine.submit`` would raise (the mapping's ``prepare`` is
+        the one legality gate) -- all synchronously, before the job is
+        queued or counted.
         """
         # Prepared off the scheduler lock (planning can be slow): every
         # legality refusal raises here, before anything is queued.
@@ -223,20 +184,6 @@ class JobScheduler:
             if self._closed:
                 job.cancel()  # never handed out: disarm its deadline
                 raise RuntimeError("JobScheduler is closed; create a new one")
-            quota = self.quotas.get(tenant)
-            if quota is not None and quota.max_outstanding is not None:
-                outstanding = sum(
-                    1 for r in self._queue + self._live if r.tenant == tenant
-                )
-                if outstanding >= quota.max_outstanding:
-                    job.cancel()  # as above
-                    self.stats.note_rejected()
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} has {outstanding} outstanding "
-                        f"job(s), at its max_outstanding quota of "
-                        f"{quota.max_outstanding}; wait for completions or "
-                        f"raise the quota"
-                    )
             record = _QueuedJob(job, tenant, float(priority), next(self._seq), procs)
             job._gate_send(functools.partial(self._gated_send, record))
             submitted_at = record.submitted_at
@@ -364,7 +311,7 @@ class JobScheduler:
     def _pick_locked(self, now: float) -> Optional[_QueuedJob]:
         """The next record to admit, or ``None`` (holding the scheduler lock).
 
-        Weighted-deficit fair share across tenants, priority-with-aging
+        Equal share across tenants, priority-with-aging
         within the winner; a mapping whose pool has no free slot makes its
         jobs temporarily inadmissible without blocking other mappings.
         """
@@ -378,33 +325,20 @@ class JobScheduler:
             eligible.setdefault(record.tenant, []).append(record)
         if not eligible:
             return None
-        considered = set(eligible) | {r.tenant for r in self._live}
-        weight = {t: self._weight(t) for t in considered}
-        total_weight = sum(weight.values())
-        total_admitted = sum(self._admitted_count.get(t, 0) for t in considered)
-
-        def deficit(tenant: str) -> float:
-            share = weight[tenant] / total_weight
-            return total_admitted * share - self._admitted_count.get(tenant, 0)
-
-        tenant = max(
+        # The furthest below an equal share is the one admitted least.
+        tenant = min(
             eligible,
             key=lambda t: (
-                deficit(t),
-                weight[t],
-                -min(r.seq for r in eligible[t]),
+                self._admitted_count.get(t, 0),
+                min(r.seq for r in eligible[t]),
             ),
         )
 
         def effective(record: _QueuedJob) -> float:
             waited = max(0.0, now - record.submitted_at)
-            return record.priority + waited / self.aging_interval
+            return record.priority + waited / AGING_INTERVAL
 
         return max(eligible[tenant], key=lambda r: (effective(r), -r.seq))
-
-    def _weight(self, tenant: str) -> float:
-        quota = self.quotas.get(tenant)
-        return quota.weight if quota is not None else 1.0
 
     def _admit(self, record: _QueuedJob) -> None:
         """Lease a deployment and launch the job on it (off the scheduler lock)."""

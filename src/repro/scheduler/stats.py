@@ -1,7 +1,7 @@
 """Lifecycle metrics of a :class:`~repro.scheduler.JobScheduler`.
 
 :class:`SchedulerStats` is the scheduler's observability surface: lifecycle
-counters (submitted / admitted / completed / failed / cancelled / rejected),
+counters (submitted / admitted / completed / failed / cancelled),
 queue and concurrency gauges, the admission order (for fairness audits),
 and two latency distributions -- queue wait (submit -> admission) and
 submit -> first result, the metric the paper's service scenario cares
@@ -43,8 +43,6 @@ class SchedulerStats:
         self.completed = 0
         self.failed = 0
         self.cancelled = 0
-        #: Submissions refused at the door (tenant quota exhausted).
-        self.rejected = 0
         self.queued = 0
         self.running = 0
         self.peak_running = 0
@@ -61,11 +59,6 @@ class SchedulerStats:
         with self._lock:
             self.submitted += 1
             self.queued += 1
-
-    def note_rejected(self) -> None:
-        """One submission was refused at the door (never queued)."""
-        with self._lock:
-            self.rejected += 1
 
     def note_dequeued(self) -> None:
         """One queued job left the queue without admission (cancel/close)."""
@@ -153,7 +146,6 @@ class SchedulerStats:
                 "completed": self.completed,
                 "failed": self.failed,
                 "cancelled": self.cancelled,
-                "rejected": self.rejected,
                 "queued": self.queued,
                 "running": self.running,
                 "peak_running": self.peak_running,

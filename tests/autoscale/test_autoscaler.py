@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.autoscale.autoscaler import Autoscaler
+from repro.autoscale.autoscaler import MIN_ACTIVE, SCALE_INTERVAL, Autoscaler
 from repro.autoscale.strategies import QueueSizeStrategy, ScalingStrategy
 from repro.runtime.clock import Clock
 from repro.runtime.workers import WorkerPool
@@ -23,12 +23,22 @@ class FixedStrategy(ScalingStrategy):
         return self.decision
 
 
-@pytest.fixture
-def pool():
-    p = WorkerPool(4, name="scaler-test")
+def _pool(size):
+    p = WorkerPool(size, name="scaler-test")
     yield p
     p.close()
     p.join()
+
+
+@pytest.fixture
+def pool():
+    yield from _pool(4)
+
+
+@pytest.fixture
+def pair():
+    """Two workers: half the pool is one active session."""
+    yield from _pool(2)
 
 
 def make_scaler(pool, strategy=None, monitor=lambda: 0.0, **kw):
@@ -42,22 +52,17 @@ def make_scaler(pool, strategy=None, monitor=lambda: 0.0, **kw):
 
 
 class TestConstruction:
-    def test_default_active_is_half_pool(self, pool):
+    def test_starts_at_half_pool(self, pool, pair):
         assert make_scaler(pool).active_size == 2
+        assert make_scaler(pair).active_size == 1
 
-    def test_initial_active_clamped(self, pool):
-        with pytest.raises(ValueError):
-            make_scaler(pool, initial_active=9)
-        with pytest.raises(ValueError):
-            make_scaler(pool, initial_active=0)
-
-    def test_min_active_validated(self, pool):
-        with pytest.raises(ValueError):
-            make_scaler(pool, min_active=0)
-
-    def test_negative_interval_rejected(self, pool):
-        with pytest.raises(ValueError):
-            make_scaler(pool, scale_interval=-1)
+    def test_single_worker_pool_starts_at_the_floor(self):
+        single = WorkerPool(1, name="scaler-test")
+        try:
+            assert make_scaler(single).active_size == MIN_ACTIVE
+        finally:
+            single.close()
+            single.join()
 
 
 class TestGrowShrink:
@@ -67,9 +72,9 @@ class TestGrowShrink:
         assert scaler.active_size == 4
 
     def test_shrink_floors_at_min(self, pool):
-        scaler = make_scaler(pool, min_active=2)
+        scaler = make_scaler(pool)
         scaler.shrink(100)
-        assert scaler.active_size == 2
+        assert scaler.active_size == MIN_ACTIVE == 1
 
     def test_auto_scale_applies_strategy(self, pool):
         scaler = make_scaler(pool, strategy=FixedStrategy(+1))
@@ -94,8 +99,8 @@ class TestStartDoneGate:
         scaler.wait_all_done(timeout=2)
         assert scaler.active_count == 0
 
-    def test_gate_blocks_at_active_size(self, pool):
-        scaler = make_scaler(pool, initial_active=1)
+    def test_gate_blocks_at_active_size(self, pair):
+        scaler = make_scaler(pair)
         release = threading.Event()
 
         def long_session():
@@ -119,8 +124,8 @@ class TestStartDoneGate:
         t.join(timeout=2)
         scaler.wait_all_done(timeout=2)
 
-    def test_stop_unblocks_start(self, pool):
-        scaler = make_scaler(pool, initial_active=1)
+    def test_stop_unblocks_start(self, pair):
+        scaler = make_scaler(pair)
         release = threading.Event()
         scaler.start(lambda: release.wait(timeout=5))
         returned = []
@@ -158,18 +163,34 @@ class TestProcessLoop:
             pool,
             strategy=QueueSizeStrategy(),
             monitor=lambda: work["remaining"],
-            scale_interval=0.0,
         )
         scaler.process(session, terminated)
         assert work["remaining"] == 0
         assert len(scaler.trace) >= 1
+
+    def test_sleeps_scale_interval_after_every_dispatch(self, pool):
+        class RecordingClock(Clock):
+            def __init__(self):
+                super().__init__(0.001)
+                self.sleeps = []
+
+            def sleep(self, nominal_seconds):
+                self.sleeps.append(nominal_seconds)
+
+        clock = RecordingClock()
+        sessions = []
+        scaler = Autoscaler(pool, FixedStrategy(0), monitor=lambda: 1.0, clock=clock)
+        scaler.process(lambda: sessions.append(1), lambda: len(sessions) >= 5)
+        # ``process`` returns once every dispatched session ran: one sleep
+        # per dispatch, however many slipped in before termination showed.
+        assert len(sessions) >= 5
+        assert clock.sleeps == [SCALE_INTERVAL] * len(sessions)
 
     def test_shrinks_to_floor_on_empty_monitor(self, pool):
         scaler = make_scaler(
             pool,
             strategy=QueueSizeStrategy(),
             monitor=lambda: 0.0,
-            scale_interval=0.0,
         )
         counter = {"n": 0}
 
@@ -177,4 +198,4 @@ class TestProcessLoop:
             counter["n"] += 1
 
         scaler.process(session, lambda: counter["n"] >= 5)
-        assert scaler.active_size == scaler.min_active
+        assert scaler.active_size == MIN_ACTIVE

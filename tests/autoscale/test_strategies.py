@@ -20,21 +20,6 @@ class TestBacklogStrategy:
     def test_holds_at_parity(self):
         assert BacklogStrategy().decide(4, active_size=4) == 0
 
-    def test_min_queue_forces_shrink(self):
-        assert BacklogStrategy(min_queue=5).decide(5, active_size=1) == -1
-
-    def test_factors_create_dead_band(self):
-        s = BacklogStrategy(grow_factor=2.0, shrink_factor=0.5)
-        assert s.decide(6, active_size=4) == 0    # between 2 and 8
-        assert s.decide(9, active_size=4) == +1
-        assert s.decide(1, active_size=4) == -1
-
-    def test_invalid_factors_rejected(self):
-        with pytest.raises(ValueError):
-            BacklogStrategy(grow_factor=0.5, shrink_factor=1.0)
-        with pytest.raises(ValueError):
-            BacklogStrategy(min_queue=-1)
-
     def test_wants_active_size_flag(self):
         assert BacklogStrategy.wants_active_size
         assert not QueueSizeStrategy.wants_active_size
@@ -127,20 +112,16 @@ class TestIdleTimeStrategy:
     def test_at_threshold_holds(self):
         assert IdleTimeStrategy(threshold_ms=100).decide(100.0) == 0
 
-    def test_hysteresis_band_holds(self):
-        s = IdleTimeStrategy(threshold_ms=100, hysteresis_ms=20)
-        assert s.decide(110.0) == 0
-        assert s.decide(90.0) == 0
-        assert s.decide(121.0) == -1
-        assert s.decide(79.0) == +1
+    def test_binary_rule_has_no_dead_band(self):
+        """The paper's rule: any idle time past the threshold shrinks, any
+        below it grows."""
+        s = IdleTimeStrategy(threshold_ms=100)
+        assert s.decide(100.001) == -1
+        assert s.decide(99.999) == +1
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             IdleTimeStrategy(threshold_ms=0)
-
-    def test_invalid_hysteresis(self):
-        with pytest.raises(ValueError):
-            IdleTimeStrategy(threshold_ms=10, hysteresis_ms=-1)
 
 
 class TestRateStrategy:
@@ -166,7 +147,7 @@ class TestRateStrategy:
         assert decisions[-1] == +1
 
     def test_empty_queue_shrinks(self):
-        s = RateStrategy(alpha=1.0, min_queue=0)
+        s = RateStrategy(alpha=1.0)
         s.decide(4)
         assert s.decide(0) == -1
 

@@ -4,10 +4,11 @@
 ``docs/*.md`` and ``README.md`` must resolve, the capability matrix
 in ``docs/capabilities.md`` must match what the live mapping registry
 renders, every ``--flag`` in ``docs/cli.md`` must exist on the
-``repro`` parser, and every ``*.md`` path the code names must exist.
+``repro`` parser, every ``*.md`` path the code names must exist, and
+every ``repro`` import in a python block of the docs must resolve.
 These tests run the script the way CI does (a subprocess, so its exit
-codes and argument parsing are covered too) and pin the drift, flag and
-cited-document checks' teeth on doctored copies.
+codes and argument parsing are covered too) and pin the drift, flag,
+cited-document and doc-import checks' teeth on doctored copies.
 """
 
 import glob
@@ -99,3 +100,16 @@ def test_code_naming_a_missing_document_fails(tmp_path):
     assert stale.returncode == 1
     assert "scripts/stale.py:1: names DESIGN.md" in stale.stderr
     assert "docs/cli.md" not in stale.stderr
+
+
+def test_doc_importing_a_removed_name_fails(tmp_path):
+    _doctored_checkout(
+        tmp_path,
+        "cookbook.md",
+        "from repro.scheduler import JobScheduler\n",
+        "from repro.scheduler import JobScheduler, TenantQuota\n",
+    )
+    stale = _run_copy(tmp_path)
+    assert stale.returncode == 1
+    assert "`from repro.scheduler import TenantQuota` does not resolve" in stale.stderr
+    assert "import JobScheduler`" not in stale.stderr

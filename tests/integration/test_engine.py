@@ -102,15 +102,17 @@ class TestEngineBasics:
         with pytest.raises(TypeError, match="engine-level setting"):
             engine.run(_stateless(), inputs=[1], platform="server")
 
-    def test_constructor_accepts_options_dict(self):
-        engine = Engine(mapping="dyn_auto_multi", options={"strategy": "s"},
-                        min_queue=1)
-        assert engine.config.options == {"strategy": "s", "min_queue": 1}
-
-    def test_with_options_dict_also_typo_checked(self):
+    def test_options_dict_is_refused_by_name(self):
+        """``options=`` was a second spelling of the keyword options; it is
+        refused by name rather than becoming a mapping option called
+        ``"options"``."""
+        with pytest.raises(TypeError, match="options= dict was removed"):
+            Engine(mapping="dyn_auto_multi", options={"strategy": "s"})
         engine = Engine(mapping="simple")
-        with pytest.raises(TypeError, match="did you mean 'processes'"):
-            engine.with_options(options={"procesess": 9})
+        with pytest.raises(TypeError, match="options= dict was removed"):
+            engine.with_options(options={"strategy": "s"})
+        with pytest.raises(TypeError, match="options= dict was removed"):
+            engine.run(_stateless(), inputs=[1], options={"strategy": "s"})
 
     def test_from_config_also_typo_checked(self):
         with pytest.raises(TypeError, match="did you mean 'processes'"):
@@ -138,12 +140,12 @@ class TestEngineBasics:
         assert engine.config.processes == 2
         assert engine.config.options == {}
 
-    def test_with_options_dict_merges_over_existing(self):
-        """options= merges with (and keyword options win over) the
-        inherited mapping options."""
+    def test_with_options_merges_over_existing(self):
+        """New mapping options merge over (and win against) the inherited
+        ones."""
         engine = Engine(mapping="dyn_auto_multi", strategy="a", min_queue=2)
-        tweaked = engine.with_options(options={"min_queue": 5}, strategy="b")
-        assert tweaked.config.options == {"strategy": "b", "min_queue": 5}
+        tweaked = engine.with_options(min_queue=5)
+        assert tweaked.config.options == {"strategy": "a", "min_queue": 5}
 
     def test_with_options_derived_engine_has_fresh_caches(self):
         engine = Engine(mapping="simple", time_scale=FAST)

@@ -11,7 +11,7 @@ ahead when.
 import pytest
 
 from repro.core.pe import IterativePE
-from repro.mappings.redis_tasks import PILL
+from repro.mappings.redis_tasks import GROUP, PILL
 from tests.conftest import Double, linear_graph
 from tests.mappings.test_reclaim import _workforce
 
@@ -34,7 +34,7 @@ def _wide(worker):
 
 
 def _pending(wf, consumer=None):
-    summary = wf.board.client.xpending(wf.board.stream_key, wf.board.group)
+    summary = wf.board.client.xpending(wf.board.stream_key, GROUP)
     return summary["pending"] if consumer is None else summary["consumers"].get(consumer, 0)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mappings.redis_tasks import RedisTaskBoard
+from repro.mappings.redis_tasks import GROUP, RedisTaskBoard
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from tests.conftest import settle_entry
@@ -25,7 +25,7 @@ class TestFinish:
         # parent completed, two children outstanding
         assert board.outstanding() == 2
         # parent acked: no pending entries for the consumer beyond children
-        assert client.xpending(board.stream_key, board.group)["pending"] == 0
+        assert client.xpending(board.stream_key, GROUP)["pending"] == 0
         fetched = board.fetch("c", client, count=2)
         assert [t for _e, t in fetched] == [("child", "input", 1), ("child", "input", 2)]
 

@@ -5,7 +5,7 @@ import pytest
 from repro import run
 from repro.autoscale.strategies import IdleTimeStrategy
 from repro.core.exceptions import UnsupportedFeatureError
-from repro.mappings.redis_tasks import PILL, RedisTaskBoard
+from repro.mappings.redis_tasks import GROUP, PILL, RedisTaskBoard
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from tests.conftest import (
@@ -26,6 +26,10 @@ class TestRedisTaskBoard:
         board = RedisTaskBoard(RedisClient(server), namespace="t")
         board.setup()
         return board
+
+    def test_setup_creates_the_one_worker_group(self, board):
+        groups = board.client.xinfo_groups(board.stream_key)
+        assert [info["name"] for info in groups] == [GROUP] == ["workers"]
 
     def test_put_fetch_ack_complete(self, board):
         client = board.client

@@ -20,6 +20,7 @@ from repro.core.pe import IterativePE
 from repro.mappings.base import ResultsCollector, normalize_inputs
 from repro.mappings.cluster import _ClusterWorker
 from repro.mappings.redis_tasks import (
+    GROUP,
     SEED_FRAME,
     TRIP_SHARE,
     WINDOW_CAP,
@@ -537,7 +538,7 @@ class TestSettleInFlight:
         with pytest.raises(Killed):
             doomed.run()
         assert doomed.worker._flight is not None  # it died with a settle up
-        pending = board.client.xpending(board.stream_key, board.group)
+        pending = board.client.xpending(board.stream_key, GROUP)
         assert pending["consumers"] == {"cluster-0": 2 * WINDOW_CAP}
         settled = n - board.outstanding()
         assert settled == (1 + 2 * WINDOW_CAP if deliver == "sent" else 1 + WINDOW_CAP)
@@ -549,7 +550,7 @@ class TestSettleInFlight:
         relayed = board.client.lrange(f"{namespace}:results", 0, -1)
         assert Counter(value for _pe, _port, value in relayed) == Counter(expected)
         assert board.is_drained()
-        assert board.client.xpending(board.stream_key, board.group)["pending"] == 0
+        assert board.client.xpending(board.stream_key, GROUP)["pending"] == 0
 
     def test_a_raise_reads_the_flight_then_settles_what_started(self):
         inputs = [f"in-{i}" for i in range(40)]
@@ -648,7 +649,7 @@ class TestSettleInFlight:
             assert {value for _pe, _port, value in relayed} == {2 * i for i in range(n)}
             assert len(relayed) <= n + WINDOW_CAP
             assert board.outstanding() == 0
-            assert client.xpending(board.stream_key, board.group)["pending"] == 0
+            assert client.xpending(board.stream_key, GROUP)["pending"] == 0
             client.close()
             worker.client.close()
         finally:

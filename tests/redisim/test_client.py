@@ -34,6 +34,12 @@ class TestSerializationIsolation:
         [(_id, fields)] = client.xrange("s")
         assert fields["task"] == [1, 2]
 
+    def test_payloads_reach_the_keyspace_pickled(self, server, client):
+        client.rpush("q", [1])
+        [stored] = server.lrange("q", 0, -1)
+        assert isinstance(stored, bytes)
+        assert client.lpop("q") == [1]
+
     def test_roundtrip_preserves_types(self, client):
         import numpy as np
 
@@ -41,13 +47,6 @@ class TestSerializationIsolation:
         kind, arr = client.lpop("q")
         assert kind == "tuple"
         assert list(arr) == [0, 1, 2]
-
-    def test_serialize_disabled_shares_objects(self, server):
-        raw = RedisClient(server, serialize=False)
-        payload = [1]
-        raw.rpush("q", payload)
-        payload.append(2)
-        assert raw.lpop("q") == [1, 2]
 
 
 class TestLatencyInjection:

@@ -65,6 +65,13 @@ class TestCloseableQueue:
         q.close(consumers=5)
         assert q.qsize() == 1
 
+    def test_put_never_blocks(self):
+        """Unbounded: a producer is never held up by a slow consumer."""
+        q = CloseableQueue()
+        for i in range(10_000):
+            q.put(i)
+        assert q.qsize() == 10_000
+
     def test_qsize_and_empty(self):
         q = CloseableQueue()
         assert q.empty()

@@ -4,8 +4,8 @@ Covers the scheduler tentpole's acceptance surface:
 
 - N concurrent jobs multiplex over one mapping's warm pool with outputs
   identical to direct ``Engine.run`` (same seed, same tuples);
-- admission control: global concurrency cap, weighted-deficit tenant
-  fairness, priority with starvation-free aging, hard tenant quotas;
+- admission control: global concurrency cap, equal-share tenant
+  fairness, priority with starvation-free aging;
 - queue-edge cases: interleaved ``send()`` while queued, cancel while
   queued, deadline expiring in the queue, backpressure in both modes;
 - the ``deploy_busy_fallback`` regression (pinned without a scheduler,
@@ -24,12 +24,8 @@ import pytest
 from repro import Engine, JobCancelledError, JobState
 from repro.core.exceptions import MappingError, UnsupportedFeatureError
 from repro.core.pe import IterativePE
-from repro.scheduler import (
-    BackpressureError,
-    JobScheduler,
-    QuotaExceededError,
-    TenantQuota,
-)
+from repro.scheduler import BackpressureError, JobScheduler
+from repro.scheduler.scheduler import AGING_INTERVAL
 from repro.scheduler.stats import percentile
 from tests.conftest import FAST_SCALE, AddOne, Double, Emit, linear_graph
 
@@ -246,29 +242,6 @@ class TestQueueEdges:
                 blocker.wait(timeout=30)
                 assert sched.stats.admitted == 1
 
-    def test_quota_exhaustion_error_names_tenant_and_cap(self):
-        quotas = {"acme": TenantQuota(weight=1.0, max_outstanding=2)}
-        with _engine() as engine:
-            with JobScheduler(
-                engine, max_concurrent=1, pool_size=1, quotas=quotas
-            ) as sched:
-                jobs = [
-                    _batch(sched, _slow_pipeline(), [1], tenant="acme")
-                    for _ in range(2)
-                ]
-                with pytest.raises(QuotaExceededError) as excinfo:
-                    sched.submit(_pipeline(), inputs=[1], tenant="acme")
-                message = str(excinfo.value)
-                assert "'acme'" in message
-                assert "2 outstanding" in message
-                assert "max_outstanding quota of 2" in message
-                # Other tenants are unaffected by acme's cap.
-                other = _batch(sched, _pipeline(), [1], tenant="other")
-                for job in jobs:
-                    job.wait(timeout=30)
-                other.wait(timeout=30)
-                assert sched.stats.rejected == 1
-
     def test_backpressure_error_mode_raises_at_high_water(self):
         with _engine() as engine:
             with JobScheduler(
@@ -314,16 +287,12 @@ class TestQueueEdges:
 
 
 class TestFairnessAndPriority:
-    def test_weighted_deficit_fair_share(self):
-        """Weights 3:1 admit A,B,A,A,A,B,B,B over a burst of 4+4 jobs."""
-        quotas = {
-            "gold": TenantQuota(weight=3.0),
-            "bronze": TenantQuota(weight=1.0),
-        }
+    def test_equal_share_interleaves_tenants(self):
+        """A burst of 4 gold then 4 bronze jobs admits them alternately:
+        the tenant furthest below an equal share goes next, ties to the
+        earliest submission."""
         with _engine() as engine:
-            with JobScheduler(
-                engine, max_concurrent=1, pool_size=1, quotas=quotas
-            ) as sched:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
                 jobs = [
                     _batch(sched, _slow_pipeline(), [1], tenant="gold")
                     for _ in range(4)
@@ -334,17 +303,12 @@ class TestFairnessAndPriority:
                 ]
                 for job in jobs:
                     job.wait(timeout=60)
-        assert sched.stats.admissions == [
-            "gold", "bronze", "gold", "gold", "gold",
-            "bronze", "bronze", "bronze",
-        ]
+        assert sched.stats.admissions == ["gold", "bronze"] * 4
 
     def test_priority_orders_within_tenant(self):
         finished = []
         with _engine() as engine:
-            with JobScheduler(
-                engine, max_concurrent=1, pool_size=1, aging_interval=3600.0
-            ) as sched:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
                 blocker = _batch(sched, _blocker_pipeline(), [1])
                 _wait_for(
                     lambda: sched.stats.admitted == 1, message="blocker admission"
@@ -360,26 +324,24 @@ class TestFairnessAndPriority:
         assert finished == ["high", "low"]
 
     def test_aging_lifts_starved_jobs(self):
-        finished = []
+        """A job queued 3 x AGING_INTERVAL earlier outranks one submitted
+        3 priority levels higher; without that wait, priority decides."""
         with _engine() as engine:
-            with JobScheduler(
-                engine, max_concurrent=1, pool_size=1, aging_interval=0.05
-            ) as sched:
-                blocker = _batch(sched, _blocker_pipeline(), [1])
-                _wait_for(
-                    lambda: sched.stats.admitted == 1, message="blocker admission"
-                )
-                old_low = _batch(sched, _pipeline("old-low"), [1], priority=0)
-                old_low._on_terminal(lambda j: finished.append("old-low"))
-                # Let the low-priority job age past 3 priority levels...
-                time.sleep(0.25)
-                fresh_high = _batch(
-                    sched, _pipeline("fresh-high"), [1], priority=3
-                )
-                fresh_high._on_terminal(lambda j: finished.append("fresh-high"))
-                for job in (blocker, old_low, fresh_high):
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as sched:
+                with sched._cond:  # the dispatcher admits nothing meanwhile
+                    jobs = [
+                        _batch(sched, _pipeline("old-low"), [1], priority=0),
+                        _batch(sched, _pipeline("fresh-high"), [1], priority=3),
+                    ]
+                    old_low, fresh_high = sched._queue
+                    # Picked at a synthetic ``now``: the fresh job arrives
+                    # just past 3 x AGING_INTERVAL of the old one's wait.
+                    now = old_low.submitted_at + 3 * AGING_INTERVAL + 1.0
+                    fresh_high.submitted_at = now
+                    assert sched._pick_locked(now) is old_low
+                    assert sched._pick_locked(old_low.submitted_at) is fresh_high
+                for job in jobs:
                     job.wait(timeout=30)
-        assert finished == ["old-low", "fresh-high"]
 
 
 class TestEngineIntegration:
@@ -509,6 +471,19 @@ class TestStats:
         assert snap["first_result_p99"] is not None
         assert snap["first_result_p99"] >= snap["first_result_p50"]
         assert snap["queue_wait_p99"] is not None
+
+    def test_snapshot_keys(self):
+        """The ``stats`` reply of ``repro serve``: nothing is refused at
+        the door, so there is no ``rejected`` count."""
+        with _engine() as engine:
+            with JobScheduler(engine, max_concurrent=1) as sched:
+                snap = sched.stats.snapshot()
+        assert set(snap) == {
+            "submitted", "admitted", "completed", "failed", "cancelled",
+            "queued", "running", "peak_running", "jobs_per_second",
+            "queue_wait_p50", "queue_wait_p99",
+            "first_result_p50", "first_result_p99",
+        }
 
 
 #: What a source saw, in arrival order (instances are deep copies of the

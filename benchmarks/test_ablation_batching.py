@@ -12,7 +12,7 @@ Measured here on the sentiment workflow:
   **>= 1.3x throughput at batch_size=32 vs batch_size=1**, asserted as the
   median of paired rounds so machine-load drift cancels;
 - the full stateful workflow on ``hybrid_redis``, where both planes batch
-  (global stream envelopes + private-queue RPUSHSEQ envelopes) and results
+  (global stream envelopes + private-queue RPUSH envelopes) and results
   must stay identical to the unbatched run.
 
 ``BENCH_SMOKE=1`` shrinks the grid for the CI bench-smoke lane.

@@ -10,9 +10,13 @@ two checkouts and comparing the files::
 
 The grid is the six catalog workflows (at small sizes) x the seven
 in-process registry names x {plain, batch_size=8, fuse=True,
-optimize=True, checkpoint_interval=5} x {``Engine.run``,
+optimize=True, checkpoint_interval=5, crash} x {``Engine.run``,
 ``Mapping.execute``}, plus ``cluster_redis`` on the two stateless
-workflows.  Each
+workflows.  The ``crash`` variant is ``checkpoint_interval=5`` plus a
+fresh one-shot :class:`~repro.state.CrashInjector` that kills the first
+pinned instance (the first stateful PE in topological order, instance 0)
+at its first invocation, before anything it ran was dispatched, so the
+recovered run's outputs are the uncrashed run's.  Each
 cell records its outputs -- per results key, the multiset of canonical
 ``repr`` strings of ``e2e_bench/oracle.py`` -- and every counter outside
 :data:`VOLATILE`; a cell that raises records the exception's type instead
@@ -53,6 +57,11 @@ VOLATILE = frozenset({
     "scale_iterations", "settle_trips", "settles_in_flight",
 })
 
+#: Counters of the ``crash`` variant that follow timing: how much of the
+#: dead instance's window reached its PEL (``replayed``, ``stateful_tasks``)
+#: and whether a checkpoint landed first (``restores``, ``deduplicated``).
+CRASH_VOLATILE = VOLATILE | {"deduplicated", "replayed", "restores", "stateful_tasks"}
+
 #: Catalog workflow -> the parameters that keep a cell small.
 WORKFLOWS: Dict[str, Dict[str, Any]] = {
     "galaxy": {},
@@ -75,6 +84,8 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
     # The recoverable pinned path; every mapping without stateful
     # checkpointing refuses it.
     "checkpoint": {"checkpoint_interval": 5},
+    # The same, with the first pinned instance killed once (see run_cell).
+    "crash": {"checkpoint_interval": 5},
 }
 
 ENTRIES = ("run", "execute")
@@ -113,13 +124,19 @@ def run_cell(
     from repro.core.pe import reset_auto_names
     from repro.mappings import get_mapping
     from repro.scheduler.catalog import build_named_workflow
+    from repro.state import CrashInjector
 
     reset_auto_names()  # PE auto-names key the outputs: same names in any order
     graph, inputs = build_named_workflow(workflow, **WORKFLOWS[workflow])
     for pe in graph.pes.values():
         if hasattr(pe, "out_dir"):
             pe.out_dir = out_dir
-    options = VARIANTS[variant]
+    options = dict(VARIANTS[variant])
+    stateful = {pe.name for pe in graph.stateful_pes()}
+    pinned = [name for name in graph.topological_order() if name in stateful]
+    if variant == "crash" and pinned:
+        options["crash_injector"] = CrashInjector({f"{pinned[0]}.0": 1})
+    volatile = CRASH_VOLATILE if variant == "crash" else VOLATILE
     settings = dict(processes=PROCESSES, time_scale=TIME_SCALE, seed=SEED)
     try:
         if entry == "run":
@@ -142,7 +159,7 @@ def run_cell(
         "counters": {
             name: value
             for name, value in sorted(result.counters.items())
-            if name not in VOLATILE
+            if name not in volatile
         },
     }
 

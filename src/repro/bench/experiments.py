@@ -94,7 +94,6 @@ class Experiment:
     workloads: Dict[str, WorkflowFactory]
     kind: str = "figure"  # "figure" | "table" | "trace"
     comparisons: Sequence[Tuple[str, str]] = field(default_factory=tuple)
-    trace_mapping: Optional[str] = None
     config: BenchConfig = field(default_factory=BenchConfig)
 
     def run(self, config: Optional[BenchConfig] = None) -> GridsByWorkload:

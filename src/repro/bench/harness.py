@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.graph import WorkflowGraph
@@ -26,16 +26,15 @@ class BenchConfig:
         paper's second-scale workloads at 1.5% speed, keeping the full
         grid tractable; ratios are scale-invariant (docs/benchmarks.md,
         "Methodology").
-    seed:
-        Run seed (identical across cells for comparability).
     repeats:
         Repetitions per cell; the median runtime/process-time is kept.
+
+    Every cell runs with the engine's default seed (0), identical across
+    cells for comparability.
     """
 
     time_scale: float = 0.015
-    seed: int = 0
     repeats: int = 1
-    extra_options: Dict[str, Any] = field(default_factory=dict)
 
 
 def run_cell(
@@ -48,14 +47,12 @@ def run_cell(
 ) -> RunResult:
     """Run one (mapping, processes) cell, returning the median repeat."""
     config = config or BenchConfig()
-    merged = {**config.extra_options, **options}
     engine = Engine(
         mapping=mapping,
         platform=platform,
         processes=processes,
         time_scale=config.time_scale,
-        seed=config.seed,
-        **merged,
+        **options,
     )
     return _median_run(engine, factory, config.repeats)
 
@@ -103,15 +100,9 @@ def run_grid(
     if isinstance(platform, str):
         platform = get_platform(platform)
     config = config or BenchConfig()
-    merged = {**config.extra_options, **options}
     # One engine for the whole grid: the platform and registry resolve
     # once, each cell overrides mapping/processes per run.
-    engine = Engine(
-        platform=platform,
-        time_scale=config.time_scale,
-        seed=config.seed,
-        **merged,
-    )
+    engine = Engine(platform=platform, time_scale=config.time_scale, **options)
     grid: Dict[Tuple[str, int], RunResult] = {}
     for mapping in mappings:
         for p in processes:

@@ -17,8 +17,8 @@ The mapping that reconciles dynamic scheduling with stateful applications:
   tasks".
 - **Pinned queues are consumed in windows.**  After a blocking pop hits,
   the consumer takes up to ``WINDOW_CAP - 1`` more elements in one command
-  (``LPOP key count``; in recoverable mode one ``BLMOVESEQ ... COUNT``
-  moves the whole window into the pending log), runs them in order and
+  (``LPOP key count``; in recoverable mode the queue is a stream and one
+  ``XREADGROUP ... COUNT`` reads the whole window), runs them in order and
   settles them once.  A close marker ends a window: the elements ahead of
   it settle, then the flush.
 
@@ -41,44 +41,49 @@ Pinned local state dies with its worker, so the mapping optionally runs the
 stateful plane in *recoverable* mode (enabled by any of the
 ``checkpoint_interval`` / ``state_store`` / ``crash_injector`` options):
 
-- deliveries into private queues are **sequence-numbered** (RPUSHSEQ) and
-  consumed with BLMOVE into a per-instance *pending log*, so nothing is
-  destroyed before its effect is checkpointed;
+- each pinned instance's private queue is a **stream** read by one
+  consumer group, under the instance id as consumer name: ``XADDN``
+  delivers (the entry ID is the delivery's sequence number) and
+  ``XREADGROUP >`` reads a window into the group's pending-entry list
+  (PEL), so nothing is destroyed before its effect is checkpointed --
+  the stateless plane's own protocol (:mod:`repro.mappings.redis_tasks`);
 - every ``checkpoint_interval`` deliveries (and whenever the queue goes
   idle with uncommitted work) the instance snapshots its state -- tagged
-  with the last applied sequence number -- into the
-  :class:`~repro.state.store.StateStore`, then atomically trims the
-  committed entries from the pending log and releases their
-  outstanding-work credits;
+  with the last applied entry ID as one integer that orders like the ID
+  (``ms << 64 | seq``) -- into the :class:`~repro.state.store.StateStore`,
+  then acks the covered entries with one ``XACKDECR``, which releases
+  their outstanding-work credits exactly once;
 - a supervisor on the coordinator thread detects silently-dead pinned
-  workers, **re-pins** the instance on a fresh worker, restores the latest
-  snapshot and replays the pending log (entries at or below the snapshot's
-  sequence are deduplicated) before resuming the private queue; an
-  instance that dies more than :data:`MAX_RESPAWNS` times fails the run.
+  workers, **re-pins** the instance on a fresh worker under the same
+  consumer name, restores the latest snapshot and replays the consumer's
+  own PEL (``XREADGROUP ... 0``, paged; entries at or below the snapshot's
+  cursor are deduplicated) before resuming the queue; an instance that
+  dies more than :data:`MAX_RESPAWNS` times fails the run.
 
 Deliveries between a checkpoint and a crash are therefore applied exactly
 once to the instance's state, but their downstream emissions may be sent
 twice (at-least-once): the outstanding-work credit of an uncommitted
 delivery is only released by the checkpoint that covers it, which also
 keeps the drain proof honest across crashes.  A close marker found in the
-pending log on replay releases its credit exactly once, with the flush that
-follows the final checkpoint.
+PEL on replay releases its credit exactly once, with the flush that
+follows the final checkpoint.  The run's private streams and its own
+snapshot hash are deleted at teardown; a user-supplied ``state_store``
+keeps its snapshots.
 
 Batched transport (``batch_size``)
 ----------------------------------
 Both planes micro-batch with ``batch_size > 1``: stateless tasks travel as
 batch envelopes on the global stream (as in ``dyn_redis``), and deliveries
-into a private queue are grouped per pinned instance -- one RPUSHSEQ
-element carrying up to ``batch_size`` messages under a **single sequence
-number**, its ``len(batch)`` credits booked by the pipeline that carries
-it.  The consumer moves up to ``WINDOW_CAP`` elements per round trip (each
-up to ``batch_size`` tuples), and the recovery machinery operates at batch granularity
-throughout: an envelope is one pending-log element (checkpoint trimming is
-untouched), its credits are released all-or-nothing by the checkpoint that
-covers it, and replay dedup compares the envelope's sequence number --
-either the whole envelope predates the snapshot or none of it does, which
-is exactly the atomicity the per-element seq provides.  The close marker
-is never batched.
+into a private queue are grouped per pinned instance -- one list element,
+or in recoverable mode one stream entry, carrying up to ``batch_size``
+messages, its ``len(batch)`` credits booked by the pipeline that carries
+it.  The consumer reads up to ``WINDOW_CAP`` elements per round trip (each
+up to ``batch_size`` tuples), and the recovery machinery operates at batch
+granularity throughout: an envelope is one PEL entry, its credits are
+acked all-or-nothing by the checkpoint that covers it
+(``XACKDECR ... amount=len(batch)``), and replay dedup compares the
+envelope's entry ID -- either the whole envelope predates the snapshot or
+none of it does.  The close marker is never batched.
 
 The paper evaluates this mapping against ``multi`` on the Sentiment
 Analysis workflow (Figure 12, Table 3), where it reaches as low as 32% of
@@ -106,6 +111,7 @@ from repro.mappings.base import (
     resolve_batch_size,
 )
 from repro.mappings.redis_tasks import (
+    GROUP,
     SEED_FRAME,
     WINDOW_CAP,
     RedisTaskBoard,
@@ -116,6 +122,7 @@ from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
+from repro.redisim.streams import StreamID
 from repro.runtime.clock import Clock
 from repro.runtime.queues import Batch, as_envelope, batch_items, batch_len, chunked
 from repro.state import (
@@ -128,6 +135,16 @@ from repro.state import (
 
 #: Respawns the supervisor grants one pinned instance before it gives up.
 MAX_RESPAWNS = 3
+
+#: The field of a recoverable private-stream entry that holds its message.
+MESSAGE = "message"
+
+
+def entry_seq(entry_id: str) -> int:
+    """A stream entry ID as one integer that orders like the ID: the
+    snapshot cursor of a recoverable pinned instance."""
+    ms, seq = StreamID.parse(entry_id)
+    return ms << 64 | seq
 
 
 @register_mapping(
@@ -254,13 +271,13 @@ class HybridRedisMapping(Mapping):
         def push_private(target, key: str, *messages: object) -> None:
             """Push messages onto a private queue (client or pipeline).
 
-            The single place that decides plain vs sequence-tagged pushes:
-            in recoverable mode every private-queue message -- deliveries,
-            root seeds and close markers alike -- must carry a sequence
-            number, or the consumer's replay cursor would desynchronize.
+            The single place that decides list vs stream: in recoverable
+            mode every private-queue message -- deliveries, root seeds and
+            close markers alike -- is a stream entry, whose ID is the
+            consumer's replay and dedup cursor.
             """
             if recovery:
-                target.rpush_seq(key, *messages)
+                target.xaddn(key, MESSAGE, *messages)
             else:
                 target.rpush(key, *messages)
 
@@ -275,13 +292,13 @@ class HybridRedisMapping(Mapping):
             (:meth:`RedisTaskBoard.book`: the stateless plane's settle for a
             whole window, :func:`dispatch` for a pinned instance), so the
             drain proof never observes a published-but-uncounted tuple.  In
-            recoverable mode private-queue pushes are sequence-tagged
-            (RPUSHSEQ) so consumers get a stable replay cursor.
+            recoverable mode private-queue pushes are stream entries
+            (XADDN) so consumers get a stable replay cursor.
 
             Deliveries are grouped whatever the batch size: stateless tasks
             into stream-entry envelopes, private-queue messages per pinned
-            instance into envelopes of up to ``batch_size`` (one element, and
-            one seq, each), all of an instance's envelopes in one push.  An
+            instance into envelopes of up to ``batch_size`` (one element, or
+            one stream entry, each), all of an instance's envelopes in one push.  An
             envelope of one is the bare message.
             """
             stateless_tasks: List[tuple] = []
@@ -310,17 +327,16 @@ class HybridRedisMapping(Mapping):
         seed_client = new_client()
         # Run-scoped hygiene before anything is seeded: a reused Redis
         # deployment (shared ``redis_server`` + same graph name) may hold a
-        # previous run's private queues, pending logs and snapshots -- e.g.
-        # after an aborted run whose dead workers never cleaned up.  Left in
-        # place they would be replayed into (and contaminate) this run, and
-        # their checkpoint commits would release credits this run's counter
-        # never held.
-        for name in stateful_names:
-            for idx in range(allocation[name]):
-                key = private_keys[name, idx]
-                seed_client.delete(key, f"{key}:pending")
-                if recovery:
-                    state_store.delete(f"{name}.{idx}")
+        # previous run's private queues and snapshots -- e.g. a user store
+        # that outlives its runs.  Left in place they would be replayed into
+        # (and contaminate) this run, and their checkpoint commits would
+        # release credits this run's counter never held.
+        if private_keys:
+            seed_client.delete(*private_keys.values())
+        if recovery:
+            for (name, idx), key in private_keys.items():
+                seed_client.xgroup_create(key, GROUP, id="0", mkstream=True)
+                state_store.delete(f"{name}.{idx}")
         # Seeds are grouped like deliveries, whatever the batch size:
         # round-robin assignment at tuple granularity, then envelopes per
         # destination (an unbatched seed is an envelope of one), pipelined
@@ -583,6 +599,11 @@ class HybridRedisMapping(Mapping):
                     state.record_error(TimeoutError(f"worker {t.name} hung at exit"))
                     break
             board.teardown()
+            # The run's own keys go with it; a user-supplied store keeps its
+            # snapshots.
+            owned = [*private_keys.values(), *([state_store.key] if own_store else ())]
+            if owned:
+                coordinator_client.delete(*owned)
         return trace
 
     # ------------------------------------------------------- consumption
@@ -674,41 +695,40 @@ class HybridRedisMapping(Mapping):
         client, key, board, policy, stop, dispatch, concrete,
         store, checkpoint_interval, batch_size, injector, trace,
     ) -> bool:
-        """Checkpointed consumption: BLMOVE into a pending log, sequence
-        dedup, interval/idle checkpoints that release credits in bulk.
+        """Checkpointed consumption of the instance's private stream:
+        ``XREADGROUP`` windows into the PEL, dedup by entry ID, interval/idle
+        checkpoints that ack and release credits in bulk.
 
         The outstanding-work credit of a delivery is *not* released when it
         is processed but when a checkpoint covers it -- so a crash can never
         lose a credited delivery, and the coordinator's drain proof remains
         exact across crashes and re-pins.
 
-        Elements are consumed in windows: one ``BLMOVESEQ ... COUNT``
-        moves up to ``WINDOW_CAP`` of them into the pending log atomically,
-        they run in order, and one pipeline dispatches their children.  The
-        checkpoint test runs at the window boundary, so a checkpoint only
-        ever covers elements whose children are booked.
+        Entries are consumed in windows: one ``XREADGROUP ... COUNT`` reads
+        up to ``WINDOW_CAP`` of them into the PEL, they run in order, and
+        one pipeline dispatches their children.  The checkpoint test runs at
+        the window boundary, so a checkpoint only ever covers entries whose
+        children are booked.
 
-        Batched elements keep every invariant at batch granularity: one
-        pending-log element = one sequence number = up to ``batch_size``
-        credits, applied/deduplicated/released as a unit.  The checkpoint
-        interval counts *tuples* (credits), and a window takes no more
-        elements than the interval's remaining room holds at ``batch_size``
-        tuples each (at least one), so what a crash replays stays below
-        ``checkpoint_interval + batch_size`` tuples whatever the envelope
-        size; an envelope is never split across a checkpoint -- the
-        interval filling mid-window checkpoints right after the window
-        completes.
+        Batched entries keep every invariant at batch granularity: one
+        entry = one ID = up to ``batch_size`` credits, applied/deduplicated/
+        released as a unit.  The checkpoint interval counts *tuples*
+        (credits), and a window takes no more entries than the interval's
+        remaining room holds at ``batch_size`` tuples each (at least one), so
+        what a crash replays stays below ``checkpoint_interval + batch_size``
+        tuples whatever the envelope size; an envelope is never split across
+        a checkpoint -- the interval filling mid-window checkpoints right
+        after the window completes.
 
         Returns whether the instance consumed its close marker.  Only then
         does it take the final checkpoint: an instance ended by ``stop``
-        leaves its pending log and credits as a crash would.
+        leaves its PEL and credits as a crash would.
         """
         iid = instance.instance_id
-        pending_key = f"{key}:pending"
-        timeout = max(0.005, state.clock.to_real(policy.poll_interval))
+        block_ms = max(5, int(1000 * state.clock.to_real(policy.poll_interval)))
         last_seq = 0
-        uncommitted_entries = 0  # pending-log elements not yet trimmed
-        uncommitted_credits = 0  # outstanding-counter credits (tuples) not yet released
+        uncommitted: List[Tuple[str, int]] = []  # (entry id, credits) not yet acked
+        uncommitted_credits = 0
 
         snap = store.load(iid)
         if snap is not None:
@@ -718,50 +738,55 @@ class HybridRedisMapping(Mapping):
             if trace is not None:
                 trace.note(state.clock.now(), "restore", f"{iid} seq={snap.seq}")
 
+        def read(cursor: str, count: int, block=None) -> List[Tuple[str, object]]:
+            """One group read of this consumer as ``(entry id, message)`` pairs."""
+            reply = client.xreadgroup(GROUP, iid, {key: cursor}, count=count, block=block)
+            return [(eid, fields[MESSAGE]) for _key, entries in reply for eid, fields in entries]
+
         def checkpoint() -> None:
-            nonlocal uncommitted_entries, uncommitted_credits
-            if uncommitted_entries == 0:
+            nonlocal uncommitted, uncommitted_credits
+            if not uncommitted:
                 return
-            # Snapshot first, then trim+release atomically: a crash between
-            # the two leaves entries <= last_seq in the pending log, which
-            # replay skips (dedup) but still counts for the next trim.
+            # Snapshot first, then ack+release atomically: a crash between
+            # the two leaves entries <= last_seq in the PEL, which replay
+            # skips (dedup) but still acks at the next checkpoint.
             if not store.save(iid, last_seq, instance.get_state()):
                 # A newer snapshot exists: this writer is stale (the
-                # instance was re-pinned and advanced elsewhere).  The
-                # pending log and credits now belong to the live owner --
-                # touch nothing.
+                # instance was re-pinned and advanced elsewhere).  The PEL
+                # and credits now belong to the live owner -- touch nothing.
                 return
-            pipe = client.pipeline()
-            pipe.ltrim(pending_key, uncommitted_entries, -1)
-            if uncommitted_credits:
-                pipe.decrby(board.counter_key, uncommitted_credits)
-            pipe.execute()
-            uncommitted_entries = 0
+            (entry_id, amount), *more = uncommitted
+            client.xack_decr(
+                key, GROUP, entry_id, board.counter_key, amount,
+                *(word for pair in more for word in pair),
+            )
+            uncommitted = []
             uncommitted_credits = 0
             state.counters.inc("checkpoints")
 
         def process(window) -> bool:
-            """Run a window of pending-log entries in order, then dispatch
-            their children in one pipeline; ``True`` if the close marker
-            ended it."""
-            nonlocal last_seq, uncommitted_entries, uncommitted_credits
+            """Run a window of entries in order, then dispatch their
+            children in one pipeline; ``True`` if the close marker ended it."""
+            nonlocal last_seq, uncommitted_credits
             deliveries: List[Delivery] = []
             applied = None
             closed = False
-            for seq, item in window:
+            for entry_id, item in window:
                 if self._is_close(item):
                     closed = True
                     break
-                uncommitted_entries += 1
-                uncommitted_credits += batch_len(item)
+                credits = batch_len(item)
+                uncommitted.append((entry_id, credits))
+                uncommitted_credits += credits
+                seq = entry_seq(entry_id)
                 if seq <= last_seq:
                     # Already reflected in the restored snapshot: skip the
-                    # state mutation, but keep the element in this commit
-                    # window so its credits are released by the next
-                    # checkpoint.  Dedup is exact at batch granularity
-                    # because the element was applied atomically under one
-                    # seq before the snapshot covered it.
-                    state.counters.inc("deduplicated", batch_len(item))
+                    # state mutation, but keep the entry in this commit
+                    # window so the next checkpoint acks it and releases its
+                    # credits.  Dedup is exact at batch granularity because
+                    # the entry was applied whole before the snapshot
+                    # covered it.
+                    state.counters.inc("deduplicated", credits)
                     continue
                 deliveries.extend(
                     self._invoke_element(
@@ -779,28 +804,29 @@ class HybridRedisMapping(Mapping):
                     injector.maybe_crash(iid, "post-dispatch")
             return closed
 
-        # Replay what a crashed predecessor left behind: every entry still
-        # in the pending log holds an unreleased credit, whether or not its
+        # Replay what a crashed predecessor left behind: every entry still in
+        # this consumer's PEL holds an unreleased credit, whether or not its
         # state effect survived in the snapshot.
         closed = False
-        backlog = client.lrange_seq(pending_key)
-        if backlog:
-            state.counters.inc("replayed", sum(batch_len(item) for _s, item in backlog))
-        for window in chunked(backlog, WINDOW_CAP):
-            closed = process(window)
-            if closed:
+        cursor = "0"
+        while not closed:
+            page = read(cursor, WINDOW_CAP)
+            if not page:
                 break
-        if backlog:
+            state.counters.inc("replayed", sum(batch_len(item) for _id, item in page))
+            closed = process(page)
+            cursor = page[-1][0]
+            if len(page) < WINDOW_CAP:
+                break
+        if cursor != "0":
             checkpoint()
 
         while not closed and not stop.is_set():
             # A window overshoots the checkpoint interval by less than one
             # envelope: it still bounds what a crash replays.
             room = (checkpoint_interval - uncommitted_credits) // batch_size
-            window = client.blmove_seq(
-                key, pending_key, timeout=timeout, count=max(1, min(WINDOW_CAP, room))
-            )
-            if window is None:
+            window = read(">", max(1, min(WINDOW_CAP, room)), block_ms)
+            if not window:
                 # Idle: commit stragglers so the drain proof can complete
                 # even when the stream ends mid-interval.
                 checkpoint()
@@ -809,8 +835,7 @@ class HybridRedisMapping(Mapping):
             if not closed and uncommitted_credits >= checkpoint_interval:
                 checkpoint()
         if closed:
-            checkpoint()
             # The close marker, whose credit the caller releases with the
-            # flush, is all that can remain.
-            client.delete(pending_key)
+            # flush, stays in the PEL until teardown deletes the stream.
+            checkpoint()
         return closed

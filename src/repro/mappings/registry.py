@@ -53,7 +53,9 @@ class Capabilities:
     recoverable:
         Survives worker crashes mid-run: consumer-group PEL reclaim for
         stateless tasks, and -- on ``hybrid_redis`` -- checkpoint/restore
-        of pinned stateful instances (:mod:`repro.state`).
+        of pinned stateful instances (:mod:`repro.state`), whose private
+        queues are then streams: the PEL is the replay log and the snapshot
+        cursor is the last applied entry ID.
     batching:
         Honours the ``batch_size`` transport option (micro-batched tuple
         envelopes on its queues/streams).  Mappings
@@ -242,13 +244,13 @@ def refusal(
             "the option"
         )
     elif not (caps.recoverable and caps.stateful) and (
-        "checkpoint_interval" in opts or "state_store" in opts
+        "checkpoint_interval" in opts or "state_store" in opts or "crash_injector" in opts
     ):
         # Reclaim-only recoverability (dyn_redis) does not qualify: the
         # mapping must both pin stateful instances and recover them.
         lacks = (
-            "stateful checkpointing (checkpoint_interval/state_store); "
-            "use hybrid_redis or drop the options"
+            "stateful checkpointing (checkpoint_interval/state_store/"
+            "crash_injector); use hybrid_redis or drop the options"
         )
     elif not caps.networked and "address" in opts:
         lacks = "a server address: it is not networked; use cluster_redis or drop address="

@@ -83,12 +83,8 @@ def _blpop(keys: List[str], timeout: Optional[float] = None) -> List[Any]:
     return ["BLPOP", *keys, timeout or 0]
 
 
-def _blmove(
-    source: str, destination: str, timeout: Optional[float] = None,
-    count: Optional[int] = None,
-) -> List[Any]:
-    words = ["BLMOVESEQ", source, destination, timeout or 0]
-    return words if count is None else [*words, "COUNT", count]
+def _blmove(source: str, destination: str, timeout: Optional[float] = None) -> List[Any]:
+    return ["BLMOVESEQ", source, destination, timeout or 0]
 
 
 def _xadd(key: str, fields: Dict[str, Any], entry_id: str = "*") -> List[Any]:
@@ -173,13 +169,6 @@ def _hit(reply: Any) -> Optional[Tuple[Any, Any]]:
     return (_str(tag) if isinstance(tag, bytes) else tag), payload
 
 
-def _moved(reply: Any) -> Any:
-    """``BLMOVESEQ``: one ``[seq, payload]``, with ``COUNT`` a list of them."""
-    if reply is None or not isinstance(reply[0], list):
-        return _hit(reply)
-    return [_hit(entry) for entry in reply]
-
-
 def _entries(raw: Any) -> List[Tuple[str, Dict[str, Any]]]:
     return [(_str(entry_id), dict(_pairs(flat))) for entry_id, flat in raw or []]
 
@@ -218,10 +207,8 @@ _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "blpop": (_blpop, _hit),
     "llen": (_verb("LLEN"), _raw),
     "lrange": (_verb("LRANGE"), _raw),
-    "ltrim": (_verb("LTRIM"), _ok),
     "rpushseq": (_verb("RPUSHSEQ"), _raw),
-    "blmove": (_blmove, _moved),
-    "lrangeseq": (_verb("LRANGESEQ"), _raw),
+    "blmove": (_blmove, _hit),
     "snapshot": (_verb("SNAPSHOT"), bool),
     "restore": (_verb("RESTORE"), _hit),
     "hdel": (_verb("HDEL"), _raw),

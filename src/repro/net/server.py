@@ -20,8 +20,8 @@ noticed at the command's deadline or at shutdown.
 The command set is the one the system sends (see :mod:`repro.redisim` for
 the list and the rule that admits a command): strings, lists, hashes,
 streams, consumer groups, XAUTOCLAIM -- plus redisim's own extensions
-(``RPUSHSEQ``/``LRANGESEQ``/``BLMOVESEQ``, ``SNAPSHOT``/``RESTORE``,
-``XADDN``, ``XACKDECR``).  Any other verb, or an option outside a
+(``RPUSHSEQ``/``BLMOVESEQ``, ``SNAPSHOT``/``RESTORE``, ``XADDN``,
+``XACKDECR``).  Any other verb, or an option outside a
 command's syntax, answers ``-ERR`` and the connection serves its next
 command.  Pipelining needs no special handling: a connection's
 commands execute strictly in arrival order, which preserves the
@@ -290,11 +290,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         arity(args, 3, "LRANGE")
         return [_value_bytes(v) for v in ks.lrange(_s(args[0]), _i(args[1]), _i(args[2]))]
 
-    def ltrim(args: List[bytes]) -> Any:
-        arity(args, 3, "LTRIM")
-        ks.ltrim(_s(args[0]), _i(args[1]), _i(args[2]))
-        return OK
-
     def blpop(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
         # BLPOP key [key ...] timeout -- Redis semantics: 0 blocks forever.
         arity(args, 2, "BLPOP")
@@ -310,29 +305,13 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         return ks.rpushseq(_s(args[0]), *args[1:])
 
     def blmoveseq(args: List[bytes], cancelled: Callable[[], bool]) -> Any:
-        # BLMOVESEQ source destination timeout [COUNT n] (0 blocks forever);
-        # with COUNT, a list of [seq, value] pairs.
-        arity(args, 3, "BLMOVESEQ")
-        count = None
-        if len(args) > 3:
-            if len(args) != 5 or args[3].upper() != b"COUNT":
-                raise RedisError("syntax error in 'blmoveseq'")
-            count = _i(args[4])
-        hit = ks.blmove(
-            _s(args[0]), _s(args[1]), _timeout(_f(args[2])), cancelled, count=count
-        )
+        # BLMOVESEQ source destination timeout (0 blocks forever).
+        if len(args) != 3:
+            raise RedisError("wrong number of arguments for 'blmoveseq' command")
+        hit = ks.blmove(_s(args[0]), _s(args[1]), _timeout(_f(args[2])), cancelled)
         if hit is None:
             return NIL_ARRAY
-        if count is None:
-            return [hit[0], _value_bytes(hit[1])]
-        return [[seq, _value_bytes(value)] for seq, value in hit]
-
-    def lrangeseq(args: List[bytes]) -> Any:
-        arity(args, 3, "LRANGESEQ")
-        return [
-            [seq, _value_bytes(value)]
-            for seq, value in ks.lrange(_s(args[0]), _i(args[1]), _i(args[2]))
-        ]
+        return [hit[0], _value_bytes(hit[1])]
 
     def snapshot(args: List[bytes]) -> Any:
         arity(args, 4, "SNAPSHOT")
@@ -483,8 +462,7 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         "PING": ping, "DBSIZE": dbsize, "KEYS": keys, "DEL": delete, "EXISTS": exists,
         "SET": set_, "GET": get, "INCRBY": incrby, "DECRBY": decrby,
         "RPUSH": rpush, "LPOP": lpop, "LLEN": llen, "LRANGE": lrange,
-        "LTRIM": ltrim, "BLPOP": blpop,
-        "RPUSHSEQ": rpushseq, "BLMOVESEQ": blmoveseq, "LRANGESEQ": lrangeseq,
+        "BLPOP": blpop, "RPUSHSEQ": rpushseq, "BLMOVESEQ": blmoveseq,
         "SNAPSHOT": snapshot, "RESTORE": restore,
         "HDEL": hdel, "HGETALL": hgetall, "HINCRBY": hincrby,
         "XADD": xadd, "XADDN": xaddn, "XLEN": xlen, "XRANGE": xrange,

@@ -11,15 +11,17 @@ the commands those mappings send, from scratch, as a thread-safe in-process
 data-structure server:
 
 - strings (GET/SET/INCRBY/DECRBY) -- shared counters,
-- lists (RPUSH/LPOP/BLPOP/LTRIM/LLEN/LRANGE) -- private queues and
-  per-instance pending (replay) logs, plus redisim's sequenced lists
-  (RPUSHSEQ/BLMOVESEQ/LRANGESEQ) for crash-recoverable delivery,
+- lists (RPUSH/LPOP/BLPOP/LLEN/LRANGE) -- private queues and the
+  cluster's result relay, plus redisim's sequenced lists
+  (RPUSHSEQ/BLMOVESEQ), which only the ``e2e_bench`` ``seq_queue`` probe
+  still sends,
 - SNAPSHOT/RESTORE -- sequence-guarded state snapshots backing the
   checkpoint/restore subsystem (:mod:`repro.state`),
 - hashes (HINCRBY/HGETALL/HDEL) -- cluster counters, and listing and
   deleting the snapshots of :mod:`repro.state`,
 - streams (XADD/XLEN/XRANGE, plus redisim's XADDN: one entry per value
-  in one command) with **consumer groups** (XGROUP CREATE, XREADGROUP,
+  in one command) -- the global task stream and the crash-recoverable
+  private queues -- with **consumer groups** (XGROUP CREATE, XREADGROUP,
   XACK, XACKDECR, the summary form of XPENDING, XAUTOCLAIM, XINFO
   GROUPS/CONSUMERS) including pending-entry lists and per-consumer idle
   times,

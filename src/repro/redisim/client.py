@@ -169,9 +169,6 @@ class Pipeline:
     def rpush_seq(self, key: str, *values: Any) -> "Pipeline":
         return self._queue("rpushseq", key, *[self._client._enc(v) for v in values])
 
-    def ltrim(self, key: str, start: int, end: int) -> "Pipeline":
-        return self._queue("ltrim", key, start, end)
-
     def hincrby(self, key: str, field: str, amount: int = 1) -> "Pipeline":
         return self._queue("hincrby", key, field, amount)
 
@@ -371,37 +368,20 @@ class RedisClient:
     def lrange(self, key: str, start: int, end: int) -> List[Any]:
         return [self._dec(v) for v in self._call("lrange", key, start, end)]
 
-    def ltrim(self, key: str, start: int, end: int) -> bool:
-        return self._call("ltrim", key, start, end)
-
     # ------------------------------------------------- sequenced lists
     def rpush_seq(self, key: str, *values: Any) -> List[int]:
         """RPUSHSEQ: append values tagged with monotonic per-key sequences."""
         return self._call("rpushseq", key, *(self._enc(v) for v in values))
 
     def blmove_seq(
-        self, source: str, destination: str, timeout: Optional[float] = None,
-        count: Optional[int] = None,
+        self, source: str, destination: str, timeout: Optional[float] = None
     ) -> Any:
         """Blocking move of one sequenced entry; returns ``(seq, value)``.
 
-        The raw ``(seq, blob)`` pair lands on ``destination`` untouched, so
-        a recovering consumer replaying ``destination`` sees exactly what
-        was delivered (see :meth:`lrange_seq`).  With ``count`` (at least 1)
-        up to that many entries move in one atomic step, answered as a list
-        of ``(seq, value)`` pairs; ``None`` on timeout either way.
+        The raw ``(seq, blob)`` pair lands on ``destination`` untouched;
+        ``None`` on timeout.
         """
-        if count is None:
-            return self._dec_hit(self._call("blmove", source, destination, timeout=timeout))
-        moved = self._call("blmove", source, destination, timeout=timeout, count=count)
-        return None if moved is None else [self._dec_hit(entry) for entry in moved]
-
-    def lrange_seq(self, key: str, start: int = 0, end: int = -1) -> List[Tuple[int, Any]]:
-        """LRANGE over a sequenced list, decoding to ``(seq, value)`` pairs."""
-        return [
-            (seq, self._dec(value))
-            for seq, value in self._call("lrangeseq", key, start, end)
-        ]
+        return self._dec_hit(self._call("blmove", source, destination, timeout=timeout))
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self, key: str, snapshot_id: str, seq: int, state: Any) -> bool:

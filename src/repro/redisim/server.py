@@ -180,7 +180,7 @@ class RedisServer:
     _TXN_COMMANDS = frozenset(
         {
             "set", "get", "incrby", "decrby", "delete",
-            "rpush", "rpushseq", "lpop", "ltrim", "hdel", "hincrby",
+            "rpush", "rpushseq", "lpop", "hdel", "hincrby",
             "xadd", "xaddn", "xack", "xackdecr", "snapshot", "xreadgroup",
         }
     )
@@ -350,7 +350,6 @@ class RedisServer:
         destination: str,
         timeout: Optional[float] = None,
         cancelled: Optional[Callable[[], bool]] = None,
-        count: Optional[int] = None,
     ) -> Any:
         """Blocking ``LMOVE source destination LEFT RIGHT``; ``None`` on timeout.
 
@@ -358,23 +357,16 @@ class RedisServer:
         ``destination`` -- the reliable-queue idiom (redis.io: pattern behind
         ``BLMOVE``): the element is never in limbo, so a consumer that dies
         mid-processing leaves it recoverable on ``destination``.
-
-        With ``count`` (at least 1, as ``BLMPOP``'s) the same step moves up
-        to ``count`` elements, in order, once ``source`` is non-empty, and
-        answers them as a list.
         """
-        if count is not None and not _is_int(count, 1):
-            raise RedisError(f"count must be an integer >= 1, got {count!r}")
         deadline = self._now() + timeout if timeout else None
         with self._lock:
             self._count("blmove")
             while True:
-                lst = self._get_typed(source, _TYPE_LIST)
-                if lst:
-                    moved = self._take(source, lst, 1 if count is None else count)
-                    self._list_for_write(destination).extend(moved)
+                if self._get_typed(source, _TYPE_LIST):
+                    moved = self._pop(source)
+                    self._list_for_write(destination).append(moved)
                     self._notify()
-                    return moved[0] if count is None else moved
+                    return moved
                 if not self._park(deadline, cancelled):
                     return None
 
@@ -400,21 +392,6 @@ class RedisServer:
             self._notify()
             return assigned
 
-    def ltrim(self, key: str, start: int, end: int) -> bool:
-        """Trim the list to ``[start, end]`` (inclusive, as in Redis LTRIM)."""
-        with self._lock:
-            self._count("ltrim")
-            lst = self._get_typed(key, _TYPE_LIST)
-            if lst is None:
-                return True
-            items = list(lst)
-            kept = items[start:] if end == -1 else items[start : end + 1]
-            if kept:
-                self._data[key] = (_TYPE_LIST, deque(kept))
-            else:
-                del self._data[key]
-            return True
-
     def llen(self, key: str) -> int:
         with self._lock:
             self._count("llen")
@@ -432,11 +409,6 @@ class RedisServer:
             if end == -1:
                 return items[start:]
             return items[start : end + 1]
-
-    #: LRANGESEQ: the wire names the read of a sequenced list separately
-    #: (its elements frame as ``[seq, value]`` pairs); in-process the
-    #: stored pairs come back as they are.
-    lrangeseq = lrange
 
     # ---------------------------------------------------------------- hashes
     def hdel(self, key: str, *fields: str) -> int:

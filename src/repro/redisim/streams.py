@@ -117,7 +117,7 @@ class Consumer:
 
     name: str
     last_seen: float
-    pending: set = field(default_factory=set)
+    pending: set = field(default_factory=set, init=False)
 
     def idle_ms(self, now: float) -> float:
         """Milliseconds since this consumer last interacted with the group."""

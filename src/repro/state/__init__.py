@@ -10,15 +10,15 @@ instance state as a first-class, persistable artifact:
   run's Redis deployment (the default for ``hybrid_redis``), built on the
   substrate's sequence-guarded SNAPSHOT/RESTORE commands.
 - :class:`Snapshot` -- one captured state: the PE's
-  :meth:`~repro.core.pe.GenericPE.get_state` dict plus the sequence number
-  of the last private-queue delivery it covers.
+  :meth:`~repro.core.pe.GenericPE.get_state` dict plus the cursor of the
+  last private-stream entry it covers.
 - :class:`CrashInjector` / :class:`InjectedCrash` -- the fault-injection
   harness: kills a pinned worker after a chosen number of invocations so
   recovery (re-pin, restore, replay) can be exercised deterministically.
 
 Recovery semantics are at-least-once: deliveries between the last
-checkpoint and the crash are replayed from the instance's pending log and
-deduplicated against the snapshot's sequence cursor, but their *downstream*
+checkpoint and the crash are replayed from the instance's pending-entry
+list and deduplicated against the snapshot's cursor, but their *downstream*
 emissions may be re-sent.  Exactly-once would require transactional
 cross-queue dispatch; the paper's workflows (running aggregates, latest-
 wins tables) are tolerant by construction.

@@ -5,7 +5,7 @@ option; pinned stateful workers consult it once per invocation and die
 (abruptly, mid-loop -- no error report, no abort broadcast, exactly like a
 killed process) when their trigger fires.  The mapping's supervisor then
 detects the dead worker, re-pins the instance on a fresh worker, restores
-the latest snapshot and replays the pending log.
+the latest snapshot and replays the instance's pending entries.
 """
 
 from __future__ import annotations

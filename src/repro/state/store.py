@@ -24,9 +24,10 @@ class Snapshot:
     Attributes
     ----------
     seq:
-        Sequence number of the last private-queue delivery whose effect is
-        included in ``state``.  Replay after restore skips deliveries with
-        ``seq <= Snapshot.seq`` (the at-least-once dedup cursor).
+        The last private-stream entry whose effect is included in
+        ``state``, as one integer that orders like its ID
+        (:func:`repro.mappings.hybrid.entry_seq`).  Replay after restore
+        skips entries at or below it (the at-least-once dedup cursor).
     state:
         The dict captured by :meth:`repro.core.pe.GenericPE.get_state`.
     """

@@ -17,8 +17,8 @@ from repro.mappings.base import (
     ResultsCollector,
     instantiate,
 )
-from repro.mappings.hybrid import HybridRedisMapping
-from repro.mappings.redis_tasks import RedisTaskBoard
+from repro.mappings.hybrid import MESSAGE, HybridRedisMapping
+from repro.mappings.redis_tasks import GROUP, RedisTaskBoard
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
 from repro.redisim.client import RedisClient
@@ -299,7 +299,8 @@ class Accumulate(GenericPE):
 
 def _consumer(graph, pe_name, server, messages, *, recovery=False):
     """One pinned instance's consumption loop wired by hand around a queue
-    already holding ``messages`` (their credits booked)."""
+    already holding ``messages`` (their credits booked): a list, or in
+    recoverable mode a stream with the instance's consumer group."""
     ctx = ExecutionContext()
     state = EnactmentState(
         graph=graph, provided={}, processes=2, ctx=ctx, platform=LAPTOP,
@@ -311,7 +312,8 @@ def _consumer(graph, pe_name, server, messages, *, recovery=False):
     board.setup()
     key = "t:private"
     if recovery:
-        client.rpush_seq(key, *messages)
+        client.xgroup_create(key, GROUP, id="0", mkstream=True)
+        client.xaddn(key, MESSAGE, *messages)
     else:
         client.rpush(key, *messages)
     client.incrby(board.counter_key, len(messages))
@@ -363,10 +365,16 @@ class TestPinnedWindows:
         assert closed
         assert instance.counts == {"a": 2, "b": 1}
         assert board.outstanding() == 1
-        assert server.exists("t:private") == 0
-        # One window: one pop of the queue, one release of three credits.
-        pops = server.command_count.get("blmove" if recovery else "blpop")
-        assert pops == 1
+        if recovery:
+            # One window read after the empty replay read, one ack of the
+            # three data entries; the marker waits in the PEL for teardown.
+            assert server.command_count["xreadgroup"] == 2
+            assert server.command_count["xackdecr"] == 1
+            assert server.xpending("t:private", GROUP)["pending"] == 1
+        else:
+            # One window: one pop of the queue, one release of three credits.
+            assert server.command_count["blpop"] == 1
+            assert server.exists("t:private") == 0
         assert instance._flush_postprocess() == [("output", ("a", 2)), ("output", ("b", 1))]
 
     def test_a_crash_mid_window_replays_each_element_once(self):

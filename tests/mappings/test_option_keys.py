@@ -11,7 +11,9 @@ so an option that stops being read must be refused by name
 being read lands here with its first caller.
 
 **Constructor keyword parameters.**  Every defaulted parameter of a public
-class's ``__init__`` under ``src/repro`` must be set by some call outside
+class's ``__init__`` under ``src/repro`` -- a hand-written one, or the one
+``@dataclass`` generates from the class's fields (``ClassVar`` and
+``init=False`` fields are not parameters) -- must be set by some call outside
 ``tests/`` -- in ``src/``, ``benchmarks/``, ``scripts/`` or ``examples/``
 -- or carry a reason in :data:`EXEMPT` (``repro.workflows`` is exempt
 whole, as workflow knobs).  A call sets a parameter when it
@@ -36,6 +38,8 @@ from repro.autoscale.strategies import (
     QueueSizeStrategy,
     RateStrategy,
 )
+from repro.bench.experiments import Experiment
+from repro.bench.harness import BenchConfig
 from repro.core.fusion import FusedPE
 from repro.engine import Engine
 from repro.mappings.base import EnactmentState
@@ -127,12 +131,18 @@ SIGNATURES = {
         "collector", "counters", "options", "control",
     ),
     FusedPE: ("members", "internal_edges", "stateful"),
+    BenchConfig: ("time_scale", "repeats"),
+    Experiment: (
+        "id", "title", "platform", "mappings", "processes", "workloads", "kind",
+        "comparisons", "config",
+    ),
 }
 
 TEST_SEAM = "test seam"
 DEPLOYMENT = "deployment setting"
 WORKFLOW = "workflow knob"
 E2E_BENCH = "e2e_bench caller"
+REPLACED = "set through dataclasses.replace"
 
 #: ``(class, parameter)`` kept although no caller outside ``tests/`` sets
 #: it, with the kind of reason and what it is for.
@@ -148,6 +158,7 @@ EXEMPT = {
     ("ProducerPE", "name"): (WORKFLOW, "a user PE's node name in its graph"),
     ("ConsumerPE", "name"): (WORKFLOW, "a user PE's node name in its graph"),
     ("FunctionPE", "name"): (WORKFLOW, "a user PE's node name in its graph"),
+    ("Plan", "cost"): (REPLACED, "Planner.plan attaches the profiled cost model"),
 }
 #: Every parameter of the paper's workflow PEs and data services is a
 #: workflow knob: how a workflow is shaped, not how the system runs it.
@@ -166,17 +177,55 @@ def _defaulted(fn):
     return defaulted, [name for name in positional if name != "self"]
 
 
+def _is_dataclass(node):
+    """Whether a class statement is decorated ``@dataclass`` (any form)."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields(node):
+    """``(defaulted fields, positional fields)`` of a dataclass's generated
+    ``__init__``: annotated names, minus ``ClassVar``s and ``init=False``."""
+    positional, defaulted = [], []
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        ):
+            continue
+        positional.append(item.target.id)
+        if value is not None:
+            defaulted.append(item.target.id)
+    return defaulted, positional
+
+
 def _public_constructors():
-    """``{class name: [(path, defaulted params, positional params)]}``."""
+    """``{class name: [(path, defaulted params, positional params)]}``: the
+    hand-written ``__init__`` of every public class, or a dataclass's fields."""
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    defaulted, positional = _defaulted(item)
-                    found.setdefault(node.name, []).append((path, defaulted, positional))
+            inits = [
+                item for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            ]
+            if inits:
+                defaulted, positional = _defaulted(inits[0])
+            elif _is_dataclass(node):
+                defaulted, positional = _fields(node)
+            else:
+                continue
+            found.setdefault(node.name, []).append((path, defaulted, positional))
     return found
 
 
@@ -277,4 +326,4 @@ def test_every_keyword_parameter_has_a_non_test_caller_or_a_reason():
 def test_every_exemption_is_still_needed_and_reasoned():
     assert EXEMPT.keys() <= unset_parameters()
     for kind, why in EXEMPT.values():
-        assert kind in (TEST_SEAM, DEPLOYMENT, WORKFLOW, E2E_BENCH) and why
+        assert kind in (TEST_SEAM, DEPLOYMENT, WORKFLOW, E2E_BENCH, REPLACED) and why

@@ -9,7 +9,8 @@ to completion with results identical to an uninterrupted run.
 import pytest
 
 from repro import run
-from repro.core.exceptions import MappingError
+from repro.core.exceptions import MappingError, UnsupportedFeatureError
+from repro.redisim.server import RedisServer
 from repro.state import CrashInjector, InjectedCrash, InMemoryStateStore
 from repro.workflows.sentiment.workflow import build_recoverable_sentiment_workflow
 from tests.conftest import Emit, FAST_SCALE, StatefulCounter, linear_graph
@@ -24,6 +25,36 @@ def _items(keys=4, per_key=6):
 def _run(graph, inputs, processes=4, **kw):
     kw.setdefault("time_scale", FAST_SCALE)
     return run(graph, inputs=inputs, processes=processes, mapping="hybrid_redis", **kw)
+
+
+class CrashAfterFirstSave(InMemoryStateStore):
+    """A store whose first save of ``instance_id`` persists, then kills the
+    saving worker: the crash between a checkpoint's snapshot and its ack."""
+
+    def __init__(self, instance_id):
+        super().__init__()
+        self.armed = instance_id
+
+    def save(self, instance_id, seq, state):
+        saved = super().save(instance_id, seq, state)
+        if instance_id == self.armed:
+            self.armed = None
+            raise InjectedCrash(instance_id, 0)
+        return saved
+
+
+class CounterLog(RedisServer):
+    """A keyspace that records every value the outstanding counter takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.outstanding = []
+
+    def incrby(self, key, amount=1):
+        value = super().incrby(key, amount)
+        if key.endswith(":outstanding"):
+            self.outstanding.append(value)
+        return value
 
 
 class TestCheckpointingWithoutCrashes:
@@ -173,6 +204,26 @@ class TestCrashRecovery:
         assert result.counters["crashes"] == 1
         assert result.counters["restores"] >= 1
 
+    def test_crash_between_snapshot_and_ack_deduplicates(self):
+        """The snapshot covers the window, the ack never ran: the
+        replacement restores it, finds every entry of its PEL at or below
+        the snapshot's cursor, applies none of them again and releases
+        each credit once."""
+        baseline = _run(linear_graph(
+            Emit(name="src"), StatefulCounter(name="counter", instances=2)
+        ), _items(), checkpoint_interval=3)
+        server = CounterLog()
+        g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
+        result = _run(
+            g, _items(), checkpoint_interval=3, redis_server=server,
+            state_store=CrashAfterFirstSave("counter.0"),
+        )
+        assert sorted(result.output("counter")) == sorted(baseline.output("counter"))
+        assert result.counters["crashes"] == 1
+        assert result.counters["restores"] == 1
+        assert result.counters["deduplicated"] > 0
+        assert min(server.outstanding) >= 0 and server.outstanding[-1] == 0
+
     def test_crash_budget_exhausted_aborts(self):
         """An instance that dies on every respawn must fail the run, not
         loop forever."""
@@ -202,19 +253,40 @@ class TestCrashRecovery:
         assert second.counters.get("replayed", 0) == 0
         assert second.counters.get("deduplicated", 0) == 0
 
-    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis", "multi"])
-    def test_recovery_options_rejected_without_stateful_checkpointing(self, mapping):
-        """Requesting checkpointing on a mapping that cannot honour it must
-        fail loudly, not silently run without crash safety -- including the
-        reclaim-only recoverable mappings, which never snapshot state."""
-        from repro.core.exceptions import UnsupportedFeatureError
+    def test_runs_leave_no_key_on_a_shared_server(self):
+        """A plain run, a recoverable run and an aborted recoverable run
+        each take their queues, streams and snapshots with them."""
+        server = RedisServer()
 
+        def graph():
+            return linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
+
+        _run(graph(), _items(), redis_server=server)
+        assert server.keys("*") == []
+        _run(graph(), _items(), redis_server=server, checkpoint_interval=2)
+        assert server.keys("*") == []
+        injector = CrashInjector({"counter.0": 1}, max_crashes=100)
+        with pytest.raises(MappingError):
+            _run(
+                graph(), _items(), redis_server=server, checkpoint_interval=2,
+                crash_injector=injector,
+            )
+        assert server.keys("*") == []
+
+    @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis", "multi"])
+    @pytest.mark.parametrize(
+        "option",
+        [{"checkpoint_interval": 5}, {"crash_injector": CrashInjector({"sink.0": 1})}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_recovery_options_rejected_without_stateful_checkpointing(self, mapping, option):
+        """Requesting checkpointing (or crashes to recover from) on a
+        mapping that cannot honour it must fail loudly, not silently run
+        without crash safety -- including the reclaim-only recoverable
+        mappings, which never snapshot state."""
         g = linear_graph(Emit(name="src"), Emit(name="sink"))
         with pytest.raises(UnsupportedFeatureError, match="stateful checkpointing"):
-            run(
-                g, inputs=[1], processes=2, mapping=mapping,
-                time_scale=FAST_SCALE, checkpoint_interval=5,
-            )
+            run(g, inputs=[1], processes=2, mapping=mapping, time_scale=FAST_SCALE, **option)
 
 
 class TestSentimentRecovery:

@@ -679,7 +679,8 @@ class TestWireBudget:
         # XACKDECR (tallied as ``incrby``); the slack is seeding and pills.
         assert tally["incrby"] <= 2 * trips + 64
         assert tally["xackdecr"] <= trips + 8
-        assert tally.get("lrange", 0) <= 1 and "ltrim" not in tally  # the pump LPOPs
+        # The pump pops its relay list; only the error check reads a range.
+        assert tally.get("lrange", 0) <= 1 and tally["lpop"] >= 1
         # One stream publish per settle at most (a window's children are
         # one XADDN), per seeding frame, and one for the pills.
         seeds = sum(len(items) for items in normalize_inputs(graph, inputs).values())

@@ -1,5 +1,5 @@
-"""Tests for the recovery-oriented substrate commands (SNAPSHOT/RESTORE,
-RPUSHSEQ, BLMOVE, LTRIM) and the server-shutdown wakeup semantics."""
+"""Tests for redisim's own substrate commands (SNAPSHOT/RESTORE, RPUSHSEQ,
+BLMOVESEQ, XACKDECR) and the server-shutdown wakeup semantics."""
 
 import threading
 import time
@@ -8,7 +8,6 @@ import pytest
 
 from repro.redisim import RedisClient, RedisServer
 from repro.redisim.errors import ConnectionError as RedisConnectionError
-from repro.redisim.errors import RedisError
 
 
 @pytest.fixture
@@ -67,12 +66,10 @@ class TestRpushSeq:
         client.blmove_seq("q", "pending", timeout=0.1)
         assert client.rpush_seq("q", "b") == [2]
 
-    def test_lrange_seq_decodes(self, client):
+    def test_moved_entries_decode(self, client):
         client.rpush_seq("q", ("data", "port", 1), ("data", "port", 2))
-        assert client.lrange_seq("q") == [
-            (1, ("data", "port", 1)),
-            (2, ("data", "port", 2)),
-        ]
+        assert client.blmove_seq("q", "log", timeout=0.1) == (1, ("data", "port", 1))
+        assert client.blmove_seq("q", "log", timeout=0.1) == (2, ("data", "port", 2))
 
     def test_delete_resets_sequence(self, client):
         client.rpush_seq("q", "a")
@@ -81,11 +78,11 @@ class TestRpushSeq:
 
 
 class TestBlmove:
-    def test_moves_head_to_tail(self, client):
+    def test_moves_head_to_tail(self, server, client):
         client.rpush_seq("src", "a", "b")
         assert client.blmove_seq("src", "dst", timeout=0.1) == (1, "a")
-        assert client.lrange_seq("dst") == [(1, "a")]
-        assert client.lrange_seq("src") == [(2, "b")]
+        assert client.blmove_seq("dst", "src", timeout=0.1) == (1, "a")
+        assert [seq for seq, _blob in server.lrange("src", 0, -1)] == [2, 1]
 
     def test_timeout_returns_none(self, client):
         assert client.blmove_seq("src", "dst", timeout=0.01) is None
@@ -102,68 +99,6 @@ class TestBlmove:
         RedisClient(server).rpush_seq("src", "hello")
         thread.join(timeout=2.0)
         assert results == [(1, "hello")]
-
-
-class TestBlmoveCount:
-    """``BLMOVESEQ ... COUNT n``: a window of entries enters the log at once."""
-
-    def test_moves_up_to_count_in_order(self, server, client):
-        client.rpush_seq("src", "a", "b", "c")
-        assert client.blmove_seq("src", "dst", timeout=0.1, count=2) == [(1, "a"), (2, "b")]
-        assert client.blmove_seq("src", "dst", timeout=0.1, count=9) == [(3, "c")]
-        assert client.lrange_seq("dst") == [(1, "a"), (2, "b"), (3, "c")]
-        assert server.exists("src") == 0
-        # One command per window, however many entries it moved.
-        assert server.command_count["blmove"] == 2
-
-    def test_timeout_returns_none(self, client):
-        assert client.blmove_seq("src", "dst", timeout=0.01, count=4) is None
-
-    def test_wakes_on_push_and_takes_what_queued(self, server, client):
-        results = []
-
-        def consumer():
-            results.append(client.blmove_seq("src", "dst", timeout=2.0, count=8))
-
-        thread = threading.Thread(target=consumer, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        RedisClient(server).rpush_seq("src", "x", "y")
-        thread.join(timeout=2.0)
-        assert results == [[(1, "x"), (2, "y")]]
-
-    def test_same_source_and_destination_rotates(self, client):
-        client.rpush_seq("q", "a", "b")
-        assert client.blmove_seq("q", "q", timeout=0.1, count=2) == [(1, "a"), (2, "b")]
-        assert client.lrange_seq("q") == [(1, "a"), (2, "b")]
-
-    @pytest.mark.parametrize("count", [-1, 0, "2", 1.0, True])
-    def test_hostile_count_moves_nothing(self, server, count):
-        server.rpushseq("src", "a", "b")
-        with pytest.raises(RedisError):
-            server.blmove("src", "dst", timeout=0.01, count=count)
-        assert server.llen("src") == 2
-        assert server.exists("dst") == 0
-
-
-class TestLtrim:
-    def test_trims_prefix(self, client):
-        client.rpush("q", "a", "b", "c", "d")
-        client.ltrim("q", 2, -1)
-        assert client.lrange("q", 0, -1) == ["c", "d"]
-
-    def test_trim_to_empty_removes_key(self, server, client):
-        client.rpush("q", "a")
-        client.ltrim("q", 1, -1)
-        assert server.exists("q") == 0
-
-    def test_missing_key_ok(self, client):
-        assert client.ltrim("missing", 0, -1)
-
-    def test_inclusive_range(self, client):
-        client.rpush("q", "a", "b", "c", "d")
-        client.ltrim("q", 1, 2)
-        assert client.lrange("q", 0, -1) == ["b", "c"]
 
 
 class TestXackDecr:

@@ -17,8 +17,8 @@ from repro.mappings.base import (
     ResultsCollector,
     instantiate,
 )
-from repro.mappings.hybrid import MESSAGE, HybridRedisMapping
-from repro.mappings.redis_tasks import GROUP, RedisTaskBoard
+from repro.mappings.hybrid import MESSAGE, HybridRedisMapping, entry_seq
+from repro.mappings.redis_tasks import GROUP, WINDOW_CAP, RedisTaskBoard
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
 from repro.redisim.client import RedisClient
@@ -377,6 +377,67 @@ class TestPinnedWindows:
             assert server.exists("t:private") == 0
         assert instance._flush_postprocess() == [("output", ("a", 2)), ("output", ("b", 1))]
 
+    def _recover(self, state, instance, wiring):
+        return HybridRedisMapping()._run_recoverable(
+            state, instance, "counter", 0, **wiring,
+            store=RedisSnapshotStore(wiring["client"], namespace="t"),
+            checkpoint_interval=25, batch_size=1, injector=None, trace=None,
+        )
+
+    def test_a_replay_pages_through_a_pel_longer_than_a_window(self):
+        """A dead predecessor left two and a half windows in the consumer's
+        PEL: the replay reads them in pages of ``WINDOW_CAP`` from cursor
+        ``0``, applies each once, acks them in one checkpoint, and only then
+        reads new entries."""
+        server = RedisServer()
+        graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
+        items = [(f"k{i % 3}", i) for i in range(2 * WINDOW_CAP + WINDOW_CAP // 2)]
+        state, instance, board, wiring = _consumer(
+            graph, "counter", server, [("data", "input", item) for item in items],
+            recovery=True,
+        )
+        client = wiring["client"]
+        client.xreadgroup(GROUP, instance.instance_id, {"t:private": ">"}, count=len(items))
+        client.xadd("t:private", {MESSAGE: ("close",)})
+        client.incrby(board.counter_key, 1)
+        assert self._recover(state, instance, wiring)
+        expected = {}
+        for key, _value in items:
+            expected[key] = expected.get(key, 0) + 1
+        assert instance.counts == expected
+        assert state.counters.get("replayed") == len(items)
+        assert state.counters.get("deduplicated") == 0
+        # Three replay pages (8, 8, 4), then one read finds the marker.
+        assert server.command_count["xreadgroup"] == 1 + 3 + 1
+        assert server.command_count["xackdecr"] == 1
+        assert board.outstanding() == 1
+
+    def test_a_replay_skips_what_the_snapshot_covers(self):
+        """The snapshot's cursor is the last applied entry ID: entries at or
+        below it are acked without being applied again, the rest run."""
+        server = RedisServer()
+        graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
+        items = [("a", 1), ("b", 2), ("a", 3), ("a", 4), ("b", 5)]
+        state, instance, board, wiring = _consumer(
+            graph, "counter", server,
+            [*(("data", "input", item) for item in items), ("close",)], recovery=True,
+        )
+        client = wiring["client"]
+        [(_key, entries)] = client.xreadgroup(
+            GROUP, instance.instance_id, {"t:private": ">"}, count=len(items),
+        )
+        snapshot = instance.get_state()
+        snapshot["counts"] = {"a": 2, "b": 1}  # the first three entries
+        store = RedisSnapshotStore(client, namespace="t")
+        assert store.save(instance.instance_id, entry_seq(entries[2][0]), snapshot)
+        assert self._recover(state, instance, wiring)
+        assert instance.counts == {"a": 3, "b": 2}
+        assert state.counters.get("restores") == 1
+        assert state.counters.get("replayed") == 5
+        assert state.counters.get("deduplicated") == 3
+        assert board.outstanding() == 1  # the close marker's, for the flush
+        assert store.load(instance.instance_id).seq == entry_seq(entries[-1][0])
+
     def test_a_crash_mid_window_replays_each_element_once(self):
         """Crash after the 3rd element of an 8-element window applied its
         state: the whole window is in the pending log, the replay applies
@@ -410,3 +471,34 @@ class TestPinnedWindows:
         assert result.counters["crashes"] == 1
         assert 1 <= result.counters["replayed"] <= 4 + 3 - 1
         assert _hybrid_threads() == []
+
+
+class TestEntrySeq:
+    """The snapshot cursor of a recoverable instance: a stream entry ID as
+    one integer that orders like the ID."""
+
+    @pytest.mark.parametrize(
+        "lower, higher",
+        [
+            ("0-1", "1-0"),
+            ("5-0", "5-1"),
+            ("5-9", "5-10"),  # as strings, "5-10" sorts first
+            ("1-18446744073709551615", "2-0"),  # a sequence wider than 63 bits
+        ],
+    )
+    def test_orders_like_the_stream_id(self, lower, higher):
+        assert entry_seq(lower) < entry_seq(higher)
+
+    def test_keeps_both_parts_of_the_id(self):
+        for ms, seq in [(0, 0), (0, 1), (1, 0), (1_700_000_000_000, 3), (7, 2**64 - 1)]:
+            assert divmod(entry_seq(f"{ms}-{seq}"), 1 << 64) == (ms, seq)
+
+    def test_orders_xaddn_ids_across_a_millisecond_rollover(self):
+        clock = [0.009]
+        client = RedisClient(RedisServer(now=lambda: clock[0]))
+        ids = client.xaddn("s", MESSAGE, *range(12))
+        clock[0] = 0.010
+        ids += client.xaddn("s", MESSAGE, *range(3))
+        assert ids[11:13] == ["9-11", "10-0"]
+        cursors = [entry_seq(entry_id) for entry_id in ids]
+        assert cursors == sorted(set(cursors))

@@ -273,6 +273,21 @@ class TestCrashRecovery:
             )
         assert server.keys("*") == []
 
+    def test_a_user_store_on_the_shared_server_keeps_its_snapshots(self):
+        """Teardown deletes the run's own keys only: a user-supplied store
+        that lives on the run's server outlives the run, whole."""
+        from repro.redisim import RedisClient
+        from repro.state import RedisSnapshotStore
+
+        server = RedisServer()
+        store = RedisSnapshotStore(RedisClient(server), namespace="user")
+        g = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=2))
+        result = _run(g, _items(), redis_server=server, state_store=store,
+                      checkpoint_interval=2)
+        assert result.counters["checkpoints"] >= 1
+        assert server.keys("*") == ["user:snapshots"]
+        assert sorted(store.instance_ids()) == ["counter.0", "counter.1"]
+
     @pytest.mark.parametrize("mapping", ["dyn_multi", "dyn_redis", "multi"])
     @pytest.mark.parametrize(
         "option",

@@ -390,13 +390,22 @@ class TestHostileNumbers:
         assert talk("LPOP", "q") is None
 
     @pytest.mark.parametrize(
-        "tail", [("COUNT",), ("LIMIT", "2"), ("COUNT", "2", "COUNT", "3")], ids=" ".join
+        "tail",
+        [("COUNT",), ("COUNT", "2"), ("LIMIT", "2"), ("COUNT", "2", "COUNT", "3")],
+        ids=" ".join,
     )
     def test_malformed_blmoveseq_options_are_an_error(self, talk, tail):
         assert talk("RPUSHSEQ", "q", "a") == [1]
         reply = talk("BLMOVESEQ", "q", "q:log", "0.01", *tail)
         assert isinstance(reply, ErrorReply) and str(reply).startswith("ERR"), reply
         assert talk("LLEN", "q") == 1
+
+    def test_blmoveseq_moves_one_pair(self, talk):
+        assert talk("RPUSHSEQ", "q", "a", "b") == [1, 2]
+        assert talk("BLMOVESEQ", "q", "q:log", "0.01") == [1, b"a"]
+        assert talk("BLMOVESEQ", "q:log", "q", "0.01") == [1, b"a"]
+        assert talk("BLMOVESEQ", "q:log", "q", "0.01") is None  # timeout: nil
+        assert talk("LLEN", "q") == 2
 
     def test_valid_numbers_still_parse(self, talk):
         assert talk("INCRBY", "c", "-5") == -5

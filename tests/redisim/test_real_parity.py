@@ -291,6 +291,66 @@ class TestRedisimExtensions:
 
         assert both(a, b, k("st"), settle) == (1, 0, 0)
 
+    def test_xack_decr_releases_a_window_once(self, transports):
+        a, b, k = transports
+
+        def settle(c, key):
+            c.xgroup_create(key, "g", mkstream=True)
+            c.xaddn(key, "m", 1, 2, 3, 4)
+            c.incrby(key + ":n", 10)
+            [(_name, entries)] = c.xreadgroup("g", "w0", {key: ">"})
+            (first, _), (second, _), (third, _), (fourth, _) = entries
+            early = c.xack_decr(key, "g", second, key + ":n", 2)
+            window = c.xack_decr(
+                key, "g", first, key + ":n", 1, second, 2, third, 3, fourth, 4,
+            )
+            again = c.xack_decr(key, "g", first, key + ":n", 1, third, 3)
+            return early, window, again, int(c.get(key + ":n"))
+
+        assert both(a, b, k("st"), settle) == (1, 3, 0, 0)
+
+    def test_a_consumer_replays_its_own_pel_in_pages(self, transports):
+        """A re-pinned instance reads its own pending entries from cursor
+        ``0``, a page at a time, and never another consumer's."""
+        a, b, k = transports
+
+        def replay(c, key):
+            c.xgroup_create(key, "g", mkstream=True)
+            c.xaddn(key, "m", *range(5))
+            mine = c.xreadgroup("g", "pe.0", {key: ">"}, count=3)
+            c.xreadgroup("g", "pe.1", {key: ">"}, count=2)
+            pages, cursor = [], "0"
+            while True:
+                [(_name, page)] = c.xreadgroup("g", "pe.0", {key: cursor}, count=2)
+                if not page:
+                    break
+                pages.append([fields["m"] for _id, fields in page])
+                cursor = page[-1][0]
+            return pages, [fields["m"] for _id, fields in mine[0][1]]
+
+        pages, read = both(a, b, k("pel"), replay)
+        assert pages == [[0, 1], [2]]
+        assert read == [0, 1, 2]
+
+    def test_snapshot_cursor_wider_than_64_bits(self, transports):
+        """A recoverable instance tags its snapshot with ``ms << 64 | seq``;
+        the stale-writer guard compares those cursors whole on the wire."""
+        a, b, k = transports
+        cursor = (1_700_000_000_000 << 64) | 3
+
+        def guard(c, key):
+            return [
+                c.snapshot(key, "pe-0", cursor, {"total": 5}),
+                c.snapshot(key, "pe-0", cursor - (1 << 64) + 99, "stale"),
+                c.restore(key, "pe-0"),
+                c.snapshot(key, "pe-0", cursor + 1, {"total": 6}),
+                c.restore(key, "pe-0"),
+            ]
+
+        assert both(a, b, k("cp"), guard) == [
+            True, False, (cursor, {"total": 5}), True, (cursor + 1, {"total": 6}),
+        ]
+
 
 class TestXaddn:
     """XADDN, one entry per value in one command: transports pair only.

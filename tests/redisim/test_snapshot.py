@@ -100,6 +100,23 @@ class TestBlmove:
         thread.join(timeout=2.0)
         assert results == [(1, "hello")]
 
+    def test_same_source_and_destination_rotates(self, client):
+        client.rpush_seq("q", "a", "b")
+        assert client.blmove_seq("q", "q", timeout=0.1) == (1, "a")
+        assert client.blmove_seq("q", "q", timeout=0.1) == (2, "b")
+        assert client.blmove_seq("q", "q", timeout=0.1) == (1, "a")
+
+    def test_moves_one_entry_per_command(self, server, client):
+        """The windowed ``COUNT`` form is gone: a call moves one pair."""
+        client.rpush_seq("src", "a", "b")
+        with pytest.raises(TypeError):
+            server.blmove("src", "dst", timeout=0.01, count=2)
+        with pytest.raises(TypeError):
+            client.blmove_seq("src", "dst", timeout=0.01, count=2)
+        assert server.llen("src") == 2 and server.exists("dst") == 0
+        assert client.blmove_seq("src", "dst", timeout=0.1) == (1, "a")
+        assert server.llen("src") == 1 and server.llen("dst") == 1
+
 
 class TestXackDecr:
     """XACK + conditional DECR as one atomic step (the reclaim-race guard)."""

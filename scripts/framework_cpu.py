@@ -24,8 +24,8 @@ never modified), time scale aside.
 around the layers' functions and prints where its CPU went: per-thread
 ``time.thread_time`` *exclusive* time (a wrapper's children are not its
 own), summed over threads, per layer -- PE invoke, each keyspace command,
-transaction, pickle, client, dispatch, worker loop, queues, counters --
-and per function, for this process only (a forked worker's tallies die
+transaction, pickle, client, dispatch, worker loop, queues, scaler, meter,
+counters -- and per function, for this process only (a forked worker's tallies die
 with it; its CPU is printed as one line).  A wrapper costs one to two
 microseconds per call; the script measures that cost first and takes it
 back out of every row, so the rows are estimates whose sum is the run's
@@ -253,6 +253,10 @@ MODULE_LAYERS = {
     "repro.mappings.dynamic": "worker loop",
     "repro.runtime.workers": "worker loop",
     "repro.runtime.queues": "queues",
+    "repro.autoscale.autoscaler": "scaler",
+    "repro.autoscale.strategies": "scaler",
+    "repro.autoscale.trace": "scaler",
+    "repro.runtime.accounting": "meter",
     "repro.core.concrete": "dispatch",
     "repro.core.groupings": "dispatch",
     "repro.runtime.cores": "compute (limiter, clock)",

@@ -20,6 +20,10 @@ Algorithm 1            This implementation
 ``process``            :meth:`process` (the central loop)
 =====================  ====================================================
 
+Hand-off: ``start`` puts a session on the pool's :class:`queue.SimpleQueue`,
+where a parked pool thread takes it in C; ``done`` runs on that thread as
+the completion callback, before the session's result settles.
+
 The unit of work submitted by ``process`` is a *worker session*: the session
 function drains tasks from the global queue until it finds the queue empty
 (or hits its chunk limit) and then returns, handing control back to the
@@ -81,6 +85,8 @@ class Autoscaler:
         self.pool = pool
         self.max_pool_size = pool.size
         self.strategy = strategy
+        # getattr: duck-typed strategies only need decide() + metric_name.
+        self._wants_active_size = getattr(strategy, "wants_active_size", False)
         self.monitor = monitor
         self.clock = clock if clock is not None else Clock()
         # Algorithm 1 line 6: half the pool starts active.
@@ -91,13 +97,22 @@ class Autoscaler:
         self._stopped = False
 
     # ------------------------------------------------------------- scaling
+    # A step that the clamp makes a no-op skips the condition: on a full
+    # backlog the scaler votes to grow at ``max_pool_size`` every iteration.
+    # One unlocked read of ``active_size`` is the step's linearization point.
     def shrink(self, size_to_shrink: int = 1) -> None:
         """Decrease ``active_size`` (clamped at :data:`MIN_ACTIVE`)."""
+        size = self.active_size
+        if max(MIN_ACTIVE, size - size_to_shrink) == size:
+            return
         with self._cond:
             self.active_size = max(MIN_ACTIVE, self.active_size - size_to_shrink)
 
     def grow(self, size_to_grow: int = 1) -> None:
         """Increase ``active_size`` (clamped at ``max_pool_size``)."""
+        size = self.active_size
+        if min(self.max_pool_size, size + size_to_grow) == size:
+            return
         with self._cond:
             self.active_size = min(self.max_pool_size, self.active_size + size_to_grow)
             self._cond.notify_all()
@@ -105,8 +120,7 @@ class Autoscaler:
     def auto_scale(self) -> int:
         """One monitoring step: observe, decide, apply ±1; returns decision."""
         observation = float(self.monitor())
-        # getattr: duck-typed strategies only need decide() + metric_name.
-        if getattr(self.strategy, "wants_active_size", False):
+        if self._wants_active_size:
             decision = self.strategy.decide(observation, self.active_size)
         else:
             decision = self.strategy.decide(observation)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """One auto-scaler iteration."""
+class TracePoint(NamedTuple):
+    """One auto-scaler iteration (a named tuple: immutable, and cheap to
+    build once per scaler step)."""
 
     iteration: int
     timestamp: float
@@ -73,15 +73,8 @@ class ScalingTrace:
         self, timestamp: float, active_size: int, metric: float, decision: int
     ) -> None:
         with self._lock:
-            self._points.append(
-                TracePoint(
-                    iteration=len(self._points),
-                    timestamp=timestamp,
-                    active_size=active_size,
-                    metric=metric,
-                    decision=decision,
-                )
-            )
+            points = self._points
+            points.append(TracePoint(len(points), timestamp, active_size, metric, decision))
 
     @property
     def points(self) -> List[TracePoint]:

@@ -800,9 +800,11 @@ def run_workers(
 
     Warm, the calls go to the deployment's pool (``state.pool``); cold,
     each gets a daemon thread called ``name``.  (Not an ephemeral
-    :class:`WorkerPool`: its dispatch hand-off is paid while the first
-    workers already run, and at 64 workers that cost ``dyn_multi`` ~28%
-    process time on fig10's 10X workload.)  A worker still running after
+    :class:`WorkerPool`, which buys nothing here: on fig10's 10X workload
+    at 64 workers, ``dyn_multi``'s process time through one read 0.94x
+    the threads' -- median of 15 alternating rounds, each round's ratio
+    anywhere in 0.5-2.1 -- where the pool's earlier condition-based
+    dispatch cost ~28%.)  A worker still running after
     :data:`JOIN_TIMEOUT` is recorded as a :class:`TimeoutError` and the
     join stops waiting.
     """

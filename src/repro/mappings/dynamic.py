@@ -49,10 +49,10 @@ from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.runtime.queues import (
     POISON_PILL,
-    Empty,
+    TIMED_OUT,
+    Batch,
     TrackedQueue,
     as_envelope,
-    batch_items,
     chunked,
 )
 from repro.runtime.workers import WorkerPool
@@ -102,8 +102,9 @@ class Workforce:
         Keyed by worker, not by session: an auto-scaled pool thread keeps
         its copy (and the PEs' ``preprocess`` state) across sessions.
         """
-        with self._copies_lock:
-            copies = self._copies.get(worker_key)
+        # Read without the lock: a key is only ever written by its own
+        # worker, and a dict lookup is atomic.
+        copies = self._copies.get(worker_key)
         if copies is None:
             copies = graph_copy(self.state.graph.pes, self.state.ctx)
             with self._copies_lock:
@@ -184,14 +185,13 @@ class DynamicWorkforce(Workforce):
     # ------------------------------------------------------------- workers
     def process_task(
         self, copies: Dict[str, GenericPE], task: Task, tally: Dict[str, int]
-    ) -> None:
-        """Execute one task, then enqueue its children and settle it.
+    ) -> List[Any]:
+        """Execute one task; returns its children for the caller to settle.
 
-        Enqueue and settle are one queue operation, in a ``finally``: a
-        failing task still settles (with whatever children it got as far
-        as producing), so the drain proof stays exact.  ``tasks`` /
+        A task that raises settles here, with whatever children it got as
+        far as producing, so the drain proof stays exact.  ``tasks`` /
         ``queue_puts`` go to the caller's ``tally`` -- see
-        :meth:`process_item`.
+        :meth:`process_batch`.
         """
         pe_name, port, payload = task
         inputs = payload if port is None else {port: payload}
@@ -212,35 +212,43 @@ class DynamicWorkforce(Workforce):
             if self.state.platform.queue_latency > 0:
                 for _ in children:
                     self.state.ctx.io_wait(self.state.platform.queue_latency)
-        finally:
+        except BaseException:
             tally["queue_puts"] += len(children)
             self.queue.settle(children)
+            raise
+        tally["queue_puts"] += len(children)
+        return children
 
-    def process_item(
-        self, copies: Dict[str, GenericPE], item: Any, tally: Dict[str, int]
-    ) -> int:
-        """Run every task carried by one queue item; returns the count.
+    def process_batch(
+        self, copies: Dict[str, GenericPE], batch: Batch, tally: Dict[str, int]
+    ) -> Optional[List[Any]]:
+        """Run every task an envelope carries; returns the children of its
+        last task, which the caller settles (with its next take, see
+        :meth:`~repro.runtime.queues.TrackedQueue.settle_and_get`), or
+        ``None`` for an empty envelope, which owes nothing.
 
         Batch-aware consumption: the envelope is iterated without
         re-entering the queue machinery per tuple, and each tuple is
-        settled individually (inside :meth:`process_task`) so the
-        outstanding count is exact even if a mid-envelope task fails --
-        the tail the failure abandons is settled unrun, or an auto-scaled
-        run (whose sessions survive a failing task) would never drain.
-        ``tally`` (:meth:`new_tally`) collects the counters a task bumps;
-        the caller flushes it with ``counters.merge`` in a ``finally``, so
-        the shared counters lock is taken per flush, not twice per task.
+        settled individually so the outstanding count is exact even if a
+        mid-envelope task fails -- the tail the failure abandons is settled
+        unrun, or an auto-scaled run (whose sessions survive a failing
+        task) would never drain.  ``tally`` (:meth:`new_tally`) collects
+        the counters a task bumps; the caller flushes it with
+        ``counters.merge`` in a ``finally``, so the shared counters lock is
+        taken per flush, not twice per task.
         """
-        tasks = batch_items(item)
-        started = 0
+        tasks = batch.items
+        if not tasks:
+            return None
+        started = 1
         try:
-            for task in tasks:
+            for task in tasks[:-1]:
+                self.queue.settle(self.process_task(copies, task, tally))
                 started += 1
-                self.process_task(copies, task, tally)
+            return self.process_task(copies, tasks[-1], tally)
         finally:
             if started < len(tasks):
                 self.queue.settle(count=len(tasks) - started)
-        return len(tasks)
 
     @staticmethod
     def new_tally() -> Dict[str, int]:
@@ -279,25 +287,35 @@ class DynamicWorkforce(Workforce):
         """Dedicated-worker loop: run until termination."""
         copies = self.graph_copy(worker_key)
         timeout = self.state.clock.to_real(self.policy.poll_interval)
+        take = self.queue.settle_and_get
         empty_streak = 0
-        while True:
-            try:
-                task = self.queue.get(timeout=timeout)
-            except Empty:
-                empty_streak += 1
-                self.state.counters.inc("empty_polls")
-                if empty_streak >= self.policy.empty_retries and self.is_terminated():
-                    self.broadcast_pills(total_workers)
+        #: The last task's children, settled by the next take.
+        children: Optional[List[Any]] = None
+        try:
+            while True:
+                item = take(children, timeout)
+                children = None
+                if item is TIMED_OUT:
+                    empty_streak += 1
+                    self.state.counters.inc("empty_polls")
+                    if empty_streak >= self.policy.empty_retries and self.is_terminated():
+                        self.broadcast_pills(total_workers)
+                        return
+                    continue
+                if item is POISON_PILL:
                     return
-                continue
-            if task is POISON_PILL:
-                return
-            empty_streak = 0
-            tally = self.new_tally()
-            try:
-                self.process_item(copies, task, tally)
-            finally:
-                self.state.counters.merge(tally)
+                empty_streak = 0
+                tally = self.new_tally()
+                try:
+                    if isinstance(item, Batch):
+                        children = self.process_batch(copies, item, tally)
+                    else:
+                        children = self.process_task(copies, item, tally)
+                finally:
+                    self.state.counters.merge(tally)
+        finally:
+            if children is not None:
+                self.queue.settle(children)
 
     def drain_session(self, worker_key: str, chunk: int) -> int:
         """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
@@ -309,18 +327,25 @@ class DynamicWorkforce(Workforce):
         """
         copies = self.graph_copy(worker_key)
         timeout = self.state.clock.to_real(self.policy.poll_interval)
+        take = self.queue.settle_and_get
         processed = 0
         tally = self.new_tally()
+        children: Optional[List[Any]] = None
         try:
             while processed < chunk:
-                try:
-                    task = self.queue.get(timeout=timeout)
-                except Empty:
+                item = take(children, timeout)
+                children = None
+                if item is TIMED_OUT or item is POISON_PILL:
                     break
-                if task is POISON_PILL:
-                    break
-                processed += self.process_item(copies, task, tally)
+                if isinstance(item, Batch):
+                    children = self.process_batch(copies, item, tally)
+                    processed += len(item.items)
+                else:
+                    children = self.process_task(copies, item, tally)
+                    processed += 1
         finally:
+            if children is not None:
+                self.queue.settle(children)
             self.state.counters.merge(tally)
         return processed
 
@@ -393,12 +418,14 @@ def run_autoscaled(state: EnactmentState, workforce: Workforce) -> ScalingTrace:
         # of that process.  Process time accumulates only here --
         # dispatched-but-idle time is the paper's standby state.
         worker_id = threading.current_thread().name
-        with state.meter.active(worker_id):
-            try:
-                return workforce.drain_session(worker_id, SESSION_CHUNK)
-            except BaseException as exc:  # noqa: BLE001 - worker boundary
-                state.record_error(exc)
-                return 0
+        state.meter.activate(worker_id)
+        try:
+            return workforce.drain_session(worker_id, SESSION_CHUNK)
+        except BaseException as exc:  # noqa: BLE001 - worker boundary
+            state.record_error(exc)
+            return 0
+        finally:
+            state.meter.deactivate(worker_id)
 
     with _input_stage(state, workforce):
         pool = state.pool

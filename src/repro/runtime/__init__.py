@@ -11,8 +11,9 @@ This package provides the low-level machinery every mapping is built on:
 - :mod:`repro.runtime.queues` -- closeable/tracked queues with poison-pill
   support and in-flight task accounting used by the termination strategies.
 - :mod:`repro.runtime.workers` -- a ``multiprocessing.Pool``-style thread pool
-  (``apply_async`` + completion callbacks) used by the auto-scaler, plus
-  dedicated-worker helpers used by the static mappings.
+  (``apply_async`` + completion callbacks) used by the auto-scaler and by
+  warm deployments.  The dedicated-worker helper is
+  :func:`repro.mappings.base.run_workers`.
 - :mod:`repro.runtime.accounting` -- per-worker activity meters implementing
   the paper's *total process time* metric (sum of active process durations).
 

@@ -8,7 +8,8 @@ Two queue flavours are provided:
 - :class:`TrackedQueue` -- a global task queue with *outstanding-work*
   accounting.  A task is outstanding from the moment it is put until the
   worker that consumed it calls :meth:`TrackedQueue.settle` (which
-  enqueues its child tasks in the same critical section).
+  enqueues its child tasks in the same critical section), or settles it
+  with the take of its next item (:meth:`TrackedQueue.settle_and_get`).
   ``outstanding == 0`` therefore proves no further work can ever appear,
   which is the safe termination condition the paper's retry + poison-pill
   strategy (Section 3.2.3) approximates.
@@ -62,6 +63,19 @@ class _PoisonPill:
 
 #: Module-level singleton; identity-compared by workers.
 POISON_PILL = _PoisonPill()
+
+
+class _TimedOut:
+    """What :meth:`TrackedQueue.settle_and_get` returns when nothing came."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<TIMED_OUT>"
+
+
+#: Module-level singleton; identity-compared by workers.
+TIMED_OUT = _TimedOut()
 
 
 class Empty(Exception):
@@ -254,8 +268,9 @@ class TrackedQueue:
     race; the retry/poison-pill strategy is layered on top of it in
     :mod:`repro.mappings.termination`.
 
-    One ``deque`` and every counter live under one lock, so a task costs
-    its worker two lock takes: the ``get`` and the ``settle``.
+    One ``deque`` and every counter live under one lock.  A worker that
+    settles each task in the same call that takes its next item
+    (:meth:`settle_and_get`) pays one lock take per task.
     """
 
     def __init__(self) -> None:
@@ -293,7 +308,7 @@ class TrackedQueue:
         """Append work items and account their tuples (lock held)."""
         count = 0
         for item in items:
-            count += batch_len(item)
+            count += len(item.items) if isinstance(item, Batch) else 1
         self._items.extend(items)
         self._outstanding += count
         self._pending_tasks += count
@@ -303,17 +318,9 @@ class TrackedQueue:
     # -- consumer side -----------------------------------------------------
     def get(self, timeout: Optional[float] = None) -> Any:
         """Blocking get; raises :class:`Empty` once ``timeout`` elapsed."""
-        with self._lock:
-            if not self._items:
-                self._waiting += 1
-                try:
-                    if not self._not_empty.wait_for(self._items.__len__, timeout):
-                        raise Empty()
-                finally:
-                    self._waiting -= 1
-            item = self._items.popleft()
-            if item is not POISON_PILL:
-                self._pending_tasks -= batch_len(item)
+        item = self.settle_and_get(None, timeout)
+        if item is TIMED_OUT:
+            raise Empty()
         return item
 
     def settle(self, children: Sequence[Any] = (), count: int = 1) -> None:
@@ -338,6 +345,38 @@ class TrackedQueue:
                 # never see the parent gone and the children not yet there.
                 self._enqueue(children)
             self._outstanding -= count
+
+    def settle_and_get(
+        self, children: Optional[Sequence[Any]], timeout: Optional[float] = None
+    ) -> Any:
+        """:meth:`settle` one task with ``children``, then :meth:`get`, in one
+        critical section; returns :data:`TIMED_OUT` once ``timeout`` elapsed.
+
+        A worker's loop settles its previous task and takes its next item
+        with this one lock take.  ``children=None`` settles nothing (the
+        loop's first take).  The settle is done before the wait, so a
+        worker parked here owes the queue nothing.
+        """
+        with self._lock:
+            if children is not None:
+                # :meth:`settle` of one task, children first.
+                if not self._outstanding:
+                    raise RuntimeError("more tasks settled than were got")
+                if children:
+                    self._enqueue(children)
+                self._outstanding -= 1
+            items = self._items
+            if not items:
+                self._waiting += 1
+                try:
+                    if not self._not_empty.wait_for(items.__len__, timeout):
+                        return TIMED_OUT
+                finally:
+                    self._waiting -= 1
+            item = items.popleft()
+            if item is not POISON_PILL:
+                self._pending_tasks -= len(item.items) if isinstance(item, Batch) else 1
+            return item
 
     def mark_done(self, count: int = 1) -> None:
         """:meth:`settle` for ``count`` tasks whose children, if any, were

@@ -10,46 +10,75 @@ completion callback.  The auto-scaler's ``start``/``done`` bookkeeping (the
 The pool is also used directly by the dynamic mappings without an
 auto-scaler, in which case one long-running worker session is submitted per
 process.
+
+The hand-off is paid once per auto-scaled session, so it is kept to C
+primitives: the dispatch queue is a :class:`queue.SimpleQueue` (its ``get``
+parks in C, no Python-level condition), and an :class:`AsyncResult` waits
+on one bare lock rather than a :class:`threading.Event`.
 """
 
 from __future__ import annotations
 
+import _thread
+import queue
 import threading
 import traceback
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 
 class AsyncResult:
-    """Handle for a submitted call, mirroring ``multiprocessing.pool.AsyncResult``."""
+    """Handle for a submitted call, mirroring ``multiprocessing.pool.AsyncResult``.
+
+    ``_done`` is held from construction until the result is settled; a
+    waiter acquires it and at once releases it again, so every waiter
+    passes in turn.  ``_ready`` is set before the release and never
+    cleared: a waiter briefly holding the lock does not make a settled
+    result look unsettled.
+    """
+
+    __slots__ = ("_done", "_ready", "_value", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._done = _thread.allocate_lock()
+        self._done.acquire()
+        self._ready = False
         self._value: Any = None
         self._error: Optional[BaseException] = None
 
     def _resolve(self, value: Any) -> None:
         self._value = value
-        self._event.set()
+        self._ready = True
+        self._done.release()
 
     def _reject(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._ready = True
+        self._done.release()
 
     def ready(self) -> bool:
-        return self._event.is_set()
+        return self._ready
 
     def successful(self) -> bool:
-        if not self._event.is_set():
+        if not self._ready:
             raise ValueError("result is not ready")
         return self._error is None
 
     def wait(self, timeout: Optional[float] = None) -> None:
-        self._event.wait(timeout=timeout)
+        if self._ready:
+            return
+        if timeout is None:
+            passed = self._done.acquire()
+        elif timeout > 0:
+            passed = self._done.acquire(True, timeout)
+        else:
+            passed = self._done.acquire(False)
+        if passed:
+            self._done.release()
 
     def get(self, timeout: Optional[float] = None) -> Any:
         """Block for the result; re-raises the worker's exception if any."""
-        if not self._event.wait(timeout=timeout):
+        self.wait(timeout)
+        if not self._ready:
             raise TimeoutError("AsyncResult.get timed out")
         if self._error is not None:
             raise self._error
@@ -79,8 +108,10 @@ class WorkerPool:
             raise ValueError(f"pool size must be >= 1, got {size!r}")
         self.size = size
         self.name = name
-        self._dispatch: "Deque[Tuple[Callable[..., Any], tuple, Optional[Callable[[Any], None]], AsyncResult]]" = deque()
-        self._dispatch_lock = threading.Condition()
+        self._dispatch: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        #: Makes "not closed, so enqueue" one step against ``close``: no
+        #: submission can land behind the stop sentinels.
+        self._submit_lock = threading.Lock()
         self._closed = False
         self._threads: List[threading.Thread] = []
         self._errors: List[BaseException] = []
@@ -111,21 +142,26 @@ class WorkerPool:
         leak on worker errors.
         """
         result = AsyncResult()
-        with self._dispatch_lock:
+        with self._submit_lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed pool")
-            self._dispatch.append((func, args, callback, result))
-            self._dispatch_lock.notify()
+            self._dispatch.put((func, args, callback, result))
         return result
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Stop accepting work and shut pool threads down after the backlog."""
-        with self._dispatch_lock:
+        """Stop accepting work and shut pool threads down after the backlog.
+
+        One stop sentinel per thread goes in behind everything already
+        submitted; a thread exits on the first sentinel it takes, so the
+        backlog runs to the end first.
+        """
+        with self._submit_lock:
             if self._closed:
                 return
             self._closed = True
-            self._dispatch_lock.notify_all()
+            for _ in range(self.size):
+                self._dispatch.put(_STOP)
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Wait for pool threads to exit (``close`` must be called first)."""
@@ -143,16 +179,12 @@ class WorkerPool:
 
     # -- internals ----------------------------------------------------------
     def _worker_loop(self) -> None:
+        take = self._dispatch.get
         while True:
-            with self._dispatch_lock:
-                while not self._dispatch and not self._closed:
-                    self._dispatch_lock.wait()
-                if self._dispatch:
-                    func, args, callback, result = self._dispatch.popleft()
-                elif self._closed:
-                    return
-                else:  # pragma: no cover - spurious wakeup
-                    continue
+            job = take()
+            if job is _STOP:
+                return
+            func, args, callback, result = job
             try:
                 value = func(*args)
             except BaseException as exc:  # noqa: BLE001 - worker boundary

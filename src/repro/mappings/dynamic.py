@@ -191,7 +191,7 @@ class DynamicWorkforce(Workforce):
         A task that raises settles here, with whatever children it got as
         far as producing, so the drain proof stays exact.  ``tasks`` /
         ``queue_puts`` go to the caller's ``tally`` -- see
-        :meth:`process_batch`.
+        :meth:`process_item`.
         """
         pe_name, port, payload = task
         inputs = payload if port is None else {port: payload}
@@ -219,33 +219,36 @@ class DynamicWorkforce(Workforce):
         tally["queue_puts"] += len(children)
         return children
 
-    def process_batch(
-        self, copies: Dict[str, GenericPE], batch: Batch, tally: Dict[str, int]
-    ) -> Optional[List[Any]]:
-        """Run every task an envelope carries; returns the children of its
-        last task, which the caller settles (with its next take, see
-        :meth:`~repro.runtime.queues.TrackedQueue.settle_and_get`), or
-        ``None`` for an empty envelope, which owes nothing.
+    def process_item(
+        self, copies: Dict[str, GenericPE], item: Any, tally: Dict[str, int]
+    ) -> Tuple[Optional[List[Any]], int]:
+        """Run every task one queue item carries; returns the children of
+        its last task and the task count.
 
-        Batch-aware consumption: the envelope is iterated without
-        re-entering the queue machinery per tuple, and each tuple is
-        settled individually so the outstanding count is exact even if a
-        mid-envelope task fails -- the tail the failure abandons is settled
-        unrun, or an auto-scaled run (whose sessions survive a failing
-        task) would never drain.  ``tally`` (:meth:`new_tally`) collects
-        the counters a task bumps; the caller flushes it with
-        ``counters.merge`` in a ``finally``, so the shared counters lock is
-        taken per flush, not twice per task.
+        The caller settles those children with its next take (see
+        :meth:`~repro.runtime.queues.TrackedQueue.settle_and_get`); ``None``
+        (an empty envelope) owes nothing.  Batch-aware consumption: the
+        envelope is iterated without re-entering the queue machinery per
+        tuple, and every tuple but the last is settled as soon as it ran,
+        so the outstanding count is exact even if a mid-envelope task fails
+        -- the tail the failure abandons is settled unrun, or an
+        auto-scaled run (whose sessions survive a failing task) would never
+        drain.  ``tally`` (:meth:`new_tally`) collects the counters a task
+        bumps; the caller flushes it with ``counters.merge`` in a
+        ``finally``, so the shared counters lock is taken per flush, not
+        twice per task.
         """
-        tasks = batch.items
+        if not isinstance(item, Batch):
+            return self.process_task(copies, item, tally), 1
+        tasks = item.items
         if not tasks:
-            return None
+            return None, 0
         started = 1
         try:
             for task in tasks[:-1]:
                 self.queue.settle(self.process_task(copies, task, tally))
                 started += 1
-            return self.process_task(copies, tasks[-1], tally)
+            return self.process_task(copies, tasks[-1], tally), len(tasks)
         finally:
             if started < len(tasks):
                 self.queue.settle(count=len(tasks) - started)
@@ -307,10 +310,7 @@ class DynamicWorkforce(Workforce):
                 empty_streak = 0
                 tally = self.new_tally()
                 try:
-                    if isinstance(item, Batch):
-                        children = self.process_batch(copies, item, tally)
-                    else:
-                        children = self.process_task(copies, item, tally)
+                    children, _ = self.process_item(copies, item, tally)
                 finally:
                     self.state.counters.merge(tally)
         finally:
@@ -337,12 +337,8 @@ class DynamicWorkforce(Workforce):
                 children = None
                 if item is TIMED_OUT or item is POISON_PILL:
                     break
-                if isinstance(item, Batch):
-                    children = self.process_batch(copies, item, tally)
-                    processed += len(item.items)
-                else:
-                    children = self.process_task(copies, item, tally)
-                    processed += 1
+                children, count = self.process_item(copies, item, tally)
+                processed += count
         finally:
             if children is not None:
                 self.queue.settle(children)

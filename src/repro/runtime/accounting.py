@@ -15,14 +15,15 @@ quantify.
 
 :class:`ActivityMeter` records active intervals per worker.  Mappings bracket
 each worker's active phases with :meth:`ActivityMeter.activate` /
-:meth:`ActivityMeter.deactivate` and read the aggregate at the end of
-the run.
+:meth:`ActivityMeter.deactivate` (or the :meth:`ActivityMeter.active`
+context manager) and read the aggregate at the end of the run.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict
+from contextlib import contextmanager
+from typing import Dict, Iterator
 
 from repro.runtime.clock import Clock
 
@@ -51,6 +52,15 @@ class ActivityMeter:
                 self._accumulated[worker_id] = (
                     self._accumulated.get(worker_id, 0.0) + now - started
                 )
+
+    @contextmanager
+    def active(self, worker_id: str) -> Iterator[None]:
+        """Context manager bracketing one active phase of a worker."""
+        self.activate(worker_id)
+        try:
+            yield
+        finally:
+            self.deactivate(worker_id)
 
     def close(self) -> None:
         """Fold any still-open intervals (call once at end of run)."""

@@ -308,7 +308,7 @@ class TrackedQueue:
         """Append work items and account their tuples (lock held)."""
         count = 0
         for item in items:
-            count += len(item.items) if isinstance(item, Batch) else 1
+            count += batch_len(item)
         self._items.extend(items)
         self._outstanding += count
         self._pending_tasks += count
@@ -338,13 +338,17 @@ class TrackedQueue:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         with self._lock:
-            if self._outstanding < count:
-                raise RuntimeError("more tasks settled than were got")
-            if children:
-                # Children first: unlocked ``outstanding`` readers must
-                # never see the parent gone and the children not yet there.
-                self._enqueue(children)
-            self._outstanding -= count
+            self._settle(children, count)
+
+    def _settle(self, children: Sequence[Any], count: int) -> None:
+        """The body of :meth:`settle` (lock held)."""
+        if self._outstanding < count:
+            raise RuntimeError("more tasks settled than were got")
+        if children:
+            # Children first: unlocked ``outstanding`` readers must
+            # never see the parent gone and the children not yet there.
+            self._enqueue(children)
+        self._outstanding -= count
 
     def settle_and_get(
         self, children: Optional[Sequence[Any]], timeout: Optional[float] = None
@@ -359,12 +363,7 @@ class TrackedQueue:
         """
         with self._lock:
             if children is not None:
-                # :meth:`settle` of one task, children first.
-                if not self._outstanding:
-                    raise RuntimeError("more tasks settled than were got")
-                if children:
-                    self._enqueue(children)
-                self._outstanding -= 1
+                self._settle(children, 1)
             items = self._items
             if not items:
                 self._waiting += 1
@@ -375,7 +374,7 @@ class TrackedQueue:
                     self._waiting -= 1
             item = items.popleft()
             if item is not POISON_PILL:
-                self._pending_tasks -= len(item.items) if isinstance(item, Batch) else 1
+                self._pending_tasks -= batch_len(item)
             return item
 
     def mark_done(self, count: int = 1) -> None:

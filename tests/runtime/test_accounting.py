@@ -68,6 +68,13 @@ class TestActivityMeter:
         time.sleep(0.02)
         assert meter.total() == total
 
+    def test_context_manager(self):
+        meter = ActivityMeter(Clock())
+        with meter.active("w"):
+            time.sleep(0.01)
+        assert meter.total() >= 0.005
+        assert meter.active_workers == 0
+
     def test_active_workers_count(self):
         meter = ActivityMeter(Clock())
         meter.activate("a")

@@ -27,9 +27,10 @@ own), summed over threads, per layer -- PE invoke, each keyspace command,
 transaction, pickle, client, dispatch, worker loop, queues, scaler, meter,
 counters -- and per function, for this process only (a forked worker's tallies die
 with it; its CPU is printed as one line).  A wrapper costs one to two
-microseconds per call; the script measures that cost first and takes it
-back out of every row, so the rows are estimates whose sum is the run's
-CPU net of the wrappers.  A
+microseconds per call, and that cost moves by tens of percent between
+invocations; the script measures it right before and right after each
+attributed run, prints both and takes their median back out of every row,
+so the rows are estimates whose sum is the run's CPU net of the wrappers.  A
 profiler (cProfile) is not used: its per-call hook inflates the call-heavy
 helpers several-fold on these workloads.
 
@@ -123,8 +124,8 @@ class Attribution:
 
     A row is ``[calls, exclusive CPU s, calls of wrapped children]``.  The
     wrapper's own cost lands partly inside a call's clock window and partly
-    in its caller's; :meth:`calibrate` measures both shares so
-    :meth:`rows` can take them back out.
+    in its caller's; :meth:`calibrate` measures both shares, and
+    :meth:`rows` takes back out the ``inside`` / ``outside`` it is set to.
     """
 
     def __init__(self) -> None:
@@ -208,8 +209,8 @@ class Attribution:
             for tally in self._tallies:
                 tally.clear()
 
-    def calibrate(self, calls: int = 200_000) -> None:
-        """Measure the wrapper's CPU per call, inside and outside its window."""
+    def calibrate(self, calls: int = 200_000) -> Tuple[float, float]:
+        """The wrapper's CPU per call, ``(inside, outside)`` its window."""
 
         def noop() -> None:
             pass
@@ -224,8 +225,8 @@ class Attribution:
         inner = self.wrap(noop, "", "inner")
         self.wrap(loop, "", "outer")(inner)
         tally = self._tally()
-        self.inside = tally.pop(("", "inner"))[1] / calls
-        self.outside = max(0.0, (tally.pop(("", "outer"))[1] - bare) / calls)
+        inside = tally.pop(("", "inner"))[1] / calls
+        return inside, max(0.0, (tally.pop(("", "outer"))[1] - bare) / calls)
 
     def rows(self) -> Dict[Tuple[str, str], List[float]]:
         """``[calls, exclusive CPU s]`` per ``(layer, label)``, less the wrappers."""
@@ -333,9 +334,14 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
     make_graph, inputs = spec.make(spec.quick_size if quick else spec.size, seed)
     engine = _engine(spec.engine)
     run_cpu(make_graph, inputs, engine)
+    before = attribution.calibrate()
     attribution.reset()
     total, workers = run_cpu(make_graph, inputs, engine)
+    after = attribution.calibrate()
     engine.close()
+    attribution.inside, attribution.outside = (
+        statistics.median(pair) for pair in zip(before, after)
+    )
     rows = attribution.rows()
     layers: Dict[str, List[float]] = {}
     for (layer, _label), (calls, spent) in rows.items():
@@ -349,6 +355,11 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
     total -= wrappers
     per_input = 1e6 / len(inputs)
     print(f"\n{name} ({spec.engine['mapping']}, {len(inputs)} inputs): attributed run")
+    print(
+        "wrapper cost per call (inside + outside, us): "
+        f"{before[0] * 1e6:.2f} + {before[1] * 1e6:.2f} before the run, "
+        f"{after[0] * 1e6:.2f} + {after[1] * 1e6:.2f} after; netted at their median"
+    )
     print(
         f"process CPU {total:.3f} s net of {wrappers:.3f} s of wrappers "
         f"({wrapped_calls} calls at {attribution.inside * 1e6:.2f} + "
@@ -391,7 +402,6 @@ def main(argv: List[str] | None = None) -> int:
         )
     if args.attribute:
         attribution = Attribution()
-        attribution.calibrate()
         instrument(attribution)
         try:
             for name in names:

@@ -383,11 +383,10 @@ def _cmd_serve_redis(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    from repro.mappings.cluster import run_worker
+    from repro.mappings.cluster import join
 
     print(f"joining {args.address} namespace={args.namespace} index={args.index}")
-    run_worker(args.address, args.namespace, args.index)
-    return 0
+    return 0 if join(args.address, args.namespace, args.index) == 0 else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

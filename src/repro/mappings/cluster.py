@@ -33,12 +33,12 @@ How a run is assembled:
   -- every worker push precedes it in list order, so nothing waits out a
   blocking-pop timeout.  Counters accumulate locally and flush once at
   exit.
-- **Recovery** is inherited wholesale: a worker SIGKILLed mid-run leaves
-  its fetched-but-unacked entries in the group PEL, and starved survivors
-  adopt them via ``XAUTOCLAIM`` exactly as in-process workers do -- now
-  across a real socket and a real process boundary.  The ``crash_workers``
-  / ``crash_after`` options inject that failure deterministically for
-  tests.
+- **Recovery**: a worker SIGKILLed mid-run leaves its fetched-but-unacked
+  entries in the group PEL; the coordinator, waiting on every worker's
+  process sentinel at once, names it dead while its peers still run
+  (:func:`name_dead`), and the peer handed the death marker adopts them.
+  ``repro join`` names its own worker the same way (:func:`join`).  The
+  ``crash_workers`` / ``crash_after`` options inject that failure.
 
 Because workers can start from a bare interpreter (``spawn``) or join from
 another machine entirely (``repro join ADDRESS NAMESPACE``), everything a
@@ -68,7 +68,7 @@ from repro.mappings.base import (
     graph_copy,
     resolve_batch_size,
 )
-from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
+from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.net.client import SocketRedisClient
@@ -89,6 +89,19 @@ PUMP_DRAIN = 512
 
 #: Stop sentinel of the results list (a relayed result is always a triple).
 _PUMP_STOP = None
+
+
+def worker_name(index: int, pid: int) -> str:
+    """Worker ``index``'s consumer name; the pid keeps a dead name unreused."""
+    return f"cluster-{index}-{pid}"
+
+
+def name_dead(board: RedisTaskBoard, index: int, proc: Any) -> bool:
+    """Name the ended worker process ``proc`` dead unless it exited cleanly."""
+    if proc.exitcode == 0:
+        return False
+    board.put_dead(worker_name(index, proc.pid))
+    return True
 
 
 def _dumps(value: Any) -> bytes:
@@ -187,14 +200,13 @@ class _ClusterWorker:
         self.worker = StreamWorker(
             self.board,
             client,
-            f"cluster-{index}",
+            worker_name(index, os.getpid()),
             copies,
             ConcreteWorkflow.single_instance(graph),
             self.relay,
             self._inc,
             policy=spec["policy"],
             clock=clock,
-            reclaim_idle_ms=spec["reclaim_idle_ms"],
             batch_size=spec["batch_size"],
             publish=self._publish,
             after_fetch=self._maybe_crash,
@@ -222,10 +234,10 @@ class _ClusterWorker:
         """Deterministic failure injection for the recovery tests.
 
         Dies *after* fetching (entries are in this consumer's PEL) but
-        *before* processing or acking -- the exact window XAUTOCLAIM
-        recovery exists for.  SIGKILL, not an exception: nothing may run
+        *before* processing or acking -- the exact window a named death's
+        adoption exists for.  SIGKILL, not an exception: nothing may run
         cleanup, or the entries would be handed back gracefully and the
-        adoption path would go untested.
+        adoption path would go untested.  Pills and death markers do not count.
         """
         self._fetched_entries += new_entries
         if self.crash_after is not None and self._fetched_entries > self.crash_after:
@@ -277,6 +289,28 @@ def run_worker(address: str, namespace: str, index: int) -> None:
             client.close()
         raise
     client.close()
+
+
+def join(address: str, namespace: str, index: int) -> int:
+    """``repro join``: :func:`run_worker` in a child process, named if it dies.
+
+    Returns the child's exit code.
+    """
+    proc = multiprocessing.get_context("spawn").Process(
+        target=run_worker, args=(address, namespace, index), name=f"cluster-{index}"
+    )
+    proc.start()
+    try:
+        proc.join()
+    except KeyboardInterrupt:  # Ctrl-C reaches the child too: it ends, then is named
+        proc.join()
+    if proc.exitcode:
+        client = SocketRedisClient(address=address)
+        try:
+            name_dead(RedisTaskBoard(client, namespace=namespace), index, proc)
+        finally:
+            client.close()
+    return proc.exitcode
 
 
 @register_mapping(
@@ -339,7 +373,6 @@ class ClusterRedisMapping(Mapping):
             "seed": state.ctx.seed,
             "policy": policy,
             "batch_size": batch_size,
-            "reclaim_idle_ms": reclaim_threshold_ms(state.clock),
             "total_workers": state.processes,
             "crash_after": options.get("crash_after"),
             "crash_workers": tuple(crash_workers),
@@ -385,25 +418,38 @@ class ClusterRedisMapping(Mapping):
         try:
             for proc in workers:
                 proc.start()
+            # Reaped as they end, so a death is named while its adopters run.
+            # (Imported here: every run imports this module, only this waits.)
+            from multiprocessing.connection import wait
+
+            running = {proc.sentinel: index for index, proc in enumerate(workers)}
             deadline = time.monotonic() + JOIN_TIMEOUT
-            for index, proc in enumerate(workers):
-                proc.join(timeout=max(0.1, deadline - time.monotonic()))
-                if proc.is_alive():
-                    state.record_error(
-                        TimeoutError(
-                            f"worker {proc.name} did not finish in {JOIN_TIMEOUT}s"
+            while running:
+                ended = wait(list(running), timeout=max(0.0, deadline - time.monotonic()))
+                if not ended:
+                    break
+                for sentinel in ended:
+                    index = running.pop(sentinel)
+                    proc = workers[index]
+                    proc.join()  # sets ``exitcode``
+                    if not name_dead(board, index, proc):
+                        continue
+                    if proc.exitcode == -signal.SIGKILL and index in crash_workers:
+                        # The injected crash: expected, the adoption covers it.
+                        state.counters.inc("crashed_workers")
+                    else:
+                        exit_errors[index] = RuntimeError(
+                            f"worker {proc.name} exited with code {proc.exitcode}"
                         )
-                    )
+            for index in running.values():
+                state.record_error(
+                    TimeoutError(f"worker cluster-{index} did not finish in {JOIN_TIMEOUT}s")
+                )
+        finally:
+            for proc in workers:
+                if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5.0)
-                elif proc.exitcode == -signal.SIGKILL and index in crash_workers:
-                    # The injected crash: expected, recovery covers it.
-                    state.counters.inc("crashed_workers")
-                elif proc.exitcode != 0:
-                    exit_errors[index] = RuntimeError(
-                        f"worker {proc.name} exited with code {proc.exitcode}"
-                    )
-        finally:
             for index in range(len(workers)):
                 state.meter.deactivate(f"cluster-{index}")
             # Every worker is dead, so all their pushes are in the list:

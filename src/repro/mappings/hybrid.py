@@ -116,7 +116,6 @@ from repro.mappings.redis_tasks import (
     WINDOW_CAP,
     RedisTaskBoard,
     StreamWorker,
-    reclaim_threshold_ms,
 )
 from repro.mappings.registry import Capabilities, register_mapping
 from repro.mappings.termination import TerminationPolicy
@@ -474,7 +473,6 @@ class HybridRedisMapping(Mapping):
                 spawn(pe_name, index)
 
         # -------------------------------------------------- stateless plane
-        reclaim_idle_ms = reclaim_threshold_ms(state.clock)
         stateless_pes = {
             name: pe for name, pe in graph.pes.items() if name not in stateful_names
         }
@@ -496,7 +494,6 @@ class HybridRedisMapping(Mapping):
                     state.counters.inc,
                     policy=policy,
                     clock=state.clock,
-                    reclaim_idle_ms=reclaim_idle_ms,
                     publish=queue_deliveries,
                 ).run_until(stop.is_set)
             except BaseException as exc:  # noqa: BLE001 - worker boundary

@@ -33,7 +33,7 @@ from typing import Set
 from repro.autoscale.strategies import IdleTimeStrategy, ScalingStrategy
 from repro.mappings.base import EnactmentState
 from repro.mappings.dynamic import DynamicMapping, Workforce
-from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker, reclaim_threshold_ms
+from repro.mappings.redis_tasks import RedisTaskBoard, StreamWorker
 from repro.mappings.registry import register_mapping
 from repro.mappings.termination import TerminationPolicy
 from repro.redisim.client import RedisClient
@@ -58,9 +58,6 @@ class RedisWorkforce(Workforce):
     def __init__(self, state: EnactmentState, policy: TerminationPolicy) -> None:
         super().__init__(state, policy)
         self.server: RedisServer = state.options.get("redis_server") or RedisServer()
-        #: How long a pending entry must sit unacknowledged before a starved
-        #: peer adopts it (XAUTOCLAIM); see :func:`reclaim_threshold_ms`.
-        self.reclaim_idle_ms: float = reclaim_threshold_ms(state.clock)
         self.board = RedisTaskBoard(
             self.client_for_worker(), namespace=f"repro:{state.graph.name}"
         )
@@ -97,7 +94,6 @@ class RedisWorkforce(Workforce):
             self.state.counters.inc,
             policy=self.policy,
             clock=self.state.clock,
-            reclaim_idle_ms=self.reclaim_idle_ms,
             batch_size=self.batch_size,
         )
 

@@ -9,8 +9,10 @@ counter tracks *outstanding* work for the safe termination condition, and
 ``XINFO CONSUMERS`` provides the per-consumer idle times the
 ``dyn_auto_redis`` strategy monitors.
 
-Poison pills are stream entries with a ``pill`` field; they carry no
-outstanding-count so they never interfere with the drain proof.
+Poison pills are stream entries with a ``pill`` field, and *death
+markers* ones with a ``dead`` field naming a consumer whose pending entries
+are to be adopted (:meth:`StreamWorker.adopt`); neither carries an
+outstanding-count, so they never interfere with the drain proof.
 
 Batched transport: a stream entry's ``task`` field may carry a
 :class:`~repro.runtime.queues.Batch` envelope of up to ``batch_size``
@@ -23,7 +25,7 @@ so the drain proof is exact at batch granularity while the command count
 handicap, Section 5.6) drops by the batch factor.
 
 :class:`StreamWorker` is the consuming side: the one fetch -> invoke ->
-settle (``XACKDECR``) -> reclaim (``XAUTOCLAIM``) body every Redis mapping
+settle (``XACKDECR``) -> adopt the named dead body every Redis mapping
 runs, whichever transport its client rides and whoever decides when the
 run is over.  It works in *windows*: one pipeline settles every entry of a
 window in fetch order and reads the next window, so a saturated worker pays
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.concrete import ConcreteWorkflow, Delivery
 from repro.core.pe import GenericPE
@@ -52,6 +54,12 @@ from repro.runtime.queues import as_envelope, batch_items, chunked
 
 #: Sentinel returned by :meth:`RedisTaskBoard.fetch` for pill entries.
 PILL = "__pill__"
+
+
+class Death(NamedTuple):
+    """A death marker as :meth:`RedisTaskBoard.fetch` returns it."""
+
+    consumer: str
 
 #: ``budget`` of a worker that may always read ahead.
 UNLIMITED = float("inf")
@@ -66,50 +74,32 @@ TRIP_SHARE = 0.1
 
 #: Most entries one window carries.  Measured on ``cluster_tcp``, the saving
 #: per avoided trip flattens past 8, while what a crash repeats and what a
-#: peer cannot steal keep growing with the window.
+#: starved peer cannot take keep growing with the window.  Also an
+#: adoption's page.
 WINDOW_CAP = 8
 
 #: The consumer group every worker of a task board reads through.
 GROUP = "workers"
 
-#: Nominal seconds a pending entry may idle before a starved worker adopts
-#: it: far above the paper's second-scale tasks, so only dead consumers are
-#: robbed.
-RECLAIM_IDLE = 30.0
 
 
-def window_size(trip: float, service: float, reclaim_idle: float) -> int:
+def window_size(trip: float, service: float) -> int:
     """Entries per window, from a worker's own measurements (one time unit).
 
     ``trip`` is the wall time of a settle round trip and ``service`` the
     wall time of running one entry.  The window is the smallest that keeps
     the trip within :data:`TRIP_SHARE` of the work it settles, at most
-    :data:`WINDOW_CAP`, and never more than a quarter of ``reclaim_idle`` of
-    measured work: a live worker's last entry must not sit in the PEL long
-    enough to look abandoned, and a worker whose settles fly holds two
-    windows -- half of ``reclaim_idle``.  Entries that cost ten trips or
-    more get 1.
+    :data:`WINDOW_CAP`.  Entries that cost ten trips or more get 1.
     """
     if service <= 0:
         return WINDOW_CAP
-    wanted = math.ceil(min(trip / (TRIP_SHARE * service), WINDOW_CAP))
-    return max(1, min(wanted, int(reclaim_idle / (4 * service))))
+    return max(1, math.ceil(min(trip / (TRIP_SHARE * service), WINDOW_CAP)))
 
 
 def _ewma(mean: Optional[float], sample: float) -> float:
     """Fold one measurement into a running mean (the first one is the mean)."""
     return sample if mean is None else 0.75 * mean + 0.25 * sample
 
-
-def reclaim_threshold_ms(clock) -> float:
-    """The XAUTOCLAIM idle threshold (real ms) shared by the Redis mappings.
-
-    :data:`RECLAIM_IDLE` scaled by the clock like every other time knob, so
-    the margin over task service times (nominal too) survives any
-    time_scale, floored at 100 ms so test-speed scales never open
-    sub-millisecond theft windows.
-    """
-    return max(1000.0 * clock.to_real(RECLAIM_IDLE), 100.0)
 
 
 class RedisTaskBoard:
@@ -196,6 +186,10 @@ class RedisTaskBoard:
             c = client if client is not None else self.client
             c.xaddn(self.stream_key, "pill", *[1] * count)
 
+    def put_dead(self, consumer: str) -> None:
+        """Name ``consumer`` dead: the worker handed this marker adopts its PEL."""
+        self.client.xaddn(self.stream_key, "dead", consumer)
+
     # ------------------------------------------------------------- consumer
     def fetch(
         self,
@@ -204,7 +198,7 @@ class RedisTaskBoard:
         block_ms: Optional[int] = None,
         count: int = 1,
     ) -> List[Tuple[str, Any]]:
-        """Read new entries for ``consumer``; pills come back as ``PILL``."""
+        """Read new entries for ``consumer``: pills as ``PILL``, death markers as ``Death``."""
         return self.fetched(
             client.xreadgroup(
                 GROUP,
@@ -222,11 +216,22 @@ class RedisTaskBoard:
         """
         pipe.xreadgroup(GROUP, consumer, {self.stream_key: ">"}, count=count)
 
+    def pending(self, consumer: str, client: RedisClient, after: str = "0") -> List[Tuple]:
+        """Up to :data:`WINDOW_CAP` of ``consumer``'s pending entries past ``after``.
+
+        Read *as* ``consumer``: a history read that moves nothing, which any
+        client may make.
+        """
+        return self.fetched(
+            client.xreadgroup(GROUP, consumer, {self.stream_key: after}, count=WINDOW_CAP)
+        )
+
     @staticmethod
     def fetched(reply: List[Tuple[str, list]]) -> List[Tuple[str, Any]]:
-        """An ``XREADGROUP`` reply as ``(entry_id, payload | PILL)`` pairs."""
+        """An ``XREADGROUP`` reply as ``(entry_id, payload | PILL | Death)`` pairs."""
         return [
-            (entry_id, PILL if "pill" in fields else fields["task"])
+            (entry_id, fields["task"] if "task" in fields else
+             PILL if "pill" in fields else Death(fields["dead"]))
             for _key, entries in reply
             for entry_id, fields in entries
         ]
@@ -249,11 +254,11 @@ class RedisTaskBoard:
 
         ``settled`` is ``(entry id, amount)`` pairs in fetch order.  The
         ack and the completion decrement are one conditional step
-        (XACKDECR): when an entry was reclaimed (XAUTOCLAIM) and finished
-        by both its original consumer and its adopter, only the first
-        finisher's ack succeeds and only that one decrements -- the
-        outstanding counter stays exactly-once per entry and can never go
-        negative, and a batch sent twice releases nothing the second time.
+        (XACKDECR): when an entry is finished twice -- by a worker and by
+        the adopter of its PEL, or by a settle sent again after a dropped
+        connection -- only the first ack succeeds and only that one
+        decrements: the outstanding counter stays exactly-once per entry
+        and can never go negative.
         ``amount`` is the entry's task count (``len(batch)`` for an
         envelope), released all-or-nothing with its ack.
         """
@@ -307,32 +312,9 @@ class RedisTaskBoard:
             return 0.0
         return float(sum(row["idle"] for row in rows) / len(rows))
 
-    # -------------------------------------------------------------- recovery
-    def recover_stale(
-        self, consumer: str, client: RedisClient, min_idle_ms: float
-    ) -> List[Tuple[str, Any]]:
-        """Claim tasks stuck with dead consumers (XAUTOCLAIM recovery).
-
-        The at-least-once safety net: if a worker crashes after fetching
-        but before acking, its entries stay in the PEL and any peer can
-        adopt them once they are idle enough.
-        """
-        _cursor, entries = client.xautoclaim(
-            self.stream_key, GROUP, consumer, min_idle_ms
-        )
-        recovered: List[Tuple[str, Any]] = []
-        for entry_id, fields in entries:
-            if "pill" in fields:
-                # Pills are immediately re-acked; they were for the dead
-                # consumer and termination broadcasting re-sends as needed.
-                client.xack(self.stream_key, GROUP, entry_id)
-                continue
-            recovered.append((entry_id, fields["task"]))
-        return recovered
-
 
 class StreamWorker:
-    """One consumer of the task stream: fetch, invoke, settle, reclaim.
+    """One consumer of the task stream: fetch, invoke, settle, adopt the dead.
 
     The single worker body of ``dyn_redis``, ``dyn_auto_redis``,
     ``cluster_redis`` and hybrid's stateless plane.  Only what truly
@@ -349,9 +331,9 @@ class StreamWorker:
         envelopes on the task stream; hybrid routes stateful destinations to
         private queues, cluster workers add their relayed results.
     after_fetch:
-        Called with the number of real entries of each non-empty fetch,
-        prefetched ones included, before any is run (``crash_after``
-        failure injection).
+        Called with the number of tasks of each non-empty fetch, prefetched
+        ones included and pills and death markers not, before any is run
+        (``crash_after`` failure injection).
 
     **Round-trip budget.**  A fetch's entries are one *window*: they run
     back to back and one pipeline settles them all: the credit of everything
@@ -368,9 +350,9 @@ class StreamWorker:
     yet, and a budgeted session (whose idle time is the scaler's signal and
     which must return holding nothing), read one entry ahead.  Only an empty
     read-ahead falls back to the separate blocking :meth:`_fetch`, where
-    backoff, the termination check and the ``XAUTOCLAIM`` cadence live.  A
-    window reads ahead unless an entry raised, the caller's ``stop()`` cut it
-    short, its fetch carried a pill, or it exhausts the session's budget.
+    backoff and the termination check live.  A window reads ahead unless an
+    entry raised, the caller's ``stop()`` cut it short, its fetch carried a
+    pill or a death marker, or it exhausts the session's budget.
 
     **Sent, then read.**  A settle is *sent* (:meth:`Pipeline.begin`) and its
     replies are *read* when the worker next needs them: just before it sends
@@ -384,16 +366,23 @@ class StreamWorker:
     before.  Coarse entries (``w == 1``) are never held back from a starved
     peer, and budgeted sessions never fly.
 
+    **The dead, and only the dead.**  The window that fetched a death marker
+    settles, then :meth:`adopt` runs what the named consumer held.  A live
+    worker keeps its entries however long it takes: one that hangs while
+    still connected fails the run at ``JOIN_TIMEOUT``, never runs twice.
+
     **What a failure leaves.**  Nothing of a window is published or acked
     before its one settle, and a settle is one frame: a worker killed with a
     settle in flight has delivered either all of it or none of it.  What it
     holds -- the window it is running and its hand, at most two windows
     (``2 * WINDOW_CAP`` entries) once the keyspace has answered -- stays in
-    the PEL and its adopter re-runs all of it: at-least-once, never lost.  A
-    connection that dies under a flight makes :meth:`Flight.result` send the
-    batch again; the repeated ``XACKDECR`` finds nothing pending and releases
-    nothing, so the outstanding counter still ends at 0 (what the lost reply
-    had read ahead waits in this worker's PEL to be reclaimed).  A PE raising in
+    the PEL, and once the worker is named dead its adopter re-runs all of
+    it: at-least-once, never lost.  A connection that dies under a flight
+    makes :meth:`Flight.result` send the batch again; the repeated
+    ``XACKDECR`` finds nothing pending and releases nothing, so the
+    outstanding counter still ends at 0, and what the lost reply had read
+    ahead waits in this worker's own PEL: once the client's ``retries`` has
+    moved and its hand is empty, the worker adopts itself.  A PE raising in
     entry *j* first reads the settle in flight, then settles e1..e*j*
     synchronously (the children gathered so far, then the acks) before the
     exception propagates; the unstarted tail and the hand stay pending,
@@ -416,7 +405,6 @@ class StreamWorker:
         *,
         policy: TerminationPolicy,
         clock: Clock,
-        reclaim_idle_ms: float,
         batch_size: int = 1,
         publish: Optional[Callable[[Pipeline, List[Delivery]], None]] = None,
         after_fetch: Optional[Callable[[int], None]] = None,
@@ -429,7 +417,6 @@ class StreamWorker:
         self.collector = collector
         self.count = count
         self.policy = policy
-        self.reclaim_idle_ms = reclaim_idle_ms
         self.batch_size = batch_size
         self.publish = publish if publish is not None else self.publish_tasks
         self.after_fetch = after_fetch
@@ -443,6 +430,8 @@ class StreamWorker:
         #: Whether a settle of this worker was ever still on the wire when
         #: ``begin`` returned: only then is there a wait to work through.
         self._flew = False
+        #: The client's redials seen: a move means a re-sent settle read ahead.
+        self._retries = client.retries
         #: Running means (real seconds) of a settle trip and of one entry's
         #: run; ``None`` until measured.  They size the next window.
         self._trip: Optional[float] = None
@@ -458,7 +447,7 @@ class StreamWorker:
         """How many entries the next read-ahead asks for."""
         if self._trip is None or self._service is None:
             return 1
-        return window_size(self._trip, self._service, self.reclaim_idle_ms / 1000.0)
+        return window_size(self._trip, self._service)
 
     def consume(
         self,
@@ -475,22 +464,24 @@ class StreamWorker:
 
         Pills always trail real work in stream order (they are only
         broadcast once the board drained), so tasks run first and the
-        caller exits on the pill.  ``stop`` is asked before every entry;
-        once true, the rest of the window stays pending.  ``budget`` is how
-        many more tasks the caller means to run: a window that uses it up
-        does not read ahead (``0``: never), and a finite one reads a single
-        entry ahead.
+        caller exits on the pill.  Death markers are adopted once the
+        window has settled, and their tasks count as run.  ``stop`` is
+        asked before every entry; once true, the rest of the window stays
+        pending.  ``budget`` is how many more tasks the caller means to
+        run: a window that uses it up does not read ahead (``0``: never),
+        and a finite one reads a single entry ahead.
         """
         pills = [entry_id for entry_id, payload in fetched if payload is PILL]
+        deaths = [(entry_id, payload) for entry_id, payload in fetched if type(payload) is Death]
         #: ``(entry id, tasks carried)`` of every entry started, and what
         #: they produced, in fetch order.
         ran: List[Tuple[str, int]] = []
         children: List[Delivery] = []
-        tasks, window = 0, 0
+        tasks, window, leaving = 0, 0, True
         started = time.perf_counter()
         try:
             for entry_id, payload in fetched:
-                if payload is PILL:
+                if payload is PILL or type(payload) is Death:
                     continue
                 if stop is not None and stop():
                     break
@@ -505,12 +496,16 @@ class StreamWorker:
                 self.count("tasks", len(items))
                 tasks += len(items)
             else:
-                if not pills and tasks < budget:
+                leaving = bool(pills)
+                if not pills and not deaths and tasks < budget:
                     window = self._window() if budget == UNLIMITED else 1
         finally:
             # Settle even when a PE raised: a started entry must not stay
             # in the PEL for a peer to adopt and fail on again.
-            self._settle(ran, children, pills, window, started)
+            self._settle(ran, children, pills, window, started, leaving)
+        for entry_id, death in deaths:
+            tasks += self.adopt(death.consumer)
+            self.client.xack(self.board.stream_key, GROUP, entry_id)
         return tasks, bool(pills)
 
     def _settle(
@@ -520,6 +515,7 @@ class StreamWorker:
         pills: List[str],
         window: int,
         started: float,
+        leaving: bool,
     ) -> None:
         """The one trip of a window: settle ``ran``, read ahead in windows of ``window``.
 
@@ -529,14 +525,15 @@ class StreamWorker:
         is called once with every child in fetch order, so per-window state
         (cluster's relayed results) lands with them -- ahead of the ack.
 
-        ``window == 0`` is the way out (a pill, a raise, ``stop()``, a spent
-        budget, an adopted entry): nothing is read ahead, the trip is waited
-        out, and pills still in hand -- a peer's, every one -- go back with it.
+        ``window == 0`` reads nothing ahead and waits the trip out (a pill,
+        a raise, ``stop()``, a spent budget, a death marker, an adopted
+        page).  ``leaving`` is the way out: the hand will not be run, and
+        the pills still in it -- a peer's, every one -- go back with it.
         """
         ran_until = time.perf_counter()
         self._land()
         own = 1 if pills else 0
-        if not window:
+        if leaving:
             pills = pills + [
                 entry_id for held in self._hand for entry_id, payload in held if payload is PILL
             ]
@@ -573,28 +570,40 @@ class StreamWorker:
         if window:
             self._hand.extend(chunked(self.board.fetched(replies[-1]), window))
 
-    def reclaim_stale(self) -> int:
-        """Adopt and run tasks stuck with dead consumers (the recovery path).
+    def adopt(self, consumer: str) -> int:
+        """Run what ``consumer`` holds to an empty PEL; returns the tasks run.
 
-        A consumer that dies between XREADGROUP and XACK leaves its entries
-        in the PEL, where no ``>`` read will ever see them again -- without
-        reclaim the outstanding counter never drains and the run hangs.
-        Starved workers call this once the queue looks empty but work is
-        still outstanding.  Each adopted entry is a window of its own that
-        reads nothing ahead.  Returns the number of tasks recovered.
+        ``consumer`` is one named dead, or this worker after a re-sent settle.
+        Each page of its PEL runs as a window that reads nothing ahead, and
+        ``XACKDECR`` releases every credit once.  Its pills are only acked; a
+        death marker it held (it died adopting) is adopted in turn.
         """
-        tasks = 0
-        for entry in self.board.recover_stale(
-            self.consumer, self.client, min_idle_ms=self.reclaim_idle_ms
-        ):
-            self.count("reclaimed")
-            tasks += self.consume([entry], budget=0)[0]
-        return tasks
+        tasks, cursor = 0, "0"
+        while True:
+            page = self.board.pending(consumer, self.client, cursor)
+            if not page:
+                return tasks
+            cursor = page[-1][0]
+            pills = [entry_id for entry_id, payload in page if payload is PILL]
+            if pills:
+                self.client.xack(self.board.stream_key, GROUP, *pills)
+            work = [(entry_id, payload) for entry_id, payload in page if payload is not PILL]
+            if work:
+                self.count("reclaimed", sum(type(payload) is not Death for _id, payload in work))
+                tasks += self.consume(work, budget=0)[0]
+            if len(page) < WINDOW_CAP:
+                return tasks
 
     def _fetch(self, empty_streak: int = 0) -> List[Tuple[str, Any]]:
-        """The next window: one a settle read ahead, else a blocking read."""
+        """The next window: one a settle read ahead, else a blocking read.
+
+        An empty hand after a redial first adopts this worker's own PEL.
+        """
         if not self._hand:
             self._land()
+        if not self._hand and self.client.retries != self._retries:
+            self._retries = self.client.retries
+            self.adopt(self.consumer)
         if self._hand:
             fetched = self._hand.popleft()
         else:
@@ -603,22 +612,17 @@ class StreamWorker:
             block_ms = self.base_block_ms << min(empty_streak, 5)
             fetched = self.board.fetch(self.consumer, self.client, block_ms=block_ms)
         if fetched and self.after_fetch is not None:
-            self.after_fetch(sum(1 for _, payload in fetched if payload is not PILL))
+            self.after_fetch(
+                sum(payload is not PILL and type(payload) is not Death for _, payload in fetched)
+            )
         return fetched
-
-    def _reclaim_due(self, empty_streak: int) -> bool:
-        # On the first starved poll past the retry budget, then every 8th --
-        # not per poll, which would add one XAUTOCLAIM round trip per
-        # interval per worker for the whole starved tail of a run.
-        over = empty_streak - self.policy.empty_retries
-        return over >= 0 and over % 8 == 0
 
     # ------------------------------------------------------------- drivers
     def run_dedicated(self, broadcast_pills: Callable[[], None]) -> None:
         """Dedicated worker: run until the board terminates or a pill lands.
 
         The worker that decides termination calls ``broadcast_pills`` to
-        hurry its peers out.
+        hurry its peers out; a starved one waits for work or a death marker.
         """
         empty_streak = 0
         while True:
@@ -630,14 +634,9 @@ class StreamWorker:
                 continue
             empty_streak += 1
             self.count("empty_polls")
-            if empty_streak >= self.policy.empty_retries:
-                if self.board.is_terminated(self.policy):
-                    broadcast_pills()
-                    return
-                # Starved but not drained: the missing work may be pending
-                # under a dead consumer.
-                if self._reclaim_due(empty_streak) and self.reclaim_stale():
-                    empty_streak = 0
+            if empty_streak >= self.policy.empty_retries and self.board.is_terminated(self.policy):
+                broadcast_pills()
+                return
 
     def run_session(self, chunk: int) -> int:
         """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
@@ -645,15 +644,13 @@ class StreamWorker:
         ``chunk`` is a soft cap at batch granularity: a session never
         splits a fetched envelope, so it may overshoot by at most one
         fetch's worth of tasks.  The entry that reaches ``chunk`` does not
-        read ahead: each session runs a fresh worker, and an entry left in
-        this one's hands would sit in the PEL until a peer reclaimed it.
+        read ahead: each session runs a fresh worker, and nobody names a
+        session dead, so it returns holding nothing.
         """
         processed = 0
         while processed < chunk:
             fetched = self._fetch()
             if not fetched:
-                if not self.board.is_terminated(self.policy):
-                    processed += self.reclaim_stale()
                 break
             tasks, got_pill = self.consume(fetched, budget=chunk - processed)
             processed += tasks
@@ -665,9 +662,7 @@ class StreamWorker:
         """Externally shut down: poll until ``stop()`` or a pill.
 
         The coordinator owns termination (hybrid's staged close), and a
-        starved worker never reclaims: a worker that fails aborts the run,
-        so no dead consumer's entries wait in the PEL, and an adoption could
-        only run a live but slow peer's window a second time.
+        worker that fails aborts the run, so nobody is ever named dead here.
         """
         empty_streak = 0
         while not stop():
@@ -679,4 +674,4 @@ class StreamWorker:
                 continue
             empty_streak += 1
         # Stopped between two windows: the way out with nothing to settle.
-        self._settle([], [], [], 0, 0.0)
+        self._settle([], [], [], 0, 0.0, leaving=True)

@@ -51,8 +51,10 @@ class Capabilities:
     dynamic:
         Schedules tasks dynamically (no static PE-to-process pinning).
     recoverable:
-        Survives worker crashes mid-run: consumer-group PEL reclaim for
-        stateless tasks, and -- on ``hybrid_redis`` -- checkpoint/restore
+        Survives worker crashes mid-run: the Redis dynamic family adopts
+        the consumer-group PEL of a consumer named dead, and only of one
+        (``cluster_redis``'s coordinator names every worker process that
+        exits abnormally), and -- on ``hybrid_redis`` -- checkpoint/restore
         of pinned stateful instances (:mod:`repro.state`), whose private
         queues are then streams: the PEL is the replay log and the snapshot
         cursor is the last applied entry ID.
@@ -191,8 +193,8 @@ REMOVED_OPTIONS: Dict[str, str] = {
     "scale_interval": "the auto-scaler sleeps 0.01 nominal s per session",
     "max_respawns": "hybrid_redis respawns a pinned instance at most "
     "hybrid.MAX_RESPAWNS (3) times",
-    "reclaim_idle_ms": "the reclaim threshold follows the clock "
-    "(redis_tasks.reclaim_threshold_ms)",
+    "reclaim_idle_ms": "there is no idle threshold: only the pending entries "
+    "of a consumer named dead are adopted",
     "join_timeout": "workers are joined within base.JOIN_TIMEOUT (300 s)",
     "scheduler": "submit through JobScheduler.submit",
     "tenant": "pass it to JobScheduler.submit",
@@ -246,7 +248,7 @@ def refusal(
     elif not (caps.recoverable and caps.stateful) and (
         "checkpoint_interval" in opts or "state_store" in opts or "crash_injector" in opts
     ):
-        # Reclaim-only recoverability (dyn_redis) does not qualify: the
+        # Adoption-only recoverability (dyn_redis) does not qualify: the
         # mapping must both pin stateful instances and recover them.
         lacks = (
             "stateful checkpointing (checkpoint_interval/state_store/"

@@ -122,13 +122,6 @@ def _xgroup_create(
     return [*words, "MKSTREAM"] if mkstream else words
 
 
-def _xautoclaim(
-    key: str, group: str, consumer: str, min_idle_ms: float,
-    start: str = "0-0", count: int = 100,
-) -> List[Any]:
-    return ["XAUTOCLAIM", key, group, consumer, min_idle_ms, start, "COUNT", count]
-
-
 def _raw(reply: Any) -> Any:
     return reply
 
@@ -223,8 +216,6 @@ _CODEC: Dict[str, Tuple[Callable[..., List[Any]], Callable[[Any], Any]]] = {
     "xack": (_verb("XACK"), _raw),
     "xackdecr": (_verb("XACKDECR"), _raw),
     "xpending": (_verb("XPENDING"), _xpending),
-    # Genuine Redis >= 7 appends a third element (deleted-ID list).
-    "xautoclaim": (_xautoclaim, lambda reply: (_str(reply[0]), _entries(reply[1]))),
     "xinfo_groups": (_verb("XINFO", "GROUPS"), _info_rows),
     "xinfo_consumers": (_verb("XINFO", "CONSUMERS"), _info_rows),
 }

@@ -19,7 +19,7 @@ noticed at the command's deadline or at shutdown.
 
 The command set is the one the system sends (see :mod:`repro.redisim` for
 the list and the rule that admits a command): strings, lists, hashes,
-streams, consumer groups, XAUTOCLAIM -- plus redisim's own extensions
+streams and consumer groups -- plus redisim's own extensions
 (``RPUSHSEQ``/``BLMOVESEQ``, ``SNAPSHOT``/``RESTORE``, ``XADDN``,
 ``XACKDECR``).  Any other verb, or an option outside a
 command's syntax, answers ``-ERR`` and the connection serves its next
@@ -436,18 +436,6 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
             consumers or NIL_ARRAY,
         ]
 
-    def xautoclaim(args: List[bytes]) -> Any:
-        # XAUTOCLAIM key group consumer min-idle-time start [COUNT n]
-        arity(args, 5, "XAUTOCLAIM")
-        count = 100
-        if len(args) >= 7 and args[5].upper() == b"COUNT":
-            count = _i(args[6])
-        cursor, claimed = ks.xautoclaim(
-            _s(args[0]), _s(args[1]), _s(args[2]), _f(args[3]),
-            start=_s(args[4]), count=count,
-        )
-        return [cursor, _entries_reply(claimed)]
-
     def xinfo(args: List[bytes]) -> Any:
         arity(args, 2, "XINFO")
         sub = args[0].upper()
@@ -467,6 +455,5 @@ def _build_command_table(ks: RedisServer) -> Dict[str, Callable]:
         "HDEL": hdel, "HGETALL": hgetall, "HINCRBY": hincrby,
         "XADD": xadd, "XADDN": xaddn, "XLEN": xlen, "XRANGE": xrange,
         "XREADGROUP": xreadgroup, "XGROUP": xgroup, "XACK": xack,
-        "XACKDECR": xackdecr, "XPENDING": xpending, "XAUTOCLAIM": xautoclaim,
-        "XINFO": xinfo,
+        "XACKDECR": xackdecr, "XPENDING": xpending, "XINFO": xinfo,
     }

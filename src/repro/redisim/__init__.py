@@ -22,9 +22,10 @@ data-structure server:
 - streams (XADD/XLEN/XRANGE, plus redisim's XADDN: one entry per value
   in one command) -- the global task stream and the crash-recoverable
   private queues -- with **consumer groups** (XGROUP CREATE, XREADGROUP,
-  XACK, XACKDECR, the summary form of XPENDING, XAUTOCLAIM, XINFO
-  GROUPS/CONSUMERS) including pending-entry lists and per-consumer idle
-  times,
+  XACK, XACKDECR, the summary form of XPENDING, XINFO GROUPS/CONSUMERS)
+  including pending-entry lists and per-consumer idle times; a consumer's
+  PEL is read back with ``XREADGROUP`` and an ID, by that consumer or by
+  whoever adopts it once it is named dead,
 - generic reads (KEYS/DBSIZE/EXISTS) and DEL.
 
 The rule that keeps the list this short: a command lands with its first

@@ -252,6 +252,10 @@ class RedisClient:
     ``b"5"``).
     """
 
+    #: How often the connection was redialled: never, in process.  A worker
+    #: that sees it move adopts its own PEL (a re-sent settle read ahead twice).
+    retries = 0
+
     def __init__(
         self,
         server: Union[RedisServer, Transport],
@@ -464,21 +468,6 @@ class RedisClient:
 
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
         return self._call("xpending", key, group)
-
-    def xautoclaim(
-        self,
-        key: str,
-        group: str,
-        consumername: str,
-        min_idle_time: float,
-        start_id: str = "0-0",
-        count: int = 100,
-    ) -> Tuple[str, List[Tuple[str, Dict[str, Any]]]]:
-        cursor, claimed = self._call(
-            "xautoclaim", key, group, consumername, min_idle_time,
-            start=start_id, count=count,
-        )
-        return cursor, self._dec_entries(claimed)
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
         return self._call("xinfo_groups", key)

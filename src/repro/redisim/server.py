@@ -606,7 +606,7 @@ class RedisServer:
                             grp.entries_read += len(entries)
                             pel, held = grp.pel, member.pending
                             for entry in entries:
-                                pel[entry.wire] = PendingEntry(entry, consumer, now)
+                                pel[entry.wire] = PendingEntry(entry, consumer)
                                 held.add(entry.wire)
                             reply.append(
                                 (key, [(entry.wire, dict(entry.fields)) for entry in entries])
@@ -636,11 +636,11 @@ class RedisServer:
     ) -> int:
         """XACK entries and DECRBY a counter by what the still-pending ones carried.
 
-        The in-process equivalent of the Lua script real deployments pair
-        with XAUTOCLAIM: completion counting must be exactly-once per
-        entry, and an unconditional ``XACK + DECR`` pipeline double-
-        decrements when a reclaimed entry is finished by both its original
-        (slow but alive) consumer and its adopter.
+        The in-process equivalent of a Lua script on a real deployment:
+        completion counting must be exactly-once per entry, and an
+        unconditional ``XACK + DECR`` pipeline double-decrements when an
+        entry is finished twice -- by a worker and by the adopter of its
+        PEL, or by a settle sent again after a dropped connection.
 
         ``amount`` is the number of work units the entry carried -- one for
         a bare task, ``len(batch)`` for a batch envelope -- so counted
@@ -710,54 +710,6 @@ class RedisServer:
                 "max": max(records, key=by_id).entry.wire,
                 "consumers": per_consumer,
             }
-
-    def xautoclaim(
-        self,
-        key: str,
-        group: str,
-        consumer: str,
-        min_idle_ms: float,
-        start: str = "0-0",
-        count: int = 100,
-    ) -> Tuple[str, List[Tuple[str, Dict[str, Any]]]]:
-        """Scan the PEL from ``start`` claiming idle entries; returns cursor."""
-        with self._lock:
-            self._count("xautoclaim")
-            grp = self._group(key, group)
-            start_id = StreamID.parse(start)
-            candidates = sorted(
-                (p for p in grp.pel.values() if p.entry.id >= start_id), key=by_id
-            )
-            claimed = self._claim(grp, consumer, min_idle_ms, candidates[:count])
-            if len(candidates) > count:
-                cursor = candidates[count].entry.wire
-            else:
-                cursor = "0-0"
-            return cursor, claimed
-
-    def _claim(
-        self,
-        grp: ConsumerGroup,
-        consumer: str,
-        min_idle_ms: float,
-        records: List[PendingEntry],
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Hand ``consumer`` the pending ``records`` idle at least ``min_idle_ms``."""
-        now = self._now()
-        claimer = grp.get_consumer(consumer, now)
-        claimed = []
-        for pending in records:
-            if (now - pending.delivery_time) * 1000.0 < min_idle_ms:
-                continue
-            entry = pending.entry
-            previous = grp.consumers.get(pending.consumer)
-            if previous is not None:
-                previous.pending.discard(entry.wire)
-            pending.consumer = consumer
-            pending.delivery_time = now
-            claimer.pending.add(entry.wire)
-            claimed.append((entry.wire, dict(entry.fields)))
-        return claimed
 
     def xinfo_groups(self, key: str) -> List[Dict[str, Any]]:
         with self._lock:

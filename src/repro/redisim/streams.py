@@ -7,8 +7,8 @@ mappings their semantics:
 - consumer groups with a *last-delivered* cursor, so multiple workers
   cooperatively consume a single stream (the "Global Queue" of Figure 2),
 - per-group pending entry lists (PEL) recording which consumer holds each
-  delivered-but-unacknowledged entry, with delivery timestamps -- the
-  substrate for at-least-once delivery and for XAUTOCLAIM recovery,
+  delivered-but-unacknowledged entry -- the substrate for at-least-once
+  delivery, and what the adopter of a consumer named dead reads,
 - per-consumer idle times, the metric the ``dyn_auto_redis`` auto-scaling
   strategy monitors (Section 3.2.2: "we utilize Redis's consumer group's
   average idle time").
@@ -94,14 +94,13 @@ class StreamEntry:
 
 
 class PendingEntry:
-    """PEL record: the delivered entry, who holds it, and since when."""
+    """PEL record: the delivered entry and who holds it."""
 
-    __slots__ = ("entry", "consumer", "delivery_time")
+    __slots__ = ("entry", "consumer")
 
-    def __init__(self, entry: StreamEntry, consumer: str, delivery_time: float) -> None:
+    def __init__(self, entry: StreamEntry, consumer: str) -> None:
         self.entry = entry
         self.consumer = consumer
-        self.delivery_time = delivery_time
 
 
 #: Sort key putting PEL records in stream order (not wire-string order).

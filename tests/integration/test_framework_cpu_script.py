@@ -51,5 +51,9 @@ def test_quick_run_prints_a_row_and_an_attribution_table():
     for name in ("stateful_hybrid", "cluster_tcp"):
         assert any(line.startswith("keyspace xaddn ") for line in sections[name])
         assert not any(line.startswith("keyspace xadd ") for line in sections[name])
+    # The wrapper cost is calibrated on both sides of every attributed run.
+    for name, table in sections.items():
+        [line] = [line for line in table if line.startswith("wrapper cost per call")]
+        assert "before the run" in line and "after; netted at their median" in line
     # The forked workers' CPU is reported, not attributed.
     assert any(line.startswith("worker processes ") for line in sections["cluster_tcp"])

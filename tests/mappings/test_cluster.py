@@ -2,9 +2,13 @@
 
 These tests spawn genuine OS worker processes that join the run by
 ``host:port``, so they cover the full networked path: jobspec publication,
-RESP transport, the fetch/process/ack loop, results relay, and XAUTOCLAIM
-adoption of a SIGKILLed worker's pending entries.
+RESP transport, the fetch/process/ack loop, results relay, and the
+adoption of a SIGKILLed worker's pending entries once the coordinator names
+it dead.
 """
+
+import multiprocessing
+import threading
 
 import pytest
 
@@ -74,28 +78,40 @@ class TestResultsPump:
         assert result.counters["net_retries"] == 0
 
 
+def _crashed_run(**opts):
+    """A run whose worker 1 is SIGKILLed after fetching five entries.
+
+    The injection fires only once worker 1 has fetched ``crash_after``
+    entries.  Under spawn the boot skew between the two interpreters
+    occasionally outlasts the whole ~0.3 s run (about 1 in 7 on a loaded
+    2-vCPU host): worker 0 drains the stream alone and nobody crashes.
+    That run tested nothing, so measure again.
+    """
+    for _attempt in range(5):
+        result = _sentiment(
+            mapping="cluster_redis", crash_workers=[1], crash_after=5, **opts
+        )
+        if result.counters.get("crashed_workers"):
+            break
+    assert result.counters.get("crashed_workers") == 1
+    return result
+
+
 @pytest.mark.recovery
 class TestRecovery:
     def test_sigkilled_worker_entries_are_adopted(self, expected_outputs):
-        # The injection fires only once worker 1 has fetched ``crash_after``
-        # entries.  Under spawn the boot skew between the two interpreters
-        # occasionally outlasts the whole ~0.3 s run (about 1 in 7 on a
-        # loaded 2-vCPU host): worker 0 drains the stream alone and nobody
-        # crashes.  That run tested nothing, so measure again.
-        for _attempt in range(5):
-            result = _sentiment(
-                mapping="cluster_redis",
-                crash_workers=[1],
-                crash_after=5,
-            )
-            if result.counters.get("crashed_workers"):
-                break
-        assert result.counters.get("crashed_workers") == 1
-        # The survivor adopted the dead worker's PEL via XAUTOCLAIM once it
-        # sat idle past the clock's threshold (the 100 ms floor at
-        # FAST_SCALE), so the output multiset is still byte-identical to
-        # the healthy run.
+        # The coordinator named the dead worker while the survivor still
+        # polled, and the survivor ran what the dead one held, so the
+        # output multiset is still byte-identical to the healthy run.
+        result = _crashed_run()
+        assert result.counters["reclaimed"] >= 1
         assert _collect_sorted(result) == expected_outputs
+
+    def test_a_crash_leaves_no_process_or_pump_behind(self, expected_outputs):
+        result = _crashed_run(start_method="fork")
+        assert _collect_sorted(result) == expected_outputs
+        assert multiprocessing.active_children() == []
+        assert [t.name for t in threading.enumerate() if t.name == "cluster-pump"] == []
 
 
 class TestAddressing:

@@ -10,17 +10,9 @@ ahead when.
 
 import pytest
 
-from repro.core.pe import IterativePE
-from repro.mappings.redis_tasks import GROUP, PILL
+from repro.mappings.redis_tasks import PILL
 from tests.conftest import Double, linear_graph
-from tests.mappings.test_reclaim import _workforce
-
-
-class Boom(IterativePE):
-    def _process(self, data):
-        if data == "boom":
-            raise ValueError("boom")
-        return data
+from tests.mappings.test_reclaim import Boom, _pending, _workforce
 
 
 def _wide(worker):
@@ -31,11 +23,6 @@ def _wide(worker):
     """
     worker._trip, worker._service = float("inf"), 0.0
     return worker
-
-
-def _pending(wf, consumer=None):
-    summary = wf.board.client.xpending(wf.board.stream_key, GROUP)
-    return summary["pending"] if consumer is None else summary["consumers"].get(consumer, 0)
 
 
 class TestRoundTripBudget:

@@ -5,7 +5,7 @@ import pytest
 from repro import run
 from repro.autoscale.strategies import IdleTimeStrategy
 from repro.core.exceptions import UnsupportedFeatureError
-from repro.mappings.redis_tasks import GROUP, PILL, RedisTaskBoard
+from repro.mappings.redis_tasks import GROUP, PILL, Death, RedisTaskBoard
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from tests.conftest import (
@@ -58,18 +58,23 @@ class TestRedisTaskBoard:
         assert board.avg_idle_ms({"c1"}) >= 0.0
         assert board.avg_idle_ms({"ghost"}) == 0.0
 
-    def test_recover_stale_reclaims_unacked(self, board):
+    def test_a_consumers_pending_entries_read_back_as_it(self, board):
         client = board.client
         board.put_tasks([("pe", "input", "lost")], 1)
         board.fetch("dead-worker", client)
-        recovered = board.recover_stale("rescuer", client, min_idle_ms=0)
-        assert [task for _id, task in recovered] == [("pe", "input", "lost")]
+        [(entry_id, task)] = board.pending("dead-worker", client)
+        assert task == ("pe", "input", "lost")
+        # Read, not moved: the entry is still the dead consumer's.
+        assert client.xpending(board.stream_key, GROUP)["consumers"] == {"dead-worker": 1}
+        assert board.pending("dead-worker", client, after=entry_id) == []
+        assert board.pending("never-seen", client) == []
 
-    def test_recover_stale_acks_pills(self, board):
-        board.put_pills(1)
-        board.fetch("dead-worker", board.client)
-        recovered = board.recover_stale("rescuer", board.client, min_idle_ms=0)
-        assert recovered == []
+    def test_death_markers_fetch_as_death_and_carry_no_credit(self, board):
+        board.put_dead("ghost")
+        [(marker_id, fields)] = board.client.xrange(board.stream_key)
+        assert fields == {"dead": "ghost"}
+        assert board.fetch("c1", board.client) == [(marker_id, Death("ghost"))]
+        assert board.is_drained()
 
     def test_setup_is_idempotent_per_namespace(self):
         server = RedisServer()

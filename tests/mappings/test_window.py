@@ -17,6 +17,7 @@ import pytest
 
 from repro import run
 from repro.core.pe import IterativePE
+from repro.mappings import cluster
 from repro.mappings.base import ResultsCollector, normalize_inputs
 from repro.mappings.cluster import _ClusterWorker
 from repro.mappings.redis_tasks import (
@@ -34,9 +35,9 @@ from repro.net.server import RespTCPServer
 from repro.redisim.client import Flight, RedisClient, Transport
 from repro.redisim.server import RedisServer
 from repro.workflows import build_sentiment_scoring_workflow
-from tests.conftest import FAST_SCALE, AddOne, Double, linear_graph
-from tests.mappings.test_fused_trip import Boom, _pending, _wide
-from tests.mappings.test_reclaim import _outwait, _workforce
+from tests.conftest import AddOne, Double, linear_graph
+from tests.mappings.test_fused_trip import _wide
+from tests.mappings.test_reclaim import Boom, _pending, _workforce
 
 pytestmark = pytest.mark.recovery
 
@@ -96,35 +97,29 @@ def _read_ahead(frame):
 
 
 class TestSizingRule:
-    RECLAIM = 30.0
-
     @pytest.mark.parametrize(
-        "trip, service, reclaim_idle, expected",
+        "trip, service, expected",
         [
             # Entries that cost ten trips or more keep today's trip per entry.
-            (1.0, 10.0, 1e9, 1),
-            (1.0, 10_000.0, 1e9, 1),
-            (375e-6, 50e-3, RECLAIM, 1),  # a paper-shape task behind a TCP trip
+            (1.0, 10.0, 1),
+            (1.0, 10_000.0, 1),
+            (375e-6, 50e-3, 1),  # a paper-shape task behind a TCP trip
             # Just under ten trips: the trip would be over its share alone.
-            (1.0, 9.99, 1e9, 2),
+            (1.0, 9.99, 2),
             # The window that brings the trip down to TRIP_SHARE of the work.
-            (1.0, 5.0, 1e9, 2),
-            (1.0, 2.5, 1e9, 4),
-            (1.0, 2.0, 1e9, 5),
-            (375e-6, 480e-6, RECLAIM, WINDOW_CAP),  # cluster_tcp's scoring task
+            (1.0, 5.0, 2),
+            (1.0, 2.5, 4),
+            (1.0, 2.0, 5),
+            (375e-6, 480e-6, WINDOW_CAP),  # cluster_tcp's scoring task
             # Free entries: the cap, never more.
-            (1.0, 1e-9, 1e9, WINDOW_CAP),
-            (1.0, 0.0, 1e9, WINDOW_CAP),
-            (float("inf"), 1.0, 1e9, WINDOW_CAP),
-            # A quarter of the reclaim threshold bounds the work in hand.
-            (1.0, 1.0, 12.0, 3),
-            (1.0, 1.0, 4.0, 1),
-            (1.0, 1.0, 0.1, 1),  # ... but a window is never empty
-            (0.0, float("inf"), RECLAIM, 1),
+            (1.0, 1e-9, WINDOW_CAP),
+            (1.0, 0.0, WINDOW_CAP),
+            (float("inf"), 1.0, WINDOW_CAP),
+            (0.0, float("inf"), 1),  # ... and a window is never empty
         ],
     )
-    def test_table(self, trip, service, reclaim_idle, expected):
-        assert window_size(trip, service, reclaim_idle) == expected
+    def test_table(self, trip, service, expected):
+        assert window_size(trip, service) == expected
 
     def test_constants(self):
         """The sweep the rule was sized on flattens past eight entries."""
@@ -319,7 +314,7 @@ class TestFailureMidWindow:
         expected = run(graph, inputs=list(range(n)), mapping="simple").output("wire")
         Tripwire.armed = True
 
-        state, wf = _workforce(graph, list(range(n)), time_scale=FAST_SCALE)
+        state, wf = _workforce(graph, list(range(n)))
         wf.seed_roots()
         doomed = wf.worker("doomed")
         doomed.collector = ResultsCollector()  # its memory dies with it
@@ -332,7 +327,7 @@ class TestFailureMidWindow:
         assert wf.board.outstanding() == n  # nothing of the window was acked
         assert wf.board.backlog() == n - width
 
-        _outwait(wf)  # let the window's idle time pass the 100 ms floor
+        wf.board.put_dead(doomed.consumer)  # what a SIGKILL's witness does
         wf.worker_loop("adopter", total_workers=1)
         assert state.counters.get("reclaimed") == width
         assert Counter(state.collector.as_dict()["wire.output"]) == Counter(expected)
@@ -348,7 +343,6 @@ def _cluster_spec(graph, **overrides):
         "seed": 0,
         "policy": TerminationPolicy(poll_interval=0.005, empty_retries=2),
         "batch_size": 1,
-        "reclaim_idle_ms": 30_000.0,
         "total_workers": 1,
         "crash_after": None,
         "crash_workers": (),
@@ -528,7 +522,7 @@ class TestSettleInFlight:
         board = RedisTaskBoard(RedisClient(server), namespace=namespace)
         board.setup()
         board.seed_roots(normalize_inputs(graph, list(range(n))))
-        spec = _cluster_spec(graph, reclaim_idle_ms=10.0, total_workers=2)
+        spec = _cluster_spec(graph, total_workers=2)
         doomed = _ClusterWorker(RedisClient(server), namespace, 0, spec)
         _wide(doomed.worker)
         _Wire(doomed.client, deliver)
@@ -539,11 +533,11 @@ class TestSettleInFlight:
             doomed.run()
         assert doomed.worker._flight is not None  # it died with a settle up
         pending = board.client.xpending(board.stream_key, GROUP)
-        assert pending["consumers"] == {"cluster-0": 2 * WINDOW_CAP}
+        assert pending["consumers"] == {doomed.worker.consumer: 2 * WINDOW_CAP}
         settled = n - board.outstanding()
         assert settled == (1 + 2 * WINDOW_CAP if deliver == "sent" else 1 + WINDOW_CAP)
 
-        time.sleep(0.05)  # let the dead worker's entries pass the 10 ms threshold
+        board.put_dead(doomed.worker.consumer)
         adopter = _ClusterWorker(RedisClient(server), namespace, 1, spec)
         adopter.run()
         assert adopter.counters["reclaimed"] == 2 * WINDOW_CAP
@@ -551,6 +545,64 @@ class TestSettleInFlight:
         assert Counter(value for _pe, _port, value in relayed) == Counter(expected)
         assert board.is_drained()
         assert board.client.xpending(board.stream_key, GROUP)["pending"] == 0
+
+    def test_an_adopter_that_dies_adopting_is_adopted_with_what_it_adopted(self):
+        """``first`` adopts a dead worker and is killed in the dead worker's
+        second page.  Once ``first`` is named dead too, ``second`` finds the
+        first marker in ``first``'s PEL, finishes the dead worker's PEL, then
+        ``first``'s, and acks both markers: the relayed outputs equal
+        ``simple``'s as a multiset."""
+        n, namespace, ghost = 30, "repro:chain", "cluster-9-1"
+        graph = linear_graph(Tripwire(trip=12, name="wire"))
+        Tripwire.armed = False
+        expected = run(graph, inputs=list(range(n)), mapping="simple").output("wire")
+        Tripwire.armed = True
+
+        server = RedisServer()
+        board = RedisTaskBoard(RedisClient(server), namespace=namespace)
+        board.setup()
+        board.seed_roots(normalize_inputs(graph, list(range(n))))
+        assert len(board.fetch(ghost, board.client, count=20)) == 20
+        board.put_dead(ghost)
+        spec = _cluster_spec(graph, total_workers=3)
+        first = _ClusterWorker(RedisClient(server), namespace, 0, spec)
+        settle = first.worker._settle
+        # SIGKILL runs no ``finally``: once the wire has tripped, nothing settles.
+        first.worker._settle = lambda *window: Tripwire.armed and settle(*window)
+        with pytest.raises(Killed):
+            first.run()
+        pending = board.client.xpending(board.stream_key, GROUP)["consumers"]
+        # Its own entries are settled; the ghost's first page too.
+        assert pending == {first.worker.consumer: 1, ghost: 20 - WINDOW_CAP}
+        assert first.counters["reclaimed"] == 2 * WINDOW_CAP
+
+        board.put_dead(first.worker.consumer)
+        second = _ClusterWorker(RedisClient(server), namespace, 1, spec)
+        second.run()
+        assert second.counters["reclaimed"] == 20 - WINDOW_CAP
+        relayed = board.client.lrange(f"{namespace}:results", 0, -1)
+        assert Counter(value for _pe, _port, value in relayed) == Counter(expected)
+        assert board.is_drained()
+        assert board.client.xpending(board.stream_key, GROUP)["pending"] == 0
+
+    def test_markers_and_pills_never_count_toward_crash_after(self, monkeypatch):
+        """``crash_after`` counts tasks fetched: a worker armed to die past
+        two tasks runs two, adopts two empty PELs and ends on a pill alive."""
+        namespace = "repro:crash-count"
+        graph = linear_graph(Double(name="double"))
+        client = RedisClient(RedisServer())
+        board = RedisTaskBoard(client, namespace=namespace)
+        board.setup()
+        board.seed_roots(normalize_inputs(graph, [1, 2]))
+        board.put_dead("cluster-8-1")
+        board.put_dead("cluster-9-1")
+        board.put_pills(1)
+        spec = _cluster_spec(graph, crash_workers=(0,), crash_after=2)
+        monkeypatch.setattr(cluster.os, "kill", lambda *_: pytest.fail("crashed"))
+        worker = _ClusterWorker(client, namespace, 0, spec)
+        worker.run()
+        assert worker._fetched_entries == 2 and worker.counters["tasks"] == 2
+        assert client.xpending(board.stream_key, GROUP)["pending"] == 0
 
     def test_a_raise_reads_the_flight_then_settles_what_started(self):
         inputs = [f"in-{i}" for i in range(40)]
@@ -609,7 +661,10 @@ class TestSettleInFlight:
     def test_dropped_connections_mid_flight_the_settle_is_sent_again(self):
         """Over a real socket: every connection dropped while a settle is in
         flight.  ``result()`` sends it again, ``net_retries`` says so, and
-        the repeated ``XACKDECR`` releases nothing -- outstanding ends at 0."""
+        the repeated ``XACKDECR`` releases nothing -- outstanding ends at 0.
+        What the lost reply read ahead is in the worker's own PEL; with no
+        idle threshold anywhere, the worker re-reads that PEL itself once
+        its hand is empty, and nothing is left pending."""
         n, namespace = 80, "repro:flight-drop"
         graph = linear_graph(Double(name="double"))
         server = RespTCPServer().start()
@@ -619,10 +674,9 @@ class TestSettleInFlight:
             board.setup()
             board.seed_roots(normalize_inputs(graph, list(range(n))))
             # A re-sent settle reads ahead twice: what the lost reply carried
-            # sits in this worker's PEL until it is idle enough to reclaim.
+            # sits in this worker's own PEL, and it adopts itself.
             cluster_worker = _ClusterWorker(
-                SocketRedisClient(address=server.address), namespace, 0,
-                _cluster_spec(graph, reclaim_idle_ms=100.0),
+                SocketRedisClient(address=server.address), namespace, 0, _cluster_spec(graph)
             )
             worker = _wide(cluster_worker.worker)
             begin, begun = worker.client._transport.begin, []

@@ -75,5 +75,13 @@ def test_every_resp_handler_is_reached_from_a_codec_row():
     assert handlers - {encoded_verb(name) for name in _CODEC} == set()
 
 
+def test_a_removed_command_is_gone_from_every_layer():
+    """``XAUTOCLAIM`` adopted entries by idle time; an adopter now reads a
+    consumer named dead with ``XREADGROUP`` instead, and no layer keeps it."""
+    assert not hasattr(RedisServer, "xautoclaim") and not hasattr(RedisClient, "xautoclaim")
+    assert "xautoclaim" not in _CODEC and not hasattr(Pipeline, "xautoclaim")
+    assert "XAUTOCLAIM" not in _build_command_table(RedisServer())
+
+
 def test_transactions_admit_every_pipelined_command_and_only_server_commands():
     assert sent(Pipeline) <= RedisServer._TXN_COMMANDS <= server_commands()

@@ -146,25 +146,34 @@ class TestStreamsOverWire:
         assert client.xack_decr("st", "g", entry_id, "outstanding") == 0
         assert int(client.get("outstanding")) == 0
 
-    def test_xautoclaim_adopts_pending(self, client):
+    def test_a_dead_consumers_pel_is_read_as_it(self, server, client):
         client.xgroup_create("st", "g", mkstream=True)
-        client.xadd("st", {"task": "t"})
+        entry_id = client.xadd("st", {"task": "t"})
+        client.incrby("outstanding", 1)
         client.xreadgroup("g", "dead", {"st": ">"}, count=10)
-        time.sleep(0.05)
-        cursor, claimed = client.xautoclaim("st", "g", "live", min_idle_time=10)
-        assert len(claimed) == 1
-        pending = client.xpending("st", "g")
-        assert pending["consumers"] == {"live": 1}
+        adopter = SocketRedisClient(address=server.address)
+        try:
+            [(_key, held)] = adopter.xreadgroup("g", "dead", {"st": "0"}, count=8)
+            assert held == [(entry_id, {"task": "t"})]
+            # Read, not moved: the entry is still the dead consumer's ...
+            assert client.xpending("st", "g")["consumers"] == {"dead": 1}
+            # ... and whoever settles it first releases its credit, once.
+            assert adopter.xack_decr("st", "g", entry_id, "outstanding") == 1
+            assert client.xack_decr("st", "g", entry_id, "outstanding") == 0
+        finally:
+            adopter.close()
+        assert int(client.get("outstanding")) == 0
+        assert client.xreadgroup("g", "dead", {"st": "0"}) == [("st", [])]
 
-    def test_xautoclaim_pages_with_count(self, client):
+    def test_a_named_pel_pages_with_count(self, client):
         client.xgroup_create("st", "g", mkstream=True)
         ids = [client.xadd("st", {"task": n}) for n in range(3)]
         client.xreadgroup("g", "dead", {"st": ">"}, count=10)
-        cursor, claimed = client.xautoclaim("st", "g", "live", min_idle_time=0, count=2)
-        assert [eid for eid, _f in claimed] == ids[:2] and cursor == ids[2]
-        cursor, claimed = client.xautoclaim("st", "g", "live", 0, start_id=cursor, count=2)
-        assert [eid for eid, _f in claimed] == ids[2:] and cursor == "0-0"
-        assert client.xpending("st", "g")["consumers"] == {"live": 3}
+        [(_key, page)] = client.xreadgroup("g", "dead", {"st": "0"}, count=2)
+        assert [eid for eid, _f in page] == ids[:2]
+        [(_key, page)] = client.xreadgroup("g", "dead", {"st": page[-1][0]}, count=2)
+        assert [eid for eid, _f in page] == ids[2:]
+        assert client.xpending("st", "g")["consumers"] == {"dead": 3}
 
 class TestPipeline:
     def test_pipeline_is_ordered_and_decoded(self, client):
@@ -445,6 +454,8 @@ class TestUnknownCommands:
             ("XPENDING", "st", "g", "-", "+", "10"),
             ("XINFO", "STREAM", "st"),
             ("XCLAIM", "st", "g", "c", "0", "0-1"),
+            # Gone: only a consumer named dead is adopted, by reading its PEL.
+            ("XAUTOCLAIM", "st", "g", "c", "0", "0-0"),
             ("LTRIM", "st", "0", "-1"),
             ("LRANGESEQ", "st", "0", "-1"),
             ("BLMOVESEQ", "q", "q:log", "0.01", "COUNT", "2"),

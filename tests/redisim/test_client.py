@@ -98,13 +98,13 @@ class TestClientStreamAPI:
         rows = client.xinfo_consumers("s", "g")
         assert rows[0]["name"] == "c"
 
-    def test_xautoclaim_via_client(self, client):
+    def test_a_named_pel_read_via_client(self, client):
         client.xgroup_create("s", "g", id="0", mkstream=True)
         client.xadd("s", {"task": 1})
         client.xreadgroup("g", "dead", {"s": ">"})
-        cursor, claimed = client.xautoclaim("s", "g", "alive", 0)
-        assert cursor == "0-0"
-        assert claimed[0][1] == {"task": 1}
+        [(_key, held)] = client.xreadgroup("g", "dead", {"s": "0"})
+        assert held[0][1] == {"task": 1}
+        assert not hasattr(client, "xautoclaim")
 
     def test_hash_passthrough(self, client):
         client.hincrby("h", "f", 7)

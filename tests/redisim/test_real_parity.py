@@ -167,17 +167,27 @@ class TestParity:
 
         both(sim, real, k("st"), cycle)
 
-    def test_xautoclaim_adoption(self, pair):
+    def test_a_client_reads_a_named_consumers_pel(self, pair):
+        """How a death is adopted: any client reads the dead consumer's
+        pending entries as that consumer, a page at a time, and moves none."""
         sim, real, k = pair
 
         def adopt(c, key):
             c.xgroup_create(key, "g", mkstream=True)
-            c.xadd(key, {"t": "1"}, id="1-1")
+            for n in range(3):
+                c.xadd(key, {"t": str(n)}, id=f"1-{n + 1}")
             c.xreadgroup("g", "dead", {key: ">"}, count=10)
-            cursor, claimed = c.xautoclaim(key, "g", "live", min_idle_time=0)
-            return [(entry_id, fields) for entry_id, fields in claimed]
+            [(_name, first)] = c.xreadgroup("g", "dead", {key: "0"}, count=2)
+            [(_name, rest)] = c.xreadgroup("g", "dead", {key: first[-1][0]}, count=2)
+            acked = c.xack(key, "g", first[0][0])
+            [(_name, after)] = c.xreadgroup("g", "dead", {key: "0"}, count=8)
+            pending = c.xpending(key, "g")
+            return first, rest, acked, after, pending["pending"], pending["consumers"]
 
-        both(sim, real, k("st"), adopt)
+        first, rest, acked, after, count, consumers = both(sim, real, k("st"), adopt)
+        assert [entry_id for entry_id, _f in first + rest] == ["1-1", "1-2", "1-3"]
+        assert [entry_id for entry_id, _f in after] == ["1-2", "1-3"]
+        assert (acked, count, consumers) == (1, 2, {"dead": 2})
 
     def test_check_reads(self, pair):
         """The reads tests and operators check results with: KEYS, EXISTS,
@@ -408,7 +418,7 @@ class TestXaddn:
 
         assert both(a, b, k("no"), refused) == (["WRONGTYPE", True, True], b"v", 0, 1)
 
-    def test_group_reads_acks_and_claims_treat_its_entries_as_xadds(self, transports, clock):
+    def test_group_reads_acks_and_adoptions_treat_its_entries_as_xadds(self, transports, clock):
         a, b, k = transports
 
         def each(c, key, tasks):
@@ -426,8 +436,7 @@ class TestXaddn:
             [(_key, fetched)] = c.xreadgroup("g", "dead", {key: ">"}, count=2)
             [(_key, mine)] = c.xreadgroup("g", "live", {key: ">"}, count=1)
             settled = c.xack_decr(key, "g", mine[0][0], key + ":n", 1)
-            clock[0] = 1.0  # the dead consumer's entries idle for 995 ms
-            _cursor, claimed = c.xautoclaim(key, "g", "live", min_idle_time=100)
+            [(_key, claimed)] = c.xreadgroup("g", "dead", {key: "0"})
             (first, _f), *others = claimed
             more = [word for entry_id, _f in others for word in (entry_id, 1)]
             adopted = c.xack_decr(key, "g", first, key + ":n", 1, *more)

@@ -2,7 +2,7 @@
 
 The keyspace names an entry by its wire ID (formatted once, at ``XADD``)
 and keys the PEL by it, so every answer that has an order -- the PEL
-replay, ``XPENDING``'s min/max, ``XAUTOCLAIM``'s scan and cursor -- must
+replay and its paging cursor, ``XPENDING``'s min/max -- must
 sort by the ID, not by the string: ``"10-0" < "9-5"`` as text.  The
 completion count (``XACKDECR``) must stay exactly-once whichever way an
 ID is spelled.  Every test runs in process and over RESP/TCP.
@@ -43,17 +43,22 @@ def test_xpending_min_and_max_are_by_id(delivered):
     assert (summary["pending"], summary["min"], summary["max"]) == (4, "9-5", "100-2")
 
 
-def test_xautoclaim_scans_and_resumes_in_stream_order(delivered):
+def test_an_adopter_pages_a_named_pel_in_stream_order(delivered):
+    """The adopter of ``c1`` reads ``c1``'s PEL as ``c1``, two at a time,
+    each page starting past the last ID of the one before."""
     _keyspace, client = delivered
-    cursor, claimed = client.xautoclaim("s", "g", "c2", 0, start_id="0-0", count=2)
-    assert [entry_id for entry_id, _fields in claimed] == ["9-5", "10-0"]
-    assert cursor == "11-0"
-    cursor, claimed = client.xautoclaim("s", "g", "c2", 0, start_id=cursor, count=2)
-    assert [entry_id for entry_id, _fields in claimed] == ["11-0", "100-2"]
-    assert cursor == "0-0"
-    # The claimer's own replay follows the same order.
-    [(_key, entries)] = client.xreadgroup("g", "c2", {"s": "0"})
-    assert [entry_id for entry_id, _fields in entries] == IDS
+    pages, cursor = [], "0"
+    while True:
+        [(_key, page)] = client.xreadgroup("g", "c1", {"s": cursor}, count=2)
+        if not page:
+            break
+        pages.append([entry_id for entry_id, _fields in page])
+        cursor = page[-1][0]
+    assert pages == [["9-5", "10-0"], ["11-0", "100-2"]]
+    # An acked entry leaves the page; the rest keep their order.
+    assert client.xack("s", "g", "10-0") == 1
+    [(_key, entries)] = client.xreadgroup("g", "c1", {"s": "0"}, count=2)
+    assert [entry_id for entry_id, _fields in entries] == ["9-5", "11-0"]
 
 
 def test_xackdecr_releases_each_entry_once(delivered):

@@ -274,7 +274,7 @@ def _layer_of(module: str, owner: str, attr: str) -> Tuple[str, str]:
     if module == "repro.redisim.client" and attr.startswith(("_enc", "_dec", "_dumps", "_loads")):
         return ("pickle" if attr in ("_dumps", "_loads") else "client codec"), attr
     if module == "repro.mappings.base":
-        if attr == "dispatch_emissions":
+        if attr in ("dispatch_emissions", "dispatch_tasks"):
             return "dispatch", attr
         if owner == "Counters":
             return "counters", attr

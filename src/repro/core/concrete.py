@@ -1,4 +1,4 @@
-"""Concrete workflow: instance tables and grouping-aware routing.
+"""Concrete workflow: instance tables and compiled, grouping-aware routes.
 
 The concrete workflow (Figure 1, right side) is what a mapping actually
 enacts: each PE is replicated into ``allocation[pe]`` instances, and every
@@ -6,13 +6,19 @@ connection gets a router that turns "PE A emitted ``x`` on port ``out``"
 into a list of ``(destination PE, input port, destination instance index)``
 deliveries, honouring the connection's grouping.
 
+Every ``(PE, output port)`` is compiled once, at construction, into one
+:class:`Route`: the port's fixed ``(destination, input port)`` targets when
+no connection of it needs its router asked (one destination instance under
+a built-in stateless-answer grouping), else the port's routers, and for an
+unconnected port the results key its emissions are credited to (a fused
+PE's ``collector_aliases`` resolved).  Routing an emission is then one
+lookup, and every caller reads the same table.
+
 Router state (round-robin counters) is kept per (edge, source instance) so
 each producer instance distributes independently -- the behaviour separate
 OS processes would naturally have.  In dynamic mappings many worker threads
 emit on behalf of the same conceptual source, so router state access is
-lock-protected -- except on an edge with a single destination instance
-under a built-in stateless-answer grouping, which has no state to protect
-and answers ``[0]`` directly.
+lock-protected.
 """
 
 from __future__ import annotations
@@ -57,15 +63,15 @@ class EdgeRouter:
         self.n_dst = n_dst
         self._states: Dict[str, Optional[dict]] = {}
         self._lock = threading.Lock()
-        #: One destination and nothing to ask the grouping: every dynamic
-        #: mapping's edges (``single_instance``) route without lock or state.
+        #: One destination and nothing to ask the grouping: the answer is
+        #: ``[0]``, so :class:`ConcreteWorkflow` compiles the edge into a
+        #: fixed target and never asks (every edge of ``single_instance``
+        #: under a built-in grouping).
         self._direct = n_dst == 1 and type(self.grouping) in _SINGLE_TARGET_BUILTINS
 
     def route(self, src_instance: str, data: Any) -> List[Delivery]:
         """Deliveries for one data unit emitted by ``src_instance``."""
         edge = self.edge
-        if self._direct:
-            return [Delivery(edge.dst, edge.dst_port, 0, data)]
         with self._lock:
             state = self._states.get(src_instance)
             if state is None and src_instance not in self._states:
@@ -75,8 +81,27 @@ class EdgeRouter:
         return [Delivery(edge.dst, edge.dst_port, index, data) for index in indices]
 
 
+class Route(NamedTuple):
+    """One output port, compiled: where its emissions go.
+
+    Exactly one field answers.  ``targets``: the fixed ``(dst, dst_port)``
+    pairs, instance 0 each, in edge order -- every connection of the port
+    is direct (see :class:`EdgeRouter`).  ``routers``: the connections'
+    routers, asked per emission.  ``collect``: the ``(pe, port)`` results
+    key of an unconnected port.
+    """
+
+    targets: Optional[Tuple[Tuple[str, str], ...]]
+    routers: Tuple[EdgeRouter, ...]
+    collect: Optional[Tuple[str, str]]
+
+
+#: The routes of a PE the graph does not hold.
+_NO_ROUTES: Dict[str, Route] = {}
+
+
 class ConcreteWorkflow:
-    """Instance counts + routing tables for one enactment.
+    """Instance counts + compiled routes for one enactment.
 
     Parameters
     ----------
@@ -88,9 +113,10 @@ class ConcreteWorkflow:
         every PE conceptually has one logical queue and any worker may
         execute it).
 
-    The graph is read once, here: routers are indexed by ``(src, port)``
-    and instance ids are precomputed, so routing an emission is two dict
-    lookups however many edges the graph has.
+    The graph is read once, here: :attr:`routes` maps PE name -> output
+    port -> :class:`Route` for every declared output port, and instance ids
+    are precomputed, so routing an emission is two dict lookups however
+    many edges the graph has.
     """
 
     def __init__(self, graph: WorkflowGraph, allocation: Dict[str, int]) -> None:
@@ -109,11 +135,34 @@ class ConcreteWorkflow:
             grouping = graph.effective_grouping(edge)
             key = (edge.src, edge.src_port, edge.dst, edge.dst_port)
             self._routers[key] = EdgeRouter(edge, grouping, allocation[edge.dst])
-        #: (src PE, output port) -> the routers of its connections, in edge
-        #: order (parallel edges between the same two ports share a router).
-        self._routes: Dict[Tuple[str, str], List[EdgeRouter]] = {}
+        # A port's routers in edge order (parallel edges between the same
+        # two ports share a router, and each delivers).
+        connected: Dict[Tuple[str, str], List[EdgeRouter]] = {}
         for edge in graph.edges:
-            self._routes.setdefault((edge.src, edge.src_port), []).append(self.router(edge))
+            connected.setdefault((edge.src, edge.src_port), []).append(self.router(edge))
+        self.routes: Dict[str, Dict[str, Route]] = {}
+        for name, pe in graph.pes.items():
+            # ``connect`` refuses an undeclared port: these are all of them.
+            aliases = getattr(pe, "collector_aliases", None) or {}
+            self.routes[name] = {
+                port: self._compile(name, port, connected.get((name, port)), aliases)
+                for port in pe.outputconnections
+            }
+
+    @staticmethod
+    def _compile(
+        name: str,
+        port: str,
+        routers: Optional[List[EdgeRouter]],
+        aliases: Dict[str, Tuple[str, str]],
+    ) -> Route:
+        if not routers:
+            return Route(None, (), aliases.get(port, (name, port)))
+        if all(router._direct for router in routers):
+            return Route(
+                tuple((router.edge.dst, router.edge.dst_port) for router in routers), (), None
+            )
+        return Route(None, tuple(routers), None)
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -148,7 +197,8 @@ class ConcreteWorkflow:
     # ---------------------------------------------------------------- routing
     def connected(self, src_pe: str, out_port: str) -> bool:
         """Whether any connection leaves ``src_pe.out_port``."""
-        return (src_pe, out_port) in self._routes
+        route = self.routes.get(src_pe, _NO_ROUTES).get(out_port)
+        return route is not None and route.collect is None
 
     def route_output(
         self, src_pe: str, src_index: int, out_port: str, data: Any
@@ -157,16 +207,18 @@ class ConcreteWorkflow:
 
         An output port may fan out to several connections; each connection
         routes independently (possibly duplicating the data unit, as in
-        dispel4py).
+        dispel4py).  An unconnected port routes nowhere.
         """
-        routers = self._routes.get((src_pe, out_port))
-        if routers is None:
+        route = self.routes.get(src_pe, _NO_ROUTES).get(out_port)
+        if route is None or route.collect is not None:
             return []
+        if route.targets is not None:
+            return [Delivery(dst, dst_port, 0, data) for dst, dst_port in route.targets]
         source = self._instance_ids[src_pe][src_index]
-        if len(routers) == 1:
-            return routers[0].route(source, data)
+        if len(route.routers) == 1:
+            return route.routers[0].route(source, data)
         deliveries: List[Delivery] = []
-        for router in routers:
+        for router in route.routers:
             deliveries.extend(router.route(source, data))
         return deliveries
 

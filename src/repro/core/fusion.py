@@ -38,8 +38,8 @@ What the rest of the engine sees
   namespaced fused ports (``"<member>__<port>"``); external edges are
   re-pointed at them, and emissions on unconnected ones are credited to
   the *original* ``"<member>.<port>"`` results key through
-  ``collector_aliases`` (honoured by
-  :func:`repro.mappings.base.dispatch_emissions`).
+  ``collector_aliases`` (resolved into the port's compiled route by
+  :class:`repro.core.concrete.ConcreteWorkflow`).
 - ``get_state``/``set_state`` capture the composite state of all members,
   so ``hybrid_redis`` checkpoints a fused stateful chain as one snapshot
   and recovery replays at fusion granularity.

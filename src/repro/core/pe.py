@@ -260,12 +260,36 @@ class GenericPE:
 
 
 class IterativePE(GenericPE):
-    """One input port, one output port; override :meth:`_process`."""
+    """One input port, one output port; override :meth:`_process`.
+
+    A subclass that overrides :meth:`process` instead is invoked through
+    :meth:`GenericPE._invoke`, which calls it.
+    """
 
     def __init__(self, name: Optional[str] = None) -> None:
         super().__init__(name)
         self._add_input(self.INPUT_NAME)
         self._add_output(self.OUTPUT_NAME)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.process is not IterativePE.process and "_invoke" not in vars(cls):
+            cls._invoke = GenericPE._invoke
+
+    def _invoke(self, inputs: Optional[Dict[str, Any]]) -> List[Tuple[str, Any]]:
+        """:meth:`GenericPE._invoke` without the ``process`` frame: the input
+        port's value goes to ``_process``, the result straight after what
+        it wrote (engine hook)."""
+        emissions = self._output_buffer = []
+        result = self._process(inputs.get(self.INPUT_NAME) if inputs is not None else None)
+        self._output_buffer = []
+        if result is not None:
+            if self.OUTPUT_NAME not in self.outputconnections:
+                raise PortError(
+                    f"PE {self.name!r} returned data for unknown output {self.OUTPUT_NAME!r}"
+                )
+            emissions.append((self.OUTPUT_NAME, result))
+        return emissions
 
     def process(self, inputs: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         data = inputs.get(self.INPUT_NAME)

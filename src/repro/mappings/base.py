@@ -307,23 +307,51 @@ def dispatch_emissions(
 ) -> List[Delivery]:
     """Route one invocation's emissions; collect unconnected-port output.
 
-    A PE may declare ``collector_aliases`` (fused port -> original
-    ``(pe, port)`` pair, see :class:`repro.core.fusion.FusedPE`): emissions
-    on an unconnected aliased port are credited to the original results
-    key, so a fused run reports the same output keys as an unfused one.
+    Each port answers from its compiled :class:`~repro.core.concrete.Route`:
+    an emission on an unconnected port is credited to the route's results
+    key -- for a :class:`repro.core.fusion.FusedPE`, the original
+    ``(pe, port)`` pair its ``collector_aliases`` name, so a fused run
+    reports the same output keys as an unfused one.
     """
     deliveries: List[Delivery] = []
+    routes = concrete.routes[pe_name]
     for port, data in emissions:
-        if concrete.connected(pe_name, port):
-            deliveries.extend(concrete.route_output(pe_name, index, port, data))
-            continue
-        aliases = getattr(concrete.graph.pes.get(pe_name), "collector_aliases", None)
-        if aliases and port in aliases:
-            original_pe, original_port = aliases[port]
-            collector.add(original_pe, original_port, data)
+        route = routes[port]
+        if route.targets is not None:
+            for dst, dst_port in route.targets:
+                deliveries.append(Delivery(dst, dst_port, 0, data))
+        elif route.collect is not None:
+            collector.add(route.collect[0], route.collect[1], data)
         else:
-            collector.add(pe_name, port, data)
+            deliveries.extend(concrete.route_output(pe_name, index, port, data))
     return deliveries
+
+
+def dispatch_tasks(
+    concrete: ConcreteWorkflow,
+    collector: ResultsCollector,
+    pe_name: str,
+    emissions: List[Tuple[str, Any]],
+) -> List[Tuple[str, str, Any]]:
+    """:func:`dispatch_emissions` on a single-instance workflow, as the
+    ``(dst, dst_port, data)`` tasks a global queue carries.
+
+    Every instance index is 0 there, so a fixed target becomes its task
+    directly, with no :class:`~repro.core.concrete.Delivery` in between.
+    """
+    tasks: List[Tuple[str, str, Any]] = []
+    routes = concrete.routes[pe_name]
+    for port, data in emissions:
+        route = routes[port]
+        if route.targets is not None:
+            for dst, dst_port in route.targets:
+                tasks.append((dst, dst_port, data))
+        elif route.collect is not None:
+            collector.add(route.collect[0], route.collect[1], data)
+        else:
+            for delivery in concrete.route_output(pe_name, 0, port, data):
+                tasks.append((delivery.dst, delivery.dst_port, delivery.data))
+    return tasks
 
 
 # ------------------------------------------------------------------- sessions

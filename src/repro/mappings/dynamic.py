@@ -39,7 +39,7 @@ from repro.mappings.base import (
     JOIN_TIMEOUT,
     EnactmentState,
     Mapping,
-    dispatch_emissions,
+    dispatch_tasks,
     graph_copy,
     live_feeder,
     resolve_batch_size,
@@ -199,12 +199,7 @@ class DynamicWorkforce(Workforce):
         try:
             emissions = copies[pe_name]._invoke(inputs)
             tally["tasks"] += 1
-            children = [
-                (delivery.dst, delivery.dst_port, delivery.data)
-                for delivery in dispatch_emissions(
-                    self.concrete, self.state.collector, pe_name, 0, emissions
-                )
-            ]
+            children = dispatch_tasks(self.concrete, self.state.collector, pe_name, emissions)
             if self.batch_size > 1:
                 children = [as_envelope(chunk) for chunk in chunked(children, self.batch_size)]
             # Queue transfer cost is charged once per queue item: the

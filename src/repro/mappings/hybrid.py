@@ -618,7 +618,7 @@ class HybridRedisMapping(Mapping):
         return not isinstance(item, Batch) and item[0] == "close"
 
     def _invoke_element(
-        self, state, instance, pe_name, index, item, *,
+        self, state, instance, pe_name, index, item, tally, *,
         concrete, injector=None,
     ) -> List[Delivery]:
         """Run every message of one private-queue element (bare or batch).
@@ -628,23 +628,21 @@ class HybridRedisMapping(Mapping):
         pipelined round trip.  Crash-injection points stay *per message* --
         mid-batch crashes are exactly the boundary case recovery must
         survive -- while the post-dispatch point belongs to the caller.
+        Every message run counts in ``tally["stateful_tasks"]``, crash
+        included (what ran, ran); the caller merges the tally once per
+        window.
         """
         deliveries: List[Delivery] = []
-        invoked = 0
-        try:
-            for message in batch_items(item):
-                if injector is not None:
-                    injector.record_invocation(instance.instance_id)
-                emissions = self._invoke_message(instance, message)
-                invoked += 1
-                if injector is not None:
-                    injector.maybe_crash(instance.instance_id, "post-process")
-                deliveries.extend(
-                    dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
-                )
-        finally:
-            # Counted once per element, crash included: what ran, ran.
-            state.counters.inc("stateful_tasks", invoked)
+        for message in batch_items(item):
+            if injector is not None:
+                injector.record_invocation(instance.instance_id)
+            emissions = self._invoke_message(instance, message)
+            tally["stateful_tasks"] += 1
+            if injector is not None:
+                injector.maybe_crash(instance.instance_id, "post-process")
+            deliveries.extend(
+                dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
+            )
         return deliveries
 
     def _run_plain(
@@ -668,14 +666,20 @@ class HybridRedisMapping(Mapping):
             deliveries: List[Delivery] = []
             credits = 0
             closed = False
-            for item in window:
-                if self._is_close(item):
-                    closed = True
-                    break
-                deliveries.extend(
-                    self._invoke_element(state, instance, pe_name, index, item, concrete=concrete)
-                )
-                credits += batch_len(item)
+            tally = {"stateful_tasks": 0}
+            try:
+                for item in window:
+                    if self._is_close(item):
+                        closed = True
+                        break
+                    deliveries.extend(
+                        self._invoke_element(
+                            state, instance, pe_name, index, item, tally, concrete=concrete
+                        )
+                    )
+                    credits += batch_len(item)
+            finally:
+                state.counters.merge(tally)
             # One pipelined round trip: children + completion.  Each element
             # carries one credit per tuple it batched; release them all.
             if credits:
@@ -768,30 +772,34 @@ class HybridRedisMapping(Mapping):
             deliveries: List[Delivery] = []
             applied = None
             closed = False
-            for entry_id, item in window:
-                if self._is_close(item):
-                    closed = True
-                    break
-                credits = batch_len(item)
-                uncommitted.append((entry_id, credits))
-                uncommitted_credits += credits
-                seq = entry_seq(entry_id)
-                if seq <= last_seq:
-                    # Already reflected in the restored snapshot: skip the
-                    # state mutation, but keep the entry in this commit
-                    # window so the next checkpoint acks it and releases its
-                    # credits.  Dedup is exact at batch granularity because
-                    # the entry was applied whole before the snapshot
-                    # covered it.
-                    state.counters.inc("deduplicated", credits)
-                    continue
-                deliveries.extend(
-                    self._invoke_element(
-                        state, instance, pe_name, index, item,
-                        concrete=concrete, injector=injector,
+            tally = {"stateful_tasks": 0, "deduplicated": 0}
+            try:
+                for entry_id, item in window:
+                    if self._is_close(item):
+                        closed = True
+                        break
+                    credits = batch_len(item)
+                    uncommitted.append((entry_id, credits))
+                    uncommitted_credits += credits
+                    seq = entry_seq(entry_id)
+                    if seq <= last_seq:
+                        # Already reflected in the restored snapshot: skip the
+                        # state mutation, but keep the entry in this commit
+                        # window so the next checkpoint acks it and releases
+                        # its credits.  Dedup is exact at batch granularity
+                        # because the entry was applied whole before the
+                        # snapshot covered it.
+                        tally["deduplicated"] += credits
+                        continue
+                    deliveries.extend(
+                        self._invoke_element(
+                            state, instance, pe_name, index, item, tally,
+                            concrete=concrete, injector=injector,
+                        )
                     )
-                )
-                applied = seq
+                    applied = seq
+            finally:
+                state.counters.merge(tally)
             if applied is not None:
                 pipe = client.pipeline()
                 dispatch(pipe, deliveries)

@@ -48,10 +48,13 @@ class RedisWorkforce(Workforce):
     the dedicated (:meth:`worker_loop`) and session
     (:meth:`drain_session`) stop policies.  A worker's consumer name is
     derived from its worker key.
+
+    Not ``recoverable``: the workers are threads of this process, and one
+    that raises fails the run, so no consumer is ever named dead here (the
+    stream could adopt one; :mod:`repro.mappings.cluster` is where it does).
     """
 
     requires_redis = True
-    recoverable = True
     dedicated_prefix = "dynredis"
     autoscaled_prefix = "autoredis"
 

@@ -493,13 +493,15 @@ class StreamWorker:
                     children.extend(
                         dispatch_emissions(self.concrete, self.collector, pe_name, 0, emissions)
                     )
-                self.count("tasks", len(items))
                 tasks += len(items)
             else:
                 leaving = bool(pills)
                 if not pills and not deaths and tasks < budget:
                     window = self._window() if budget == UNLIMITED else 1
         finally:
+            # Every entry that ran whole, counted once per window.
+            if tasks:
+                self.count("tasks", tasks)
             # Settle even when a PE raised: a started entry must not stay
             # in the PEL for a peer to adopt and fail on again.
             self._settle(ran, children, pills, window, started, leaving)

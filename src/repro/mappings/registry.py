@@ -51,13 +51,14 @@ class Capabilities:
     dynamic:
         Schedules tasks dynamically (no static PE-to-process pinning).
     recoverable:
-        Survives worker crashes mid-run: the Redis dynamic family adopts
-        the consumer-group PEL of a consumer named dead, and only of one
-        (``cluster_redis``'s coordinator names every worker process that
-        exits abnormally), and -- on ``hybrid_redis`` -- checkpoint/restore
-        of pinned stateful instances (:mod:`repro.state`), whose private
-        queues are then streams: the PEL is the replay log and the snapshot
-        cursor is the last applied entry ID.
+        Survives worker crashes mid-run: ``cluster_redis`` adopts the
+        consumer-group PEL of a consumer named dead, and only of one (its
+        coordinator names every worker process that exits abnormally), and
+        ``hybrid_redis`` checkpoints and restores pinned stateful instances
+        (:mod:`repro.state`), whose private queues are then streams: the
+        PEL is the replay log and the snapshot cursor is the last applied
+        entry ID.  ``dyn_redis`` / ``dyn_auto_redis`` run their workers as
+        threads, and one that raises fails the run.
     batching:
         Honours the ``batch_size`` transport option (micro-batched tuple
         envelopes on its queues/streams).  Mappings
@@ -248,7 +249,7 @@ def refusal(
     elif not (caps.recoverable and caps.stateful) and (
         "checkpoint_interval" in opts or "state_store" in opts or "crash_injector" in opts
     ):
-        # Adoption-only recoverability (dyn_redis) does not qualify: the
+        # Adoption-only recoverability (cluster_redis) does not qualify: the
         # mapping must both pin stateful instances and recover them.
         lacks = (
             "stateful checkpointing (checkpoint_interval/state_store/"

@@ -18,7 +18,7 @@ from repro.core.concrete import ConcreteWorkflow
 from repro.mappings.base import (
     EnactmentState,
     Mapping,
-    dispatch_emissions,
+    dispatch_tasks,
     instantiate,
 )
 from repro.mappings.registry import Capabilities, register_mapping
@@ -58,10 +58,10 @@ class SimpleMapping(Mapping):
                     pe_name, inputs = fifo.popleft()
                     emissions = instances[pe_name]._invoke(inputs)
                     state.counters.inc("tasks")
-                    for delivery in dispatch_emissions(
-                        concrete, state.collector, pe_name, 0, emissions
+                    for dst, dst_port, data in dispatch_tasks(
+                        concrete, state.collector, pe_name, emissions
                     ):
-                        fifo.append((delivery.dst, {delivery.dst_port: delivery.data}))
+                        fifo.append((dst, {dst_port: data}))
 
             drain()
             # Flush stateful aggregates in topological order so that a
@@ -69,10 +69,10 @@ class SimpleMapping(Mapping):
             # the downstream PE itself is flushed.
             for name in order:
                 emissions = instances[name]._flush_postprocess()
-                for delivery in dispatch_emissions(
-                    concrete, state.collector, name, 0, emissions
+                for dst, dst_port, data in dispatch_tasks(
+                    concrete, state.collector, name, emissions
                 ):
-                    fifo.append((delivery.dst, {delivery.dst_port: delivery.data}))
+                    fifo.append((dst, {dst_port: data}))
                 drain()
         except BaseException as exc:  # noqa: BLE001 - single-worker boundary
             state.record_error(exc)

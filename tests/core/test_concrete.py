@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.concrete import ConcreteWorkflow, Delivery, EdgeRouter, instance_id
+from repro.core.concrete import ConcreteWorkflow, Delivery, EdgeRouter, Route, instance_id
 from repro.core.exceptions import GraphError
 from repro.core.graph import Edge, WorkflowGraph
 from repro.core.groupings import AllToOne, GroupBy, Grouping, OneToAll, Shuffle
-from tests.conftest import Collect, Double, Emit, StatefulCounter, linear_graph
+from repro.mappings.base import ResultsCollector, dispatch_emissions, dispatch_tasks
+from repro.planner import fuse_graph
+from tests.conftest import AddOne, Collect, Double, Emit, StatefulCounter, linear_graph
 
 
 class TestInstanceId:
@@ -164,6 +166,34 @@ def _parallel_edges_graph():
     return g
 
 
+class _ByRound(Grouping):
+    """A user grouping: instance ``round % n``, whatever the key."""
+
+    def route(self, data, n_instances, state):
+        return [data[1] % n_instances]
+
+
+def _broadcast_graph():
+    g = WorkflowGraph("broadcast")
+    g.connect(Emit(name="src"), "output", Double(name="all"), "input", grouping=OneToAll())
+    return g
+
+
+def _user_grouping_graph():
+    g = WorkflowGraph("user")
+    g.connect(Emit(name="src"), "output", Double(name="picked"), "input", grouping=_ByRound())
+    return g
+
+
+def _mixed_port_graph():
+    """One port, two connections: one direct, one keyed."""
+    g = WorkflowGraph("mixed")
+    src = Emit(name="src")
+    g.connect(src, "output", Double(name="plain"), "input")
+    g.connect(src, "output", Double(name="keyed"), "input", grouping=GroupBy([0]))
+    return g
+
+
 class TestRouteIndex:
     @pytest.mark.parametrize(
         "build, allocation",
@@ -173,23 +203,65 @@ class TestRouteIndex:
             (_fanout_graph, None),
             (_fanout_graph, {"a": 2, "b": 3, "c": 1, "sink": 2}),
             (_groupby_graph, {"src": 2, "counter": 3}),
+            (_groupby_graph, None),
             (_parallel_edges_graph, {"a": 1, "b": 3}),
+            (_parallel_edges_graph, None),
+            (_broadcast_graph, {"src": 2, "all": 3}),
+            (_broadcast_graph, None),
+            (_user_grouping_graph, {"src": 1, "picked": 3}),
+            (_user_grouping_graph, None),
+            (_mixed_port_graph, {"src": 2, "plain": 1, "keyed": 2}),
         ],
     )
     def test_indexed_routing_equals_edge_scan(self, build, allocation):
+        """Every caller of the compiled table routes as the edge scan does:
+        ``route_output``, ``dispatch_emissions`` and, on one instance per
+        PE, ``dispatch_tasks`` -- each on its own concrete workflow, so
+        round-robin state advances in step with the reference's."""
         graph = build()
         allocation = allocation or {name: 1 for name in graph.pes}
         indexed = ConcreteWorkflow(graph, allocation)
+        dispatched = ConcreteWorkflow(graph, allocation)
+        tasked = ConcreteWorkflow(graph, allocation)
         reference = ConcreteWorkflow(graph, allocation)
+        single = set(allocation.values()) == {1}
+        collector = ResultsCollector()
         for round_ in range(7):
             for name, pe in graph.pes.items():
                 for index in range(allocation[name]):
                     for port in pe.outputconnections:
                         data = (f"k{round_ % 3}", round_)
-                        assert indexed.route_output(name, index, port, data) == _scan_route(
-                            reference, graph, name, index, port, data
-                        )
+                        expected = _scan_route(reference, graph, name, index, port, data)
+                        assert indexed.route_output(name, index, port, data) == expected
+                        assert dispatch_emissions(
+                            dispatched, collector, name, index, [(port, data)]
+                        ) == expected
+                        if single:
+                            assert dispatch_tasks(tasked, collector, name, [(port, data)]) == [
+                                (d.dst, d.dst_port, d.data) for d in expected
+                            ]
                         assert indexed.connected(name, port) == bool(graph.out_edges(name, port))
+
+    def test_a_port_compiles_to_one_answer(self):
+        cw = ConcreteWorkflow(_mixed_port_graph(), {"src": 1, "plain": 1, "keyed": 2})
+        assert cw.routes["plain"]["output"] == Route(None, (), ("plain", "output"))
+        mixed = cw.routes["src"]["output"]
+        assert mixed.targets is None and mixed.collect is None
+        assert [router.edge.dst for router in mixed.routers] == ["plain", "keyed"]
+        chain = ConcreteWorkflow.single_instance(_parallel_edges_graph())
+        assert chain.routes["a"]["output"] == Route((("b", "input"), ("b", "input")), (), None)
+        assert ConcreteWorkflow.single_instance(_groupby_graph()).routes["src"]["output"].routers
+
+    def test_a_fused_port_credits_the_original_key(self):
+        graph = fuse_graph(linear_graph(Emit(name="a"), Double(name="b"), AddOne(name="c"))).graph
+        [fused] = graph.pes
+        cw = ConcreteWorkflow.single_instance(graph)
+        assert cw.routes[fused]["c__output"] == Route(None, (), ("c", "output"))
+        assert not cw.connected(fused, "c__output")
+        collector = ResultsCollector()
+        assert dispatch_emissions(cw, collector, fused, 0, [("c__output", 1)]) == []
+        assert dispatch_tasks(cw, collector, fused, [("c__output", 2)]) == []
+        assert collector.as_dict() == {"c.output": [1, 2]}
 
     def test_unknown_pe_or_port_is_unconnected(self):
         cw = ConcreteWorkflow.single_instance(_chain_graph())

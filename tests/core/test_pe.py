@@ -114,6 +114,57 @@ class TestInvoke:
         assert Flusher()._flush_postprocess() == [("out", "bye")]
 
 
+class TestIterativeInvoke:
+    """``IterativePE._invoke`` calls ``_process`` without the ``process`` frame."""
+
+    def test_write_precedes_the_returned_value(self):
+        class Chatty(IterativePE):
+            def _process(self, data):
+                self.write("output", ("note", data))
+                return data + 1
+
+        pe = Chatty()
+        assert pe._invoke({"input": 1}) == [("output", ("note", 1)), ("output", 2)]
+        assert pe._invoke({"input": 5}) == [("output", ("note", 5)), ("output", 6)]
+
+    def test_none_input_and_none_result(self):
+        class Echo(IterativePE):
+            def _process(self, data):
+                return data
+
+        pe = Echo()
+        assert pe._invoke(None) == [] and pe._invoke({}) == []
+        assert pe._invoke({"input": 0}) == [("output", 0)]  # falsy, but not None
+
+    def test_an_overridden_process_still_runs(self):
+        class Wrapped(IterativePE):
+            def process(self, inputs):
+                return {"output": ("wrapped", inputs["input"])}
+
+            def _process(self, data):
+                raise AssertionError("process is overridden; _process is its business")
+
+        class Further(Wrapped):
+            pass
+
+        assert Wrapped._invoke is GenericPE._invoke and Further._invoke is GenericPE._invoke
+        assert Further()._invoke({"input": 3}) == [("output", ("wrapped", 3))]
+
+    def test_an_undeclared_output_still_raises(self):
+        class Portless(IterativePE):
+            def __init__(self):
+                super().__init__("portless")
+                del self.outputconnections[self.OUTPUT_NAME]
+
+            def _process(self, data):
+                return data
+
+        pe = Portless()
+        assert pe._invoke({"input": None}) == []
+        with pytest.raises(PortError, match="unknown output 'output'"):
+            pe._invoke({"input": 1})
+
+
 class TestStatefulness:
     def test_default_stateless(self):
         class Plain(IterativePE):

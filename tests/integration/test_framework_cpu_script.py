@@ -47,6 +47,9 @@ def test_quick_run_prints_a_row_and_an_attribution_table():
     assert {"RESP", "client", "keyspace"} <= layers["cluster_tcp"]
     assert {"PE", "dispatch", "worker", "queues"} <= layers["chain_queue"]
     assert {"PE", "worker"} <= layers["galaxy_autoscale"]
+    # The hop's routing and invoke functions are priced by name, in their layers.
+    functions = {line.split()[0] for line in sections["chain_queue"] if line}
+    assert {"dispatch_tasks", "IterativePE._invoke"} <= functions
     # A window's children and the pills go out as XADDN; nothing sends XADD.
     for name in ("stateful_hybrid", "cluster_tcp"):
         assert any(line.startswith("keyspace xaddn ") for line in sections[name])

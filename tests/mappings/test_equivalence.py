@@ -98,11 +98,11 @@ DYNAMIC_ROWS = {
     ),
     "dyn_redis": _dynamic_row(
         "Dynamic scheduling on a Redis Stream consumer group",
-        requires_redis=True, recoverable=True,
+        requires_redis=True,
     ),
     "dyn_auto_redis": _dynamic_row(
         "Redis dynamic scheduling + idle-time auto-scaling",
-        requires_redis=True, recoverable=True, autoscaling=True,
+        requires_redis=True, autoscaling=True,
     ),
 }
 

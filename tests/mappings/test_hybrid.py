@@ -327,6 +327,24 @@ def _consumer(graph, pe_name, server, messages, *, recovery=False):
     return state, instance, board, wiring
 
 
+class _CallCounters(Counters):
+    """:class:`Counters` that also counts, per name, the calls that touch it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def inc(self, name, amount=1):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        super().inc(name, amount)
+
+    def merge(self, tally):
+        for name, amount in tally.items():
+            if amount:
+                self.calls[name] = self.calls.get(name, 0) + 1
+        super().merge(tally)
+
+
 class TestPinnedWindows:
     def test_a_backlog_settles_in_at_most_two_pipelines(self):
         """8 elements queued before the instance starts run as one window
@@ -353,6 +371,7 @@ class TestPinnedWindows:
         state, instance, board, wiring = _consumer(
             graph, "counter", server, [*data, ("close",)], recovery=recovery
         )
+        state.counters = _CallCounters()
         mapping = HybridRedisMapping()
         if recovery:
             closed = mapping._run_recoverable(
@@ -365,6 +384,9 @@ class TestPinnedWindows:
         assert closed
         assert instance.counts == {"a": 2, "b": 1}
         assert board.outstanding() == 1
+        # The window's three messages are counted in one call.
+        assert state.counters.get("stateful_tasks") == 3
+        assert state.counters.calls["stateful_tasks"] == 1
         if recovery:
             # One window read after the empty replay read, one ack of the
             # three data entries; the marker waits in the PEL for teardown.

@@ -1,12 +1,15 @@
-"""Tests for adopting the dead in the Redis dynamic mappings.
+"""Tests for adopting the dead on the Redis task stream.
 
-The ``recoverable`` capability of ``dyn_redis``/``dyn_auto_redis``/
-``cluster_redis`` rests on this path: a consumer dying between XREADGROUP
-and XACK leaves its entries in the PEL where no ``>`` read ever sees them
-again.  Whoever sees it die names it with a death marker on the task
-stream, and the worker the group hands the marker reads the dead
-consumer's PEL as that consumer and runs it.  A consumer nobody named is
-never robbed, however long it holds an entry.
+``cluster_redis``'s ``recoverable`` capability rests on this path: a
+consumer dying between XREADGROUP and XACK leaves its entries in the PEL
+where no ``>`` read ever sees them again.  Whoever sees it die names it
+with a death marker on the task stream, and the worker the group hands the
+marker reads the dead consumer's PEL as that consumer and runs it.  A
+consumer nobody named is never robbed, however long it holds an entry.
+
+The tests drive the stream worker ``dyn_redis`` shares with the cluster
+and name deaths by hand (``put_dead``): an in-process ``dyn_redis`` run
+never names one, since a worker thread that raises fails the run.
 """
 
 import time

@@ -297,8 +297,8 @@ class TestCrashRecovery:
     def test_recovery_options_rejected_without_stateful_checkpointing(self, mapping, option):
         """Requesting checkpointing (or crashes to recover from) on a
         mapping that cannot honour it must fail loudly, not silently run
-        without crash safety -- including the reclaim-only recoverable
-        mappings, which never snapshot state."""
+        without crash safety -- including the Redis stream mappings, whose
+        workers never snapshot state."""
         g = linear_graph(Emit(name="src"), Emit(name="sink"))
         with pytest.raises(UnsupportedFeatureError, match="stateful checkpointing"):
             run(g, inputs=[1], processes=2, mapping=mapping, time_scale=FAST_SCALE, **option)

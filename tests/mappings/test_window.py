@@ -139,6 +139,14 @@ class TestTripsPerWindow:
         state, wf = _workforce(linear_graph(Double(name="double")), list(range(n)))
         wf.seed_roots()
         worker = _wide(wf.worker("solo"))
+        calls = Counter()
+        count = worker.count
+
+        def counting(name, amount=1):
+            calls[name] += 1
+            count(name, amount)
+
+        worker.count = counting
         worker.run_dedicated(lambda: None)
         assert sorted(state.collector.as_dict()["double.output"]) == [2 * i for i in range(n)]
         assert state.counters.get("tasks") == n
@@ -147,6 +155,8 @@ class TestTripsPerWindow:
         # termination read.
         assert worker.client.ops <= n / WINDOW_CAP + 8
         assert state.counters.get("settle_trips") == 1 + -(-(n - 1) // WINDOW_CAP)
+        # A window's tasks reach the shared counters in one call.
+        assert calls["tasks"] == calls["settle_trips"]
         assert _pending(wf) == 0 and wf.board.is_drained()
 
     def test_children_then_ack_per_entry_acks_in_fetch_order(self):
@@ -631,8 +641,12 @@ class TestSettleInFlight:
         wf.seed_roots()
         worker = _wide(wf.worker("stoppable"))
         wire = _Wire(worker.client)
-        worker.run_until(lambda: state.counters.get("tasks") >= 30)
-        assert state.counters.get("tasks") == 30
+        # Progress is read off the results: ``tasks`` is counted once per window.
+        def ran():
+            return len(state.collector.as_dict().get("double.output", ()))
+
+        worker.run_until(lambda: ran() >= 30)
+        assert ran() == 30 and state.counters.get("tasks") == 30
         assert wire.up == 0 and worker._flight is None
         # What ran is settled; the rest of its window and its hand stay pending.
         assert wf.board.outstanding() == 30

@@ -11,6 +11,7 @@ from repro.core.concrete import ConcreteWorkflow
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import GroupBy
 from repro.core.pe import IterativePE
+from repro.mappings.base import ResultsCollector, dispatch_emissions
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from repro.runtime.queues import TrackedQueue
@@ -113,11 +114,14 @@ class TestRoutingMicro:
     def test_concrete_translation(self, benchmark):
         benchmark(lambda: ConcreteWorkflow.from_static(_chain(), 16))
 
-    def test_route_output(self, benchmark):
+    def test_dispatch_routed_port(self, benchmark):
         concrete = ConcreteWorkflow.from_static(_chain(), 16)
+        # s1 has several instances: s0's port asks its router per emission.
+        assert concrete.routes["s0"]["output"].routers
+        collector = ResultsCollector()
 
         def route_200():
             for i in range(200):
-                concrete.route_output("s0", 0, "output", i)
+                dispatch_emissions(concrete, collector, "s0", 0, [("output", i)])
 
         benchmark(route_200)

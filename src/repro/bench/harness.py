@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.graph import WorkflowGraph
 from repro.engine import Engine
@@ -35,6 +39,36 @@ class BenchConfig:
 
     time_scale: float = 0.015
     repeats: int = 1
+
+
+@contextmanager
+def _timed() -> Iterator[List[float]]:
+    """Run the body on a frozen heap; yields ``[gen-2 seconds]``.
+
+    The young generations are collected, then ``gc.freeze()``, so a gen-2
+    pause inside the body scans the body's own objects, not what the host
+    process (a test session) held before; ``gc.unfreeze()`` after.  A full
+    collection here would cost ≈120 ms a run over a test session's heap.
+    A body timed inside another (a :func:`paired_ratio` cell calling
+    :func:`run_cell`) runs on the outer body's frozen heap.
+    """
+    outermost = gc.get_freeze_count() == 0
+    if outermost:
+        gc.collect(1)
+        gc.freeze()
+    spent = [0.0]
+
+    def clock(phase: str, info: Dict[str, int]) -> None:
+        if info["generation"] == 2:  # minus the start time, plus the stop time
+            spent[0] += time.perf_counter() * (1 if phase == "stop" else -1)
+
+    gc.callbacks.append(clock)
+    try:
+        yield spent
+    finally:
+        gc.callbacks.remove(clock)
+        if outermost:
+            gc.unfreeze()
 
 
 def run_cell(
@@ -73,7 +107,12 @@ def _median_run(
         overrides["processes"] = processes
     for _ in range(max(1, repeats)):
         graph, inputs = factory()
-        results.append(engine.run(graph, inputs=inputs, **overrides))
+        with _timed() as gen2:
+            result = engine.run(graph, inputs=inputs, **overrides)
+        results.append(result)
+        # Beside the cell, on stderr: ``repro bench`` tables stay as they were.
+        print(f"{result.workflow} {result.mapping} p={result.processes}: "
+              f"gen-2 {gen2[0] * 1000:.1f} ms", file=sys.stderr, flush=True)
     results.sort(key=lambda r: r.runtime)
     return results[len(results) // 2]
 
@@ -137,23 +176,28 @@ def paired_ratio(
     so load drift hits both sides alike and cancels in the round's ratio.
     One warm-up round runs first and is discarded: it takes the first-run
     costs (imports, caches, a VM's CPU burst credit) off the measured
-    rounds.  Every ratio is printed under ``label``.
+    rounds.  Each round runs on a frozen heap (:func:`_timed`); every ratio
+    is printed under ``label`` with its round's gen-2 time.
     """
     pairs: List[Tuple[Any, Any]] = []
+    gen2_ms: List[float] = []
     for round_no in range(rounds + 1):
-        if round_no % 2:
-            b = cell_b()
-            a = cell_a()
-        else:
-            a = cell_a()
-            b = cell_b()
+        with _timed() as gen2:
+            if round_no % 2:
+                b = cell_b()
+                a = cell_a()
+            else:
+                a = cell_a()
+                b = cell_b()
         if round_no:
             pairs.append((a, b))
+            gen2_ms.append(gen2[0] * 1000)
     ratios = [measure(a) / measure(b) for a, b in pairs]
     median = sorted(ratios)[len(ratios) // 2]
     print(
         f"\n{label}: median {median:.3f} over {rounds} rounds "
-        f"({', '.join(f'{r:.3f}' for r in ratios)})",
+        f"({', '.join(f'{r:.3f}' for r in ratios)}); "
+        f"gen-2 ms ({', '.join(f'{ms:.1f}' for ms in gen2_ms)})",
         flush=True,
     )
     return PairedRatio(median, ratios, pairs)

@@ -2,17 +2,17 @@
 
 The concrete workflow (Figure 1, right side) is what a mapping actually
 enacts: each PE is replicated into ``allocation[pe]`` instances, and every
-connection gets a router that turns "PE A emitted ``x`` on port ``out``"
-into a list of ``(destination PE, input port, destination instance index)``
-deliveries, honouring the connection's grouping.
+connection gets a router that turns "instance ``i`` of PE A emitted ``x``
+on port ``out``" into the destination instance indices the connection's
+grouping picks.
 
 Every ``(PE, output port)`` is compiled once, at construction, into one
 :class:`Route`: the port's fixed ``(destination, input port)`` targets when
 no connection of it needs its router asked (one destination instance under
 a built-in stateless-answer grouping), else the port's routers, and for an
-unconnected port the results key its emissions are credited to (a fused
-PE's ``collector_aliases`` resolved).  Routing an emission is then one
-lookup, and every caller reads the same table.
+unconnected port the ``"pe.port"`` results key its emissions are credited
+to (a fused PE's ``collector_aliases`` resolved).  Routing an emission is
+then one lookup, and every dispatcher reads the same table.
 
 Router state (round-robin counters) is kept per (edge, source instance) so
 each producer instance distributes independently -- the behaviour separate
@@ -37,15 +37,6 @@ def instance_id(pe_name: str, index: int) -> str:
     return f"{pe_name}.{index}"
 
 
-class Delivery(NamedTuple):
-    """One routed data unit: destination PE/port/instance plus payload."""
-
-    dst: str
-    dst_port: str
-    dst_index: int
-    data: Any
-
-
 #: Built-in groupings whose answer over a single destination instance is
 #: ``[0]`` by definition, with no key extraction that could raise.  Matched
 #: by exact type: a subclass may override ``route`` and is consulted.
@@ -61,7 +52,8 @@ class EdgeRouter:
         self.edge = edge
         self.grouping = grouping if grouping is not None else Shuffle()
         self.n_dst = n_dst
-        self._states: Dict[str, Optional[dict]] = {}
+        #: Grouping state per source instance index: the edge fixes the PE.
+        self._states: Dict[int, Optional[dict]] = {}
         self._lock = threading.Lock()
         #: One destination and nothing to ask the grouping: the answer is
         #: ``[0]``, so :class:`ConcreteWorkflow` compiles the edge into a
@@ -69,16 +61,14 @@ class EdgeRouter:
         #: under a built-in grouping).
         self._direct = n_dst == 1 and type(self.grouping) in _SINGLE_TARGET_BUILTINS
 
-    def route(self, src_instance: str, data: Any) -> List[Delivery]:
-        """Deliveries for one data unit emitted by ``src_instance``."""
-        edge = self.edge
+    def route(self, src_index: int, data: Any) -> List[int]:
+        """Destination instance indices for one data unit from source instance ``src_index``."""
         with self._lock:
-            state = self._states.get(src_instance)
-            if state is None and src_instance not in self._states:
+            state = self._states.get(src_index)
+            if state is None and src_index not in self._states:
                 state = self.grouping.new_state()
-                self._states[src_instance] = state
-            indices = self.grouping.route(data, self.n_dst, state)
-        return [Delivery(edge.dst, edge.dst_port, index, data) for index in indices]
+                self._states[src_index] = state
+            return self.grouping.route(data, self.n_dst, state)
 
 
 class Route(NamedTuple):
@@ -87,17 +77,13 @@ class Route(NamedTuple):
     Exactly one field answers.  ``targets``: the fixed ``(dst, dst_port)``
     pairs, instance 0 each, in edge order -- every connection of the port
     is direct (see :class:`EdgeRouter`).  ``routers``: the connections'
-    routers, asked per emission.  ``collect``: the ``(pe, port)`` results
+    routers, asked per emission.  ``collect``: the ``"pe.port"`` results
     key of an unconnected port.
     """
 
     targets: Optional[Tuple[Tuple[str, str], ...]]
     routers: Tuple[EdgeRouter, ...]
-    collect: Optional[Tuple[str, str]]
-
-
-#: The routes of a PE the graph does not hold.
-_NO_ROUTES: Dict[str, Route] = {}
+    collect: Optional[str]
 
 
 class ConcreteWorkflow:
@@ -114,9 +100,8 @@ class ConcreteWorkflow:
         execute it).
 
     The graph is read once, here: :attr:`routes` maps PE name -> output
-    port -> :class:`Route` for every declared output port, and instance ids
-    are precomputed, so routing an emission is two dict lookups however
-    many edges the graph has.
+    port -> :class:`Route` for every declared output port, so routing an
+    emission is two dict lookups however many edges the graph has.
     """
 
     def __init__(self, graph: WorkflowGraph, allocation: Dict[str, int]) -> None:
@@ -126,20 +111,15 @@ class ConcreteWorkflow:
                 raise GraphError(f"PE {name!r} allocated no instances")
         self.graph = graph
         self.allocation = dict(allocation)
-        self._instance_ids: Dict[str, List[str]] = {
-            name: [instance_id(name, index) for index in range(allocation[name])]
-            for name in graph.pes
-        }
-        self._routers: Dict[Tuple[str, str, str, str], EdgeRouter] = {}
-        for edge in graph.edges:
-            grouping = graph.effective_grouping(edge)
-            key = (edge.src, edge.src_port, edge.dst, edge.dst_port)
-            self._routers[key] = EdgeRouter(edge, grouping, allocation[edge.dst])
         # A port's routers in edge order (parallel edges between the same
-        # two ports share a router, and each delivers).
+        # two ports are equal and share a router, and each delivers).
+        routers = {
+            edge: EdgeRouter(edge, graph.effective_grouping(edge), allocation[edge.dst])
+            for edge in graph.edges
+        }
         connected: Dict[Tuple[str, str], List[EdgeRouter]] = {}
         for edge in graph.edges:
-            connected.setdefault((edge.src, edge.src_port), []).append(self.router(edge))
+            connected.setdefault((edge.src, edge.src_port), []).append(routers[edge])
         self.routes: Dict[str, Dict[str, Route]] = {}
         for name, pe in graph.pes.items():
             # ``connect`` refuses an undeclared port: these are all of them.
@@ -157,7 +137,8 @@ class ConcreteWorkflow:
         aliases: Dict[str, Tuple[str, str]],
     ) -> Route:
         if not routers:
-            return Route(None, (), aliases.get(port, (name, port)))
+            pe, out = aliases.get(port, (name, port))
+            return Route(None, (), f"{pe}.{out}")
         if all(router._direct for router in routers):
             return Route(
                 tuple((router.edge.dst, router.edge.dst_port) for router in routers), (), None
@@ -177,9 +158,6 @@ class ConcreteWorkflow:
         return cls(graph, {name: 1 for name in graph.pes})
 
     # ---------------------------------------------------------------- lookup
-    def instances_of(self, pe_name: str) -> List[str]:
-        return list(self._instance_ids[pe_name])
-
     def all_instances(self) -> List[Tuple[str, int]]:
         """Every (pe_name, index) pair in topological order."""
         result = []
@@ -190,37 +168,6 @@ class ConcreteWorkflow:
 
     def total_instances(self) -> int:
         return sum(self.allocation.values())
-
-    def router(self, edge: Edge) -> EdgeRouter:
-        return self._routers[(edge.src, edge.src_port, edge.dst, edge.dst_port)]
-
-    # ---------------------------------------------------------------- routing
-    def connected(self, src_pe: str, out_port: str) -> bool:
-        """Whether any connection leaves ``src_pe.out_port``."""
-        route = self.routes.get(src_pe, _NO_ROUTES).get(out_port)
-        return route is not None and route.collect is None
-
-    def route_output(
-        self, src_pe: str, src_index: int, out_port: str, data: Any
-    ) -> List[Delivery]:
-        """All deliveries caused by one emission.
-
-        An output port may fan out to several connections; each connection
-        routes independently (possibly duplicating the data unit, as in
-        dispel4py).  An unconnected port routes nowhere.
-        """
-        route = self.routes.get(src_pe, _NO_ROUTES).get(out_port)
-        if route is None or route.collect is not None:
-            return []
-        if route.targets is not None:
-            return [Delivery(dst, dst_port, 0, data) for dst, dst_port in route.targets]
-        source = self._instance_ids[src_pe][src_index]
-        if len(route.routers) == 1:
-            return route.routers[0].route(source, data)
-        deliveries: List[Delivery] = []
-        for router in route.routers:
-            deliveries.extend(router.route(source, data))
-        return deliveries
 
     def __repr__(self) -> str:
         return (

@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.autoscale.trace import ScalingTrace
-from repro.core.concrete import ConcreteWorkflow, Delivery, instance_id
+from repro.core.concrete import ConcreteWorkflow, instance_id
 from repro.core.context import ExecutionContext
 from repro.core.exceptions import MappingError
 from repro.core.fusion import MemberMeter
@@ -232,8 +232,7 @@ class ResultsCollector:
         self._data: Dict[str, List[Any]] = {}
         self._tap = tap
 
-    def add(self, pe_name: str, port: str, value: Any) -> None:
-        key = f"{pe_name}.{port}"
+    def add(self, key: str, value: Any) -> None:
         with self._lock:
             self._data.setdefault(key, []).append(value)
         if self._tap is not None:
@@ -304,26 +303,30 @@ def dispatch_emissions(
     pe_name: str,
     index: int,
     emissions: List[Tuple[str, Any]],
-) -> List[Delivery]:
-    """Route one invocation's emissions; collect unconnected-port output.
+) -> List[Tuple[str, str, int, Any]]:
+    """Route one invocation of instance ``index`` into ``(dst, dst_port,
+    dst_index, data)`` deliveries; collect unconnected-port output.
 
     Each port answers from its compiled :class:`~repro.core.concrete.Route`:
     an emission on an unconnected port is credited to the route's results
     key -- for a :class:`repro.core.fusion.FusedPE`, the original
-    ``(pe, port)`` pair its ``collector_aliases`` name, so a fused run
-    reports the same output keys as an unfused one.
+    ``"pe.port"`` its ``collector_aliases`` name, so a fused run reports
+    the same output keys as an unfused one.
     """
-    deliveries: List[Delivery] = []
+    deliveries: List[Tuple[str, str, int, Any]] = []
     routes = concrete.routes[pe_name]
     for port, data in emissions:
         route = routes[port]
         if route.targets is not None:
             for dst, dst_port in route.targets:
-                deliveries.append(Delivery(dst, dst_port, 0, data))
+                deliveries.append((dst, dst_port, 0, data))
         elif route.collect is not None:
-            collector.add(route.collect[0], route.collect[1], data)
+            collector.add(route.collect, data)
         else:
-            deliveries.extend(concrete.route_output(pe_name, index, port, data))
+            for router in route.routers:
+                edge = router.edge
+                for dst_index in router.route(index, data):
+                    deliveries.append((edge.dst, edge.dst_port, dst_index, data))
     return deliveries
 
 
@@ -334,10 +337,8 @@ def dispatch_tasks(
     emissions: List[Tuple[str, Any]],
 ) -> List[Tuple[str, str, Any]]:
     """:func:`dispatch_emissions` on a single-instance workflow, as the
-    ``(dst, dst_port, data)`` tasks a global queue carries.
-
-    Every instance index is 0 there, so a fixed target becomes its task
-    directly, with no :class:`~repro.core.concrete.Delivery` in between.
+    ``(dst, dst_port, data)`` tasks a global queue carries: every instance
+    index is 0 there, so a task names no index.
     """
     tasks: List[Tuple[str, str, Any]] = []
     routes = concrete.routes[pe_name]
@@ -347,10 +348,12 @@ def dispatch_tasks(
             for dst, dst_port in route.targets:
                 tasks.append((dst, dst_port, data))
         elif route.collect is not None:
-            collector.add(route.collect[0], route.collect[1], data)
+            collector.add(route.collect, data)
         else:
-            for delivery in concrete.route_output(pe_name, 0, port, data):
-                tasks.append((delivery.dst, delivery.dst_port, delivery.data))
+            for router in route.routers:
+                edge = router.edge
+                for _index in router.route(0, data):
+                    tasks.append((edge.dst, edge.dst_port, data))
     return tasks
 
 

@@ -58,7 +58,7 @@ import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.autoscale.trace import ScalingTrace
-from repro.core.concrete import ConcreteWorkflow, Delivery
+from repro.core.concrete import ConcreteWorkflow
 from repro.core.context import ExecutionContext
 from repro.core.pe import GenericPE
 from repro.mappings.base import (
@@ -151,16 +151,15 @@ class _RelayCollector:
     assembles that pipeline after the window ran, so the first entry's
     flush takes everything and the later ones find the buffer empty: one
     ``RPUSH`` and one pump wake per window, ahead of its ack.  The
-    client pickles each ``(pe, port, value)`` triple like any other list
-    payload.
+    client pickles each ``(key, value)`` pair like any other list payload.
     """
 
     def __init__(self, results_key: str) -> None:
         self._key = results_key
         self._buffer: List[tuple] = []
 
-    def add(self, pe_name: str, port: str, value: Any) -> None:
-        self._buffer.append((pe_name, port, value))
+    def add(self, key: str, value: Any) -> None:
+        self._buffer.append((key, value))
 
     def flush(self, pipe: Pipeline) -> None:
         if self._buffer:
@@ -215,7 +214,7 @@ class _ClusterWorker:
     def _inc(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def _publish(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
+    def _publish(self, pipe: Pipeline, deliveries: List[tuple]) -> None:
         """An entry's children and what the window relays, both ahead of the ack."""
         self.worker.publish_tasks(pipe, deliveries)
         self.relay.flush(pipe)

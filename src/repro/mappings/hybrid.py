@@ -97,7 +97,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.autoscale.trace import ScalingTrace
-from repro.core.concrete import ConcreteWorkflow, Delivery
+from repro.core.concrete import ConcreteWorkflow
 from repro.core.exceptions import MappingError
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import AllToOne
@@ -281,7 +281,7 @@ class HybridRedisMapping(Mapping):
                 target.rpush(key, *messages)
 
         # ------------------------------------------------------ dispatching
-        def queue_deliveries(pipe, deliveries: List[Delivery]) -> None:
+        def queue_deliveries(pipe, deliveries: List[tuple]) -> None:
             """Append routed deliveries to a pipeline, payloads only.
 
             Private queues bypass the global stream entirely; the shared
@@ -302,13 +302,13 @@ class HybridRedisMapping(Mapping):
             """
             stateless_tasks: List[tuple] = []
             private: Dict[str, List[tuple]] = {}
-            for d in deliveries:
-                if d.dst in stateful_names:
-                    private.setdefault(private_keys[d.dst, d.dst_index], []).append(
-                        ("data", d.dst_port, d.data)
+            for dst, dst_port, dst_index, data in deliveries:
+                if dst in stateful_names:
+                    private.setdefault(private_keys[dst, dst_index], []).append(
+                        ("data", dst_port, data)
                     )
                 else:
-                    stateless_tasks.append((d.dst, d.dst_port, d.data))
+                    stateless_tasks.append((dst, dst_port, data))
             board.queue_tasks(pipe, stateless_tasks, batch_size)
             for key, messages in private.items():
                 if batch_size > 1:
@@ -317,7 +317,7 @@ class HybridRedisMapping(Mapping):
             if private:
                 state.counters.inc("private_puts", len(deliveries) - len(stateless_tasks))
 
-        def dispatch(pipe, deliveries: List[Delivery]) -> None:
+        def dispatch(pipe, deliveries: List[tuple]) -> None:
             """A pinned instance's deliveries behind their credit, booked once."""
             board.book(pipe, len(deliveries))
             queue_deliveries(pipe, deliveries)
@@ -620,7 +620,7 @@ class HybridRedisMapping(Mapping):
     def _invoke_element(
         self, state, instance, pe_name, index, item, tally, *,
         concrete, injector=None,
-    ) -> List[Delivery]:
+    ) -> List[tuple]:
         """Run every message of one private-queue element (bare or batch).
 
         Returns the routed deliveries of the whole element so the caller
@@ -632,7 +632,7 @@ class HybridRedisMapping(Mapping):
         included (what ran, ran); the caller merges the tally once per
         window.
         """
-        deliveries: List[Delivery] = []
+        deliveries: List[tuple] = []
         for message in batch_items(item):
             if injector is not None:
                 injector.record_invocation(instance.instance_id)
@@ -663,7 +663,7 @@ class HybridRedisMapping(Mapping):
             if hit is None:
                 continue
             window = [hit[1], *(client.lpop(key, WINDOW_CAP - 1) or ())]
-            deliveries: List[Delivery] = []
+            deliveries: List[tuple] = []
             credits = 0
             closed = False
             tally = {"stateful_tasks": 0}
@@ -769,7 +769,7 @@ class HybridRedisMapping(Mapping):
             """Run a window of entries in order, then dispatch their
             children in one pipeline; ``True`` if the close marker ended it."""
             nonlocal last_seq, uncommitted_credits
-            deliveries: List[Delivery] = []
+            deliveries: List[tuple] = []
             applied = None
             closed = False
             tally = {"stateful_tasks": 0, "deduplicated": 0}

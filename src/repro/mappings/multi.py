@@ -162,10 +162,10 @@ class MultiMapping(Mapping):
         def route_out(
             pe_name: str, index: int, emissions: List[Tuple[str, Any]], deliver
         ) -> None:
-            for delivery in dispatch_emissions(
+            for dst, dst_port, dst_index, data in dispatch_emissions(
                 concrete, state.collector, pe_name, index, emissions
             ):
-                deliver(delivery.dst, delivery.dst_index, (_DATA, delivery.dst_port, delivery.data))
+                deliver(dst, dst_index, (_DATA, dst_port, data))
 
         # Every source instance reads its own inputs from a private channel,
         # fed round-robin (item i to instance i mod n) and ended by one pill:

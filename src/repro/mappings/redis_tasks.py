@@ -44,7 +44,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.concrete import ConcreteWorkflow, Delivery
+from repro.core.concrete import ConcreteWorkflow
 from repro.core.pe import GenericPE
 from repro.mappings.base import dispatch_emissions
 from repro.mappings.termination import TerminationPolicy
@@ -326,10 +326,11 @@ class StreamWorker:
         threads, a relay buffer and a local tally for worker processes.
     publish:
         ``publish(pipe, deliveries)`` appends what a window produced, every
-        entry's children in fetch order, to the settling pipeline in one
-        call, ahead of the ack.  Default (:meth:`publish_tasks`): batch
-        envelopes on the task stream; hybrid routes stateful destinations to
-        private queues, cluster workers add their relayed results.
+        entry's ``(dst, dst_port, dst_index, data)`` children in fetch order,
+        to the settling pipeline in one call, ahead of the ack.  Default
+        (:meth:`publish_tasks`): batch envelopes of ``(dst, dst_port, data)``
+        tasks on the task stream; hybrid routes stateful destinations to
+        private queues by index, cluster workers add their relayed results.
     after_fetch:
         Called with the number of tasks of each non-empty fetch, prefetched
         ones included and pills and death markers not, before any is run
@@ -406,7 +407,7 @@ class StreamWorker:
         policy: TerminationPolicy,
         clock: Clock,
         batch_size: int = 1,
-        publish: Optional[Callable[[Pipeline, List[Delivery]], None]] = None,
+        publish: Optional[Callable[[Pipeline, List[tuple]], None]] = None,
         after_fetch: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.board = board
@@ -438,10 +439,9 @@ class StreamWorker:
         self._service: Optional[float] = None
 
     # ------------------------------------------------------------ the body
-    def publish_tasks(self, pipe: Pipeline, deliveries: List[Delivery]) -> None:
-        self.board.queue_tasks(
-            pipe, [(d.dst, d.dst_port, d.data) for d in deliveries], self.batch_size
-        )
+    def publish_tasks(self, pipe: Pipeline, deliveries: List[tuple]) -> None:
+        tasks = [(dst, dst_port, data) for dst, dst_port, _index, data in deliveries]
+        self.board.queue_tasks(pipe, tasks, self.batch_size)
 
     def _window(self) -> int:
         """How many entries the next read-ahead asks for."""
@@ -476,7 +476,7 @@ class StreamWorker:
         #: ``(entry id, tasks carried)`` of every entry started, and what
         #: they produced, in fetch order.
         ran: List[Tuple[str, int]] = []
-        children: List[Delivery] = []
+        children: List[tuple] = []
         tasks, window, leaving = 0, 0, True
         started = time.perf_counter()
         try:
@@ -513,7 +513,7 @@ class StreamWorker:
     def _settle(
         self,
         ran: List[Tuple[str, int]],
-        children: List[Delivery],
+        children: List[tuple],
         pills: List[str],
         window: int,
         started: float,

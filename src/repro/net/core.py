@@ -110,7 +110,8 @@ class SocketServer:
                 return
             self._stopping.set()
             if self._listener is not None:
-                self._wake.send(b"\0")
+                with suppress(OSError):  # an accept thread that failed closed its end
+                    self._wake.send(b"\0")
                 # Joined before the drop: no connection is registered after it.
                 self._accept_thread.join(timeout=5.0)
                 self._listener.close()
@@ -146,7 +147,11 @@ class SocketServer:
                 except (BlockingIOError, ConnectionAbortedError):
                     continue
                 except OSError:
-                    return
+                    # The listener broke: refuse new peers rather than leave
+                    # them unanswered in its backlog, and fail loudly (the
+                    # error reaches ``threading.excepthook``).
+                    listener.close()
+                    raise
                 sock.setblocking(True)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn = Connection(sock, self.unpark)

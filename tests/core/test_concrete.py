@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.concrete import ConcreteWorkflow, Delivery, EdgeRouter, Route, instance_id
+from repro.core.concrete import ConcreteWorkflow, EdgeRouter, Route, instance_id
 from repro.core.exceptions import GraphError
 from repro.core.graph import Edge, WorkflowGraph
 from repro.core.groupings import AllToOne, GroupBy, Grouping, OneToAll, Shuffle
@@ -22,22 +22,18 @@ class TestEdgeRouter:
 
     def test_shuffle_round_robin_per_source(self):
         router = EdgeRouter(self._edge(), Shuffle(), n_dst=3)
-        picks_a = [router.route("a.0", None)[0].dst_index for _ in range(3)]
-        picks_b = [router.route("a.1", None)[0].dst_index for _ in range(3)]
-        assert picks_a == [0, 1, 2]
-        assert picks_b == [0, 1, 2]  # independent counters per source
+        picks_a = [router.route(0, None) for _ in range(2)]
+        picks_b = [router.route(1, None) for _ in range(2)]
+        assert picks_a == [[0], [1]]
+        assert picks_b == [[0], [1]]  # independent counters per source
 
     def test_groupby_routing(self):
         router = EdgeRouter(self._edge(), GroupBy([0]), n_dst=4)
-        a = router.route("a.0", ("TX", 1))[0].dst_index
-        b = router.route("a.0", ("TX", 2))[0].dst_index
-        assert a == b
+        assert router.route(0, ("TX", 1)) == router.route(0, ("TX", 2))
 
     def test_broadcast_fanout(self):
         router = EdgeRouter(self._edge(), OneToAll(), n_dst=3)
-        deliveries = router.route("a.0", "x")
-        assert [d.dst_index for d in deliveries] == [0, 1, 2]
-        assert all(d.dst == "b" and d.dst_port == "input" for d in deliveries)
+        assert router.route(0, "x") == [0, 1, 2]
 
     def test_default_grouping_is_shuffle(self):
         router = EdgeRouter(self._edge(), None, n_dst=2)
@@ -61,39 +57,38 @@ class TestConcreteWorkflow:
         cw = ConcreteWorkflow.single_instance(self._graph())
         assert set(cw.allocation.values()) == {1}
 
-    def test_instances_of(self):
-        cw = ConcreteWorkflow.from_static(self._graph(), 5)
-        assert cw.instances_of("mid") == ["mid.0", "mid.1"]
-
     def test_all_instances_topological(self):
         cw = ConcreteWorkflow.from_static(self._graph(), 5)
         names = [name for name, _ in cw.all_instances()]
         assert names.index("src") < names.index("mid") < names.index("sink")
 
-    def test_route_output_shuffles_over_instances(self):
+    def test_dispatch_shuffles_over_instances(self):
         cw = ConcreteWorkflow.from_static(self._graph(), 5)
+        collector = ResultsCollector()
         targets = [
-            cw.route_output("src", 0, "output", i)[0].dst_index for i in range(4)
+            dispatch_emissions(cw, collector, "src", 0, [("output", i)]) for i in range(4)
         ]
-        assert targets == [0, 1, 0, 1]
+        assert targets == [[("mid", "input", index, i)] for i, index in enumerate([0, 1, 0, 1])]
 
-    def test_route_output_fanout_edges(self):
+    def test_dispatch_fans_out_over_edges(self):
         g = WorkflowGraph("fan")
         a = Emit(name="a")
         g.connect(a, "output", Double(name="b"), "input")
         g.connect(a, "output", Double(name="c"), "input")
         cw = ConcreteWorkflow.single_instance(g)
-        deliveries = cw.route_output("a", 0, "output", 7)
-        assert {d.dst for d in deliveries} == {"b", "c"}
+        deliveries = dispatch_emissions(cw, ResultsCollector(), "a", 0, [("output", 7)])
+        assert deliveries == [("b", "input", 0, 7), ("c", "input", 0, 7)]
 
     def test_route_respects_group_by(self):
         g = WorkflowGraph("g")
         counter = StatefulCounter(name="counter", instances=4)
         g.connect(Emit(name="src"), "output", counter, "input")
         cw = ConcreteWorkflow(g, {"src": 1, "counter": 4})
-        a = cw.route_output("src", 0, "output", ("KEY", 1))[0].dst_index
-        b = cw.route_output("src", 0, "output", ("KEY", 2))[0].dst_index
-        assert a == b
+        [a], [b] = (
+            dispatch_emissions(cw, ResultsCollector(), "src", 0, [("output", ("KEY", n))])
+            for n in (1, 2)
+        )
+        assert a[2] == b[2]
 
     def test_missing_allocation_rejected(self):
         with pytest.raises(GraphError):
@@ -101,15 +96,18 @@ class TestConcreteWorkflow:
 
     def test_connected_port_routes_downstream(self):
         cw = ConcreteWorkflow.from_static(self._graph(), 5)
-        deliveries = cw.route_output("mid", 0, "output", 1)
-        assert deliveries[0].dst == "sink"
+        deliveries = dispatch_emissions(cw, ResultsCollector(), "mid", 0, [("output", 1)])
+        assert deliveries == [("sink", "input", 0, 1)]
 
     def test_unconnected_port_routes_nowhere(self):
         g = WorkflowGraph("g")
         g.connect(Emit(name="a"), "output", Double(name="b"), "input")
         cw = ConcreteWorkflow.single_instance(g)
-        # b's output port has no outgoing edge: nothing to route.
-        assert cw.route_output("b", 0, "output", 1) == []
+        collector = ResultsCollector()
+        # b's output port has no outgoing edge: nothing to route, one result.
+        assert dispatch_emissions(cw, collector, "b", 0, [("output", 1)]) == []
+        assert cw.routes["b"]["output"].collect == "b.output"
+        assert collector.as_dict() == {"b.output": [1]}
 
     def test_repr(self):
         cw = ConcreteWorkflow.from_static(self._graph(), 5)
@@ -129,13 +127,20 @@ class _Picky(Grouping):
         return [0]
 
 
-def _scan_route(reference, graph, pe_name, index, port, data):
-    """The pre-index routing: scan ``graph.out_edges``, ask each edge's
-    router.  ``reference`` is a second ConcreteWorkflow of the same graph,
-    so round-robin state advances independently of the one under test."""
+def _scan_route(graph, allocation, states, pe_name, index, port, data):
+    """The routing oracle, built from the graph alone: scan
+    ``graph.out_edges``, ask each edge's effective grouping with the
+    oracle's own state per (edge, source instance) in ``states``.  Equal
+    (parallel) edges share a state, as they share a router."""
     deliveries = []
     for edge in graph.out_edges(pe_name, port):
-        deliveries.extend(reference.router(edge).route(instance_id(pe_name, index), data))
+        grouping = graph.effective_grouping(edge)
+        if grouping is None:
+            grouping = Shuffle()
+        if (edge, index) not in states:
+            states[edge, index] = grouping.new_state()
+        for dst_index in grouping.route(data, allocation[edge.dst], states[edge, index]):
+            deliveries.append((edge.dst, edge.dst_port, dst_index, data))
     return deliveries
 
 
@@ -214,16 +219,16 @@ class TestRouteIndex:
         ],
     )
     def test_indexed_routing_equals_edge_scan(self, build, allocation):
-        """Every caller of the compiled table routes as the edge scan does:
-        ``route_output``, ``dispatch_emissions`` and, on one instance per
-        PE, ``dispatch_tasks`` -- each on its own concrete workflow, so
-        round-robin state advances in step with the reference's."""
+        """Both dispatchers route as the edge scan does: ``dispatch_emissions``
+        on every allocation and, on one instance per PE, ``dispatch_tasks``
+        -- each on its own concrete workflow, so round-robin state advances
+        in step with the oracle's.  An unconnected port compiles to its
+        results key and dispatches nothing."""
         graph = build()
         allocation = allocation or {name: 1 for name in graph.pes}
-        indexed = ConcreteWorkflow(graph, allocation)
         dispatched = ConcreteWorkflow(graph, allocation)
         tasked = ConcreteWorkflow(graph, allocation)
-        reference = ConcreteWorkflow(graph, allocation)
+        states = {}
         single = set(allocation.values()) == {1}
         collector = ResultsCollector()
         for round_ in range(7):
@@ -231,20 +236,23 @@ class TestRouteIndex:
                 for index in range(allocation[name]):
                     for port in pe.outputconnections:
                         data = (f"k{round_ % 3}", round_)
-                        expected = _scan_route(reference, graph, name, index, port, data)
-                        assert indexed.route_output(name, index, port, data) == expected
+                        expected = _scan_route(graph, allocation, states, name, index, port, data)
                         assert dispatch_emissions(
                             dispatched, collector, name, index, [(port, data)]
                         ) == expected
                         if single:
                             assert dispatch_tasks(tasked, collector, name, [(port, data)]) == [
-                                (d.dst, d.dst_port, d.data) for d in expected
+                                (dst, dst_port, data) for dst, dst_port, _index, data in expected
                             ]
-                        assert indexed.connected(name, port) == bool(graph.out_edges(name, port))
+                        route = dispatched.routes[name][port]
+                        if graph.out_edges(name, port):
+                            assert route.collect is None
+                        else:
+                            assert route.collect == f"{name}.{port}"
 
     def test_a_port_compiles_to_one_answer(self):
         cw = ConcreteWorkflow(_mixed_port_graph(), {"src": 1, "plain": 1, "keyed": 2})
-        assert cw.routes["plain"]["output"] == Route(None, (), ("plain", "output"))
+        assert cw.routes["plain"]["output"] == Route(None, (), "plain.output")
         mixed = cw.routes["src"]["output"]
         assert mixed.targets is None and mixed.collect is None
         assert [router.edge.dst for router in mixed.routers] == ["plain", "keyed"]
@@ -256,17 +264,17 @@ class TestRouteIndex:
         graph = fuse_graph(linear_graph(Emit(name="a"), Double(name="b"), AddOne(name="c"))).graph
         [fused] = graph.pes
         cw = ConcreteWorkflow.single_instance(graph)
-        assert cw.routes[fused]["c__output"] == Route(None, (), ("c", "output"))
-        assert not cw.connected(fused, "c__output")
+        assert cw.routes[fused]["c__output"] == Route(None, (), "c.output")
         collector = ResultsCollector()
         assert dispatch_emissions(cw, collector, fused, 0, [("c__output", 1)]) == []
         assert dispatch_tasks(cw, collector, fused, [("c__output", 2)]) == []
         assert collector.as_dict() == {"c.output": [1, 2]}
 
-    def test_unknown_pe_or_port_is_unconnected(self):
+    def test_unknown_pe_or_port_has_no_route(self):
         cw = ConcreteWorkflow.single_instance(_chain_graph())
-        assert not cw.connected("relay0", "nope") and not cw.connected("ghost", "output")
-        assert cw.route_output("ghost", 0, "output", 1) == []
+        assert "nope" not in cw.routes["relay0"] and "ghost" not in cw.routes
+        with pytest.raises(KeyError):
+            dispatch_emissions(cw, ResultsCollector(), "ghost", 0, [("output", 1)])
 
     def test_custom_grouping_consulted_at_one_destination(self):
         """The lock-free single-destination path is for built-ins only."""
@@ -274,9 +282,10 @@ class TestRouteIndex:
         g = WorkflowGraph("picky")
         g.connect(Emit(name="a"), "output", Double(name="b"), "input", grouping=picky)
         cw = ConcreteWorkflow.single_instance(g)
-        assert [d.dst_index for d in cw.route_output("a", 0, "output", 2)] == [0]
+        collector = ResultsCollector()
+        assert dispatch_emissions(cw, collector, "a", 0, [("output", 2)]) == [("b", "input", 0, 2)]
         with pytest.raises(ValueError, match="odd data 3"):
-            cw.route_output("a", 0, "output", 3)
+            dispatch_tasks(cw, collector, "a", [("output", 3)])
         assert picky.asked == [2, 3]
 
     def test_builtin_subclass_consulted_at_one_destination(self):
@@ -285,15 +294,15 @@ class TestRouteIndex:
                 return []
 
         router = EdgeRouter(Edge("a", "output", "b", "input"), Nowhere(), n_dst=1)
-        assert router.route("a.0", "x") == []
+        assert not router._direct and router.route(0, "x") == []
 
     def test_group_by_key_extraction_still_raises_at_one_destination(self):
         router = EdgeRouter(Edge("a", "output", "b", "input"), GroupBy(["state"]), n_dst=1)
-        assert [d.dst_index for d in router.route("a.0", {"state": "TX"})] == [0]
+        assert router.route(0, {"state": "TX"}) == [0]
         with pytest.raises(KeyError):
-            router.route("a.0", {"city": "Austin"})
+            router.route(0, {"city": "Austin"})
 
     @pytest.mark.parametrize("grouping", [None, Shuffle(), AllToOne(), OneToAll()])
     def test_builtins_at_one_destination_deliver_to_instance_zero(self, grouping):
         router = EdgeRouter(Edge("a", "output", "b", "input"), grouping, n_dst=1)
-        assert router.route("a.0", "x") == [Delivery("b", "input", 0, "x")]
+        assert router._direct and router.route(0, "x") == [0]

@@ -146,9 +146,9 @@ class TestMarshal:
 class TestCollectorAndCounters:
     def test_collector_groups_by_pe_port(self):
         collector = ResultsCollector()
-        collector.add("pe", "out", 1)
-        collector.add("pe", "out", 2)
-        collector.add("other", "log", "x")
+        collector.add("pe.out", 1)
+        collector.add("pe.out", 2)
+        collector.add("other.log", "x")
         assert collector.as_dict() == {"pe.out": [1, 2], "other.log": ["x"]}
 
     def test_counters(self):
@@ -191,7 +191,7 @@ class TestDispatchEmissions:
         cw = ConcreteWorkflow.single_instance(g)
         collector = ResultsCollector()
         deliveries = dispatch_emissions(cw, collector, "a", 0, [("output", 9)])
-        assert len(deliveries) == 1 and deliveries[0].dst == "b"
+        assert deliveries == [("b", "input", 0, 9)]
         assert collector.as_dict() == {}
 
 

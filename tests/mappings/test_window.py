@@ -387,7 +387,8 @@ class TestClusterRelay:
             relayed = next(args for name, args, _k in frame if name == "rpush")
             assert relayed[0] == f"{namespace}:results"
             assert len(relayed) - 1 == len(_acked(frame))  # one result per entry
-        assert sorted(client.lrange(f"{namespace}:results", 0, -1)) == [("double", "output", 2 * i) for i in range(n)]
+        relayed = sorted(client.lrange(f"{namespace}:results", 0, -1))
+        assert relayed == [("double.output", 2 * i) for i in range(n)]
 
 
 class _Wire(Transport):
@@ -552,7 +553,7 @@ class TestSettleInFlight:
         adopter.run()
         assert adopter.counters["reclaimed"] == 2 * WINDOW_CAP
         relayed = board.client.lrange(f"{namespace}:results", 0, -1)
-        assert Counter(value for _pe, _port, value in relayed) == Counter(expected)
+        assert Counter(value for _key, value in relayed) == Counter(expected)
         assert board.is_drained()
         assert board.client.xpending(board.stream_key, GROUP)["pending"] == 0
 
@@ -591,7 +592,7 @@ class TestSettleInFlight:
         second.run()
         assert second.counters["reclaimed"] == 20 - WINDOW_CAP
         relayed = board.client.lrange(f"{namespace}:results", 0, -1)
-        assert Counter(value for _pe, _port, value in relayed) == Counter(expected)
+        assert Counter(value for _key, value in relayed) == Counter(expected)
         assert board.is_drained()
         assert board.client.xpending(board.stream_key, GROUP)["pending"] == 0
 
@@ -714,7 +715,7 @@ class TestSettleInFlight:
             assert cluster_worker.counters == {}  # flushed
             relayed = client.lrange(f"{namespace}:results", 0, -1)
             # At-least-once: every output, and the re-sent window's maybe twice.
-            assert {value for _pe, _port, value in relayed} == {2 * i for i in range(n)}
+            assert {value for _key, value in relayed} == {2 * i for i in range(n)}
             assert len(relayed) <= n + WINDOW_CAP
             assert board.outstanding() == 0
             assert client.xpending(board.stream_key, GROUP)["pending"] == 0

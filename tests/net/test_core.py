@@ -7,6 +7,7 @@ through nothing but a socket.  What only RESP can show -- a command parked
 in the keyspace, an owned keyspace -- is in :class:`TestRespUnwinding`.
 """
 
+import errno
 import socket
 import statistics
 import threading
@@ -118,6 +119,28 @@ class TestLifecycle:
             assert sock.recv(16) == b""
         with connect(server):
             assert wait_until(lambda: len(server_threads(server)) == 2)
+
+    def test_close_after_the_accept_thread_failed(self, make_server, monkeypatch):
+        """A listener that breaks ends accepting loudly, and ``close()``
+        still works once the accept thread (and its end of the wake pair)
+        is gone."""
+        server = make_server().start()
+        [accept] = [t for t in server_threads(server) if "-accept-" in t.name]
+        failures = []
+        monkeypatch.setattr(threading, "excepthook", failures.append)
+
+        def broken(sock):
+            raise OSError(errno.EBADF, "listener broke")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(socket.socket, "accept", broken)
+            with connect(server):
+                accept.join(JOIN)
+        assert not accept.is_alive()
+        assert [failure.exc_value.errno for failure in failures] == [errno.EBADF]
+        with pytest.raises(ConnectionRefusedError):
+            connect(server)
+        server.close()
 
     def test_serve_forever_returns_on_close(self, make_server):
         server = make_server()

@@ -2,7 +2,7 @@
 """Framework CPU per input: what a mapping spends beyond the PEs' own code.
 
     python scripts/framework_cpu.py [--workload W ...] [--repeats K] [--quick]
-                                    [--seed N] [--attribute]
+                                    [--seed N] [--attribute [--time-scale S]]
 
 At time scale 1e-6 emulated compute sleeps vanish, so a run's process CPU
 is its PE code plus the framework around it.  ``simple`` runs the same PE
@@ -32,7 +32,10 @@ invocations; the script measures it right before and right after each
 attributed run, prints both and takes their median back out of every row,
 so the rows are estimates whose sum is the run's CPU net of the wrappers.  A
 profiler (cProfile) is not used: its per-call hook inflates the call-heavy
-helpers several-fold on these workloads.
+helpers several-fold on these workloads.  ``--time-scale`` sets the time
+scale of the attributed runs only (default 1e-6, as the framework metric):
+at a workload's own scale (``chain_queue``'s 0.01) the scaler sleeps its
+pacing for real, and a scaler step costs about twice its CPU at 1e-6.
 
 ``--quick`` runs the workloads at their quick sizes with one repeat: a
 smoke check that the script still runs against the tree, not a measurement.
@@ -64,8 +67,10 @@ WORKLOADS = ("stateful_hybrid", "cluster_tcp", "chain_queue", "galaxy_autoscale"
 TIME_SCALE = 1e-6
 
 
-def _engine(settings: Dict[str, Any], mapping: str | None = None) -> Engine:
-    settings = {**settings, "time_scale": TIME_SCALE}
+def _engine(
+    settings: Dict[str, Any], mapping: str | None = None, time_scale: float = TIME_SCALE
+) -> Engine:
+    settings = {**settings, "time_scale": time_scale}
     if mapping is not None:
         settings["mapping"] = mapping
     return Engine(seed=ENGINE_SEED, **settings)
@@ -328,11 +333,13 @@ def instrument(attribution: Attribution) -> None:
         attribution.patch(pickle, name, "pickle", f"pickle.{name}")
 
 
-def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> None:
+def attribute(
+    name: str, quick: bool, seed: int, attribution: Attribution, time_scale: float
+) -> None:
     """One instrumented run of the workload's mapping; prints its table."""
     spec = ENGINE_WORKLOADS[name]
     make_graph, inputs = spec.make(spec.quick_size if quick else spec.size, seed)
-    engine = _engine(spec.engine)
+    engine = _engine(spec.engine, time_scale=time_scale)
     run_cpu(make_graph, inputs, engine)
     before = attribution.calibrate()
     attribution.reset()
@@ -354,7 +361,10 @@ def attribute(name: str, quick: bool, seed: int, attribution: Attribution) -> No
     layers["unattributed"] = [0, max(0.0, total - wrappers - attributed)]
     total -= wrappers
     per_input = 1e6 / len(inputs)
-    print(f"\n{name} ({spec.engine['mapping']}, {len(inputs)} inputs): attributed run")
+    print(
+        f"\n{name} ({spec.engine['mapping']}, {len(inputs)} inputs, "
+        f"time scale {time_scale:g}): attributed run"
+    )
     print(
         "wrapper cost per call (inside + outside, us): "
         f"{before[0] * 1e6:.2f} + {before[1] * 1e6:.2f} before the run, "
@@ -385,7 +395,13 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--quick", action="store_true", help="quick sizes, one repeat")
     parser.add_argument("--attribute", action="store_true", help="per-layer CPU table")
+    parser.add_argument(
+        "--time-scale", type=float, default=TIME_SCALE,
+        help=f"time scale of the attributed runs (default {TIME_SCALE:g})",
+    )
     args = parser.parse_args(argv)
+    if args.time_scale <= 0:
+        parser.error("--time-scale must be positive")
     names = args.workload or list(WORKLOADS)
     repeats = 1 if args.quick else args.repeats
     print(f"framework CPU at time scale {TIME_SCALE:g}, median of {repeats} (seed {args.seed})")
@@ -405,7 +421,7 @@ def main(argv: List[str] | None = None) -> int:
         instrument(attribution)
         try:
             for name in names:
-                attribute(name, args.quick, args.seed, attribution)
+                attribute(name, args.quick, args.seed, attribution, args.time_scale)
         finally:
             attribution.unpatch()
     return 0

@@ -12,12 +12,13 @@ Algorithm 1            This implementation
 ``active_size``        :attr:`Autoscaler.active_size` (starts at ``max/2``)
 ``active_count``       :attr:`Autoscaler.active_count`
 ``shrink/grow``        :meth:`shrink` / :meth:`grow` (clamped to [1, max])
-``auto_scale``         :meth:`auto_scale` (monitor -> strategy -> ±1)
-``start``              :meth:`start` (blocks while count >= size, then
-                       ``pool.apply_async(func, args, callback=done)``)
-``done``               :meth:`_done` (decrements the count, wakes ``start``)
+``auto_scale``         a :meth:`process` step's first half (monitor ->
+                       strategy -> ±1, traced)
+``start``              a :meth:`process` step's second half (blocks while
+                       count >= size, then ``pool.apply_async``)
+``done``               :meth:`_done` (decrements the count, wakes waiters)
 ``is_terminiated``     the injected ``is_terminated`` callable
-``process``            :meth:`process` (the central loop)
+``process``            :meth:`process` (the central loop, a frame a step)
 =====================  ====================================================
 
 Hand-off: ``start`` puts a session on the pool's :class:`queue.SimpleQueue`,
@@ -93,86 +94,48 @@ class Autoscaler:
         self.active_size = max(MIN_ACTIVE, self.max_pool_size // 2)
         self.active_count = 0
         self.trace = trace if trace is not None else ScalingTrace(strategy.metric_name)
-        self._cond = threading.Condition()
+        #: The gate.  ``_waiting`` counts the threads parked in it, under the
+        #: lock, so a notifier that reads 0 skips the notify and loses nothing.
+        self._lock = threading.Lock()
+        self._gate = threading.Condition(self._lock)
+        self._waiting = 0
         self._stopped = False
 
     # ------------------------------------------------------------- scaling
-    # A step that the clamp makes a no-op skips the condition: on a full
-    # backlog the scaler votes to grow at ``max_pool_size`` every iteration
-    # (in one run each: 5 999 of chain_queue's 6 002 steps, 148 of
-    # galaxy_autoscale's 157).
-    # Only the scaler thread calls ``grow`` / ``shrink`` (from
-    # :meth:`auto_scale`), so it is ``active_size``'s only writer and the
-    # unlocked read below is exact; ``start`` reads it under ``_cond``.
+    # In a run the scaler thread is ``active_size``'s only writer: its
+    # unlocked reads are exact.
     def shrink(self, size_to_shrink: int = 1) -> None:
         """Decrease ``active_size`` (clamped at :data:`MIN_ACTIVE`)."""
-        size = self.active_size
-        if max(MIN_ACTIVE, size - size_to_shrink) == size:
-            return
-        with self._cond:
+        with self._lock:
             self.active_size = max(MIN_ACTIVE, self.active_size - size_to_shrink)
 
     def grow(self, size_to_grow: int = 1) -> None:
         """Increase ``active_size`` (clamped at ``max_pool_size``)."""
-        size = self.active_size
-        if min(self.max_pool_size, size + size_to_grow) == size:
-            return
-        with self._cond:
+        with self._lock:
             self.active_size = min(self.max_pool_size, self.active_size + size_to_grow)
-            self._cond.notify_all()
-
-    def auto_scale(self) -> int:
-        """One monitoring step: observe, decide, apply ±1; returns decision."""
-        observation = float(self.monitor())
-        if self._wants_active_size:
-            decision = self.strategy.decide(observation, self.active_size)
-        else:
-            decision = self.strategy.decide(observation)
-        if decision > 0:
-            self.grow(1)
-        elif decision < 0:
-            self.shrink(1)
-        self.trace.record(
-            timestamp=self.clock.now(),
-            active_size=self.active_size,
-            metric=observation,
-            decision=decision,
-        )
-        return decision
+            if self._waiting:
+                self._gate.notify_all()
 
     # ----------------------------------------------------------- dispatching
-    def start(self, func: Callable[..., Any], args: tuple = ()) -> bool:
-        """Dispatch one worker session, honouring the active-size gate.
-
-        Blocks while ``active_count >= active_size`` (Algorithm 1 lines
-        31-33).  Returns ``False`` if the scaler was stopped while waiting.
-        """
-        with self._cond:
-            # Untimed: everything that can open the gate notifies -- ``_done``
-            # (a slot freed), ``grow`` (the gate widened) and ``stop``.
-            while self.active_count >= self.active_size and not self._stopped:
-                self._cond.wait()
-            if self._stopped:
-                return False
-            self.active_count += 1
-        self.pool.apply_async(func, args, callback=self._done)
-        return True
-
     def _done(self, _result: Any) -> None:
-        with self._cond:
+        with self._lock:
             self.active_count -= 1
-            self._cond.notify_all()
+            if self._waiting:
+                self._gate.notify_all()
 
     def stop(self) -> None:
-        """Abort any ``start`` waiting on the gate (used at termination)."""
-        with self._cond:
+        """Abort a :meth:`process` step waiting on the gate (termination)."""
+        with self._lock:
             self._stopped = True
-            self._cond.notify_all()
+            self._gate.notify_all()
 
     def wait_all_done(self, timeout: Optional[float] = None) -> bool:
         """Block until no sessions are in flight (``False`` on timeout)."""
-        with self._cond:
-            return self._cond.wait_for(lambda: self.active_count == 0, timeout)
+        with self._lock:
+            self._waiting += 1
+            drained = self._gate.wait_for(lambda: self.active_count == 0, timeout)
+            self._waiting -= 1
+            return drained
 
     # ------------------------------------------------------------- main loop
     def process(
@@ -180,22 +143,46 @@ class Autoscaler:
         session: Callable[[], Any],
         is_terminated: Callable[[], bool],
     ) -> None:
-        """Algorithm 1's central loop.
+        """Algorithm 1's central loop, one step per iteration.
 
-        Repeatedly: run one ``auto_scale`` step; if the workflow is
-        terminated, drain in-flight sessions and return; otherwise dispatch
-        another worker session through the active-size gate.
+        A step is ``auto_scale`` (observe, decide, apply ±1 through
+        :meth:`grow` / :meth:`shrink`, record) and, unless the workflow is
+        terminated, ``start``: wait at the gate while ``active_count >=
+        active_size`` (Algorithm 1 lines 31-33), dispatch a session and
+        sleep :data:`SCALE_INTERVAL`.  Termination, or :meth:`stop` while
+        the step waits, drains the in-flight sessions and returns.  Every
+        session waits on this one thread, so a step runs in this frame; a
+        vote the clamp makes a no-op takes no lock (on a full backlog the
+        scaler votes to grow at ``max_pool_size`` every step: 5 999 of
+        chain_queue's 6 002).
         """
+        monitor, decide = self.monitor, self.strategy.decide
+        wants_active_size = self._wants_active_size
+        record, now, sleep = self.trace.record, self.clock.now, self.clock.sleep
+        submit, done = self.pool.apply_async, self._done
+        lock, gate, max_size = self._lock, self._gate, self.max_pool_size
         while True:
-            self.auto_scale()
+            observation = float(monitor())
+            size = self.active_size
+            decision = decide(observation, size) if wants_active_size else decide(observation)
+            if decision > 0 and size < max_size:
+                self.grow(1)
+            elif decision < 0 and size > MIN_ACTIVE:
+                self.shrink(1)
+            record(now(), self.active_size, observation, decision)
             if is_terminated():
                 self.stop()
-                self.wait_all_done()
-                return
-            dispatched = self.start(session)
-            if not dispatched:
-                self.wait_all_done()
-                return
-            # Paces every dispatch, not only an empty queue's (see
-            # :data:`SCALE_INTERVAL`).
-            self.clock.sleep(SCALE_INTERVAL)
+                break
+            with lock:
+                # Untimed: everything that can open the gate notifies a
+                # waiter -- ``_done`` (a slot freed), ``grow``, ``stop``.
+                while self.active_count >= self.active_size and not self._stopped:
+                    self._waiting += 1
+                    gate.wait()
+                    self._waiting -= 1
+                if self._stopped:
+                    break
+                self.active_count += 1
+            submit(session, (), done)
+            sleep(SCALE_INTERVAL)
+        self.wait_all_done()

@@ -26,9 +26,10 @@ paper's raw emptiness check is available for the ablation via
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, Optional, Sequence, Type
 
 from repro.autoscale.autoscaler import Autoscaler
 from repro.autoscale.strategies import BacklogStrategy, ScalingStrategy
@@ -56,10 +57,6 @@ from repro.runtime.queues import (
     chunked,
 )
 from repro.runtime.workers import WorkerPool
-
-#: A task is (pe_name, input_port_or_None, payload).  ``None`` port means
-#: the payload is a full inputs mapping (source-PE driving).
-Task = Tuple[str, Optional[str], Any]
 
 
 class Workforce:
@@ -183,75 +180,6 @@ class DynamicWorkforce(Workforce):
             self.state.control.on_cancel(on_cancel)
 
     # ------------------------------------------------------------- workers
-    def process_task(
-        self, copies: Dict[str, GenericPE], task: Task, tally: Dict[str, int]
-    ) -> List[Any]:
-        """Execute one task; returns its children for the caller to settle.
-
-        A task that raises settles here, with whatever children it got as
-        far as producing, so the drain proof stays exact.  ``tasks`` /
-        ``queue_puts`` go to the caller's ``tally`` -- see
-        :meth:`process_item`.
-        """
-        pe_name, port, payload = task
-        inputs = payload if port is None else {port: payload}
-        children: List[Any] = []
-        try:
-            emissions = copies[pe_name]._invoke(inputs)
-            tally["tasks"] += 1
-            children = dispatch_tasks(self.concrete, self.state.collector, pe_name, emissions)
-            if self.batch_size > 1:
-                children = [as_envelope(chunk) for chunk in chunked(children, self.batch_size)]
-            # Queue transfer cost is charged once per queue item: the
-            # amortization batching exists for.
-            if self.state.platform.queue_latency > 0:
-                for _ in children:
-                    self.state.ctx.io_wait(self.state.platform.queue_latency)
-        except BaseException:
-            tally["queue_puts"] += len(children)
-            self.queue.settle(children)
-            raise
-        tally["queue_puts"] += len(children)
-        return children
-
-    def process_item(
-        self, copies: Dict[str, GenericPE], item: Any, tally: Dict[str, int]
-    ) -> Tuple[Optional[List[Any]], int]:
-        """Run every task one queue item carries; returns the children of
-        its last task and the task count.
-
-        The caller settles those children with its next take (see
-        :meth:`~repro.runtime.queues.TrackedQueue.settle_and_get`); ``None``
-        (an empty envelope) owes nothing.  Batch-aware consumption: the
-        envelope is iterated without re-entering the queue machinery per
-        tuple, and every tuple but the last is settled as soon as it ran,
-        so the outstanding count is exact even if a mid-envelope task fails
-        -- the tail the failure abandons is settled unrun, or an
-        auto-scaled run (whose sessions survive a failing task) would never
-        drain.  ``tally`` (:meth:`new_tally`) collects the counters a task
-        bumps; the caller flushes it with ``counters.merge`` in a
-        ``finally``, so the shared counters lock is taken per flush, not
-        twice per task.
-        """
-        if not isinstance(item, Batch):
-            return self.process_task(copies, item, tally), 1
-        tasks = item.items
-        if not tasks:
-            return None, 0
-        started = 1
-        try:
-            for task in tasks[:-1]:
-                self.queue.settle(self.process_task(copies, task, tally))
-                started += 1
-            return self.process_task(copies, tasks[-1], tally), len(tasks)
-        finally:
-            if started < len(tasks):
-                self.queue.settle(count=len(tasks) - started)
-
-    @staticmethod
-    def new_tally() -> Dict[str, int]:
-        return {"tasks": 0, "queue_puts": 0}
-
     def is_terminated(self) -> bool:
         """The termination condition (safe by default, see module docs).
 
@@ -283,61 +211,88 @@ class DynamicWorkforce(Workforce):
 
     def worker_loop(self, worker_key: str, total_workers: int) -> None:
         """Dedicated-worker loop: run until termination."""
-        copies = self.graph_copy(worker_key)
-        timeout = self.state.clock.to_real(self.policy.poll_interval)
-        take = self.queue.settle_and_get
-        empty_streak = 0
-        #: The last task's children, settled by the next take.
-        children: Optional[List[Any]] = None
-        try:
-            while True:
-                item = take(children, timeout)
-                children = None
-                if item is TIMED_OUT:
-                    empty_streak += 1
-                    self.state.counters.inc("empty_polls")
-                    if empty_streak >= self.policy.empty_retries and self.is_terminated():
-                        self.broadcast_pills(total_workers)
-                        return
-                    continue
-                if item is POISON_PILL:
-                    return
-                empty_streak = 0
-                tally = self.new_tally()
-                try:
-                    children, _ = self.process_item(copies, item, tally)
-                finally:
-                    self.state.counters.merge(tally)
-        finally:
-            if children is not None:
-                self.queue.settle(children)
+        self._hops(worker_key, sys.maxsize, total_workers)
 
     def drain_session(self, worker_key: str, chunk: int) -> int:
-        """Auto-scaled session: process up to ``chunk`` tasks, stop on empty.
+        """Auto-scaled session: up to ``chunk`` tasks, stop on empty."""
+        return self._hops(worker_key, chunk, 0)
 
-        Returns the number of tasks processed, so the caller can observe
-        starvation.  Sessions never decide termination -- the auto-scaler's
-        ``process`` loop owns that (Algorithm 1).  ``chunk`` is a soft cap
-        at batch granularity: an envelope is never split across sessions.
+    def _hops(self, worker_key: str, chunk: int, total_workers: int) -> int:
+        """The hop loop of dedicated workers and sessions; returns the tasks taken.
+
+        A session (``total_workers`` 0) stops after ``chunk`` tasks (a soft
+        cap: an envelope is never split) or at its first empty poll; it
+        never decides termination, the auto-scaler's loop does (Algorithm
+        1).  A dedicated worker runs until ``empty_retries`` empty polls in
+        a row find the run terminated, then pills ``total_workers``.
+
+        A task, ``(pe, port, payload)`` (``port`` None: ``payload`` is the
+        whole inputs mapping), is unpacked, invoked and dispatched in this
+        frame; its children are settled by the next take.  An envelope's
+        tuples run in place, each but the last settled once it ran.  A
+        task that raises settles at once, with the children it produced
+        and its envelope's unrun tail: a session outlives a failing task,
+        and the drain proof must stay exact.  ``tasks`` / ``queue_puts``
+        are merged into the counters once, when the loop ends.
         """
         copies = self.graph_copy(worker_key)
+        take, settle = self.queue.settle_and_get, self.queue.settle
         timeout = self.state.clock.to_real(self.policy.poll_interval)
-        take = self.queue.settle_and_get
-        processed = 0
-        tally = self.new_tally()
-        children: Optional[List[Any]] = None
+        concrete, collector = self.concrete, self.state.collector
+        batch_size = self.batch_size
+        latency = self.state.platform.queue_latency
+        io_wait = self.state.ctx.io_wait
+        processed = tasks = puts = empty_streak = 0
+        #: The last task's children, settled by the next take.
+        children: Optional[Sequence[Any]] = None
         try:
             while processed < chunk:
                 item = take(children, timeout)
                 children = None
-                if item is TIMED_OUT or item is POISON_PILL:
+                if item is TIMED_OUT:
+                    if not total_workers:
+                        break
+                    empty_streak += 1
+                    self.state.counters.inc("empty_polls")
+                    if empty_streak >= self.policy.empty_retries and self.is_terminated():
+                        self.broadcast_pills(total_workers)
+                        break
+                    continue
+                if item is POISON_PILL:
                     break
-                children, count = self.process_item(copies, item, tally)
-                processed += count
+                empty_streak = 0
+                batch = item.items if type(item) is Batch else (item,)
+                #: Tuples of this item not settled yet.
+                owed = len(batch)
+                processed += owed
+                for pe_name, port, payload in batch:
+                    if children is not None:
+                        settle(children)
+                        owed -= 1
+                    children = ()
+                    try:
+                        emissions = copies[pe_name]._invoke(
+                            payload if port is None else {port: payload}
+                        )
+                        tasks += 1
+                        children = dispatch_tasks(concrete, collector, pe_name, emissions)
+                        if batch_size > 1:
+                            children = [as_envelope(run) for run in chunked(children, batch_size)]
+                        # Queue transfer cost is charged once per queue item:
+                        # the amortization batching exists for.
+                        if latency > 0:
+                            for _ in children:
+                                io_wait(latency)
+                    except BaseException:
+                        puts += len(children)
+                        settle(children, owed)
+                        children = None
+                        raise
+                    puts += len(children)
         finally:
             if children is not None:
-                self.queue.settle(children)
-            self.state.counters.merge(tally)
+                settle(children)
+            self.state.counters.merge({"tasks": tasks, "queue_puts": puts})
         return processed
 
 

@@ -115,10 +115,11 @@ def batch_items(item: Any) -> List[Any]:
 
 
 def batch_len(item: Any) -> int:
-    """How many tuples ``item`` carries (1 for a bare tuple)."""
-    if isinstance(item, Batch):
-        return len(item.items)
-    return 1
+    """How many tuples ``item`` carries (1 for a bare tuple).
+
+    :class:`TrackedQueue` counts with this same expression, written out on
+    its per-task paths."""
+    return len(item.items) if type(item) is Batch else 1
 
 
 def chunked(items: List[Any], size: int) -> Iterator[List[Any]]:
@@ -308,7 +309,7 @@ class TrackedQueue:
         """Append work items and account their tuples (lock held)."""
         count = 0
         for item in items:
-            count += batch_len(item)
+            count += len(item.items) if type(item) is Batch else 1
         self._items.extend(items)
         self._outstanding += count
         self._pending_tasks += count
@@ -338,17 +339,13 @@ class TrackedQueue:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         with self._lock:
-            self._settle(children, count)
-
-    def _settle(self, children: Sequence[Any], count: int) -> None:
-        """The body of :meth:`settle` (lock held)."""
-        if self._outstanding < count:
-            raise RuntimeError("more tasks settled than were got")
-        if children:
-            # Children first: unlocked ``outstanding`` readers must
-            # never see the parent gone and the children not yet there.
-            self._enqueue(children)
-        self._outstanding -= count
+            if self._outstanding < count:
+                raise RuntimeError("more tasks settled than were got")
+            if children:
+                # Children first: unlocked ``outstanding`` readers must
+                # never see the parent gone and the children not yet there.
+                self._enqueue(children)
+            self._outstanding -= count
 
     def settle_and_get(
         self, children: Optional[Sequence[Any]], timeout: Optional[float] = None
@@ -363,7 +360,12 @@ class TrackedQueue:
         """
         with self._lock:
             if children is not None:
-                self._settle(children, 1)
+                # :meth:`settle`'s body for ``count=1``, children first.
+                if self._outstanding < 1:
+                    raise RuntimeError("more tasks settled than were got")
+                if children:
+                    self._enqueue(children)
+                self._outstanding -= 1
             items = self._items
             if not items:
                 self._waiting += 1
@@ -374,7 +376,7 @@ class TrackedQueue:
                     self._waiting -= 1
             item = items.popleft()
             if item is not POISON_PILL:
-                self._pending_tasks -= batch_len(item)
+                self._pending_tasks -= len(item.items) if type(item) is Batch else 1
             return item
 
     def mark_done(self, count: int = 1) -> None:

@@ -34,6 +34,10 @@ cancel      ``{"job", "reason"?}`` -> ``{"cancelled": bool}``
 stats       ``{}`` -> ``{"stats": {...}}`` (:class:`SchedulerStats`)
 quit        closes the connection after ``{"bye": true}``
 ==========  ===========================================================
+
+A terminal job is forgotten once a ``wait`` reply and a ``results`` end both
+told it; of the others, the :data:`RETAINED_JOBS` newest are kept.  A
+forgotten id is answered ``expired``, one never handed out ``unknown job``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ from repro.scheduler.catalog import (
     workflow_params,
 )
 from repro.scheduler.scheduler import JobScheduler
+
+#: Terminal jobs kept that have not had both a ``wait`` and a ``results`` end.
+RETAINED_JOBS = 64
 
 
 def _encode(payload: Dict[str, Any]) -> bytes:
@@ -78,7 +85,10 @@ class SchedulerService(SocketServer):
     ) -> None:
         super().__init__(host, port)
         self.scheduler = scheduler
+        #: Live and retained jobs by id, oldest submission first.
         self._jobs: Dict[str, Job] = {}
+        #: Job id -> the first of ``wait`` / ``results`` that told its end.
+        self._told: Dict[str, str] = {}
         self._jobs_lock = threading.Lock()
         self._job_seq = 0
 
@@ -115,15 +125,28 @@ class SchedulerService(SocketServer):
             reply, stop = {"ok": False, "error": str(exc) or type(exc).__name__}, False
         if reply is not None:
             sock.sendall(_encode(reply))
+            if op in ("wait", "results") and "state" in reply:
+                self._told_end(request.get("job"), op)
         return stop
 
     def _job(self, request: Dict[str, Any]) -> Job:
         job_id = request.get("job")
         with self._jobs_lock:
             job = self._jobs.get(job_id)
+            last = self._job_seq
         if job is None:
+            seq = job_id[1:] if isinstance(job_id, str) and job_id[:1] == "j" else ""
+            if seq.isdecimal() and 0 < int(seq) <= last:
+                raise ValueError(f"expired job {job_id!r}")
             raise ValueError(f"unknown job {job_id!r}")
         return job
+
+    def _told_end(self, job_id: Any, op: str) -> None:
+        """Forget a terminal job once ``wait`` and ``results`` both told it."""
+        with self._jobs_lock:
+            job = self._jobs.get(job_id)
+            if job is not None and job.done() and self._told.setdefault(job_id, op) != op:
+                del self._jobs[job_id], self._told[job_id]
 
     # ------------------------------------------------------------ operations
     def _op_ping(self, sock, request) -> Tuple[Dict[str, Any], bool]:
@@ -166,6 +189,10 @@ class SchedulerService(SocketServer):
             self._job_seq += 1
             job_id = f"j{self._job_seq}"
             self._jobs[job_id] = job
+            ended = [key for key, known in self._jobs.items() if known.done()]
+            for key in ended[: max(0, len(ended) - RETAINED_JOBS)]:
+                del self._jobs[key]
+                self._told.pop(key, None)
         return {
             "ok": True,
             "job": job_id,

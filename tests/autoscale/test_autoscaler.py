@@ -76,71 +76,129 @@ class TestGrowShrink:
         scaler.shrink(100)
         assert scaler.active_size == MIN_ACTIVE == 1
 
-    def test_auto_scale_applies_strategy(self, pool):
+    def test_a_step_applies_strategy(self, pool):
         scaler = make_scaler(pool, strategy=FixedStrategy(+1))
         before = scaler.active_size
-        scaler.auto_scale()
+        scaler.process(lambda: None, lambda: True)  # one step, then terminated
         assert scaler.active_size == before + 1
 
-    def test_auto_scale_records_trace(self, pool):
+    def test_a_step_records_trace(self, pool):
         scaler = make_scaler(pool, strategy=FixedStrategy(-1), monitor=lambda: 7.0)
-        scaler.auto_scale()
+        scaler.process(lambda: None, lambda: True)
         [point] = scaler.trace.points
         assert point.metric == 7.0
         assert point.decision == -1
 
 
-class TestStartDoneGate:
-    def test_start_runs_session(self, pool):
-        scaler = make_scaler(pool)
-        done = threading.Event()
-        assert scaler.start(done.set)
-        assert done.wait(timeout=2)
-        scaler.wait_all_done(timeout=2)
-        assert scaler.active_count == 0
+def _until(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
 
-    def test_gate_blocks_at_active_size(self, pair):
-        scaler = make_scaler(pair)
-        release = threading.Event()
 
-        def long_session():
-            release.wait(timeout=5)
+class _Run:
+    """``process`` on a thread, over sessions that hold their slot until
+    ``release`` is set; ``terminate`` ends the workflow."""
 
-        assert scaler.start(long_session)
-        # Second start must block until we grow or the session ends.
-        started_second = threading.Event()
+    def __init__(self, scaler):
+        self.scaler = scaler
+        self.release = threading.Event()
+        self.terminate = threading.Event()
+        self.sessions = 0
+        self.thread = threading.Thread(
+            target=scaler.process, args=(self.session, self.terminate.is_set), daemon=True
+        )
 
-        def try_second():
-            scaler.start(lambda: None)
-            started_second.set()
+    def session(self):
+        self.sessions += 1
+        self.release.wait(timeout=5)
 
-        t = threading.Thread(target=try_second)
-        t.start()
-        time.sleep(0.05)
-        assert not started_second.is_set()  # still gated
-        scaler.grow(1)  # open the gate
-        assert started_second.wait(timeout=2)
-        release.set()
-        t.join(timeout=2)
-        scaler.wait_all_done(timeout=2)
+    def finish(self):
+        self.terminate.set()
+        self.release.set()
+        self.thread.join(timeout=2)
+        assert not self.thread.is_alive()
 
-    def test_stop_unblocks_start(self, pair):
-        scaler = make_scaler(pair)
-        release = threading.Event()
-        scaler.start(lambda: release.wait(timeout=5))
-        returned = []
 
-        def blocked_start():
-            returned.append(scaler.start(lambda: None))
+class TestGate:
+    """The gate inside ``process`` (Algorithm 1's ``start``).  It notifies
+    only when a thread waits in it (``_waiting``), so each test parks the
+    waiter first, then fires the event that must release it; the waits are
+    untimed, so a lost wakeup hangs the run and fails its join."""
 
-        t = threading.Thread(target=blocked_start)
-        t.start()
-        time.sleep(0.02)
+    @pytest.fixture
+    def full_gate(self, pair):
+        """One session holds the only slot; the next step is parked."""
+        run = _Run(make_scaler(pair))
+        run.thread.start()
+        _until(lambda: run.scaler._waiting == 1 and run.sessions == 1)
+        yield run
+        run.finish()
+        assert run.scaler.active_count == 0
+
+    def test_a_parked_step_wakes_on_done(self, full_gate):
+        full_gate.release.set()  # the session ends: ``_done`` frees the slot
+        _until(lambda: full_gate.sessions >= 2)
+
+    def test_a_parked_step_wakes_on_grow(self, full_gate):
+        full_gate.scaler.grow(1)
+        _until(lambda: full_gate.sessions == 2)
+        assert full_gate.scaler.active_size == 2
+        _until(lambda: full_gate.scaler._waiting == 1)  # full again
+        assert full_gate.sessions == 2
+
+    def test_a_parked_step_wakes_on_stop(self, full_gate):
+        scaler, draining = full_gate.scaler, threading.Event()
+        drain = scaler.wait_all_done
+        scaler.wait_all_done = lambda: draining.set() or drain()
         scaler.stop()
-        t.join(timeout=2)
-        assert returned == [False]
-        release.set()
-        scaler.wait_all_done(timeout=2)
+        assert draining.wait(timeout=2)  # the step left the gate to drain
+        assert full_gate.thread.is_alive()
+        full_gate.release.set()
+        full_gate.thread.join(timeout=2)
+        assert not full_gate.thread.is_alive()
+        assert full_gate.sessions == 1
+
+    def test_termination_drains_until_the_last_session_ends(self, full_gate):
+        scaler = full_gate.scaler
+        full_gate.terminate.set()
+        scaler.grow(1)  # the parked step dispatches; the next sees termination
+        _until(lambda: scaler._stopped and scaler._waiting == 1)
+        assert full_gate.thread.is_alive()
+        assert full_gate.sessions == 2 and scaler.active_count == 2
+        full_gate.release.set()
+        full_gate.thread.join(timeout=2)
+        assert not full_gate.thread.is_alive()
+
+    def test_wait_all_done_returns_when_the_last_session_ends_after_stop(self, full_gate):
+        scaler = full_gate.scaler
+        scaler.stop()
+        _until(lambda: scaler._waiting == 1)  # ``process`` drains
+        returned = []
+        waiter = threading.Thread(
+            target=lambda: returned.append(scaler.wait_all_done()), daemon=True
+        )
+        waiter.start()
+        _until(lambda: scaler._waiting == 2)
+        assert not returned
+        full_gate.release.set()
+        waiter.join(timeout=2)
+        assert returned == [True]
+
+    def test_done_with_nobody_waiting_leaves_the_gate_usable(self, pool):
+        scaler = make_scaler(pool)
+        sessions = []
+        run = threading.Thread(
+            target=scaler.process,
+            args=(lambda: sessions.append(1), lambda: len(sessions) >= 20),
+            daemon=True,
+        )
+        run.start()
+        run.join(timeout=2)
+        assert not run.is_alive() and len(sessions) >= 20
+        assert scaler._waiting == 0 and scaler.active_count == 0
+        assert scaler.wait_all_done(timeout=0)
 
 
 class TestProcessLoop:

@@ -39,7 +39,8 @@ class TestBacklogStrategy:
         pool = WorkerPool(2, name="duck")
         try:
             scaler = Autoscaler(pool, Minimal(), monitor=lambda: 1.0)
-            assert scaler.auto_scale() == 0
+            scaler.process(lambda: None, lambda: True)
+            assert [point.decision for point in scaler.trace.points] == [0]
         finally:
             pool.close()
             pool.join(timeout=5)

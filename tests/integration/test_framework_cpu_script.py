@@ -47,9 +47,12 @@ def test_quick_run_prints_a_row_and_an_attribution_table():
     assert {"RESP", "client", "keyspace"} <= layers["cluster_tcp"]
     assert {"PE", "dispatch", "worker", "queues"} <= layers["chain_queue"]
     assert {"PE", "worker"} <= layers["galaxy_autoscale"]
-    # The hop's routing and invoke functions are priced by name, in their layers.
+    # The hop's routing and invoke functions are priced by name, in their
+    # layers; the queue hop itself is one frame per take.
     functions = {line.split()[0] for line in sections["chain_queue"] if line}
-    assert {"dispatch_tasks", "IterativePE._invoke"} <= functions
+    assert {"dispatch_tasks", "IterativePE._invoke", "DynamicWorkforce._hops"} <= functions
+    assert {"TrackedQueue.settle_and_get", "Autoscaler.process"} <= functions
+    assert not {"DynamicWorkforce.process_task", "TrackedQueue._settle"} & functions
     # A window's children and the pills go out as XADDN; nothing sends XADD.
     for name in ("stateful_hybrid", "cluster_tcp"):
         assert any(line.startswith("keyspace xaddn ") for line in sections[name])
@@ -60,3 +63,16 @@ def test_quick_run_prints_a_row_and_an_attribution_table():
         assert "before the run" in line and "after; netted at their median" in line
     # The forked workers' CPU is reported, not attributed.
     assert any(line.startswith("worker processes ") for line in sections["cluster_tcp"])
+
+
+def test_attribute_runs_at_the_given_time_scale():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--quick", "--attribute", "--workload", "chain_queue",
+         "--time-scale", "0.01"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # The framework metric keeps its own scale; the attributed run takes the flag's.
+    assert lines[0].startswith("framework CPU at time scale 1e-06")
+    assert "chain_queue (dyn_auto_multi, 300 inputs, time scale 0.01): attributed run" in lines

@@ -10,6 +10,7 @@ from repro.mappings.base import Counters, EnactmentState, ResultsCollector, norm
 from repro.mappings.dynamic import DynamicWorkforce
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
+from repro.runtime.queues import Batch
 from repro.runtime.accounting import ActivityMeter
 from repro.runtime.clock import Clock
 from repro.workflows import build_internal_extinction_workflow
@@ -242,3 +243,68 @@ class TestSessionHandOff:
         assert done == 20 and wf.queue.is_drained()
         assert sorted(state.collector.as_dict()["b.output"]) == [4 * i for i in range(10)]
         assert state.counters.get("tasks") == 20
+
+
+def _drive(wf, loop):
+    """One pass of a hop loop: a session of up to 100 tasks, or a dedicated
+    worker run until it terminates (or raises)."""
+    if loop == "session":
+        return wf.drain_session("w", chunk=100)
+    wf.worker_loop("w", 1)
+    return 0
+
+
+def _finish(wf, loop):
+    while _drive(wf, loop):
+        pass
+
+
+@pytest.mark.parametrize("loop", ["session", "dedicated"])
+class TestInlineHop:
+    """The hop both loops run (``DynamicWorkforce._hops``) unpacks, invokes
+    and dispatches a task in place; an envelope runs tuple by tuple.  A raise
+    must settle exactly, and the ``tasks`` / ``queue_puts`` counters must
+    come out as they would have one ``inc`` per task."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_a_raise_settles_the_children_before_it(self, loop, batch_size):
+        graph = linear_graph(Double(name="a"), _Boom("boom", 8), Double(name="c"))
+        state, wf = _queue_workforce(graph, list(range(8)), batch_size=batch_size)
+        wf.seed_roots()
+        with pytest.raises(RuntimeError, match="boom on 8"):
+            _drive(wf, loop)
+        # Eight ``a`` tasks, then ``boom`` on 0, 4, 8, 12; 16 raised.  Every
+        # child they produced is queued: the queue owes nothing unqueued.
+        assert wf.queue.outstanding == wf.queue.pending_tasks == 7
+        assert state.counters.get("tasks") == 12
+        assert state.counters.get("queue_puts") == 12
+        _finish(wf, loop)
+        assert wf.queue.outstanding == 0 and wf.queue.is_drained()
+        assert state.counters.get("tasks") == 8 + 7 + 7
+        assert state.counters.get("queue_puts") == 8 + 7
+        assert sorted(state.collector.as_dict()["c.output"]) == [8 * i for i in range(8) if i != 4]
+
+    def test_an_envelope_raise_settles_its_unrun_tail(self, loop):
+        graph = linear_graph(_Boom("boom", 5), Double(name="double"))
+        state, wf = _queue_workforce(graph, list(range(8)), batch_size=4)
+        wf.seed_roots()
+        assert all(type(item) is Batch for item in wf.queue._items)
+        with pytest.raises(RuntimeError, match="boom on 5"):
+            _drive(wf, loop)
+        # Tuples 0-4 ran; 5 raised; 6 and 7 never ran and hold no credit.
+        assert wf.queue.outstanding == wf.queue.pending_tasks == 5
+        assert (state.counters.get("tasks"), state.counters.get("queue_puts")) == (5, 5)
+        _finish(wf, loop)
+        assert wf.queue.outstanding == 0
+        assert state.counters.get("tasks") == 10
+        assert sorted(state.collector.as_dict()["double.output"]) == [4 * i for i in range(5)]
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_a_clean_run_counts_exactly(self, loop, batch_size):
+        graph = linear_graph(Double(name="a"), Double(name="b"))
+        state, wf = _queue_workforce(graph, list(range(10)), batch_size=batch_size)
+        wf.seed_roots()
+        _finish(wf, loop)
+        assert wf.queue.outstanding == 0
+        assert (state.counters.get("tasks"), state.counters.get("queue_puts")) == (20, 10)
+        assert sorted(state.collector.as_dict()["b.output"]) == [4 * i for i in range(10)]

@@ -7,6 +7,7 @@ ops/jobs, malformed lines, result streaming) live here; the
 subprocess-level ``repro serve`` path is tests/integration/test_serve.py.
 """
 
+import gc
 import json
 import socket
 import threading
@@ -15,6 +16,7 @@ import pytest
 
 from repro import Engine
 from repro.scheduler import JobScheduler, SchedulerService
+from repro.scheduler import service as service_module
 from tests.conftest import FAST_SCALE
 
 pytestmark = pytest.mark.scheduler
@@ -285,6 +287,64 @@ class TestJobLifecycleOverWire:
             assert other.request(op="stats")["stats"]["completed"] >= 1
         finally:
             other.close()
+
+
+def _run_job(client, collect=("results", "wait")):
+    """submit -> send -> close, then the collecting ops; returns the job id."""
+    job = client.request(
+        op="submit", workflow="sentiment-scoring", params={"articles": 2}, inputs=None,
+    )["job"]
+    client.request(op="send", job=job, target="readArticles", tuples=[0, 1])
+    client.request(op="close", job=job)
+    for op in collect:
+        client.send(op=op, job=job, timeout=30)
+        reply = client.recv()
+        while "key" in reply:
+            reply = client.recv()
+        assert reply["state"] == "done", reply
+    return job
+
+
+class TestRetention:
+    """A terminal job is forgotten once ``wait`` and ``results`` both told it;
+    the other terminal jobs sit in a ring of ``RETAINED_JOBS``."""
+
+    def test_a_collected_job_is_forgotten_and_answers_expired(self, service, client):
+        for collect in (("results", "wait"), ("wait", "results")):
+            job = _run_job(client, collect)
+            reply = client.request(op="wait", job=job, timeout=5)
+            assert reply["ok"] is False
+            assert reply["error"] == f"expired job {job!r}"
+        assert "unknown job" in client.request(op="results", job="j99")["error"]
+        assert not service._jobs
+
+    def test_uncollected_terminal_jobs_sit_in_a_bounded_ring(
+        self, service, client, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "RETAINED_JOBS", 3)
+        jobs = [_run_job(client, ("wait",)) for _ in range(6)]
+        # Each submit keeps the 3 newest terminal jobs: the sixth saw five.
+        for job in jobs[:2]:
+            assert "expired" in client.request(op="wait", job=job, timeout=5)["error"]
+        for job in jobs[2:]:
+            assert client.request(op="wait", job=job, timeout=5)["state"] == "done"
+
+    def test_soak_a_collected_job_leaves_nothing_behind(self, service, client):
+        """Jobs driven over the socket leave no job, thread or heap behind."""
+        for _ in range(10):  # warm-up: deployments, pools, caches
+            _run_job(client)
+        gc.collect()
+        objects, threads = len(gc.get_objects()), threading.active_count()
+        jobs = 30
+        for _ in range(jobs):
+            _run_job(client)
+        gc.collect()
+        assert not service._jobs
+        assert threading.active_count() == threads
+        # A retained job holds ~375 objects (~11 000 here).  Between two
+        # idle moments the heap moves by up to ~1 000 either way, with
+        # whatever pool and deployment state happens to be in flight.
+        assert len(gc.get_objects()) - objects < 100 * jobs
 
 
 class TestClose:

@@ -524,3 +524,115 @@ class TestEntrySeq:
         assert ids[11:13] == ["9-11", "10-0"]
         cursors = [entry_seq(entry_id) for entry_id in ids]
         assert cursors == sorted(set(cursors))
+
+
+# ------------------------------------------------------------ counter pins
+#: The work counters of one sentiment run, pinned; ``scripts/parity.py``'s
+#: ``VOLATILE`` (scaler rounds, idle wake-ups, settle trips) stays out.
+_PINNED = (
+    "stateful_tasks", "private_puts", "tasks", "stateful_instances",
+    "stateless_workers", "replayed", "deduplicated", "restores", "crashes",
+    "respawns",
+)
+
+#: Every variant runs the same work: 80 pinned deliveries (40 to
+#: ``happyState``, 40 to ``top3Happiest``) and 120 stateless tasks.
+_UNCRASHED = {
+    "stateful_tasks": 80, "private_puts": 80, "tasks": 120,
+    "stateful_instances": 5, "stateless_workers": 3, "replayed": 0,
+    "deduplicated": 0, "restores": 0, "crashes": 0, "respawns": 0,
+}
+
+
+class TestCounterPins:
+    """Sentiment on ``hybrid_redis``: the end-of-run work counters of a
+    plain, a batched, a recoverable and a crashed run, exactly."""
+
+    @staticmethod
+    def _counters(**options):
+        graph, inputs = build_sentiment_workflow(articles=20)
+        result = _run_hybrid(graph, inputs, 8, **options)
+        return {name: result.counters.get(name, 0) for name in _PINNED}
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"batch_size": 8}, {"checkpoint_interval": 5}],
+        ids=["plain", "batch8", "checkpoint"],
+    )
+    def test_uncrashed(self, options):
+        assert self._counters(**options) == _UNCRASHED
+
+    def test_crash(self):
+        """The first pinned instance (``happyState.0``) dies at its first
+        invocation, before any checkpoint: that invocation counts, nothing
+        is restored or deduplicated, and its replay re-runs the window it
+        held.  How much of that window had reached it follows arrival
+        timing (``replayed`` is in parity's ``CRASH_VOLATILE``), so only
+        its bounds are pinned: one entry at least, the interval at most."""
+        counters = self._counters(
+            checkpoint_interval=5, crash_injector=CrashInjector({"happyState.0": 1}),
+        )
+        assert 1 <= counters.pop("replayed") <= 5
+        expected = {**_UNCRASHED, "stateful_tasks": 81, "crashes": 1, "respawns": 1}
+        del expected["replayed"]
+        assert counters == expected
+
+
+# ------------------------------------------------------- close-marker hazard
+class PortedRoot(GenericPE):
+    """A pinned root driven by whole inputs mappings, one of whose ports is
+    named ``close``: it forwards ``(close, value)`` and flushes its count."""
+
+    def __init__(self, name="root"):
+        super().__init__(name)
+        self._add_input("close")
+        self._add_input("value")
+        self._add_output(self.OUTPUT_NAME)
+        self.stateful = True
+        self.numprocesses = 2
+        self.seen = 0
+
+    def process(self, inputs):
+        self.seen += 1
+        self.write(self.OUTPUT_NAME, (inputs["close"], inputs["value"]))
+
+    def postprocess(self):
+        self.write(self.OUTPUT_NAME, ("seen", self.seen))
+
+
+class CloseSink(GenericPE):
+    """A pinned PE whose only input port is named ``close``."""
+
+    def __init__(self, name="sink"):
+        super().__init__(name)
+        self._add_input("close")
+        self._add_output(self.OUTPUT_NAME)
+        self.stateful = True
+        self.numprocesses = 1
+        self.got = []
+
+    def process(self, inputs):
+        self.got.append(inputs["close"])
+
+    def postprocess(self):
+        self.write(self.OUTPUT_NAME, sorted(self.got, key=repr))
+
+
+class TestCloseMarkerHazard:
+    """A message for a port named ``close`` is data, never the staged-close
+    marker, and a root's inputs mapping runs whole: every message runs,
+    and only the marker ends its window."""
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"checkpoint_interval": 3}], ids=["plain", "recoverable"],
+    )
+    def test_every_message_runs(self, options):
+        g = WorkflowGraph("hazard")
+        g.connect(PortedRoot(), "output", CloseSink(), "close")
+        inputs = [{"close": "close", "value": i} for i in range(12)]
+        result = _run_hybrid(g, inputs, 4, **options)
+        [got] = result.output("sink")
+        assert got == sorted(
+            [("close", i) for i in range(12)] + [("seen", 6)] * 2, key=repr
+        )
+        assert result.counters["stateful_tasks"] == 12 + 14

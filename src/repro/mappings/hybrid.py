@@ -15,31 +15,65 @@ The mapping that reconciles dynamic scheduling with stateful applications:
   Redis stream as ``dyn_redis`` -- with the extra capability of "depositing
   their outputs into private queues specifically designated for stateful
   tasks".
-- **Pinned queues are consumed in windows.**  After a blocking pop hits,
-  the consumer takes up to ``WINDOW_CAP - 1`` more elements in one command
-  (``LPOP key count``; in recoverable mode the queue is a stream and one
-  ``XREADGROUP ... COUNT`` reads the whole window), runs them in order and
-  settles them once.  A close marker ends a window: the elements ahead of
-  it settle, then the flush.
+
+A private-queue message is ``(port, data)``; ``port`` None means ``data``
+is the whole inputs mapping (a root's seed), as on the task stream.  The
+staged-close marker is :data:`CLOSE`, a 1-tuple no message equals, and it
+never travels inside a batch.
+
+One run is one :class:`_HybridRun`
+----------------------------------
+Its attributes are what the run's threads share (the task board, the
+allocation, the private-queue keys, the ``stop`` event, the recovery
+settings, the pinned plane's threads, completions and respawns); its
+methods are the parts:
+
+- :meth:`~_HybridRun.seed` clears what an earlier run left under the
+  namespace and publishes every root input as a delivery: a stateful
+  root's inputs go round-robin over its instances, one counter for all
+  roots, in frames of at most :data:`SEED_FRAME` commands whose credit is
+  booked ahead of their payloads.
+- :meth:`~_HybridRun.deliver` books a pipeline's credit, then appends
+  routed deliveries: stateless tasks as stream envelopes, private messages
+  grouped per pinned instance into envelopes of up to ``batch_size``, one
+  push per instance.  Seeding shares its grouping (:meth:`~_HybridRun.queue`).
+- :meth:`~_HybridRun.run_pinned` is a pinned instance's thread: preprocess,
+  consume (:meth:`~_HybridRun.consume_plain` or
+  :meth:`~_HybridRun.consume_recoverable`), then flush.
+- :meth:`~_HybridRun.run_window` is the window body both protocols share:
+  run elements in order until the close marker, count them once, dispatch
+  every child in one pipeline.  After a blocking pop hits, a window takes
+  up to ``WINDOW_CAP - 1`` more elements in one command (``LPOP key
+  count``; one ``XREADGROUP ... COUNT`` in recoverable mode).
+- :meth:`~_HybridRun.flush` runs ``postprocess`` of an instance, threaded
+  or not, and routes what it wrote.
+- :meth:`~_HybridRun.run_stateless` is a stateless worker: the shared
+  :class:`~repro.mappings.redis_tasks.StreamWorker` publishing through
+  :meth:`~_HybridRun.deliver`.
+- :meth:`~_HybridRun.close_stages`, :meth:`~_HybridRun.wait_drained` and
+  :meth:`~_HybridRun.teardown` end the run (below).
 
 Termination is staged, and the shared outstanding counter is its only
-proof.  Once the global task pool is drained, stateful PEs are closed in
-topological order: the coordinator pushes one close marker per instance of
-a stage, in the pipeline that books one credit per marker.  An instance
-that consumes its marker flushes its aggregate in ``postprocess`` and
-releases the marker's credit in the pipeline that dispatches the flush,
-behind the flush's own credit.  So the next time the counter reads zero,
-the stage has flushed and everything downstream of its flush has drained;
-then the next stage closes.  An instance stopped by an abort never consumed
-its marker and releases nothing.  Finally the stateless workers are
-released with poison pills, and every worker thread, pinned and stateless,
-is joined once before the run's keys are torn down.
+proof.  :meth:`~_HybridRun.wait_drained` polls it to zero (supervising
+pinned workers meanwhile).  :meth:`~_HybridRun.close_stages` then closes
+the stateful PEs in topological order: it pushes one close marker per
+threaded instance of a stage, and flushes the stage's unthreaded
+instances, in the pipeline that books one credit per marker and per
+flushed delivery.  An instance that consumes its marker flushes its
+aggregate and releases the marker's credit in the pipeline that
+dispatches the flush, behind the flush's own credit.  So the next time the
+counter reads zero, the stage has flushed and everything downstream of its
+flush has drained; then the next stage closes.  An instance stopped by an
+abort never consumed its marker and releases nothing.
+:meth:`~_HybridRun.teardown` releases the stateless workers with poison
+pills, joins every worker thread once and deletes the run's keys.
 
 Crash recovery (``repro.state``)
 --------------------------------
 Pinned local state dies with its worker, so the mapping optionally runs the
 stateful plane in *recoverable* mode (enabled by any of the
-``checkpoint_interval`` / ``state_store`` / ``crash_injector`` options):
+``checkpoint_interval`` / ``state_store`` / ``crash_injector`` options),
+in :meth:`~_HybridRun.consume_recoverable`:
 
 - each pinned instance's private queue is a **stream** read by one
   consumer group, under the instance id as consumer name: ``XADDN``
@@ -48,42 +82,38 @@ stateful plane in *recoverable* mode (enabled by any of the
   (PEL), so nothing is destroyed before its effect is checkpointed --
   the stateless plane's own protocol (:mod:`repro.mappings.redis_tasks`);
 - every ``checkpoint_interval`` deliveries (and whenever the queue goes
-  idle with uncommitted work) the instance snapshots its state -- tagged
-  with the last applied entry ID as one integer that orders like the ID
-  (``ms << 64 | seq``) -- into the :class:`~repro.state.store.StateStore`,
-  then acks the covered entries with one ``XACKDECR``, which releases
-  their outstanding-work credits exactly once;
-- a supervisor on the coordinator thread detects silently-dead pinned
-  workers, **re-pins** the instance on a fresh worker under the same
-  consumer name, restores the latest snapshot and replays the consumer's
-  own PEL (``XREADGROUP ... 0``, paged; entries at or below the snapshot's
-  cursor are deduplicated) before resuming the queue; an instance that
-  dies more than :data:`MAX_RESPAWNS` times fails the run.
+  idle with uncommitted work) :meth:`~_HybridRun.checkpoint` snapshots the
+  instance's state -- tagged with the last applied entry ID as one integer
+  that orders like the ID (:func:`entry_seq`) -- into the
+  :class:`~repro.state.store.StateStore`, then acks the covered entries
+  with one ``XACKDECR``, which releases their credits exactly once;
+- :meth:`~_HybridRun.supervise`, on the coordinator thread, detects
+  silently-dead pinned workers and **re-pins** the instance on a fresh
+  thread under the same consumer name (:meth:`~_HybridRun.spawn`); the new
+  one restores the latest snapshot and replays the consumer's own PEL
+  (``XREADGROUP ... 0``, paged; entries at or below the snapshot's cursor
+  are deduplicated) before resuming the queue; an instance that dies more
+  than :data:`MAX_RESPAWNS` times fails the run.
 
 Deliveries between a checkpoint and a crash are therefore applied exactly
 once to the instance's state, but their downstream emissions may be sent
-twice (at-least-once): the outstanding-work credit of an uncommitted
-delivery is only released by the checkpoint that covers it, which also
-keeps the drain proof honest across crashes.  A close marker found in the
-PEL on replay releases its credit exactly once, with the flush that
-follows the final checkpoint.  The run's private streams and its own
-snapshot hash are deleted at teardown; a user-supplied ``state_store``
-keeps its snapshots.
+twice (at-least-once): the credit of an uncommitted delivery is only
+released by the checkpoint that covers it, which also keeps the drain
+proof honest across crashes.  A close marker found in the PEL on replay
+releases its credit exactly once, with the flush that follows the final
+checkpoint.  The run's private streams and its own snapshot hash are
+deleted at teardown; a user-supplied ``state_store`` keeps its snapshots.
 
 Batched transport (``batch_size``)
 ----------------------------------
 Both planes micro-batch with ``batch_size > 1``: stateless tasks travel as
-batch envelopes on the global stream (as in ``dyn_redis``), and deliveries
-into a private queue are grouped per pinned instance -- one list element,
-or in recoverable mode one stream entry, carrying up to ``batch_size``
-messages, its ``len(batch)`` credits booked by the pipeline that carries
-it.  The consumer reads up to ``WINDOW_CAP`` elements per round trip (each
-up to ``batch_size`` tuples), and the recovery machinery operates at batch
-granularity throughout: an envelope is one PEL entry, its credits are
-acked all-or-nothing by the checkpoint that covers it
-(``XACKDECR ... amount=len(batch)``), and replay dedup compares the
-envelope's entry ID -- either the whole envelope predates the snapshot or
-none of it does.  The close marker is never batched.
+batch envelopes on the global stream (as in ``dyn_redis``), and a private
+queue's element -- in recoverable mode a stream entry -- carries up to
+``batch_size`` messages, its ``len(batch)`` credits booked by the pipeline
+that carries it.  Recovery operates at batch granularity throughout: an
+envelope is one PEL entry, acked all-or-nothing by the checkpoint that
+covers it (``XACKDECR ... amount=len(batch)``), and replay dedup compares
+the envelope's entry ID.
 
 The paper evaluates this mapping against ``multi`` on the Sentiment
 Analysis workflow (Figure 12, Table 3), where it reaches as low as 32% of
@@ -92,6 +122,7 @@ the baseline runtime.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
@@ -101,6 +132,7 @@ from repro.core.concrete import ConcreteWorkflow
 from repro.core.exceptions import MappingError
 from repro.core.graph import WorkflowGraph
 from repro.core.groupings import AllToOne
+from repro.core.pe import GenericPE
 from repro.mappings.base import (
     JOIN_TIMEOUT,
     EnactmentState,
@@ -123,7 +155,7 @@ from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from repro.redisim.streams import StreamID
 from repro.runtime.clock import Clock
-from repro.runtime.queues import Batch, as_envelope, batch_items, batch_len, chunked
+from repro.runtime.queues import as_envelope, batch_items, batch_len, chunked
 from repro.state import (
     CrashInjector,
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -138,12 +170,22 @@ MAX_RESPAWNS = 3
 #: The field of a recoverable private-stream entry that holds its message.
 MESSAGE = "message"
 
+#: The staged-close marker.  Messages are ``(port, data)`` pairs, so it is
+#: told apart by its shape, never by a port name or by identity (it crosses
+#: the keyspace pickled).
+CLOSE = ("close",)
+
 
 def entry_seq(entry_id: str) -> int:
     """A stream entry ID as one integer that orders like the ID: the
     snapshot cursor of a recoverable pinned instance."""
     ms, seq = StreamID.parse(entry_id)
     return ms << 64 | seq
+
+
+def _entries(reply) -> List[Tuple[str, object]]:
+    """A private stream's ``XREADGROUP`` reply as ``(entry id, message)`` pairs."""
+    return [(eid, fields[MESSAGE]) for _key, entries in reply for eid, fields in entries]
 
 
 @register_mapping(
@@ -193,621 +235,359 @@ class HybridRedisMapping(Mapping):
         return fed
 
     def _enact(self, state: EnactmentState) -> Optional[ScalingTrace]:
-        graph = state.graph
-        policy: TerminationPolicy = state.options.get("termination", TerminationPolicy())
-        server: RedisServer = state.options.get("redis_server") or RedisServer()
+        return _HybridRun(self, state).execute()
 
-        # ------------------------------------------------- recovery options
-        checkpoint_interval: Optional[int] = state.options.get("checkpoint_interval")
-        state_store: Optional[StateStore] = state.options.get("state_store")
-        injector: Optional[CrashInjector] = state.options.get("crash_injector")
-        recovery = (
-            checkpoint_interval is not None or state_store is not None or injector is not None
-        )
-        if recovery and checkpoint_interval is None:
-            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise MappingError(
-                f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
-            )
-        batch_size = resolve_batch_size(state.options)
-        trace = ScalingTrace(metric_name="recovery events") if recovery else None
 
-        def new_client() -> RedisClient:
-            return RedisClient(
-                server,
-                op_latency=state.platform.redis_latency,
-                clock=state.clock,
-            )
+class _HybridRun:
+    """One enactment of :class:`HybridRedisMapping`: what its threads share,
+    and its parts as methods (see the module docstring for the map)."""
+
+    def __init__(self, mapping: HybridRedisMapping, state: EnactmentState) -> None:
+        self.state = state
+        graph, options = state.graph, state.options
+        self.policy: TerminationPolicy = options.get("termination", TerminationPolicy())
+        self.server: RedisServer = options.get("redis_server") or RedisServer()
+        interval: Optional[int] = options.get("checkpoint_interval")
+        store: Optional[StateStore] = options.get("state_store")
+        self.injector: Optional[CrashInjector] = options.get("crash_injector")
+        self.recovery = interval is not None or store is not None or self.injector is not None
+        if self.recovery and interval is None:
+            interval = DEFAULT_CHECKPOINT_INTERVAL
+        if interval is not None and interval < 1:
+            raise MappingError(f"checkpoint_interval must be >= 1, got {interval}")
+        self.checkpoint_interval = interval
+        self.batch_size = resolve_batch_size(options)
+        self.trace = ScalingTrace(metric_name="recovery events") if self.recovery else None
 
         namespace = f"repro:{graph.name}"
-        board = RedisTaskBoard(new_client(), namespace=namespace)
-        board.setup()
-        own_store = False
-        if recovery and state_store is None:
-            state_store = RedisSnapshotStore(new_client(), namespace=namespace)
-            own_store = True
+        self.board = RedisTaskBoard(self.connect(), namespace=namespace)
+        self.board.setup()
+        #: Only the run's *own* default store (on the run's deployment) is
+        #: rebound onto each pinned worker's connection, and deleted at
+        #: teardown; a user-supplied one keeps its connection and snapshots.
+        self.own_store = self.recovery and store is None
+        if self.own_store:
+            store = RedisSnapshotStore(self.connect(), namespace=namespace)
+        self.store = store
+        #: The coordinator's connection: seeding, the drain proof, the closes.
+        self.client = self.connect()
 
-        def store_for(client: RedisClient) -> StateStore:
-            """The run's snapshot store, one connection per worker.
-
-            Only the mapping's *own* default store (which lives on the run's
-            Redis deployment) is rebound onto the worker's client; a
-            user-supplied store keeps its own connection and deployment --
-            rebinding it here would silently divert snapshots onto the
-            run's server.
-            """
-            if own_store:
-                return state_store.for_client(client)
-            return state_store
-
-        # ---------------------------------------------------- allocation
-        pinned = self.pinned_instances(graph)
-        stateful_names = set(pinned)
-        allocation = {name: pinned.get(name, 1) for name in graph.pes}
-        concrete = ConcreteWorkflow(graph, allocation)
-        # Only instances a grouping can feed get a worker; the slots of the
+        self.pinned = mapping.pinned_instances(graph)
+        self.allocation = {name: self.pinned.get(name, 1) for name in graph.pes}
+        self.concrete = ConcreteWorkflow(graph, self.allocation)
+        # Only instances a grouping can feed get a thread; the slots of the
         # rest go to the stateless plane.
-        threaded = self.fed_instances(graph)
-        n_threaded = sum(threaded.values())
-        stateless_workers = state.processes - n_threaded
+        self.threaded = mapping.fed_instances(graph)
+        n_threaded = sum(self.threaded.values())
         state.counters.inc("stateful_instances", n_threaded)
-        state.counters.inc("stateless_workers", stateless_workers)
-
+        state.counters.inc("stateless_workers", state.processes - n_threaded)
         #: Private-queue key by ``(pe, index)``, formatted once per run.
-        private_keys = {
+        self.private_keys = {
             (name, idx): f"{namespace}:private:{name}:{idx}"
-            for name in stateful_names
-            for idx in range(allocation[name])
+            for name in self.pinned
+            for idx in range(self.allocation[name])
         }
-
         #: Every worker's exit: set by the first worker error, which aborts
         #: the run, and by the coordinator once it is done, drained or not.
-        #: With batched fetches (count > 1) one stateless worker can swallow
-        #: pills meant for peers; the event is the peers' pill-independent exit.
-        stop = threading.Event()
-
-        def push_private(target, key: str, *messages: object) -> None:
-            """Push messages onto a private queue (client or pipeline).
-
-            The single place that decides list vs stream: in recoverable
-            mode every private-queue message -- deliveries, root seeds and
-            close markers alike -- is a stream entry, whose ID is the
-            consumer's replay and dedup cursor.
-            """
-            if recovery:
-                target.xaddn(key, MESSAGE, *messages)
-            else:
-                target.rpush(key, *messages)
-
-        # ------------------------------------------------------ dispatching
-        def queue_deliveries(pipe, deliveries: List[tuple]) -> None:
-            """Append routed deliveries to a pipeline, payloads only.
-
-            Private queues bypass the global stream entirely; the shared
-            outstanding counter still covers them so the drain proof holds
-            across both planes -- one credit per delivery, which the
-            pipeline's owner books ahead of every payload
-            (:meth:`RedisTaskBoard.book`: the stateless plane's settle for a
-            whole window, :func:`dispatch` for a pinned instance), so the
-            drain proof never observes a published-but-uncounted tuple.  In
-            recoverable mode private-queue pushes are stream entries
-            (XADDN) so consumers get a stable replay cursor.
-
-            Deliveries are grouped whatever the batch size: stateless tasks
-            into stream-entry envelopes, private-queue messages per pinned
-            instance into envelopes of up to ``batch_size`` (one element, or
-            one stream entry, each), all of an instance's envelopes in one push.  An
-            envelope of one is the bare message.
-            """
-            stateless_tasks: List[tuple] = []
-            private: Dict[str, List[tuple]] = {}
-            for dst, dst_port, dst_index, data in deliveries:
-                if dst in stateful_names:
-                    private.setdefault(private_keys[dst, dst_index], []).append(
-                        ("data", dst_port, data)
-                    )
-                else:
-                    stateless_tasks.append((dst, dst_port, data))
-            board.queue_tasks(pipe, stateless_tasks, batch_size)
-            for key, messages in private.items():
-                if batch_size > 1:
-                    messages = [as_envelope(chunk) for chunk in chunked(messages, batch_size)]
-                push_private(pipe, key, *messages)
-            if private:
-                state.counters.inc("private_puts", len(deliveries) - len(stateless_tasks))
-
-        def dispatch(pipe, deliveries: List[tuple]) -> None:
-            """A pinned instance's deliveries behind their credit, booked once."""
-            board.book(pipe, len(deliveries))
-            queue_deliveries(pipe, deliveries)
-
-        # ------------------------------------------------------ seed roots
-        seed_client = new_client()
-        # Run-scoped hygiene before anything is seeded: a reused Redis
-        # deployment (shared ``redis_server`` + same graph name) may hold a
-        # previous run's private queues and snapshots -- e.g. a user store
-        # that outlives its runs.  Left in place they would be replayed into
-        # (and contaminate) this run, and their checkpoint commits would
-        # release credits this run's counter never held.
-        if private_keys:
-            seed_client.delete(*private_keys.values())
-        if recovery:
-            for (name, idx), key in private_keys.items():
-                seed_client.xgroup_create(key, GROUP, id="0", mkstream=True)
-                state_store.delete(f"{name}.{idx}")
-        # Seeds are grouped like deliveries, whatever the batch size:
-        # round-robin assignment at tuple granularity, then envelopes per
-        # destination (an unbatched seed is an envelope of one), pipelined
-        # in bounded frames -- credits before payloads in every frame.
-        rr_counter = 0
-        stateless_seeds: List[tuple] = []
-        private_seeds: Dict[str, List[tuple]] = {}
-        for root, items in state.provided.items():
-            for item in items:
-                if root in stateful_names:
-                    index = rr_counter % allocation[root]
-                    rr_counter += 1
-                    private_seeds.setdefault(private_keys[root, index], []).append(
-                        ("root", item, None)
-                    )
-                else:
-                    stateless_seeds.append((root, None, item))
-        board.put_tasks(stateless_seeds, batch_size, client=seed_client)
-        seed_pipe = seed_client.pipeline()
-        for key, messages in private_seeds.items():
-            for chunk in chunked(messages, batch_size):
-                board.book(seed_pipe, len(chunk))
-                push_private(seed_pipe, key, as_envelope(chunk))
-                if len(seed_pipe) >= SEED_FRAME:
-                    seed_pipe.execute()
-        seed_pipe.execute()
-
-        # --------------------------------------------------- stateful plane
-        #: Live thread per pinned instance; replaced on re-pin.
-        threads: Dict[Tuple[str, int], threading.Thread] = {}
-        completed: Set[Tuple[str, int]] = set()
-        respawns: Dict[Tuple[str, int], int] = {}
-        plane_lock = threading.Lock()
-
-        def stateful_worker(pe_name: str, index: int) -> None:
-            slot = (pe_name, index)
-            worker_id = f"stateful-{pe_name}.{index}"
-            client = new_client()
-            try:
-                instance = instantiate(graph.pe(pe_name), index, allocation[pe_name], state.ctx)
-                instance.preprocess()
-                consumer = dict(
-                    client=client,
-                    key=private_keys[pe_name, index],
-                    board=board,
-                    policy=policy,
-                    stop=stop,
-                    dispatch=dispatch,
-                    concrete=concrete,
-                )
-                if recovery:
-                    closed = self._run_recoverable(
-                        state, instance, pe_name, index, **consumer,
-                        store=store_for(client),
-                        checkpoint_interval=checkpoint_interval,
-                        batch_size=batch_size,
-                        injector=injector,
-                        trace=trace,
-                    )
-                else:
-                    closed = self._run_plain(state, instance, pe_name, index, **consumer)
-                if closed:
-                    # Flush the aggregate state (top-3 tables, per-state
-                    # sums...) and release the close marker's credit behind it.
-                    flushed = dispatch_emissions(
-                        concrete, state.collector, pe_name, index,
-                        instance._flush_postprocess(),
-                    )
-                    pipe = client.pipeline()
-                    dispatch(pipe, flushed)
-                    pipe.decrby(board.counter_key, 1)
-                    pipe.execute()
-                with plane_lock:
-                    completed.add(slot)
-            except InjectedCrash:
-                # Simulated process death: no error report, no abort -- the
-                # supervisor notices the silent exit and re-pins.
-                state.counters.inc("crashes")
-                if trace is not None:
-                    trace.note(state.clock.now(), "crash", f"{pe_name}.{index}")
-            except BaseException as exc:  # noqa: BLE001 - worker boundary
-                state.record_error(exc)
-                stop.set()
-                with plane_lock:
-                    completed.add(slot)
-            finally:
-                state.meter.deactivate(worker_id)
-
-        def spawn(pe_name: str, index: int) -> None:
-            thread = threading.Thread(
-                target=stateful_worker,
-                args=(pe_name, index),
-                name=f"hybrid-stateful-{pe_name}.{index}",
-                daemon=True,
-            )
-            with plane_lock:
-                threads[(pe_name, index)] = thread
-            state.meter.activate(f"stateful-{pe_name}.{index}")
-            thread.start()
-
-        def supervise() -> None:
-            """Re-pin instances whose workers died without completing.
-
-            Only the coordinator thread calls this, so detection and
-            respawn cannot race with each other.
-            """
-            if not recovery or stop.is_set():
-                return
-            with plane_lock:
-                dead = [
-                    slot
-                    for slot, thread in threads.items()
-                    if not thread.is_alive() and slot not in completed
-                ]
-            for pe_name, index in dead:
-                slot = (pe_name, index)
-                attempts = respawns.get(slot, 0)
-                if attempts >= MAX_RESPAWNS:
-                    state.record_error(
-                        MappingError(
-                            f"stateful instance {pe_name}.{index} crashed more "
-                            f"than {MAX_RESPAWNS} times; giving up"
-                        )
-                    )
-                    stop.set()
-                    return
-                respawns[slot] = attempts + 1
-                state.counters.inc("respawns")
-                if trace is not None:
-                    trace.note(
-                        state.clock.now(),
-                        "respawn",
-                        f"{pe_name}.{index} attempt {attempts + 1}",
-                    )
-                spawn(pe_name, index)
-
-        # -------------------------------------------------- stateless plane
-        stateless_pes = {
-            name: pe for name, pe in graph.pes.items() if name not in stateful_names
-        }
-
-        def stateless_worker(index: int) -> None:
-            worker_id = f"stateless-{index}"
-            try:
-                copies = graph_copy(stateless_pes, state.ctx)
-                # The shared stream-worker body; children bound for pinned
-                # instances leave through ``queue_deliveries`` instead of
-                # the task stream, and the coordinator ends the run.
-                StreamWorker(
-                    board,
-                    new_client(),
-                    f"consumer-{index}",
-                    copies,
-                    concrete,
-                    state.collector,
-                    state.counters.inc,
-                    policy=policy,
-                    clock=state.clock,
-                    publish=queue_deliveries,
-                ).run_until(stop.is_set)
-            except BaseException as exc:  # noqa: BLE001 - worker boundary
-                state.record_error(exc)
-                stop.set()
-            finally:
-                state.meter.deactivate(worker_id)
-
-        # ----------------------------------------------------- run the show
-        stateful_slots = [
-            (name, idx)
-            for name in graph.topological_order()
-            if name in stateful_names
-            for idx in range(threaded[name])
-        ]
-        stateless_threads = [
+        #: With batched fetches one stateless worker can swallow pills meant
+        #: for peers; the event is the peers' pill-independent exit.
+        self.stop = threading.Event()
+        self.workers = [
             threading.Thread(
-                target=stateless_worker,
-                args=(i,),
-                name=f"hybrid-stateless-{i}",
-                daemon=True,
+                target=self.run_stateless, args=(i,), name=f"hybrid-stateless-{i}", daemon=True
             )
-            for i in range(stateless_workers)
+            for i in range(state.processes - n_threaded)
+        ]
+        #: The pinned plane: the live thread of each instance (replaced on
+        #: re-pin), the instances done with, and the respawns granted.
+        self.threads: Dict[Tuple[str, int], threading.Thread] = {}
+        self.completed: Set[Tuple[str, int]] = set()
+        self.respawns: Dict[Tuple[str, int], int] = {}
+        self.lock = threading.Lock()
+
+    def connect(self) -> RedisClient:
+        """A new connection to the run's deployment: one per thread."""
+        return RedisClient(
+            self.server, op_latency=self.state.platform.redis_latency, clock=self.state.clock
+        )
+
+    def execute(self) -> Optional[ScalingTrace]:
+        self.seed()
+        slots = [
+            (name, idx)
+            for name in self.state.graph.topological_order()
+            if name in self.pinned
+            for idx in range(self.threaded[name])
         ]
         # Dedicated workers are active from launch initiation (see
         # dynamic.py for the spawn-stagger rationale).
-        for name, idx in stateful_slots:
-            state.meter.activate(f"stateful-{name}.{idx}")
-        for i in range(len(stateless_threads)):
-            state.meter.activate(f"stateless-{i}")
-        for name, idx in stateful_slots:
-            spawn(name, idx)
-        for t in stateless_threads:
-            t.start()
-
-        # A real sleep per poll: below the clock's resolution `clock.sleep`
-        # only books debt, and the loop would spin on `GET outstanding`.
-        drain_poll = max(state.clock.to_real(policy.poll_interval), Clock.SLEEP_RESOLUTION)
-        coordinator_client = new_client()
-
-        def wait_drained() -> None:
-            deadline = state.clock.now() + JOIN_TIMEOUT
-            while not board.is_drained(coordinator_client):
-                supervise()
-                if stop.is_set():
-                    raise MappingError("hybrid run aborted by worker error")
-                if state.clock.now() > deadline:
-                    raise MappingError(
-                        f"hybrid run did not drain within {JOIN_TIMEOUT}s "
-                        f"(outstanding={board.outstanding(coordinator_client)})"
-                    )
-                time.sleep(drain_poll)
-
+        meter = self.state.meter
+        for name, idx in slots:
+            meter.activate(f"stateful-{name}.{idx}")
+        for i in range(len(self.workers)):
+            meter.activate(f"stateless-{i}")
+        for name, idx in slots:
+            self.spawn(name, idx)
+        for worker in self.workers:
+            worker.start()
         try:
-            # The instances no grouping feeds live here, on the coordinator:
-            # preprocessed now, flushed when their stage closes.
-            unthreaded = {
-                name: [
-                    instantiate(graph.pe(name), idx, allocation[name], state.ctx)
-                    for idx in range(threaded[name], allocation[name])
-                ]
-                for name in stateful_names
-            }
-            for instances in unthreaded.values():
-                for instance in instances:
-                    instance.preprocess()
-            wait_drained()
-            # Staged close of the stateful plane in topological order.  Each
-            # close marker carries a credit its instance releases with its
-            # flush, so a drain after a stage's closes proves the stage
-            # flushed and everything its flush fed ran.  An unthreaded
-            # instance's flush rides in the markers' pipeline, behind the
-            # same booking.
-            for name in graph.topological_order():
-                if name not in stateful_names:
-                    continue
-                flushed = [
-                    delivery
-                    for instance in unthreaded[name]
-                    for delivery in dispatch_emissions(
-                        concrete, state.collector, name, instance.instance_index,
-                        instance._flush_postprocess(),
-                    )
-                ]
-                pipe = coordinator_client.pipeline()
-                board.book(pipe, threaded[name] + len(flushed))
-                for idx in range(threaded[name]):
-                    push_private(pipe, private_keys[name, idx], ("close",))
-                queue_deliveries(pipe, flushed)
-                pipe.execute()
-                wait_drained()
+            self.close_stages()
         except Exception as exc:  # noqa: BLE001 - unthreaded instances run PE code here
-            state.record_error(exc)
+            self.state.record_error(exc)
         finally:
-            board.put_pills(len(stateless_threads))
-            stop.set()
-            for t in [*stateless_threads, *threads.values()]:
-                t.join(timeout=JOIN_TIMEOUT)
-                if t.is_alive():
-                    state.record_error(TimeoutError(f"worker {t.name} hung at exit"))
-                    break
-            board.teardown()
-            # The run's own keys go with it; a user-supplied store keeps its
-            # snapshots.
-            owned = [*private_keys.values(), *([state_store.key] if own_store else ())]
-            if owned:
-                coordinator_client.delete(*owned)
-        return trace
+            self.teardown()
+        return self.trace
 
-    # ------------------------------------------------------- consumption
-    @staticmethod
-    def _invoke_message(instance, message) -> List[Tuple[str, object]]:
-        """Run one private-queue message through the instance."""
-        if message[0] == "root":
-            return instance._invoke(message[1])
-        _kind, port, data = message
-        return instance._invoke({port: data})
+    # ------------------------------------------------------------ publishing
+    def push(self, target, key: str, *messages: object) -> None:
+        """Push messages onto a private queue (client or pipeline): the one
+        place that decides list vs stream.  In recoverable mode every
+        private message -- deliveries, seeds and close markers alike -- is a
+        stream entry, whose ID is the consumer's replay and dedup cursor."""
+        if self.recovery:
+            target.xaddn(key, MESSAGE, *messages)
+        else:
+            target.rpush(key, *messages)
 
-    @staticmethod
-    def _is_close(item) -> bool:
-        """True for the staged-close marker (never travels inside a batch)."""
-        return not isinstance(item, Batch) and item[0] == "close"
+    def queue(self, pipe, deliveries: List[tuple]) -> int:
+        """Append routed ``(dst, dst_port, dst_index, data)`` deliveries to a
+        pipeline, payloads only; returns how many went to private queues.
 
-    def _invoke_element(
-        self, state, instance, pe_name, index, item, tally, *,
-        concrete, injector=None,
-    ) -> List[tuple]:
-        """Run every message of one private-queue element (bare or batch).
-
-        Returns the routed deliveries of the whole element so the caller
-        can publish them (and settle the element's credits) in a single
-        pipelined round trip.  Crash-injection points stay *per message* --
-        mid-batch crashes are exactly the boundary case recovery must
-        survive -- while the post-dispatch point belongs to the caller.
-        Every message run counts in ``tally["stateful_tasks"]``, crash
-        included (what ran, ran); the caller merges the tally once per
-        window.
+        Stateless tasks become stream-entry envelopes; private messages are
+        grouped per pinned instance into envelopes of up to ``batch_size``
+        (an envelope of one is the bare message), all of an instance's
+        envelopes in one push.
         """
-        deliveries: List[tuple] = []
-        for message in batch_items(item):
-            if injector is not None:
-                injector.record_invocation(instance.instance_id)
-            emissions = self._invoke_message(instance, message)
-            tally["stateful_tasks"] += 1
-            if injector is not None:
-                injector.maybe_crash(instance.instance_id, "post-process")
-            deliveries.extend(
-                dispatch_emissions(concrete, state.collector, pe_name, index, emissions)
-            )
-        return deliveries
+        tasks: List[tuple] = []
+        private: Dict[str, List[tuple]] = {}
+        for dst, port, index, data in deliveries:
+            if dst in self.pinned:
+                private.setdefault(self.private_keys[dst, index], []).append((port, data))
+            else:
+                tasks.append((dst, port, data))
+        self.board.queue_tasks(pipe, tasks, self.batch_size)
+        for key, messages in private.items():
+            if self.batch_size > 1:
+                messages = [as_envelope(chunk) for chunk in chunked(messages, self.batch_size)]
+            self.push(pipe, key, *messages)
+        return len(deliveries) - len(tasks)
 
-    def _run_plain(
-        self, state, instance, pe_name, index, *,
-        client, key, board, policy, stop, dispatch, concrete,
-    ) -> bool:
+    def deliver(self, pipe, deliveries: List[tuple], credit: int = 0) -> None:
+        """Book ``credit``, then :meth:`queue` ``deliveries`` behind it.
+
+        Private queues bypass the global stream; the shared outstanding
+        counter still covers them, one credit per delivery, booked by the
+        pipeline's owner ahead of every payload (:meth:`RedisTaskBoard.book`):
+        a pinned window and a flush pass their own; the stateless plane's
+        settle and a stage's close book theirs first and pass none.  So the
+        drain proof never observes a published-but-uncounted tuple.
+        """
+        self.board.book(pipe, credit)
+        private = self.queue(pipe, deliveries)
+        if private:
+            self.state.counters.inc("private_puts", private)
+
+    def seed(self) -> None:
+        """Publish every root input, after run-scoped hygiene.
+
+        A reused deployment (shared ``redis_server`` + same graph name) may
+        hold an earlier run's private queues and snapshots -- e.g. a user
+        store that outlives its runs.  Left in place they would be replayed
+        into this run, and their checkpoint commits would release credits
+        this run's counter never held.  Seeds are deliveries grouped as
+        :meth:`queue` groups them: round-robin over a stateful root's
+        instances at tuple granularity (one counter for all roots), in
+        frames whose credit is booked ahead of their payloads.
+        """
+        if self.private_keys:
+            self.client.delete(*self.private_keys.values())
+        if self.recovery:
+            for (name, idx), key in self.private_keys.items():
+                self.client.xgroup_create(key, GROUP, id="0", mkstream=True)
+                self.store.delete(f"{name}.{idx}")
+        turn = itertools.count()
+        seeds = [
+            (root, None, next(turn) % self.allocation[root] if root in self.pinned else 0, item)
+            for root, items in self.state.provided.items()
+            for item in items
+        ]
+        pipe = self.client.pipeline()
+        for frame in chunked(seeds, SEED_FRAME // 2 * self.batch_size):
+            self.board.book(pipe, len(frame))
+            self.queue(pipe, frame)
+            pipe.execute()
+
+    # --------------------------------------------------------- pinned plane
+    def spawn(self, name: str, index: int) -> None:
+        thread = threading.Thread(
+            target=self.run_pinned,
+            args=(name, index),
+            name=f"hybrid-stateful-{name}.{index}",
+            daemon=True,
+        )
+        with self.lock:
+            self.threads[name, index] = thread
+        self.state.meter.activate(f"stateful-{name}.{index}")
+        thread.start()
+
+    def run_pinned(self, name: str, index: int) -> None:
+        """A pinned instance's thread: preprocess, consume its private
+        queue, and once it took its close marker, flush the aggregate
+        state and release the marker's credit behind the flush."""
+        state = self.state
+        client = self.connect()
+        try:
+            instance = instantiate(state.graph.pe(name), index, self.allocation[name], state.ctx)
+            instance.preprocess()
+            consume = self.consume_recoverable if self.recovery else self.consume_plain
+            if consume(instance, client, self.private_keys[name, index]):
+                flushed = self.flush(name, [instance])
+                pipe = client.pipeline()
+                self.deliver(pipe, flushed, len(flushed))
+                pipe.decrby(self.board.counter_key, 1)
+                pipe.execute()
+            with self.lock:
+                self.completed.add((name, index))
+        except InjectedCrash:
+            # Simulated process death: no error report, no abort -- the
+            # supervisor notices the silent exit and re-pins.
+            state.counters.inc("crashes")
+            if self.trace is not None:
+                self.trace.note(state.clock.now(), "crash", f"{name}.{index}")
+        except BaseException as exc:  # noqa: BLE001 - worker boundary
+            state.record_error(exc)
+            self.stop.set()
+            with self.lock:
+                self.completed.add((name, index))
+        finally:
+            state.meter.deactivate(f"stateful-{name}.{index}")
+
+    def flush(self, name: str, instances: List[GenericPE]) -> List[tuple]:
+        """Run ``postprocess`` of ``name``'s ``instances`` (top-3 tables,
+        per-state sums...) and route what it wrote."""
+        return [
+            delivery
+            for instance in instances
+            for delivery in dispatch_emissions(
+                self.concrete, self.state.collector, name, instance.instance_index,
+                instance._flush_postprocess(),
+            )
+        ]
+
+    def run_window(
+        self, instance: GenericPE, client: RedisClient, window: list, last_seq: int = 0
+    ) -> Tuple[bool, List[Tuple[Optional[str], int]], int]:
+        """Run a window's ``(entry id, element)`` pairs in order until the
+        close marker, count them once, and dispatch every child in one
+        pipeline.
+
+        An element is a message or a batch of them.  On a plain queue the
+        entry id is ``None`` and the pipeline also releases the window's
+        credits; on a stream, an element at or below ``last_seq`` is
+        already in the restored snapshot and only deduplicated, and the
+        credits wait for the checkpoint.  Crash-injection points stay *per
+        message* -- mid-batch crashes are the boundary case recovery must
+        survive -- and the post-dispatch one follows the pipeline.
+
+        Returns whether the marker ended the window, the ``(entry id,
+        credits)`` of every element ahead of it, and the last applied
+        entry's cursor.
+        """
+        name, index, iid = instance.name, instance.instance_index, instance.instance_id
+        concrete, collector, injector = self.concrete, self.state.collector, self.injector
+        deliveries: List[tuple] = []
+        taken: List[Tuple[Optional[str], int]] = []
+        closed = False
+        tally = {"stateful_tasks": 0, "deduplicated": 0}
+        try:
+            for entry_id, element in window:
+                if element == CLOSE:
+                    closed = True
+                    break
+                credits = batch_len(element)
+                taken.append((entry_id, credits))
+                if entry_id is not None:
+                    seq = entry_seq(entry_id)
+                    if seq <= last_seq:
+                        # Exact at batch granularity: the entry was applied
+                        # whole before the snapshot covered it.  It stays
+                        # taken, so the next checkpoint acks it.
+                        tally["deduplicated"] += credits
+                        continue
+                    last_seq = seq
+                for port, data in batch_items(element):
+                    if injector is not None:
+                        injector.record_invocation(iid)
+                    emissions = instance._invoke(data if port is None else {port: data})
+                    # What ran, ran: a crash after this still counts it.
+                    tally["stateful_tasks"] += 1
+                    if injector is not None:
+                        injector.maybe_crash(iid, "post-process")
+                    deliveries.extend(
+                        dispatch_emissions(concrete, collector, name, index, emissions)
+                    )
+        finally:
+            self.state.counters.merge(tally)
+        if tally["stateful_tasks"]:
+            pipe = client.pipeline()
+            self.deliver(pipe, deliveries, len(deliveries))
+            if not self.recovery:
+                pipe.decrby(self.board.counter_key, sum(credits for _id, credits in taken))
+            pipe.execute()
+            if injector is not None:
+                injector.maybe_crash(iid, "post-dispatch")
+        return closed, taken, last_seq
+
+    def consume_plain(self, instance: GenericPE, client: RedisClient, key: str) -> bool:
         """Non-recoverable consumption in windows: a destructive BLPOP, then
-        ``LPOP key count`` for up to ``WINDOW_CAP - 1`` more, settled once.
+        ``LPOP key count`` for up to ``WINDOW_CAP - 1`` more.
 
         A private queue has one consumer and nothing reclaims it, so the
         window needs no sizing: whatever queued behind the hit runs now.
         Returns whether the instance consumed its close marker; ``False``
         means ``stop`` ended it first.
         """
-        timeout = max(0.005, state.clock.to_real(policy.poll_interval))
-        while not stop.is_set():
+        timeout = max(0.005, self.state.clock.to_real(self.policy.poll_interval))
+        while not self.stop.is_set():
             hit = client.blpop(key, timeout=timeout)
             if hit is None:
                 continue
             window = [hit[1], *(client.lpop(key, WINDOW_CAP - 1) or ())]
-            deliveries: List[tuple] = []
-            credits = 0
-            closed = False
-            tally = {"stateful_tasks": 0}
-            try:
-                for item in window:
-                    if self._is_close(item):
-                        closed = True
-                        break
-                    deliveries.extend(
-                        self._invoke_element(
-                            state, instance, pe_name, index, item, tally, concrete=concrete
-                        )
-                    )
-                    credits += batch_len(item)
-            finally:
-                state.counters.merge(tally)
-            # One pipelined round trip: children + completion.  Each element
-            # carries one credit per tuple it batched; release them all.
-            if credits:
-                pipe = client.pipeline()
-                dispatch(pipe, deliveries)
-                pipe.decrby(board.counter_key, credits)
-                pipe.execute()
-            if closed:
+            if self.run_window(instance, client, [(None, element) for element in window])[0]:
                 return True
         return False
 
-    def _run_recoverable(
-        self, state, instance, pe_name, index, *,
-        client, key, board, policy, stop, dispatch, concrete,
-        store, checkpoint_interval, batch_size, injector, trace,
-    ) -> bool:
+    def consume_recoverable(self, instance: GenericPE, client: RedisClient, key: str) -> bool:
         """Checkpointed consumption of the instance's private stream:
-        ``XREADGROUP`` windows into the PEL, dedup by entry ID, interval/idle
-        checkpoints that ack and release credits in bulk.
+        ``XREADGROUP`` windows into the PEL, dedup by entry ID, interval and
+        idle checkpoints that ack and release credits in bulk.
 
-        The outstanding-work credit of a delivery is *not* released when it
-        is processed but when a checkpoint covers it -- so a crash can never
-        lose a credited delivery, and the coordinator's drain proof remains
-        exact across crashes and re-pins.
-
-        Entries are consumed in windows: one ``XREADGROUP ... COUNT`` reads
-        up to ``WINDOW_CAP`` of them into the PEL, they run in order, and
-        one pipeline dispatches their children.  The checkpoint test runs at
-        the window boundary, so a checkpoint only ever covers entries whose
-        children are booked.
-
-        Batched entries keep every invariant at batch granularity: one
-        entry = one ID = up to ``batch_size`` credits, applied/deduplicated/
-        released as a unit.  The checkpoint interval counts *tuples*
-        (credits), and a window takes no more entries than the interval's
-        remaining room holds at ``batch_size`` tuples each (at least one), so
-        what a crash replays stays below ``checkpoint_interval + batch_size``
-        tuples whatever the envelope size; an envelope is never split across
-        a checkpoint -- the interval filling mid-window checkpoints right
-        after the window completes.
+        A delivery's credit is released when a checkpoint covers it, not
+        when it runs, so a crash never loses a credited delivery and the
+        drain proof stays exact across crashes and re-pins.  The checkpoint
+        test runs at the window boundary, so a checkpoint only covers
+        entries whose children are booked.  The interval counts *tuples*,
+        and a window takes no more entries than the interval's remaining
+        room holds at ``batch_size`` tuples each (at least one): a crash
+        replays fewer than ``checkpoint_interval + batch_size`` tuples, and
+        an envelope is never split across a checkpoint.
 
         Returns whether the instance consumed its close marker.  Only then
         does it take the final checkpoint: an instance ended by ``stop``
         leaves its PEL and credits as a crash would.
         """
-        iid = instance.instance_id
-        block_ms = max(5, int(1000 * state.clock.to_real(policy.poll_interval)))
+        iid, counters = instance.instance_id, self.state.counters
+        store = self.store.for_client(client) if self.own_store else self.store
+        block_ms = max(5, int(1000 * self.state.clock.to_real(self.policy.poll_interval)))
         last_seq = 0
         uncommitted: List[Tuple[str, int]] = []  # (entry id, credits) not yet acked
-        uncommitted_credits = 0
-
         snap = store.load(iid)
         if snap is not None:
             instance.set_state(snap.state)
             last_seq = snap.seq
-            state.counters.inc("restores")
-            if trace is not None:
-                trace.note(state.clock.now(), "restore", f"{iid} seq={snap.seq}")
-
-        def read(cursor: str, count: int, block=None) -> List[Tuple[str, object]]:
-            """One group read of this consumer as ``(entry id, message)`` pairs."""
-            reply = client.xreadgroup(GROUP, iid, {key: cursor}, count=count, block=block)
-            return [(eid, fields[MESSAGE]) for _key, entries in reply for eid, fields in entries]
-
-        def checkpoint() -> None:
-            nonlocal uncommitted, uncommitted_credits
-            if not uncommitted:
-                return
-            # Snapshot first, then ack+release atomically: a crash between
-            # the two leaves entries <= last_seq in the PEL, which replay
-            # skips (dedup) but still acks at the next checkpoint.
-            if not store.save(iid, last_seq, instance.get_state()):
-                # A newer snapshot exists: this writer is stale (the
-                # instance was re-pinned and advanced elsewhere).  The PEL
-                # and credits now belong to the live owner -- touch nothing.
-                return
-            (entry_id, amount), *more = uncommitted
-            client.xack_decr(
-                key, GROUP, entry_id, board.counter_key, amount,
-                *(word for pair in more for word in pair),
-            )
-            uncommitted = []
-            uncommitted_credits = 0
-            state.counters.inc("checkpoints")
-
-        def process(window) -> bool:
-            """Run a window of entries in order, then dispatch their
-            children in one pipeline; ``True`` if the close marker ended it."""
-            nonlocal last_seq, uncommitted_credits
-            deliveries: List[tuple] = []
-            applied = None
-            closed = False
-            tally = {"stateful_tasks": 0, "deduplicated": 0}
-            try:
-                for entry_id, item in window:
-                    if self._is_close(item):
-                        closed = True
-                        break
-                    credits = batch_len(item)
-                    uncommitted.append((entry_id, credits))
-                    uncommitted_credits += credits
-                    seq = entry_seq(entry_id)
-                    if seq <= last_seq:
-                        # Already reflected in the restored snapshot: skip the
-                        # state mutation, but keep the entry in this commit
-                        # window so the next checkpoint acks it and releases
-                        # its credits.  Dedup is exact at batch granularity
-                        # because the entry was applied whole before the
-                        # snapshot covered it.
-                        tally["deduplicated"] += credits
-                        continue
-                    deliveries.extend(
-                        self._invoke_element(
-                            state, instance, pe_name, index, item, tally,
-                            concrete=concrete, injector=injector,
-                        )
-                    )
-                    applied = seq
-            finally:
-                state.counters.merge(tally)
-            if applied is not None:
-                pipe = client.pipeline()
-                dispatch(pipe, deliveries)
-                pipe.execute()
-                last_seq = applied
-                if injector is not None:
-                    injector.maybe_crash(iid, "post-dispatch")
-            return closed
+            counters.inc("restores")
+            if self.trace is not None:
+                self.trace.note(self.state.clock.now(), "restore", f"{iid} seq={snap.seq}")
 
         # Replay what a crashed predecessor left behind: every entry still in
         # this consumer's PEL holds an unreleased credit, whether or not its
@@ -815,32 +595,182 @@ class HybridRedisMapping(Mapping):
         closed = False
         cursor = "0"
         while not closed:
-            page = read(cursor, WINDOW_CAP)
+            page = _entries(client.xreadgroup(GROUP, iid, {key: cursor}, count=WINDOW_CAP))
             if not page:
                 break
-            state.counters.inc("replayed", sum(batch_len(item) for _id, item in page))
-            closed = process(page)
+            counters.inc("replayed", sum(batch_len(element) for _id, element in page))
+            closed, taken, last_seq = self.run_window(instance, client, page, last_seq)
+            uncommitted += taken
             cursor = page[-1][0]
             if len(page) < WINDOW_CAP:
                 break
-        if cursor != "0":
-            checkpoint()
+        uncommitted = self.checkpoint(instance, client, store, last_seq, uncommitted)
 
-        while not closed and not stop.is_set():
-            # A window overshoots the checkpoint interval by less than one
-            # envelope: it still bounds what a crash replays.
-            room = (checkpoint_interval - uncommitted_credits) // batch_size
-            window = read(">", max(1, min(WINDOW_CAP, room)), block_ms)
-            if not window:
-                # Idle: commit stragglers so the drain proof can complete
-                # even when the stream ends mid-interval.
-                checkpoint()
-                continue
-            closed = process(window)
-            if not closed and uncommitted_credits >= checkpoint_interval:
-                checkpoint()
-        if closed:
-            # The close marker, whose credit the caller releases with the
-            # flush, stays in the PEL until teardown deletes the stream.
-            checkpoint()
+        while not closed and not self.stop.is_set():
+            held = sum(credits for _id, credits in uncommitted)
+            room = (self.checkpoint_interval - held) // self.batch_size
+            window = _entries(client.xreadgroup(
+                GROUP, iid, {key: ">"}, count=max(1, min(WINDOW_CAP, room)), block=block_ms,
+            ))
+            if window:
+                closed, taken, last_seq = self.run_window(instance, client, window, last_seq)
+                uncommitted += taken
+                held += sum(credits for _id, credits in taken)
+            # Idle: commit stragglers so the drain proof can complete even
+            # when the stream ends mid-interval.  Closed: the marker, whose
+            # credit the flush releases, stays in the PEL until teardown.
+            if not window or closed or held >= self.checkpoint_interval:
+                uncommitted = self.checkpoint(instance, client, store, last_seq, uncommitted)
         return closed
+
+    def checkpoint(
+        self, instance: GenericPE, client: RedisClient, store: StateStore,
+        last_seq: int, uncommitted: List[Tuple[str, int]],
+    ) -> List[Tuple[str, int]]:
+        """Snapshot ``instance`` at ``last_seq``, then ack ``uncommitted``
+        and release its credits in one ``XACKDECR``; returns what is still
+        uncommitted.
+
+        A crash between the two leaves entries at or below ``last_seq`` in
+        the PEL, which replay skips (dedup) but still acks at the next
+        checkpoint.  A refused save means a newer snapshot exists: this
+        writer is stale (the instance was re-pinned and advanced
+        elsewhere), and the PEL and credits belong to the live owner.
+        """
+        if not uncommitted or not store.save(instance.instance_id, last_seq, instance.get_state()):
+            return uncommitted
+        (entry_id, amount), *more = uncommitted
+        client.xack_decr(
+            self.private_keys[instance.name, instance.instance_index], GROUP, entry_id,
+            self.board.counter_key, amount, *(word for pair in more for word in pair),
+        )
+        self.state.counters.inc("checkpoints")
+        return []
+
+    def supervise(self) -> None:
+        """Re-pin instances whose workers died without completing.
+
+        Only the coordinator thread calls this, so detection and respawn
+        cannot race with each other.
+        """
+        if not self.recovery or self.stop.is_set():
+            return
+        with self.lock:
+            dead = [
+                slot
+                for slot, thread in self.threads.items()
+                if not thread.is_alive() and slot not in self.completed
+            ]
+        for name, index in dead:
+            attempts = self.respawns.get((name, index), 0)
+            if attempts >= MAX_RESPAWNS:
+                self.state.record_error(
+                    MappingError(
+                        f"stateful instance {name}.{index} crashed more "
+                        f"than {MAX_RESPAWNS} times; giving up"
+                    )
+                )
+                self.stop.set()
+                return
+            self.respawns[name, index] = attempts + 1
+            self.state.counters.inc("respawns")
+            if self.trace is not None:
+                self.trace.note(
+                    self.state.clock.now(), "respawn", f"{name}.{index} attempt {attempts + 1}"
+                )
+            self.spawn(name, index)
+
+    # ------------------------------------------------------- stateless plane
+    def run_stateless(self, index: int) -> None:
+        """A stateless worker: the shared stream-worker body, whose children
+        bound for pinned instances leave through :meth:`deliver` instead of
+        the task stream; the coordinator ends the run."""
+        state = self.state
+        try:
+            StreamWorker(
+                self.board,
+                self.connect(),
+                f"consumer-{index}",
+                graph_copy(
+                    {name: pe for name, pe in state.graph.pes.items() if name not in self.pinned},
+                    state.ctx,
+                ),
+                self.concrete,
+                state.collector,
+                state.counters.inc,
+                policy=self.policy,
+                clock=state.clock,
+                publish=self.deliver,
+            ).run_until(self.stop.is_set)
+        except BaseException as exc:  # noqa: BLE001 - worker boundary
+            state.record_error(exc)
+            self.stop.set()
+        finally:
+            state.meter.deactivate(f"stateless-{index}")
+
+    # ------------------------------------------------------------ the close
+    def wait_drained(self) -> None:
+        """Poll the outstanding counter to zero, supervising meanwhile."""
+        clock = self.state.clock
+        # A real sleep per poll: below the clock's resolution `clock.sleep`
+        # only books debt, and the loop would spin on `GET outstanding`.
+        poll = max(clock.to_real(self.policy.poll_interval), Clock.SLEEP_RESOLUTION)
+        deadline = clock.now() + JOIN_TIMEOUT
+        while not self.board.is_drained(self.client):
+            self.supervise()
+            if self.stop.is_set():
+                raise MappingError("hybrid run aborted by worker error")
+            if clock.now() > deadline:
+                raise MappingError(
+                    f"hybrid run did not drain within {JOIN_TIMEOUT}s "
+                    f"(outstanding={self.board.outstanding(self.client)})"
+                )
+            time.sleep(poll)
+
+    def close_stages(self) -> None:
+        """Drain, then close the stateful plane in topological order.
+
+        Each close marker carries a credit its instance releases with its
+        flush, so a drain after a stage's closes proves the stage flushed
+        and everything its flush fed ran.  The instances no grouping feeds
+        live here, on the coordinator: preprocessed first, flushed into
+        their stage's close pipeline, behind the same booking.
+        """
+        graph = self.state.graph
+        unthreaded = {
+            name: [
+                instantiate(graph.pe(name), idx, self.allocation[name], self.state.ctx)
+                for idx in range(self.threaded[name], self.allocation[name])
+            ]
+            for name in self.pinned
+        }
+        for instances in unthreaded.values():
+            for instance in instances:
+                instance.preprocess()
+        self.wait_drained()
+        for name in graph.topological_order():
+            if name not in self.pinned:
+                continue
+            flushed = self.flush(name, unthreaded[name])
+            pipe = self.client.pipeline()
+            self.board.book(pipe, self.threaded[name] + len(flushed))
+            for idx in range(self.threaded[name]):
+                self.push(pipe, self.private_keys[name, idx], CLOSE)
+            self.deliver(pipe, flushed)
+            pipe.execute()
+            self.wait_drained()
+
+    def teardown(self) -> None:
+        """Pill the stateless plane, join every worker once, delete the
+        run's keys -- its own snapshot hash too, never a user store's."""
+        self.board.put_pills(len(self.workers))
+        self.stop.set()
+        for thread in [*self.workers, *self.threads.values()]:
+            thread.join(timeout=JOIN_TIMEOUT)
+            if thread.is_alive():
+                self.state.record_error(TimeoutError(f"worker {thread.name} hung at exit"))
+                break
+        self.board.teardown()
+        owned = [*self.private_keys.values(), *([self.store.key] if self.own_store else ())]
+        if owned:
+            self.client.delete(*owned)

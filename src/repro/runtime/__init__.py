@@ -31,11 +31,10 @@ from repro.runtime.accounting import ActivityMeter
 from repro.runtime.clock import Clock
 from repro.runtime.cores import CoreLimiter
 from repro.runtime.queues import POISON_PILL, CloseableQueue, TrackedQueue
-from repro.runtime.workers import AsyncResult, WorkerPool
+from repro.runtime.workers import WorkerPool
 
 __all__ = [
     "ActivityMeter",
-    "AsyncResult",
     "Clock",
     "CloseableQueue",
     "CoreLimiter",

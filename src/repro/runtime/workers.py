@@ -3,9 +3,10 @@
 Algorithm 1 of the paper drives workers through ``Pool.apply_async(func,
 args, callback=done)``.  :class:`WorkerPool` reproduces that interface on
 threads: a fixed set of pool threads pulls submitted calls from an internal
-dispatch queue, executes them, resolves an :class:`AsyncResult` and fires the
-completion callback.  The auto-scaler's ``start``/``done`` bookkeeping (the
-``active_count`` guard) sits on top of this, exactly as in the paper.
+dispatch queue, executes them, fires the completion callback and marks the
+call's :class:`AsyncResult` ready.  The auto-scaler's ``start``/``done``
+bookkeeping (the ``active_count`` guard) sits on top of this, exactly as in
+the paper.
 
 The pool is also used directly by the dynamic mappings without an
 auto-scaler, in which case one long-running worker session is submitted per
@@ -27,41 +28,29 @@ from typing import Any, Callable, List, Optional
 
 
 class AsyncResult:
-    """Handle for a submitted call, mirroring ``multiprocessing.pool.AsyncResult``.
+    """Completion handle of a submitted call: :meth:`wait` and :meth:`ready`.
 
-    ``_done`` is held from construction until the result is settled; a
-    waiter acquires it and at once releases it again, so every waiter
-    passes in turn.  ``_ready`` is set before the release and never
-    cleared: a waiter briefly holding the lock does not make a settled
-    result look unsettled.
+    ``_done`` is held from construction until the call and its callback
+    have finished; a waiter acquires it and at once releases it again, so
+    every waiter passes in turn.  ``_ready`` is set before the release and
+    never cleared: a waiter briefly holding the lock does not make a
+    finished call look unfinished.  What the call returned or raised is not
+    kept: a raise lands in :attr:`WorkerPool.errors`.
     """
 
-    __slots__ = ("_done", "_ready", "_value", "_error")
+    __slots__ = ("_done", "_ready")
 
     def __init__(self) -> None:
         self._done = _thread.allocate_lock()
         self._done.acquire()
         self._ready = False
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
 
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-        self._ready = True
-        self._done.release()
-
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
+    def _finish(self) -> None:
         self._ready = True
         self._done.release()
 
     def ready(self) -> bool:
         return self._ready
-
-    def successful(self) -> bool:
-        if not self._ready:
-            raise ValueError("result is not ready")
-        return self._error is None
 
     def wait(self, timeout: Optional[float] = None) -> None:
         if self._ready:
@@ -74,19 +63,6 @@ class AsyncResult:
             passed = self._done.acquire(False)
         if passed:
             self._done.release()
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        """Block for the result; re-raises the worker's exception if any."""
-        self.wait(timeout)
-        if not self._ready:
-            raise TimeoutError("AsyncResult.get timed out")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class CallbackError(RuntimeError):
-    """A completion callback raised; chained from the original exception."""
 
 
 _STOP = object()
@@ -134,12 +110,13 @@ class WorkerPool:
     ) -> AsyncResult:
         """Schedule ``func(*args)`` on a pool worker.
 
-        ``callback`` fires (on the worker thread) with the return value after
-        successful completion -- this is the hook the auto-scaler's ``done``
-        procedure uses to decrement ``active_count``.  If ``func`` raises,
-        the exception is stored on the :class:`AsyncResult` *and* the
-        callback still fires with ``None`` so active-count accounting cannot
-        leak on worker errors.
+        ``callback`` fires (on the worker thread) with the return value --
+        this is the hook the auto-scaler's ``done`` procedure uses to
+        decrement ``active_count``.  If ``func`` raises, the exception is
+        recorded in :attr:`errors` and printed, and the callback still fires
+        with ``None`` so active-count accounting cannot leak on worker
+        errors; a raising callback is recorded the same way.  The returned
+        :class:`AsyncResult` is ready once both have run.
         """
         result = AsyncResult()
         with self._submit_lock:
@@ -185,46 +162,21 @@ class WorkerPool:
             if job is _STOP:
                 return
             func, args, callback, result = job
+            value = None
             try:
                 value = func(*args)
             except BaseException as exc:  # noqa: BLE001 - worker boundary
-                with self._errors_lock:
-                    self._errors.append(exc)
-                result._reject(exc)
-                traceback.print_exc()
-                if callback is not None:
-                    # The result already carries func's error; a callback
-                    # failure here is only recorded.
-                    self._fire_callback(callback, None)
-            else:
-                if callback is not None:
-                    cb_exc = self._fire_callback(callback, value)
-                    if cb_exc is not None:
-                        # The callback is part of the completion contract
-                        # (the auto-scaler's ``done`` bookkeeping runs
-                        # there): if it raises, the submission did not
-                        # complete cleanly.  Reject the result so ``get()``
-                        # surfaces the failure -- otherwise it is lost to
-                        # the pool thread, and a never-resolved result
-                        # would hang its waiters.
-                        try:
-                            raise CallbackError(
-                                "completion callback raised after the call succeeded"
-                            ) from cb_exc
-                        except CallbackError as wrapped:
-                            result._reject(wrapped)
-                        continue
-                result._resolve(value)
+                self._record(exc)
+            if callback is not None:
+                try:
+                    callback(value)
+                except BaseException as exc:  # noqa: BLE001 - callback boundary
+                    self._record(exc)
+            # Finished either way: a raising call or callback never leaves
+            # a waiter parked.
+            result._finish()
 
-    def _fire_callback(
-        self, callback: Callable[[Any], None], value: Any
-    ) -> Optional[BaseException]:
-        """Run a completion callback; returns the exception it raised, if any."""
-        try:
-            callback(value)
-        except BaseException as exc:  # noqa: BLE001 - callback boundary
-            with self._errors_lock:
-                self._errors.append(exc)
-            traceback.print_exc()
-            return exc
-        return None
+    def _record(self, exc: BaseException) -> None:
+        with self._errors_lock:
+            self._errors.append(exc)
+        traceback.print_exc()

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro import run
-from repro.core.concrete import ConcreteWorkflow
 from repro.core.context import ExecutionContext
 from repro.core.exceptions import InsufficientProcessesError, MappingError
 from repro.core.graph import WorkflowGraph
@@ -17,14 +16,14 @@ from repro.mappings.base import (
     ResultsCollector,
     instantiate,
 )
-from repro.mappings.hybrid import MESSAGE, HybridRedisMapping, entry_seq
-from repro.mappings.redis_tasks import GROUP, WINDOW_CAP, RedisTaskBoard
+from repro.mappings.hybrid import CLOSE, MESSAGE, HybridRedisMapping, _HybridRun, entry_seq
+from repro.mappings.redis_tasks import GROUP, WINDOW_CAP
 from repro.mappings.termination import TerminationPolicy
 from repro.platforms.profiles import LAPTOP
 from repro.redisim.client import RedisClient
 from repro.redisim.server import RedisServer
 from repro.runtime.accounting import ActivityMeter
-from repro.state import CrashInjector, RedisSnapshotStore
+from repro.state import CrashInjector
 from repro.workflows import build_sentiment_workflow
 from tests.conftest import (
     AddOne,
@@ -298,33 +297,28 @@ class Accumulate(GenericPE):
 
 
 def _consumer(graph, pe_name, server, messages, *, recovery=False):
-    """One pinned instance's consumption loop wired by hand around a queue
-    already holding ``messages`` (their credits booked): a list, or in
+    """A hand-built run and one pinned instance of it, whose private queue
+    already holds ``messages`` (their credits booked): a list, or in
     recoverable mode a stream with the instance's consumer group."""
     ctx = ExecutionContext()
+    options = {"redis_server": server, "termination": TerminationPolicy(poll_interval=0.005)}
+    if recovery:
+        options["checkpoint_interval"] = 25
     state = EnactmentState(
         graph=graph, provided={}, processes=2, ctx=ctx, platform=LAPTOP,
         meter=ActivityMeter(ctx.clock), collector=ResultsCollector(),
-        counters=Counters(), options={},
+        counters=Counters(), options=options,
     )
+    run = _HybridRun(HybridRedisMapping(), state)
+    key = run.private_keys[pe_name, 0]
     client = RedisClient(server)
-    board = RedisTaskBoard(client, namespace="t")
-    board.setup()
-    key = "t:private"
     if recovery:
         client.xgroup_create(key, GROUP, id="0", mkstream=True)
         client.xaddn(key, MESSAGE, *messages)
     else:
         client.rpush(key, *messages)
-    client.incrby(board.counter_key, len(messages))
-    instance = instantiate(graph.pe(pe_name), 0, 1, ctx)
-    wiring = dict(
-        client=client, key=key, board=board,
-        policy=TerminationPolicy(poll_interval=0.005), stop=threading.Event(),
-        dispatch=lambda pipe, deliveries: board.book(pipe, len(deliveries)),
-        concrete=ConcreteWorkflow(graph, {name: 1 for name in graph.pes}),
-    )
-    return state, instance, board, wiring
+    client.incrby(run.board.counter_key, len(messages))
+    return run, instantiate(graph.pe(pe_name), 0, 1, ctx), client, key
 
 
 class _CallCounters(Counters):
@@ -356,9 +350,10 @@ class TestPinnedWindows:
         assert result.output("acc") == [list(range(8))]
         counts = server.command_count
         assert counts["lpop"] >= 1
-        # ``decrby`` tallies as ``incrby``: 8 seed credits, the close
-        # marker's credit and its release at the flush are the rest.
-        settles = counts["incrby"] - 8 - 2
+        # ``decrby`` tallies as ``incrby``: one seed credit (the seeding
+        # frame books its 8 seeds at once), the close marker's credit and
+        # its release at the flush are the rest.
+        settles = counts["incrby"] - 1 - 2
         assert 1 <= settles <= 2, counts
 
     @pytest.mark.parametrize("recovery", [False, True], ids=["plain", "recoverable"])
@@ -367,44 +362,29 @@ class TestPinnedWindows:
         is all that is left, for the flush that follows."""
         server = RedisServer()
         graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
-        data = [("data", "input", item) for item in [("a", 1), ("b", 2), ("a", 3)]]
-        state, instance, board, wiring = _consumer(
-            graph, "counter", server, [*data, ("close",)], recovery=recovery
+        data = [("input", item) for item in [("a", 1), ("b", 2), ("a", 3)]]
+        run, instance, client, key = _consumer(
+            graph, "counter", server, [*data, CLOSE], recovery=recovery
         )
-        state.counters = _CallCounters()
-        mapping = HybridRedisMapping()
-        if recovery:
-            closed = mapping._run_recoverable(
-                state, instance, "counter", 0, **wiring,
-                store=RedisSnapshotStore(wiring["client"], namespace="t"),
-                checkpoint_interval=25, batch_size=1, injector=None, trace=None,
-            )
-        else:
-            closed = mapping._run_plain(state, instance, "counter", 0, **wiring)
-        assert closed
+        run.state.counters = _CallCounters()
+        consume = run.consume_recoverable if recovery else run.consume_plain
+        assert consume(instance, client, key)
         assert instance.counts == {"a": 2, "b": 1}
-        assert board.outstanding() == 1
+        assert run.board.outstanding() == 1
         # The window's three messages are counted in one call.
-        assert state.counters.get("stateful_tasks") == 3
-        assert state.counters.calls["stateful_tasks"] == 1
+        assert run.state.counters.get("stateful_tasks") == 3
+        assert run.state.counters.calls["stateful_tasks"] == 1
         if recovery:
             # One window read after the empty replay read, one ack of the
             # three data entries; the marker waits in the PEL for teardown.
             assert server.command_count["xreadgroup"] == 2
             assert server.command_count["xackdecr"] == 1
-            assert server.xpending("t:private", GROUP)["pending"] == 1
+            assert server.xpending(key, GROUP)["pending"] == 1
         else:
             # One window: one pop of the queue, one release of three credits.
             assert server.command_count["blpop"] == 1
-            assert server.exists("t:private") == 0
+            assert server.exists(key) == 0
         assert instance._flush_postprocess() == [("output", ("a", 2)), ("output", ("b", 1))]
-
-    def _recover(self, state, instance, wiring):
-        return HybridRedisMapping()._run_recoverable(
-            state, instance, "counter", 0, **wiring,
-            store=RedisSnapshotStore(wiring["client"], namespace="t"),
-            checkpoint_interval=25, batch_size=1, injector=None, trace=None,
-        )
 
     def test_a_replay_pages_through_a_pel_longer_than_a_window(self):
         """A dead predecessor left two and a half windows in the consumer's
@@ -414,25 +394,23 @@ class TestPinnedWindows:
         server = RedisServer()
         graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
         items = [(f"k{i % 3}", i) for i in range(2 * WINDOW_CAP + WINDOW_CAP // 2)]
-        state, instance, board, wiring = _consumer(
-            graph, "counter", server, [("data", "input", item) for item in items],
-            recovery=True,
+        run, instance, client, key = _consumer(
+            graph, "counter", server, [("input", item) for item in items], recovery=True,
         )
-        client = wiring["client"]
-        client.xreadgroup(GROUP, instance.instance_id, {"t:private": ">"}, count=len(items))
-        client.xadd("t:private", {MESSAGE: ("close",)})
-        client.incrby(board.counter_key, 1)
-        assert self._recover(state, instance, wiring)
+        client.xreadgroup(GROUP, instance.instance_id, {key: ">"}, count=len(items))
+        client.xadd(key, {MESSAGE: CLOSE})
+        client.incrby(run.board.counter_key, 1)
+        assert run.consume_recoverable(instance, client, key)
         expected = {}
-        for key, _value in items:
-            expected[key] = expected.get(key, 0) + 1
+        for name, _value in items:
+            expected[name] = expected.get(name, 0) + 1
         assert instance.counts == expected
-        assert state.counters.get("replayed") == len(items)
-        assert state.counters.get("deduplicated") == 0
+        assert run.state.counters.get("replayed") == len(items)
+        assert run.state.counters.get("deduplicated") == 0
         # Three replay pages (8, 8, 4), then one read finds the marker.
         assert server.command_count["xreadgroup"] == 1 + 3 + 1
         assert server.command_count["xackdecr"] == 1
-        assert board.outstanding() == 1
+        assert run.board.outstanding() == 1
 
     def test_a_replay_skips_what_the_snapshot_covers(self):
         """The snapshot's cursor is the last applied entry ID: entries at or
@@ -440,25 +418,23 @@ class TestPinnedWindows:
         server = RedisServer()
         graph = linear_graph(Emit(name="src"), StatefulCounter(name="counter", instances=1))
         items = [("a", 1), ("b", 2), ("a", 3), ("a", 4), ("b", 5)]
-        state, instance, board, wiring = _consumer(
-            graph, "counter", server,
-            [*(("data", "input", item) for item in items), ("close",)], recovery=True,
+        run, instance, client, key = _consumer(
+            graph, "counter", server, [*(("input", item) for item in items), CLOSE],
+            recovery=True,
         )
-        client = wiring["client"]
         [(_key, entries)] = client.xreadgroup(
-            GROUP, instance.instance_id, {"t:private": ">"}, count=len(items),
+            GROUP, instance.instance_id, {key: ">"}, count=len(items),
         )
         snapshot = instance.get_state()
         snapshot["counts"] = {"a": 2, "b": 1}  # the first three entries
-        store = RedisSnapshotStore(client, namespace="t")
-        assert store.save(instance.instance_id, entry_seq(entries[2][0]), snapshot)
-        assert self._recover(state, instance, wiring)
+        assert run.store.save(instance.instance_id, entry_seq(entries[2][0]), snapshot)
+        assert run.consume_recoverable(instance, client, key)
         assert instance.counts == {"a": 3, "b": 2}
-        assert state.counters.get("restores") == 1
-        assert state.counters.get("replayed") == 5
-        assert state.counters.get("deduplicated") == 3
-        assert board.outstanding() == 1  # the close marker's, for the flush
-        assert store.load(instance.instance_id).seq == entry_seq(entries[-1][0])
+        assert run.state.counters.get("restores") == 1
+        assert run.state.counters.get("replayed") == 5
+        assert run.state.counters.get("deduplicated") == 3
+        assert run.board.outstanding() == 1  # the close marker's, for the flush
+        assert run.store.load(instance.instance_id).seq == entry_seq(entries[-1][0])
 
     def test_a_crash_mid_window_replays_each_element_once(self):
         """Crash after the 3rd element of an 8-element window applied its

@@ -5,36 +5,18 @@ import time
 
 import pytest
 
-from repro.runtime.workers import AsyncResult, CallbackError, WorkerPool
+from repro.runtime.workers import AsyncResult, WorkerPool
 
 
 class TestAsyncResult:
     def test_not_ready_initially(self):
         assert not AsyncResult().ready()
 
-    def test_successful_before_ready_raises(self):
-        with pytest.raises(ValueError):
-            AsyncResult().successful()
-
-    def test_get_timeout(self):
-        with pytest.raises(TimeoutError):
-            AsyncResult().get(timeout=0.01)
-
 
 class TestWorkerPool:
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-
-    def test_apply_async_returns_value(self):
-        pool = WorkerPool(2)
-        try:
-            result = pool.apply_async(lambda a, b: a + b, (2, 3))
-            assert result.get(timeout=2) == 5
-            assert result.successful()
-        finally:
-            pool.close()
-            pool.join()
 
     def test_callback_fires_with_value(self):
         pool = WorkerPool(2)
@@ -53,7 +35,7 @@ class TestWorkerPool:
             pool.close()
             pool.join()
 
-    def test_exception_recorded_and_reraised(self):
+    def test_exception_recorded_and_printed(self, capsys):
         pool = WorkerPool(1)
 
         def boom():
@@ -61,10 +43,10 @@ class TestWorkerPool:
 
         try:
             result = pool.apply_async(boom)
-            with pytest.raises(ValueError, match="kapow"):
-                result.get(timeout=2)
-            assert not result.successful()
-            assert any(isinstance(e, ValueError) for e in pool.errors)
+            result.wait(timeout=2)
+            assert result.ready()
+            assert [str(e) for e in pool.errors] == ["kapow"]
+            assert "ValueError: kapow" in capsys.readouterr().err
         finally:
             pool.close()
             pool.join()
@@ -94,7 +76,10 @@ class TestWorkerPool:
 
         try:
             results = [pool.apply_async(wait_at_barrier) for _ in range(4)]
-            assert all(r.get(timeout=3) for r in results)
+            for result in results:
+                result.wait(timeout=3)
+            assert all(result.ready() for result in results)
+            assert pool.errors == []
         finally:
             pool.close()
             pool.join()
@@ -115,29 +100,10 @@ class TestWorkerPool:
             pool.close()
             pool.join()
 
-    def test_raising_callback_rejects_result(self):
-        """A callback failure must surface through get(), not vanish into
-        the pool thread while the result reports success."""
-        pool = WorkerPool(1)
-
-        def bad_callback(_value):
-            raise RuntimeError("callback kapow")
-
-        try:
-            result = pool.apply_async(lambda: 42, callback=bad_callback)
-            with pytest.raises(CallbackError) as info:
-                result.get(timeout=2)
-            assert isinstance(info.value.__cause__, RuntimeError)
-            assert "callback kapow" in str(info.value.__cause__)
-            assert not result.successful()
-            assert any(isinstance(e, RuntimeError) for e in pool.errors)
-        finally:
-            pool.close()
-            pool.join()
-
-    def test_raising_callback_does_not_hang_waiters(self):
-        """Regression: the result must resolve either way -- a waiter
-        blocked in get() would otherwise hang forever."""
+    def test_raising_callback_does_not_hang_waiters(self, capsys):
+        """Regression: the result must be ready either way -- a waiter
+        blocked in wait() would otherwise hang forever.  The callback's
+        failure lands in ``errors`` and is printed."""
         pool = WorkerPool(1)
 
         def bad_callback(_value):
@@ -147,25 +113,29 @@ class TestWorkerPool:
             result = pool.apply_async(lambda: 1, callback=bad_callback)
             result.wait(timeout=2)
             assert result.ready()
+            assert [str(e) for e in pool.errors] == ["boom"]
+            assert "ValueError: boom" in capsys.readouterr().err
         finally:
             pool.close()
             pool.join()
 
-    def test_callback_error_after_func_error_keeps_original(self):
-        """When func itself failed, get() must re-raise func's error, not
-        the callback's."""
+    def test_callback_error_after_func_error_records_both(self):
+        """When func failed, the callback still runs (with ``None``), and
+        both failures are recorded, func's first."""
         pool = WorkerPool(1)
 
         def boom():
             raise KeyError("func-error")
 
-        def bad_callback(_value):
-            raise ValueError("callback-error")
+        def bad_callback(value):
+            raise ValueError(f"callback-error {value}")
 
         try:
             result = pool.apply_async(boom, callback=bad_callback)
-            with pytest.raises(KeyError, match="func-error"):
-                result.get(timeout=2)
+            result.wait(timeout=2)
+            assert result.ready()
+            assert [type(e) for e in pool.errors] == [KeyError, ValueError]
+            assert str(pool.errors[1]) == "callback-error None"
         finally:
             pool.close()
             pool.join()
@@ -179,48 +149,34 @@ class TestWorkerPool:
 
 
 class TestAsyncResultWaiters:
-    @pytest.mark.parametrize("outcome", ["resolve", "reject"])
-    def test_every_waiter_returns(self, outcome):
-        """Waiters pass the settled result's lock one after another: none
+    def test_every_waiter_returns(self):
+        """Waiters pass the finished call's lock one after another: none
         may be left parked behind another."""
         result = AsyncResult()
-        seen = []
+        returned = []
         parked = threading.Barrier(7, timeout=5)
 
-        def waiter(use_get):
+        def waiter():
             parked.wait()
             # The timeout outlasts the join below: a waiter that returns
             # only because it timed out fails the test.
-            try:
-                seen.append(result.get(timeout=60) if use_get else result.wait(timeout=60))
-            except KeyError as exc:
-                seen.append(exc)
+            result.wait(timeout=60)
+            returned.append(result.ready())
 
-        threads = [
-            threading.Thread(target=waiter, args=(i % 2 == 0,), daemon=True) for i in range(6)
-        ]
+        threads = [threading.Thread(target=waiter, daemon=True) for _ in range(6)]
         for thread in threads:
             thread.start()
         parked.wait()
         time.sleep(0.02)  # let the waiters reach the lock
-        if outcome == "resolve":
-            result._resolve(7)
-        else:
-            result._reject(KeyError("lost"))
+        result._finish()
         for thread in threads:
             thread.join(timeout=5)
         assert not any(thread.is_alive() for thread in threads)
-        assert result.ready() and result.successful() == (outcome == "resolve")
-        gets = [value for value in seen if value is not None]
-        assert len(seen) == 6 and len(gets) == 3
-        if outcome == "resolve":
-            assert gets == [7, 7, 7]
-        else:
-            assert all(isinstance(value, KeyError) for value in gets)
+        assert returned == [True] * 6
 
     def test_ready_stays_true_while_waiters_pass(self):
         result = AsyncResult()
-        result._resolve(1)
+        result._finish()
         stop = threading.Event()
 
         def hammer():
@@ -242,8 +198,6 @@ class TestAsyncResultWaiters:
         result = AsyncResult()
         result.wait(timeout=timeout)
         assert not result.ready()
-        with pytest.raises(TimeoutError):
-            result.get(timeout=timeout)
 
 
 def _pool_threads(name):

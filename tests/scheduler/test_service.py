@@ -394,3 +394,61 @@ class TestClose:
         handler.join(5.0)
         assert not handler.is_alive()
         assert not self.service_threads(service)
+
+
+class _EveryOtherRecoverable(Engine):
+    """Runs every second submission with ``checkpoint_interval`` set.  It
+    is an engine-level setting, which neither the wire nor a scheduler
+    submission carries, so the alternation lives here."""
+
+    resolved = 0
+
+    def _resolve_submission(self, *args):
+        graph, name, settings = super()._resolve_submission(*args)
+        self.resolved += 1
+        if self.resolved % 2 == 0:
+            settings["checkpoint_interval"] = 3
+        return graph, name, settings
+
+
+class TestWarmHybridLeavesNoKey:
+    """Sentiment jobs on ``hybrid_redis`` share one warm deployment over the
+    socket: each collected job takes every key it made on the deployment's
+    keyspace with it, and gives the deployment back idle."""
+
+    def test_no_key_survives_a_collected_job(self):
+        engine = _EveryOtherRecoverable(
+            mapping="auto", processes=8, time_scale=FAST_SCALE, seed=0
+        )
+        with engine:
+            with JobScheduler(engine, max_concurrent=1, pool_size=1) as scheduler:
+                svc = SchedulerService(scheduler, port=0).start()
+                client = LineClient(svc.host, svc.port)
+                try:
+                    pool = scheduler._pool_for("hybrid_redis")
+                    deployments, checkpointed = set(), []
+                    for _ in range(6):
+                        job = client.request(
+                            op="submit", workflow="sentiment", mapping="hybrid_redis",
+                            params={"articles": 6},
+                        )["job"]
+                        client.request(op="close", job=job)
+                        client.send(op="results", job=job, timeout=30)
+                        reply = client.recv()
+                        while "key" in reply:
+                            reply = client.recv()
+                        assert reply["state"] == "done", reply
+                        waited = client.request(op="wait", job=job, timeout=30)
+                        assert waited["state"] == "done", waited
+                        checkpointed.append(
+                            waited["summary"]["counters"].get("checkpoints", 0) > 0
+                        )
+                        assert (len(pool._idle), len(pool._leased)) == (1, 0)
+                        [deployment] = pool._idle
+                        deployments.add(deployment)
+                        assert deployment.redis_server.keys("*") == []
+                    assert len(deployments) == 1
+                    assert checkpointed == [False, True] * 3
+                finally:
+                    client.close()
+                    svc.close()

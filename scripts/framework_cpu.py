@@ -30,7 +30,10 @@ with it; its CPU is printed as one line).  A wrapper costs one to two
 microseconds per call, and that cost moves by tens of percent between
 invocations; the script measures it right before and right after each
 attributed run, prints both and takes their median back out of every row,
-so the rows are estimates whose sum is the run's CPU net of the wrappers.  A
+so the rows are estimates whose sum is the run's CPU net of the wrappers.
+Beside that CPU it prints the run's voluntary and involuntary context
+switches (``ru_nvcsw`` / ``ru_nivcsw`` of this process, all its threads):
+a client woken for nothing costs a voluntary switch to park again.  A
 profiler (cProfile) is not used: its per-call hook inflates the call-heavy
 helpers several-fold on these workloads.  ``--time-scale`` sets the time
 scale of the attributed runs only (default 1e-6, as the framework metric):
@@ -80,6 +83,12 @@ def _children_cpu() -> float:
     """CPU seconds of every child process this interpreter has reaped."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
+
+
+def _switches() -> Tuple[int, int]:
+    """Voluntary and involuntary context switches of this process so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_nvcsw, usage.ru_nivcsw
 
 
 def run_cpu(
@@ -343,7 +352,9 @@ def attribute(
     run_cpu(make_graph, inputs, engine)
     before = attribution.calibrate()
     attribution.reset()
+    switched = _switches()
     total, workers = run_cpu(make_graph, inputs, engine)
+    voluntary, involuntary = (b - a for a, b in zip(switched, _switches()))
     after = attribution.calibrate()
     engine.close()
     attribution.inside, attribution.outside = (
@@ -375,6 +386,7 @@ def attribute(
         f"({wrapped_calls} calls at {attribution.inside * 1e6:.2f} + "
         f"{attribution.outside * 1e6:.2f} us); exclusive thread CPU by layer"
     )
+    print(f"context switches {voluntary} voluntary, {involuntary} involuntary (this process)")
     if workers:
         # Their tallies die with them: only this process is attributed.
         print(f"worker processes {workers:.3f} s more, not attributed")

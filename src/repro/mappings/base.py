@@ -33,6 +33,7 @@ base class owns everything common to all mappings:
 
 from __future__ import annotations
 
+import _thread
 import copy
 import functools
 import pickle
@@ -824,6 +825,12 @@ def live_feeder(state: EnactmentState, feed: Callable[[], None]) -> Iterator[Non
             state.record_error(TimeoutError("live input feeder did not finish"))
 
 
+def _joined(thread: threading.Thread, timeout: float) -> bool:
+    """Join ``thread`` for at most ``timeout`` s; ``True`` if it ended."""
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
 def run_workers(
     state: EnactmentState, calls: List[Tuple[str, Callable[..., None], tuple]]
 ) -> None:
@@ -839,20 +846,22 @@ def run_workers(
     :data:`JOIN_TIMEOUT` is recorded as a :class:`TimeoutError` and the
     join stops waiting.
     """
+    waits: List[Callable[..., bool]] = []
     if state.pool is not None:
-        handles = [state.pool.apply_async(func, args) for _name, func, args in calls]
-        waits = [(handle.wait, handle.ready) for handle in handles]
+        for _name, func, args in calls:
+            # Held until the call's callback, which the pool fires even
+            # when the call raises; acquiring it again is the join.
+            done = _thread.allocate_lock()
+            done.acquire()
+            state.pool.apply_async(func, args, lambda _value, done=done: done.release())
+            waits.append(done.acquire)
     else:
-        threads = [
-            threading.Thread(target=func, args=args, name=name, daemon=True)
-            for name, func, args in calls
-        ]
-        for thread in threads:
+        for name, func, args in calls:
+            thread = threading.Thread(target=func, args=args, name=name, daemon=True)
             thread.start()
-        waits = [(thread.join, lambda t=thread: not t.is_alive()) for thread in threads]
-    for (name, _func, _args), (wait, finished) in zip(calls, waits):
-        wait(timeout=JOIN_TIMEOUT)
-        if not finished():
+            waits.append(functools.partial(_joined, thread))
+    for (name, _func, _args), wait in zip(calls, waits):
+        if not wait(timeout=JOIN_TIMEOUT):
             state.record_error(
                 TimeoutError(f"worker {name} did not finish in {JOIN_TIMEOUT}s")
             )

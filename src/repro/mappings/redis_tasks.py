@@ -260,7 +260,8 @@ class RedisTaskBoard:
         decrements: the outstanding counter stays exactly-once per entry
         and can never go negative.
         ``amount`` is the entry's task count (``len(batch)`` for an
-        envelope), released all-or-nothing with its ack.
+        envelope), released all-or-nothing with its ack.  The settled
+        entry leaves the stream, so the stream holds only work in flight.
         """
         if settled:
             (entry_id, amount), *more = settled

@@ -25,7 +25,10 @@ data-structure server:
   XACK, XACKDECR, the summary form of XPENDING, XINFO GROUPS/CONSUMERS)
   including pending-entry lists and per-consumer idle times; a consumer's
   PEL is read back with ``XREADGROUP`` and an ID, by that consumer or by
-  whoever adopts it once it is named dead,
+  whoever adopts it once it is named dead.  ``XACKDECR`` is "ack, delete,
+  decrement" (Redis 8.2's ``XACKDEL`` shape): what it settles leaves the
+  stream, so ``XLEN`` and ``XRANGE`` show only live entries, while plain
+  ``XACK`` keeps the entry, as in Redis,
 - generic reads (KEYS/DBSIZE/EXISTS) and DEL.
 
 The rule that keeps the list this short: a command lands with its first
@@ -34,6 +37,10 @@ above, except the reads tests and operators use to check a run (KEYS,
 DBSIZE, EXISTS, XRANGE, XPENDING, XLEN, LLEN).  Anything else --
 ``SADD``, ``XREAD``, ``XADD ... MAXLEN`` and the like -- is an unknown
 command, in process (no such method) and on the wire (``-ERR``).
+
+A blocking command (BLPOP, BLMOVESEQ, blocking XREADGROUP) parks under
+the keys it waits on, and a write wakes only the clients of the key it
+wrote, as Redis's per-key blocked-client lists do.
 
 Semantics follow the Redis documentation closely enough that the mappings
 could be pointed at a real server by swapping :class:`RedisClient` for

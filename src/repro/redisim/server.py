@@ -2,14 +2,12 @@
 
 Holds a single keyspace mapping keys to typed values (string, list, hash,
 stream) and implements the commands the workflow mappings send.  All
-commands run under one re-entrant lock; blocking commands (``BLPOP``,
-``BLMOVE``, blocking ``XREADGROUP``) wait on a condition variable over that
-lock, which every mutation notifies while a client is parked on it -- the
-event-driven wakeup behaviour of a real Redis client connection.
-
-A command takes the lock itself (``with self._lock``), not the condition's
-Python-level ``__enter__``, and a write with nobody parked skips the
-``notify_all``: both run once per command, on the path every hop takes.
+commands run under one re-entrant lock.  A blocking command (``BLPOP``,
+``BLMOVE``, blocking ``XREADGROUP``) that finds nothing parks on its own
+condition over that lock, registered under every key it waits on, and a
+write wakes only the clients registered under the key it wrote -- Redis's
+per-key blocked-client lists, so an idle consumer of one queue sleeps
+through every other queue's traffic.
 
 Commands follow the semantics documented at redis.io closely; deliberate
 simplifications (no expiry, no persistence, no cluster) are listed in the
@@ -74,7 +72,8 @@ class RedisServer:
     def __init__(self, now: Callable[[], float] = time.monotonic) -> None:
         self._now = now
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
+        #: key -> the condition of every client parked on it (see :meth:`_park`).
+        self._blocked: Dict[str, List[threading.Condition]] = {}
         #: Clients waiting in :meth:`_park` right now (read under the lock).
         self._parked = 0
         self._data: Dict[str, Tuple[str, Any]] = {}
@@ -102,7 +101,7 @@ class RedisServer:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
+            self._wake_all()
 
     @property
     def parked(self) -> int:
@@ -118,38 +117,55 @@ class RedisServer:
         """Wake every parked blocking command to re-check its ``cancelled``
         predicate (the TCP front-end's, when a connection of its dies)."""
         with self._lock:
-            self._cond.notify_all()
+            self._wake_all()
+
+    def _wake_all(self) -> None:
+        for key in self._blocked:
+            self._notify(key)
 
     def _park(
-        self, deadline: Optional[float], cancelled: Optional[Callable[[], bool]]
+        self,
+        keys: Iterable[str],
+        deadline: Optional[float],
+        cancelled: Optional[Callable[[], bool]],
     ) -> bool:
         """The one wait of every blocking command: lock held, nothing found.
 
-        Releases the lock until the next mutation or :meth:`wake`.  ``False``
-        tells the command to give up -- return empty, consuming nothing --
-        because ``deadline`` passed or ``cancelled()`` turned true; a closed
-        server raises instead.
+        Registers the client under each of ``keys`` and releases the lock
+        until a write to one of them, or :meth:`wake`.  ``False`` tells the
+        command to give up -- return empty, consuming nothing -- because
+        ``deadline`` passed or ``cancelled()`` turned true; a closed server
+        raises instead.
         """
+        waiter = threading.Condition(self._lock)
+        blocked = self._blocked
+        for key in keys:
+            blocked.setdefault(key, []).append(waiter)
         self._parked += 1
         try:
             if deadline is None:
-                timed_out = not self._cond.wait()
+                timed_out = not waiter.wait()
             else:
                 remaining = deadline - self._now()
-                timed_out = remaining <= 0 or not self._cond.wait(timeout=remaining)
+                timed_out = remaining <= 0 or not waiter.wait(timeout=remaining)
         finally:
             self._parked -= 1
+            for key in keys:
+                waiters = blocked[key]
+                waiters.remove(waiter)
+                if not waiters:
+                    del blocked[key]
         self._check_open()
         return not (timed_out or (cancelled is not None and cancelled()))
 
-    def _notify(self) -> None:
-        """Wake the parked clients after a write; nobody parked, no call.
+    def _notify(self, key: str) -> None:
+        """Wake the clients parked on ``key`` after a write to it.
 
         Every write runs under the lock a parking client holds until it
-        waits, so a write that reads ``_parked == 0`` cannot miss a waiter.
+        has registered and waits, so a write cannot miss a waiter.
         """
-        if self._parked:
-            self._cond.notify_all()
+        for waiter in self._blocked.get(key, ()):
+            waiter.notify()
 
     # ------------------------------------------------------------------ util
     def _count(self, command: str) -> None:
@@ -191,10 +207,9 @@ class RedisServer:
         The in-process equivalent of Redis MULTI/EXEC (or a pipeline with a
         single round trip): ``commands`` is a list of
         ``(name, args, kwargs)`` triples restricted to
-        :data:`_TXN_COMMANDS`.  Returns the list of results.  One wakeup is
-        issued at the end instead of one per command -- under contention
-        this collapses the per-command lock/GIL handoff storm that
-        dominates fine-grained task streams.
+        :data:`_TXN_COMMANDS`.  Returns the list of results.  Each write
+        wakes the clients parked on its own key as it runs; they take the
+        lock only once the batch has released it.
 
         ``xreadgroup``, the one admitted command that can block, must not
         (``block_ms`` absent): parking inside the batch would release the
@@ -211,7 +226,6 @@ class RedisServer:
                 ):
                     raise RedisError("blocking xreadgroup not allowed in a transaction")
                 results.append(getattr(self, name)(*args, **kwargs))
-            self._notify()
         return results
 
     # --------------------------------------------------------------- generic
@@ -234,8 +248,7 @@ class RedisServer:
                 if key in self._data:
                     del self._data[key]
                     removed += 1
-            if removed:
-                self._notify()
+                    self._notify(key)
             return removed
 
     def exists(self, *keys: str) -> int:
@@ -286,7 +299,7 @@ class RedisServer:
             self._count("rpush")
             lst = self._list_for_write(key)
             lst.extend(values)
-            self._notify()
+            self._notify(key)
             return len(lst)
 
     def _pop(self, key: str) -> Any:
@@ -341,7 +354,7 @@ class RedisServer:
                     lst = self._get_typed(key, _TYPE_LIST)
                     if lst:
                         return key, self._pop(key)
-                if not self._park(deadline, cancelled):
+                if not self._park(keys, deadline, cancelled):
                     return None
 
     def blmove(
@@ -365,9 +378,9 @@ class RedisServer:
                 if self._get_typed(source, _TYPE_LIST):
                     moved = self._pop(source)
                     self._list_for_write(destination).append(moved)
-                    self._notify()
+                    self._notify(destination)
                     return moved
-                if not self._park(deadline, cancelled):
+                if not self._park((source,), deadline, cancelled):
                     return None
 
     def rpushseq(self, key: str, *values: Any) -> List[int]:
@@ -389,7 +402,7 @@ class RedisServer:
                 lst.append((seq, value))
                 assigned.append(seq)
             self._seq[key] = seq
-            self._notify()
+            self._notify(key)
             return assigned
 
     def llen(self, key: str) -> int:
@@ -507,7 +520,7 @@ class RedisServer:
                 wire = stream.add(fields, self._now_ms(), entry_id)
                 # Stored once the entry is in, so a refused XADD makes no key.
                 self._data[key] = (_TYPE_STREAM, stream)
-            self._notify()
+            self._notify(key)
             return wire
 
     def xaddn(self, key: str, field: str, *values: Any) -> List[str]:
@@ -527,7 +540,7 @@ class RedisServer:
                 stream = Stream()
                 self._data[key] = (_TYPE_STREAM, stream)
             wires = stream.add_each(field, values, self._now_ms())
-            self._notify()
+            self._notify(key)
             return wires
 
     def xlen(self, key: str) -> int:
@@ -627,16 +640,20 @@ class RedisServer:
                 # history reads return immediately even when empty.
                 if reply:
                     return reply
-                if block_ms is None or not self._park(deadline, cancelled):
+                if block_ms is None or not self._park(streams, deadline, cancelled):
                     return []
 
     def xackdecr(
         self, key: str, group: str, entry_id: str, counter_key: str, amount: int = 1,
         *more: Any,
     ) -> int:
-        """XACK entries and DECRBY a counter by what the still-pending ones carried.
+        """XACK entries, delete them and DECRBY a counter by what they carried.
 
-        The in-process equivalent of a Lua script on a real deployment:
+        Ack, delete, decrement: the shape Redis 8.2 gave ``XACKDEL``.  Each
+        entry it acks leaves the stream once every group has settled it
+        (:meth:`Stream.delete`), which frees its payload, so a task stream
+        holds what is in flight, not all a job ever ran.  The
+        in-process equivalent of a Lua script on a real deployment:
         completion counting must be exactly-once per entry, and an
         unconditional ``XACK + DECR`` pipeline double-decrements when an
         entry is finished twice -- by a worker and by the adopter of its
@@ -663,20 +680,30 @@ class RedisServer:
         with self._lock:
             self._count("xackdecr")
             grp, now = self._group(key, group), self._now()
-            released = [units for each, units in settled if self._ack(grp, each, now)]
-            if released:
-                self.decrby(counter_key, sum(released))
-            return len(released)
+            stream: Stream = self._data[key][1]
+            released = 0
+            acked = 0
+            for each, units in settled:
+                pending = self._ack(grp, each, now)
+                if pending is not None:
+                    stream.delete(pending.entry)
+                    released += units
+                    acked += 1
+            if acked:
+                self.decrby(counter_key, released)
+            return acked
 
     def xack(self, key: str, group: str, *entry_ids: str) -> int:
+        """Redis's XACK: the acked entries leave the PEL and stay in the stream."""
         with self._lock:
             self._count("xack")
             grp, now = self._group(key, group), self._now()
-            return sum(self._ack(grp, raw, now) for raw in entry_ids)
+            return sum(self._ack(grp, raw, now) is not None for raw in entry_ids)
 
     @staticmethod
-    def _ack(grp: ConsumerGroup, raw: str, now: float) -> bool:
-        """Drop one entry from the group's PEL; ``False`` if it was not pending.
+    def _ack(grp: ConsumerGroup, raw: str, now: float) -> Optional[PendingEntry]:
+        """Drop one entry from the group's PEL; its record, ``None`` if it was
+        not pending.
 
         ``raw`` is looked up as the wire ID a reply named; only a miss is
         parsed, so another spelling of a pending ID (``"5"`` for ``"5-0"``)
@@ -686,12 +713,12 @@ class RedisServer:
         if pending is None:
             wire = str(StreamID.parse(raw))
             if wire == raw or (pending := grp.pel.pop(wire, None)) is None:
-                return False
+                return None
         member = grp.consumers.get(pending.consumer)
         if member is not None:
             member.pending.discard(pending.entry.wire)
             member.last_seen = now
-        return True
+        return pending
 
     def xpending(self, key: str, group: str) -> Dict[str, Any]:
         """Summary form: count, min/max pending IDs, per-consumer counts."""

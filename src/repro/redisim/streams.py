@@ -3,7 +3,9 @@
 This module models the parts of Redis Streams that give the paper's Redis
 mappings their semantics:
 
-- append-only log of entries with monotonically increasing ``ms-seq`` IDs,
+- a log of entries with monotonically increasing ``ms-seq`` IDs, from
+  which an entry every group has settled with ``XACKDECR`` is deleted
+  (plain ``XACK`` keeps it, as in Redis),
 - consumer groups with a *last-delivered* cursor, so multiple workers
   cooperatively consume a single stream (the "Global Queue" of Figure 2),
 - per-group pending entry lists (PEL) recording which consumer holds each
@@ -82,7 +84,8 @@ class StreamEntry:
     """One appended entry: its ID, that ID's wire form, and a field mapping.
 
     ``wire`` is ``str(id)``, formatted once at ``XADD``: every reply naming
-    the entry reuses it, and the group's PEL is keyed by it.
+    the entry reuses it, and the group's PEL is keyed by it.  ``fields`` is
+    ``None`` once the entry is deleted (:meth:`Stream.delete`).
     """
 
     __slots__ = ("id", "wire", "fields")
@@ -90,7 +93,7 @@ class StreamEntry:
     def __init__(self, entry_id: StreamID, fields: Dict[str, object]) -> None:
         self.id = entry_id
         self.wire = f"{entry_id[0]}-{entry_id[1]}"
-        self.fields = fields
+        self.fields: Optional[Dict[str, object]] = fields
 
 
 class PendingEntry:
@@ -156,11 +159,24 @@ class ConsumerGroup:
         return consumer
 
 
+#: Fewest deleted entries worth a compaction of a stream's index.
+COMPACT_MIN = 64
+
+
 class Stream:
-    """Append-only log with consumer groups; an entry, once added, stays.
+    """A log of entries with consumer groups; what every group settled leaves.
 
     Entries are kept sorted by ID; a parallel ID list supports ``bisect``
-    range queries, keeping XRANGE/XREADGROUP scans :math:`O(\\log n + k)`.
+    range queries, keeping XRANGE/XREADGROUP scans :math:`O(\\log n + k)`
+    (plus the marked entries inside the range, while there are any).
+
+    :meth:`delete` drops a settled entry's fields at once and marks it
+    (``fields is None``); the marked entries leave ``entries`` and ``_ids``
+    together once they are at least :data:`COMPACT_MIN` and half the index,
+    so a compaction costs :math:`O(1)` per deleted entry.  Every marked
+    entry had been delivered to every group when it was deleted, so a
+    group's ``>`` cursor never lands before one: only a group created
+    later below ``_dead_max`` (``XGROUP CREATE ... 0``) reads past marks.
     """
 
     def __init__(self) -> None:
@@ -168,6 +184,9 @@ class Stream:
         self._ids: List[StreamID] = []
         self.last_id = MIN_ID
         self.groups: Dict[str, ConsumerGroup] = {}
+        #: Marked entries still in the index, and the highest marked ID.
+        self._dead = 0
+        self._dead_max = MIN_ID
 
     # -- append ----------------------------------------------------------------
     def add(self, fields: Mapping[str, object], now_ms: int, entry_id: Optional[str] = None) -> str:
@@ -216,9 +235,38 @@ class Stream:
         self.last_id = ids[-1]
         return [entry.wire for entry in entries[first:]]
 
+    # -- deletion --------------------------------------------------------------
+    def delete(self, entry: StreamEntry) -> bool:
+        """Delete ``entry`` if every group has settled it; ``True`` if it went.
+
+        Settled means delivered to the group and not in its PEL, so an entry
+        another group has yet to read, or still holds, stays (``XACKDEL``'s
+        ``ACKED`` rule); on a stream with one group, the ack that called
+        this settled it.
+        """
+        entry_id, wire = entry.id, entry.wire
+        for grp in self.groups.values():
+            if entry_id > grp.last_delivered or wire in grp.pel:
+                return False
+        entry.fields = None
+        self._dead += 1
+        if entry_id > self._dead_max:
+            self._dead_max = entry_id
+        if self._dead >= COMPACT_MIN and 2 * self._dead >= len(self.entries):
+            self.entries = live = [e for e in self.entries if e.fields is not None]
+            self._ids = [e.id for e in live]
+            self._dead, self._dead_max = 0, MIN_ID
+        return True
+
+    @staticmethod
+    def _live(entries: List[StreamEntry]) -> List[StreamEntry]:
+        """``entries`` without the deleted ones."""
+        return [e for e in entries if e.fields is not None]
+
     # -- range queries ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        """Live entries (XLEN): a deleted one no longer counts."""
+        return len(self.entries) - self._dead
 
     def range(
         self,
@@ -226,21 +274,26 @@ class Stream:
         end: StreamID = MAX_ID,
         count: Optional[int] = None,
     ) -> List[StreamEntry]:
-        """Entries with ``start <= id <= end`` in ID order."""
+        """Live entries with ``start <= id <= end`` in ID order."""
         lo = bisect.bisect_left(self._ids, start)
         hi = bisect.bisect_right(self._ids, end)
-        if count is not None:
-            hi = min(hi, lo + count)
-        return self.entries[lo:hi]
+        if self._dead:
+            return self._live(self.entries[lo:hi])[:count]
+        return self.entries[lo : hi if count is None else min(hi, lo + count)]
 
     def after(self, last: StreamID, count: Optional[int] = None) -> List[StreamEntry]:
-        """At most ``count`` entries with ``id > last`` (the ``>`` cursor of
-        XREADGROUP); slices only what it returns."""
+        """At most ``count`` live entries with ``id > last`` (the ``>`` cursor
+        of XREADGROUP); slices only what it returns."""
         lo = bisect.bisect_right(self._ids, last)
+        if last < self._dead_max:  # a group created below a deleted entry
+            return self._live(self.entries[lo:])[:count]
         if count is None:
             return self.entries[lo:]
         return self.entries[lo : lo + count]
 
     def lag(self, last: StreamID) -> int:
-        """How many entries have ``id > last`` (XINFO GROUPS' ``lag``)."""
-        return len(self._ids) - bisect.bisect_right(self._ids, last)
+        """How many live entries have ``id > last`` (XINFO GROUPS' ``lag``)."""
+        lo = bisect.bisect_right(self._ids, last)
+        if last < self._dead_max:
+            return len(self._live(self.entries[lo:]))
+        return len(self._ids) - lo

@@ -3,10 +3,9 @@
 Algorithm 1 of the paper drives workers through ``Pool.apply_async(func,
 args, callback=done)``.  :class:`WorkerPool` reproduces that interface on
 threads: a fixed set of pool threads pulls submitted calls from an internal
-dispatch queue, executes them, fires the completion callback and marks the
-call's :class:`AsyncResult` ready.  The auto-scaler's ``start``/``done``
-bookkeeping (the ``active_count`` guard) sits on top of this, exactly as in
-the paper.
+dispatch queue, executes them and fires the completion callback.  The
+auto-scaler's ``start``/``done`` bookkeeping (the ``active_count`` guard)
+sits on top of this, exactly as in the paper.
 
 The pool is also used directly by the dynamic mappings without an
 auto-scaler, in which case one long-running worker session is submitted per
@@ -14,55 +13,17 @@ process.
 
 The hand-off is paid once per auto-scaled session, so it is kept to C
 primitives: the dispatch queue is a :class:`queue.SimpleQueue` (its ``get``
-parks in C, no Python-level condition), and an :class:`AsyncResult` waits
-on one bare lock rather than a :class:`threading.Event`.
+parks in C, no Python-level condition), and a submission builds no handle
+-- the callback is the one completion signal, and a caller that waits
+passes one that releases a lock of its own.
 """
 
 from __future__ import annotations
 
-import _thread
 import queue
 import threading
 import traceback
 from typing import Any, Callable, List, Optional
-
-
-class AsyncResult:
-    """Completion handle of a submitted call: :meth:`wait` and :meth:`ready`.
-
-    ``_done`` is held from construction until the call and its callback
-    have finished; a waiter acquires it and at once releases it again, so
-    every waiter passes in turn.  ``_ready`` is set before the release and
-    never cleared: a waiter briefly holding the lock does not make a
-    finished call look unfinished.  What the call returned or raised is not
-    kept: a raise lands in :attr:`WorkerPool.errors`.
-    """
-
-    __slots__ = ("_done", "_ready")
-
-    def __init__(self) -> None:
-        self._done = _thread.allocate_lock()
-        self._done.acquire()
-        self._ready = False
-
-    def _finish(self) -> None:
-        self._ready = True
-        self._done.release()
-
-    def ready(self) -> bool:
-        return self._ready
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        if self._ready:
-            return
-        if timeout is None:
-            passed = self._done.acquire()
-        elif timeout > 0:
-            passed = self._done.acquire(True, timeout)
-        else:
-            passed = self._done.acquire(False)
-        if passed:
-            self._done.release()
 
 
 _STOP = object()
@@ -107,7 +68,7 @@ class WorkerPool:
         func: Callable[..., Any],
         args: tuple = (),
         callback: Optional[Callable[[Any], None]] = None,
-    ) -> AsyncResult:
+    ) -> None:
         """Schedule ``func(*args)`` on a pool worker.
 
         ``callback`` fires (on the worker thread) with the return value --
@@ -115,15 +76,14 @@ class WorkerPool:
         decrement ``active_count``.  If ``func`` raises, the exception is
         recorded in :attr:`errors` and printed, and the callback still fires
         with ``None`` so active-count accounting cannot leak on worker
-        errors; a raising callback is recorded the same way.  The returned
-        :class:`AsyncResult` is ready once both have run.
+        errors; a raising callback is recorded the same way.  Unlike
+        ``Pool.apply_async`` it returns nothing: the callback is the
+        completion signal.
         """
-        result = AsyncResult()
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed pool")
-            self._dispatch.put((func, args, callback, result))
-        return result
+            self._dispatch.put((func, args, callback))
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -161,7 +121,7 @@ class WorkerPool:
             job = take()
             if job is _STOP:
                 return
-            func, args, callback, result = job
+            func, args, callback = job
             value = None
             try:
                 value = func(*args)
@@ -172,9 +132,6 @@ class WorkerPool:
                     callback(value)
                 except BaseException as exc:  # noqa: BLE001 - callback boundary
                     self._record(exc)
-            # Finished either way: a raising call or callback never leaves
-            # a waiter parked.
-            result._finish()
 
     def _record(self, exc: BaseException) -> None:
         with self._errors_lock:

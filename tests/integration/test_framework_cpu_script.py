@@ -1,5 +1,6 @@
 """``scripts/framework_cpu.py`` at its quick size, so the sizing tool cannot rot."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,12 @@ def test_quick_run_prints_a_row_and_an_attribution_table():
     for name, table in sections.items():
         [line] = [line for line in table if line.startswith("wrapper cost per call")]
         assert "before the run" in line and "after; netted at their median" in line
+    # Each attributed run's CPU comes with its context switches.
+    for name, table in sections.items():
+        [line] = [line for line in table if line.startswith("context switches ")]
+        assert re.fullmatch(
+            r"context switches \d+ voluntary, \d+ involuntary \(this process\)", line
+        ), line
     # The forked workers' CPU is reported, not attributed.
     assert any(line.startswith("worker processes ") for line in sections["cluster_tcp"])
 

@@ -61,6 +61,27 @@ def _spy(client):
     return frames
 
 
+def _delivered(wf):
+    """Record every entry the board's group delivers (``>`` reads), as
+    ``(id, decoded fields)`` in delivery order.  An entry ``XACKDECR`` settles
+    leaves the stream, so after a run ``XRANGE`` no longer shows it."""
+    keyspace = wf.board.client._transport._server
+    read, log = keyspace.xreadgroup, []
+
+    def recording(group, consumer, streams, *args, **kwargs):
+        reply = read(group, consumer, streams, *args, **kwargs)
+        if ">" in streams.values():
+            log.extend(
+                (entry_id, {name: pickle.loads(blob) for name, blob in fields.items()})
+                for _key, entries in reply
+                for entry_id, fields in entries
+            )
+        return reply
+
+    keyspace.xreadgroup = recording  # ``transaction`` looks commands up by name
+    return log
+
+
 def _settles(frames):
     """The frames that settle at least one entry."""
     return [
@@ -173,11 +194,11 @@ class TestTripsPerWindow:
         state, wf = _workforce(graph, list(range(n)))
         wf.seed_roots()
         worker = _wide(wf.worker("solo"))
-        frames = _spy(worker.client)
+        frames, stream = _spy(worker.client), _delivered(wf)
         worker.run_dedicated(lambda: None)
         assert sorted(state.collector.as_dict()["b.output"]) == [2 * i + 1 for i in range(n)]
+        assert wf.board.client.xlen(wf.board.stream_key) == 0  # every entry settled
 
-        stream = wf.board.client.xrange(wf.board.stream_key)
         task_of = {entry_id: fields["task"] for entry_id, fields in stream}
         settles = _settles(frames)
         assert max(len(_acked(frame)) for frame in settles) == WINDOW_CAP
@@ -240,7 +261,7 @@ class TestTripsPerWindow:
         state, wf = _workforce(graph, list(range(n)))
         wf.seed_roots()
         worker = _narrow(wf.worker("solo"))
-        frames = _spy(worker.client)
+        frames, stream = _spy(worker.client), _delivered(wf)
         worker.run_dedicated(lambda: None)
         assert sorted(state.collector.as_dict()["b.output"]) == [1, 3, 5]
 
@@ -252,7 +273,7 @@ class TestTripsPerWindow:
         assert {name for frame in names[1 + 2 * n:] for name in frame} <= {"xreadgroup", "get"}
         assert all(_read_ahead(frame) == 1 for frame in _settles(frames))
         assert [eid for frame in _settles(frames) for eid in _acked(frame)] == [
-            entry_id for entry_id, _f in wf.board.client.xrange(wf.board.stream_key)
+            entry_id for entry_id, _f in stream
         ]
         assert worker.client.ops == len(frames) <= 2 * n + 8
         assert state.counters.get("settle_trips") == state.counters.get("tasks") == 2 * n
@@ -297,7 +318,7 @@ class TestFailureMidWindow:
         state, wf = _workforce(graph, inputs)
         wf.seed_roots()
         worker = _wide(wf.worker("solo"))
-        frames = _spy(worker.client)
+        frames, delivered = _spy(worker.client), _delivered(wf)
         with pytest.raises(ValueError):
             worker.run_dedicated(lambda: None)
         # "a" went alone; the next window held the other four and "a"'s
@@ -310,7 +331,7 @@ class TestFailureMidWindow:
         assert [name for name, _a, _k in _settles(frames)[-1]] == [
             "incrby", "xaddn", "xackdecr"
         ]
-        stream = [entry_id for entry_id, _f in wf.board.client.xrange(wf.board.stream_key)]
+        stream = [entry_id for entry_id, _f in delivered]
         assert _acked(_settles(frames)[-1]) == stream[1:3]
         assert state.counters.get("tasks") == 2
         assert _pending(wf, wf.consumer_name("solo")) == 3
@@ -622,13 +643,13 @@ class TestSettleInFlight:
         wf.seed_roots()
         worker = _wide(wf.worker("solo"))
         wire = _Wire(worker.client)  # refuses the last settle unless the flight was read
-        frames = _spy(worker.client)
+        frames, delivered = _spy(worker.client), _delivered(wf)
         with pytest.raises(ValueError):
             worker.run_dedicated(lambda: None)
         assert wire.up == 0 and worker._flight is None
         # Entries 25..32 were one window: 25..30 started and are acked, in
         # one synchronous trip that reads nothing ahead.
-        stream = [entry_id for entry_id, _f in wf.board.client.xrange(wf.board.stream_key)]
+        stream = [entry_id for entry_id, _f in delivered]
         last = _settles(frames)[-1]
         assert [name for name, _a, _k in last] == ["xackdecr"]
         assert _acked(last) == stream[25:31]

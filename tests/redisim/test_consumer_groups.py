@@ -6,6 +6,7 @@ import pytest
 
 from repro.redisim.errors import BusyGroupError, NoGroupError, RedisError
 from repro.redisim.server import RedisServer
+from repro.redisim.streams import COMPACT_MIN
 
 
 @pytest.fixture
@@ -275,3 +276,25 @@ class TestVariadicXackdecr:
             server.xackdecr("s", "g", fetched[0], "n", amount, fetched[1], 1)
         assert server.get("n") == 100
         assert server.xpending("s", "g")["pending"] == 4
+
+
+class TestSettledEntriesAndTheDead:
+    def test_a_consumer_named_dead_keeps_its_pel_until_adopted(self, server):
+        """Its peers' settled entries leave the stream, compaction and all;
+        what the dead consumer held replays intact and leaves only once its
+        adopter settles it."""
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        held = server.xaddn("s", "task", "lost-0", "lost-1")
+        server.xreadgroup("g", "dead", {"s": ">"})
+        done = server.xaddn("s", "task", *range(3 * COMPACT_MIN))
+        server.xreadgroup("g", "live", {"s": ">"})
+        for entry_id in done:
+            server.xackdecr("s", "g", entry_id, "n", 1)
+        assert server.xlen("s") == 2
+        assert len(server._data["s"][1].entries) < len(done)  # compacted past them
+        [(_key, replay)] = server.xreadgroup("g", "dead", {"s": "0"})
+        assert replay == [(held[0], {"task": "lost-0"}), (held[1], {"task": "lost-1"})]
+        assert server.xpending("s", "g")["consumers"] == {"dead": 2}
+        # The adopter reads the dead consumer's PEL and settles it.
+        assert server.xackdecr("s", "g", held[0], "n", 1, held[1], 1) == 2
+        assert server.xlen("s") == 0 and server.xpending("s", "g")["pending"] == 0

@@ -1,11 +1,13 @@
 """Parked blocking commands wake, give up and are counted, on both layers.
 
-A write skips the condition's ``notify_all`` while nobody is parked
-(:attr:`RedisServer.parked` is 0), so what must still hold is pinned here
-for ``BLPOP``, blocking ``XREADGROUP`` and ``BLMOVESEQ``, in process and
-over RESP/TCP:
+A parked client waits on its own condition, registered under the keys it
+waits on, and a write wakes only the clients of the key it wrote.  What
+must hold is pinned here for ``BLPOP``, blocking ``XREADGROUP`` and
+``BLMOVESEQ``, in process and over RESP/TCP:
 
 - a write made inside a pipeline transaction wakes the parked reader;
+- a write to another key wakes nobody; ``XADDN`` and ``DEL`` wake the
+  readers of their own key;
 - :meth:`RedisServer.wake` releases a wait its ``cancelled`` predicate
   gave up (over TCP: the reader's connection dropping), and
   :meth:`RedisServer.close` releases every wait;
@@ -22,6 +24,7 @@ import pytest
 from repro.net.resp import encode_command
 from repro.net.server import RespTCPServer
 from repro.redisim.errors import ConnectionError as RedisConnectionError
+from repro.redisim.errors import RedisError
 from repro.redisim.server import RedisServer
 
 pytestmark = pytest.mark.network
@@ -52,6 +55,22 @@ def parked_call(call):
     thread = threading.Thread(target=body, daemon=True)
     thread.start()
     return thread, outcome
+
+
+def spied_waiter(keyspace, key):
+    """The condition of the one client parked on ``key``, with a count of
+    the wakeups delivered to it (``calls[0]``).  A write notifies under the
+    keyspace lock, so the count is exact as soon as the write returns."""
+    assert wait_until(lambda: keyspace.parked == 1)
+    [waiter] = keyspace._blocked[key]
+    calls, notify = [0], waiter.notify
+
+    def counting(*args):
+        calls[0] += 1
+        return notify(*args)
+
+    waiter.notify = counting
+    return calls
 
 
 #: command -> (the parked read, the pipelined write that feeds it, its reply).
@@ -138,6 +157,97 @@ def _direct(keyspace, command, cancelled):
     if command == "xreadgroup":
         return lambda: keyspace.xreadgroup("g", "c", {"s": ">"}, None, 0, cancelled)
     return lambda: keyspace.blmove("q", "q:log", None, cancelled)
+
+
+class TestPerKeyWakeups:
+    def test_a_write_to_another_key_wakes_nobody(self, layer):
+        keyspace, connect = layer
+        reader, writer = connect(), connect()
+        writer.xgroup_create("s", "g", id="0", mkstream=True)
+        thread, outcome = parked_call(lambda: reader.blpop("a", timeout=WAIT))
+        wakeups = spied_waiter(keyspace, "a")
+        writer.rpush("b", "x")
+        writer.rpush_seq("c", "x")
+        writer.xadd("s", {"f": "v"})
+        writer.xaddn("s", "f", "v", "w")
+        writer.blmove_seq("c", "d", timeout=WAIT)
+        writer.delete("b", "s")
+        pipe = writer.pipeline()
+        pipe.rpush("b", "y")
+        pipe.incrby("n", 1)
+        pipe.execute()
+        assert wakeups[0] == 0 and keyspace.parked == 1
+        writer.rpush("a", "hit")
+        thread.join(WAIT)
+        assert outcome == [("ok", ("a", "hit"))]
+        assert wakeups[0] == 1 and keyspace.parked == 0
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_a_multi_key_blpop_wakes_on_either_key(self, layer, key):
+        keyspace, connect = layer
+        reader, writer = connect(), connect()
+        thread, outcome = parked_call(lambda: reader.blpop(["a", "b"], timeout=WAIT))
+        assert wait_until(lambda: keyspace.parked == 1)
+        assert keyspace._blocked["a"] == keyspace._blocked["b"]  # one client, two keys
+        writer.rpush(key, "v")
+        thread.join(WAIT)
+        assert outcome == [("ok", (key, "v"))]
+        assert keyspace.parked == 0 and keyspace._blocked == {}
+
+    def test_xaddn_wakes_the_xreadgroup_on_its_stream_only(self, layer):
+        keyspace, connect = layer
+        on_s, on_t, writer = connect(), connect(), connect()
+        for stream in ("s", "t"):
+            writer.xgroup_create(stream, "g", id="0", mkstream=True)
+        other, other_outcome = parked_call(
+            lambda: on_t.xreadgroup("g", "c", {"t": ">"}, block=int(WAIT * 1000))
+        )
+        wakeups = spied_waiter(keyspace, "t")
+        thread, outcome = parked_call(
+            lambda: on_s.xreadgroup("g", "c", {"s": ">"}, block=int(WAIT * 1000))
+        )
+        assert wait_until(lambda: keyspace.parked == 2)
+        [first, second] = writer.xaddn("s", "f", "v", "w")
+        thread.join(WAIT)
+        assert outcome == [("ok", [("s", [(first, {"f": "v"}), (second, {"f": "w"})])])]
+        assert wakeups[0] == 0 and keyspace.parked == 1 and other_outcome == []
+        writer.xadd("t", {"f": "x"}, id="99-0")
+        other.join(WAIT)
+        assert other_outcome == [("ok", [("t", [("99-0", {"f": "x"})])])]
+
+    def test_del_of_a_stream_wakes_its_reader_into_nogroup(self, layer):
+        keyspace, connect = layer
+        reader, writer = connect(), connect()
+        writer.xgroup_create("s", "g", id="0", mkstream=True)
+        thread, outcome = parked_call(
+            lambda: reader.xreadgroup("g", "c", {"s": ">"}, block=int(WAIT * 1000))
+        )
+        wakeups = spied_waiter(keyspace, "s")
+        assert writer.delete("s") == 1
+        thread.join(WAIT)
+        assert wakeups[0] == 1 and keyspace.parked == 0
+        [(kind, error)] = outcome
+        assert kind == "raised" and isinstance(error, RedisError)
+        assert str(error).startswith("NOGROUP")
+
+    def test_wake_releases_waiters_on_every_key(self):
+        keyspace = RedisServer()
+        keyspace.xgroup_create("s", "g", mkstream=True)
+        gave_up = threading.Event()
+        calls = [
+            _direct(keyspace, command, gave_up.is_set) for command in sorted(READS)
+        ] + [lambda: keyspace.blpop(["elsewhere"], None, gave_up.is_set)]
+        waits = [parked_call(call) for call in calls]
+        assert wait_until(lambda: keyspace.parked == len(calls))
+        gave_up.set()
+        keyspace.wake()
+        for thread, _outcome in waits:
+            thread.join(WAIT)
+        # blmoveseq, blpop, xreadgroup, then the BLPOP on another key.
+        assert [outcome for _thread, outcome in waits] == [
+            [("ok", None)], [("ok", None)], [("ok", [])], [("ok", None)]
+        ]
+        assert keyspace.parked == 0 and keyspace._blocked == {}
 
 
 class TestInProcess:

@@ -77,3 +77,27 @@ class TestStreamProperties:
                         exhausted = False
         assert sorted(seen) == sorted(values)
         assert server.xpending("s", "g")["pending"] == 0
+
+    # Three in four delivered entries settled: enough to trigger compactions.
+    @given(st.lists(st.sampled_from([True, True, True, False]), min_size=1, max_size=300),
+           st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_xackdecr_leaves_exactly_the_unsettled_entries(self, settle, rng):
+        """Whatever subset ``XACKDECR`` settles, in whatever order (and so
+        whichever compactions it triggers), ``XRANGE`` is the rest in stream
+        order, ``XLEN`` its length and the group's lag is unchanged."""
+        server = fresh_server()
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        ids = server.xaddn("s", "v", *range(len(settle)))
+        delivered = len(settle) - len(settle) // 10
+        server.xreadgroup("g", "c", {"s": ">"}, count=delivered)
+        [before] = server.xinfo_groups("s")
+        acked = [entry_id for entry_id, ack in zip(ids[:delivered], settle) if ack]
+        rng.shuffle(acked)
+        for entry_id in acked:
+            assert server.xackdecr("s", "g", entry_id, "n", 1) == 1
+        rest = [entry_id for entry_id in ids if entry_id not in set(acked)]
+        assert [entry_id for entry_id, _f in server.xrange("s")] == rest
+        assert server.xlen("s") == len(rest)
+        [after] = server.xinfo_groups("s")
+        assert after["lag"] == before["lag"] == len(settle) - delivered

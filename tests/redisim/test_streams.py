@@ -1,13 +1,15 @@
 """Tests for stream IDs and XADD/XRANGE/XLEN."""
 
 import copy
+import gc
 import pickle
+import weakref
 
 import pytest
 
 from repro.redisim.errors import StreamIDError
 from repro.redisim.server import RedisServer
-from repro.redisim.streams import Stream, StreamID
+from repro.redisim.streams import COMPACT_MIN, Stream, StreamID
 
 
 class TestStreamID:
@@ -164,3 +166,87 @@ class TestAfter:
         assert lags + [row["lag"]] == [5, 4, 2, 0]
         assert row["last-delivered-id"] == "10-1"
         assert row["entries-read"] == 5
+
+
+class TestSettledEntriesLeave:
+    """``XACKDECR`` deletes what it settles; ``XACK`` keeps it, as in Redis."""
+
+    def test_xlen_and_xrange_exclude_what_xackdecr_settled(self, layer):
+        _keyspace, connect = layer
+        client = connect()
+        client.xgroup_create("s", "g", id="0", mkstream=True)
+        ids = client.xaddn("s", "v", *range(5))
+        client.incrby("n", 5)
+        client.xreadgroup("g", "c", {"s": ">"})
+        assert client.xack_decr("s", "g", ids[1], "n", 1, ids[3], 1) == 2
+        assert client.xlen("s") == 3
+        assert [entry_id for entry_id, _f in client.xrange("s")] == [ids[0], ids[2], ids[4]]
+        assert client.xrange("s", ids[1], "+", count=2) == [(ids[2], {"v": 2}), (ids[4], {"v": 4})]
+        assert client.xack("s", "g", ids[0], ids[2]) == 2
+        assert client.xlen("s") == 3  # plain XACK keeps the entries
+        assert [entry_id for entry_id, _f in client.xrange("s")] == [ids[0], ids[2], ids[4]]
+
+    def test_the_payload_is_freed_at_the_ack(self, server):
+        class Payload:
+            pass
+
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        payload = Payload()
+        held = weakref.ref(payload)
+        entry_id = server.xadd("s", {"task": payload})
+        del payload
+        server.xreadgroup("g", "c", {"s": ">"})
+        gc.collect()
+        assert held() is not None  # pending: the PEL still needs it
+        server.xackdecr("s", "g", entry_id, "n", 1)
+        assert held() is None
+
+    def test_a_stream_with_no_group_never_shrinks(self, server):
+        ids = [server.xadd("s", {"v": n}) for n in range(200)]
+        assert server.xlen("s") == 200
+        assert [entry_id for entry_id, _f in server.xrange("s")] == ids
+
+    def test_group_lag_and_reads_are_unchanged_across_a_compaction(self, server):
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        ids = [server.xadd("s", {"v": n}) for n in range(4 * COMPACT_MIN)]
+        server.xreadgroup("g", "c", {"s": ">"}, count=3 * COMPACT_MIN)
+        [before] = server.xinfo_groups("s")
+        stream = server._data["s"][1]
+        # Settle out of order: every other entry, then the rest.
+        acked = ids[: 2 * COMPACT_MIN : 2] + ids[1 : 2 * COMPACT_MIN : 2]
+        for entry_id in acked:
+            server.xackdecr("s", "g", entry_id, "n", 1)
+        assert len(stream.entries) == len(stream._ids) == 2 * COMPACT_MIN  # compacted
+        [after] = server.xinfo_groups("s")
+        assert after == {**before, "pending": COMPACT_MIN}
+        assert server.xlen("s") == 2 * COMPACT_MIN
+        assert [e for e, _f in server.xrange("s")] == ids[2 * COMPACT_MIN :]
+        assert server.xrange("s", "-", ids[2 * COMPACT_MIN], count=5) == [
+            (ids[2 * COMPACT_MIN], {"v": 2 * COMPACT_MIN})
+        ]
+        [(_key, rest)] = server.xreadgroup("g", "c", {"s": ">"})
+        assert [entry_id for entry_id, _f in rest] == ids[3 * COMPACT_MIN :]
+
+    def test_a_group_created_below_deleted_entries_reads_only_live_ones(self, server):
+        server.xgroup_create("s", "g", entry_id="0", mkstream=True)
+        ids = [server.xadd("s", {"v": n}) for n in range(4)]
+        server.xreadgroup("g", "c", {"s": ">"})
+        server.xackdecr("s", "g", ids[0], "n", 1, ids[2], 1)
+        server.xgroup_create("s", "late", entry_id="0")
+        lag = {row["name"]: row["lag"] for row in server.xinfo_groups("s")}
+        assert lag == {"g": 0, "late": 2}
+        [(_key, read)] = server.xreadgroup("late", "c", {"s": ">"}, count=1)
+        assert [entry_id for entry_id, _f in read] == [ids[1]]
+
+    def test_an_entry_another_group_still_needs_stays(self, server):
+        server.xgroup_create("s", "a", entry_id="0", mkstream=True)
+        server.xgroup_create("s", "b", entry_id="0")
+        first, second = server.xadd("s", {"v": 1}), server.xadd("s", {"v": 2})
+        server.xreadgroup("a", "c", {"s": ">"})
+        server.xackdecr("s", "a", first, "n", 1, second, 1)
+        assert server.xlen("s") == 2  # "b" has not read them
+        server.xreadgroup("b", "c", {"s": ">"})
+        server.xack("s", "b", first)
+        assert server.xlen("s") == 2  # "b" settled ``first`` with a plain XACK
+        assert server.xackdecr("s", "b", second, "n", 1) == 1
+        assert [entry_id for entry_id, _f in server.xrange("s")] == [first]

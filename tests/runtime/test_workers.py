@@ -5,12 +5,14 @@ import time
 
 import pytest
 
-from repro.runtime.workers import AsyncResult, WorkerPool
+from repro.runtime.workers import WorkerPool
 
 
-class TestAsyncResult:
-    def test_not_ready_initially(self):
-        assert not AsyncResult().ready()
+def _drained(pool):
+    """Close ``pool`` and wait for its threads: every submitted call and
+    callback has run by the time this returns."""
+    pool.close()
+    pool.join(timeout=5)
 
 
 class TestWorkerPool:
@@ -35,21 +37,24 @@ class TestWorkerPool:
             pool.close()
             pool.join()
 
+    def test_submission_returns_nothing(self):
+        """No completion handle is built per call: the callback is the signal."""
+        pool = WorkerPool(1)
+        try:
+            assert pool.apply_async(int) is None
+        finally:
+            _drained(pool)
+
     def test_exception_recorded_and_printed(self, capsys):
         pool = WorkerPool(1)
 
         def boom():
             raise ValueError("kapow")
 
-        try:
-            result = pool.apply_async(boom)
-            result.wait(timeout=2)
-            assert result.ready()
-            assert [str(e) for e in pool.errors] == ["kapow"]
-            assert "ValueError: kapow" in capsys.readouterr().err
-        finally:
-            pool.close()
-            pool.join()
+        pool.apply_async(boom)
+        _drained(pool)
+        assert [str(e) for e in pool.errors] == ["kapow"]
+        assert "ValueError: kapow" in capsys.readouterr().err
 
     def test_callback_fires_even_on_error(self):
         """active_count accounting must not leak when a session dies."""
@@ -74,15 +79,12 @@ class TestWorkerPool:
             barrier.wait()
             return True
 
-        try:
-            results = [pool.apply_async(wait_at_barrier) for _ in range(4)]
-            for result in results:
-                result.wait(timeout=3)
-            assert all(result.ready() for result in results)
-            assert pool.errors == []
-        finally:
-            pool.close()
-            pool.join()
+        returned = []
+        for _ in range(4):
+            pool.apply_async(wait_at_barrier, callback=returned.append)
+        _drained(pool)
+        assert returned == [True] * 4
+        assert pool.errors == []
 
     def test_submit_after_close_raises(self):
         pool = WorkerPool(1)
@@ -100,24 +102,23 @@ class TestWorkerPool:
             pool.close()
             pool.join()
 
-    def test_raising_callback_does_not_hang_waiters(self, capsys):
-        """Regression: the result must be ready either way -- a waiter
-        blocked in wait() would otherwise hang forever.  The callback's
-        failure lands in ``errors`` and is printed."""
+    def test_raising_callback_leaves_the_thread_serving(self, capsys):
+        """The callback's failure lands in ``errors`` and is printed, and
+        the pool's one thread goes on to the next call."""
         pool = WorkerPool(1)
+        after = threading.Event()
 
         def bad_callback(_value):
             raise ValueError("boom")
 
         try:
-            result = pool.apply_async(lambda: 1, callback=bad_callback)
-            result.wait(timeout=2)
-            assert result.ready()
+            pool.apply_async(lambda: 1, callback=bad_callback)
+            pool.apply_async(after.set)
+            assert after.wait(timeout=2)
             assert [str(e) for e in pool.errors] == ["boom"]
             assert "ValueError: boom" in capsys.readouterr().err
         finally:
-            pool.close()
-            pool.join()
+            _drained(pool)
 
     def test_callback_error_after_func_error_records_both(self):
         """When func failed, the callback still runs (with ``None``), and
@@ -130,74 +131,18 @@ class TestWorkerPool:
         def bad_callback(value):
             raise ValueError(f"callback-error {value}")
 
-        try:
-            result = pool.apply_async(boom, callback=bad_callback)
-            result.wait(timeout=2)
-            assert result.ready()
-            assert [type(e) for e in pool.errors] == [KeyError, ValueError]
-            assert str(pool.errors[1]) == "callback-error None"
-        finally:
-            pool.close()
-            pool.join()
+        pool.apply_async(boom, callback=bad_callback)
+        _drained(pool)
+        assert [type(e) for e in pool.errors] == [KeyError, ValueError]
+        assert str(pool.errors[1]) == "callback-error None"
 
     def test_backlog_processed_after_close(self):
         pool = WorkerPool(1)
-        results = [pool.apply_async(time.sleep, (0.01,)) for _ in range(5)]
-        pool.close()
-        pool.join(timeout=5)
-        assert all(r.ready() for r in results)
-
-
-class TestAsyncResultWaiters:
-    def test_every_waiter_returns(self):
-        """Waiters pass the finished call's lock one after another: none
-        may be left parked behind another."""
-        result = AsyncResult()
-        returned = []
-        parked = threading.Barrier(7, timeout=5)
-
-        def waiter():
-            parked.wait()
-            # The timeout outlasts the join below: a waiter that returns
-            # only because it timed out fails the test.
-            result.wait(timeout=60)
-            returned.append(result.ready())
-
-        threads = [threading.Thread(target=waiter, daemon=True) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        parked.wait()
-        time.sleep(0.02)  # let the waiters reach the lock
-        result._finish()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-        assert returned == [True] * 6
-
-    def test_ready_stays_true_while_waiters_pass(self):
-        result = AsyncResult()
-        result._finish()
-        stop = threading.Event()
-
-        def hammer():
-            while not stop.is_set():
-                result.wait()
-
-        threads = [threading.Thread(target=hammer) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        try:
-            assert all(result.ready() for _ in range(20_000))
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=5)
-
-    @pytest.mark.parametrize("timeout", [0, -1.0, 0.01])
-    def test_unsettled_wait_returns_after_timeout(self, timeout):
-        result = AsyncResult()
-        result.wait(timeout=timeout)
-        assert not result.ready()
+        slept = []
+        for _ in range(5):
+            pool.apply_async(time.sleep, (0.01,), callback=slept.append)
+        _drained(pool)
+        assert slept == [None] * 5
 
 
 def _pool_threads(name):
@@ -235,9 +180,10 @@ class TestPoolShutdown:
                 start.wait()
                 for index in range(10_000):
                     try:
-                        accepted.append(pool.apply_async(int, (index,), callback=fired.append))
+                        pool.apply_async(int, (index,), callback=fired.append)
                     except RuntimeError:
                         return
+                    accepted.append(index)
 
             submitter = threading.Thread(target=submit)
             submitter.start()
@@ -247,5 +193,4 @@ class TestPoolShutdown:
             pool.join(timeout=5)
             assert not submitter.is_alive()
             assert _pool_threads(f"race-{round_}") == []
-            assert all(result.ready() for result in accepted)
-            assert sorted(fired) == list(range(len(accepted)))
+            assert sorted(fired) == accepted
